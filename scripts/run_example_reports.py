@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the full report pipeline for every built-in example system.
 
-Writes one output directory per (system, command) pair and prints a summary
-table of exit codes, so the whole desk-scale experiment set can be reproduced
-with a single invocation:
+Writes one output directory per (system, command) pair, holding the
+``config.json`` it ran and the ``report.json`` it produced, and prints a
+summary table of exit codes, so the whole desk-scale experiment set can be
+reproduced with a single invocation:
 
     python scripts/run_example_reports.py --out runs/
 """
@@ -11,7 +12,6 @@ with a single invocation:
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 from hyposym.cli import main as hyposym_main
@@ -46,11 +46,11 @@ def run_all(out_root: Path, seed: int) -> int:
             doc = {"system": {"name": name}, "seed": seed}
             if command == "solve":
                 doc.update(SOLVE_EXTRAS)
-            with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-                json.dump(doc, fh)
-                cfg_path = fh.name
             out_dir = out_root / f"{name}--{command}"
-            code = hyposym_main([command, "--config", cfg_path, "--out", str(out_dir)])
+            out_dir.mkdir(parents=True, exist_ok=True)
+            cfg_path = out_dir / "config.json"
+            cfg_path.write_text(json.dumps(doc))
+            code = hyposym_main([command, "--config", str(cfg_path), "--out", str(out_dir)])
             rows.append((name, command, code))
             if code == 1:
                 failures += 1

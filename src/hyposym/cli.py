@@ -4,7 +4,8 @@ Configs are plain JSON (key/value with nested sections); every key is
 validated and unknown keys are rejected with their path.  Exit codes:
 
 * 0 -- run completed (classifications and measured constants are data),
-* 1 -- usage error: bad arguments, invalid config, I/O failure,
+* 1 -- usage error: bad arguments (argparse errors included), invalid
+  config, I/O failure,
 * 2 -- a property the analysed system was expected to satisfy failed on this
   input; the report carries witnesses.
 
@@ -18,6 +19,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,10 +103,15 @@ def _merge_defaults(data: dict, defaults: dict, path: str, errors: list) -> dict
     return out
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _require_number(data, key, errors, path, low=None, high=None, integer=False):
     value = data.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        errors.append(f"{path}{key} must be a number")
+    if not _is_number(value):
+        errors.append(f"{path}{key} must be a finite number")
         return None
     if integer and int(value) != value:
         errors.append(f"{path}{key} must be an integer")
@@ -177,6 +184,25 @@ def _parse_system(section, errors) -> SystemSymbol | None:
         return None
 
 
+def _check_mode(mode, path: str, symbol: SystemSymbol | None, errors: list):
+    """One Fourier mode: an integer k and at most m [re, im] amplitude pairs."""
+    if not isinstance(mode, dict):
+        errors.append(f"{path} must be an object with keys k and amplitudes")
+        return
+    for key in mode:
+        if key not in ("k", "amplitudes"):
+            errors.append(f"unknown key {path}.{key}")
+    _require_number(mode, "k", errors, f"{path}.", integer=True)
+    amps = mode.get("amplitudes")
+    m = symbol.m if symbol is not None else MAX_DIMENSION
+    if (
+        not isinstance(amps, list)
+        or len(amps) > m
+        or not all(isinstance(a, list) and len(a) == 2 and all(map(_is_number, a)) for a in amps)
+    ):
+        errors.append(f"{path}.amplitudes must be a list of at most m = {m} [re, im] number pairs")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run description: canonical data plus constructed objects."""
@@ -239,11 +265,15 @@ def parse_config(text: str) -> RunConfig:
     g = data["grids"]
     _require_number(g, "t_points", errors, "grids.", low=2, integer=True)
     _require_number(g, "xi_points", errors, "grids.", low=2, integer=True)
-    _require_number(g, "xi_min", errors, "grids.", low=0.0)
-    _require_number(g, "xi_max", errors, "grids.", low=0.0)
+    xi_min = _require_number(g, "xi_min", errors, "grids.")
+    xi_max = _require_number(g, "xi_max", errors, "grids.")
+    if xi_min is not None and xi_min <= 0:
+        errors.append("grids.xi_min must be > 0")
+    elif None not in (xi_min, xi_max) and xi_min > xi_max:
+        errors.append("grids.xi_min must be <= grids.xi_max")
     _require_number(g, "directions", errors, "grids.", low=1, integer=True)
     if not isinstance(g.get("xi_list"), list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in g["xi_list"]
+        _is_number(v) and v > 0 for v in g["xi_list"]
     ):
         errors.append("grids.xi_list must be a list of positive numbers")
 
@@ -256,11 +286,11 @@ def parse_config(text: str) -> RunConfig:
                 errors.append(f"unknown key eps_policy.{key}")
         if policy["kind"] == "fixed":
             v = policy.get("value")
-            if not isinstance(v, (int, float)) or not 0 < v <= 1:
+            if not _is_number(v) or not 0 < v <= 1:
                 errors.append("eps_policy.value must lie in (0, 1]")
         if policy["kind"] == "balanced":
             policy.setdefault("k", 2.0)
-            if not isinstance(policy["k"], (int, float)) or policy["k"] < 1:
+            if not _is_number(policy["k"]) or policy["k"] < 1:
                 errors.append("eps_policy.k must be >= 1")
 
     solver = data["solver"]
@@ -278,9 +308,12 @@ def parse_config(text: str) -> RunConfig:
         modes = init.get("modes")
         if not isinstance(modes, list) or not modes:
             errors.append("initial_data.modes must be a non-empty list")
+        else:
+            for idx, mode in enumerate(modes):
+                _check_mode(mode, f"initial_data.modes[{idx}]", symbol, errors)
 
     if not isinstance(data["snapshots"], list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and v >= 0 for v in data["snapshots"]
+        _is_number(v) and v >= 0 for v in data["snapshots"]
     ):
         errors.append("snapshots must be a list of nonnegative times")
     _require_number(data, "grid_size", errors, "", low=2, integer=True)
@@ -650,8 +683,16 @@ def run(config: RunConfig, command: str, out_dir: Path) -> int:
     return 2 if failures else 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors exit 1 like every other usage error; 2 marks findings."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hyposym",
         description="Block-Sylvester reduction and energy diagnostics for "
                     "first-order hyperbolic systems (batch runs, no interactive UI).",
@@ -664,6 +705,12 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker hint; the current engine runs single-process")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 1
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 1
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -680,9 +727,6 @@ def main(argv=None) -> int:
         data["seed"] = args.seed
         config = RunConfig(data=data, symbol=config.symbol, command=config.command,
                            seed=args.seed)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
     out_dir = args.out or config.data["out"] or "hyposym-out"
     try:
         return run(config, args.command, Path(out_dir))

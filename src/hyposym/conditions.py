@@ -17,15 +17,16 @@ import numpy as np
 
 from hyposym.errors import CapabilityError, DomainError
 from hyposym.pencils import hermitian_part
-from hyposym.quasisym import build_W, lift_blocks
-from hyposym.reduction import assemble, _bold_A_path, _bold_B_path, _deriv_paths
+from hyposym.quasisym import lift_blocks
+from hyposym.reduction import _reduce_path, assemble_path, lower_order_matrix
 from hyposym.symbols import (
     SystemSymbol,
     bracket,
-    companion_roots,
-    elementary_symmetric_all,
+    deleted_sigmas,
     eval_symbol_path,
     faddeev_leverrier,
+    rescaled_spectra,
+    spectra,
     time_derivative,
 )
 
@@ -108,43 +109,24 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
     """Evaluate eigenvalues, W-row data, b entries and derivative norms."""
     m = symbol.m
     T, R, D = grid.shape
-    lambdas = np.zeros((T, R, D, m))
-    deleted = np.zeros((T, R, D, m, m))
+    char0 = np.zeros((T, R, D, m + 1))
     b_entries = np.zeros((T, R, D, m - 1, m, m), dtype=complex)
     dt_norms = np.zeros((T, R, D, m - 1))
-    nonhyp = 0
 
     deriv_symbols = [time_derivative(symbol, k) for k in range(m)]
     for r_idx, d_idx, xi in grid.points():
         bxi = bracket(xi)
         A = eval_symbol_path(symbol, grid.ts, xi)
-        c0 = faddeev_leverrier(A / bxi)
-        for t_idx in range(T):
-            roots = companion_roots(c0[t_idx].real)
-            order = np.argsort(roots.real, kind="stable")
-            roots = roots[order]
-            radius = float(np.abs(roots).max(initial=0.0))
-            if np.abs(roots.imag).max(initial=0.0) > 1e-8 * (1.0 + radius):
-                nonhyp += 1
-            lam = roots.real
-            lambdas[t_idx, r_idx, d_idx] = lam
-            for i in range(m):
-                sig = elementary_symmetric_all(np.delete(lam, i))
-                deleted[t_idx, r_idx, d_idx, i, : m - 1] = sig[m - 1 - np.arange(m - 1)]
-                deleted[t_idx, r_idx, d_idx, i, m - 1] = 1.0
-
-        c = faddeev_leverrier(A.astype(complex))
-        dtA = _deriv_paths(symbol, xi, grid.ts, m - 1)
-        boldB = _bold_B_path(_bold_A_path(A.astype(complex), c, m), dtA, m)
-        for l in range(1, m):
-            b_entries[:, r_idx, d_idx, l - 1] = boldB[l - 1] * bxi ** (l - m)
+        char0[:, r_idx, d_idx] = faddeev_leverrier(A / bxi).real
+        b_entries[:, r_idx, d_idx] = _reduce_path(symbol, xi, grid.ts)[1]
         for k in range(1, m):
             dA0 = eval_symbol_path(deriv_symbols[k], grid.ts, xi) / bxi
             dt_norms[:, r_idx, d_idx, k - 1] = np.linalg.svd(dA0, compute_uv=False)[:, 0]
+    spec = spectra(char0)
     return GridData(
-        lambdas=lambdas,
-        nonhyperbolic=nonhyp,
-        deleted_sigmas=deleted,
+        lambdas=spec.lambdas,
+        nonhyperbolic=int(np.count_nonzero(~spec.hyperbolic)),
+        deleted_sigmas=deleted_sigmas(spec.lambdas),
         b_entries=b_entries,
         dtA0_norms=dt_norms,
     )
@@ -208,11 +190,7 @@ def symmetriser_diagonal(lambdas, j: int) -> float:
     m = lam.size
     if not 1 <= j <= m - 1:
         raise DomainError(f"j={j} outside [1, {m - 1}]")
-    total = 0.0
-    for i in range(m):
-        sig = elementary_symmetric_all(np.delete(lam, i))
-        total += sig[m - j] ** 2
-    return float(total)
+    return float((deleted_sigmas(lam)[:, j - 1] ** 2).sum())
 
 
 def levi_pointwise(data: GridData) -> np.ndarray:
@@ -262,43 +240,50 @@ def thm2_ratios(symbol: SystemSymbol, grid: SamplingGrid, data: GridData | None 
 
 
 def sandwich_of(W_lift: np.ndarray, B: np.ndarray):
-    """Smallest C with |W_lift B V| <= C |W_lift V| for given matrices.
+    """Smallest C with |W_lift B V| <= C |W_lift V|, on stacks (..., n, n).
 
     Computed on the orthogonal complement of ker(W*W) via a rank-revealing
-    eigendecomposition; if the lower-order form acts outside that range the
-    result is infinity together with a witness vector.
+    eigendecomposition; where the lower-order form acts outside that range
+    the result is infinity.  Returns (C, witness): C has the stack shape, and
+    ``witness[...]`` is the most-leaking null vector where C is infinite and
+    zero elsewhere.
     """
     WB = W_lift @ B
-    G = hermitian_part(W_lift.conj().T @ W_lift)
-    Bq = hermitian_part(WB.conj().T @ WB)
+    G = hermitian_part(np.swapaxes(W_lift, -1, -2).conj() @ W_lift)
+    Bq = hermitian_part(np.swapaxes(WB, -1, -2).conj() @ WB)
     vals, vecs = np.linalg.eigh(G)
-    cut = RANK_TOL * max(vals[-1], 0.0)
-    keep = vals > cut
-    null_vecs = vecs[:, ~keep]
-    if null_vecs.shape[1]:
-        leak = np.linalg.norm(WB @ null_vecs, axis=0)
-        norm_B = np.linalg.norm(WB) + 1.0
-        worst = int(np.argmax(leak))
-        if leak[worst] > RANK_TOL * norm_B:
-            return float("inf"), null_vecs[:, worst]
-    if not keep.any():
-        return 0.0, None
-    Ur = vecs[:, keep]
-    white = Ur / np.sqrt(vals[keep])[None, :]
-    M = hermitian_part(white.conj().T @ Bq @ white)
-    top = float(np.linalg.eigvalsh(M)[-1])
-    return float(np.sqrt(max(top, 0.0))), None
+    keep = vals > RANK_TOL * np.maximum(vals[..., -1:], 0.0)
+    leak = np.where(keep, 0.0, np.linalg.norm(WB @ vecs, axis=-2))
+    worst = leak.argmax(axis=-1)[..., None]
+    norm_B = np.linalg.norm(WB, axis=(-2, -1)) + 1.0
+    unbounded = np.take_along_axis(leak, worst, axis=-1)[..., 0] > RANK_TOL * norm_B
+    # Whitening by 1/sqrt(inf) zeroes the columns outside the kept range.
+    white = vecs / np.sqrt(np.where(keep, vals, np.inf))[..., None, :]
+    M = hermitian_part(np.swapaxes(white, -1, -2).conj() @ Bq @ white)
+    top = np.linalg.eigvalsh(M)[..., -1]
+    C = np.where(unbounded, np.inf, np.sqrt(np.maximum(top, 0.0)))
+    null_vec = np.take_along_axis(vecs, worst[..., None, :], axis=-1)[..., 0]
+    return C, np.where(unbounded[..., None], null_vec, 0.0)
 
 
 def sandwich_constant(symbol: SystemSymbol, t: float, xi):
-    """Smallest C with |W_lift B V| <= C |W_lift V| at one (t, xi)."""
-    reduced = assemble(symbol, t, xi)
-    spec_roots = companion_roots(faddeev_leverrier(
-        eval_symbol_path(symbol, np.array([t]), np.atleast_1d(xi))[0] / bracket(xi)
-    ).real)
-    lam = np.sort(spec_roots.real)
-    Wl = lift_blocks(build_W(lam))
-    return sandwich_of(Wl, reduced.calB)
+    """Smallest C with |W_lift B V| <= C |W_lift V| at one (t, xi).
+
+    Returns (C, witness); the witness null vector is None unless C is infinite.
+    """
+    ts = np.array([float(t)])
+    _, calB = assemble_path(symbol, xi, ts)
+    W = deleted_sigmas(rescaled_spectra(symbol, ts, xi).lambdas)
+    C, witness = sandwich_of(lift_blocks(W), calB)
+    return float(C[0]), (witness[0] if np.isinf(C[0]) else None)
+
+
+def _square_sums(W: np.ndarray) -> np.ndarray:
+    """S[j] = sum_i sigma_{m-j}(pi_i lambda)^2 from W rows, j = 1..m; S[0] = 0."""
+    S = np.zeros(W.shape[-1] + 1)
+    for row in W ** 2:
+        S[1:] += row
+    return S
 
 
 def zone_classify(V, lambdas, deltas) -> int:
@@ -318,12 +303,7 @@ def zone_classify(V, lambdas, deltas) -> int:
         return 1
     if deltas.size < m - 2:
         raise DomainError(f"need {m - 2} zone thresholds, got {deltas.size}")
-    sig_sq = np.zeros(m + 1)
-    for i in range(m):
-        sig = elementary_symmetric_all(np.delete(lam, i))
-        for j in range(1, m + 1):
-            # sigma_{m-j}(pi_i lambda); j = m gives sigma_0 = 1.
-            sig_sq[j] += sig[m - j] ** 2
+    sig_sq = _square_sums(deleted_sigmas(lam))
     T = np.zeros(m + 1)
     for j in range(1, m + 1):
         T[j] = float(np.sum(np.abs(V[j - 1 :: m]) ** 2))
@@ -354,13 +334,13 @@ def difference_identity_residual_of(lambdas) -> float:
     lam = np.asarray(lambdas, dtype=float).ravel()
     m = lam.size
     worst = 0.0
-    sigs = [elementary_symmetric_all(np.delete(lam, i)) for i in range(m)]
+    W = deleted_sigmas(lam)   # W[i, k-1] = sigma_{m-k}(pi_i l)
     for k in range(1, m):
         for i in range(m):
             for j in range(m):
                 if i == j:
                     continue
-                lhs = sigs[i][m - k] - sigs[j][m - k]
+                lhs = W[i, k - 1] - W[j, k - 1]
                 rest = [idx for idx in range(m) if idx not in (i, j)]
                 ssum = sum(
                     float(np.prod(lam[list(sub)]))
@@ -382,20 +362,16 @@ def grouped_bound_constant_of(lambdas, V_batch: np.ndarray) -> float:
     lam = np.asarray(lambdas, dtype=float).ravel()
     m = lam.size
     V_batch = np.atleast_2d(np.asarray(V_batch, dtype=complex))
-    sig = np.zeros((m, m + 1))
-    for i in range(m):
-        s = elementary_symmetric_all(np.delete(lam, i))
-        for j in range(1, m + 1):
-            sig[i, j] = s[m - j]
+    W = deleted_sigmas(lam)   # W[i, j-1] = sigma_{m-j}(pi_i l)
     worst = 0.0
     for V in V_batch:
         blocks = V.reshape(m, m)  # blocks[l, j-1] = V_{j + l m}
         for k in range(1, m + 1):
             lhs = 0.0
             for l in range(m):
-                partial = sig[:, k:] @ blocks[l, k - 1 :]
+                partial = W[:, k - 1 :] @ blocks[l, k - 1 :]
                 lhs += float(np.sum(np.abs(partial) ** 2))
-            rhs = float((sig[:, k] ** 2).sum() * np.sum(np.abs(blocks[:, k - 1]) ** 2))
+            rhs = float((W[:, k - 1] ** 2).sum() * np.sum(np.abs(blocks[:, k - 1]) ** 2))
             if rhs > ABS_FLOOR:
                 if lhs == 0.0:
                     return float("inf")
@@ -426,14 +402,10 @@ def choose_deltas(symbol: SystemSymbol, t: float, xi, n_states: int = 256,
     m = symbol.m
     if m == 2:
         return np.zeros(0)
-    lam = np.sort(companion_roots(faddeev_leverrier(
-        eval_symbol_path(symbol, np.array([t]), np.atleast_1d(xi))[0] / bracket(xi)
-    ).real).real)
-    Wl = lift_blocks(build_W(lam))
-    sig_sq = np.zeros(m + 1)
-    sigs = [elementary_symmetric_all(np.delete(lam, i)) for i in range(m)]
-    for j in range(1, m + 1):
-        sig_sq[j] = sum(s[m - j] ** 2 for s in sigs)
+    lam = rescaled_spectra(symbol, np.array([float(t)]), xi).lambdas[0]
+    W = deleted_sigmas(lam)
+    Wl = lift_blocks(W)
+    sig_sq = _square_sums(W)
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((n_states, m * m)) + 1j * rng.standard_normal((n_states, m * m))
     deltas = np.ones(m - 2)
@@ -491,13 +463,8 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid | None = None,
     ks_vals = ks_pointwise(data.lambdas)
     ks_sup, ks_wit = float(ks_vals.max()), _argmax_witness(ks_vals, grid)
 
-    levi_vals = levi_pointwise(data)
-    levi_sups = levi_vals.reshape(-1, m - 1, m).max(axis=0)
-    levi_wit = _argmax_witness(levi_vals.max(axis=(-2, -1)), grid)
-
-    thm2_vals = thm2_pointwise(data)
-    thm2_sups = thm2_vals.reshape(-1, m - 1).max(axis=0)
-    thm2_wit = _argmax_witness(thm2_vals.max(axis=-1), grid)
+    levi_sups, levi_vals, levi_wit = levi_ratios(symbol, grid, data)
+    thm2_sups, thm2_vals, thm2_wit = thm2_ratios(symbol, grid, data)
 
     # Implication direction: a finite derivative-norm ratio at a point must
     # bound the Levi ratio there up to a constant.
@@ -512,14 +479,16 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid | None = None,
             elif live.any():
                 impl = max(impl, float((lv[live] / t2[live]).max()))
 
-    # Sandwich constant over the grid.
+    # Sandwich constant on every 4th time sample, stacked per (r, d) pair;
+    # the witness is the first maximiser in (r, d, t) order.
     sw_sup, sw_wit = 0.0, {}
     for r_idx, d_idx, xi in grid.points():
-        for t_idx in range(0, grid.ts.size, 4):
-            val, _ = sandwich_constant(symbol, grid.ts[t_idx], xi)
-            if val > sw_sup:
-                sw_sup = val
-                sw_wit = {"t": float(grid.ts[t_idx]), "xi": xi.tolist(), "value": val}
+        vals, _ = sandwich_of(lift_blocks(data.deleted_sigmas[::4, r_idx, d_idx]),
+                              lower_order_matrix(data.b_entries[::4, r_idx, d_idx]))
+        k = int(np.argmax(vals))
+        if vals[k] > sw_sup:
+            sw_sup = float(vals[k])
+            sw_wit = {"t": float(grid.ts[4 * k]), "xi": xi.tolist(), "value": sw_sup}
 
     # Zone occupancy of seeded random states at grid spectra.
     rng = np.random.default_rng(seed)

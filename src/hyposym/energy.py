@@ -19,7 +19,7 @@ import numpy as np
 
 from hyposym.errors import DomainError, NumericError
 from hyposym.pencils import hermitian_part
-from hyposym.quasisym import build_Q_eps
+from hyposym.quasisym import build_Q_eps, lift_blocks
 from hyposym.reduction import (
     assemble_path,
     lift_trajectory,
@@ -28,9 +28,8 @@ from hyposym.reduction import (
 from hyposym.symbols import (
     SystemSymbol,
     bracket,
-    companion_roots,
     eval_symbol_path,
-    faddeev_leverrier,
+    rescaled_spectra,
 )
 
 ENERGY_FLOOR = 1e-280
@@ -188,24 +187,6 @@ def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
     return ts_half[::2], traj
 
 
-def _rescaled_spectra_path(symbol: SystemSymbol, ts: np.ndarray, xi):
-    """Eigenvalues of A_0 along the grid, ascending; plus non-hyperbolic count."""
-    bxi = bracket(xi)
-    A0 = eval_symbol_path(symbol, ts, xi) / bxi
-    cs = faddeev_leverrier(A0)
-    m = symbol.m
-    lams = np.zeros((ts.size, m))
-    nonhyp = 0
-    for k in range(ts.size):
-        roots = companion_roots(cs[k].real)
-        roots = roots[np.argsort(roots.real, kind="stable")]
-        radius = float(np.abs(roots).max(initial=0.0))
-        if np.abs(roots.imag).max(initial=0.0) > 1e-8 * (1.0 + radius):
-            nonhyp += 1
-        lams[k] = roots.real
-    return lams, nonhyp
-
-
 def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, eps: float):
     """Fill E, K, term2, term3, dtE and the coercivity constant in place.
 
@@ -219,16 +200,14 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
     xi = trace.xi
     bxi = bracket(xi)
     h = ts[1] - ts[0]
-    lams, nonhyp = _rescaled_spectra_path(symbol, ts, xi)
+    spec = rescaled_spectra(symbol, ts, xi)
+    lams = spec.lambdas
     n = ts.size
 
     Q = np.empty((n, m, m))
     for k in range(n):
         Q[k] = build_Q_eps(lams[k], eps).Q_eps
-    dQ = np.empty_like(Q)
-    dQ[1:-1] = (Q[2:] - Q[:-2]) / (2.0 * h)
-    dQ[0] = (Q[1] - Q[0]) / h
-    dQ[-1] = (Q[-1] - Q[-2]) / h
+    dQ = np.gradient(Q, h, axis=0)
 
     blocks = V.reshape(n, m, m)             # blocks[k, i] = band i of V(t_k)
     A0_blocks = calA[:, :m, :m] / bxi       # every band shares the same block
@@ -250,9 +229,8 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
 
     term3 = np.empty(n)
     coercivity = 0.0
-    eye = np.eye(m)
     for k in range(n):
-        Qf = np.kron(eye, Q[k])
+        Qf = lift_blocks(Q[k])
         B = calB[k]
         M3 = Qf @ B - B.conj().T @ Qf
         term3[k] = abs(np.vdot(V[k], M3 @ V[k]))
@@ -261,10 +239,7 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
         cm = hi if lo <= 0 else max(hi, eps ** (2 * (m - 1)) / lo)
         coercivity = max(coercivity, cm)
 
-    dtE = np.empty(n)
-    dtE[1:-1] = (E[2:] - E[:-2]) / (2.0 * h)
-    dtE[0] = (E[1] - E[0]) / h
-    dtE[-1] = (E[-1] - E[-2]) / h
+    dtE = np.gradient(E, h)
 
     trace.E = E
     trace.K = K
@@ -272,7 +247,7 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
     trace.term3 = term3
     trace.dtE = dtE
     trace.coercivity_sup = float(coercivity)
-    trace.nonhyperbolic_points = nonhyp
+    trace.nonhyperbolic_points = int(np.count_nonzero(~spec.hyperbolic))
 
 
 def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,

@@ -10,7 +10,8 @@ GEN_EIG_JITTER = 1e-12
 
 
 def hermitian_part(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.conj().T)
+    """(M + M*) / 2, for a matrix or a stack of matrices (..., n, n)."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2).conj())
 
 
 def gen_eigvalsh(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -33,8 +34,3 @@ def gen_eigvalsh(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     W = np.linalg.solve(L, Y.conj().T).conj().T
     return np.linalg.eigvalsh(hermitian_part(W))
 
-
-def rayleigh_extremes(A: np.ndarray, B: np.ndarray) -> tuple:
-    """(min, max) of the generalized Rayleigh quotient of the pencil (A, B)."""
-    vals = gen_eigvalsh(A, B)
-    return float(vals[0]), float(vals[-1])

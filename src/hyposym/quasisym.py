@@ -22,7 +22,7 @@ import numpy as np
 
 from hyposym.errors import CapabilityError, DomainError
 from hyposym.pencils import gen_eigvalsh, hermitian_part
-from hyposym.symbols import MAX_DIMENSION, elementary_symmetric_all
+from hyposym.symbols import MAX_DIMENSION, deleted_sigmas, elementary_symmetric_all
 
 
 def _as_lambda(lambdas) -> np.ndarray:
@@ -76,23 +76,15 @@ def build_W(lambdas) -> np.ndarray:
     pi_i deletes the i-th eigenvalue.  The eps^0 part of the quasi-symmetriser
     factors as Q_0 = (m-1)! W* W.
     """
-    lam = _as_lambda(lambdas)
-    m = lam.size
-    W = np.zeros((m, m))
-    for i in range(m):
-        sig = elementary_symmetric_all(np.delete(lam, i))
-        W[i, : m - 1] = sig[m - 1 - np.arange(m - 1)]
-        W[i, m - 1] = 1.0
-    return W
+    return deleted_sigmas(_as_lambda(lambdas))
 
 
 @dataclass(frozen=True)
 class QuasiSymmetriser:
-    """Q_eps with its eps-power decomposition and block liftings.
+    """Q_eps with its eps-power decomposition and its W matrix.
 
     ``parts[i]`` is the Hermitian positive semidefinite coefficient of
-    eps^{2i}; ``Q_eps = sum_i eps^{2i} parts[i]``.  ``lifted()`` returns the
-    m^2 x m^2 block-diagonal version acting on the reduced state.
+    eps^{2i}; ``Q_eps = sum_i eps^{2i} parts[i]``.
     """
 
     m: int
@@ -101,12 +93,6 @@ class QuasiSymmetriser:
     Q_eps: np.ndarray
     parts: tuple
     W: np.ndarray
-
-    def lifted(self) -> np.ndarray:
-        return lift_blocks(self.Q_eps)
-
-    def lifted_W(self) -> np.ndarray:
-        return lift_blocks(self.W)
 
 
 def quasi_symmetriser_parts(lambdas) -> tuple:
@@ -146,9 +132,12 @@ def build_Q_eps(lambdas, eps: float) -> QuasiSymmetriser:
 
 
 def lift_blocks(block: np.ndarray) -> np.ndarray:
-    """Block-diagonal lifting with m identical copies of an m x m block."""
+    """Block-diagonal lifting with m identical copies of an m x m block.
+
+    Works on stacks: shape (..., m, m) to (..., m^2, m^2).
+    """
     block = np.asarray(block)
-    return np.kron(np.eye(block.shape[0], dtype=block.dtype), block)
+    return np.kron(np.eye(block.shape[-1], dtype=block.dtype), block)
 
 
 def near_diagonal_constant(Q: np.ndarray) -> float:
@@ -198,13 +187,8 @@ def verify_properties(lambdas, eps: float) -> PropertyReport:
     if m >= 2:
         acc = parts[0].copy()
         for i in range(m):
-            sub = np.delete(lam, i)
-            if sub.size == 1:
-                sub_Q = np.array([[1.0]])
-            else:
-                sub_Q = build_Q_eps(sub, eps).Q_eps
             pad = np.zeros((m, m))
-            pad[: m - 1, : m - 1] = sub_Q
+            pad[: m - 1, : m - 1] = build_Q_eps(np.delete(lam, i), eps).Q_eps
             acc += eps ** 2 * pad
         recursion = float(np.abs(Q - acc).max())
     else:

@@ -22,6 +22,8 @@ import numpy as np
 from hyposym.errors import DomainError
 from hyposym.symbols import (
     SystemSymbol,
+    _check_time,
+    adjugate_coeffs,
     bracket,
     eval_symbol_path,
     faddeev_leverrier,
@@ -70,20 +72,6 @@ def _deriv_paths(symbol: SystemSymbol, xi, ts: np.ndarray, top: int) -> list:
     return out
 
 
-def _bold_A_path(A: np.ndarray, c: np.ndarray, m: int) -> list:
-    """Adjugate coefficients bold_A_0..bold_A_{m-1} for stacked A, c."""
-    powers = [np.broadcast_to(np.eye(m, dtype=A.dtype), A.shape).copy()]
-    for _ in range(m - 1):
-        powers.append(powers[-1] @ A)
-    boldA = []
-    for h in range(m):
-        acc = np.zeros_like(A)
-        for hp in range(h + 1):
-            acc += c[..., hp, None, None] * powers[h - hp]
-        boldA.append(acc)
-    return boldA
-
-
 def _bold_B_path(boldA: list, dtA: list, m: int) -> list:
     """Lower-order matrices bold_B_1..bold_B_{m-1} from the adjugate expansion."""
     boldB = []
@@ -95,11 +83,24 @@ def _bold_B_path(boldA: list, dtA: list, m: int) -> list:
     return boldB
 
 
-def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
-    """Stacked (calA, calB) along a time grid, shapes (len(ts), m^2, m^2).
+def lower_order_matrix(entries) -> np.ndarray:
+    """calB from its scaled entries, shape (..., m-1, m, m) to (..., m^2, m^2).
 
-    calA is real block-companion; calB is complex.  Single-point callers
-    should use :func:`assemble`.
+    ``entries[..., l-1, i, j]`` goes to row i*m + m-1 and column j*m + l-1
+    (zero-based); every other entry of calB is zero.
+    """
+    b = np.asarray(entries)
+    m = b.shape[-1]
+    calB = np.zeros(b.shape[:-3] + (m, m, m, m), dtype=complex)
+    calB[..., :, m - 1, :, : m - 1] = np.moveaxis(b, -3, -1)
+    return calB.reshape(b.shape[:-3] + (m * m, m * m))
+
+
+def _reduce_path(symbol: SystemSymbol, xi, ts) -> tuple:
+    """(calA, b, bold_A, bold_B, c) along a time grid.
+
+    ``b`` (len(ts), m-1, m, m) holds the scaled entries of calB; see
+    :func:`lower_order_matrix`.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     m = symbol.m
@@ -118,68 +119,50 @@ def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
         calA[:, i * m : (i + 1) * m, i * m : (i + 1) * m] = block
 
     dtA = _deriv_paths(symbol, xi, ts, m - 1)
-    boldA = _bold_A_path(A.astype(complex), c.astype(complex), m)
+    boldA = adjugate_coeffs(A.astype(complex), c.astype(complex))
     boldB = _bold_B_path(boldA, dtA, m)
+    b = np.stack([boldB[l - 1] * bxi ** (l - m) for l in range(1, m)], axis=1)
+    return calA, b, boldA, boldB, c
 
-    calB = np.zeros((N, m * m, m * m), dtype=complex)
-    for i in range(m):
-        row = i * m + (m - 1)
-        for j in range(m):
-            for l in range(1, m):
-                calB[:, row, j * m + (l - 1)] = boldB[l - 1][:, i, j] * bxi ** (l - m)
-    return calA, calB
+
+def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
+    """Stacked (calA, calB) along a time grid, shapes (len(ts), m^2, m^2).
+
+    calA is real block-companion; calB is complex.  Single-point callers
+    should use :func:`assemble`.
+    """
+    calA, b, _, _, _ = _reduce_path(symbol, xi, ts)
+    return calA, lower_order_matrix(b)
 
 
 def bold_A(symbol: SystemSymbol, h: int, t: float, xi) -> np.ndarray:
     """Adjugate coefficient sum_{h'<=h} c_{h'} A^{h-h'} at (t, xi); bold_A_0 = I."""
     if not 0 <= h <= symbol.m - 1:
         raise DomainError(f"h={h} outside [0, {symbol.m - 1}]")
-    ts = np.array([_check_t(symbol, t)])
-    A = eval_symbol_path(symbol, ts, xi).astype(complex)
-    c = faddeev_leverrier(A)
-    return _bold_A_path(A, c, symbol.m)[h][0]
+    return assemble(symbol, t, xi).bold_A[h]
 
 
 def bold_B(symbol: SystemSymbol, l: int, t: float, xi) -> np.ndarray:
     """Lower-order matrix bold_B_l, 1 <= l <= m-1, with D_t^k = (-i)^k d^k/dt^k."""
-    m = symbol.m
-    if not 1 <= l <= m - 1:
-        raise DomainError(f"l={l} outside [1, {m - 1}]")
-    ts = np.array([_check_t(symbol, t)])
-    A = eval_symbol_path(symbol, ts, xi).astype(complex)
-    c = faddeev_leverrier(A)
-    boldA = _bold_A_path(A, c, m)
-    dtA = _deriv_paths(symbol, xi, ts, m - 1)
-    return _bold_B_path(boldA, dtA, m)[l - 1][0]
-
-
-def _check_t(symbol: SystemSymbol, t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= symbol.horizon:
-        raise DomainError(f"t={t} outside [0, {symbol.horizon}]")
-    return t
+    if not 1 <= l <= symbol.m - 1:
+        raise DomainError(f"l={l} outside [1, {symbol.m - 1}]")
+    return assemble(symbol, t, xi).bold_B[l - 1]
 
 
 def assemble(symbol: SystemSymbol, t: float, xi) -> ReducedSystem:
     """Assemble the reduced pair and its building blocks at one (t, xi)."""
-    t = _check_t(symbol, t)
-    ts = np.array([t])
+    t = _check_time(symbol, t)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    calA, calB = assemble_path(symbol, xi_arr, ts)
-    m = symbol.m
-    A = eval_symbol_path(symbol, ts, xi_arr).astype(complex)
-    c = faddeev_leverrier(A)
-    boldA = _bold_A_path(A, c, m)
-    boldB = _bold_B_path(boldA, _deriv_paths(symbol, xi_arr, ts, m - 1), m)
+    calA, b, boldA, boldB, c = _reduce_path(symbol, xi_arr, np.array([t]))
     return ReducedSystem(
-        m=m,
+        m=symbol.m,
         t=t,
         xi=xi_arr,
         calA=calA[0],
-        calB=calB[0],
+        calB=lower_order_matrix(b[0]),
         bold_A=tuple(B[0] for B in boldA),
         bold_B=tuple(B[0] for B in boldB),
-        char=c[0].real,
+        char=c[0],
     )
 
 
@@ -191,12 +174,7 @@ def scaled_lower_order_entries(reduced: ReducedSystem) -> np.ndarray:
     the original system is homogeneous.
     """
     m = reduced.m
-    out = np.zeros((m - 1, m, m), dtype=complex)
-    for l in range(1, m):
-        for i in range(m):
-            for j in range(m):
-                out[l - 1, i, j] = reduced.calB[i * m + m - 1, j * m + (l - 1)]
-    return out
+    return np.moveaxis(reduced.calB.reshape(m, m, m, m)[:, m - 1, :, : m - 1], -1, 0).copy()
 
 
 def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:

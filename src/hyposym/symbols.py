@@ -10,10 +10,12 @@ block-Sylvester reduction needs up to order m - 1.
 
 Characteristic coefficients are computed with the Faddeev-LeVerrier trace
 recursion and cross-checked against elementary symmetric polynomials of the
-eigenvalues; eigenvalues themselves are obtained from the companion matrix of
-the characteristic polynomial (via ``numpy.roots``), which preserves exact
-zero roots and keeps coalescing spectra far more accurate than running a
-general eigensolver on A itself.
+eigenvalues; eigenvalues themselves are the eigenvalues of the companion
+matrix of the characteristic polynomial, stacked over (t, xi) and solved by
+one ``numpy.linalg.eigvals`` call per count of exact trailing zero
+coefficients.  Deflating those zeros first, as ``numpy.roots`` does, keeps
+structural zero roots exact, and the companion route keeps coalescing spectra
+far more accurate than running a general eigensolver on A itself.
 """
 
 from __future__ import annotations
@@ -103,11 +105,15 @@ class SystemSymbol:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Rescaled eigenvalues of A_0 = <xi>^{-1} A(t, xi), ascending real part."""
+    """Rescaled eigenvalues of A_0 = <xi>^{-1} A(t, xi), ascending real part.
+
+    ``lambdas`` has shape (..., m) and holds the real parts; ``hyperbolic``
+    and ``imag_residual`` have the leading shape (...).
+    """
 
     lambdas: np.ndarray
-    hyperbolic: bool
-    imag_residual: float
+    hyperbolic: bool | np.ndarray
+    imag_residual: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -181,19 +187,10 @@ def elementary_symmetric(lambdas, h: int) -> float:
     h = 0 value equal to 1.  The input is sorted internally so the result is
     bitwise identical under any permutation of ``lambdas``.
     """
-    lam = np.sort(np.asarray(lambdas, dtype=float))
-    q = lam.size
-    if not 0 <= h <= q:
-        raise DomainError(f"h={h} outside [0, {q}]")
-    # Newton's triangle recurrence on the sorted values: after absorbing each
-    # lambda, e[j] holds the degree-j elementary symmetric sum.
-    e = np.zeros(h + 1)
-    e[0] = 1.0
-    for x in lam:
-        upper = min(h, q)
-        for j in range(upper, 0, -1):
-            e[j] += x * e[j - 1]
-    return float((-1.0) ** h * e[h])
+    sig = elementary_symmetric_all(lambdas)
+    if not 0 <= h <= sig.size - 1:
+        raise DomainError(f"h={h} outside [0, {sig.size - 1}]")
+    return float(sig[h])
 
 
 def elementary_symmetric_all(lambdas) -> np.ndarray:
@@ -206,6 +203,32 @@ def elementary_symmetric_all(lambdas) -> np.ndarray:
         for j in range(q, 0, -1):
             e[j] += x * e[j - 1]
     return e * (-1.0) ** np.arange(q + 1)
+
+
+def deleted_sigmas(lams) -> np.ndarray:
+    """W rows of stacked eigenvalue tuples, shape (..., m) to (..., m, m).
+
+    Row i is (sigma_{m-1}(pi_i lambda), ..., sigma_1(pi_i lambda), 1), where
+    pi_i deletes the i-th value.  Each row equals the reversed
+    ``elementary_symmetric_all(np.delete(lam, i))`` bit for bit: the deleted
+    tuple is sorted and absorbed by the same recurrence in the same order.
+    """
+    lam = np.asarray(lams, dtype=float)
+    m = lam.shape[-1]
+    order = np.argsort(lam, axis=-1, kind="stable")
+    ordered = np.take_along_axis(lam, order, axis=-1)
+    # rest[..., p, :] is the sorted tuple without its p-th entry.
+    rest = ordered[..., np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)]
+    e = np.zeros(rest.shape[:-1] + (m,))
+    e[..., 0] = 1.0
+    for k in range(m - 1):
+        x = rest[..., k]
+        for j in range(m - 1, 0, -1):
+            e[..., j] += x * e[..., j - 1]
+    rows = (e * (-1.0) ** np.arange(m))[..., ::-1]
+    # Row i deletes the value at sorted position rank[i].
+    rank = np.argsort(order, axis=-1)
+    return np.take_along_axis(rows, rank[..., None], axis=-2)
 
 
 def faddeev_leverrier(A: np.ndarray) -> np.ndarray:
@@ -229,21 +252,56 @@ def faddeev_leverrier(A: np.ndarray) -> np.ndarray:
 
 
 def companion_roots(c: np.ndarray) -> np.ndarray:
-    """Roots of tau^m + c_1 tau^{m-1} + ... + c_m via its companion matrix.
+    """Roots of c_0 tau^m + c_1 tau^{m-1} + ... + c_m for stacked c (..., m+1).
 
-    ``numpy.roots`` strips exact trailing zeros before forming the companion
-    matrix, so structurally zero eigenvalues come out exactly zero.
+    Each row's exact trailing zero coefficients are deflated first, as
+    ``numpy.roots`` does, so structural zero roots come out exactly zero and
+    are placed last.  Rows with the same count of trailing zeros share one
+    ``numpy.linalg.eigvals`` call on companion matrices built as
+    ``numpy.roots`` builds them, so each row's roots are bitwise those of
+    ``numpy.roots``.  A non-finite c_1..c_m raises NumericError.
     """
     c = np.asarray(c, dtype=float)
-    try:
-        roots = np.roots(c)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericError(f"companion eigenvalue solve failed: {exc}") from exc
-    # np.roots drops exact zero roots that come from trailing zeros.
-    missing = c.size - 1 - roots.size
-    if missing > 0:
-        roots = np.concatenate([roots, np.zeros(missing, dtype=roots.dtype)])
-    return roots
+    m = c.shape[-1] - 1
+    flat = c.reshape(-1, m + 1)
+    if np.any(flat[:, 0] == 0.0):
+        raise DomainError("leading coefficient c_0 must be nonzero")
+    # Degree after deflation: the index of the last nonzero coefficient.
+    degree = m - np.argmax(flat[:, ::-1] != 0.0, axis=1)
+    roots = np.zeros((flat.shape[0], m), dtype=complex)
+    for deg in np.unique(degree[degree > 0]):
+        rows = np.flatnonzero(degree == deg)
+        comp = np.zeros((rows.size, deg, deg))
+        comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+        comp[:, 0, :] = -flat[rows, 1 : deg + 1] / flat[rows, :1]
+        try:
+            roots[rows, :deg] = np.linalg.eigvals(comp)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"companion eigenvalue solve failed: {exc}") from exc
+    return roots.reshape(c.shape[:-1] + (m,))
+
+
+def spectra(c: np.ndarray) -> Spectrum:
+    """Sorted companion roots of stacked characteristic coefficients (..., m+1).
+
+    A point is hyperbolic when its largest imaginary part does not exceed
+    1e-8 * (1 + spectral radius).
+    """
+    roots = companion_roots(c)
+    roots = np.take_along_axis(roots, np.argsort(roots.real, axis=-1, kind="stable"), axis=-1)
+    imag_residual = np.abs(roots.imag).max(axis=-1)
+    radius = np.abs(roots).max(axis=-1)
+    return Spectrum(
+        lambdas=roots.real.copy(),
+        hyperbolic=imag_residual <= 1e-8 * (1.0 + radius),
+        imag_residual=imag_residual,
+    )
+
+
+def rescaled_spectra(symbol: SystemSymbol, ts, xi) -> Spectrum:
+    """Spectra of <xi>^{-1} A(t, xi) along a 1-d time grid, stacked over ts."""
+    A0 = eval_symbol_path(symbol, ts, xi) / bracket(xi)
+    return spectra(faddeev_leverrier(A0).real)
 
 
 def rescaled_eigenvalues(symbol: SystemSymbol, t: float, xi) -> Spectrum:
@@ -254,23 +312,11 @@ def rescaled_eigenvalues(symbol: SystemSymbol, t: float, xi) -> Spectrum:
     invariant under permutations of the returned values.
     """
     A0 = eval_symbol(symbol, t, xi) / bracket(xi)
-    c = faddeev_leverrier(A0)
-    if not np.isfinite(c).all():
-        raise NumericError(f"characteristic recursion produced non-finite values at (t={t}, xi={xi})")
     try:
-        roots = companion_roots(c.real)
+        spec = spectra(faddeev_leverrier(A0).real)
     except NumericError as exc:
         raise NumericError(f"{exc} at (t={t}, xi={xi})") from exc
-    order = np.argsort(roots.real, kind="stable")
-    roots = roots[order]
-    imag_residual = float(np.abs(roots.imag).max(initial=0.0))
-    radius = float(np.abs(roots).max(initial=0.0))
-    tol = 1e-8 * (1.0 + radius)
-    return Spectrum(
-        lambdas=roots.real.copy(),
-        hyperbolic=imag_residual <= tol,
-        imag_residual=imag_residual,
-    )
+    return Spectrum(spec.lambdas, bool(spec.hyperbolic), float(spec.imag_residual))
 
 
 def char_coeffs(symbol: SystemSymbol, t: float, xi) -> CharCoeffs:
@@ -313,24 +359,31 @@ def matrix_powers(A: np.ndarray, top: int) -> list:
     return powers
 
 
+def adjugate_coeffs(A: np.ndarray, c: np.ndarray) -> list:
+    """[bold_A_0, ..., bold_A_{m-1}] with bold_A_h = sum_{h'<=h} c_{h'} A^{h-h'}.
+
+    Works on stacks: A has shape (..., m, m) and c shape (..., m + 1).
+    """
+    m = A.shape[-1]
+    powers = matrix_powers(A, m - 1)
+    out = []
+    for h in range(m):
+        acc = np.zeros_like(A)
+        for hp in range(h + 1):
+            acc += c[..., hp, None, None] * powers[h - hp]
+        out.append(acc)
+    return out
+
+
 def adjugate_coeff_matrices(symbol: SystemSymbol, t: float, xi) -> list:
     """Matrix coefficients B_{m-1}, ..., B_0 of adj(I tau - A(t, xi)).
 
-    B_i = sum_{h=0}^{m-(i+1)} c_h A^{m-(i+1)-h}; the leading coefficient
-    B_{m-1} is the identity, and the list satisfies
+    B_i = sum_{h=0}^{m-(i+1)} c_h A^{m-(i+1)-h} = bold_A_{m-1-i}; the leading
+    coefficient B_{m-1} is the identity, and the list satisfies
     adj(I tau - A)(I tau - A) = det(I tau - A) I for every tau.
     """
     A = eval_symbol(symbol, t, xi)
-    c = faddeev_leverrier(A).real
-    m = symbol.m
-    powers = matrix_powers(A, m - 1)
-    out = []
-    for i in range(m - 1, -1, -1):
-        B = np.zeros_like(A)
-        for h in range(m - i):
-            B += c[h] * powers[m - (i + 1) - h]
-        out.append(B)
-    return out
+    return adjugate_coeffs(A, faddeev_leverrier(A).real)
 
 
 def cayley_hamilton_residual(symbol: SystemSymbol, t: float, xi) -> float:

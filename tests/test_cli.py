@@ -237,3 +237,51 @@ class TestMain:
         assert main(["conditions", "--config", str(path), "--out", str(out)]) == 2
         report = json.loads((out / "report.json").read_text())
         assert any(f["kind"] == "hyperbolicity" for f in report["failures"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{cfg}", "--seed", "-1"],
+        ["--config", "{cfg}", "--no-such-flag"],
+        ["--config"],
+        [],
+    ], ids=["negative-seed", "unknown-flag", "config-without-value", "config-missing"])
+    def test_argv_errors_exit_one(self, tmp_path, capsys, argv):
+        # Exit 2 is reserved for property findings, so argparse's own usage
+        # exit code must not leak through.
+        path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, "grids": SMALL_GRIDS})
+        argv = ["conditions"] + [str(path) if a == "{cfg}" else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+
+
+def _modes(*modes):
+    return {"initial_data": {"kind": "fourier_modes", "modes": list(modes)},
+            "grid_size": 8}
+
+
+@pytest.mark.parametrize("command, extra, key_path", [
+    ("conditions", {"grids": {"xi_min": 0}}, "grids.xi_min"),
+    ("conditions", {"grids": {"xi_min": 100.0, "xi_max": 10.0}}, "grids.xi_min"),
+    ("conditions", {"eps_policy": {"kind": "fixed", "value": True}}, "eps_policy.value"),
+    ("conditions", {"eps_policy": {"kind": "balanced", "k": True}}, "eps_policy.k"),
+    ("solve", _modes({"k": 1}), "initial_data.modes[0].amplitudes"),
+    ("solve", _modes(5), "initial_data.modes[0]"),
+    ("solve", _modes({"k": "1", "amplitudes": [[1.0, 0.0]]}), "initial_data.modes[0].k"),
+    ("solve", _modes({"k": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}),
+     "initial_data.modes[0].amplitudes"),
+    ("solve", _modes({"k": 1, "amplitudes": [[1.0]]}), "initial_data.modes[0].amplitudes"),
+], ids=["xi-min-zero", "xi-min-above-max", "eps-value-bool", "eps-k-bool",
+        "mode-without-amplitudes", "mode-bare-number", "mode-string-k",
+        "mode-too-many-amplitudes", "mode-one-element-pair"])
+def test_config_rejected_at_parse_time(tmp_path, capsys, command, extra, key_path):
+    doc = {"system": {"name": "m2-glaeser"}, **extra}
+    if "grids" in extra:
+        doc["grids"] = {**SMALL_GRIDS, **extra["grids"]}
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert key_path in err
+    assert "Traceback" not in err

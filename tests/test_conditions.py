@@ -215,6 +215,41 @@ class TestSandwichConstant:
         assert witness is not None
 
 
+def _sandwich_loop(symbol, grid):
+    """Per-point oracle: every 4th t, first maximiser in (r, d, t) order."""
+    sup, witness = 0.0, {}
+    for _, _, xi in grid.points():
+        for t_idx in range(0, grid.ts.size, 4):
+            value, _ = sandwich_constant(symbol, grid.ts[t_idx], xi)
+            if value > sup:
+                sup = value
+                witness = {"t": float(grid.ts[t_idx]), "xi": xi.tolist(), "value": value}
+    return sup, witness
+
+
+@pytest.mark.parametrize("name, kind, n_t", [
+    ("m2-glaeser", "finite", 21), ("m2-wave", "zero", 21),
+    # the tracezero sandwich is unbounded only near t = 0 (t <= 0.02 here)
+    ("m3-tracezero", "inf", 201),
+])
+def test_grid_sandwich_matches_per_point_loop(name, kind, n_t):
+    S = builtin_system(name)
+    grid = small_grid(S, n_t=n_t, n_r=3)
+    report = run_conditions(S, grid)
+    sup, witness = _sandwich_loop(S, grid)
+    if kind == "zero":
+        assert report.sandwich_sup == sup == 0.0
+        assert report.sandwich_witness == witness == {}
+        return
+    assert report.sandwich_witness["t"] == witness["t"]
+    assert report.sandwich_witness["xi"] == witness["xi"]
+    if kind == "inf":
+        assert report.sandwich_sup == sup == np.inf
+    else:
+        assert np.isfinite(sup) and sup > 0.0
+        assert report.sandwich_sup == pytest.approx(sup, rel=1e-12)
+
+
 class TestZoneClassify:
     def test_zero_state_first_zone(self):
         assert zone_classify(np.zeros(9), np.array([0.1, 0.5, 1.0]), [1.0]) == 1

@@ -15,9 +15,15 @@ from hyposym import (
     rescaled_eigenvalues,
     time_derivative,
 )
-from hyposym.errors import CapabilityError
+from hyposym.errors import CapabilityError, NumericError
 from hyposym.examples import builtin_system
-from hyposym.symbols import bracket, elementary_symmetric_all, faddeev_leverrier
+from hyposym.symbols import (
+    bracket,
+    companion_roots,
+    deleted_sigmas,
+    elementary_symmetric_all,
+    faddeev_leverrier,
+)
 
 
 def symbol_2x2(a_poly):
@@ -79,6 +85,43 @@ class TestRescaledEigenvalues:
         spec = rescaled_eigenvalues(S, 0.5, np.array([1.0]))
         assert not spec.hyperbolic
         assert spec.imag_residual > 0.1
+
+
+class TestBatchedKernels:
+    """The stacked kernels against the per-row loops they replace."""
+
+    def test_companion_roots_match_numpy_roots_bitwise(self):
+        rng = np.random.default_rng(3)
+        for m in range(2, 7):
+            c = np.concatenate([np.ones((60, 1)), rng.standard_normal((60, m))], axis=1)
+            for z in range(1, m + 1):
+                c[10 * z - 10 : 10 * z - 5, m + 1 - z :] = 0.0  # z trailing zeros
+            c[::7, 1:-1] = 0.0                                  # interior zeros only
+            got = companion_roots(c.reshape(6, 10, m + 1))
+            assert got.shape == (6, 10, m)
+            for row, roots in zip(c, got.reshape(-1, m)):
+                ref = np.roots(row).astype(complex)
+                ref = np.concatenate([ref, np.zeros(m - ref.size, dtype=complex)])
+                assert roots.tobytes() == ref.tobytes()
+            np.testing.assert_array_equal(companion_roots(c[0]), got[0, 0])
+
+    def test_companion_roots_rejects_bad_coefficients(self):
+        with pytest.raises(DomainError):
+            companion_roots(np.array([0.0, 1.0, 2.0]))
+        with pytest.raises(NumericError):
+            companion_roots(np.array([[1.0, 0.5, 0.0], [1.0, np.inf, 0.0]]))
+
+    def test_deleted_sigmas_match_deleted_loop_bitwise(self):
+        rng = np.random.default_rng(4)
+        for m in range(2, 7):
+            lam = rng.standard_normal((400, m))
+            lam[:200] = rng.integers(-2, 3, (200, m)) * 0.5  # ties and zeros
+            got = deleted_sigmas(lam.reshape(20, 20, m))
+            assert got.shape == (20, 20, m, m)
+            for row, W in zip(lam, got.reshape(-1, m, m)):
+                ref = np.array([elementary_symmetric_all(np.delete(row, i))[::-1]
+                                for i in range(m)])
+                assert W.tobytes() == ref.tobytes()
 
 
 class TestElementarySymmetric:
