@@ -52,12 +52,13 @@ def run_all(out_root: Path, seed: int) -> int:
             cfg_path.write_text(json.dumps(doc))
             code = hyposym_main([command, "--config", str(cfg_path), "--out", str(out_dir)])
             rows.append((name, command, code))
-            if code == 1:
+            if code in (1, 3):
                 failures += 1
     width = max(len(n) for n, _, _ in rows)
     print(f"\n{'system':<{width}}  {'command':<10}  exit")
     for name, command, code in rows:
-        note = {0: "ok", 2: "property finding (see report.json)"}.get(code, "error")
+        note = {0: "ok", 2: "property finding (see report.json)",
+                3: "computation not trustworthy (see stderr)"}.get(code, "error")
         print(f"{name:<{width}}  {command:<10}  {code}    {note}")
     return 1 if failures else 0
 

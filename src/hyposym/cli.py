@@ -35,7 +35,7 @@ from hyposym.energy import (
     reduced_integrate,
     solve_cauchy_1d,
 )
-from hyposym.errors import CapabilityError, DomainError
+from hyposym.errors import CapabilityError, ConsistencyError, DomainError, NumericError
 from hyposym.examples import BUILTIN_SYSTEMS, builtin_system
 from hyposym.quasisym import sample_separation_set, verify_properties
 from hyposym.reduction import assemble, reduction_residual, transform_initial_data
@@ -347,6 +347,9 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.ndarray,)):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            # tolist() gives the same doubles as the 17-digit round trip below
+            return obj.tolist()
         return _jsonable(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
@@ -736,6 +739,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 1
+    except (NumericError, ConsistencyError) as exc:
+        print(f"error: computation not trustworthy: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -279,11 +279,32 @@ def sandwich_constant(symbol: SystemSymbol, t: float, xi):
 
 
 def _square_sums(W: np.ndarray) -> np.ndarray:
-    """S[j] = sum_i sigma_{m-j}(pi_i lambda)^2 from W rows, j = 1..m; S[0] = 0."""
-    S = np.zeros(W.shape[-1] + 1)
-    for row in W ** 2:
-        S[1:] += row
+    """S[..., j] = sum_i sigma_{m-j}(pi_i lambda)^2 from stacked W rows, j = 1..m; S[..., 0] = 0."""
+    m = W.shape[-1]
+    S = np.zeros(W.shape[:-2] + (m + 1,))
+    for i in range(m):
+        S[..., 1:] += W[..., i, :] ** 2
     return S
+
+
+def _zones(V: np.ndarray, sig_sq: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Zone indices of stacked states V (..., m^2) from the square sums of ``_square_sums``."""
+    m = sig_sq.shape[-1] - 1
+    if deltas.size < m - 2:
+        raise DomainError(f"need {m - 2} zone thresholds, got {deltas.size}")
+    T = np.zeros(V.shape[:-1] + (m + 1,))
+    for j in range(1, m + 1):
+        T[..., j] = np.sum(np.abs(V[..., j - 1 :: m]) ** 2, axis=-1)
+    zone = np.full(V.shape[:-1], m - 1)
+    open_ = np.ones(V.shape[:-1], dtype=bool)
+    for h in range(1, m - 1):
+        lhs = np.zeros(V.shape[:-1])
+        for j in range(h + 1, m):
+            lhs += sig_sq[..., j] * T[..., j]
+        hit = open_ & (lhs <= deltas[h - 1] * sig_sq[..., h] * T[..., h])
+        zone[hit] = h
+        open_ &= ~hit
+    return zone
 
 
 def zone_classify(V, lambdas, deltas) -> int:
@@ -299,20 +320,7 @@ def zone_classify(V, lambdas, deltas) -> int:
     if V.size != m * m:
         raise DomainError(f"state must have {m * m} components, got {V.size}")
     deltas = np.asarray(deltas, dtype=float).ravel()
-    if m == 2:
-        return 1
-    if deltas.size < m - 2:
-        raise DomainError(f"need {m - 2} zone thresholds, got {deltas.size}")
-    sig_sq = _square_sums(deleted_sigmas(lam))
-    T = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        T[j] = float(np.sum(np.abs(V[j - 1 :: m]) ** 2))
-    for h in range(1, m - 1):
-        lhs = sum(sig_sq[j] * T[j] for j in range(h + 1, m))
-        rhs = deltas[h - 1] * sig_sq[h] * T[h]
-        if lhs <= rhs:
-            return h
-    return m - 1
+    return int(_zones(V, _square_sums(deleted_sigmas(lam)), deltas))
 
 
 @dataclass(frozen=True)
@@ -411,8 +419,7 @@ def choose_deltas(symbol: SystemSymbol, t: float, xi, n_states: int = 256,
     deltas = np.ones(m - 2)
     for _ in range(max_doublings):
         ok = True
-        for V in states:
-            h = zone_classify(V, lam, deltas)
+        for V, h in zip(states, _zones(states, sig_sq, deltas)):
             T_h = float(np.sum(np.abs(V[h - 1 :: m]) ** 2))
             denom = sig_sq[h] * T_h
             if denom <= ABS_FLOOR:
@@ -492,15 +499,13 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid | None = None,
 
     # Zone occupancy of seeded random states at grid spectra.
     rng = np.random.default_rng(seed)
-    counts = {}
-    if m >= 2:
-        deltas = np.ones(max(m - 2, 0)) if deltas is None else np.asarray(deltas, float)
-        flat_lams = data.lambdas.reshape(-1, m)
-        sample = rng.choice(flat_lams.shape[0], size=min(1000, flat_lams.shape[0]), replace=False)
-        for idx in sample:
-            V = rng.standard_normal(m * m) + 1j * rng.standard_normal(m * m)
-            h = zone_classify(V, flat_lams[idx], deltas)
-            counts[h] = counts.get(h, 0) + 1
+    deltas = np.ones(m - 2) if deltas is None else np.asarray(deltas, float)
+    flat_W = data.deleted_sigmas.reshape(-1, m, m)
+    sample = rng.choice(flat_W.shape[0], size=min(1000, flat_W.shape[0]), replace=False)
+    # One draw of (re, im) per sampled point, in the order of a per-point loop.
+    draws = rng.standard_normal((sample.size, 2, m * m))
+    zones = _zones(draws[:, 0] + 1j * draws[:, 1], _square_sums(flat_W[sample]), deltas)
+    counts = dict(zip(*np.unique(zones, return_counts=True)))
 
     return ConditionReport(
         m=m,

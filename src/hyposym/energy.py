@@ -19,7 +19,7 @@ import numpy as np
 
 from hyposym.errors import DomainError, NumericError
 from hyposym.pencils import hermitian_part
-from hyposym.quasisym import build_Q_eps, lift_blocks
+from hyposym.quasisym import lift_blocks, q_eps
 from hyposym.reduction import (
     assemble_path,
     lift_trajectory,
@@ -187,13 +187,20 @@ def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
     return ts_half[::2], traj
 
 
+# Time samples per block of the term3 products: the lifted (m^2 x m^2)
+# complex stacks of 256 samples take 5.3 MB each at m = 6.
+_TERM3_BLOCK = 256
+
+
 def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, eps: float):
     """Fill E, K, term2, term3, dtE and the coercivity constant in place.
 
     dQ/dt is taken by centred finite differences of the quasi-symmetriser
     entries (one-sided at the ends): the entries are polynomial in the
     eigenvalues and stay smooth through multiplicity crossings even when the
-    individual eigenvalue branches do not.
+    individual eigenvalue branches do not.  Every quantity is computed on
+    stacks over the time samples; each sample's value is bitwise that of the
+    same operations on the sample alone.
     """
     ts, V = trace.ts, trace.V
     m = symbol.m
@@ -201,12 +208,9 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
     bxi = bracket(xi)
     h = ts[1] - ts[0]
     spec = rescaled_spectra(symbol, ts, xi)
-    lams = spec.lambdas
     n = ts.size
 
-    Q = np.empty((n, m, m))
-    for k in range(n):
-        Q[k] = build_Q_eps(lams[k], eps).Q_eps
+    Q = q_eps(spec.lambdas, eps)
     dQ = np.gradient(Q, h, axis=0)
 
     blocks = V.reshape(n, m, m)             # blocks[k, i] = band i of V(t_k)
@@ -227,17 +231,21 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
     )
     term2 = np.abs(bxi * band_form(comm2))
 
+    # |(Q_lift B - B* Q_lift) V | V|, blockwise to bound the lifted stacks.
     term3 = np.empty(n)
-    coercivity = 0.0
-    for k in range(n):
-        Qf = lift_blocks(Q[k])
-        B = calB[k]
-        M3 = Qf @ B - B.conj().T @ Qf
-        term3[k] = abs(np.vdot(V[k], M3 @ V[k]))
-        eigs = np.linalg.eigvalsh(hermitian_part(Q[k]))
-        lo, hi = eigs[0], eigs[-1]
-        cm = hi if lo <= 0 else max(hi, eps ** (2 * (m - 1)) / lo)
-        coercivity = max(coercivity, cm)
+    for k0 in range(0, n, _TERM3_BLOCK):
+        sl = slice(k0, k0 + _TERM3_BLOCK)
+        Qf = lift_blocks(Q[sl])
+        B = calB[sl]
+        M3 = Qf @ B - np.swapaxes(B.conj(), -1, -2) @ Qf
+        term3[sl] = np.abs(np.vecdot(V[sl], (M3 @ V[sl, :, None])[..., 0]))
+
+    eigs = np.linalg.eigvalsh(hermitian_part(Q))
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        floor_ratio = eps ** (2 * (m - 1)) / lo
+    cm = np.where(lo <= 0, hi, np.where(floor_ratio > hi, floor_ratio, hi))
+    coercivity = np.max(cm, where=cm > 0.0, initial=0.0)
 
     dtE = np.gradient(E, h)
 
@@ -271,8 +279,9 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
             V, logs = _rk4_run(1j * (calA0[0] + calB0[0]), N, h, V0,
                                renormalize=config.renormalize)
         elif (2 * N + 1) * m ** 4 <= 6_000_000:
-            calA_half, calB_half = assemble_path(symbol, xi, ts_half)
-            V, logs = _rk4_run(1j * (calA_half + calB_half), N, h, V0,
+            # No name holds the half-grid calA and calB past their sum, so
+            # they are freed before the energy diagnostics run.
+            V, logs = _rk4_run(1j * np.add(*assemble_path(symbol, xi, ts_half)), N, h, V0,
                                renormalize=config.renormalize)
         else:
             # window the half-grid assembly to bound memory on long runs

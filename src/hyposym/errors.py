@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes, so the distinction matters: user/input
-problems (DomainError, CapabilityError) are usage errors, while NumericError
-and ConsistencyError signal that a computation could not be trusted.
+problems (DomainError, CapabilityError) are usage errors and exit 1, while
+NumericError and ConsistencyError signal that a computation could not be
+trusted and exit 3.
 """
 
 

@@ -10,12 +10,20 @@ is coercive like eps^{2(m-1)}, almost commutes with the companion matrix, and
 its eps^0 part factors through the W matrix of deleted-variable symmetric
 polynomials.  The permutation sum is exact (m factorial terms), which caps the
 dimension at m = 6.
+
+Row r of P(lambda_rho) only depends on the set of the first r permuted
+values, so :func:`q_eps_parts` builds the row and its outer product once per
+subset of the sorted values (at most 2^m of them, stacked over any leading
+shape) and then replays the m! * m additions of the permutation sum in
+permutation order.  Only additions remain in the m! loop, and the result is
+bitwise that of the sum over ``build_P`` of every permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
@@ -25,14 +33,23 @@ from hyposym.pencils import gen_eigvalsh, hermitian_part
 from hyposym.symbols import MAX_DIMENSION, deleted_sigmas, elementary_symmetric_all
 
 
+def _check_m(m: int) -> None:
+    if m < 1:
+        raise DomainError("need at least one eigenvalue")
+    if m > MAX_DIMENSION:
+        raise CapabilityError(
+            f"m={m} exceeds the permutation-sum cap m <= {MAX_DIMENSION}"
+        )
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps <= 1.0:
+        raise DomainError(f"eps must lie in (0, 1], got {eps}")
+
+
 def _as_lambda(lambdas) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=float).ravel()
-    if lam.size < 1:
-        raise DomainError("need at least one eigenvalue")
-    if lam.size > MAX_DIMENSION:
-        raise CapabilityError(
-            f"m={lam.size} exceeds the permutation-sum cap m <= {MAX_DIMENSION}"
-        )
+    _check_m(lam.size)
     return lam
 
 
@@ -57,7 +74,8 @@ def build_P(lambdas) -> np.ndarray:
 
     P for a single eigenvalue is [[1]]; each extension appends the row
     (sigma_{q-1}(lambda'), ..., sigma_1(lambda'), 1) built from the values
-    seen so far, so the result depends only on lambdas[:-1].
+    seen so far, so the result depends only on lambdas[:-1].  The
+    quasi-symmetriser does not go through it (see :func:`q_eps_parts`).
     """
     lam = _as_lambda(lambdas)
     m = lam.size
@@ -95,8 +113,86 @@ class QuasiSymmetriser:
     W: np.ndarray
 
 
+# Rows per block of q_eps_parts: 2^m outer products of 1,024 rows take at
+# most 19 MB at m = 6.
+_ROW_BLOCK = 1024
+
+
+@lru_cache(maxsize=None)
+def _subset_plan(m: int) -> tuple:
+    """The r-element subsets of range(m) for each r, and the addition plan.
+
+    ``plan[k, i]`` indexes, in the flat list of all subsets, the set
+    rho[:m-1-i] of the k-th permutation rho: part i adds the outer product
+    of its sigma row, which is row m-1-i of P(lambda_rho).
+    """
+    subsets = tuple(tuple(combinations(range(m), r)) for r in range(m))
+    flat = [sub for level in subsets for sub in level]
+    position = {frozenset(sub): k for k, sub in enumerate(flat)}
+    plan = np.array([
+        [position[frozenset(rho[: m - 1 - i])] for i in range(m)]
+        for rho in permutations(range(m))
+    ])
+    plan.setflags(write=False)   # shared by every caller through the cache
+    return subsets, plan
+
+
+def q_eps_parts(lambdas) -> np.ndarray:
+    """eps-power parts of the permutation sum for stacked tuples.
+
+    Maps shape (..., m) to (m, ..., m, m); ``parts[i]`` is the coefficient
+    of eps^{2i}.  Row r of P(lambda_rho) is the sigma row
+    (sigma_r, ..., sigma_1, 1, 0, ..., 0) of the first r permuted values,
+    and ``elementary_symmetric_all`` sorts them first, so the row depends on
+    their set only.  Every row of the result equals the sum over ``build_P``
+    bit for bit (see the module docstring).
+    """
+    lam = np.sort(np.asarray(lambdas, dtype=float), axis=-1)
+    m = lam.shape[-1]
+    _check_m(m)
+    flat = lam.reshape(-1, m)
+    parts = np.empty((m, flat.shape[0], m, m))
+    # Blocks of rows bound the 2^m stacked outer products in memory.
+    for k0 in range(0, flat.shape[0], _ROW_BLOCK):
+        parts[:, k0 : k0 + _ROW_BLOCK] = _replayed_parts(flat[k0 : k0 + _ROW_BLOCK])
+    return parts.reshape((m,) + lam.shape[:-1] + (m, m))
+
+
+def _replayed_parts(lam: np.ndarray) -> np.ndarray:
+    """q_eps_parts of sorted rows (n, m), all subsets held at once."""
+    n, m = lam.shape
+    subsets, plan = _subset_plan(m)
+    rows = []
+    for r, level in enumerate(subsets):
+        index = np.array(level, dtype=np.intp).reshape(len(level), r)
+        # sigma rows of every r-element subset at once: (C(m, r), n, r + 1)
+        sig = elementary_symmetric_all(lam[:, index].swapaxes(0, 1))
+        row = np.zeros(sig.shape[:-1] + (m,))
+        row[..., : r + 1] = sig[..., ::-1]
+        rows.append(row)
+    rows = np.concatenate(rows)
+    outers = rows[..., :, None] * rows[..., None, :]
+    parts = np.zeros((m, n, m, m))
+    for take in plan:
+        parts += outers[take]
+    return parts
+
+
+def _sum_parts(parts: np.ndarray, eps: float) -> np.ndarray:
+    Q = np.zeros(parts.shape[1:])
+    for i, part in enumerate(parts):
+        Q += eps ** (2 * i) * part
+    return Q
+
+
+def q_eps(lambdas, eps: float) -> np.ndarray:
+    """Q_eps for stacked tuples, shape (..., m) to (..., m, m)."""
+    _check_eps(eps)
+    return _sum_parts(q_eps_parts(lambdas), eps)
+
+
 def quasi_symmetriser_parts(lambdas) -> tuple:
-    """eps-power parts Q_0 ... Q_{m-1} of the permutation sum.
+    """eps-power parts Q_0 ... Q_{m-1} of the permutation sum at one tuple.
 
     Row k of P carries the weight eps^{m-1-k}, so the coefficient of
     eps^{2i} collects the outer products of row m-1-i over all permutations.
@@ -105,29 +201,17 @@ def quasi_symmetriser_parts(lambdas) -> tuple:
     the summation order is canonical: the result is bitwise identical under
     any permutation of the input.
     """
-    lam = np.sort(_as_lambda(lambdas))
-    m = lam.size
-    parts = [np.zeros((m, m)) for _ in range(m)]
-    for rho in permutations(range(m)):
-        P = build_P(lam[list(rho)])
-        for i in range(m):
-            row = P[m - 1 - i, :]
-            parts[i] += np.outer(row, row)
-    return tuple(parts)
+    return tuple(q_eps_parts(_as_lambda(lambdas)))
 
 
 def build_Q_eps(lambdas, eps: float) -> QuasiSymmetriser:
     """Assemble the quasi-symmetriser at a given eps in (0, 1]."""
     lam = _as_lambda(lambdas)
-    if not 0.0 < eps <= 1.0:
-        raise DomainError(f"eps must lie in (0, 1], got {eps}")
-    parts = quasi_symmetriser_parts(lam)
-    Q = np.zeros((lam.size, lam.size))
-    for i, part in enumerate(parts):
-        Q += eps ** (2 * i) * part
+    _check_eps(eps)
+    parts = q_eps_parts(lam)
     return QuasiSymmetriser(
-        m=lam.size, eps=float(eps), lambdas=lam.copy(), Q_eps=Q, parts=parts,
-        W=build_W(lam),
+        m=lam.size, eps=float(eps), lambdas=lam.copy(), Q_eps=_sum_parts(parts, eps),
+        parts=tuple(parts), W=build_W(lam),
     )
 
 
@@ -185,10 +269,12 @@ def verify_properties(lambdas, eps: float) -> PropertyReport:
 
     # Deleted-variable recursion: Q_eps = Q_0 + eps^2 sum_i lifted Q_eps(pi_i lambda).
     if m >= 2:
+        # Row i of the stack is np.delete(lam, i).
+        deleted = q_eps(lam[np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)], eps)
         acc = parts[0].copy()
         for i in range(m):
             pad = np.zeros((m, m))
-            pad[: m - 1, : m - 1] = build_Q_eps(np.delete(lam, i), eps).Q_eps
+            pad[: m - 1, : m - 1] = deleted[i]
             acc += eps ** 2 * pad
         recursion = float(np.abs(Q - acc).max())
     else:

@@ -194,15 +194,21 @@ def elementary_symmetric(lambdas, h: int) -> float:
 
 
 def elementary_symmetric_all(lambdas) -> np.ndarray:
-    """All signed elementary symmetric polynomials sigma_0..sigma_q at once."""
-    lam = np.sort(np.asarray(lambdas, dtype=float))
-    q = lam.size
-    e = np.zeros(q + 1)
+    """All signed elementary symmetric polynomials sigma_0..sigma_q at once.
+
+    Works on stacks: shape (..., q) to (..., q + 1).  Each tuple is sorted
+    along the last axis and absorbed value by value by the same recurrence,
+    so every row of a stack equals the call on that row alone, bit for bit.
+    """
+    lam = np.sort(np.asarray(lambdas, dtype=float), axis=-1)
+    q = lam.shape[-1]
+    e = np.zeros((q + 1,) + lam.shape[:-1])
     e[0] = 1.0
-    for x in lam:
+    for k in range(q):
+        x = lam[..., k]
         for j in range(q, 0, -1):
             e[j] += x * e[j - 1]
-    return e * (-1.0) ** np.arange(q + 1)
+    return e.transpose(*range(1, e.ndim), 0) * (-1.0) ** np.arange(q + 1)
 
 
 def deleted_sigmas(lams) -> np.ndarray:
@@ -211,7 +217,7 @@ def deleted_sigmas(lams) -> np.ndarray:
     Row i is (sigma_{m-1}(pi_i lambda), ..., sigma_1(pi_i lambda), 1), where
     pi_i deletes the i-th value.  Each row equals the reversed
     ``elementary_symmetric_all(np.delete(lam, i))`` bit for bit: the deleted
-    tuple is sorted and absorbed by the same recurrence in the same order.
+    tuples of the sorted values go through one stacked call of it.
     """
     lam = np.asarray(lams, dtype=float)
     m = lam.shape[-1]
@@ -219,13 +225,7 @@ def deleted_sigmas(lams) -> np.ndarray:
     ordered = np.take_along_axis(lam, order, axis=-1)
     # rest[..., p, :] is the sorted tuple without its p-th entry.
     rest = ordered[..., np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)]
-    e = np.zeros(rest.shape[:-1] + (m,))
-    e[..., 0] = 1.0
-    for k in range(m - 1):
-        x = rest[..., k]
-        for j in range(m - 1, 0, -1):
-            e[..., j] += x * e[..., j - 1]
-    rows = (e * (-1.0) ** np.arange(m))[..., ::-1]
+    rows = elementary_symmetric_all(rest)[..., ::-1]
     # Row i deletes the value at sorted position rank[i].
     rank = np.argsort(order, axis=-1)
     return np.take_along_axis(rows, rank[..., None], axis=-2)

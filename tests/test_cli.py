@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyposym
 from hyposym.cli import (
     ConfigError,
     config_hash,
@@ -255,6 +260,27 @@ class TestMain:
             code = exc.code
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_untrustworthy_computation_exit_three(self, tmp_path):
+        # 1e200 coefficients overflow the characteristic polynomial, so the
+        # companion eigenvalue solve fails; the CLI must say so without a traceback.
+        path = write_config(tmp_path, {
+            "system": {"m": 2, "n": 1, "horizon": 1.0,
+                       "coefficients": [[[[1e200], [1e200]], [[1e200], [1e200]]]]},
+            "grids": {"t_points": 5, "xi_points": 3},
+        })
+        src = Path(hyposym.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyposym.cli", "conditions", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "computation not trustworthy" in proc.stderr
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 def _modes(*modes):

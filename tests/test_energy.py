@@ -16,8 +16,10 @@ from hyposym import (
 )
 from hyposym.energy import oracle_gap, reweight_energy
 from hyposym.examples import builtin_system
-from hyposym.symbols import SystemSymbol, bracket, eval_symbol
-from hyposym.quasisym import verify_properties
+from hyposym.pencils import hermitian_part
+from hyposym.reduction import assemble_path
+from hyposym.symbols import SystemSymbol, bracket, eval_symbol, rescaled_eigenvalues
+from hyposym.quasisym import build_Q_eps, lift_blocks, verify_properties
 
 
 def constant_symbol(M, horizon=1.0):
@@ -25,6 +27,43 @@ def constant_symbol(M, horizon=1.0):
     coeffs = np.zeros((1, M.shape[0], M.shape[0], 1))
     coeffs[..., 0] = M
     return SystemSymbol(coeffs=coeffs, horizon=horizon)
+
+
+def per_sample_diagnostics(trace, symbol):
+    """Energy diagnostics with one quasi-symmetriser, lifting and dot per sample."""
+    ts, V, m, eps = trace.ts, trace.V, symbol.m, trace.eps
+    bxi = bracket(trace.xi)
+    h = ts[1] - ts[0]
+    n = ts.size
+    calA, calB = assemble_path(symbol, trace.xi, ts)
+    Q = np.empty((n, m, m))
+    for k in range(n):
+        Q[k] = build_Q_eps(rescaled_eigenvalues(symbol, ts[k], trace.xi).lambdas, eps).Q_eps
+    dQ = np.gradient(Q, h, axis=0)
+    blocks = V.reshape(n, m, m)
+    A0 = calA[:, :m, :m] / bxi
+
+    def band_form(mats):
+        prod = np.einsum("kab,kib->kia", mats, blocks)
+        return np.einsum("kia,kia->k", np.conj(blocks), prod)
+
+    E = band_form(Q).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.where(E > 1e-280, np.abs(band_form(dQ)) / np.maximum(E, 1e-280), 0.0)
+    comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
+        "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q)
+    term2 = np.abs(bxi * band_form(comm2))
+    term3 = np.empty(n)
+    coercivity = 0.0
+    for k in range(n):
+        Qf = lift_blocks(Q[k])
+        M3 = Qf @ calB[k] - calB[k].conj().T @ Qf
+        term3[k] = abs(np.vdot(V[k], M3 @ V[k]))
+        eigs = np.linalg.eigvalsh(hermitian_part(Q[k]))
+        lo, hi = eigs[0], eigs[-1]
+        coercivity = max(coercivity, hi if lo <= 0 else max(hi, eps ** (2 * (m - 1)) / lo))
+    return {"E": E, "K": K, "term2": term2, "term3": term3, "dtE": np.gradient(E, h),
+            "coercivity_sup": float(coercivity)}
 
 
 def expm(M):
@@ -127,6 +166,19 @@ class TestReducedIntegrate:
         sw = max(sandwich_constant(S, t, xi)[0] for t in trace.ts[:: len(trace.ts) // 40])
         C3 = 2.0 * factorial(m - 1) * sw
         assert np.all(trace.term3 <= C3 * trace.E * (1 + 1e-6) + 1e-12)
+
+    def test_diagnostics_match_per_sample_loop_bitwise(self):
+        # 402 samples: the term3 blocks of the stacked path end mid-trace.
+        S = builtin_system("m3-tracezero")
+        xi = np.array([20.0])
+        V0 = transform_initial_data(S, np.ones(3), xi).V
+        for eps in (None, 0.05):
+            trace = reduced_integrate(S, xi, V0, SolverConfig(), eps=eps)
+            ref = per_sample_diagnostics(trace, S)
+            assert trace.ts.size == 402
+            for name in ("E", "K", "term2", "term3", "dtE"):
+                assert getattr(trace, name).tobytes() == ref[name].tobytes(), name
+            assert trace.coercivity_sup == ref["coercivity_sup"]
 
     def test_invalid_state_length(self):
         with pytest.raises(DomainError):

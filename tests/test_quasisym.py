@@ -17,7 +17,12 @@ from hyposym import (
     verify_properties,
 )
 from hyposym.errors import CapabilityError
-from hyposym.quasisym import sample_separation_set
+from hyposym.quasisym import (
+    q_eps,
+    q_eps_parts,
+    quasi_symmetriser_parts,
+    sample_separation_set,
+)
 
 
 def closed_form_Q2(lam, eps):
@@ -128,6 +133,65 @@ class TestBuildQeps:
     def test_dimension_cap(self):
         with pytest.raises(CapabilityError):
             build_Q_eps(np.arange(7.0), 0.5)
+
+
+def permutation_sum_parts(lam):
+    """The m! sum over build_P, one permutation at a time (the reference)."""
+    lam = np.sort(np.asarray(lam, dtype=float))
+    m = lam.size
+    parts = [np.zeros((m, m)) for _ in range(m)]
+    for rho in permutations(range(m)):
+        P = build_P(lam[list(rho)])
+        for i in range(m):
+            row = P[m - 1 - i, :]
+            parts[i] += np.outer(row, row)
+    return parts
+
+
+def awkward_rows(m, rng):
+    """Unsorted rows plus ties, signed zeros and an all-zero row."""
+    rows = [rng.uniform(-2, 2, m), rng.standard_normal(m) * 1e3, np.zeros(m),
+            np.full(m, -0.7), rng.integers(-2, 3, m) * 0.5]
+    mixed = rng.uniform(-1, 1, m)
+    mixed[: m // 2] = 0.0
+    mixed[0] = -0.0
+    rows.append(mixed)
+    return np.array(rows)
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_parts_match_permutation_sum_bitwise(self, m):
+        lams = awkward_rows(m, np.random.default_rng(40 + m))
+        stacked = q_eps_parts(lams.reshape(2, 3, m))
+        assert stacked.shape == (m, 2, 3, m, m)
+        for k, lam in enumerate(lams):
+            ref = permutation_sum_parts(lam)
+            one = q_eps_parts(lam[None])
+            for i in range(m):
+                assert stacked[i].reshape(-1, m, m)[k].tobytes() == ref[i].tobytes()
+                assert one[i, 0].tobytes() == ref[i].tobytes()
+            for part, r in zip(quasi_symmetriser_parts(lam), ref):
+                assert part.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_q_eps_matches_permutation_sum_bitwise(self, m):
+        lams = awkward_rows(m, np.random.default_rng(50 + m))
+        for eps in (1.0, 0.3, 0.01):
+            got = q_eps(lams, eps)
+            for lam, Q in zip(lams, got):
+                ref = np.zeros((m, m))
+                for i, part in enumerate(permutation_sum_parts(lam)):
+                    ref += eps ** (2 * i) * part
+                assert Q.tobytes() == ref.tobytes()
+                assert build_Q_eps(lam, eps).Q_eps.tobytes() == ref.tobytes()
+
+    def test_empty_stack_and_bad_eps(self):
+        assert q_eps_parts(np.zeros((0, 3))).shape == (3, 0, 3, 3)
+        with pytest.raises(DomainError):
+            q_eps(np.zeros((2, 3)), 0.0)
+        with pytest.raises(CapabilityError):
+            q_eps_parts(np.zeros((2, 7)))
 
 
 class TestVerifyProperties:

@@ -124,7 +124,30 @@ class TestBatchedKernels:
                 assert W.tobytes() == ref.tobytes()
 
 
+def _sigmas_scalar_loop(lam):
+    """Signed sigma_0..sigma_q by the scalar recurrence over the sorted tuple."""
+    lam = sorted(float(x) for x in lam)
+    e = [1.0] + [0.0] * len(lam)
+    for x in lam:
+        for j in range(len(lam), 0, -1):
+            e[j] += x * e[j - 1]
+    return np.array(e) * (-1.0) ** np.arange(len(lam) + 1)
+
+
 class TestElementarySymmetric:
+    def test_stacked_rows_match_one_row_calls_bitwise(self):
+        rng = np.random.default_rng(8)
+        for q in range(0, 7):
+            lam = rng.standard_normal((60, q))
+            lam[:30] = rng.integers(-2, 3, (30, q)) * 0.5  # ties and zeros
+            lam[30] = 0.0
+            got = elementary_symmetric_all(lam.reshape(3, 20, q))
+            assert got.shape == (3, 20, q + 1)
+            for row, sig in zip(lam, got.reshape(-1, q + 1)):
+                one = elementary_symmetric_all(row)
+                assert sig.tobytes() == one.tobytes()
+                assert one.tobytes() == _sigmas_scalar_loop(row).tobytes()
+
     def test_h_zero_is_one(self):
         assert elementary_symmetric([4.0, -1.0, 3.0], 0) == 1.0
 
