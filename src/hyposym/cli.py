@@ -705,14 +705,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="output directory (overrides the config's `out`)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker hint; the current engine runs single-process")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
-        return 1
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
     try:
         text = Path(args.config).read_text()

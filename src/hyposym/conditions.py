@@ -18,7 +18,7 @@ import numpy as np
 from hyposym.errors import CapabilityError, DomainError
 from hyposym.pencils import hermitian_part
 from hyposym.quasisym import lift_blocks
-from hyposym.reduction import _reduce_path, assemble_path, lower_order_matrix
+from hyposym.reduction import PathAssembler, assemble_path, lower_order_matrix
 from hyposym.symbols import (
     SystemSymbol,
     bracket,
@@ -118,7 +118,7 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
         bxi = bracket(xi)
         A = eval_symbol_path(symbol, grid.ts, xi)
         char0[:, r_idx, d_idx] = faddeev_leverrier(A / bxi).real
-        b_entries[:, r_idx, d_idx] = _reduce_path(symbol, xi, grid.ts)[1]
+        b_entries[:, r_idx, d_idx] = PathAssembler(symbol, xi).reduce(grid.ts)[1]
         for k in range(1, m):
             dA0 = eval_symbol_path(deriv_symbols[k], grid.ts, xi) / bxi
             dt_norms[:, r_idx, d_idx, k - 1] = np.linalg.svd(dA0, compute_uv=False)[:, 0]

@@ -19,9 +19,11 @@ import numpy as np
 
 from hyposym.errors import DomainError, NumericError
 from hyposym.pencils import hermitian_part
-from hyposym.quasisym import lift_blocks, q_eps
+from hyposym.quasisym import lift_blocks, q_eps, q_eps_parts, sum_parts
 from hyposym.reduction import (
+    PathAssembler,
     assemble_path,
+    initial_states,
     lift_trajectory,
     transform_initial_data,
 )
@@ -132,44 +134,98 @@ class EnergyTrace:
         return float((vals + self.log_scale).max() - base)
 
 
-def _rk4_run(M_half, N: int, h: float, y0: np.ndarray, renormalize: bool):
-    """RK4 with matrices sampled on the half-step grid (index 0..2N).
+# Bytes of half-grid step matrices held per window of the lockstep RK4: 4
+# steps of 128 modes at m = 2.  A window's assembly temporaries take several
+# times this, and longer windows raise the peak RSS of a solve.
+_WINDOW_BYTES = 1 << 18
 
-    ``M_half`` is either an array (2N+1, d, d) or a single constant matrix.
-    Renormalisation keeps |y| <= RENORM_THRESHOLD, accumulating log scales so
-    exponentially growing modes never overflow.
+
+def _lockstep_rk4(step_matrices, Y0, N: int, h: float, record, renormalize: bool = False):
+    """RK4 on a stack of q states in lockstep, d/dt y_r = M_r(t) y_r.
+
+    ``Y0`` has shape (q, d).  ``step_matrices`` is either one constant matrix
+    per row (q, d, d), or a function ``window(k0, k1)`` returning the
+    matrices on the half-step grid of steps k0..k1, shape
+    (2 (k1 - k0) + 1, q, d, d); windows are sized by _WINDOW_BYTES.  Each
+    product is ``np.matvec``, bitwise the row's own ``M @ y``, so every row
+    is bitwise its solo run.  Returns the states and accumulated log scales
+    at the sorted step indices ``record``, shapes (len(record), q, d) and
+    (len(record), q).  Renormalisation keeps each row's |y| <=
+    RENORM_THRESHOLD on its own, so exponentially growing rows never
+    overflow.
     """
-    constant = M_half.ndim == 2
-    y = np.asarray(y0, dtype=complex).copy()
-    d = y.size
-    out = np.empty((N + 1, d), dtype=complex)
-    logs = np.zeros(N + 1)
-    out[0] = y
-    acc = 0.0
+    Y = np.array(Y0, dtype=complex)
+    q, d = Y.shape
+    record = [int(k) for k in record]
+    out = np.empty((len(record), q, d), dtype=complex)
+    logs = np.zeros((len(record), q))
+    acc = np.zeros(q)
+    slot = 0
+    if record and record[0] == 0:
+        out[0] = Y
+        slot = 1
+    if callable(step_matrices):
+        window, width = step_matrices, max(1, _WINDOW_BYTES // (q * 2 * d * d * 16))
+    else:
+        # constant matrices: one window of views, nothing assembled
+        def window(k0, k1):
+            return np.broadcast_to(step_matrices, (2 * (k1 - k0) + 1,) + step_matrices.shape)
+        width = N
     # overflow surfaces through the isfinite guard, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(N):
-            if constant:
-                M1 = M2 = M3 = M_half
-            else:
-                M1 = M_half[2 * k]
-                M2 = M_half[2 * k + 1]
-                M3 = M_half[2 * k + 2]
-            k1 = M1 @ y
-            k2 = M2 @ (y + (0.5 * h) * k1)
-            k3 = M2 @ (y + (0.5 * h) * k2)
-            k4 = M3 @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if renormalize:
-                nrm = float(np.linalg.norm(y))
-                if nrm > RENORM_THRESHOLD:
-                    y = y / nrm
-                    acc += log(nrm)
-            if not np.isfinite(y).all():
-                raise NumericError(f"non-finite state at step {k + 1} of {N}")
-            out[k + 1] = y
-            logs[k + 1] = acc
+        for k0 in range(0, N, width):
+            k1 = min(k0 + width, N)
+            M = window(k0, k1)
+            for k in range(k0, k1):
+                j = 2 * (k - k0)
+                s1 = np.matvec(M[j], Y)
+                s2 = np.matvec(M[j + 1], Y + (0.5 * h) * s1)
+                s3 = np.matvec(M[j + 1], Y + (0.5 * h) * s2)
+                s4 = np.matvec(M[j + 2], Y + h * s3)
+                Y = Y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                if renormalize:
+                    _renormalize_rows(Y, acc)
+                if slot < len(record) and record[slot] == k + 1:
+                    out[slot] = Y
+                    logs[slot] = acc
+                    slot += 1
+            # A non-finite entry stays non-finite, so one check per window
+            # catches it.
+            if not np.isfinite(Y).all():
+                raise NumericError(f"non-finite state by step {k1} of {N}")
     return out, logs
+
+
+def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
+    """Scale each row of Y with |y| > RENORM_THRESHOLD to unit norm, in place.
+
+    The stacked norm only picks candidates: it may differ from the 1-d norm
+    of the row in the last bits, and the 1-d norm decides, as in a solo run.
+    """
+    rough = np.linalg.norm(Y, axis=1)
+    for r in np.flatnonzero(rough > RENORM_THRESHOLD * (1.0 - 1e-12)):
+        nrm = float(np.linalg.norm(Y[r]))
+        if nrm > RENORM_THRESHOLD:
+            Y[r] = Y[r] / nrm
+            acc[r] += log(nrm)
+
+
+def _step_matrices(symbol: SystemSymbol, xi, ts_half):
+    """i (calA + calB) for the frequency stack xi (q, n), as _lockstep_rk4 takes it.
+
+    A constant symbol gives one matrix per frequency; otherwise a window
+    function over the half-step grid ``ts_half``, assembled on demand.
+    """
+    assembler = PathAssembler(symbol, xi)
+    if symbol.is_constant():
+        calA, calB = assembler(ts_half[:1])
+        return 1j * (calA[0] + calB[0])
+
+    def window(k0, k1):
+        calA, calB = assembler(ts_half[2 * k0 : 2 * k1 + 1])
+        return 1j * (calA + calB)
+
+    return window
 
 
 def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
@@ -179,17 +235,36 @@ def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
     """
     N, h = config.steps_for(symbol, xi)
     ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
-    M_half = 1j * eval_symbol_path(symbol, ts_half, xi)
     u0 = np.asarray(u0hat, dtype=complex).ravel()
     if u0.size != symbol.m:
         raise DomainError(f"initial data must have {symbol.m} components")
-    traj, _ = _rk4_run(M_half, N, h, u0, renormalize=False)
-    return ts_half[::2], traj
+
+    def window(k0, k1):
+        return (1j * eval_symbol_path(symbol, ts_half[2 * k0 : 2 * k1 + 1], xi))[:, None]
+
+    traj, _ = _lockstep_rk4(window, u0[None], N, h, range(N + 1))
+    return ts_half[::2], traj[:, 0]
 
 
 # Time samples per block of the term3 products: the lifted (m^2 x m^2)
 # complex stacks of 256 samples take 5.3 MB each at m = 6.
 _TERM3_BLOCK = 256
+
+
+def _band_form(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Sum over bands of v* (mat v), with per-time m x m matrices and band blocks."""
+    prod = np.einsum("kab,kib->kia", mats, blocks)
+    return np.einsum("kia,kia->k", np.conj(blocks), prod)
+
+
+def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float) -> tuple:
+    """E = (Q_lift V | V) and K = |(dQ/dt V | V)| / E along a trajectory."""
+    dQ = np.gradient(Q, h, axis=0)
+    E = _band_form(Q, blocks).real
+    K_num = np.abs(_band_form(dQ, blocks))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = np.where(E > ENERGY_FLOOR, K_num / np.maximum(E, ENERGY_FLOOR), 0.0)
+    return E, K
 
 
 def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, eps: float):
@@ -211,25 +286,16 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
     n = ts.size
 
     Q = q_eps(spec.lambdas, eps)
-    dQ = np.gradient(Q, h, axis=0)
 
     blocks = V.reshape(n, m, m)             # blocks[k, i] = band i of V(t_k)
     A0_blocks = calA[:, :m, :m] / bxi       # every band shares the same block
 
-    def band_form(mat_stack):
-        # sum over bands of v* (mat v) with a per-time m x m matrix stack
-        prod = np.einsum("kab,kib->kia", mat_stack, blocks)
-        return np.einsum("kia,kia->k", np.conj(blocks), prod)
-
-    E = band_form(Q).real
-    K_num = np.abs(band_form(dQ))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = np.where(E > ENERGY_FLOOR, K_num / np.maximum(E, ENERGY_FLOOR), 0.0)
+    E, K = _energy_and_K(Q, blocks, h)
 
     comm2 = np.einsum("kab,kbc->kac", Q, A0_blocks) - np.einsum(
         "kab,kbc->kac", np.conj(np.swapaxes(A0_blocks, 1, 2)), Q
     )
-    term2 = np.abs(bxi * band_form(comm2))
+    term2 = np.abs(bxi * _band_form(comm2, blocks))
 
     # |(Q_lift B - B* Q_lift) V | V|, blockwise to bound the lifted stacks.
     term3 = np.empty(n)
@@ -273,49 +339,19 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
         raise DomainError(f"reduced state must have {m * m} components")
     N, h = config.steps_for(symbol, xi)
     ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
     try:
-        if symbol.is_constant():
-            calA0, calB0 = assemble_path(symbol, xi, ts_half[:1])
-            V, logs = _rk4_run(1j * (calA0[0] + calB0[0]), N, h, V0,
-                               renormalize=config.renormalize)
-        elif (2 * N + 1) * m ** 4 <= 6_000_000:
-            # No name holds the half-grid calA and calB past their sum, so
-            # they are freed before the energy diagnostics run.
-            V, logs = _rk4_run(1j * np.add(*assemble_path(symbol, xi, ts_half)), N, h, V0,
-                               renormalize=config.renormalize)
-        else:
-            # window the half-grid assembly to bound memory on long runs
-            V, logs = _windowed_rk4(symbol, xi, ts_half, N, h, V0,
-                                    config.renormalize)
+        V, logs = _lockstep_rk4(_step_matrices(symbol, xi[None], ts_half), V0[None], N, h,
+                                range(N + 1), renormalize=config.renormalize)
     except NumericError as exc:
         raise NumericError(f"{exc} (xi={xi})") from exc
     ts = ts_half[::2]
     eps_val = config.eps_for(m, xi) if eps is None else float(eps)
-    trace = EnergyTrace(ts=ts, V=V, log_scale=logs, xi=np.atleast_1d(np.asarray(xi, float)),
-                        eps=eps_val, m=m)
+    trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)
     if collect_energy:
         calA_full, calB_full = assemble_path(symbol, xi, ts)
         _energy_diagnostics(trace, symbol, calA_full, calB_full, eps_val)
     return trace
-
-
-def _windowed_rk4(symbol, xi, ts_half, N, h, V0, renormalize, window=2048):
-    m2 = V0.size
-    V = np.empty((N + 1, m2), dtype=complex)
-    logs = np.zeros(N + 1)
-    V[0] = V0
-    y = V0
-    acc = 0.0
-    for k0 in range(0, N, window):
-        k1 = min(k0 + window, N)
-        seg_half = ts_half[2 * k0 : 2 * k1 + 1]
-        calA, calB = assemble_path(symbol, xi, seg_half)
-        seg_V, seg_logs = _rk4_run(1j * (calA + calB), k1 - k0, h, y, renormalize)
-        V[k0 + 1 : k1 + 1] = seg_V[1:]
-        logs[k0 + 1 : k1 + 1] = acc + seg_logs[1:]
-        y = seg_V[-1]
-        acc += seg_logs[-1]
-    return V, logs
 
 
 def reweight_energy(trace: EnergyTrace, symbol: SystemSymbol, eps: float) -> EnergyTrace:
@@ -444,10 +480,14 @@ def integral_K_sweep(symbol: SystemSymbol, xi, eps_values, config: SolverConfig,
         u0hat = np.ones(m, dtype=complex) / np.sqrt(m)
     V0 = transform_initial_data(symbol, u0hat, xi).V
     base = reduced_integrate(symbol, xi, V0, config, collect_energy=False)
+    # Only the eps-weighted sum of the quasi-symmetriser parts depends on eps.
+    ts = base.ts
+    parts = q_eps_parts(rescaled_spectra(symbol, ts, base.xi).lambdas)
+    blocks = base.V.reshape(ts.size, m, m)
     integrals = []
     for eps in eps_values:
-        tr = reweight_energy(base, symbol, eps)
-        integrals.append(float(np.trapezoid(tr.K, tr.ts)))
+        _, K = _energy_and_K(sum_parts(parts, float(eps)), blocks, ts[1] - ts[0])
+        integrals.append(float(np.trapezoid(K, ts)))
     eps_arr = np.asarray(eps_values, dtype=float)
     ints = np.asarray(integrals)
     X = np.stack([np.log(eps_arr), np.ones(eps_arr.size)], axis=1)
@@ -563,12 +603,12 @@ class CauchyField:
 
 def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
                     snapshot_ts) -> CauchyField:
-    """Solve the Cauchy problem on [0, 2 pi) by per-mode reduced integration.
+    """Solve the Cauchy problem on [0, 2 pi) through the reduced system.
 
     ``u0_samples`` has shape (m, n_grid) with n_grid a power of two.  Each
-    Fourier mode is pushed through the reduction, integrated, and the first
-    band component is rescaled by <xi>^{-(m-1)} before the inverse transform.
-    A constant-coefficient symbol takes a batched fast path over all modes.
+    Fourier mode is pushed through the reduction, all modes are integrated
+    in lockstep with one step, and the first band component is rescaled by
+    <xi>^{-(m-1)} before the inverse transform.
     """
     if symbol.n != 1:
         raise DomainError("the Cauchy solver is one-dimensional (n = 1)")
@@ -590,45 +630,18 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     N, h = config.steps_for(symbol, np.array([xi_max]))
     snap_idx = np.clip(np.rint(snapshot_ts / h).astype(int), 0, N)
 
-    V0 = np.empty((n_grid, m * m), dtype=complex)
-    brackets = np.empty(n_grid)
-    for q, k in enumerate(wavenumbers):
-        V0[q] = transform_initial_data(symbol, u0_hat[:, q], np.array([k])).V
-        brackets[q] = bracket(np.array([k]))
+    xis = wavenumbers[:, None]
+    V0 = initial_states(symbol, np.ascontiguousarray(u0_hat.T), xis)
+    brackets = np.array([bracket(xi) for xi in xis])
 
-    hat_snaps = np.empty((snap_idx.size, m, n_grid), dtype=complex)
-    if symbol.is_constant():
-        # One constant matrix per mode; integrate all modes in lockstep.
-        M = np.empty((n_grid, m * m, m * m), dtype=complex)
-        for q, k in enumerate(wavenumbers):
-            calA, calB = assemble_path(symbol, np.array([k]), np.array([0.0]))
-            M[q] = 1j * (calA[0] + calB[0])
-        y = V0.copy()
-        pending = {int(i): None for i in snap_idx}
-        if 0 in pending:
-            pending[0] = y.copy()
-        for step in range(N):
-            k1 = np.einsum("qab,qb->qa", M, y)
-            k2 = np.einsum("qab,qb->qa", M, y + (0.5 * h) * k1)
-            k3 = np.einsum("qab,qb->qa", M, y + (0.5 * h) * k2)
-            k4 = np.einsum("qab,qb->qa", M, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if (step + 1) in pending:
-                pending[step + 1] = y.copy()
-        if not np.isfinite(y).all():
-            raise NumericError("non-finite state in the mode sweep")
-        for s, idx in enumerate(snap_idx):
-            states = pending[int(idx)]
-            for i in range(m):
-                hat_snaps[s, i] = states[:, i * m] * brackets ** (-(m - 1))
-    else:
-        cfg = replace(config, t_step=h)
-        for q, k in enumerate(wavenumbers):
-            trace = reduced_integrate(symbol, np.array([k]), V0[q], cfg,
-                                      collect_energy=False)
-            for s, idx in enumerate(snap_idx):
-                for i in range(m):
-                    hat_snaps[s, i, q] = trace.V[idx, i * m] * brackets[q] ** (-(m - 1))
+    # Every mode takes the step of the top wavenumber, so all advance together.
+    ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
+    record = sorted(set(snap_idx.tolist()))
+    states, _ = _lockstep_rk4(_step_matrices(symbol, xis, ts_half), V0, N, h,
+                              record, renormalize=config.renormalize)
+    # first band component of each snapshot, (n_snapshots, m, n_grid)
+    first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
+    hat_snaps = first * brackets ** (-(m - 1))
 
     fields = np.fft.ifft(hat_snaps, axis=2)
     x = 2.0 * np.pi * np.arange(n_grid) / n_grid

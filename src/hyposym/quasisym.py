@@ -178,7 +178,12 @@ def _replayed_parts(lam: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _sum_parts(parts: np.ndarray, eps: float) -> np.ndarray:
+def sum_parts(parts: np.ndarray, eps: float) -> np.ndarray:
+    """Q_eps = sum_i eps^{2i} parts[i] from the parts of :func:`q_eps_parts`.
+
+    An eps sweep over one stack builds the parts once and sums them per eps.
+    """
+    _check_eps(eps)
     Q = np.zeros(parts.shape[1:])
     for i, part in enumerate(parts):
         Q += eps ** (2 * i) * part
@@ -188,7 +193,7 @@ def _sum_parts(parts: np.ndarray, eps: float) -> np.ndarray:
 def q_eps(lambdas, eps: float) -> np.ndarray:
     """Q_eps for stacked tuples, shape (..., m) to (..., m, m)."""
     _check_eps(eps)
-    return _sum_parts(q_eps_parts(lambdas), eps)
+    return sum_parts(q_eps_parts(lambdas), eps)
 
 
 def quasi_symmetriser_parts(lambdas) -> tuple:
@@ -210,7 +215,7 @@ def build_Q_eps(lambdas, eps: float) -> QuasiSymmetriser:
     _check_eps(eps)
     parts = q_eps_parts(lam)
     return QuasiSymmetriser(
-        m=lam.size, eps=float(eps), lambdas=lam.copy(), Q_eps=_sum_parts(parts, eps),
+        m=lam.size, eps=float(eps), lambdas=lam.copy(), Q_eps=sum_parts(parts, eps),
         parts=tuple(parts), W=build_W(lam),
     )
 

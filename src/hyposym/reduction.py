@@ -63,13 +63,10 @@ class StateVector:
     m: int
 
 
-def _deriv_paths(symbol: SystemSymbol, xi, ts: np.ndarray, top: int) -> list:
-    """[(-i)^k d^k/dt^k A(t, xi) for k = 0..top], each of shape (len(ts), m, m)."""
-    out = []
-    for k in range(top + 1):
-        path = eval_symbol_path(time_derivative(symbol, k), ts, xi).astype(complex)
-        out.append((-1j) ** k * path)
-    return out
+def _deriv_paths(derivs: list, ts: np.ndarray, xi) -> list:
+    """(-i)^k d^k/dt^k A(t, xi) for the k-th symbol of ``derivs`` = [d^k/dt^k A]."""
+    return [(-1j) ** k * eval_symbol_path(d, ts, xi).astype(complex)
+            for k, d in enumerate(derivs)]
 
 
 def _bold_B_path(boldA: list, dtA: list, m: int) -> list:
@@ -96,43 +93,72 @@ def lower_order_matrix(entries) -> np.ndarray:
     return calB.reshape(b.shape[:-3] + (m * m, m * m))
 
 
-def _reduce_path(symbol: SystemSymbol, xi, ts) -> tuple:
-    """(calA, b, bold_A, bold_B, c) along a time grid.
+class PathAssembler:
+    """The reduction of one symbol at a stack of frequencies, on any time grid.
 
-    ``b`` (len(ts), m-1, m, m) holds the scaled entries of calB; see
-    :func:`lower_order_matrix`.
+    ``xi`` has shape (n,) or (..., n).  The derivative symbols d^k/dt^k A,
+    k < m, and the powers of <xi> are built once, so a windowed integration
+    assembles one time window after another without rebuilding them.  The
+    powers are taken per frequency as Python floats: numpy's array power is
+    not bitwise ``float ** e``.  Every (t, xi) entry of a stacked result is
+    bitwise that of the frequency alone.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    m = symbol.m
-    bxi = bracket(xi)
-    A = eval_symbol_path(symbol, ts, xi)
-    c = faddeev_leverrier(A)
 
-    N = ts.size
-    calA = np.zeros((N, m * m, m * m))
-    block = np.zeros((N, m, m))
-    for j in range(m - 1):
-        block[:, j, j + 1] = bxi
-    for col in range(m):
-        block[:, m - 1, col] = -c[:, m - col] * bxi ** (col - m) * bxi
-    for i in range(m):
-        calA[:, i * m : (i + 1) * m, i * m : (i + 1) * m] = block
+    def __init__(self, symbol: SystemSymbol, xi):
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        m = symbol.m
+        self.m = m
+        self.xi = xi
+        self.derivs = [time_derivative(symbol, k) for k in range(m)]
+        brackets = [bracket(row) for row in xi.reshape(-1, xi.shape[-1])]
+        self.bxi = np.array(brackets).reshape(xi.shape[:-1])
+        # <xi>^e for e = -m..-1, each of the frequency stack's shape
+        self.powers = {e: np.array([b ** e for b in brackets]).reshape(xi.shape[:-1])
+                       for e in range(-m, 0)}
 
-    dtA = _deriv_paths(symbol, xi, ts, m - 1)
-    boldA = adjugate_coeffs(A.astype(complex), c.astype(complex))
-    boldB = _bold_B_path(boldA, dtA, m)
-    b = np.stack([boldB[l - 1] * bxi ** (l - m) for l in range(1, m)], axis=1)
-    return calA, b, boldA, boldB, c
+    def reduce(self, ts) -> tuple:
+        """(calA, b, bold_A, bold_B, c), each of leading shape (len(ts), ...).
+
+        ``b`` (..., m-1, m, m) holds the scaled entries of calB; see
+        :func:`lower_order_matrix`.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        m = self.m
+        bxi = self.bxi
+        A = eval_symbol_path(self.derivs[0], ts, self.xi)
+        c = faddeev_leverrier(A)
+        lead = A.shape[:-2]
+
+        block = np.zeros(lead + (m, m))
+        for j in range(m - 1):
+            block[..., j, j + 1] = bxi
+        for col in range(m):
+            block[..., m - 1, col] = -c[..., m - col] * self.powers[col - m] * bxi
+        calA = np.zeros(lead + (m * m, m * m))
+        for i in range(m):
+            calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
+
+        dtA = _deriv_paths(self.derivs, ts, self.xi)
+        boldA = adjugate_coeffs(A.astype(complex), c.astype(complex))
+        boldB = _bold_B_path(boldA, dtA, m)
+        b = np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
+                      for l in range(1, m)], axis=-3)
+        return calA, b, boldA, boldB, c
+
+    def __call__(self, ts) -> tuple:
+        """(calA, calB) along ``ts``, shapes (len(ts), ..., m^2, m^2)."""
+        calA, b, _, _, _ = self.reduce(ts)
+        return calA, lower_order_matrix(b)
 
 
 def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
     """Stacked (calA, calB) along a time grid, shapes (len(ts), m^2, m^2).
 
     calA is real block-companion; calB is complex.  Single-point callers
-    should use :func:`assemble`.
+    should use :func:`assemble`; a stack of frequencies goes through one
+    :class:`PathAssembler`.
     """
-    calA, b, _, _, _ = _reduce_path(symbol, xi, ts)
-    return calA, lower_order_matrix(b)
+    return PathAssembler(symbol, xi)(ts)
 
 
 def bold_A(symbol: SystemSymbol, h: int, t: float, xi) -> np.ndarray:
@@ -153,7 +179,7 @@ def assemble(symbol: SystemSymbol, t: float, xi) -> ReducedSystem:
     """Assemble the reduced pair and its building blocks at one (t, xi)."""
     t = _check_time(symbol, t)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    calA, b, boldA, boldB, c = _reduce_path(symbol, xi_arr, np.array([t]))
+    calA, b, boldA, boldB, c = PathAssembler(symbol, xi_arr).reduce(np.array([t]))
     return ReducedSystem(
         m=symbol.m,
         t=t,
@@ -182,14 +208,15 @@ def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
 
     Built from the Leibniz recursion
     P_0 = I,  P_j = sum_l binom(j-1, l) (D_t^l A) P_{j-1-l};
-    shape of each entry is (len(ts), m, m).
+    shape of each entry is (len(ts), m, m), or (len(ts), ..., m, m) for a
+    stack of frequencies xi (..., n).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    dtA = _deriv_paths(symbol, xi, ts, max(top - 1, 0))
-    m = symbol.m
-    maps = [np.broadcast_to(np.eye(m, dtype=complex), (ts.size, m, m)).copy()]
+    dtA = _deriv_paths([time_derivative(symbol, k) for k in range(max(top - 1, 0) + 1)], ts, xi)
+    shape = dtA[0].shape
+    maps = [np.broadcast_to(np.eye(symbol.m, dtype=complex), shape).copy()]
     for j in range(1, top + 1):
-        acc = np.zeros((ts.size, m, m), dtype=complex)
+        acc = np.zeros(shape, dtype=complex)
         for l in range(j):
             acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
         maps.append(acc)
@@ -206,14 +233,23 @@ def transform_initial_data(symbol: SystemSymbol, u0hat, xi) -> StateVector:
     m = symbol.m
     if u0.size != m:
         raise DomainError(f"initial data must have {m} components, got {u0.size}")
-    bxi = bracket(xi)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    return StateVector(V=initial_states(symbol, u0[None], xi[None])[0], m=m)
+
+
+def initial_states(symbol: SystemSymbol, u0hat: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """:func:`transform_initial_data` for a stack: u0hat (q, m) at xi (q, n) to (q, m^2).
+
+    Each row is bitwise the state of its frequency alone.
+    """
+    m = symbol.m
+    brackets = [bracket(row) for row in xi]
     maps = derivative_maps(symbol, xi, np.array([0.0]), m - 1)
-    V = np.zeros(m * m, dtype=complex)
+    V = np.zeros((len(brackets), m * m), dtype=complex)
     for j in range(1, m + 1):
-        dt_u = maps[j - 1][0] @ u0
-        for i in range(m):
-            V[i * m + (j - 1)] = bxi ** (m - j) * dt_u[i]
-    return StateVector(V=V, m=m)
+        scale = np.array([b ** (m - j) for b in brackets])
+        V[:, j - 1 :: m] = scale[:, None] * np.matvec(maps[j - 1][0], u0hat)
+    return V
 
 
 def lift_trajectory(symbol: SystemSymbol, xi, ts, u_hat_traj: np.ndarray) -> np.ndarray:

@@ -153,13 +153,18 @@ def eval_symbol(symbol: SystemSymbol, t: float, xi) -> np.ndarray:
 
 
 def eval_symbol_path(symbol: SystemSymbol, ts: np.ndarray, xi) -> np.ndarray:
-    """Vectorised ``eval_symbol`` over a 1-d array of times, shape (len(ts), m, m)."""
+    """Vectorised ``eval_symbol`` over a 1-d array of times.
+
+    ``xi`` of shape (n,) gives (len(ts), m, m); a stack (..., n) of
+    frequencies gives (len(ts), ..., m, m), each entry bitwise that of its
+    frequency alone.
+    """
     ts = np.asarray(ts, dtype=float)
     if ts.size and (ts.min() < 0.0 or ts.max() > symbol.horizon):
         raise DomainError("time grid leaves [0, T]")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     mats = symbol.direction_matrices(ts)
-    return np.einsum("p,tpij->tij", xi, mats)
+    return np.einsum("...p,tpij->t...ij", xi, mats)
 
 
 def time_derivative(symbol: SystemSymbol, k: int) -> SystemSymbol:
@@ -245,9 +250,12 @@ def faddeev_leverrier(A: np.ndarray) -> np.ndarray:
     c = np.zeros(batch + (m + 1,), dtype=A.dtype)
     c[..., 0] = 1.0
     M = np.zeros_like(A)
-    for k in range(1, m + 1):
-        M = A @ (M + c[..., k - 1, None, None] * eye)
-        c[..., k] = -np.einsum("...ii->...", M) / k
+    # Overflow surfaces as non-finite coefficients, which companion_roots
+    # turns into NumericError, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m + 1):
+            M = A @ (M + c[..., k - 1, None, None] * eye)
+            c[..., k] = -np.einsum("...ii->...", M) / k
     return c
 
 

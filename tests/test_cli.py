@@ -282,6 +282,34 @@ class TestMain:
         assert "computation not trustworthy" in proc.stderr
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_overflow_exit_three_prints_no_numpy_warning(self, tmp_path):
+        # The overflowing characteristic polynomial is reported once, as the
+        # exit-3 error line, not also as a numpy RuntimeWarning.
+        path = write_config(tmp_path, {
+            "system": {"m": 2, "n": 1, "horizon": 1.0,
+                       "coefficients": [[[[1e200], [1e200]], [[1e200], [1e200]]]]},
+            "grids": {"t_points": 5, "xi_points": 3},
+        })
+        src = Path(hyposym.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyposym.cli", "conditions", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "RuntimeWarning" not in proc.stderr
+        assert "computation not trustworthy" in proc.stderr
+
+    def test_jobs_flag_is_unknown(self, tmp_path, capsys):
+        # the integrator batches every frequency in one process; --jobs is gone
+        path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, "grids": SMALL_GRIDS})
+        with pytest.raises(SystemExit) as exc:
+            main(["conditions", "--config", str(path), "--jobs", "2"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
 
 def _modes(*modes):
     return {"initial_data": {"kind": "fourier_modes", "modes": list(modes)},

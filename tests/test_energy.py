@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from math import factorial
+from math import factorial, log
 
 from hyposym import (
     DomainError,
@@ -14,7 +14,14 @@ from hyposym import (
     solve_cauchy_1d,
     transform_initial_data,
 )
-from hyposym.energy import oracle_gap, reweight_energy
+from hyposym import energy
+from hyposym.energy import (
+    RENORM_THRESHOLD,
+    _lockstep_rk4,
+    _step_matrices,
+    oracle_gap,
+    reweight_energy,
+)
 from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
 from hyposym.reduction import assemble_path
@@ -64,6 +71,39 @@ def per_sample_diagnostics(trace, symbol):
         coercivity = max(coercivity, hi if lo <= 0 else max(hi, eps ** (2 * (m - 1)) / lo))
     return {"E": E, "K": K, "term2": term2, "term3": term3, "dtE": np.gradient(E, h),
             "coercivity_sup": float(coercivity)}
+
+
+def reference_rk4(M_half, N, h, y0, renormalize):
+    """One frequency's RK4, step by step: the oracle of the lockstep integrator.
+
+    ``M_half`` is (2N+1, d, d) on the half-step grid or one constant (d, d)
+    matrix; renormalisation decides on the 1-d norm of the state.
+    """
+    constant = M_half.ndim == 2
+    y = np.asarray(y0, dtype=complex).copy()
+    out = np.empty((N + 1, y.size), dtype=complex)
+    logs = np.zeros(N + 1)
+    out[0] = y
+    acc = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(N):
+            if constant:
+                M1 = M2 = M3 = M_half
+            else:
+                M1, M2, M3 = M_half[2 * k], M_half[2 * k + 1], M_half[2 * k + 2]
+            k1 = M1 @ y
+            k2 = M2 @ (y + (0.5 * h) * k1)
+            k3 = M2 @ (y + (0.5 * h) * k2)
+            k4 = M3 @ (y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if renormalize:
+                nrm = float(np.linalg.norm(y))
+                if nrm > RENORM_THRESHOLD:
+                    y = y / nrm
+                    acc += log(nrm)
+            out[k + 1] = y
+            logs[k + 1] = acc
+    return out, logs
 
 
 def expm(M):
@@ -260,6 +300,20 @@ class TestIntegralKSweep:
         np.testing.assert_array_equal(re.V, base.V)
         assert re.eps == 0.5
 
+    def test_integrals_match_per_eps_reweight_bitwise(self):
+        # The sweep builds the quasi-symmetriser parts once; each integral
+        # must still be the one a full per-eps reweight gives.
+        for name in ("m2-glaeser", "m3-tracezero"):
+            S = builtin_system(name)
+            xi = np.array([10.0])
+            eps_values = (1e-1, 1e-2, 1e-3)
+            sweep = integral_K_sweep(S, xi, eps_values, SolverConfig())
+            V0 = transform_initial_data(S, np.ones(S.m) / np.sqrt(S.m), xi).V
+            base = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
+            for eps, value in zip(eps_values, sweep.K_integrals):
+                tr = reweight_energy(base, S, eps)
+                assert value == float(np.trapezoid(tr.K, tr.ts)), (name, eps)
+
     def test_upper_bound_direction_holds(self):
         # int K <= C1 eps^{-2(m-1)/k} with C1 calibrated at the largest eps.
         S = builtin_system("m2-glaeser")
@@ -380,3 +434,79 @@ class TestSolverConfig:
         cfg = SolverConfig(eps_policy=("balanced", 2))
         for xi in (0.0, 1.0, 1e4):
             assert 0.0 < cfg.eps_for(3, xi) <= 1.0
+
+
+class TestLockstepRK4:
+    """Every row of a lockstep run is bitwise its own step-by-step run."""
+
+    @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero"])
+    def test_variable_coefficients_across_windows(self, name):
+        S = builtin_system(name)
+        m, d = S.m, S.m * S.m
+        xis = np.array([[0.0], [1.0], [-3.0], [7.0], [12.5]])
+        N, h = SolverConfig().steps_for(S, xis[-1])
+        width = energy._WINDOW_BYTES // (len(xis) * 2 * d * d * 16)
+        assert 1 <= width < N  # the run crosses window boundaries
+        ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
+        u0 = np.array([1.0, 0.5j, -0.25])[:m]
+        V0 = np.stack([transform_initial_data(S, u0, xi).V for xi in xis])
+        states, logs = _lockstep_rk4(_step_matrices(S, xis, ts_half), V0, N, h, [0, N])
+        assert states.shape == (2, len(xis), d)
+        assert not logs.any()
+        for r, xi in enumerate(xis):
+            ref, _ = reference_rk4(1j * np.add(*assemble_path(S, xi, ts_half)), N, h, V0[r],
+                                   renormalize=False)
+            assert states[0, r].tobytes() == ref[0].tobytes()
+            assert states[1, r].tobytes() == ref[N].tobytes(), xi
+
+    def test_constant_coefficients(self):
+        S = builtin_system("m2-wave")
+        xis = np.fft.fftfreq(16, d=1.0 / 16)[:, None]
+        N, h = SolverConfig().steps_for(S, np.array([8.0]))
+        ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
+        matrices = _step_matrices(S, xis, ts_half)
+        assert matrices.shape == (16, 4, 4)
+        rng = np.random.default_rng(3)
+        V0 = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+        record = [0, N // 3, N]
+        states, _ = _lockstep_rk4(matrices, V0, N, h, record)
+        for r in range(16):
+            ref, _ = reference_rk4(matrices[r], N, h, V0[r], renormalize=False)
+            for slot, k in enumerate(record):
+                assert states[slot, r].tobytes() == ref[k].tobytes(), (r, k)
+
+    def test_renormalised_rows_match_their_solo_runs(self):
+        # Rows at xi = 450 and 600 grow like exp(xi t) past RENORM_THRESHOLD
+        # (exp(276)); the rows at xi = 0 and 2 next to them never reach it.
+        S = builtin_system("m2-nonhyp-control")
+        xis = np.array([[0.0], [600.0], [2.0], [450.0]])
+        N, h = SolverConfig().steps_for(S, np.array([600.0]))
+        ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
+        matrices = _step_matrices(S, xis, ts_half)
+        # With this data the xi = 450 row crosses the threshold at a state
+        # whose stacked norm differs from its 1-d norm in the last bit.
+        rng = np.random.default_rng(0)
+        V0 = np.stack([transform_initial_data(S, rng.standard_normal(2) + 1j * rng.standard_normal(2),
+                                              xi).V for xi in xis])
+        states, logs = _lockstep_rk4(matrices, V0, N, h, range(N + 1), renormalize=True)
+        assert logs[-1, 1] > 2 * log(RENORM_THRESHOLD) and logs[-1, 3] > log(RENORM_THRESHOLD)
+        assert not logs[:, [0, 2]].any()
+        for r in range(len(xis)):
+            solo, solo_logs = _lockstep_rk4(matrices[r : r + 1], V0[r : r + 1], N, h,
+                                            range(N + 1), renormalize=True)
+            assert states[:, r].tobytes() == solo[:, 0].tobytes(), r
+            assert logs[:, r].tobytes() == solo_logs[:, 0].tobytes(), r
+            ref, ref_logs = reference_rk4(matrices[r], N, h, V0[r], renormalize=True)
+            assert states[:, r].tobytes() == ref.tobytes(), r
+            assert logs[:, r].tobytes() == ref_logs.tobytes(), r
+
+    def test_overflow_is_reported_as_numeric_error(self):
+        from hyposym.errors import NumericError
+
+        S = builtin_system("m2-nonhyp-control")
+        xis = np.array([[1.0], [1000.0]])
+        N, h = SolverConfig().steps_for(S, np.array([1000.0]))
+        matrices = _step_matrices(S, xis, np.linspace(0.0, S.horizon, 2 * N + 1))
+        V0 = np.stack([transform_initial_data(S, np.ones(2), xi).V for xi in xis])
+        with pytest.raises(NumericError, match="non-finite state"):
+            _lockstep_rk4(matrices, V0, N, h, [N])

@@ -16,8 +16,15 @@ from hyposym import (
 )
 from hyposym.energy import SolverConfig, direct_integrate
 from hyposym.examples import builtin_system
-from hyposym.reduction import assemble_path, lift_trajectory, scaled_lower_order_entries
-from hyposym.symbols import bracket
+from hyposym.reduction import (
+    PathAssembler,
+    assemble_path,
+    derivative_maps,
+    initial_states,
+    lift_trajectory,
+    scaled_lower_order_entries,
+)
+from hyposym.symbols import bracket, eval_symbol_path, faddeev_leverrier
 
 
 def dense_symbol(m, seed, degree=2, horizon=1.0):
@@ -256,3 +263,57 @@ class TestLiftTrajectory:
         U = lift_trajectory(S, xi, ts, traj)
         sv = transform_initial_data(S, u0, xi)
         np.testing.assert_allclose(U[0], sv.V, atol=1e-14)
+
+
+def stack_symbols():
+    """m = 2..4, one and two frequency directions."""
+    rng = np.random.default_rng(11)
+    yield builtin_system("m2-glaeser")
+    yield builtin_system("m3-tracezero")
+    yield dense_symbol(4, 5)
+    yield SystemSymbol(coeffs=rng.uniform(-1, 1, (2, 3, 3, 3)), horizon=1.0)
+
+
+class TestStackedFrequencies:
+    """A stack of frequencies gives each frequency's own result, bit for bit."""
+
+    def test_assembly_matches_one_row_assemble_path(self):
+        rng = np.random.default_rng(4)
+        ts = np.linspace(0.0, 1.0, 33)
+        for S in stack_symbols():
+            # integer wavenumbers as in a solve, then random frequencies
+            xis = np.concatenate([np.repeat(np.arange(-48.0, 48.0)[:, None], S.n, axis=1),
+                                  rng.uniform(-1e3, 1e3, (32, S.n))])
+            calA, calB = PathAssembler(S, xis)(ts)
+            assert calA.shape == (ts.size, len(xis), S.m ** 2, S.m ** 2)
+            for r, xi in enumerate(xis):
+                refA, refB = assemble_path(S, xi, ts)
+                assert calA[:, r].tobytes() == refA.tobytes(), (S.m, S.n, r)
+                assert calB[:, r].tobytes() == refB.tobytes(), (S.m, S.n, r)
+            # the companion rows against <xi> powers taken as Python floats
+            m = S.m
+            for r in range(0, len(xis), 5):
+                bxi = bracket(xis[r])
+                c = faddeev_leverrier(eval_symbol_path(S, ts, xis[r]))
+                for col in range(m):
+                    ref = -c[:, m - col] * bxi ** (col - m) * bxi
+                    assert np.array_equal(calA[:, r, m - 1, col], ref), (S.m, r, col)
+
+    def test_initial_states_match_per_frequency_transform(self):
+        # reference: one frequency at a time, components scaled one by one
+        rng = np.random.default_rng(8)
+        for S in stack_symbols():
+            m = S.m
+            xis = rng.uniform(-40.0, 40.0, (7, S.n))
+            u0 = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
+            V = initial_states(S, u0, xis)
+            for r, xi in enumerate(xis):
+                bxi = bracket(xi)
+                maps = derivative_maps(S, xi, np.array([0.0]), m - 1)
+                ref = np.zeros(m * m, dtype=complex)
+                for j in range(1, m + 1):
+                    dt_u = maps[j - 1][0] @ u0[r]
+                    for i in range(m):
+                        ref[i * m + (j - 1)] = bxi ** (m - j) * dt_u[i]
+                assert V[r].tobytes() == ref.tobytes(), (S.m, r)
+                assert transform_initial_data(S, u0[r], xi).V.tobytes() == ref.tobytes()
