@@ -46,6 +46,10 @@ SCHEMA_VERSION = 1
 
 COMMANDS = ("reduce", "verify-qs", "conditions", "solve", "growth", "report")
 
+# Largest t_points x xi_points x directions a config may ask for: about ten
+# times the default 201 x 32 x 16 = 102,912 grid points.
+MAX_GRID_POINTS = 1 << 20
+
 
 class ConfigError(ValueError):
     """Carries the full list of schema errors for a config document."""
@@ -104,8 +108,10 @@ def _merge_defaults(data: dict, defaults: dict, path: str, errors: list) -> dict
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite JSON number; booleans are not numbers here, nor are integers
+    beyond the double range (NaN fails the comparison)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _require_number(data, key, errors, path, low=None, high=None, integer=False):
@@ -134,7 +140,7 @@ def _parse_system(section, errors) -> SystemSymbol | None:
         if extra:
             errors.append(f"system carries both a name and extra keys {sorted(extra)}")
         name = section["name"]
-        if name not in BUILTIN_SYSTEMS:
+        if not isinstance(name, str) or name not in BUILTIN_SYSTEMS:
             errors.append(f"system.name must be one of {sorted(BUILTIN_SYSTEMS)}")
             return None
         return builtin_system(name)
@@ -263,19 +269,25 @@ def parse_config(text: str) -> RunConfig:
         symbol = _parse_system(data["system"], errors)
 
     g = data["grids"]
-    _require_number(g, "t_points", errors, "grids.", low=2, integer=True)
-    _require_number(g, "xi_points", errors, "grids.", low=2, integer=True)
+    sizes = [_require_number(g, "t_points", errors, "grids.", low=2, integer=True),
+             _require_number(g, "xi_points", errors, "grids.", low=2, integer=True),
+             _require_number(g, "directions", errors, "grids.", low=1, integer=True)]
+    if None not in sizes and math.prod(sizes) > MAX_GRID_POINTS:
+        errors.append(f"grids.t_points x grids.xi_points x grids.directions must be "
+                      f"<= {MAX_GRID_POINTS}")
     xi_min = _require_number(g, "xi_min", errors, "grids.")
     xi_max = _require_number(g, "xi_max", errors, "grids.")
     if xi_min is not None and xi_min <= 0:
         errors.append("grids.xi_min must be > 0")
     elif None not in (xi_min, xi_max) and xi_min > xi_max:
         errors.append("grids.xi_min must be <= grids.xi_max")
-    _require_number(g, "directions", errors, "grids.", low=1, integer=True)
-    if not isinstance(g.get("xi_list"), list) or not all(
+    if None not in (xi_min, xi_max):
+        # numpy's log10 has no loop for Python integers beyond int64
+        g["xi_min"], g["xi_max"] = xi_min, xi_max
+    if not isinstance(g.get("xi_list"), list) or not g["xi_list"] or not all(
         _is_number(v) and v > 0 for v in g["xi_list"]
     ):
-        errors.append("grids.xi_list must be a list of positive numbers")
+        errors.append("grids.xi_list must be a non-empty list of positive numbers")
 
     policy = data["eps_policy"]
     if not isinstance(policy, dict) or policy.get("kind") not in ("fixed", "inverse", "balanced"):

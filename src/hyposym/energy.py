@@ -22,7 +22,6 @@ from hyposym.pencils import hermitian_part
 from hyposym.quasisym import lift_blocks, q_eps, q_eps_parts, sum_parts
 from hyposym.reduction import (
     PathAssembler,
-    assemble_path,
     initial_states,
     lift_trajectory,
     transform_initial_data,
@@ -196,6 +195,37 @@ def _lockstep_rk4(step_matrices, Y0, N: int, h: float, record, renormalize: bool
     return out, logs
 
 
+def _rk4_propagate(M: np.ndarray, Y0, N: int, h: float, record):
+    """:func:`_lockstep_rk4` for constant matrices M (q, d, d), by propagator powers.
+
+    On a constant matrix one RK4 step is multiplication by its stability
+    polynomial R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, so the state
+    at step k is R(hM)^k y0.  R is formed once per row and the state jumps
+    from one recorded step to the next by R^delta (binary powering), then on
+    to step N so that a run fails where the stepped run would.  Not
+    bitwise the stepped run: the powers round differently from four stages
+    per step.  Returns the same (states, logs) as the stepped run, logs all
+    zero.
+    """
+    Y = np.array(Y0, dtype=complex)
+    Z = h * M
+    eye = np.eye(Z.shape[-1])
+    R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+    # A zero row stays zero, as in the stepped run, even where R^delta overflows.
+    live = Y.any(axis=1, keepdims=True)
+    at, done = {0: Y}, 0
+    # overflow surfaces through the isfinite guard, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in sorted(set(int(k) for k in record) | {N}):
+            if k > done:
+                Y = np.where(live, np.matvec(np.linalg.matrix_power(R, k - done), Y), 0)
+                if not np.isfinite(Y).all():
+                    raise NumericError(f"non-finite state by step {k} of {N}")
+                at[k], done = Y, k
+    out = np.array([at[int(k)] for k in record]).reshape((len(record),) + Y.shape)
+    return out, np.zeros(out.shape[:2])
+
+
 def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
     """Scale each row of Y with |y| > RENORM_THRESHOLD to unit norm, in place.
 
@@ -267,7 +297,7 @@ def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float) -> tuple:
     return E, K
 
 
-def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, eps: float):
+def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, eps: float):
     """Fill E, K, term2, term3, dtE and the coercivity constant in place.
 
     dQ/dt is taken by centred finite differences of the quasi-symmetriser
@@ -275,7 +305,9 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
     eigenvalues and stay smooth through multiplicity crossings even when the
     individual eigenvalue branches do not.  Every quantity is computed on
     stacks over the time samples; each sample's value is bitwise that of the
-    same operations on the sample alone.
+    same operations on the sample alone.  calA and calB are assembled one
+    block of _TERM3_BLOCK samples at a time, and only calA's first m x m
+    block is kept.
     """
     ts, V = trace.ts, trace.V
     m = symbol.m
@@ -288,23 +320,24 @@ def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, calA, calB, ep
     Q = q_eps(spec.lambdas, eps)
 
     blocks = V.reshape(n, m, m)             # blocks[k, i] = band i of V(t_k)
-    A0_blocks = calA[:, :m, :m] / bxi       # every band shares the same block
-
     E, K = _energy_and_K(Q, blocks, h)
+
+    # |(Q_lift B - B* Q_lift) V | V|, blockwise to bound the lifted stacks.
+    assembler = PathAssembler(symbol, xi)
+    A0_blocks = np.empty((n, m, m))         # every band shares the same block
+    term3 = np.empty(n)
+    for k0 in range(0, n, _TERM3_BLOCK):
+        sl = slice(k0, k0 + _TERM3_BLOCK)
+        calA, B = assembler(ts[sl])
+        A0_blocks[sl] = calA[:, :m, :m] / bxi
+        Qf = lift_blocks(Q[sl])
+        M3 = Qf @ B - np.swapaxes(B.conj(), -1, -2) @ Qf
+        term3[sl] = np.abs(np.vecdot(V[sl], (M3 @ V[sl, :, None])[..., 0]))
 
     comm2 = np.einsum("kab,kbc->kac", Q, A0_blocks) - np.einsum(
         "kab,kbc->kac", np.conj(np.swapaxes(A0_blocks, 1, 2)), Q
     )
     term2 = np.abs(bxi * _band_form(comm2, blocks))
-
-    # |(Q_lift B - B* Q_lift) V | V|, blockwise to bound the lifted stacks.
-    term3 = np.empty(n)
-    for k0 in range(0, n, _TERM3_BLOCK):
-        sl = slice(k0, k0 + _TERM3_BLOCK)
-        Qf = lift_blocks(Q[sl])
-        B = calB[sl]
-        M3 = Qf @ B - np.swapaxes(B.conj(), -1, -2) @ Qf
-        term3[sl] = np.abs(np.vecdot(V[sl], (M3 @ V[sl, :, None])[..., 0]))
 
     eigs = np.linalg.eigvalsh(hermitian_part(Q))
     lo, hi = eigs[:, 0], eigs[:, -1]
@@ -349,8 +382,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     eps_val = config.eps_for(m, xi) if eps is None else float(eps)
     trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)
     if collect_energy:
-        calA_full, calB_full = assemble_path(symbol, xi, ts)
-        _energy_diagnostics(trace, symbol, calA_full, calB_full, eps_val)
+        _energy_diagnostics(trace, symbol, eps_val)
     return trace
 
 
@@ -362,8 +394,7 @@ def reweight_energy(trace: EnergyTrace, symbol: SystemSymbol, eps: float) -> Ene
     """
     new = EnergyTrace(ts=trace.ts, V=trace.V, log_scale=trace.log_scale,
                       xi=trace.xi, eps=float(eps), m=trace.m)
-    calA, calB = assemble_path(symbol, trace.xi, trace.ts)
-    _energy_diagnostics(new, symbol, calA, calB, float(eps))
+    _energy_diagnostics(new, symbol, float(eps))
     return new
 
 
@@ -608,7 +639,9 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     ``u0_samples`` has shape (m, n_grid) with n_grid a power of two.  Each
     Fourier mode is pushed through the reduction, all modes are integrated
     in lockstep with one step, and the first band component is rescaled by
-    <xi>^{-(m-1)} before the inverse transform.
+    <xi>^{-(m-1)} before the inverse transform.  A constant symbol without
+    renormalisation jumps between the snapshot steps by RK4 propagator
+    powers (:func:`_rk4_propagate`) instead of stepping.
     """
     if symbol.n != 1:
         raise DomainError("the Cauchy solver is one-dimensional (n = 1)")
@@ -635,10 +668,14 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     brackets = np.array([bracket(xi) for xi in xis])
 
     # Every mode takes the step of the top wavenumber, so all advance together.
-    ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
     record = sorted(set(snap_idx.tolist()))
-    states, _ = _lockstep_rk4(_step_matrices(symbol, xis, ts_half), V0, N, h,
-                              record, renormalize=config.renormalize)
+    if symbol.is_constant() and not config.renormalize:
+        # assembled at t = 0 only; no half-step grid
+        states, _ = _rk4_propagate(_step_matrices(symbol, xis, np.zeros(1)), V0, N, h, record)
+    else:
+        ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
+        states, _ = _lockstep_rk4(_step_matrices(symbol, xis, ts_half), V0, N, h,
+                                  record, renormalize=config.renormalize)
     # first band component of each snapshot, (n_snapshots, m, n_grid)
     first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
     hat_snaps = first * brackets ** (-(m - 1))

@@ -339,3 +339,57 @@ def test_config_rejected_at_parse_time(tmp_path, capsys, command, extra, key_pat
     err = capsys.readouterr().err
     assert key_path in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, doc, key_path", [
+    ("reduce", {"grids": {"xi_list": []}}, "grids.xi_list"),
+    ("conditions", {"system": {"name": [1.0]}}, "system.name"),
+    ("conditions", {"grids": {"t_points": 2 ** 70}}, "grids.t_points"),
+    ("conditions", {"grids": {"xi_max": 10 ** 400}}, "grids.xi_max"),
+    ("growth", {"grids": {"xi_list": [10.0, 10 ** 400, 1e3]}}, "grids.xi_list"),
+], ids=["empty-xi-list", "unhashable-name", "huge-t-points", "xi-max-beyond-float",
+        "xi-list-beyond-float"])
+def test_fuzz_found_config_exits_one(tmp_path, capsys, command, doc, key_path):
+    # Each of these ended in a Python traceback before it was checked at parse time.
+    doc = {"system": {"name": "m2-glaeser"}, **doc}
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert key_path in err
+    assert "Traceback" not in err
+
+
+def test_grid_point_budget():
+    from hyposym.cli import MAX_GRID_POINTS
+
+    def grids(t_points):
+        return json.dumps({"system": {"name": "m2-glaeser"},
+                           "grids": {"t_points": t_points, "xi_points": 32, "directions": 16}})
+
+    parse_config(grids(MAX_GRID_POINTS // (32 * 16)))
+    with pytest.raises(ConfigError) as err:
+        parse_config(grids(MAX_GRID_POINTS // (32 * 16) + 1))
+    assert any("grids.t_points x grids.xi_points x grids.directions" in e
+               for e in err.value.errors)
+
+
+def test_integer_xi_max_beyond_int64_is_read_as_float(tmp_path):
+    # numpy's log10 has no loop for a Python integer this large
+    reports = []
+    for name, xi_max in (("int", 2 ** 70), ("float", 2.0 ** 70)):
+        path = write_config(tmp_path, {"system": {"name": "m2-glaeser"},
+                                       "grids": {"t_points": 5, "xi_points": 3,
+                                                 "xi_max": xi_max}}, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["conditions", "--config", str(path), "--out", str(out)]) in (0, 2)
+        reports.append((out / "report.json").read_text())
+    assert reports[0] == reports[1]
+
+
+def test_overflowing_constant_coefficient_solve_exits_three(tmp_path, capsys):
+    # m2-nonhyp-control modes grow like exp(|k| t): k = 1024 overflows by t = 1.
+    path = write_config(tmp_path, {"system": {"name": "m2-nonhyp-control"}, "grid_size": 2048})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 3
+    assert "non-finite state" in capsys.readouterr().err
+    assert not (out / "report.json").exists()

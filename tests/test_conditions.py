@@ -360,3 +360,46 @@ class TestRunConditions:
         np.testing.assert_allclose(np.linalg.norm(grid.dirs, axis=1), 1.0)
         value, _ = ks_constant(S, grid)
         assert np.isfinite(value)
+
+
+class TestEvaluateGridStacked:
+    """The one-assembler, time-blocked evaluate_grid against a per-point loop."""
+
+    @staticmethod
+    def per_point(symbol, grid):
+        from hyposym.reduction import PathAssembler
+        from hyposym.symbols import eval_symbol_path, faddeev_leverrier, time_derivative
+
+        m = symbol.m
+        T, R, D = grid.shape
+        char0 = np.zeros((T, R, D, m + 1))
+        b = np.zeros((T, R, D, m - 1, m, m), dtype=complex)
+        norms = np.zeros((T, R, D, m - 1))
+        for r_idx, d_idx, xi in grid.points():
+            bxi = bracket(xi)
+            A = eval_symbol_path(symbol, grid.ts, xi)
+            char0[:, r_idx, d_idx] = faddeev_leverrier(A / bxi).real
+            b[:, r_idx, d_idx] = PathAssembler(symbol, xi).reduce(grid.ts)[1]
+            for k in range(1, m):
+                dA0 = eval_symbol_path(time_derivative(symbol, k), grid.ts, xi) / bxi
+                norms[:, r_idx, d_idx, k - 1] = np.linalg.svd(dA0, compute_uv=False)[:, 0]
+        return char0, b, norms
+
+    @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero", "n2-inline"])
+    def test_bitwise_per_point(self, name, monkeypatch):
+        import hyposym.conditions as conditions
+        from hyposym.symbols import spectra
+
+        if name == "n2-inline":
+            rng = np.random.default_rng(5)
+            S = SystemSymbol(coeffs=rng.standard_normal((2, 3, 3, 3)), horizon=1.0)
+        else:
+            S = builtin_system(name)
+        grid = SamplingGrid.default(S, n_t=37, n_r=5, n_dirs=7)
+        # several time blocks, the last one short
+        monkeypatch.setattr(conditions, "_GRID_BLOCK", 8 * grid.shape[1] * grid.shape[2])
+        data = evaluate_grid(S, grid)
+        char0, b, norms = self.per_point(S, grid)
+        assert data.lambdas.tobytes() == spectra(char0).lambdas.tobytes()
+        assert data.b_entries.tobytes() == b.tobytes()
+        assert data.dtA0_norms.tobytes() == norms.tobytes()

@@ -510,3 +510,100 @@ class TestLockstepRK4:
         V0 = np.stack([transform_initial_data(S, np.ones(2), xi).V for xi in xis])
         with pytest.raises(NumericError, match="non-finite state"):
             _lockstep_rk4(matrices, V0, N, h, [N])
+
+
+class TestRK4Propagate:
+    """Propagator powers R(hM)^k against the stepped constant-coefficient run.
+
+    Not bitwise: the stepped run rounds once per step, the powers about
+    log2(N) times, so the two differ by roughly N unit roundoffs of each
+    row's size (1.1e-12 at N = 10,241).
+    """
+
+    TOL = 1e-11
+
+    @staticmethod
+    def _compare(S, xis, N, h, seed=3):
+        from hyposym.energy import _rk4_propagate
+
+        M = _step_matrices(S, xis, np.zeros(1))
+        rng = np.random.default_rng(seed)
+        d = M.shape[-1]
+        V0 = rng.standard_normal((len(xis), d)) + 1j * rng.standard_normal((len(xis), d))
+        ref, _ = _lockstep_rk4(M, V0, N, h, range(N + 1))
+        scale = np.abs(ref).max(axis=(0, 2))[:, None]
+        for record in ([0, N // 3, N], [0, N // 3, N // 3, N], [N // 3, N]):
+            states, logs = _rk4_propagate(M, V0, N, h, record)
+            assert states.shape == (len(record), len(xis), d)
+            assert logs.shape == (len(record), len(xis)) and not logs.any()
+            for slot, k in enumerate(record):
+                err = np.abs(states[slot] - ref[k]).max(axis=1, keepdims=True)
+                assert (err <= TestRK4Propagate.TOL * scale).all(), (record, k)
+            if record[0] == 0:
+                assert states[0].tobytes() == V0.astype(complex).tobytes()
+
+    def test_matches_stepped_run_on_wave(self):
+        S = builtin_system("m2-wave")
+        N, h = SolverConfig().steps_for(S, np.array([8.0]))
+        self._compare(S, np.fft.fftfreq(16, d=1.0 / 16)[:, None], N, h)
+
+    def test_matches_stepped_run_on_nonhyperbolic_control(self):
+        # modes grow like exp(xi t), up to exp(300) without renormalisation
+        S = builtin_system("m2-nonhyp-control")
+        xis = np.array([[0.0], [1.0], [-7.0], [50.0], [300.0], [-300.0]])
+        N, h = SolverConfig().steps_for(S, np.array([300.0]))
+        self._compare(S, xis, N, h)
+
+    def test_zero_row_stays_zero_where_the_power_overflows(self):
+        # R(hM)^N overflows at xi = 1024 (growth like exp(1024 t)); the
+        # stepped run keeps a zero state at zero, and so must the powers.
+        from hyposym.energy import _rk4_propagate
+
+        S = builtin_system("m2-nonhyp-control")
+        xis = np.array([[1.0], [1024.0]])
+        N, h = SolverConfig().steps_for(S, xis[-1])
+        M = _step_matrices(S, xis, np.zeros(1))
+        V0 = np.array([[1.0, 0.5j, -0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
+        states, _ = _rk4_propagate(M, V0, N, h, [N])   # one jump: R^N itself overflows
+        ref, _ = _lockstep_rk4(M, V0, N, h, [N])
+        assert not states[:, 1].any() and not ref[:, 1].any()
+        scale = np.abs(ref[:, 0]).max()
+        assert np.abs(states[:, 0] - ref[:, 0]).max() <= self.TOL * scale
+
+    def test_overflow_raises_numeric_error(self):
+        from hyposym.errors import NumericError
+
+        S = builtin_system("m2-nonhyp-control")
+        n = 2048
+        x = 2 * np.pi * np.arange(n) / n
+        u0 = np.stack([np.exp(1j * x), np.exp(1j * x)])
+        with pytest.raises(NumericError, match="non-finite state"):
+            solve_cauchy_1d(S, u0, SolverConfig(), [0.5, 1.0])
+
+    def test_cost_does_not_grow_with_step_count(self, monkeypatch):
+        # About 10^7 steps: the stepped run would take hours and its
+        # half-step grid alone 160 MB.
+        import time
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("constant coefficients must not be stepped")
+
+        monkeypatch.setattr(energy, "_lockstep_rk4", refuse)
+        S = builtin_system("m2-wave")
+        n = 16
+        cfg = SolverConfig(cfl_safety=bracket(n / 2) * 1e-7)
+        N, _ = cfg.steps_for(S, np.array([n / 2]))
+        assert N >= 10 ** 7
+        x = 2 * np.pi * np.arange(n) / n
+        u0 = np.stack([np.cos(x) + 0.5j * np.sin(3 * x), 0.25 * np.exp(-2j * x)])
+        start = time.perf_counter()
+        field = solve_cauchy_1d(S, u0, cfg, [S.horizon])
+        assert time.perf_counter() - start < 1.0
+        T = field.snapshot_ts[0]
+        u0h = np.fft.fft(u0, axis=1)
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        exact_h = np.stack([expm(1j * T * eval_symbol(S, 0.0, np.array([kq]))) @ u0h[:, q]
+                            for q, kq in enumerate(k)], axis=1)
+        exact = np.fft.ifft(exact_h, axis=1)
+        err = np.abs(field.fields[0] - exact).max() / np.abs(exact).max()
+        assert err <= 1e-8
