@@ -19,7 +19,7 @@ from hyposym.cli import main as hyposym_main
 PIPELINES = {
     "m2-glaeser": ("reduce", "verify-qs", "conditions", "growth", "report"),
     "m2-wave": ("reduce", "conditions", "solve"),
-    "m2-nonhyp-control": ("growth", "conditions"),
+    "m2-nonhyp-control": ("growth", "conditions", "report"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions"),
 }
 

@@ -61,6 +61,7 @@ from hyposym.energy import (
     SolverConfig,
     direct_integrate,
     energy_inequality_check,
+    frequency_sweep,
     growth_fit,
     integral_K_sweep,
     reduced_integrate,
@@ -98,6 +99,7 @@ __all__ = [
     "elementary_symmetric",
     "energy_inequality_check",
     "eval_symbol",
+    "frequency_sweep",
     "growth_fit",
     "integral_K_sweep",
     "ks_constant",

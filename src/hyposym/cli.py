@@ -7,7 +7,9 @@ validated and unknown keys are rejected with their path.  Exit codes:
 * 1 -- usage error: bad arguments (argparse errors included), invalid
   config, I/O failure,
 * 2 -- a property the analysed system was expected to satisfy failed on this
-  input; the report carries witnesses.
+  input; the report carries witnesses,
+* 3 -- computation not trustworthy: a numeric or consistency check failed
+  (for example a state overflowed), and no report is written.
 
 Reports embed the canonical config echo, its SHA-256 hash, and the seed, so
 reruns with identical inputs produce byte-identical numeric payloads.
@@ -30,15 +32,15 @@ from hyposym.conditions import SamplingGrid, run_conditions
 from hyposym.energy import (
     SolverConfig,
     energy_inequality_check,
+    frequency_sweep,
     growth_fit,
     integral_K_sweep,
-    reduced_integrate,
     solve_cauchy_1d,
 )
 from hyposym.errors import CapabilityError, ConsistencyError, DomainError, NumericError
 from hyposym.examples import BUILTIN_SYSTEMS, builtin_system
 from hyposym.quasisym import sample_separation_set, verify_properties
-from hyposym.reduction import assemble, reduction_residual, transform_initial_data
+from hyposym.reduction import assemble, reduction_residual
 from hyposym.energy import direct_integrate
 from hyposym.symbols import MAX_DIMENSION, SystemSymbol, bracket
 
@@ -580,10 +582,9 @@ def _cmd_solve(config: RunConfig):
     return results, [], csvs
 
 
-def _cmd_growth(config: RunConfig):
-    symbol = config.symbol
-    cfg = config.solver_config()
-    report = growth_fit(symbol, cfg)
+def _growth_results(traces):
+    """Growth fit of a frequency sweep: (results dict, csv map)."""
+    report = growth_fit(traces)
     results = {
         "classification": report.classification,
         "kappa": report.kappa,
@@ -595,7 +596,13 @@ def _cmd_growth(config: RunConfig):
         "growth_logs": report.growth_logs,
     }
     rows = [(float(b), float(g)) for b, g in zip(report.brackets, report.growth_logs)]
-    return results, [], {"growth.csv": (("bracket_xi", "log_growth"), rows)}
+    return results, {"growth.csv": (("bracket_xi", "log_growth"), rows)}
+
+
+def _cmd_growth(config: RunConfig):
+    traces = frequency_sweep(config.symbol, config.solver_config(), collect_energy=False)
+    results, csvs = _growth_results(traces)
+    return results, [], csvs
 
 
 def _trace_payload(trace, max_samples: int = 1001) -> dict:
@@ -625,22 +632,16 @@ def _trace_payload(trace, max_samples: int = 1001) -> dict:
 
 def _cmd_report(config: RunConfig):
     results, failures, csvs = {}, [], {}
-    for name, fn in (("conditions", _cmd_conditions), ("verify_qs", _cmd_verify_qs),
-                     ("growth", _cmd_growth)):
+    for name, fn in (("conditions", _cmd_conditions), ("verify_qs", _cmd_verify_qs)):
         sub_results, sub_failures, sub_csvs = fn(config)
         results[name] = sub_results
         failures.extend(sub_failures)
         csvs.update(sub_csvs)
-    # Energy inequality summary on the configured frequency sweep.
-    symbol = config.symbol
-    cfg = config.solver_config()
-    traces = []
-    for xi_mag in config.data["grids"]["xi_list"]:
-        xi = np.zeros(symbol.n)
-        xi[0] = xi_mag
-        u0 = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
-        V0 = transform_initial_data(symbol, u0, xi).V
-        traces.append(reduced_integrate(symbol, xi, V0, cfg))
+    # One trajectory per configured frequency feeds the growth fit, the
+    # energy inequality summary and, at the first frequency, the K sweep.
+    traces = frequency_sweep(config.symbol, config.solver_config())
+    results["growth"], growth_csvs = _growth_results(traces)
+    csvs.update(growth_csvs)
     ineq = energy_inequality_check(traces)
     results["energy"] = {
         "C2": ineq.C2,
@@ -652,8 +653,7 @@ def _cmd_report(config: RunConfig):
     }
     if not ineq.passed:
         failures.append({"kind": "energy_inequality", "witnesses": list(ineq.witnesses)})
-    sweep = integral_K_sweep(symbol, np.array([config.data["grids"]["xi_list"][0]]),
-                             (1e-1, 1e-2, 1e-3), cfg)
+    sweep = integral_K_sweep(traces[0], config.symbol, (1e-1, 1e-2, 1e-3))
     results["K_sweep"] = {
         "eps": sweep.eps_values,
         "integrals": sweep.K_integrals,

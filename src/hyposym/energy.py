@@ -12,7 +12,7 @@ order so reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil, log
 
 import numpy as np
@@ -53,7 +53,6 @@ class SolverConfig:
     cfl_safety: float = 0.05
     eps_policy: tuple = ("balanced", 2)
     xi_grid: tuple = ()
-    renormalize: bool = False
 
     def __post_init__(self):
         if self.cfl_safety <= 0:
@@ -362,9 +361,9 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     """Integrate d/dt V = i (calA + calB) V and record energy diagnostics.
 
     ``V0`` is any complex vector of length m^2 (usually from
-    :func:`hyposym.reduction.transform_initial_data`).  With
-    ``config.renormalize`` the state is rescaled when it grows past
-    RENORM_THRESHOLD; the accumulated log-scale is stored on the trace.
+    :func:`hyposym.reduction.transform_initial_data`).  The state is rescaled
+    whenever it grows past RENORM_THRESHOLD, so growing modes never overflow;
+    the accumulated log-scale is stored on the trace.
     """
     m = symbol.m
     V0 = np.asarray(V0, dtype=complex).ravel()
@@ -375,7 +374,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     try:
         V, logs = _lockstep_rk4(_step_matrices(symbol, xi[None], ts_half), V0[None], N, h,
-                                range(N + 1), renormalize=config.renormalize)
+                                range(N + 1), renormalize=True)
     except NumericError as exc:
         raise NumericError(f"{exc} (xi={xi})") from exc
     ts = ts_half[::2]
@@ -384,6 +383,24 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     if collect_energy:
         _energy_diagnostics(trace, symbol, eps_val)
     return trace
+
+
+def frequency_sweep(symbol: SystemSymbol, config: SolverConfig, u0hat=None,
+                    collect_energy: bool = True) -> list:
+    """One :func:`reduced_integrate` trace per frequency x of ``config.xi_grid``.
+
+    x is integrated at xi = (x, 0, ..., 0) from ``u0hat`` (default ones /
+    sqrt(m)); growth fits, energy checks and eps sweeps analyse these traces.
+    """
+    if u0hat is None:
+        u0hat = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
+    traces = []
+    for x in config.xi_grid:
+        xi = np.zeros(symbol.n)
+        xi[0] = x
+        V0 = transform_initial_data(symbol, u0hat, xi).V
+        traces.append(reduced_integrate(symbol, xi, V0, config, collect_energy=collect_energy))
+    return traces
 
 
 def reweight_energy(trace: EnergyTrace, symbol: SystemSymbol, eps: float) -> EnergyTrace:
@@ -499,22 +516,18 @@ class KSweepReport:
     C1_values: tuple        # integral * eps^{-theoretical exponent}
 
 
-def integral_K_sweep(symbol: SystemSymbol, xi, eps_values, config: SolverConfig,
-                     u0hat=None, k_regularity: float = 2.0) -> KSweepReport:
-    """Integrate once, then measure int_0^T K_eps dt across the eps sweep.
+def integral_K_sweep(trace: EnergyTrace, symbol: SystemSymbol, eps_values,
+                     k_regularity: float = 2.0) -> KSweepReport:
+    """Measure int_0^T K_eps dt along one trajectory across the eps sweep.
 
     Fits the exponent p in int K ~ C eps^p by least squares on the log-log
     pairs and reports the theoretical bound exponent -2(m-1)/k next to it.
     """
     m = symbol.m
-    if u0hat is None:
-        u0hat = np.ones(m, dtype=complex) / np.sqrt(m)
-    V0 = transform_initial_data(symbol, u0hat, xi).V
-    base = reduced_integrate(symbol, xi, V0, config, collect_energy=False)
     # Only the eps-weighted sum of the quasi-symmetriser parts depends on eps.
-    ts = base.ts
-    parts = q_eps_parts(rescaled_spectra(symbol, ts, base.xi).lambdas)
-    blocks = base.V.reshape(ts.size, m, m)
+    ts = trace.ts
+    parts = q_eps_parts(rescaled_spectra(symbol, ts, trace.xi).lambdas)
+    blocks = trace.V.reshape(ts.size, m, m)
     integrals = []
     for eps in eps_values:
         _, K = _energy_and_K(sum_parts(parts, float(eps)), blocks, ts[1] - ts[0])
@@ -555,31 +568,23 @@ SIGMA_GRID = np.round(np.arange(0.05, 1.0001, 0.05), 2)
 SIGMA_EXPONENTIAL = 0.95
 
 
-def growth_fit(symbol: SystemSymbol, config: SolverConfig, u0hat=None) -> GrowthReport:
-    """Sweep the frequency grid, fit both growth models, classify.
+def growth_fit(traces) -> GrowthReport:
+    """Fit both growth models to the traces of a frequency sweep, classify.
 
     The polynomial model regresses growth on log<xi> (slope kappa); the
     power model regresses on <xi>^sigma over a fixed sigma grid.  The model
     with the lower AIC-like score wins; sigma at or above 0.95 is reported
-    as exponential growth with the fitted rate.
+    as exponential growth with the fitted rate.  The sweep needs three
+    frequencies whose norms |xi| span two decades.
     """
-    xi_grid = np.asarray(config.xi_grid, dtype=float)
-    if xi_grid.size < 3:
+    traces = list(traces)
+    if len(traces) < 3:
         raise DomainError("growth fit needs at least three frequencies")
-    if xi_grid.max() / xi_grid.min() < 99.0:
+    norms = np.array([np.linalg.norm(tr.xi) for tr in traces])
+    if norms.max() / norms.min() < 99.0:
         raise DomainError("frequency grid must span at least two decades")
-    m = symbol.m
-    if u0hat is None:
-        u0hat = np.ones(m, dtype=complex) / np.sqrt(m)
-    cfg = replace(config, renormalize=True)
-    brackets, growths = [], []
-    for xi in xi_grid:
-        V0 = transform_initial_data(symbol, u0hat, xi).V
-        trace = reduced_integrate(symbol, xi, V0, cfg, collect_energy=False)
-        brackets.append(bracket(xi))
-        growths.append(trace.growth_log)
-    b = np.asarray(brackets)
-    y = np.asarray(growths)
+    b = np.array([bracket(tr.xi) for tr in traces])
+    y = np.array([tr.growth_log for tr in traces])
     n = y.size
 
     def fit(Xcols):
@@ -639,9 +644,10 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     ``u0_samples`` has shape (m, n_grid) with n_grid a power of two.  Each
     Fourier mode is pushed through the reduction, all modes are integrated
     in lockstep with one step, and the first band component is rescaled by
-    <xi>^{-(m-1)} before the inverse transform.  A constant symbol without
-    renormalisation jumps between the snapshot steps by RK4 propagator
-    powers (:func:`_rk4_propagate`) instead of stepping.
+    <xi>^{-(m-1)} before the inverse transform.  The states are never
+    renormalised: a mode that overflows fails the solve.  A constant symbol
+    jumps between the snapshot steps by RK4 propagator powers
+    (:func:`_rk4_propagate`) instead of stepping.
     """
     if symbol.n != 1:
         raise DomainError("the Cauchy solver is one-dimensional (n = 1)")
@@ -669,13 +675,12 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
 
     # Every mode takes the step of the top wavenumber, so all advance together.
     record = sorted(set(snap_idx.tolist()))
-    if symbol.is_constant() and not config.renormalize:
+    if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
         states, _ = _rk4_propagate(_step_matrices(symbol, xis, np.zeros(1)), V0, N, h, record)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
-        states, _ = _lockstep_rk4(_step_matrices(symbol, xis, ts_half), V0, N, h,
-                                  record, renormalize=config.renormalize)
+        states, _ = _lockstep_rk4(_step_matrices(symbol, xis, ts_half), V0, N, h, record)
     # first band component of each snapshot, (n_snapshots, m, n_grid)
     first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
     hat_snaps = first * brackets ** (-(m - 1))

@@ -196,19 +196,6 @@ def q_eps(lambdas, eps: float) -> np.ndarray:
     return sum_parts(q_eps_parts(lambdas), eps)
 
 
-def quasi_symmetriser_parts(lambdas) -> tuple:
-    """eps-power parts Q_0 ... Q_{m-1} of the permutation sum at one tuple.
-
-    Row k of P carries the weight eps^{m-1-k}, so the coefficient of
-    eps^{2i} collects the outer products of row m-1-i over all permutations.
-    Each part is a sum of outer products, hence positive semidefinite by
-    construction.  The values are sorted before enumerating permutations so
-    the summation order is canonical: the result is bitwise identical under
-    any permutation of the input.
-    """
-    return tuple(q_eps_parts(_as_lambda(lambdas)))
-
-
 def build_Q_eps(lambdas, eps: float) -> QuasiSymmetriser:
     """Assemble the quasi-symmetriser at a given eps in (0, 1]."""
     lam = _as_lambda(lambdas)

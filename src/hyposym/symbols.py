@@ -163,6 +163,8 @@ def eval_symbol_path(symbol: SystemSymbol, ts: np.ndarray, xi) -> np.ndarray:
     if ts.size and (ts.min() < 0.0 or ts.max() > symbol.horizon):
         raise DomainError("time grid leaves [0, T]")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if xi.shape[-1] != symbol.n:
+        raise DomainError(f"xi must have {symbol.n} components, got shape {xi.shape}")
     mats = symbol.direction_matrices(ts)
     return np.einsum("...p,tpij->t...ij", xi, mats)
 

@@ -18,6 +18,7 @@ from hyposym import (
     build_Q_eps,
     direct_integrate,
     energy_inequality_check,
+    frequency_sweep,
     growth_fit,
     integral_K_sweep,
     ks_constant,
@@ -217,8 +218,9 @@ def test_criterion_5_integral_K_scaling():
     # is expected to fail; the bound itself, int K <= C1 eps^{-2(m-1)/k},
     # holds with large headroom and is checked in the unit suite.
     S = builtin_system("m2-glaeser")
-    rep = integral_K_sweep(S, np.array([100.0]), (1e-1, 1e-2, 1e-3), SolverConfig(),
-                           k_regularity=2.0)
+    rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(100.0,)),
+                                           collect_energy=False)[0],
+                           S, (1e-1, 1e-2, 1e-3), k_regularity=2.0)
     target = rep.theoretical_exponent
     ok = abs(rep.fitted_exponent - target) <= 0.25 * abs(target)
     announce("5 (K-scaling)", ok,
@@ -231,11 +233,12 @@ def test_criterion_6_growth_dichotomy():
     start = time.monotonic()
     cfg = SolverConfig(xi_grid=GROWTH_GRID)
 
-    rep_g = growth_fit(builtin_system("m2-glaeser"), cfg)
+    rep_g = growth_fit(frequency_sweep(builtin_system("m2-glaeser"), cfg, collect_energy=False))
     glaeser_ok = (rep_g.classification == "polynomial"
                   and abs(rep_g.kappa - FROZEN_GLAESER_KAPPA) <= 0.1 * FROZEN_GLAESER_KAPPA)
 
-    rep_c = growth_fit(builtin_system("m2-nonhyp-control"), cfg)
+    rep_c = growth_fit(frequency_sweep(builtin_system("m2-nonhyp-control"), cfg,
+                                       collect_energy=False))
     # cosh oracle: exp(i t A xi) with A = [[0,1],[-1,0]] xi has modes
     # exp(+- xi t), so the top growth rate equals the horizon T = 1
     control_ok = (rep_c.classification == "exponential"

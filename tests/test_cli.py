@@ -302,6 +302,48 @@ class TestMain:
         assert "RuntimeWarning" not in proc.stderr
         assert "computation not trustworthy" in proc.stderr
 
+    def test_growth_integrates_first_axis_frequency_for_n2(self, tmp_path):
+        # Frequency x of the sweep is (x, 0); a length-1 xi broadcast to (x, x)
+        # once made this system look polynomial.
+        import numpy as np
+
+        from hyposym.energy import SolverConfig, reduced_integrate
+        from hyposym.reduction import transform_initial_data
+
+        system = {"m": 2, "n": 2, "horizon": 1.0, "coefficients": [
+            [[[0.0], [1.0]], [[0.0, 0.0, 1.0], [0.0]]],
+            [[[1.0], [0.0]], [[0.0], [-1.0]]],
+        ]}
+        path = write_config(tmp_path, {"system": system,
+                                       "grids": {"xi_list": [1.0, 10.0, 100.0]}})
+        out = tmp_path / "out"
+        assert main(["growth", "--config", str(path), "--out", str(out)]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        S = parse_config(json.dumps({"system": system})).symbol
+        expected = []
+        for x in (1.0, 10.0, 100.0):
+            xi = np.array([x, 0.0])
+            V0 = transform_initial_data(S, np.ones(2) / np.sqrt(2), xi).V
+            expected.append(reduced_integrate(S, xi, V0, SolverConfig(),
+                                              collect_energy=False).growth_log)
+        assert results["growth_logs"] == expected
+        assert results["growth_logs"] == pytest.approx([0.1869, 0.7865, 1.894], abs=1e-3)
+        assert results["classification"] == "gevrey"
+
+    def test_report_on_control_exits_two(self, tmp_path, capsys):
+        # exp(1000 t) growth of the control is renormalised in the report's
+        # energy traces as in `growth`, so the run ends in findings, not exit 3.
+        path = write_config(tmp_path, {
+            "system": {"name": "m2-nonhyp-control"},
+            "grids": {"t_points": 21, "xi_points": 4, "directions": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        kinds = {f["kind"] for f in report["failures"]}
+        assert {"hyperbolicity", "energy_inequality"} <= kinds
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_jobs_flag_is_unknown(self, tmp_path, capsys):
         # the integrator batches every frequency in one process; --jobs is gone
         path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, "grids": SMALL_GRIDS})

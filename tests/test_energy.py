@@ -7,6 +7,7 @@ from hyposym import (
     SolverConfig,
     direct_integrate,
     energy_inequality_check,
+    frequency_sweep,
     growth_fit,
     integral_K_sweep,
     reduced_integrate,
@@ -225,25 +226,21 @@ class TestReducedIntegrate:
             reduced_integrate(builtin_system("m2-wave"), np.array([1.0]), np.zeros(3),
                               SolverConfig())
 
-    def test_overflow_aborts_without_renormalisation(self):
-        from hyposym.errors import NumericError
-
+    def test_overflowing_mode_is_renormalised(self):
+        # exp(1000 t) overflows a double; renormalisation finishes the run
+        # and folds the growth back into growth_log
         S = builtin_system("m2-nonhyp-control")
         xi = np.array([1000.0])
         V0 = transform_initial_data(S, np.ones(2), xi).V
-        with pytest.raises(NumericError):
-            reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
-        # with renormalisation the same run finishes and reports the growth
-        trace = reduced_integrate(S, xi, V0, SolverConfig(renormalize=True),
-                                  collect_energy=False)
+        trace = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
         assert trace.growth_log == pytest.approx(1000.0, rel=0.05)
 
 
 class TestEnergyInequality:
     @staticmethod
-    def traces_for(name, xi_values, renorm=False):
+    def traces_for(name, xi_values):
         S = builtin_system(name)
-        cfg = SolverConfig(renormalize=renorm)
+        cfg = SolverConfig()
         out = []
         for xi_mag in xi_values:
             xi = np.array([xi_mag])
@@ -271,7 +268,7 @@ class TestEnergyInequality:
         assert good.passed
         assert all(m <= 0 for m in good.margins)
         bad = energy_inequality_check(self.traces_for("m2-nonhyp-control",
-                                                      (10.0, 100.0, 1000.0), renorm=True))
+                                                      (10.0, 100.0, 1000.0)))
         assert not bad.passed
         assert bad.margins[-1] > 0
 
@@ -307,7 +304,8 @@ class TestIntegralKSweep:
             S = builtin_system(name)
             xi = np.array([10.0])
             eps_values = (1e-1, 1e-2, 1e-3)
-            sweep = integral_K_sweep(S, xi, eps_values, SolverConfig())
+            sweep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)),
+                                                     collect_energy=False)[0], S, eps_values)
             V0 = transform_initial_data(S, np.ones(S.m) / np.sqrt(S.m), xi).V
             base = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
             for eps, value in zip(eps_values, sweep.K_integrals):
@@ -317,7 +315,8 @@ class TestIntegralKSweep:
     def test_upper_bound_direction_holds(self):
         # int K <= C1 eps^{-2(m-1)/k} with C1 calibrated at the largest eps.
         S = builtin_system("m2-glaeser")
-        rep = integral_K_sweep(S, np.array([10.0]), (1e-1, 1e-2, 1e-3), SolverConfig())
+        rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)),
+                                               collect_energy=False)[0], S, (1e-1, 1e-2, 1e-3))
         C1 = rep.C1_values[0]
         for eps, val in zip(rep.eps_values, rep.K_integrals):
             assert val <= C1 * eps ** rep.theoretical_exponent * (1 + 1e-9)
@@ -326,7 +325,8 @@ class TestIntegralKSweep:
         S = builtin_system("m2-glaeser")
         vals = []
         for h in (4e-4, 2e-4):
-            rep = integral_K_sweep(S, np.array([100.0]), (1e-2,), SolverConfig(t_step=h))
+            rep = integral_K_sweep(frequency_sweep(S, SolverConfig(t_step=h, xi_grid=(100.0,)),
+                                                   collect_energy=False)[0], S, (1e-2,))
             vals.append(rep.K_integrals[0])
         assert vals[0] == pytest.approx(vals[1], rel=1e-5)
 
@@ -335,23 +335,25 @@ class TestGrowthFit:
     def test_constant_hyperbolic_is_polynomial_and_flat(self):
         S = builtin_system("m2-wave")
         cfg = SolverConfig(xi_grid=tuple(np.geomspace(10, 1000, 5)))
-        rep = growth_fit(S, cfg)
+        rep = growth_fit(frequency_sweep(S, cfg, collect_energy=False))
         assert rep.classification == "polynomial"
         assert abs(rep.kappa) <= 0.1
 
     def test_control_exponential_rate(self):
         S = builtin_system("m2-nonhyp-control")
         cfg = SolverConfig(xi_grid=tuple(np.geomspace(10, 1000, 5)))
-        rep = growth_fit(S, cfg)
+        rep = growth_fit(frequency_sweep(S, cfg, collect_energy=False))
         assert rep.classification == "exponential"
         assert rep.rate == pytest.approx(S.horizon, rel=0.1)
 
     def test_insufficient_grid(self):
         S = builtin_system("m2-wave")
         with pytest.raises(DomainError):
-            growth_fit(S, SolverConfig(xi_grid=(10.0, 20.0, 30.0)))
+            growth_fit(frequency_sweep(S, SolverConfig(xi_grid=(10.0, 20.0, 30.0)),
+                                       collect_energy=False))
         with pytest.raises(DomainError):
-            growth_fit(S, SolverConfig(xi_grid=(10.0, 1000.0)))
+            growth_fit(frequency_sweep(S, SolverConfig(xi_grid=(10.0, 1000.0)),
+                                       collect_energy=False))
 
 
 class TestSolveCauchy1d:

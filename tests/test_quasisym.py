@@ -20,7 +20,6 @@ from hyposym.errors import CapabilityError
 from hyposym.quasisym import (
     q_eps,
     q_eps_parts,
-    quasi_symmetriser_parts,
     sample_separation_set,
 )
 
@@ -171,8 +170,6 @@ class TestStackedKernel:
             for i in range(m):
                 assert stacked[i].reshape(-1, m, m)[k].tobytes() == ref[i].tobytes()
                 assert one[i, 0].tobytes() == ref[i].tobytes()
-            for part, r in zip(quasi_symmetriser_parts(lam), ref):
-                assert part.tobytes() == r.tobytes()
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_q_eps_matches_permutation_sum_bitwise(self, m):

@@ -22,6 +22,7 @@ from hyposym.symbols import (
     companion_roots,
     deleted_sigmas,
     elementary_symmetric_all,
+    eval_symbol_path,
     faddeev_leverrier,
 )
 
@@ -61,6 +62,21 @@ class TestEvalSymbol:
     def test_m7_rejected(self):
         with pytest.raises(CapabilityError):
             SystemSymbol(coeffs=np.zeros((1, 7, 7, 1)), horizon=1.0)
+
+    def test_path_rejects_wrong_frequency_length(self):
+        # an n = 2 symbol: a length-1 xi must not broadcast to (x, x)
+        coeffs = np.zeros((2, 2, 2, 1))
+        coeffs[0, 0, 1, 0] = 1.0
+        coeffs[1, 1, 0, 0] = 1.0
+        S = SystemSymbol(coeffs=coeffs, horizon=1.0)
+        ts = np.array([0.0, 0.5])
+        for shape in ((1,), (4, 1)):
+            with pytest.raises(DomainError):
+                eval_symbol_path(S, ts, np.ones(shape))
+        assert eval_symbol_path(S, ts, np.array([3.0, 0.0])).shape == (2, 2, 2)
+        np.testing.assert_array_equal(eval_symbol_path(S, ts, np.array([3.0, 0.0]))[1],
+                                      eval_symbol(S, 0.5, np.array([3.0, 0.0])))
+        assert eval_symbol_path(S, ts, np.ones((4, 2))).shape == (2, 4, 2, 2)
 
 
 class TestRescaledEigenvalues:
