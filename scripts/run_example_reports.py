@@ -17,7 +17,7 @@ from pathlib import Path
 from hyposym.cli import main as hyposym_main
 
 PIPELINES = {
-    "m2-glaeser": ("reduce", "verify-qs", "conditions", "growth", "report"),
+    "m2-glaeser": ("reduce", "verify-qs", "conditions", "growth", "report", "solve"),
     "m2-wave": ("reduce", "conditions", "solve"),
     "m2-nonhyp-control": ("growth", "conditions", "report"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions"),

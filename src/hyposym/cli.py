@@ -52,6 +52,15 @@ COMMANDS = ("reduce", "verify-qs", "conditions", "solve", "growth", "report")
 # times the default 201 x 32 x 16 = 102,912 grid points.
 MAX_GRID_POINTS = 1 << 20
 
+# Largest RK4 work a config may ask for, with the step counts that
+# SolverConfig.steps_for gives.  A solve steps grid_size modes with the step
+# of its top wavenumber grid_size / 2: at most 2^27 = 134,217,728
+# mode-steps, about 13 times the default 1,024 x 10,241.  A frequency sweep
+# (growth, report) takes one run per grids.xi_list entry: at most 2^21 =
+# 2,097,152 steps in all, about 94 times the default 201 + 2,001 + 20,001.
+MAX_SOLVE_MODE_STEPS = 1 << 27
+MAX_SWEEP_STEPS = 1 << 21
+
 
 class ConfigError(ValueError):
     """Carries the full list of schema errors for a config document."""
@@ -286,10 +295,12 @@ def parse_config(text: str) -> RunConfig:
     if None not in (xi_min, xi_max):
         # numpy's log10 has no loop for Python integers beyond int64
         g["xi_min"], g["xi_max"] = xi_min, xi_max
-    if not isinstance(g.get("xi_list"), list) or not g["xi_list"] or not all(
-        _is_number(v) and v > 0 for v in g["xi_list"]
+    xi_list = g.get("xi_list")
+    if not isinstance(xi_list, list) or not xi_list or not all(
+        _is_number(v) and v > 0 for v in xi_list
     ):
         errors.append("grids.xi_list must be a non-empty list of positive numbers")
+        xi_list = None
 
     policy = data["eps_policy"]
     if not isinstance(policy, dict) or policy.get("kind") not in ("fixed", "inverse", "balanced"):
@@ -308,9 +319,10 @@ def parse_config(text: str) -> RunConfig:
                 errors.append("eps_policy.k must be >= 1")
 
     solver = data["solver"]
+    t_step = None
     if solver["t_step"] is not None:
-        _require_number(solver, "t_step", errors, "solver.", low=0.0)
-    _require_number(solver, "cfl_safety", errors, "solver.", low=0.0)
+        t_step = _require_number(solver, "t_step", errors, "solver.", low=0.0)
+    cfl_safety = _require_number(solver, "cfl_safety", errors, "solver.", low=0.0)
 
     init = data["initial_data"]
     if not isinstance(init, dict) or init.get("kind") not in ("uniform", "fourier_modes"):
@@ -330,7 +342,11 @@ def parse_config(text: str) -> RunConfig:
         _is_number(v) and v >= 0 for v in data["snapshots"]
     ):
         errors.append("snapshots must be a list of nonnegative times")
-    _require_number(data, "grid_size", errors, "", low=2, integer=True)
+    grid_size = _require_number(data, "grid_size", errors, "", low=2, integer=True)
+    # zero steps are rejected when the run builds its SolverConfig
+    if symbol is not None and cfl_safety and (solver["t_step"] is None or t_step):
+        _check_rk4_budget(symbol, SolverConfig(t_step=t_step, cfl_safety=cfl_safety),
+                          grid_size, xi_list, errors)
     if data["out"] is not None and not isinstance(data["out"], str):
         errors.append("out must be a string path")
     seed = _require_number(data, "seed", errors, "", low=0, integer=True)
@@ -338,6 +354,22 @@ def parse_config(text: str) -> RunConfig:
     if errors or symbol is None:
         raise ConfigError(errors or ["invalid system section"])
     return RunConfig(data=data, symbol=symbol, command=data["command"], seed=seed)
+
+
+def _check_rk4_budget(symbol: SystemSymbol, solver: SolverConfig, grid_size, xi_list,
+                      errors: list) -> None:
+    """MAX_SOLVE_MODE_STEPS for grid_size, MAX_SWEEP_STEPS for grids.xi_list."""
+    step_key = "solver.t_step" if solver.t_step is not None else "solver.cfl_safety"
+    if grid_size is not None:
+        steps = solver.step_count(symbol, np.array([grid_size / 2.0]))
+        if grid_size * steps > MAX_SOLVE_MODE_STEPS:
+            errors.append(f"grid_size x RK4 steps (set by grid_size and {step_key}) must be "
+                          f"<= {MAX_SOLVE_MODE_STEPS} mode-steps, got {grid_size} x {steps}")
+    if xi_list is not None:
+        total = sum(solver.step_count(symbol, np.array([float(x)])) for x in xi_list)
+        if total > MAX_SWEEP_STEPS:
+            errors.append(f"RK4 steps over grids.xi_list (set by {step_key}) must total "
+                          f"<= {MAX_SWEEP_STEPS}, got {total}")
 
 
 def emit_config(config: RunConfig) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, log
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from hyposym.pencils import hermitian_part
 from hyposym.quasisym import lift_blocks, q_eps, q_eps_parts, sum_parts
 from hyposym.reduction import (
     PathAssembler,
+    SeparablePath,
     initial_states,
     lift_trajectory,
     transform_initial_data,
@@ -29,6 +31,7 @@ from hyposym.reduction import (
 from hyposym.symbols import (
     SystemSymbol,
     bracket,
+    brackets,
     eval_symbol_path,
     rescaled_spectra,
 )
@@ -82,17 +85,24 @@ class SolverConfig:
         k = float(self.eps_policy[1])
         return min(1.0, bxi ** (-k / (2.0 * (m - 1) + k)))
 
+    def step_count(self, symbol: SystemSymbol, xi):
+        """N of :meth:`steps_for` without its stiffness guard; inf where T / h is not finite."""
+        with np.errstate(over="ignore"):
+            h = self.t_step if self.t_step is not None else self.cfl_safety / bracket(xi)
+        steps = symbol.horizon / h if h > 0.0 else float("inf")
+        return max(1, ceil(steps - 1e-12)) if steps < float("inf") else steps
+
     def steps_for(self, symbol: SystemSymbol, xi) -> tuple:
         """(N, h) with N h = T; enforces the stiffness guard h <= cfl/<xi>."""
-        T = symbol.horizon
         limit = self.cfl_safety / bracket(xi)
-        h = self.t_step if self.t_step is not None else limit
-        if h > limit * (1.0 + 1e-12):
+        if self.t_step is not None and self.t_step > limit * (1.0 + 1e-12):
             raise DomainError(
-                f"step {h} violates the stiffness guard {limit:.3e} at xi={xi}"
+                f"step {self.t_step} violates the stiffness guard {limit:.3e} at xi={xi}"
             )
-        N = max(1, ceil(T / h - 1e-12))
-        return N, T / N
+        N = self.step_count(symbol, xi)
+        if N == float("inf"):
+            raise DomainError(f"the step underflows: T / h is not finite at xi={xi}")
+        return N, symbol.horizon / N
 
 
 @dataclass
@@ -132,22 +142,62 @@ class EnergyTrace:
         return float((vals + self.log_scale).max() - base)
 
 
-# Bytes of half-grid step matrices held per window of the lockstep RK4: 4
-# steps of 128 modes at m = 2.  A window's assembly temporaries take several
-# times this, and longer windows raise the peak RSS of a solve.
+# Bytes of right-hand-side data held per window of the lockstep RK4: dense
+# step matrices (4 steps of 128 modes at m = 2) or the t-only rows of a
+# separable solve.  A window's assembly temporaries take several times this,
+# and longer windows raise the peak RSS of a solve.
 _WINDOW_BYTES = 1 << 18
 
 
-def _lockstep_rk4(step_matrices, Y0, N: int, h: float, record, renormalize: bool = False):
-    """RK4 on a stack of q states in lockstep, d/dt y_r = M_r(t) y_r.
+@dataclass(frozen=True)
+class _RHS:
+    """d/dt Y for a lockstep run, one window of ``width`` steps at a time.
 
-    ``Y0`` has shape (q, d).  ``step_matrices`` is either one constant matrix
-    per row (q, d, d), or a function ``window(k0, k1)`` returning the
-    matrices on the half-step grid of steps k0..k1, shape
-    (2 (k1 - k0) + 1, q, d, d); windows are sized by _WINDOW_BYTES.  Each
-    product is ``np.matvec``, bitwise the row's own ``M @ y``, so every row
-    is bitwise its solo run.  Returns the states and accumulated log scales
-    at the sorted step indices ``record``, shapes (len(record), q, d) and
+    ``window(k0, k1)`` returns f(j, Y): the right-hand side at half-step j
+    (0 <= j <= 2 (k1 - k0)) of steps k0..k1, for the whole state stack Y
+    (q, d).
+    """
+
+    window: Callable
+    width: int
+
+
+def _matrix_rhs(step_matrices, q: int, d: int, N: int) -> _RHS:
+    """Dense matrices as a right-hand side, each product ``np.matvec``.
+
+    ``step_matrices`` is one constant matrix per row (q, d, d), or a function
+    ``window(k0, k1)`` returning the matrices on the half-step grid of steps
+    k0..k1, shape (2 (k1 - k0) + 1, q, d, d).  ``np.matvec`` is bitwise the
+    row's own ``M @ y``.
+    """
+    if not callable(step_matrices):
+        return _RHS(lambda k0, k1: lambda j, Y: np.matvec(step_matrices, Y), N)
+
+    def window(k0, k1):
+        M = step_matrices(k0, k1)
+        return lambda j, Y: np.matvec(M[j], Y)
+
+    return _RHS(window, max(1, _WINDOW_BYTES // (q * 2 * d * d * 16)))
+
+
+def _separable_rhs(path: SeparablePath, ts_half: np.ndarray) -> _RHS:
+    """:class:`SeparablePath` as a right-hand side, its t-only rows built per window."""
+    row_bytes = path.m ** 4 * 16
+
+    def window(k0, k1):
+        L = path.last_rows(ts_half[2 * k0 : 2 * k1 + 1])
+        return lambda j, Y: path.apply(L[j], Y)
+
+    return _RHS(window, max(1, _WINDOW_BYTES // (2 * row_bytes)))
+
+
+def _lockstep_rk4(rhs, Y0, N: int, h: float, record, renormalize: bool = False):
+    """RK4 on a stack of q states in lockstep, d/dt y_r = f_r(t, y_r).
+
+    ``Y0`` has shape (q, d).  ``rhs`` is an :class:`_RHS` or the dense
+    matrices that :func:`_matrix_rhs` takes; with matrices every row is
+    bitwise its solo run.  Returns the states and accumulated log scales at
+    the sorted step indices ``record``, shapes (len(record), q, d) and
     (len(record), q).  Renormalisation keeps each row's |y| <=
     RENORM_THRESHOLD on its own, so exponentially growing rows never
     overflow.
@@ -162,24 +212,19 @@ def _lockstep_rk4(step_matrices, Y0, N: int, h: float, record, renormalize: bool
     if record and record[0] == 0:
         out[0] = Y
         slot = 1
-    if callable(step_matrices):
-        window, width = step_matrices, max(1, _WINDOW_BYTES // (q * 2 * d * d * 16))
-    else:
-        # constant matrices: one window of views, nothing assembled
-        def window(k0, k1):
-            return np.broadcast_to(step_matrices, (2 * (k1 - k0) + 1,) + step_matrices.shape)
-        width = N
+    if not isinstance(rhs, _RHS):
+        rhs = _matrix_rhs(rhs, q, d, N)
     # overflow surfaces through the isfinite guard, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, N, width):
-            k1 = min(k0 + width, N)
-            M = window(k0, k1)
+        for k0 in range(0, N, rhs.width):
+            k1 = min(k0 + rhs.width, N)
+            f = rhs.window(k0, k1)
             for k in range(k0, k1):
                 j = 2 * (k - k0)
-                s1 = np.matvec(M[j], Y)
-                s2 = np.matvec(M[j + 1], Y + (0.5 * h) * s1)
-                s3 = np.matvec(M[j + 1], Y + (0.5 * h) * s2)
-                s4 = np.matvec(M[j + 2], Y + h * s3)
+                s1 = f(j, Y)
+                s2 = f(j + 1, Y + (0.5 * h) * s1)
+                s3 = f(j + 1, Y + (0.5 * h) * s2)
+                s4 = f(j + 2, Y + h * s3)
                 Y = Y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
                 if renormalize:
                     _renormalize_rows(Y, acc)
@@ -239,13 +284,14 @@ def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
             acc[r] += log(nrm)
 
 
-def _step_matrices(symbol: SystemSymbol, xi, ts_half):
+def _step_matrices(symbol: SystemSymbol, xi, ts_half, bxi=None):
     """i (calA + calB) for the frequency stack xi (q, n), as _lockstep_rk4 takes it.
 
     A constant symbol gives one matrix per frequency; otherwise a window
     function over the half-step grid ``ts_half``, assembled on demand.
+    ``bxi`` is ``brackets(xi)`` if the caller has it.
     """
-    assembler = PathAssembler(symbol, xi)
+    assembler = PathAssembler(symbol, xi, bxi)
     if symbol.is_constant():
         calA, calB = assembler(ts_half[:1])
         return 1j * (calA[0] + calB[0])
@@ -522,6 +568,8 @@ def integral_K_sweep(trace: EnergyTrace, symbol: SystemSymbol, eps_values,
 
     Fits the exponent p in int K ~ C eps^p by least squares on the log-log
     pairs and reports the theoretical bound exponent -2(m-1)/k next to it.
+    An integral that is not positive has no logarithm, so then p is not
+    measured and reads nan (a constant symbol has dQ/dt = 0 and K = 0).
     """
     m = symbol.m
     # Only the eps-weighted sum of the quasi-symmetriser parts depends on eps.
@@ -534,13 +582,16 @@ def integral_K_sweep(trace: EnergyTrace, symbol: SystemSymbol, eps_values,
         integrals.append(float(np.trapezoid(K, ts)))
     eps_arr = np.asarray(eps_values, dtype=float)
     ints = np.asarray(integrals)
-    X = np.stack([np.log(eps_arr), np.ones(eps_arr.size)], axis=1)
-    sol, *_ = np.linalg.lstsq(X, np.log(np.maximum(ints, 1e-300)), rcond=None)
+    fitted = float("nan")
+    if (ints > 0.0).all():
+        X = np.stack([np.log(eps_arr), np.ones(eps_arr.size)], axis=1)
+        sol, *_ = np.linalg.lstsq(X, np.log(ints), rcond=None)
+        fitted = float(sol[0])
     theo = -2.0 * (m - 1) / k_regularity
     return KSweepReport(
         eps_values=tuple(float(e) for e in eps_arr),
         K_integrals=tuple(integrals),
-        fitted_exponent=float(sol[0]),
+        fitted_exponent=fitted,
         theoretical_exponent=theo,
         C1_values=tuple(float(v * e ** (-theo)) for v, e in zip(ints, eps_arr)),
     )
@@ -645,9 +696,11 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     Fourier mode is pushed through the reduction, all modes are integrated
     in lockstep with one step, and the first band component is rescaled by
     <xi>^{-(m-1)} before the inverse transform.  The states are never
-    renormalised: a mode that overflows fails the solve.  A constant symbol
-    jumps between the snapshot steps by RK4 propagator powers
-    (:func:`_rk4_propagate`) instead of stepping.
+    renormalised: a mode that overflows fails the solve.  A variable symbol
+    is stepped with the matrix-free right-hand side of
+    :class:`hyposym.reduction.SeparablePath`, its t-only rows built once per
+    half-step; a constant symbol jumps between the snapshot steps by RK4
+    propagator powers (:func:`_rk4_propagate`) instead of stepping.
     """
     if symbol.n != 1:
         raise DomainError("the Cauchy solver is one-dimensional (n = 1)")
@@ -670,20 +723,22 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     snap_idx = np.clip(np.rint(snapshot_ts / h).astype(int), 0, N)
 
     xis = wavenumbers[:, None]
-    V0 = initial_states(symbol, np.ascontiguousarray(u0_hat.T), xis)
-    brackets = np.array([bracket(xi) for xi in xis])
+    bxi = brackets(xis)
+    V0 = initial_states(symbol, np.ascontiguousarray(u0_hat.T), xis, bxi)
 
     # Every mode takes the step of the top wavenumber, so all advance together.
     record = sorted(set(snap_idx.tolist()))
     if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
-        states, _ = _rk4_propagate(_step_matrices(symbol, xis, np.zeros(1)), V0, N, h, record)
+        M = _step_matrices(symbol, xis, np.zeros(1), bxi)
+        states, _ = _rk4_propagate(M, V0, N, h, record)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
-        states, _ = _lockstep_rk4(_step_matrices(symbol, xis, ts_half), V0, N, h, record)
+        rhs = _separable_rhs(SeparablePath(symbol, xis, bxi), ts_half)
+        states, _ = _lockstep_rk4(rhs, V0, N, h, record)
     # first band component of each snapshot, (n_snapshots, m, n_grid)
     first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
-    hat_snaps = first * brackets ** (-(m - 1))
+    hat_snaps = first * bxi ** (-(m - 1))
 
     fields = np.fft.ifft(hat_snaps, axis=2)
     x = 2.0 * np.pi * np.arange(n_grid) / n_grid

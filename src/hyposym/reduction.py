@@ -15,7 +15,7 @@ algebra real.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from hyposym.symbols import (
     _check_time,
     adjugate_coeffs,
     bracket,
+    brackets,
     eval_symbol_path,
     faddeev_leverrier,
     time_derivative,
@@ -104,16 +105,17 @@ class PathAssembler:
     bitwise that of the frequency alone.
     """
 
-    def __init__(self, symbol: SystemSymbol, xi):
+    def __init__(self, symbol: SystemSymbol, xi, bxi=None):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         m = symbol.m
         self.m = m
         self.xi = xi
         self.derivs = [time_derivative(symbol, k) for k in range(m)]
-        brackets = [bracket(row) for row in xi.reshape(-1, xi.shape[-1])]
-        self.bxi = np.array(brackets).reshape(xi.shape[:-1])
+        # bxi: the caller's brackets(xi), if it has them
+        self.bxi = brackets(xi) if bxi is None else np.reshape(bxi, xi.shape[:-1])
+        values = self.bxi.ravel().tolist()
         # <xi>^e for e = -m..-1, each of the frequency stack's shape
-        self.powers = {e: np.array([b ** e for b in brackets]).reshape(xi.shape[:-1])
+        self.powers = {e: np.array([b ** e for b in values]).reshape(xi.shape[:-1])
                        for e in range(-m, 0)}
 
     def reduce(self, ts) -> tuple:
@@ -149,6 +151,80 @@ class PathAssembler:
         """(calA, calB) along ``ts``, shapes (len(ts), ..., m^2, m^2)."""
         calA, b, _, _, _ = self.reduce(ts)
         return calA, lower_order_matrix(b)
+
+
+# Rows per BLAS product of SeparablePath.apply.  On 2 cores, one OpenBLAS
+# product over all 1,024 modes of an m = 3 solve ran multithreaded and
+# doubled the solve's time (18.7 s against 9.5 s at grid 1,024); products of
+# 256 rows stay single-threaded.
+_BLAS_ROWS = 256
+
+
+class SeparablePath:
+    """i (calA + calB) of a one-dimensional symbol at a stack of frequencies, matrix-free.
+
+    For n = 1, A(t, xi) = xi A_1(t), so c_k(t, xi) = xi^k c_k(t, 1), and
+    term hp of bold_B_l (see :func:`_bold_B_path`) is xi^(hp+1) times a
+    matrix of t alone.  Row j < m-1 of each band of i (calA + calB) V is the
+    companion shift i <xi> V[j+1].  The last row of band i sums t-only
+    coefficients times per-frequency weights:
+    - the companion row: -c_{m-col}(t, 1) on component col of band i, with
+      weight xi^(m-col) <xi>^(col-m+1);
+    - calB: row i of term hp of bold_B_l at xi = 1 on component l-1 of
+      every band, with weight xi^(hp+1) <xi>^(l-m).
+    Every weight is xi^p <xi>^(c+1-m) for the component c it multiplies and
+    a power 1 <= p <= m, and no two terms share (p, component, band), so the
+    last rows are one product of the weighted states with a t-only stack.
+    Not bitwise :class:`PathAssembler`: xi^k FL(A_1) rounds differently
+    from FL(xi A_1).
+    """
+
+    def __init__(self, symbol: SystemSymbol, xi, bxi):
+        if symbol.n != 1:
+            raise DomainError("the separable reduction is one-dimensional (n = 1)")
+        m = symbol.m
+        x = np.asarray(xi, dtype=float).reshape(-1, 1)
+        b = np.asarray(bxi, dtype=float).reshape(-1, 1)
+        self.m = m
+        self.derivs = [time_derivative(symbol, k) for k in range(m)]
+        component = np.tile(np.arange(m), m)
+        # weights[:, p-1, a] = i xi^p <xi>^(c+1-m), c the component of state entry a
+        self.weights = 1j * (x ** np.arange(1, m + 1))[:, :, None] * (
+            b ** (component + 1 - m))[:, None, :]
+        self.shift = 1j * b
+        rows = gcd(x.shape[0], _BLAS_ROWS)
+        self.blocks = (x.shape[0] // rows, rows, m ** 3)
+
+    def last_rows(self, ts) -> np.ndarray:
+        """The t-only stack L, shape (len(ts), m m^2, m).
+
+        Row (p-1) m^2 + a, column i holds the coefficient of weight p on
+        state entry a in the last row of band i, so the last rows at ts[k]
+        are ``(weights * V[:, None, :]).reshape(q, -1) @ L[k]``.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        m = self.m
+        dtA = _deriv_paths(self.derivs, ts, np.ones(1))
+        c = faddeev_leverrier(dtA[0])
+        boldA = adjugate_coeffs(dtA[0], c)
+        # L[t, p-1, band j, component, band i]
+        L = np.zeros((ts.size, m, m, m, m), dtype=complex)
+        band, col = np.arange(m)[:, None], np.arange(m)[None, :]
+        L[:, m - 1 - col, band, col, band] = -c[:, None, :0:-1]
+        for l in range(1, m):
+            for hp in range(m - l):
+                term = comb(m - 1 - hp, l - 1) * (boldA[hp] @ dtA[m - l - hp])
+                L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
+        return L.reshape(ts.size, m ** 3, m)
+
+    def apply(self, L, Y) -> np.ndarray:
+        """i (calA + calB) Y for states Y (q, m^2), with L one time of :meth:`last_rows`."""
+        m = self.m
+        out = np.empty_like(Y)
+        np.multiply(self.shift, Y[:, 1:], out=out[:, :-1])
+        weighted = (self.weights * Y[:, None, :]).reshape(self.blocks)
+        out[:, m - 1 :: m] = (weighted @ L).reshape(-1, m)
+        return out
 
 
 def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
@@ -237,17 +313,19 @@ def transform_initial_data(symbol: SystemSymbol, u0hat, xi) -> StateVector:
     return StateVector(V=initial_states(symbol, u0[None], xi[None])[0], m=m)
 
 
-def initial_states(symbol: SystemSymbol, u0hat: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def initial_states(symbol: SystemSymbol, u0hat: np.ndarray, xi: np.ndarray,
+                   bxi=None) -> np.ndarray:
     """:func:`transform_initial_data` for a stack: u0hat (q, m) at xi (q, n) to (q, m^2).
 
-    Each row is bitwise the state of its frequency alone.
+    ``bxi`` is ``brackets(xi)`` if the caller has it.  Each row is bitwise
+    the state of its frequency alone.
     """
     m = symbol.m
-    brackets = [bracket(row) for row in xi]
+    values = (brackets(xi) if bxi is None else np.asarray(bxi)).tolist()
     maps = derivative_maps(symbol, xi, np.array([0.0]), m - 1)
-    V = np.zeros((len(brackets), m * m), dtype=complex)
+    V = np.zeros((len(values), m * m), dtype=complex)
     for j in range(1, m + 1):
-        scale = np.array([b ** (m - j) for b in brackets])
+        scale = np.array([b ** (m - j) for b in values])
         V[:, j - 1 :: m] = scale[:, None] * np.matvec(maps[j - 1][0], u0hat)
     return V
 

@@ -40,6 +40,12 @@ def bracket(xi) -> float:
     return float(np.sqrt(1.0 + np.dot(xi, xi)))
 
 
+def brackets(xi) -> np.ndarray:
+    """<xi> of every frequency of a stack (..., n), shape (...); each is ``bracket(row)``."""
+    xi = np.asarray(xi, dtype=float)
+    return np.array([bracket(row) for row in xi.reshape(-1, xi.shape[-1])]).reshape(xi.shape[:-1])
+
+
 @dataclass(frozen=True)
 class SystemSymbol:
     """First-order m x m symbol with polynomial time coefficients.

@@ -344,6 +344,20 @@ class TestMain:
         assert {"hyperbolicity", "energy_inequality"} <= kinds
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_report_on_constant_system_leaves_K_exponent_unmeasured(self, tmp_path):
+        # dQ/dt = 0 for a constant symbol: every K integral is 0.0, which has
+        # no logarithm, so the exponent is not fitted.
+        path = write_config(tmp_path, {
+            "system": {"name": "m2-wave"},
+            "grids": {"t_points": 21, "xi_points": 4, "directions": 2,
+                      "xi_list": [1.0, 10.0, 100.0]},
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 0
+        sweep = json.loads((out / "report.json").read_text())["results"]["K_sweep"]
+        assert sweep["integrals"] == [0.0, 0.0, 0.0]
+        assert sweep["fitted_exponent"] == "nan"
+
     def test_jobs_flag_is_unknown(self, tmp_path, capsys):
         # the integrator batches every frequency in one process; --jobs is gone
         path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, "grids": SMALL_GRIDS})
@@ -435,3 +449,47 @@ def test_overflowing_constant_coefficient_solve_exits_three(tmp_path, capsys):
     assert main(["solve", "--config", str(path), "--out", str(out)]) == 3
     assert "non-finite state" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, doc, message, key_path", [
+    ("solve", {"solver": {"cfl_safety": 1e-12}}, "grid_size x RK4 steps", "solver.cfl_safety"),
+    ("solve", {"grid_size": 2 ** 20}, "grid_size x RK4 steps", "grid_size"),
+    ("growth", {"grids": {"xi_list": [10.0, 100.0, 1e6]}}, "RK4 steps over grids.xi_list",
+     "solver.cfl_safety"),
+    ("report", {"grids": {"xi_list": [10.0, 1e300]}}, "RK4 steps over grids.xi_list",
+     "solver.cfl_safety"),
+    ("growth", {"solver": {"t_step": 1e-7}}, "RK4 steps over grids.xi_list", "solver.t_step"),
+], ids=["solve-cfl-1e-12", "solve-grid-2-20", "sweep-xi-1e6", "sweep-step-underflow",
+        "sweep-t-step"])
+def test_rk4_work_budget_exits_one_before_any_run(tmp_path, capsys, monkeypatch, command, doc,
+                                                 message, key_path):
+    import hyposym.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a config over the RK4 budget must not run")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, **doc})
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and key_path in err
+    assert "Traceback" not in err
+
+
+def test_rk4_work_budget_edges():
+    from hyposym.cli import MAX_SOLVE_MODE_STEPS, MAX_SWEEP_STEPS
+
+    def doc(**extra):
+        return json.dumps({"system": {"name": "m2-glaeser"}, **extra})
+
+    # the default solve, 1,024 modes x 10,241 steps, has room for ten more
+    assert 10 * 1024 * 10241 <= MAX_SOLVE_MODE_STEPS
+    parse_config(doc())
+    parse_config(doc(grid_size=2048))               # 2,048 x 20,481 mode-steps
+    with pytest.raises(ConfigError):
+        parse_config(doc(grid_size=4096))           # 4,096 x 40,961
+    # 2,000,001 steps at xi = 1e5; 200,001 more at 1e4 exceed the sweep budget
+    assert 2000001 <= MAX_SWEEP_STEPS < 2000001 + 200001
+    parse_config(doc(grids={"xi_list": [1e5]}))
+    with pytest.raises(ConfigError):
+        parse_config(doc(grids={"xi_list": [1e5, 1e4]}))

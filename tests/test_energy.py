@@ -25,8 +25,8 @@ from hyposym.energy import (
 )
 from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
-from hyposym.reduction import assemble_path
-from hyposym.symbols import SystemSymbol, bracket, eval_symbol, rescaled_eigenvalues
+from hyposym.reduction import assemble_path, initial_states
+from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol, rescaled_eigenvalues
 from hyposym.quasisym import build_Q_eps, lift_blocks, verify_properties
 
 
@@ -105,6 +105,20 @@ def reference_rk4(M_half, N, h, y0, renormalize):
             out[k + 1] = y
             logs[k + 1] = acc
     return out, logs
+
+
+def windowed_solve(S, u0, config, snapshot_ts):
+    """The fields of solve_cauchy_1d, stepped with the dense PathAssembler windows."""
+    m, n = S.m, u0.shape[1]
+    xis = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+    N, h = config.steps_for(S, np.array([n / 2.0]))
+    snap_idx = np.clip(np.rint(np.asarray(snapshot_ts) / h).astype(int), 0, N)
+    record = sorted(set(snap_idx.tolist()))
+    V0 = initial_states(S, np.fft.fft(u0, axis=1).T, xis)
+    ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
+    states, _ = _lockstep_rk4(_step_matrices(S, xis, ts_half), V0, N, h, record)
+    first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
+    return np.fft.ifft(first * brackets(xis) ** (-(m - 1)), axis=2)
 
 
 def expm(M):
@@ -407,6 +421,48 @@ class TestSolveCauchy1d:
         exact = np.fft.ifft(exact_h, axis=1)
         np.testing.assert_allclose(field.fields[0], exact, atol=1e-8)
 
+    @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero"])
+    def test_separable_solve_matches_windowed_lockstep(self, name):
+        # Not bitwise: the separable right-hand side rounds xi^k FL(A_1)
+        # where the windows round FL(xi A_1).
+        S = builtin_system(name)
+        n = 128
+        x = 2 * np.pi * np.arange(n) / n
+        rng = np.random.default_rng(9)
+        u0 = np.exp(1j * x) + 0.25 * (rng.standard_normal((S.m, n))
+                                      + 1j * rng.standard_normal((S.m, n)))
+        field = solve_cauchy_1d(S, u0, SolverConfig(), [0.5, 1.0])
+        ref = windowed_solve(S, u0, SolverConfig(), [0.5, 1.0])
+        for s in range(2):
+            scale = np.abs(ref[s]).max()
+            assert np.abs(field.fields[s] - ref[s]).max() <= 1e-12 * scale, (name, s)
+
+    def test_variable_coefficients_assemble_no_matrices(self, monkeypatch):
+        from hyposym import reduction
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve must not assemble dense matrices")
+
+        monkeypatch.setattr(reduction.PathAssembler, "__call__", refuse)
+        S = builtin_system("m2-glaeser")
+        n = 16
+        x = 2 * np.pi * np.arange(n) / n
+        u0 = np.stack([np.exp(1j * x), np.zeros(n)])
+        field = solve_cauchy_1d(S, u0, SolverConfig(), [1.0])
+        assert np.isfinite(field.fields).all() and np.abs(field.fields).max() > 0.5
+
+    @pytest.mark.parametrize("name", ["m2-glaeser", "m2-wave"])
+    def test_one_bracket_per_mode(self, name, monkeypatch):
+        from hyposym import symbols
+
+        calls = []
+        real = symbols.bracket
+        monkeypatch.setattr(symbols, "bracket", lambda xi: calls.append(1) or real(xi))
+        n = 64
+        solve_cauchy_1d(builtin_system(name), np.ones((2, n), dtype=complex), SolverConfig(),
+                        [1.0])
+        assert len(calls) == n
+
     def test_grid_validation(self):
         S = builtin_system("m2-wave")
         with pytest.raises(DomainError):
@@ -431,6 +487,16 @@ class TestSolverConfig:
             SolverConfig(eps_policy=("mystery",))
         with pytest.raises(DomainError):
             SolverConfig(t_step=-1.0)
+
+    def test_underflowing_step_is_a_domain_error(self):
+        # cfl / <xi> rounds to a subnormal or to zero: T / h is not finite
+        S = builtin_system("m2-glaeser")
+        for cfl in (1e-320, 5e-324):
+            cfg = SolverConfig(cfl_safety=cfl)
+            assert cfg.step_count(S, np.array([512.0])) == float("inf")
+            with pytest.raises(DomainError, match="underflows"):
+                cfg.steps_for(S, np.array([512.0]))
+        assert SolverConfig().step_count(S, np.array([512.0])) == 10241
 
     def test_eps_stays_in_unit_interval(self):
         cfg = SolverConfig(eps_policy=("balanced", 2))

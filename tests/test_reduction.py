@@ -18,13 +18,14 @@ from hyposym.energy import SolverConfig, direct_integrate
 from hyposym.examples import builtin_system
 from hyposym.reduction import (
     PathAssembler,
+    SeparablePath,
     assemble_path,
     derivative_maps,
     initial_states,
     lift_trajectory,
     scaled_lower_order_entries,
 )
-from hyposym.symbols import bracket, eval_symbol_path, faddeev_leverrier
+from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier
 
 
 def dense_symbol(m, seed, degree=2, horizon=1.0):
@@ -317,3 +318,49 @@ class TestStackedFrequencies:
                         ref[i * m + (j - 1)] = bxi ** (m - j) * dt_u[i]
                 assert V[r].tobytes() == ref.tobytes(), (S.m, r)
                 assert transform_initial_data(S, u0[r], xi).V.tobytes() == ref.tobytes()
+
+
+def inline_m4():
+    """n = 1, m = 4: eigenvalues +-2 and +-t (the report-m4 benchmark system)."""
+    coeffs = np.zeros((1, 4, 4, 3))
+    coeffs[0, 0, 1, 0] = coeffs[0, 1, 2, 0] = coeffs[0, 2, 3, 0] = 1.0
+    coeffs[0, 3, 0, 2] = -4.0
+    coeffs[0, 3, 2] = [4.0, 0.0, 1.0]
+    return SystemSymbol(coeffs=coeffs, horizon=1.0)
+
+
+class TestSeparablePath:
+    """The matrix-free i (calA + calB) against the assembled matrices.
+
+    Not bitwise: xi^k FL(A_1) rounds differently from FL(xi A_1).  The gap
+    is measured against |M|_F |y| per frequency.
+    """
+
+    TOL = 1e-13
+
+    @pytest.mark.parametrize("S", [builtin_system("m2-glaeser"), builtin_system("m3-tracezero"),
+                                   inline_m4()], ids=["m2-glaeser", "m3-tracezero", "inline-m4"])
+    def test_matches_assembled_matrices(self, S):
+        rng = np.random.default_rng(6)
+        d = S.m * S.m
+        xis = np.array([[0.0], [1.0], [-1.0], [-7.0], [64.0], [-512.0], [511.0], [3.5]])
+        path = SeparablePath(S, xis, brackets(xis))
+        ts_half = np.linspace(0.0, S.horizon, 2 * 40 + 1)
+        sample = np.concatenate([[0, 1, 2], rng.choice(ts_half.size, 10, replace=False),
+                                 [ts_half.size - 1]])
+        L = path.last_rows(ts_half[sample])
+        calA, calB = PathAssembler(S, xis)(ts_half[sample])
+        for k in range(sample.size):
+            Y = rng.standard_normal((len(xis), d)) + 1j * rng.standard_normal((len(xis), d))
+            M = 1j * (calA[k] + calB[k])
+            err = np.linalg.norm(path.apply(L[k], Y) - np.matvec(M, Y), axis=1)
+            scale = np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(Y, axis=1)
+            assert (err <= self.TOL * scale).all(), (k, err / scale)
+        # every weight carries xi^p, p >= 1: the last rows vanish at wavenumber 0
+        assert not path.apply(L[0], Y)[0, S.m - 1 :: S.m].any()
+
+    def test_rejects_more_than_one_direction(self):
+        S = SystemSymbol(coeffs=np.ones((2, 2, 2, 2)), horizon=1.0)
+        xis = np.ones((3, 2))
+        with pytest.raises(DomainError):
+            SeparablePath(S, xis, brackets(xis))

@@ -19,6 +19,7 @@ from hyposym.errors import CapabilityError, NumericError
 from hyposym.examples import builtin_system
 from hyposym.symbols import (
     bracket,
+    brackets,
     companion_roots,
     deleted_sigmas,
     elementary_symmetric_all,
@@ -120,6 +121,18 @@ class TestBatchedKernels:
                 ref = np.concatenate([ref, np.zeros(m - ref.size, dtype=complex)])
                 assert roots.tobytes() == ref.tobytes()
             np.testing.assert_array_equal(companion_roots(c[0]), got[0, 0])
+
+    def test_brackets_match_bracket_bitwise(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3):
+            xi = rng.uniform(-1e3, 1e3, (4, 6, n))
+            xi[0, :3] = rng.integers(-512, 513, (3, n))  # wavenumbers of a solve
+            xi[1, 0] = 0.0
+            got = brackets(xi)
+            assert got.shape == (4, 6)
+            for row, value in zip(xi.reshape(-1, n), got.ravel()):
+                assert value.tobytes() == np.float64(bracket(row)).tobytes()
+        assert brackets(np.array([3.0, 4.0])).shape == ()
 
     def test_companion_roots_rejects_bad_coefficients(self):
         with pytest.raises(DomainError):
