@@ -17,20 +17,15 @@ from hyposym.symbols import (
     CharCoeffs,
     Spectrum,
     SystemSymbol,
-    adjugate_coeff_matrices,
     cayley_hamilton_residual,
     char_coeffs,
-    elementary_symmetric,
     eval_symbol,
-    rescaled_eigenvalues,
     time_derivative,
 )
 from hyposym.reduction import (
     ReducedSystem,
     StateVector,
     assemble,
-    bold_A,
-    bold_B,
     reduction_residual,
     transform_initial_data,
 )
@@ -48,13 +43,10 @@ from hyposym.conditions import (
     ConditionReport,
     SamplingGrid,
     ks_constant,
-    lemma_identities_check,
     levi_ratios,
     run_conditions,
     sandwich_constant,
-    symmetriser_diagonal,
     thm2_ratios,
-    zone_classify,
 )
 from hyposym.energy import (
     EnergyTrace,
@@ -85,10 +77,7 @@ __all__ = [
     "Spectrum",
     "StateVector",
     "SystemSymbol",
-    "adjugate_coeff_matrices",
     "assemble",
-    "bold_A",
-    "bold_B",
     "build_P",
     "build_Q_eps",
     "build_W",
@@ -96,30 +85,25 @@ __all__ = [
     "cayley_hamilton_residual",
     "char_coeffs",
     "direct_integrate",
-    "elementary_symmetric",
     "energy_inequality_check",
     "eval_symbol",
     "frequency_sweep",
     "growth_fit",
     "integral_K_sweep",
     "ks_constant",
-    "lemma_identities_check",
     "levi_ratios",
     "lift_blocks",
     "near_diagonal_constant",
     "reduced_integrate",
     "reduction_residual",
-    "rescaled_eigenvalues",
     "run_conditions",
     "sandwich_constant",
     "solve_cauchy_1d",
     "sylvester_companion",
-    "symmetriser_diagonal",
     "thm2_ratios",
     "time_derivative",
     "transform_initial_data",
     "verify_properties",
-    "zone_classify",
 ]
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from hyposym.energy import (
 from hyposym.errors import CapabilityError, ConsistencyError, DomainError, NumericError
 from hyposym.examples import BUILTIN_SYSTEMS, builtin_system
 from hyposym.quasisym import sample_separation_set, verify_properties
-from hyposym.reduction import assemble, reduction_residual
+from hyposym.reduction import PathAssembler, assemble, reduction_residual
 from hyposym.energy import direct_integrate
 from hyposym.symbols import MAX_DIMENSION, SystemSymbol, bracket
 
@@ -102,13 +102,12 @@ def _merge_defaults(data: dict, defaults: dict, path: str, errors: list) -> dict
     for key, default in defaults.items():
         if key in data:
             value = data[key]
-            if (
-                isinstance(default, dict)
-                and default
-                and isinstance(value, dict)
-                and key not in _POLYMORPHIC
-            ):
-                value = _merge_defaults(value, default, f"{path}{key}.", errors)
+            if isinstance(default, dict) and default and key not in _POLYMORPHIC:
+                if isinstance(value, dict):
+                    value = _merge_defaults(value, default, f"{path}{key}.", errors)
+                else:
+                    errors.append(f"{path}{key} must be an object")
+                    value = json.loads(json.dumps(default))
             out[key] = value
         else:
             out[key] = json.loads(json.dumps(default))
@@ -338,10 +337,18 @@ def parse_config(text: str) -> RunConfig:
             for idx, mode in enumerate(modes):
                 _check_mode(mode, f"initial_data.modes[{idx}]", symbol, errors)
 
-    if not isinstance(data["snapshots"], list) or not all(
-        _is_number(v) and v >= 0 for v in data["snapshots"]
-    ):
-        errors.append("snapshots must be a list of nonnegative times")
+    snapshots = data["snapshots"]
+    if not isinstance(snapshots, list) or not snapshots:
+        errors.append("snapshots must be a non-empty list")
+    else:
+        # The default [0.5, 1.0] is checked against a shorter horizon only by
+        # the solve that reads it, so that other commands still run.
+        horizon = symbol.horizon if symbol is not None and "snapshots" in raw else math.inf
+        for idx, v in enumerate(snapshots):
+            if not _is_number(v):
+                errors.append(f"snapshots[{idx}] must be a finite number")
+            elif not 0 <= v <= horizon:
+                errors.append(f"snapshots[{idx}] must lie in [0, {horizon}]")
     grid_size = _require_number(data, "grid_size", errors, "", low=2, integer=True)
     # zero steps are rejected when the run builds its SolverConfig
     if symbol is not None and cfl_safety and (solver["t_step"] is None or t_step):
@@ -370,11 +377,6 @@ def _check_rk4_budget(symbol: SystemSymbol, solver: SolverConfig, grid_size, xi_
         if total > MAX_SWEEP_STEPS:
             errors.append(f"RK4 steps over grids.xi_list (set by {step_key}) must total "
                           f"<= {MAX_SWEEP_STEPS}, got {total}")
-
-
-def emit_config(config: RunConfig) -> str:
-    """Canonical JSON form of a config; parse(emit(c)) reproduces c."""
-    return json.dumps(config.data, sort_keys=True, indent=2)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -413,16 +415,21 @@ def _jsonable(obj):
     return obj
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, columns: dict):
+    """One table given as {header: column}; float arrays are written at 17
+    significant digits, formatted one row at a time as the rows are written."""
+    cells = [map("{:.17g}".format, col.tolist())
+             if isinstance(col, np.ndarray) and col.dtype.kind == "f" else col
+             for col in columns.values()]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
 
 
 # ---------------------------------------------------------------------------
 # command implementations; each returns (results dict, failures list, csv map)
+# with each CSV given as {file name: {header: column}}
 
 
 def _cmd_reduce(config: RunConfig):
@@ -448,8 +455,13 @@ def _cmd_reduce(config: RunConfig):
     xi = np.zeros(symbol.n)
     xi[0] = min(10.0, float(config.data["grids"]["xi_list"][0]))
     u0 = np.ones(symbol.m, dtype=complex)
+    steps = (4e-3, 2e-3, 1e-3)
+    total = sum(config.solver_config(t_step=h).step_count(symbol, xi) for h in steps)
+    if total > MAX_SWEEP_STEPS:
+        raise DomainError(f"the residual study of reduce takes {total} RK4 steps "
+                          f"(system.horizon / step), more than {MAX_SWEEP_STEPS}")
     study = []
-    for h in (4e-3, 2e-3, 1e-3):
+    for h in steps:
         cfg = config.solver_config(t_step=h)
         ts, traj = direct_integrate(symbol, xi, u0, cfg)
         study.append({"step": h, "residual": reduction_residual(symbol, xi, ts, traj)})
@@ -462,14 +474,12 @@ def _cmd_reduce(config: RunConfig):
 def _closed_form_comparison(symbol: SystemSymbol, xi, sample_ts):
     """Informational diff between assembled 3x3 lower-order entries and the
     closed forms sometimes quoted for them; emitted, never asserted."""
-    from hyposym.reduction import scaled_lower_order_entries
     from hyposym.symbols import eval_symbol, time_derivative
 
     bxi = bracket(xi)
+    entries = PathAssembler(symbol, xi).reduce(np.array(sample_ts))[1]
     out = []
-    for t in sample_ts:
-        red = assemble(symbol, t, xi)
-        b = scaled_lower_order_entries(red)
+    for t, b in zip(sample_ts, entries):
         A = eval_symbol(symbol, t, xi)
         dA = eval_symbol(time_derivative(symbol, 1), t, xi)
         d2A = eval_symbol(time_derivative(symbol, 2), t, xi)
@@ -552,23 +562,26 @@ def _cmd_conditions(config: RunConfig):
             "directions": report.grid.dirs.shape[0],
         },
     }
-    rows = []
+    # Per grid point, in (t, r, d) order: the ks row, then per l the thm2 row
+    # and the m levi rows.
     grid = report.grid
     m = symbol.m
-    for t_idx, t in enumerate(grid.ts):
-        for r_idx in range(grid.radii.size):
-            for d_idx in range(grid.dirs.shape[0]):
-                xi = grid.xi(r_idx, d_idx)
-                xi_str = ";".join(f"{v:.17g}" for v in xi)
-                rows.append((float(t), xi_str, "ks", 0, 0,
-                             float(report.ks_values[t_idx, r_idx, d_idx])))
-                for l in range(m - 1):
-                    rows.append((float(t), xi_str, "thm2", l + 1, 0,
-                                 float(report.thm2_values[t_idx, r_idx, d_idx, l])))
-                    for j in range(m):
-                        rows.append((float(t), xi_str, "levi", l + 1, j + 1,
-                                     float(report.levi_values[t_idx, r_idx, d_idx, l, j])))
-    csvs = {"conditions.csv": (("t", "xi", "kind", "l", "j", "value"), rows)}
+    T, R, D = grid.shape
+    kinds = ["ks"] + (["thm2"] + ["levi"] * m) * (m - 1)
+    ls = [0] + [l for l in range(1, m) for _ in range(m + 1)]
+    js = [0] + list(range(m + 1)) * (m - 1)
+    per_l = np.concatenate([report.thm2_values[..., None], report.levi_values], axis=-1)
+    values = np.concatenate([report.ks_values[..., None], per_l.reshape(T, R, D, -1)], axis=-1)
+    xi_strs = np.array([";".join(f"{v:.17g}" for v in xi) for _, _, xi in grid.points()],
+                       dtype=object)
+    csvs = {"conditions.csv": {
+        "t": np.repeat(grid.ts, R * D * len(kinds)),
+        "xi": np.tile(np.repeat(xi_strs, len(kinds)), T),
+        "kind": kinds * (T * R * D),
+        "l": ls * (T * R * D),
+        "j": js * (T * R * D),
+        "value": values.ravel(),
+    }}
     return results, failures, csvs
 
 
@@ -600,17 +613,11 @@ def _cmd_solve(config: RunConfig):
         "max_abs": [float(np.abs(field.fields[s]).max()) for s in range(field.fields.shape[0])],
     }
     csvs = {}
-    for s, t in enumerate(field.snapshot_ts):
-        header = ["x"]
-        for i in range(symbol.m):
-            header += [f"re_u{i + 1}", f"im_u{i + 1}"]
-        rows = []
-        for q in range(n_grid):
-            row = [float(field.x[q])]
-            for i in range(symbol.m):
-                row += [float(field.fields[s, i, q].real), float(field.fields[s, i, q].imag)]
-            rows.append(tuple(row))
-        csvs[f"solve_t{s}.csv"] = (tuple(header), rows)
+    for s, snapshot in enumerate(field.fields):
+        columns = {"x": field.x}
+        for i, u in enumerate(snapshot, start=1):
+            columns[f"re_u{i}"], columns[f"im_u{i}"] = u.real, u.imag
+        csvs[f"solve_t{s}.csv"] = columns
     return results, [], csvs
 
 
@@ -627,8 +634,8 @@ def _growth_results(traces):
         "brackets": report.brackets,
         "growth_logs": report.growth_logs,
     }
-    rows = [(float(b), float(g)) for b, g in zip(report.brackets, report.growth_logs)]
-    return results, {"growth.csv": (("bracket_xi", "log_growth"), rows)}
+    return results, {"growth.csv": {"bracket_xi": np.array(report.brackets),
+                                    "log_growth": np.array(report.growth_logs)}}
 
 
 def _cmd_growth(config: RunConfig):
@@ -725,8 +732,8 @@ def run(config: RunConfig, command: str, out_dir: Path) -> int:
         "failures": _jsonable(failures),
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    for name, (header, rows) in csvs.items():
-        _write_csv(out_dir / name, header, rows)
+    for name, columns in csvs.items():
+        _write_csv(out_dir / name, columns)
     return 2 if failures else 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hyposym.errors import CapabilityError, DomainError
+from hyposym.errors import CapabilityError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
 from hyposym.quasisym import lift_blocks
 from hyposym.reduction import PathAssembler, assemble_path, lower_order_matrix
@@ -121,6 +121,7 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
     dt_norms = np.zeros((T, R, D, m - 1))
 
     assembler = PathAssembler(symbol, grid.radii[:, None, None] * grid.dirs)
+    _require_finite(assembler.bxi[None], grid, 0, "<xi>")
     bxi = assembler.bxi[..., None, None]
     step = max(1, _GRID_BLOCK // (R * D))
     for k0 in range(0, T, step):
@@ -128,7 +129,9 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
         ts = grid.ts[sl]
         A = eval_symbol_path(symbol, ts, assembler.xi)
         char0[sl] = faddeev_leverrier(A / bxi).real
+        _require_finite(char0[sl], grid, k0, "a rescaled characteristic coefficient")
         b_entries[sl] = assembler.reduce(ts)[1]
+        _require_finite(b_entries[sl], grid, k0, "a lower-order entry of calB")
         for k in range(1, m):
             dA0 = eval_symbol_path(assembler.derivs[k], ts, assembler.xi) / bxi
             dt_norms[sl, ..., k - 1] = np.linalg.svd(dA0, compute_uv=False)[..., 0]
@@ -140,6 +143,16 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
         b_entries=b_entries,
         dtA0_norms=dt_norms,
     )
+
+
+def _require_finite(values: np.ndarray, grid: SamplingGrid, k0: int, what: str) -> None:
+    """NumericError at the first (t, r, d) point of a block from time index k0
+    where ``values`` (t, r, d, ...) is not finite."""
+    bad = ~np.isfinite(values).reshape(values.shape[:3] + (-1,)).all(axis=-1)
+    if bad.any():
+        t_idx, r_idx, d_idx = np.argwhere(bad)[0]
+        raise NumericError(f"{what} is not finite at (t={grid.ts[k0 + t_idx]}, "
+                           f"xi={grid.xi(r_idx, d_idx).tolist()})")
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +201,6 @@ def ks_constant(symbol: SystemSymbol, grid: SamplingGrid, data: GridData | None 
     data = data or evaluate_grid(symbol, grid)
     values = ks_pointwise(data.lambdas)
     return float(values.max()), _argmax_witness(values, grid)
-
-
-def symmetriser_diagonal(lambdas, j: int) -> float:
-    """Diagonal entry q_jj of the permutation-symmetrised part, 1 <= j <= m-1.
-
-    Normalised by (m-1)!: q_jj = sum_i sigma_{m-j}(pi_i lambda)^2, matching
-    the deleted-variable sums that bound the lower-order terms.
-    """
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    m = lam.size
-    if not 1 <= j <= m - 1:
-        raise DomainError(f"j={j} outside [1, {m - 1}]")
-    return float((deleted_sigmas(lam)[:, j - 1] ** 2).sum())
 
 
 def levi_pointwise(data: GridData) -> np.ndarray:
@@ -298,7 +298,12 @@ def _square_sums(W: np.ndarray) -> np.ndarray:
 
 
 def _zones(V: np.ndarray, sig_sq: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Zone indices of stacked states V (..., m^2) from the square sums of ``_square_sums``."""
+    """Zone indices of stacked states V (..., m^2) under the nested decomposition.
+
+    ``sig_sq`` holds the square sums of :func:`_square_sums`.  A state is in
+    the first zone h in 1..m-2 whose inequality it satisfies, else in zone
+    m-1, the final complement; for m = 2 every state is in zone 1.
+    """
     m = sig_sq.shape[-1] - 1
     if deltas.size < m - 2:
         raise DomainError(f"need {m - 2} zone thresholds, got {deltas.size}")
@@ -315,28 +320,6 @@ def _zones(V: np.ndarray, sig_sq: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         zone[hit] = h
         open_ &= ~hit
     return zone
-
-
-def zone_classify(V, lambdas, deltas) -> int:
-    """Zone index of a reduced state under the nested decomposition.
-
-    Returns the first h in 1..m-2 whose zone inequality holds, else m-1 for
-    the final complement; scale-invariant in V and permutation-invariant in
-    lambda.  For m = 2 there are no zones and the result is always 1.
-    """
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    m = lam.size
-    V = np.asarray(V, dtype=complex).ravel()
-    if V.size != m * m:
-        raise DomainError(f"state must have {m * m} components, got {V.size}")
-    deltas = np.asarray(deltas, dtype=float).ravel()
-    return int(_zones(V, _square_sums(deleted_sigmas(lam)), deltas))
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    difference_identity_residual: float
-    grouped_bound_constant: float
 
 
 def difference_identity_residual_of(lambdas) -> float:
@@ -368,80 +351,6 @@ def difference_identity_residual_of(lambdas) -> float:
                 scale = 1.0 + max(abs(lhs), abs(rhs))
                 worst = max(worst, abs(lhs - rhs) / scale)
     return worst
-
-
-def grouped_bound_constant_of(lambdas, V_batch: np.ndarray) -> float:
-    """Fitted constant for the lower bound on grouped W-products.
-
-    Largest ratio RHS/LHS over the batch, where for each k
-    LHS = sum_{l,i} |sum_{j>=k} sigma_{m-j}(pi_i l) V_{j+lm}|^2 and
-    RHS = sum_i sigma_{m-k}(pi_i l)^2 * sum_l |V_{k+lm}|^2.
-    """
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    m = lam.size
-    V_batch = np.atleast_2d(np.asarray(V_batch, dtype=complex))
-    W = deleted_sigmas(lam)   # W[i, j-1] = sigma_{m-j}(pi_i l)
-    worst = 0.0
-    for V in V_batch:
-        blocks = V.reshape(m, m)  # blocks[l, j-1] = V_{j + l m}
-        for k in range(1, m + 1):
-            lhs = 0.0
-            for l in range(m):
-                partial = W[:, k - 1 :] @ blocks[l, k - 1 :]
-                lhs += float(np.sum(np.abs(partial) ** 2))
-            rhs = float((W[:, k - 1] ** 2).sum() * np.sum(np.abs(blocks[:, k - 1]) ** 2))
-            if rhs > ABS_FLOOR:
-                if lhs == 0.0:
-                    return float("inf")
-                worst = max(worst, rhs / lhs)
-    return worst
-
-
-def lemma_identities_check(lambdas, n_states: int = 64, seed: int = 0) -> LemmaReport:
-    """Exact identity residual plus the fitted inequality constant at one lambda."""
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    rng = np.random.default_rng(seed)
-    m = lam.size
-    V = rng.standard_normal((n_states, m * m)) + 1j * rng.standard_normal((n_states, m * m))
-    return LemmaReport(
-        difference_identity_residual=difference_identity_residual_of(lam),
-        grouped_bound_constant=grouped_bound_constant_of(lam, V),
-    )
-
-
-def choose_deltas(symbol: SystemSymbol, t: float, xi, n_states: int = 256,
-                  seed: int = 0, max_doublings: int = 40) -> np.ndarray:
-    """Doubling search for zone thresholds that make the piecewise bounds hold.
-
-    Starting from delta_h = 1, doubles all thresholds until, on a seeded
-    sample of states, every nonempty zone shows a strictly positive lower
-    constant min |W V|^2 / (S_h T_h) for its designated group.
-    """
-    m = symbol.m
-    if m == 2:
-        return np.zeros(0)
-    lam = rescaled_spectra(symbol, np.array([float(t)]), xi).lambdas[0]
-    W = deleted_sigmas(lam)
-    Wl = lift_blocks(W)
-    sig_sq = _square_sums(W)
-    rng = np.random.default_rng(seed)
-    states = rng.standard_normal((n_states, m * m)) + 1j * rng.standard_normal((n_states, m * m))
-    deltas = np.ones(m - 2)
-    for _ in range(max_doublings):
-        ok = True
-        for V, h in zip(states, _zones(states, sig_sq, deltas)):
-            T_h = float(np.sum(np.abs(V[h - 1 :: m]) ** 2))
-            denom = sig_sq[h] * T_h
-            if denom <= ABS_FLOOR:
-                continue
-            lower = float(np.linalg.norm(Wl @ V) ** 2) / denom
-            if lower <= ABS_FLOOR:
-                ok = False
-                break
-        if ok:
-            return deltas
-        deltas = deltas * 2.0
-    return deltas
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from hyposym.errors import DomainError
+from hyposym.errors import DomainError, NumericError
 from hyposym.symbols import (
     SystemSymbol,
     _check_time,
@@ -66,8 +66,9 @@ class StateVector:
 
 def _deriv_paths(derivs: list, ts: np.ndarray, xi) -> list:
     """(-i)^k d^k/dt^k A(t, xi) for the k-th symbol of ``derivs`` = [d^k/dt^k A]."""
-    return [(-1j) ** k * eval_symbol_path(d, ts, xi).astype(complex)
-            for k, d in enumerate(derivs)]
+    with np.errstate(invalid="ignore"):  # inf entries of an overflowing symbol
+        return [(-1j) ** k * eval_symbol_path(d, ts, xi).astype(complex)
+                for k, d in enumerate(derivs)]
 
 
 def _bold_B_path(boldA: list, dtA: list, m: int) -> list:
@@ -122,7 +123,8 @@ class PathAssembler:
         """(calA, b, bold_A, bold_B, c), each of leading shape (len(ts), ...).
 
         ``b`` (..., m-1, m, m) holds the scaled entries of calB; see
-        :func:`lower_order_matrix`.
+        :func:`lower_order_matrix`.  Overflow leaves non-finite entries,
+        without a warning, for the caller to check.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         m = self.m
@@ -134,17 +136,18 @@ class PathAssembler:
         block = np.zeros(lead + (m, m))
         for j in range(m - 1):
             block[..., j, j + 1] = bxi
-        for col in range(m):
-            block[..., m - 1, col] = -c[..., m - col] * self.powers[col - m] * bxi
-        calA = np.zeros(lead + (m * m, m * m))
-        for i in range(m):
-            calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for col in range(m):
+                block[..., m - 1, col] = -c[..., m - col] * self.powers[col - m] * bxi
+            calA = np.zeros(lead + (m * m, m * m))
+            for i in range(m):
+                calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
 
-        dtA = _deriv_paths(self.derivs, ts, self.xi)
-        boldA = adjugate_coeffs(A.astype(complex), c.astype(complex))
-        boldB = _bold_B_path(boldA, dtA, m)
-        b = np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
-                      for l in range(1, m)], axis=-3)
+            dtA = _deriv_paths(self.derivs, ts, self.xi)
+            boldA = adjugate_coeffs(A.astype(complex), c.astype(complex))
+            boldB = _bold_B_path(boldA, dtA, m)
+            b = np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
+                          for l in range(1, m)], axis=-3)
         return calA, b, boldA, boldB, c
 
     def __call__(self, ts) -> tuple:
@@ -237,25 +240,13 @@ def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
     return PathAssembler(symbol, xi)(ts)
 
 
-def bold_A(symbol: SystemSymbol, h: int, t: float, xi) -> np.ndarray:
-    """Adjugate coefficient sum_{h'<=h} c_{h'} A^{h-h'} at (t, xi); bold_A_0 = I."""
-    if not 0 <= h <= symbol.m - 1:
-        raise DomainError(f"h={h} outside [0, {symbol.m - 1}]")
-    return assemble(symbol, t, xi).bold_A[h]
-
-
-def bold_B(symbol: SystemSymbol, l: int, t: float, xi) -> np.ndarray:
-    """Lower-order matrix bold_B_l, 1 <= l <= m-1, with D_t^k = (-i)^k d^k/dt^k."""
-    if not 1 <= l <= symbol.m - 1:
-        raise DomainError(f"l={l} outside [1, {symbol.m - 1}]")
-    return assemble(symbol, t, xi).bold_B[l - 1]
-
-
 def assemble(symbol: SystemSymbol, t: float, xi) -> ReducedSystem:
     """Assemble the reduced pair and its building blocks at one (t, xi)."""
     t = _check_time(symbol, t)
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     calA, b, boldA, boldB, c = PathAssembler(symbol, xi_arr).reduce(np.array([t]))
+    if not (np.isfinite(calA).all() and np.isfinite(b).all()):
+        raise NumericError(f"the reduction overflows at (t={t}, xi={xi_arr.tolist()})")
     return ReducedSystem(
         m=symbol.m,
         t=t,
@@ -266,17 +257,6 @@ def assemble(symbol: SystemSymbol, t: float, xi) -> ReducedSystem:
         bold_B=tuple(B[0] for B in boldB),
         char=c[0],
     )
-
-
-def scaled_lower_order_entries(reduced: ReducedSystem) -> np.ndarray:
-    """Entries b_{ij}^{(l)} of calB as an (m-1, m, m) array, already <xi>-scaled.
-
-    ``out[l-1, i, j]`` is the entry multiplying V_{(j-1)m + l} in the last
-    row of band i; the columns at positions m, 2m, ..., m^2 vanish because
-    the original system is homogeneous.
-    """
-    m = reduced.m
-    return np.moveaxis(reduced.calB.reshape(m, m, m, m)[:, m - 1, :, : m - 1], -1, 0).copy()
 
 
 def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
@@ -291,11 +271,14 @@ def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
     dtA = _deriv_paths([time_derivative(symbol, k) for k in range(max(top - 1, 0) + 1)], ts, xi)
     shape = dtA[0].shape
     maps = [np.broadcast_to(np.eye(symbol.m, dtype=complex), shape).copy()]
-    for j in range(1, top + 1):
-        acc = np.zeros(shape, dtype=complex)
-        for l in range(j):
-            acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
-        maps.append(acc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, top + 1):
+            acc = np.zeros(shape, dtype=complex)
+            for l in range(j):
+                acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
+            maps.append(acc)
+    if not np.isfinite(maps[-1]).all():
+        raise NumericError("the time-derivative maps of u-hat overflow")
     return maps
 
 
@@ -313,6 +296,14 @@ def transform_initial_data(symbol: SystemSymbol, u0hat, xi) -> StateVector:
     return StateVector(V=initial_states(symbol, u0[None], xi[None])[0], m=m)
 
 
+def _power(b: float, e: int) -> float:
+    """``b ** e`` on Python floats, inf where it overflows instead of OverflowError."""
+    try:
+        return b ** e
+    except OverflowError:
+        return float("inf")
+
+
 def initial_states(symbol: SystemSymbol, u0hat: np.ndarray, xi: np.ndarray,
                    bxi=None) -> np.ndarray:
     """:func:`transform_initial_data` for a stack: u0hat (q, m) at xi (q, n) to (q, m^2).
@@ -324,9 +315,12 @@ def initial_states(symbol: SystemSymbol, u0hat: np.ndarray, xi: np.ndarray,
     values = (brackets(xi) if bxi is None else np.asarray(bxi)).tolist()
     maps = derivative_maps(symbol, xi, np.array([0.0]), m - 1)
     V = np.zeros((len(values), m * m), dtype=complex)
-    for j in range(1, m + 1):
-        scale = np.array([b ** (m - j) for b in values])
-        V[:, j - 1 :: m] = scale[:, None] * np.matvec(maps[j - 1][0], u0hat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, m + 1):
+            scale = np.array([_power(b, m - j) for b in values])
+            V[:, j - 1 :: m] = scale[:, None] * np.matvec(maps[j - 1][0], u0hat)
+    if not np.isfinite(V).all():
+        raise NumericError("the initial reduced states overflow")
     return V
 
 

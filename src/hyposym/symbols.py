@@ -35,9 +35,11 @@ MAX_DIMENSION = 6
 
 
 def bracket(xi) -> float:
-    """Japanese bracket <xi> = sqrt(1 + |xi|^2); total, <0> = 1."""
+    """Japanese bracket <xi> = sqrt(1 + |xi|^2); total, <0> = 1, and inf
+    where |xi|^2 overflows."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return float(np.sqrt(1.0 + np.dot(xi, xi)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(1.0 + np.dot(xi, xi)))
 
 
 def brackets(xi) -> np.ndarray:
@@ -99,13 +101,16 @@ class SystemSymbol:
         """Evaluate the per-direction coefficient matrices A_p(t).
 
         ``t`` may be a scalar or a 1-d array; the result has shape
-        (n, m, m) respectively (len(t), n, m, m).
+        (n, m, m) respectively (len(t), n, m, m).  An entry that overflows
+        is left non-finite, without a warning, for the kernels downstream
+        to reject.
         """
         t_arr = np.asarray(t, dtype=float)
         # Horner evaluation over the trailing degree axis.
         out = np.zeros(t_arr.shape + self.coeffs.shape[:3])
-        for k in range(self.coeffs.shape[3] - 1, -1, -1):
-            out = out * t_arr[..., None, None, None] + self.coeffs[..., k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(self.coeffs.shape[3] - 1, -1, -1):
+                out = out * t_arr[..., None, None, None] + self.coeffs[..., k]
         return out
 
 
@@ -172,7 +177,8 @@ def eval_symbol_path(symbol: SystemSymbol, ts: np.ndarray, xi) -> np.ndarray:
     if xi.shape[-1] != symbol.n:
         raise DomainError(f"xi must have {symbol.n} components, got shape {xi.shape}")
     mats = symbol.direction_matrices(ts)
-    return np.einsum("...p,tpij->t...ij", xi, mats)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("...p,tpij->t...ij", xi, mats)
 
 
 def time_derivative(symbol: SystemSymbol, k: int) -> SystemSymbol:
@@ -189,21 +195,11 @@ def time_derivative(symbol: SystemSymbol, k: int) -> SystemSymbol:
         if d == 1:
             coeffs = np.zeros(coeffs.shape[:3] + (1,))
             break
-        coeffs = coeffs[..., 1:] * np.arange(1, d)
+        with np.errstate(over="ignore"):
+            coeffs = coeffs[..., 1:] * np.arange(1, d)
+    if not np.isfinite(coeffs).all():
+        raise NumericError(f"the coefficients of d^{k}/dt^{k} A overflow")
     return SystemSymbol(coeffs=coeffs, horizon=symbol.horizon)
-
-
-def elementary_symmetric(lambdas, h: int) -> float:
-    """Signed elementary symmetric polynomial of a real tuple.
-
-    Returns (-1)^h * sum over h-element subsets of the products, with the
-    h = 0 value equal to 1.  The input is sorted internally so the result is
-    bitwise identical under any permutation of ``lambdas``.
-    """
-    sig = elementary_symmetric_all(lambdas)
-    if not 0 <= h <= sig.size - 1:
-        raise DomainError(f"h={h} outside [0, {sig.size - 1}]")
-    return float(sig[h])
 
 
 def elementary_symmetric_all(lambdas) -> np.ndarray:
@@ -320,21 +316,6 @@ def rescaled_spectra(symbol: SystemSymbol, ts, xi) -> Spectrum:
     return spectra(faddeev_leverrier(A0).real)
 
 
-def rescaled_eigenvalues(symbol: SystemSymbol, t: float, xi) -> Spectrum:
-    """Eigenvalues of <xi>^{-1} A(t, xi), sorted by ascending real part.
-
-    The hyperbolic flag is true when the largest imaginary part does not
-    exceed 1e-8 * (1 + spectral radius); quantities downstream must stay
-    invariant under permutations of the returned values.
-    """
-    A0 = eval_symbol(symbol, t, xi) / bracket(xi)
-    try:
-        spec = spectra(faddeev_leverrier(A0).real)
-    except NumericError as exc:
-        raise NumericError(f"{exc} at (t={t}, xi={xi})") from exc
-    return Spectrum(spec.lambdas, bool(spec.hyperbolic), float(spec.imag_residual))
-
-
 def char_coeffs(symbol: SystemSymbol, t: float, xi) -> CharCoeffs:
     """Characteristic coefficients of the unrescaled symbol A(t, xi).
 
@@ -389,17 +370,6 @@ def adjugate_coeffs(A: np.ndarray, c: np.ndarray) -> list:
             acc += c[..., hp, None, None] * powers[h - hp]
         out.append(acc)
     return out
-
-
-def adjugate_coeff_matrices(symbol: SystemSymbol, t: float, xi) -> list:
-    """Matrix coefficients B_{m-1}, ..., B_0 of adj(I tau - A(t, xi)).
-
-    B_i = sum_{h=0}^{m-(i+1)} c_h A^{m-(i+1)-h} = bold_A_{m-1-i}; the leading
-    coefficient B_{m-1} is the identity, and the list satisfies
-    adj(I tau - A)(I tau - A) = det(I tau - A) I for every tau.
-    """
-    A = eval_symbol(symbol, t, xi)
-    return adjugate_coeffs(A, faddeev_leverrier(A).real)
 
 
 def cayley_hamilton_residual(symbol: SystemSymbol, t: float, xi) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,6 @@ import hyposym
 from hyposym.cli import (
     ConfigError,
     config_hash,
-    emit_config,
     main,
     parse_config,
     run,
@@ -36,7 +36,7 @@ class TestParseConfig:
         assert cfg.symbol.coeffs[0, 1, 0, 2] == 1.0
         assert cfg.seed == 0
         # canonical echo carries the defaults
-        echoed = json.loads(emit_config(cfg))
+        echoed = cfg.data
         assert echoed["grids"]["t_points"] == 201
         assert echoed["eps_policy"] == {"kind": "balanced", "k": 2.0}
 
@@ -90,7 +90,7 @@ class TestParseConfig:
 
     def test_round_trip(self):
         cfg = parse_config(MINIMAL_GLAESER)
-        again = parse_config(emit_config(cfg))
+        again = parse_config(json.dumps(cfg.data, sort_keys=True, indent=2))
         assert again.data == cfg.data
         assert config_hash(again) == config_hash(cfg)
 
@@ -493,3 +493,138 @@ def test_rk4_work_budget_edges():
     parse_config(doc(grids={"xi_list": [1e5]}))
     with pytest.raises(ConfigError):
         parse_config(doc(grids={"xi_list": [1e5, 1e4]}))
+
+
+def _write_rows(path, header, rows):
+    """The row-at-a-time CSV writer that the columnar one replaced; the oracle."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def _conditions_rows(report, m):
+    grid = report.grid
+    rows = []
+    for t_idx, t in enumerate(grid.ts):
+        for r_idx in range(grid.radii.size):
+            for d_idx in range(grid.dirs.shape[0]):
+                xi_str = ";".join(f"{v:.17g}" for v in grid.xi(r_idx, d_idx))
+                rows.append((float(t), xi_str, "ks", 0, 0,
+                             float(report.ks_values[t_idx, r_idx, d_idx])))
+                for l in range(m - 1):
+                    rows.append((float(t), xi_str, "thm2", l + 1, 0,
+                                 float(report.thm2_values[t_idx, r_idx, d_idx, l])))
+                    for j in range(m):
+                        rows.append((float(t), xi_str, "levi", l + 1, j + 1,
+                                     float(report.levi_values[t_idx, r_idx, d_idx, l, j])))
+    return rows
+
+
+def _inline_system(m, n):
+    import numpy as np
+
+    rng = np.random.default_rng(10 * m + n)
+    return {"m": m, "n": n, "horizon": 1.0,
+            "coefficients": rng.uniform(-1.0, 1.0, (n, m, m, 2)).tolist()}
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_conditions_csv_matches_row_writer(tmp_path, m, n):
+    from hyposym.conditions import run_conditions
+
+    doc = {"system": _inline_system(m, n), "seed": 4,
+           "grids": {"t_points": 5, "xi_points": 3, "directions": 4}}
+    cfg = parse_config(json.dumps(doc))
+    run(cfg, "conditions", tmp_path / "out")
+    report = run_conditions(cfg.symbol, cfg.sampling_grid(), seed=cfg.seed)
+    _write_rows(tmp_path / "oracle.csv", ("t", "xi", "kind", "l", "j", "value"),
+                _conditions_rows(report, m))
+    got = (tmp_path / "out" / "conditions.csv").read_bytes()
+    assert got == (tmp_path / "oracle.csv").read_bytes()
+    assert len(got.splitlines()) == 1 + 5 * 3 * (2 if n == 1 else 4) * (1 + (m - 1) * (m + 1))
+
+
+@pytest.mark.parametrize("name, grid_size", [("m2-glaeser", 16), ("m2-wave", 16),
+                                             ("m3-tracezero", 8)])
+def test_solve_csv_matches_row_writer(tmp_path, name, grid_size):
+    from hyposym.cli import _initial_field
+    from hyposym.energy import solve_cauchy_1d
+
+    doc = {"system": {"name": name}, "grid_size": grid_size, "snapshots": [0.0, 0.5, 1.0]}
+    cfg = parse_config(json.dumps(doc))
+    assert run(cfg, "solve", tmp_path / "out") == 0
+    field = solve_cauchy_1d(cfg.symbol, _initial_field(cfg, grid_size), cfg.solver_config(),
+                            doc["snapshots"])
+    m = cfg.symbol.m
+    header = ["x"] + [f"{part}_u{i + 1}" for i in range(m) for part in ("re", "im")]
+    for s in range(3):
+        rows = []
+        for q in range(grid_size):
+            row = [float(field.x[q])]
+            for i in range(m):
+                row += [float(field.fields[s, i, q].real), float(field.fields[s, i, q].imag)]
+            rows.append(tuple(row))
+        _write_rows(tmp_path / "oracle.csv", header, rows)
+        assert (tmp_path / "out" / f"solve_t{s}.csv").read_bytes() == (
+            tmp_path / "oracle.csv").read_bytes()
+
+
+def test_growth_csv_matches_row_writer(tmp_path):
+    from hyposym.energy import frequency_sweep, growth_fit
+
+    doc = {"system": {"name": "m2-glaeser"}, "grids": {"xi_list": [1.0, 10.0, 100.0]}}
+    cfg = parse_config(json.dumps(doc))
+    assert run(cfg, "growth", tmp_path / "out") == 0
+    fit = growth_fit(frequency_sweep(cfg.symbol, cfg.solver_config(), collect_energy=False))
+    rows = [(float(b), float(g)) for b, g in zip(fit.brackets, fit.growth_logs)]
+    _write_rows(tmp_path / "oracle.csv", ("bracket_xi", "log_growth"), rows)
+    assert (tmp_path / "out" / "growth.csv").read_bytes() == (
+        tmp_path / "oracle.csv").read_bytes()
+
+
+@pytest.mark.parametrize("snapshots, message", [
+    ([], "snapshots must be a non-empty list"),
+    ([0.5, 1.5], "snapshots[1] must lie in [0, 1.0]"),
+], ids=["empty", "beyond-horizon"])
+def test_snapshots_rejected_at_parse_time(tmp_path, capsys, snapshots, message):
+    path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, "grid_size": 8,
+                                   "snapshots": snapshots})
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_default_snapshots_do_not_bind_a_shorter_horizon(tmp_path):
+    # [0.5, 1.0] is the default, not the user's choice: a system with T = 0.25
+    # still runs conditions, and only a solve rejects the default.
+    system = {"m": 2, "n": 1, "horizon": 0.25, "coefficients": [[[[0.0], [1.0]], [[1.0], [0.0]]]]}
+    path = write_config(tmp_path, {"system": system, "grids": {"t_points": 5, "xi_points": 3},
+                                   "grid_size": 8})
+    assert main(["conditions", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "b")]) == 1
+
+
+@pytest.mark.parametrize("name, xi", [("m2-glaeser", 1e300), ("m3-tracezero", 1e160)])
+def test_conditions_where_bracket_overflows_exit_three(tmp_path, capsys, name, xi):
+    path = write_config(tmp_path, {"system": {"name": name},
+                                   "grids": {"t_points": 5, "xi_points": 3,
+                                             "xi_min": xi, "xi_max": xi}})
+    out = tmp_path / "out"
+    assert main(["conditions", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "<xi> is not finite at (t=0.0" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def test_growth_with_underflowing_frequency_norm(tmp_path, capsys):
+    # |(1e-300,)| underflows to 0; the two-decade span check must not divide by it
+    path = write_config(tmp_path, {"system": {"name": "m2-glaeser"},
+                                   "grids": {"xi_list": [1e-300, 1e-100, 1.0]}})
+    assert main(["growth", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -10,24 +12,22 @@ from hyposym import (
     SystemSymbol,
     assemble,
     ks_constant,
-    lemma_identities_check,
     levi_ratios,
     run_conditions,
     sandwich_constant,
-    symmetriser_diagonal,
     thm2_ratios,
-    zone_classify,
 )
 from hyposym.conditions import (
+    ABS_FLOOR,
+    _square_sums,
+    _zones,
     evaluate_grid,
     difference_identity_residual_of,
-    grouped_bound_constant_of,
     sandwich_of,
-    choose_deltas,
 )
 from hyposym.examples import builtin_system
 from hyposym.quasisym import build_W, lift_blocks, sample_separation_set
-from hyposym.symbols import bracket
+from hyposym.symbols import bracket, deleted_sigmas, rescaled_spectra
 
 
 def small_grid(symbol, n_t=41, n_r=6, r_max=100.0):
@@ -39,6 +39,17 @@ def constant_symbol(M, horizon=1.0):
     coeffs = np.zeros((1, M.shape[0], M.shape[0], 1))
     coeffs[..., 0] = M
     return SystemSymbol(coeffs=coeffs, horizon=horizon)
+
+
+def symmetriser_diagonals(lambdas) -> np.ndarray:
+    """q_jj = sum_i sigma_{m-j}(pi_i lambda)^2 at index j = 1..m-1, as run_conditions sums them."""
+    return _square_sums(deleted_sigmas(np.asarray(lambdas, dtype=float)))
+
+
+def zone_of(V, lambdas, deltas) -> int:
+    """Zone index of one reduced state through the stacked path of run_conditions."""
+    return int(_zones(np.asarray(V, dtype=complex), symmetriser_diagonals(lambdas),
+                      np.asarray(deltas, dtype=float)))
 
 
 class TestKsConstant:
@@ -71,22 +82,17 @@ class TestSymmetriserDiagonal:
         lam = np.array([-np.sqrt(a) * s, 0.0, np.sqrt(a) * s])
         # q11 = sum of squared pair products = a^2 s^4 (single nonzero pair),
         # q22 = sum of squared pair sums = 2 a s^2.
-        assert symmetriser_diagonal(lam, 1) == pytest.approx(a ** 2 * s ** 4, rel=1e-12)
-        assert symmetriser_diagonal(lam, 2) == pytest.approx(2.0 * a * s ** 2, rel=1e-12)
+        q = symmetriser_diagonals(lam)
+        assert q[1] == pytest.approx(a ** 2 * s ** 4, rel=1e-12)
+        assert q[2] == pytest.approx(2.0 * a * s ** 2, rel=1e-12)
 
     def test_m2_value(self):
         lam = np.array([0.3, -1.2])
-        assert symmetriser_diagonal(lam, 1) == pytest.approx(lam[0] ** 2 + lam[1] ** 2)
+        assert symmetriser_diagonals(lam)[1] == pytest.approx(lam[0] ** 2 + lam[1] ** 2)
 
     def test_zero_spectrum(self):
-        assert symmetriser_diagonal(np.zeros(3), 1) == 0.0
-        assert symmetriser_diagonal(np.zeros(3), 2) == 0.0
-
-    def test_index_range(self):
-        with pytest.raises(DomainError):
-            symmetriser_diagonal(np.zeros(3), 3)
-        with pytest.raises(DomainError):
-            symmetriser_diagonal(np.zeros(3), 0)
+        q = symmetriser_diagonals(np.zeros(3))
+        assert q[1] == 0.0 and q[2] == 0.0
 
 
 class TestLeviRatios:
@@ -113,8 +119,9 @@ class TestLeviRatios:
         lam = data.lambdas[3, 1, 0]
         den_l1 = (data.deleted_sigmas[3, 1, 0, :, 0] ** 2).sum()
         den_l2 = (data.deleted_sigmas[3, 1, 0, :, 1] ** 2).sum()
-        assert den_l1 == pytest.approx(symmetriser_diagonal(lam, 1), rel=1e-12)
-        assert den_l2 == pytest.approx(symmetriser_diagonal(lam, 2), rel=1e-12)
+        q = symmetriser_diagonals(lam)
+        assert den_l1 == pytest.approx(q[1], rel=1e-12)
+        assert den_l2 == pytest.approx(q[2], rel=1e-12)
 
 
 class TestThm2Ratios:
@@ -250,25 +257,60 @@ def test_grid_sandwich_matches_per_point_loop(name, kind, n_t):
         assert report.sandwich_sup == pytest.approx(sup, rel=1e-12)
 
 
+def choose_deltas(symbol: SystemSymbol, t: float, xi, n_states: int = 256,
+                  seed: int = 0, max_doublings: int = 40) -> np.ndarray:
+    """Doubling search for zone thresholds that make the piecewise bounds hold.
+
+    Starting from delta_h = 1, doubles all thresholds until, on a seeded
+    sample of states, every nonempty zone shows a strictly positive lower
+    constant min |W V|^2 / (S_h T_h) for its designated group.
+    """
+    m = symbol.m
+    if m == 2:
+        return np.zeros(0)
+    lam = rescaled_spectra(symbol, np.array([float(t)]), xi).lambdas[0]
+    W = deleted_sigmas(lam)
+    Wl = lift_blocks(W)
+    sig_sq = _square_sums(W)
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((n_states, m * m)) + 1j * rng.standard_normal((n_states, m * m))
+    deltas = np.ones(m - 2)
+    for _ in range(max_doublings):
+        ok = True
+        for V, h in zip(states, _zones(states, sig_sq, deltas)):
+            T_h = float(np.sum(np.abs(V[h - 1 :: m]) ** 2))
+            denom = sig_sq[h] * T_h
+            if denom <= ABS_FLOOR:
+                continue
+            lower = float(np.linalg.norm(Wl @ V) ** 2) / denom
+            if lower <= ABS_FLOOR:
+                ok = False
+                break
+        if ok:
+            return deltas
+        deltas = deltas * 2.0
+    return deltas
+
+
 class TestZoneClassify:
     def test_zero_state_first_zone(self):
-        assert zone_classify(np.zeros(9), np.array([0.1, 0.5, 1.0]), [1.0]) == 1
+        assert zone_of(np.zeros(9), np.array([0.1, 0.5, 1.0]), [1.0]) == 1
 
     def test_middle_components_complement(self):
         V = np.zeros(9, dtype=complex)
         V[1] = V[4] = V[7] = 1.0
-        assert zone_classify(V, np.array([0.1, 0.5, 1.0]), [1.0]) == 2
+        assert zone_of(V, np.array([0.1, 0.5, 1.0]), [1.0]) == 2
 
     def test_m2_always_first(self):
-        assert zone_classify(np.ones(4), np.array([0.3, 0.9]), []) == 1
+        assert zone_of(np.ones(4), np.array([0.3, 0.9]), []) == 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         lam = np.array([0.2, -0.7, 1.1])
         V = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        h = zone_classify(V, lam, [2.0])
-        assert zone_classify(1e6 * V, lam, [2.0]) == h
-        assert zone_classify(1e-6 * V, lam, [2.0]) == h
+        h = zone_of(V, lam, [2.0])
+        assert zone_of(1e6 * V, lam, [2.0]) == h
+        assert zone_of(1e-6 * V, lam, [2.0]) == h
 
     @given(data=st.data())
     def test_permutation_invariance(self, data):
@@ -276,13 +318,58 @@ class TestZoneClassify:
         perm = data.draw(st.permutations(lam))
         rng = np.random.default_rng(8)
         V = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        assert zone_classify(V, np.array(perm), [1.5]) == zone_classify(V, np.array(lam), [1.5])
+        assert zone_of(V, np.array(perm), [1.5]) == zone_of(V, np.array(lam), [1.5])
 
     def test_choose_deltas_tracezero(self):
         S = builtin_system("m3-tracezero")
         deltas = choose_deltas(S, 0.9, np.array([10.0]))
         assert deltas.shape == (1,)
         assert deltas[0] >= 1.0
+
+
+@dataclass(frozen=True)
+class LemmaReport:
+    difference_identity_residual: float
+    grouped_bound_constant: float
+
+
+def grouped_bound_constant_of(lambdas, V_batch: np.ndarray) -> float:
+    """Fitted constant for the lower bound on grouped W-products.
+
+    Largest ratio RHS/LHS over the batch, where for each k
+    LHS = sum_{l,i} |sum_{j>=k} sigma_{m-j}(pi_i l) V_{j+lm}|^2 and
+    RHS = sum_i sigma_{m-k}(pi_i l)^2 * sum_l |V_{k+lm}|^2.
+    """
+    lam = np.asarray(lambdas, dtype=float).ravel()
+    m = lam.size
+    V_batch = np.atleast_2d(np.asarray(V_batch, dtype=complex))
+    W = deleted_sigmas(lam)   # W[i, j-1] = sigma_{m-j}(pi_i l)
+    worst = 0.0
+    for V in V_batch:
+        blocks = V.reshape(m, m)  # blocks[l, j-1] = V_{j + l m}
+        for k in range(1, m + 1):
+            lhs = 0.0
+            for l in range(m):
+                partial = W[:, k - 1 :] @ blocks[l, k - 1 :]
+                lhs += float(np.sum(np.abs(partial) ** 2))
+            rhs = float((W[:, k - 1] ** 2).sum() * np.sum(np.abs(blocks[:, k - 1]) ** 2))
+            if rhs > ABS_FLOOR:
+                if lhs == 0.0:
+                    return float("inf")
+                worst = max(worst, rhs / lhs)
+    return worst
+
+
+def lemma_identities_check(lambdas, n_states: int = 64, seed: int = 0) -> LemmaReport:
+    """Exact identity residual plus the fitted inequality constant at one lambda."""
+    lam = np.asarray(lambdas, dtype=float).ravel()
+    rng = np.random.default_rng(seed)
+    m = lam.size
+    V = rng.standard_normal((n_states, m * m)) + 1j * rng.standard_normal((n_states, m * m))
+    return LemmaReport(
+        difference_identity_residual=difference_identity_residual_of(lam),
+        grouped_bound_constant=grouped_bound_constant_of(lam, V),
+    )
 
 
 class TestLemmaIdentities:

@@ -6,11 +6,8 @@ from hyposym import (
     DomainError,
     SystemSymbol,
     assemble,
-    bold_A,
-    bold_B,
     eval_symbol,
     reduction_residual,
-    rescaled_eigenvalues,
     time_derivative,
     transform_initial_data,
 )
@@ -23,9 +20,8 @@ from hyposym.reduction import (
     derivative_maps,
     initial_states,
     lift_trajectory,
-    scaled_lower_order_entries,
 )
-from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier
+from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier, rescaled_spectra
 
 
 def dense_symbol(m, seed, degree=2, horizon=1.0):
@@ -37,24 +33,21 @@ def dense_symbol(m, seed, degree=2, horizon=1.0):
 class TestBoldA:
     def test_order_zero_is_identity(self):
         S = dense_symbol(3, 1)
-        np.testing.assert_array_equal(bold_A(S, 0, 0.5, np.array([2.0])), np.eye(3))
+        np.testing.assert_array_equal(assemble(S, 0.5, np.array([2.0])).bold_A[0], np.eye(3))
 
     def test_m3_first_order(self):
         S = dense_symbol(3, 2)
         t, xi = 0.3, np.array([1.5])
         A = eval_symbol(S, t, xi)
         np.testing.assert_allclose(
-            bold_A(S, 1, t, xi), A - np.trace(A) * np.eye(3), atol=1e-12
+            assemble(S, t, xi).bold_A[1], A - np.trace(A) * np.eye(3), atol=1e-12
         )
 
     def test_zero_symbol(self):
         S = SystemSymbol(coeffs=np.zeros((1, 3, 3, 1)), horizon=1.0)
         for h in (1, 2):
-            np.testing.assert_array_equal(bold_A(S, h, 0.0, np.array([1.0])), np.zeros((3, 3)))
-
-    def test_h_out_of_range(self):
-        with pytest.raises(DomainError):
-            bold_A(dense_symbol(2, 3), 2, 0.0, np.array([1.0]))
+            np.testing.assert_array_equal(assemble(S, 0.0, np.array([1.0])).bold_A[h],
+                                          np.zeros((3, 3)))
 
 
 class TestBoldB:
@@ -62,13 +55,13 @@ class TestBoldB:
         S = builtin_system("m2-glaeser")
         t, xi = 0.7, np.array([3.0])
         dA = eval_symbol(time_derivative(S, 1), t, xi)
-        np.testing.assert_allclose(bold_B(S, 1, t, xi), -1j * dA, atol=1e-12)
+        np.testing.assert_allclose(assemble(S, t, xi).bold_B[0], -1j * dA, atol=1e-12)
 
     def test_m3_second_matrix(self):
         S = dense_symbol(3, 5)
         t, xi = 0.4, np.array([2.0])
         dA = eval_symbol(time_derivative(S, 1), t, xi)
-        np.testing.assert_allclose(bold_B(S, 2, t, xi), 2.0 * (-1j) * dA, atol=1e-12)
+        np.testing.assert_allclose(assemble(S, t, xi).bold_B[1], 2.0 * (-1j) * dA, atol=1e-12)
 
     def test_m3_first_matrix(self):
         S = dense_symbol(3, 6)
@@ -77,14 +70,7 @@ class TestBoldB:
         dA = -1j * eval_symbol(time_derivative(S, 1), t, xi)
         d2A = (-1j) ** 2 * eval_symbol(time_derivative(S, 2), t, xi)
         expected = d2A + (A - np.trace(A) * np.eye(3)) @ dA
-        np.testing.assert_allclose(bold_B(S, 1, t, xi), expected, atol=1e-12)
-
-    def test_index_range(self):
-        S = dense_symbol(2, 7)
-        with pytest.raises(DomainError):
-            bold_B(S, 0, 0.0, np.array([1.0]))
-        with pytest.raises(DomainError):
-            bold_B(S, 2, 0.0, np.array([1.0]))
+        np.testing.assert_allclose(assemble(S, t, xi).bold_B[0], expected, atol=1e-12)
 
     def test_polynomial_identity_consistency(self):
         # The regrouped matrices must reproduce the double-sum expansion of
@@ -93,15 +79,16 @@ class TestBoldB:
         for m, seed in ((2, 11), (3, 12), (4, 13), (5, 14)):
             S = dense_symbol(m, seed, degree=3)
             t, xi = 0.6, np.array([1.3])
+            red = assemble(S, t, xi)
             direct = [np.zeros((m, m), dtype=complex) for _ in range(m - 1)]
             for h in range(m - 1):
-                Ah = bold_A(S, h, t, xi)
+                Ah = red.bold_A[h]
                 for hp in range(h, m - 1):
                     k = hp + 1 - h
                     dA = (-1j) ** k * eval_symbol(time_derivative(S, k), t, xi)
                     direct[m - 2 - hp] += comb(m - 1 - h, k) * (Ah @ dA)
             for l in range(1, m):
-                regrouped = bold_B(S, l, t, xi)
+                regrouped = red.bold_B[l - 1]
                 scale = 1.0 + np.abs(regrouped).max()
                 assert np.abs(regrouped - direct[l - 1]).max() / scale <= 1e-12
 
@@ -155,10 +142,10 @@ class TestAssemble:
             S = builtin_system(name)
             t, xi = 0.6, np.array([5.0])
             red = assemble(S, t, xi)
-            spec = rescaled_eigenvalues(S, t, xi)
+            spec = rescaled_spectra(S, np.array([t]), xi)
             block = red.calA[: S.m, : S.m]
             eigs = np.sort(np.linalg.eigvals(block).real)
-            np.testing.assert_allclose(eigs, bracket(xi) * spec.lambdas, atol=1e-8)
+            np.testing.assert_allclose(eigs, bracket(xi) * spec.lambdas[0], atol=1e-8)
 
     def test_homogeneity_smoke(self):
         # At large |xi| the rescaled assembly is invariant under xi -> s xi.
@@ -174,7 +161,7 @@ class TestAssemble:
     def test_scaled_entry_table(self):
         S = builtin_system("m3-tracezero")
         red = assemble(S, 0.5, np.array([2.0]))
-        table = scaled_lower_order_entries(red)
+        table = PathAssembler(S, np.array([2.0])).reduce(np.array([0.5]))[1][0]
         m = 3
         for l in (1, 2):
             for i in range(m):

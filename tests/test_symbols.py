@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 from hyposym import (
     DomainError,
     SystemSymbol,
-    adjugate_coeff_matrices,
     cayley_hamilton_residual,
     char_coeffs,
-    elementary_symmetric,
     eval_symbol,
-    rescaled_eigenvalues,
     time_derivative,
 )
 from hyposym.errors import CapabilityError, NumericError
 from hyposym.examples import builtin_system
 from hyposym.symbols import (
+    adjugate_coeffs,
     bracket,
     brackets,
     companion_roots,
@@ -25,6 +23,7 @@ from hyposym.symbols import (
     elementary_symmetric_all,
     eval_symbol_path,
     faddeev_leverrier,
+    rescaled_spectra,
 )
 
 
@@ -84,24 +83,24 @@ class TestRescaledEigenvalues:
     def test_tracefree_spectrum(self):
         S = builtin_system("m3-tracezero")
         t, xi = 0.8, 2.0
-        spec = rescaled_eigenvalues(S, t, np.array([xi]))
+        spec = rescaled_spectra(S, np.array([t]), np.array([xi]))
         a = t ** 4
         s = xi / bracket(xi)
         np.testing.assert_allclose(
-            spec.lambdas, [-np.sqrt(a) * s, 0.0, np.sqrt(a) * s], atol=1e-12
+            spec.lambdas[0], [-np.sqrt(a) * s, 0.0, np.sqrt(a) * s], atol=1e-12
         )
-        assert spec.hyperbolic
+        assert spec.hyperbolic[0]
 
     def test_symmetric_system(self):
         S = symbol_2x2([1.0])  # A = [[0,1],[1,0]] xi
-        spec = rescaled_eigenvalues(S, 0.0, np.array([1.0]))
-        np.testing.assert_allclose(spec.lambdas, [-1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-14)
+        spec = rescaled_spectra(S, np.array([0.0]), np.array([1.0]))
+        np.testing.assert_allclose(spec.lambdas[0], [-1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-14)
 
     def test_rotation_not_hyperbolic(self):
         S = builtin_system("m2-nonhyp-control")
-        spec = rescaled_eigenvalues(S, 0.5, np.array([1.0]))
-        assert not spec.hyperbolic
-        assert spec.imag_residual > 0.1
+        spec = rescaled_spectra(S, np.array([0.5]), np.array([1.0]))
+        assert not spec.hyperbolic[0]
+        assert spec.imag_residual[0] > 0.1
 
 
 class TestBatchedKernels:
@@ -178,20 +177,16 @@ class TestElementarySymmetric:
                 assert one.tobytes() == _sigmas_scalar_loop(row).tobytes()
 
     def test_h_zero_is_one(self):
-        assert elementary_symmetric([4.0, -1.0, 3.0], 0) == 1.0
+        assert elementary_symmetric_all([4.0, -1.0, 3.0])[0] == 1.0
 
     def test_signed_sum(self):
-        assert elementary_symmetric([1.0, 2.0, 3.0], 1) == -6.0
+        assert elementary_symmetric_all([1.0, 2.0, 3.0])[1] == -6.0
 
     def test_pair_product(self):
-        assert elementary_symmetric([2.0, 3.0], 2) == 6.0
+        assert elementary_symmetric_all([2.0, 3.0])[2] == 6.0
 
     def test_full_product(self):
-        assert elementary_symmetric([1.0, 2.0, 3.0], 3) == -6.0
-
-    def test_h_out_of_range(self):
-        with pytest.raises(DomainError):
-            elementary_symmetric([1.0, 2.0], 3)
+        assert elementary_symmetric_all([1.0, 2.0, 3.0])[3] == -6.0
 
     @given(
         lam=st.lists(st.floats(-5, 5), min_size=2, max_size=5),
@@ -199,8 +194,7 @@ class TestElementarySymmetric:
     )
     def test_permutation_invariant_exact(self, lam, data):
         perm = data.draw(st.permutations(lam))
-        for h in range(len(lam) + 1):
-            assert elementary_symmetric(lam, h) == elementary_symmetric(perm, h)
+        assert (elementary_symmetric_all(lam) == elementary_symmetric_all(perm)).all()
 
 
 class TestCharCoeffs:
@@ -270,16 +264,16 @@ class TestAdjugate:
     def test_m2_form(self):
         S = symbol_2x2([0.0, 1.0])
         t, xi = 2.0, 3.0
-        B = adjugate_coeff_matrices(S, t, np.array([xi]))
         A = eval_symbol(S, t, np.array([xi]))
+        B = adjugate_coeffs(A, faddeev_leverrier(A))
         np.testing.assert_array_equal(B[0], np.eye(2))
         np.testing.assert_allclose(B[1], A - np.trace(A) * np.eye(2), atol=1e-12)
 
     def test_m3_form(self):
         S = builtin_system("m3-tracezero")
         t, xi = 0.9, 2.0
-        B = adjugate_coeff_matrices(S, t, np.array([xi]))
         A = eval_symbol(S, t, np.array([xi]))
+        B = adjugate_coeffs(A, faddeev_leverrier(A))
         adjA = np.linalg.det(A) * np.linalg.inv(A) if abs(np.linalg.det(A)) > 1e-12 else None
         np.testing.assert_array_equal(B[0], np.eye(3))
         np.testing.assert_allclose(B[1], A - np.trace(A) * np.eye(3), atol=1e-12)
@@ -291,9 +285,9 @@ class TestAdjugate:
         coeffs = np.zeros((1, 2, 2, 1))
         coeffs[..., 0] = [[1.0, 2.0], [3.0, 4.0]]
         S = SystemSymbol(coeffs=coeffs, horizon=1.0)
-        B = adjugate_coeff_matrices(S, 0.0, np.array([1.0]))
-        tau = 5.0
         A = eval_symbol(S, 0.0, np.array([1.0]))
+        B = adjugate_coeffs(A, faddeev_leverrier(A))
+        tau = 5.0
         adj_at_tau = B[0] * tau + B[1]
         det = np.linalg.det(tau * np.eye(2) - A)
         assert det == pytest.approx(-2.0)
