@@ -371,12 +371,21 @@ def _check_rk4_budget(symbol: SystemSymbol, solver: SolverConfig, grid_size, xi_
         steps = solver.step_count(symbol, np.array([grid_size / 2.0]))
         if grid_size * steps > MAX_SOLVE_MODE_STEPS:
             errors.append(f"grid_size x RK4 steps (set by grid_size and {step_key}) must be "
-                          f"<= {MAX_SOLVE_MODE_STEPS} mode-steps, got {grid_size} x {steps}")
+                          f"<= {MAX_SOLVE_MODE_STEPS} mode-steps, "
+                          f"got {_count(grid_size)} x {_count(steps)}")
     if xi_list is not None:
         total = sum(solver.step_count(symbol, np.array([float(x)])) for x in xi_list)
         if total > MAX_SWEEP_STEPS:
             errors.append(f"RK4 steps over grids.xi_list (set by {step_key}) must total "
-                          f"<= {MAX_SWEEP_STEPS}, got {total}")
+                          f"<= {MAX_SWEEP_STEPS}, got {_count(total)}")
+
+
+def _count(n) -> str:
+    """An int count exact up to 2^53, beyond in %.3e form, even past the double range."""
+    if isinstance(n, int) and n > 2 ** 53:
+        from decimal import Decimal   # imported on this error path only: it costs RSS
+        return f"{Decimal(n):.3e}"
+    return str(n)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -389,14 +398,13 @@ def config_hash(config: RunConfig) -> str:
 
 
 def _jsonable(obj):
-    """Recursively convert to JSON-safe values; floats at 17 significant digits."""
+    """Recursively convert to JSON-safe values; non-finite floats become strings."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.ndarray,)):
         if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            # tolist() gives the same doubles as the 17-digit round trip below
             return obj.tolist()
         return _jsonable(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
@@ -411,7 +419,7 @@ def _jsonable(obj):
             return "nan"
         if np.isinf(x):
             return "inf" if x > 0 else "-inf"
-        return float(f"{x:.17g}")
+        return x
     return obj
 
 
@@ -497,37 +505,36 @@ def _closed_form_comparison(symbol: SystemSymbol, xi, sample_ts):
 
 
 def _cmd_verify_qs(config: RunConfig):
-    symbol = config.symbol
-    m = symbol.m
-    rng_samples = sample_separation_set(m, bound=10.0, count=50, seed=config.seed)
-    failures = []
+    m = config.symbol.m
+    lams = sample_separation_set(m, bound=10.0, count=50, seed=config.seed)
+    eps_values = (1.0, 0.1, 0.01)
+    reps = [verify_properties(lams, eps) for eps in eps_values]
+
+    def field(name):   # (lambda, eps)
+        return np.stack([getattr(rep, name) for rep in reps], axis=1)
+
+    psd = np.stack([np.min(rep.psd_min_eigs, axis=0) for rep in reps], axis=1)
+    recursion = field("recursion_residual")
+    factorization = field("factorization_residual")
+    ratio = field("diag_product_ratio")
     worst = {
-        "psd_min": 0.0,
-        "recursion": 0.0,
-        "factorization": 0.0,
-        "det_rel": 0.0,
-        "diag_ratio": 0.0,
-        "commutator": 0.0,
-        "coercivity": 0.0,
+        # a zero of either sign reads 0.0
+        "psd_min": min(0.0, float(psd.min())),
+        "recursion": float(recursion.max()),
+        "factorization": float(factorization.max()),
+        "det_rel": float(field("det_identity_rel").max()),
+        "diag_ratio": max(0.0, float(ratio[np.isfinite(ratio)].max(initial=0.0))),
+        "commutator": float(field("commutator_constant").max()),
+        "coercivity": float(field("coercivity_constant").max()),
     }
-    for lam in rng_samples:
-        for eps in (1.0, 0.1, 0.01):
-            rep = verify_properties(lam, eps)
-            worst["psd_min"] = min(worst["psd_min"], min(rep.psd_min_eigs))
-            worst["recursion"] = max(worst["recursion"], rep.recursion_residual)
-            worst["factorization"] = max(worst["factorization"], rep.factorization_residual)
-            worst["det_rel"] = max(worst["det_rel"], rep.det_identity_rel)
-            if np.isfinite(rep.diag_product_ratio):
-                worst["diag_ratio"] = max(worst["diag_ratio"], rep.diag_product_ratio)
-            worst["commutator"] = max(worst["commutator"], rep.commutator_constant)
-            worst["coercivity"] = max(worst["coercivity"], rep.coercivity_constant)
-            if min(rep.psd_min_eigs) < -1e-10:
-                failures.append({"kind": "psd", "lambda": lam.tolist(), "eps": eps})
-            if rep.recursion_residual > 1e-8:
-                failures.append({"kind": "recursion", "lambda": lam.tolist(), "eps": eps})
-            if rep.factorization_residual > 1e-8 * (1.0 + abs(lam).max() ** (2 * (m - 1))):
-                failures.append({"kind": "factorization", "lambda": lam.tolist(), "eps": eps})
-    return {"worst": worst, "samples": len(rng_samples)}, failures, {}
+    scale = 1.0 + np.float_power(np.abs(lams).max(axis=1), 2 * (m - 1))
+    kinds = ("psd", "recursion", "factorization")
+    failed = np.stack([psd < -1e-10, recursion > 1e-8,
+                       factorization > 1e-8 * scale[:, None]], axis=-1)
+    # np.argwhere keeps the order lambda, then eps, then kind
+    failures = [{"kind": kinds[k], "lambda": lams[i].tolist(), "eps": eps_values[e]}
+                for i, e, k in np.argwhere(failed)]
+    return {"worst": worst, "samples": len(lams)}, failures, {}
 
 
 def _cmd_conditions(config: RunConfig):
@@ -692,7 +699,10 @@ def _cmd_report(config: RunConfig):
     }
     if not ineq.passed:
         failures.append({"kind": "energy_inequality", "witnesses": list(ineq.witnesses)})
-    sweep = integral_K_sweep(traces[0], config.symbol, (1e-1, 1e-2, 1e-3))
+    # -2(m-1)/k with the k of a balanced eps policy; other policies keep k = 2
+    policy = config.data["eps_policy"]
+    k = policy["k"] if policy["kind"] == "balanced" else 2.0
+    sweep = integral_K_sweep(traces[0], config.symbol, (1e-1, 1e-2, 1e-3), k_regularity=k)
     results["K_sweep"] = {
         "eps": sweep.eps_values,
         "integrals": sweep.K_integrals,

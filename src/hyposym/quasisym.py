@@ -54,18 +54,19 @@ def _as_lambda(lambdas) -> np.ndarray:
 
 
 def sylvester_companion(lambdas) -> np.ndarray:
-    """Companion matrix with characteristic roots ``lambdas``.
+    """Companion matrices with characteristic roots ``lambdas``.
 
-    Ones on the superdiagonal; last row (-sigma_m, ..., -sigma_1) in the
-    signed elementary-symmetric convention.
+    Works on stacks: shape (..., m) to (..., m, m).  Ones on the
+    superdiagonal; last row (-sigma_m, ..., -sigma_1) in the signed
+    elementary-symmetric convention.
     """
-    lam = _as_lambda(lambdas)
-    m = lam.size
+    lam = np.asarray(lambdas, dtype=float)
+    m = lam.shape[-1]
+    _check_m(m)
     sig = elementary_symmetric_all(lam)
-    M = np.zeros((m, m))
-    for j in range(m - 1):
-        M[j, j + 1] = 1.0
-    M[m - 1, :] = -sig[m - np.arange(m)]
+    M = np.zeros(lam.shape + (m,))
+    M[..., np.arange(m - 1), np.arange(1, m)] = 1.0
+    M[..., m - 1, :] = -sig[..., m - np.arange(m)]
     return M
 
 
@@ -192,14 +193,12 @@ def sum_parts(parts: np.ndarray, eps: float) -> np.ndarray:
 
 def q_eps(lambdas, eps: float) -> np.ndarray:
     """Q_eps for stacked tuples, shape (..., m) to (..., m, m)."""
-    _check_eps(eps)
     return sum_parts(q_eps_parts(lambdas), eps)
 
 
 def build_Q_eps(lambdas, eps: float) -> QuasiSymmetriser:
     """Assemble the quasi-symmetriser at a given eps in (0, 1]."""
     lam = _as_lambda(lambdas)
-    _check_eps(eps)
     parts = q_eps_parts(lam)
     return QuasiSymmetriser(
         m=lam.size, eps=float(eps), lambdas=lam.copy(), Q_eps=sum_parts(parts, eps),
@@ -229,7 +228,8 @@ def near_diagonal_constant(Q: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Numeric residuals and constants for the quasi-symmetriser properties."""
+    """Numeric residuals and constants for the quasi-symmetriser properties,
+    each of the leading shape of the eigenvalue stack (a scalar for one tuple)."""
 
     psd_min_eigs: tuple          # min eigenvalue of each eps-power part
     coercivity_constant: float   # C with C^{-1} eps^{2(m-1)} I <= Q_eps <= C I
@@ -242,66 +242,65 @@ class PropertyReport:
 
 
 def verify_properties(lambdas, eps: float) -> PropertyReport:
-    """Measure all seven structure properties of Q_eps at one (lambda, eps)."""
-    lam = _as_lambda(lambdas)
-    m = lam.size
-    qs = build_Q_eps(lam, eps)
-    Q, parts, W = qs.Q_eps, qs.parts, qs.W
+    """Measure all seven structure properties of Q_eps on stacked tuples.
 
-    psd = tuple(float(np.linalg.eigvalsh(hermitian_part(p))[0]) for p in parts)
+    ``lambdas`` has shape (..., m).  The parts are built once for the whole
+    stack, and each row of every field equals the call on that row alone,
+    bit for bit.
+    """
+    lam = np.asarray(lambdas, dtype=float)
+    m, shape = lam.shape[-1], lam.shape[:-1]
+    _check_m(m)
+    lam = lam.reshape(-1, m)
+    parts = q_eps_parts(lam)
+    Q, Q0 = sum_parts(parts, eps), parts[0]
+
+    psd = np.linalg.eigvalsh(hermitian_part(parts))[..., 0]
 
     eigs = np.linalg.eigvalsh(hermitian_part(Q))
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    coercivity = max(hi, eps ** (2 * (m - 1)) / lo) if lo > 0 else np.inf
+    lo, hi = eigs[:, 0], eigs[:, -1]
+    with np.errstate(divide="ignore"):
+        coercivity = np.where(lo > 0, np.maximum(hi, eps ** (2 * (m - 1)) / lo), np.inf)
 
     M = sylvester_companion(lam)
-    comm = -1j * (Q @ M - M.T @ Q)
-    gen = gen_eigvalsh(comm, Q)
-    commutator = float(np.abs(gen).max() / eps)
+    comm = -1j * (Q @ M - M.swapaxes(-1, -2) @ Q)
+    commutator = np.abs(gen_eigvalsh(comm, Q)).max(axis=-1) / eps
 
-    # Deleted-variable recursion: Q_eps = Q_0 + eps^2 sum_i lifted Q_eps(pi_i lambda).
+    # Deleted-variable recursion: Q_eps = Q_0 + eps^2 sum_i lifted Q_eps(pi_i lambda);
+    # Q_eps is Q_0 itself when m = 1.
+    acc = Q0.copy()
     if m >= 2:
-        # Row i of the stack is np.delete(lam, i).
-        deleted = q_eps(lam[np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)], eps)
-        acc = parts[0].copy()
+        # Tuple i of each row is np.delete(row, i).
+        deleted = q_eps(lam[:, np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)], eps)
         for i in range(m):
-            pad = np.zeros((m, m))
-            pad[: m - 1, : m - 1] = deleted[i]
-            acc += eps ** 2 * pad
-        recursion = float(np.abs(Q - acc).max())
-    else:
-        recursion = 0.0
+            acc[:, : m - 1, : m - 1] += eps ** 2 * deleted[:, i]
+    recursion = np.abs(Q - acc).max(axis=(-2, -1))
 
-    Q0 = parts[0]
-    factorization = float(np.abs(Q0 - factorial(m - 1) * W.T @ W).max())
+    W = deleted_sigmas(lam)
+    factorization = np.abs(Q0 - factorial(m - 1) * W.swapaxes(-1, -2) @ W).max(axis=(-2, -1))
 
     # det W is the Vandermonde product, so det Q_0 carries ((m-1)!)^m, one
-    # factorial per row of the factorization in property (v).
-    vander = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            vander *= (lam[i] - lam[j]) ** 2
+    # factorial per row of the factorization in property (v).  float_power
+    # squares through libm's pow, as the scalar ** 2 of a single tuple does;
+    # an array's ** 2 is x * x, which differs in the last bit now and then.
+    vander = pair_prod = 1.0
+    for i, j in combinations(range(m), 2):
+        vander = vander * np.float_power(lam[:, i] - lam[:, j], 2)
+        pair_prod = pair_prod * (np.float_power(lam[:, i], 2) + np.float_power(lam[:, j], 2))
     det_scale = float(factorial(m - 1) ** m)
-    det_abs = abs(float(np.linalg.det(Q0)) - det_scale * vander)
-    det_rel = det_abs / (1.0 + det_scale * abs(vander))
+    det_abs = np.abs(np.linalg.det(Q0) - det_scale * vander)
+    det_rel = det_abs / (1.0 + det_scale * np.abs(vander))
 
-    pair_prod = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair_prod *= lam[i] ** 2 + lam[j] ** 2
-    diag_prod = float(np.prod(np.diag(Q0)))
-    ratio = diag_prod / pair_prod if pair_prod > 0 else float("nan")
+    diag_prod = np.prod(np.diagonal(Q0, axis1=-2, axis2=-1), axis=-1)
+    ratio = np.divide(diag_prod, pair_prod, out=np.full(lam.shape[0], np.nan),
+                      where=pair_prod > 0)
 
-    return PropertyReport(
-        psd_min_eigs=psd,
-        coercivity_constant=coercivity,
-        commutator_constant=commutator,
-        recursion_residual=recursion,
-        factorization_residual=factorization,
-        det_identity_abs=det_abs,
-        det_identity_rel=det_rel,
-        diag_product_ratio=ratio,
-    )
+    def unstack(values):
+        return values.reshape(shape)[()]
+
+    # the fields in their order of declaration
+    return PropertyReport(tuple(map(unstack, psd)), *map(unstack, (
+        coercivity, commutator, recursion, factorization, det_abs, det_rel, ratio)))
 
 
 def sample_separation_set(m: int, bound: float, count: int, seed: int) -> np.ndarray:

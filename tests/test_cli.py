@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyposym
@@ -15,6 +16,7 @@ from hyposym.cli import (
     parse_config,
     run,
 )
+from hyposym.quasisym import sample_separation_set
 
 
 MINIMAL_GLAESER = json.dumps(
@@ -126,6 +128,50 @@ class TestRun:
         assert worst["recursion"] <= 1e-8
         assert worst["factorization"] <= 1e-8
         assert worst["psd_min"] >= -1e-10
+
+    def test_verify_qs_failure_order_and_worst(self, tmp_path, monkeypatch):
+        import hyposym.cli as cli
+        from hyposym.quasisym import PropertyReport
+
+        # (row, eps, kind) of each failing check, in the order expected back
+        plan = [(1, 0.1, "psd"), (1, 0.1, "factorization"), (1, 0.01, "recursion"),
+                (3, 1.0, "factorization"), (3, 0.1, "psd"), (3, 0.1, "recursion")]
+
+        def fake(lams, eps):
+            n, m = lams.shape
+            values = {"psd": np.full(n, -0.0), "recursion": np.zeros(n),
+                      "factorization": np.zeros(n)}
+            for row, at, kind in plan:
+                if at == eps:
+                    values[kind][row] = -1.0 if kind == "psd" else 1.0
+            coercivity = np.ones(n)
+            coercivity[5] = np.inf if eps == 0.01 else 1.0
+            ratio = np.zeros(n)
+            ratio[[0, 2, 4]] = np.nan, np.inf, 7.0
+            return PropertyReport(
+                psd_min_eigs=(np.zeros(n),) * (m - 1) + (values["psd"],),
+                coercivity_constant=coercivity, commutator_constant=np.zeros(n),
+                recursion_residual=values["recursion"],
+                factorization_residual=values["factorization"], det_identity_abs=np.zeros(n),
+                det_identity_rel=np.zeros(n), diag_product_ratio=ratio)
+
+        monkeypatch.setattr(cli, "verify_properties", fake)
+        cfg = parse_config(json.dumps({"system": {"name": "m3-tracezero"}}))
+        assert run(cfg, "verify-qs", tmp_path / "out") == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        lams = sample_separation_set(3, 10.0, 50, seed=0)
+        assert report["failures"] == [
+            {"kind": kind, "lambda": lams[row].tolist(), "eps": eps}
+            for row, eps, kind in plan]
+        assert report["results"]["worst"] == {
+            "psd_min": -1.0, "recursion": 1.0, "factorization": 1.0, "det_rel": 0.0,
+            "diag_ratio": 7.0, "commutator": 0.0, "coercivity": "inf"}
+
+        plan.clear()   # psd minima are all -0.0: the worst psd reads 0.0
+        assert run(cfg, "verify-qs", tmp_path / "clean") == 0
+        text = (tmp_path / "clean" / "report.json").read_text()
+        assert json.loads(text)["results"]["worst"]["psd_min"] == 0.0
+        assert '"psd_min": 0.0' in text
 
     def test_growth_on_control_classifies_exponential(self, tmp_path):
         doc = {
@@ -474,6 +520,58 @@ def test_rk4_work_budget_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert message in err and key_path in err
     assert "Traceback" not in err
+
+
+def test_rk4_budget_errors_print_huge_counts_short(tmp_path, capsys):
+    # T = 1e300 asks for about 1e304 steps per mode; the two sweep entries
+    # total 3.2e308 steps, past the largest double.
+    system = {"m": 2, "n": 1, "horizon": 1e300, "coefficients": [[[[0.0], [1.0]], [[1.0], [0.0]]]]}
+    path = write_config(tmp_path, {"system": system, "grids": {"xi_list": [8e6, 8e6]}})
+    assert main(["conditions", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(len(line) < 160 for line in lines)
+    assert "grid_size" in lines[0] and "got 1024 x 1.024e+304" in lines[0]
+    assert "grids.xi_list" in lines[1] and "got 3.200e+308" in lines[1]
+    assert all("solver.cfl_safety" in line for line in lines)
+
+
+def test_rk4_budget_errors_keep_small_counts_exact():
+    doc = json.dumps({"system": {"name": "m2-glaeser"}, "grid_size": 4096})
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert "got 4096 x 40961" in info.value.errors[0]
+
+
+def test_jsonable_keeps_every_finite_double():
+    from hyposym.cli import _jsonable
+
+    bits = np.random.default_rng(0).integers(0, 2 ** 64, 20000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = np.concatenate([values[np.isfinite(values)],
+                             [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                              np.finfo(float).max, -np.finfo(float).max, 0.1]])
+    assert np.sum(np.abs(values) < np.finfo(float).tiny) >= 6   # subnormals and zeros
+    for v in values:
+        for x in (float(v), v):
+            out = _jsonable(x)
+            assert type(out) is float
+            assert np.float64(out).view(np.uint64) == v.view(np.uint64)
+    assert json.dumps(_jsonable([0.1, np.float64(-0.0)])) == "[0.1, -0.0]"
+
+
+@pytest.mark.parametrize("policy, exponent", [
+    ({"kind": "balanced", "k": 4}, -0.5),
+    ({"kind": "balanced"}, -1.0),
+    ({"kind": "inverse"}, -1.0),
+])
+def test_report_k_sweep_uses_configured_regularity(tmp_path, policy, exponent):
+    # -2(m-1)/k for a balanced policy; other policies name no k and keep 2
+    cfg = parse_config(json.dumps({"system": {"name": "m2-glaeser"}, "eps_policy": policy,
+                                   "grids": {"t_points": 9, "xi_points": 3,
+                                             "xi_list": [1.0, 10.0, 100.0]}}))
+    run(cfg, "report", tmp_path / "out")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"]["K_sweep"]["theoretical_exponent"] == exponent
 
 
 def test_rk4_work_budget_edges():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 
 from hypothesis import given
@@ -16,8 +16,10 @@ from hyposym import (
     sylvester_companion,
     verify_properties,
 )
-from hyposym.errors import CapabilityError
+from hyposym.errors import CapabilityError, NumericError
+from hyposym.pencils import gen_eigvalsh, hermitian_part
 from hyposym.quasisym import (
+    PropertyReport,
     q_eps,
     q_eps_parts,
     sample_separation_set,
@@ -189,6 +191,157 @@ class TestStackedKernel:
             q_eps(np.zeros((2, 3)), 0.0)
         with pytest.raises(CapabilityError):
             q_eps_parts(np.zeros((2, 7)))
+
+
+def verify_properties_per_point(lambdas, eps: float) -> PropertyReport:
+    """The one-tuple-at-a-time body that the stacked kernel replaced; the oracle."""
+    lam = np.asarray(lambdas, dtype=float).ravel()
+    m = lam.size
+    qs = build_Q_eps(lam, eps)
+    Q, parts, W = qs.Q_eps, qs.parts, qs.W
+
+    psd = tuple(float(np.linalg.eigvalsh(hermitian_part(p))[0]) for p in parts)
+
+    eigs = np.linalg.eigvalsh(hermitian_part(Q))
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    coercivity = max(hi, eps ** (2 * (m - 1)) / lo) if lo > 0 else np.inf
+
+    M = sylvester_companion(lam)
+    comm = -1j * (Q @ M - M.T @ Q)
+    gen = gen_eigvalsh(comm, Q)
+    commutator = float(np.abs(gen).max() / eps)
+
+    if m >= 2:
+        deleted = q_eps(lam[np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)], eps)
+        acc = parts[0].copy()
+        for i in range(m):
+            pad = np.zeros((m, m))
+            pad[: m - 1, : m - 1] = deleted[i]
+            acc += eps ** 2 * pad
+        recursion = float(np.abs(Q - acc).max())
+    else:
+        recursion = 0.0
+
+    Q0 = parts[0]
+    factorization = float(np.abs(Q0 - factorial(m - 1) * W.T @ W).max())
+
+    vander = 1.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            vander *= (lam[i] - lam[j]) ** 2
+    det_scale = float(factorial(m - 1) ** m)
+    det_abs = abs(float(np.linalg.det(Q0)) - det_scale * vander)
+    det_rel = det_abs / (1.0 + det_scale * abs(vander))
+
+    pair_prod = 1.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            pair_prod *= lam[i] ** 2 + lam[j] ** 2
+    diag_prod = float(np.prod(np.diag(Q0)))
+    ratio = diag_prod / pair_prod if pair_prod > 0 else float("nan")
+
+    return PropertyReport(
+        psd_min_eigs=psd,
+        coercivity_constant=coercivity,
+        commutator_constant=commutator,
+        recursion_residual=recursion,
+        factorization_residual=factorization,
+        det_identity_abs=det_abs,
+        det_identity_rel=det_rel,
+        diag_product_ratio=ratio,
+    )
+
+
+def _report_rows(rep: PropertyReport) -> np.ndarray:
+    """Every field of a report as columns of one (rows, m + 7) float array."""
+    fields = [np.asarray(v, dtype=float) for v in rep.psd_min_eigs]
+    fields += [np.asarray(getattr(rep, name), dtype=float) for name in (
+        "coercivity_constant", "commutator_constant", "recursion_residual",
+        "factorization_residual", "det_identity_abs", "det_identity_rel",
+        "diag_product_ratio")]
+    return np.stack([np.atleast_1d(f) for f in fields], axis=-1)
+
+
+class TestStackedVerifyProperties:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_stack_matches_per_point_bitwise(self, m):
+        lams = (sample_separation_set(m, 10.0, 12, seed=m) if m > 1
+                else np.random.default_rng(1).uniform(-2, 2, (12, 1)))
+        for eps in (1.0, 0.1, 0.01):
+            got = _report_rows(verify_properties(lams, eps))
+            ref = np.concatenate([_report_rows(verify_properties_per_point(lam, eps))
+                                  for lam in lams])
+            assert got.tobytes() == ref.tobytes()
+
+    def test_coalescing_and_degenerate_tuples_bitwise(self):
+        # a double eigenvalue, a triple zero (the ratio is NaN) and a stack of
+        # leading shape (2, 2)
+        lams = np.array([[[1.0, 1.0, -0.5], [0.0, 0.0, 0.0]],
+                         [[1.0, 1.0, 1.0], [2.0, -2.0, 0.0]]])
+        for eps in (1.0, 0.1, 1e-6):
+            rep = verify_properties(lams, eps)
+            assert rep.recursion_residual.shape == (2, 2)
+            ref = np.concatenate([_report_rows(verify_properties_per_point(lam, eps))
+                                  for lam in lams.reshape(-1, 3)])
+            assert _report_rows(rep).reshape(-1, 10).tobytes() == ref.tobytes()
+
+    def test_products_where_pow_and_x_times_x_round_apart(self):
+        # libm's pow(x, 2) and x * x disagree in the last bit now and then; the
+        # Vandermonde and pair products must follow the scalar ** 2 of one tuple.
+        def apart(x):
+            return float(x) ** 2 != float(x) * float(x)
+
+        lams = np.random.default_rng(11).uniform(-1, 1, (4000, 3))
+        picked = np.array([lam for lam in lams
+                           if any(apart(lam[i] - lam[j]) or apart(lam[i]) or apart(lam[j])
+                                  for i, j in combinations(range(3), 2))][:8])
+        if not picked.size:
+            pytest.skip("pow(x, 2) rounds like x * x on this platform")
+        got = _report_rows(verify_properties(picked, 0.1))
+        ref = np.concatenate([_report_rows(verify_properties_per_point(lam, 0.1))
+                              for lam in picked])
+        assert got.tobytes() == ref.tobytes()
+
+    def test_single_tuple_gives_scalars(self):
+        rep = verify_properties([0.6, -1.4, 0.2], 0.2)
+        assert np.ndim(rep.coercivity_constant) == 0
+        assert len(rep.psd_min_eigs) == 3 and np.ndim(rep.psd_min_eigs[0]) == 0
+
+    def test_companion_stack_rows(self):
+        lams = sample_separation_set(4, 10.0, 5, seed=2)
+        M = sylvester_companion(lams)
+        assert M.shape == (5, 4, 4)
+        for lam, row in zip(lams, M):
+            assert row.tobytes() == sylvester_companion(lam).tobytes()
+            np.testing.assert_allclose(np.sort(np.linalg.eigvals(row).real), np.sort(lam),
+                                       atol=1e-10)
+
+
+class TestGenEigvalsh:
+    def test_stack_with_a_jittered_matrix_matches_single_calls(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((4, 3, 3))
+        B = X @ X.swapaxes(-1, -2) + 0.5 * np.eye(3)
+        singular = np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])   # rank one, PSD
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular)
+        B[2] = singular
+        A = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        got = gen_eigvalsh(A, B)
+        assert got.shape == (4, 3)
+        for k in range(4):
+            assert got[k].tobytes() == gen_eigvalsh(A[k], B[k]).tobytes()
+        for k in (0, 1, 3):
+            Ah = hermitian_part(A[k])
+            ref = np.sort(np.linalg.eigvals(np.linalg.solve(B[k], Ah)).real)
+            np.testing.assert_allclose(got[k], ref, rtol=1e-9, atol=1e-9)
+
+    def test_indefinite_matrix_still_raises(self):
+        B = np.stack([np.eye(2), -np.eye(2)])
+        with pytest.raises(NumericError):
+            gen_eigvalsh(np.eye(2) + np.zeros((2, 2, 2)), B)
+        with pytest.raises(NumericError):
+            gen_eigvalsh(np.eye(2), -np.eye(2))
 
 
 class TestVerifyProperties:
