@@ -3,8 +3,9 @@
 
 Writes one output directory per (system, command) pair, holding the
 ``config.json`` it ran and the ``report.json`` it produced, and prints a
-summary table of exit codes, so the whole desk-scale experiment set can be
-reproduced with a single invocation:
+summary table of exit codes and wall times (``time.perf_counter`` around each
+CLI call), so the whole desk-scale experiment set can be reproduced with a
+single invocation:
 
     python scripts/run_example_reports.py --out runs/
 """
@@ -12,6 +13,7 @@ reproduced with a single invocation:
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from hyposym.cli import main as hyposym_main
@@ -50,16 +52,17 @@ def run_all(out_root: Path, seed: int) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             cfg_path = out_dir / "config.json"
             cfg_path.write_text(json.dumps(doc))
+            start = time.perf_counter()
             code = hyposym_main([command, "--config", str(cfg_path), "--out", str(out_dir)])
-            rows.append((name, command, code))
+            rows.append((name, command, code, time.perf_counter() - start))
             if code in (1, 3):
                 failures += 1
-    width = max(len(n) for n, _, _ in rows)
-    print(f"\n{'system':<{width}}  {'command':<10}  exit")
-    for name, command, code in rows:
+    width = max(len(row[0]) for row in rows)
+    print(f"\n{'system':<{width}}  {'command':<10}  exit  {'wall_s':>7}")
+    for name, command, code, wall in rows:
         note = {0: "ok", 2: "property finding (see report.json)",
                 3: "computation not trustworthy (see stderr)"}.get(code, "error")
-        print(f"{name:<{width}}  {command:<10}  {code}    {note}")
+        print(f"{name:<{width}}  {command:<10}  {code}     {wall:7.2f}  {note}")
     return 1 if failures else 0
 
 

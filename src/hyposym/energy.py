@@ -430,6 +430,19 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     return trace
 
 
+def check_sweep_span(xis, name: str = "frequency grid") -> None:
+    """Raise DomainError unless there are three frequencies ``xis`` or more
+    and their norms |xi| span two decades, as :func:`growth_fit` needs."""
+    # the norm of a frequency beyond 1.3e154 overflows to inf, and one as
+    # small as 1e-300 underflows to 0, so the check takes no quotient
+    with np.errstate(over="ignore"):
+        norms = np.array([np.linalg.norm(xi) for xi in xis])
+    if norms.size < 3:
+        raise DomainError(f"{name} must hold at least three frequencies")
+    if norms.max() < 99.0 * norms.min():
+        raise DomainError(f"{name} must span at least two decades")
+
+
 def frequency_sweep(symbol: SystemSymbol, config: SolverConfig, u0hat=None,
                     collect_energy: bool = True) -> list:
     """One :func:`reduced_integrate` trace per frequency x of ``config.xi_grid``.
@@ -613,12 +626,7 @@ def growth_fit(traces) -> GrowthReport:
     frequencies whose norms |xi| span two decades.
     """
     traces = list(traces)
-    if len(traces) < 3:
-        raise DomainError("growth fit needs at least three frequencies")
-    norms = np.array([np.linalg.norm(tr.xi) for tr in traces])
-    # no quotient: the norm of a frequency as small as 1e-300 underflows to 0
-    if norms.max() < 99.0 * norms.min():
-        raise DomainError("frequency grid must span at least two decades")
+    check_sweep_span([tr.xi for tr in traces])
     b = np.array([bracket(tr.xi) for tr in traces])
     y = np.array([tr.growth_log for tr in traces])
     n = y.size

@@ -423,6 +423,14 @@ def _modes(*modes):
     ("conditions", {"grids": {"xi_min": 100.0, "xi_max": 10.0}}, "grids.xi_min"),
     ("conditions", {"eps_policy": {"kind": "fixed", "value": True}}, "eps_policy.value"),
     ("conditions", {"eps_policy": {"kind": "balanced", "k": True}}, "eps_policy.k"),
+    ("conditions", {"eps_policy": {"kind": "fixed", "value": 0.5, "k": 4}},
+     "eps_policy.k is not a key of the fixed policy"),
+    ("growth", {"eps_policy": {"kind": "inverse", "k": 2.0}},
+     "eps_policy.k is not a key of the inverse policy"),
+    ("solve", {"eps_policy": {"kind": "inverse", "value": 0.5}},
+     "eps_policy.value is not a key of the inverse policy"),
+    ("conditions", {"eps_policy": {"kind": "balanced", "k": 2.0, "value": 0.5}},
+     "eps_policy.value is not a key of the balanced policy"),
     ("solve", _modes({"k": 1}), "initial_data.modes[0].amplitudes"),
     ("solve", _modes(5), "initial_data.modes[0]"),
     ("solve", _modes({"k": "1", "amplitudes": [[1.0, 0.0]]}), "initial_data.modes[0].k"),
@@ -430,6 +438,7 @@ def _modes(*modes):
      "initial_data.modes[0].amplitudes"),
     ("solve", _modes({"k": 1, "amplitudes": [[1.0]]}), "initial_data.modes[0].amplitudes"),
 ], ids=["xi-min-zero", "xi-min-above-max", "eps-value-bool", "eps-k-bool",
+        "fixed-with-k", "inverse-with-k", "inverse-with-value", "balanced-with-value",
         "mode-without-amplitudes", "mode-bare-number", "mode-string-k",
         "mode-too-many-amplitudes", "mode-one-element-pair"])
 def test_config_rejected_at_parse_time(tmp_path, capsys, command, extra, key_path):
@@ -593,6 +602,27 @@ def test_rk4_work_budget_edges():
         parse_config(doc(grids={"xi_list": [1e5, 1e4]}))
 
 
+@pytest.mark.parametrize("command", ["growth", "report"])
+@pytest.mark.parametrize("xi_list, message", [
+    ([1.0, 1.0, 1.0], "grids.xi_list must span at least two decades"),
+    ([10.0, 1000.0], "grids.xi_list must hold at least three frequencies"),
+], ids=["one-decade", "two-frequencies"])
+def test_unfittable_sweep_exits_one_before_any_integration(tmp_path, capsys, monkeypatch,
+                                                           command, xi_list, message):
+    import hyposym.energy
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated a sweep that cannot be fitted")
+
+    monkeypatch.setattr(hyposym.energy, "reduced_integrate", refuse)
+    path = write_config(tmp_path, {"system": {"name": "m2-glaeser"},
+                                   "grids": {**SMALL_GRIDS, "xi_list": xi_list}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "report.json").exists()
+
+
 def _write_rows(path, header, rows):
     """The row-at-a-time CSV writer that the columnar one replaced; the oracle."""
     with path.open("w", newline="") as fh:
@@ -680,6 +710,74 @@ def test_growth_csv_matches_row_writer(tmp_path):
     _write_rows(tmp_path / "oracle.csv", ("bracket_xi", "log_growth"), rows)
     assert (tmp_path / "out" / "growth.csv").read_bytes() == (
         tmp_path / "oracle.csv").read_bytes()
+
+
+def _nan_with_payload(payload, negative=False):
+    return np.array([(negative << 63) | 0x7FF8000000000000 | payload],
+                    dtype=np.uint64).view(np.float64)[0]
+
+
+_SPECIAL_FLOATS = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324,
+                            1.7976931348623157e308, -0.0, 0.1, _nan_with_payload(1),
+                            _nan_with_payload(0, negative=True), 0.0, -5e-324])
+_U = (np.linspace(-1.0, 1.0, 7) + 1j * np.logspace(-300, 300, 7)) * np.array([1, -1, 0] * 2 + [1])
+
+
+def _chunked_table():
+    from hyposym.cli import _CSV_ROWS
+
+    rows = 2 * _CSV_ROWS + 37   # a partial last chunk
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(rows)
+    values[::3] = 0.0
+    values[1::5] = -0.0
+    return {"t": np.repeat(np.linspace(0.0, 1.0, 9), -(-rows // 9))[:rows],
+            "kind": (["ks", "thm2", "levi"] * rows)[:rows],
+            "l": [i % 4 for i in range(rows)],
+            "value": values,
+            "u": (values * (1 + 1j))[::-1].imag}
+
+
+@pytest.mark.parametrize("columns", [
+    {"special": _SPECIAL_FLOATS, "again": _SPECIAL_FLOATS[::-1].copy()},
+    {"re": _U.real, "im": _U.imag},
+    {"i": [0, -3, 12, 0, 2 ** 70], "s": ["ks", 'a,b"c\nd', "", "x\ry", "ks"],
+     "n": np.array([7, -7, 7, 0, 1])},
+    {'head,"er"': np.array([1.5, -0.0])},
+    _chunked_table(),
+    {"x": np.zeros(0), "kind": [], "l": np.zeros(0, dtype=int)},
+], ids=["special-floats", "strided-floats", "ints-and-strings",
+        "quoted-header", "several-chunks", "empty"])
+def test_write_csv_matches_row_writer(tmp_path, columns):
+    from hyposym.cli import _write_csv
+
+    _write_csv(tmp_path / "got.csv", columns)
+    rows = zip(*[col.tolist() if isinstance(col, np.ndarray) else col
+                 for col in columns.values()])
+    _write_rows(tmp_path / "oracle.csv", list(columns), rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_write_csv_memory_stays_chunk_sized(tmp_path):
+    """The traced peak of writing the default m3-tracezero conditions.csv
+    (115,776 rows) stays a few chunks in size.  Measured with tracemalloc:
+    the csv.writer path that formatted whole ``tolist()`` columns peaked at
+    7.58 MB (about 3.7 MB of float objects per float column); the chunked
+    writer peaks at 0.45 MB."""
+    import tracemalloc
+
+    from hyposym.cli import _cmd_conditions, _write_csv
+
+    cfg = parse_config(json.dumps({"system": {"name": "m3-tracezero"}}))
+    columns = _cmd_conditions(cfg)[2]["conditions.csv"]
+    assert len(columns["value"]) == 115776
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "conditions.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 @pytest.mark.parametrize("snapshots, message", [

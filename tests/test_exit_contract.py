@@ -84,7 +84,9 @@ POOLS = {
     ("eps_policy",): [{"kind": "fixed", "value": 0.5}, {"kind": "inverse"},
                       {"kind": "balanced"}, {"kind": "balanced", "k": 1e300},
                       {"kind": "fixed", "value": 1e-300}, {"kind": "bogus"},
-                      {"kind": "inverse", "k": 2.0}],
+                      {"kind": "inverse", "k": 2.0}, {"kind": "inverse", "value": 0.5},
+                      {"kind": "fixed", "value": 0.5, "k": 4},
+                      {"kind": "balanced", "k": 2.0, "value": 0.5}],
     ("solver",): [{"t_step": 1e-300}],
     ("initial_data",): [
         {"kind": "fourier_modes", "modes": [{"k": 1, "amplitudes": [[1.0, 0.0]]}]},
@@ -165,6 +167,13 @@ def _long_steps(system, **grids):
     return doc
 
 
+def _fixed_step(**grids):
+    # a fixed step passes the step budget at any frequency
+    doc = _with(("solver", "t_step"), 0.01)
+    doc["grids"].update(grids)
+    return doc
+
+
 @settings(max_examples=500, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=documents(), argv_parts=argvs)
@@ -174,6 +183,7 @@ def _long_steps(system, **grids):
 @example(doc=_bracket_overflow("m3-tracezero", 1e160), argv_parts=("conditions", []))
 @example(doc=_with(("grids", "xi_list"), [1e-300, 1e-100, 1.0]), argv_parts=("growth", []))
 @example(doc=_long_steps(TINY_M6, xi_list=[1e100, 1e101, 1e102]), argv_parts=("growth", []))
+@example(doc=_fixed_step(xi_list=[1e200, 1e201, 1e202]), argv_parts=("growth", []))
 @example(doc=_long_steps(_inline(GLAESER, horizon=1e300)), argv_parts=("reduce", []))
 def test_main_keeps_the_exit_code_contract(doc, argv_parts):
     code, err = _run(doc, argv_parts)
