@@ -8,6 +8,12 @@ CLI call), so the whole desk-scale experiment set can be reproduced with a
 single invocation:
 
     python scripts/run_example_reports.py --out runs/
+
+With ``--compare DIR`` it then byte-compares every output of the run with
+the file of the same path under DIR (an earlier ``--out``), lists the files
+that differ or exist on one side only, and exits 1 if there are any:
+
+    python scripts/run_example_reports.py --out runs-new/ --compare runs/
 """
 
 import argparse
@@ -66,12 +72,36 @@ def run_all(out_root: Path, seed: int) -> int:
     return 1 if failures else 0
 
 
+def compare_runs(out_root: Path, ref_root: Path) -> int:
+    """Byte-compare each run directory under ``out_root`` with the same path
+    under ``ref_root``; print the files that differ, 1 if any do."""
+    differ = []
+    for name, commands in PIPELINES.items():
+        for command in commands:
+            rel = Path(f"{name}--{command}")
+            ours, theirs = out_root / rel, ref_root / rel
+            files = {p.name for d in (ours, theirs) if d.is_dir() for p in d.iterdir()}
+            for file in sorted(files):
+                a, b = ours / file, theirs / file
+                if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+                    differ.append(rel / file)
+    for path in differ:
+        print(f"differs: {path}")
+    print(f"compared with {ref_root}: {len(differ)} file(s) differ")
+    return 1 if differ else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs", help="root directory for run outputs")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--compare", metavar="DIR", default=None,
+                        help="byte-compare every output with the same path under DIR")
     args = parser.parse_args()
-    return run_all(Path(args.out), args.seed)
+    code = run_all(Path(args.out), args.seed)
+    if args.compare is not None:
+        code = max(code, compare_runs(Path(args.out), Path(args.compare)))
+    return code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -411,30 +412,99 @@ def config_hash(config: RunConfig) -> str:
 # serialization helpers
 
 
-def _jsonable(obj):
-    """Recursively convert to JSON-safe values; non-finite floats become strings."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.ndarray,)):
-        if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return obj.tolist()
-        return _jsonable(obj.tolist())
+# How the parts of a report spell non-finite floats: results and failures
+# carry them as strings; the config echo, like json.dumps, writes the NaN and
+# Infinity literals.
+_REPORT_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class _Echo:
+    """A plain JSON document that :func:`_write_json` writes as json.dumps
+    does, non-finite floats as NaN and Infinity."""
+
+    def __init__(self, doc):
+        self.doc = doc
+
+
+def _float_token(x, nonfinite) -> str:
+    text = float.__repr__(float(x))
+    return nonfinite.get(text, text)
+
+
+def _float_list(values: list, level: int, nonfinite=None) -> str:
+    """A nested list of floats (``ndarray.tolist()``), laid out at ``level``
+    as json.dumps(indent=2) lays it out: one map and join per innermost row.
+    ``nonfinite`` is None when every float is finite."""
+    if not values:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(values[0], list):
+        items = [_float_list(row, level + 1, nonfinite) for row in values]
+    elif nonfinite is None:
+        items = map(float.__repr__, values)
+    else:
+        items = [_float_token(v, nonfinite) for v in values]
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+
+
+def _write_json(write, obj, nonfinite=_REPORT_NONFINITE, level: int = 0) -> None:
+    """Write ``obj`` piece by piece, byte for byte as
+    ``json.dumps(obj, indent=2, sort_keys=True)`` writes the plain JSON it
+    stands for.
+
+    Arrays and numpy scalars become lists and numbers (a float array row by
+    row, each float by ``float.__repr__``), tuples become lists, complex
+    numbers ``{"re": ..., "im": ...}`` and dict keys strings; non-finite
+    floats take the spelling of ``nonfinite`` (an :class:`_Echo` switches to
+    json's own).  Strings are escaped to ASCII as json.dumps escapes them.
+    """
+    if isinstance(obj, _Echo):
+        _write_json(write, obj.doc, _JSON_NONFINITE, level)
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim:
+            write(_float_list(obj.tolist(), level,
+                              None if np.isfinite(obj).all() else nonfinite))
+        else:
+            _write_json(write, obj.tolist(), nonfinite, level)
+    elif isinstance(obj, complex):
+        _write_json(write, {"re": obj.real, "im": obj.imag}, nonfinite, level)
+    elif not isinstance(obj, (dict, list, tuple)):
+        write(_json_scalar(obj, nonfinite))
+    elif not obj:
+        write("{}" if isinstance(obj, dict) else "[]")
+    else:
+        inner = "\n" + "  " * (level + 1)
+        sep = inner
+        if isinstance(obj, dict):
+            write("{")
+            for key, value in sorted(((str(k), v) for k, v in obj.items()),
+                                     key=lambda item: item[0]):
+                write(sep + encode_basestring_ascii(key) + ": ")
+                _write_json(write, value, nonfinite, level + 1)
+                sep = "," + inner
+            write("\n" + "  " * level + "}")
+        else:
+            write("[")
+            for value in obj:
+                write(sep)
+                _write_json(write, value, nonfinite, level + 1)
+                sep = "," + inner
+            write("\n" + "  " * level + "]")
+
+
+def _json_scalar(obj, nonfinite) -> str:
+    if obj is None:
+        return "null"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+        return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if np.isnan(x):
-            return "nan"
-        if np.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    return obj
+        return _float_token(obj, nonfinite)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -784,11 +854,12 @@ def run(config: RunConfig, command: str, out_dir: Path) -> int:
         "command": command,
         "seed": config.seed,
         "config_sha256": config_hash(config),
-        "config": config.data,
-        "results": _jsonable(results),
-        "failures": _jsonable(failures),
+        "config": _Echo(config.data),
+        "results": results,
+        "failures": failures,
     }
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
+    with (out_dir / "report.json").open("w") as fh:
+        _write_json(fh.write, report)
     for name, columns in csvs.items():
         _write_csv(out_dir / name, columns)
     return 2 if failures else 0

@@ -12,19 +12,20 @@ order so reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import ceil, log
+from dataclasses import dataclass, field, replace
+from math import ceil, log, sqrt
 from typing import Callable
 
 import numpy as np
 
 from hyposym.errors import DomainError, NumericError
 from hyposym.pencils import hermitian_part
-from hyposym.quasisym import lift_blocks, q_eps, q_eps_parts, sum_parts
+from hyposym.quasisym import q_eps, q_eps_parts, sum_parts
 from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
     initial_states,
+    lower_order_matrix,
     transform_initial_data,
 )
 from hyposym.symbols import (
@@ -154,11 +155,13 @@ class _RHS:
 
     ``window(k0, k1)`` returns f(j, Y): the right-hand side at half-step j
     (0 <= j <= 2 (k1 - k0)) of steps k0..k1, for the whole state stack Y
-    (q, d).
+    (q, d).  ``after(k0, k1, out)``, if set, runs once the window's states
+    are checked finite, ``out`` holding the states recorded so far.
     """
 
     window: Callable
     width: int
+    after: Callable | None = None
 
 
 def _matrix_rhs(step_matrices, q: int, d: int, N: int) -> _RHS:
@@ -235,6 +238,8 @@ def _lockstep_rk4(rhs, Y0, N: int, h: float, record, renormalize: bool = False):
             # catches it.
             if not np.isfinite(Y).all():
                 raise NumericError(f"non-finite state by step {k1} of {N}")
+            if rhs.after is not None:
+                rhs.after(k0, k1, out)
     return out, logs
 
 
@@ -272,9 +277,15 @@ def _rk4_propagate(M: np.ndarray, Y0, N: int, h: float, record):
 def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
     """Scale each row of Y with |y| > RENORM_THRESHOLD to unit norm, in place.
 
-    The stacked norm only picks candidates: it may differ from the 1-d norm
-    of the row in the last bits, and the 1-d norm decides, as in a solo run.
+    A row whose real and imaginary parts all lie within RENORM_THRESHOLD /
+    sqrt(2 d) has a norm below the threshold, so most steps end after one
+    max.  Otherwise the stacked norm only picks candidates: it may differ
+    from the 1-d norm of the row in the last bits, and the 1-d norm decides,
+    as in a solo run.
     """
+    if np.abs(Y.view(np.float64)).max() <= (
+            RENORM_THRESHOLD / sqrt(2 * Y.shape[1]) * (1.0 - 1e-12)):
+        return
     rough = np.linalg.norm(Y, axis=1)
     for r in np.flatnonzero(rough > RENORM_THRESHOLD * (1.0 - 1e-12)):
         nrm = float(np.linalg.norm(Y[r]))
@@ -283,23 +294,36 @@ def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
             acc[r] += log(nrm)
 
 
-def _step_matrices(symbol: SystemSymbol, xi, ts_half, bxi=None):
+def _step_matrices(symbol: SystemSymbol, xi, ts_half, bxi=None, terms=None):
     """i (calA + calB) for the frequency stack xi (q, n), as _lockstep_rk4 takes it.
 
     A constant symbol gives one matrix per frequency; otherwise a window
     function over the half-step grid ``ts_half``, assembled on demand.
-    ``bxi`` is ``brackets(xi)`` if the caller has it.
+    ``bxi`` is ``brackets(xi)`` if the caller has it.  With ``terms``, the
+    :class:`_EnergyTerms` of a single frequency, the result is an
+    :class:`_RHS` that hands ``terms`` each window's assembly at its integer
+    steps (the even half-steps; a constant symbol's one assembly) together
+    with the states recorded there.
     """
     assembler = PathAssembler(symbol, xi, bxi)
-    if symbol.is_constant():
-        calA, calB = assembler(ts_half[:1])
-        return 1j * (calA[0] + calB[0])
+    constant = symbol.is_constant()
+    held = []
 
-    def window(k0, k1):
-        calA, calB = assembler(ts_half[2 * k0 : 2 * k1 + 1])
-        return 1j * (calA + calB)
+    def assemble(ts):
+        calA, b = assembler.reduce(ts)[:2]
+        held[:] = (calA, b) if constant else (calA[::2], b[::2])
+        return 1j * (calA + lower_order_matrix(b))
 
-    return window
+    if constant:
+        step_matrices = assemble(ts_half[:1])[0]
+    else:
+        def step_matrices(k0, k1):
+            return assemble(ts_half[2 * k0 : 2 * k1 + 1])
+    if terms is None:
+        return step_matrices
+    N = (ts_half.size - 1) // 2
+    return replace(_matrix_rhs(step_matrices, 1, symbol.m ** 2, N),
+                   after=lambda k0, k1, out: terms.add(k0, k1 + (k1 == N), *held, out[:, 0]))
 
 
 def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
@@ -331,6 +355,24 @@ def _band_form(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.einsum("kia,kia->k", np.conj(blocks), prod)
 
 
+def _lifted_commutator(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q_lift B - B* Q_lift, (k, m^2, m^2), for real Q (k, m, m) and calB
+    entries b (k, m-1, m, m) (see :func:`hyposym.reduction.lower_order_matrix`).
+
+    calB has one nonzero row per band, so every entry of Q_lift B and of
+    B* Q_lift is a single product of a Q entry and a calB entry; formed one
+    by one, they are bitwise the dense products up to the sign of zeros.
+    """
+    k, m = Q.shape[0], Q.shape[-1]
+    bt = np.moveaxis(b, 1, -1)                      # bt[s, i, j, l] = b[s, l, i, j]
+    P = np.zeros((k, m, m, m, m), dtype=complex)    # [sample, band, row, band, column]
+    # (Q_lift B)[i m + a, j m + l] = Q[a, m-1] b[l, i, j]
+    P[..., : m - 1] = Q[:, None, :, m - 1, None, None] * bt[:, :, None]
+    # (B* Q_lift)[j m + l, i m + c] = conj(b[l, i, j]) Q[m-1, c]
+    P[:, :, : m - 1] -= np.conj(bt).transpose(0, 2, 3, 1)[..., None] * Q[:, None, None, None, m - 1]
+    return P.reshape(k, m * m, m * m)
+
+
 def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float) -> tuple:
     """E = (Q_lift V | V) and K = |(dQ/dt V | V)| / E along a trajectory."""
     dQ = np.gradient(Q, h, axis=0)
@@ -341,64 +383,70 @@ def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float) -> tuple:
     return E, K
 
 
-def _energy_diagnostics(trace: EnergyTrace, symbol: SystemSymbol, eps: float):
-    """Fill E, K, term2, term3, dtE and the coercivity constant in place.
+class _EnergyTerms:
+    """E, K, term2, term3, dtE and the coercivity constant of one trajectory.
 
-    dQ/dt is taken by centred finite differences of the quasi-symmetriser
-    entries (one-sided at the ends): the entries are polynomial in the
-    eigenvalues and stay smooth through multiplicity crossings even when the
-    individual eigenvalue branches do not.  Every quantity is computed on
-    stacks over the time samples; each sample's value is bitwise that of the
-    same operations on the sample alone.  calA and calB are assembled one
-    block of _TERM3_BLOCK samples at a time, and only calA's first m x m
-    block is kept.
+    Q (the spectra and q_eps) depends only on (ts, xi, eps), so it is built
+    before the states exist.  term2 reads the first m x m block of calA and
+    term3 reads calB, at each sample: :meth:`add` takes them from an
+    assembly that the caller already holds (the integration's own windows),
+    so nothing is assembled here.  dQ/dt is taken by centred finite
+    differences of the quasi-symmetriser entries (one-sided at the ends):
+    the entries are polynomial in the eigenvalues and stay smooth through
+    multiplicity crossings even when the individual eigenvalue branches do
+    not.  Every quantity is computed on stacks over the time samples; each
+    sample's value is bitwise that of the same operations on the sample
+    alone.
     """
-    ts, V = trace.ts, trace.V
-    m = symbol.m
-    xi = trace.xi
-    bxi = bracket(xi)
-    h = ts[1] - ts[0]
-    spec = rescaled_spectra(symbol, ts, xi)
-    n = ts.size
 
-    Q = q_eps(spec.lambdas, eps)
+    def __init__(self, symbol: SystemSymbol, ts, xi, eps: float):
+        m = symbol.m
+        spec = rescaled_spectra(symbol, ts, xi)
+        self.Q = q_eps(spec.lambdas, eps)
+        self.nonhyperbolic_points = int(np.count_nonzero(~spec.hyperbolic))
+        self.bxi = bracket(xi)
+        self.A0_blocks = np.empty((ts.size, m, m))   # every band shares it
+        self.term3 = np.empty(ts.size)
 
-    blocks = V.reshape(n, m, m)             # blocks[k, i] = band i of V(t_k)
-    E, K = _energy_and_K(Q, blocks, h)
+    def add(self, k0: int, k1: int, calA, b, V) -> None:
+        """term2's calA block and term3 at samples k0..k1-1.
 
-    # |(Q_lift B - B* Q_lift) V | V|, blockwise to bound the lifted stacks.
-    assembler = PathAssembler(symbol, xi)
-    A0_blocks = np.empty((n, m, m))         # every band shares the same block
-    term3 = np.empty(n)
-    for k0 in range(0, n, _TERM3_BLOCK):
-        sl = slice(k0, k0 + _TERM3_BLOCK)
-        calA, B = assembler(ts[sl])
-        A0_blocks[sl] = calA[:, :m, :m] / bxi
-        Qf = lift_blocks(Q[sl])
-        M3 = Qf @ B - np.swapaxes(B.conj(), -1, -2) @ Qf
-        term3[sl] = np.abs(np.vecdot(V[sl], (M3 @ V[sl, :, None])[..., 0]))
+        ``calA`` and ``b`` are :meth:`PathAssembler.reduce` output for one
+        frequency, from sample k0 on, or one sample that holds for all
+        (a constant symbol); ``V`` holds the states of every sample so far.
+        term3 = |(Q_lift B - B* Q_lift) V | V| goes in blocks of at most
+        _TERM3_BLOCK samples to bound the lifted stacks.
+        """
+        m = self.Q.shape[-1]
+        self.A0_blocks[k0:k1] = calA[: k1 - k0, 0, :m, :m] / self.bxi
+        for s0 in range(k0, k1, _TERM3_BLOCK):
+            sl = slice(s0, min(s0 + _TERM3_BLOCK, k1))
+            M3 = _lifted_commutator(self.Q[sl], b[s0 - k0 : sl.stop - k0, 0] if len(b) > 1
+                                    else b[:, 0])
+            self.term3[sl] = np.abs(np.vecdot(V[sl], (M3 @ V[sl, :, None])[..., 0]))
 
-    comm2 = np.einsum("kab,kbc->kac", Q, A0_blocks) - np.einsum(
-        "kab,kbc->kac", np.conj(np.swapaxes(A0_blocks, 1, 2)), Q
-    )
-    term2 = np.abs(bxi * _band_form(comm2, blocks))
+    def finish(self, trace: EnergyTrace) -> None:
+        """Fill the trace's diagnostics once :meth:`add` has covered every sample."""
+        ts, V, m, eps, Q = trace.ts, trace.V, trace.m, trace.eps, self.Q
+        h = ts[1] - ts[0]
+        blocks = V.reshape(ts.size, m, m)   # blocks[k, i] = band i of V(t_k)
+        trace.E, trace.K = _energy_and_K(Q, blocks, h)
 
-    eigs = np.linalg.eigvalsh(hermitian_part(Q))
-    lo, hi = eigs[:, 0], eigs[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        floor_ratio = eps ** (2 * (m - 1)) / lo
-    cm = np.where(lo <= 0, hi, np.where(floor_ratio > hi, floor_ratio, hi))
-    coercivity = np.max(cm, where=cm > 0.0, initial=0.0)
+        A0 = self.A0_blocks
+        comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
+            "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q
+        )
+        trace.term2 = np.abs(self.bxi * _band_form(comm2, blocks))
+        trace.term3 = self.term3
 
-    dtE = np.gradient(E, h)
-
-    trace.E = E
-    trace.K = K
-    trace.term2 = term2
-    trace.term3 = term3
-    trace.dtE = dtE
-    trace.coercivity_sup = float(coercivity)
-    trace.nonhyperbolic_points = int(np.count_nonzero(~spec.hyperbolic))
+        eigs = np.linalg.eigvalsh(hermitian_part(Q))
+        lo, hi = eigs[:, 0], eigs[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            floor_ratio = eps ** (2 * (m - 1)) / lo
+        cm = np.where(lo <= 0, hi, np.where(floor_ratio > hi, floor_ratio, hi))
+        trace.coercivity_sup = float(np.max(cm, where=cm > 0.0, initial=0.0))
+        trace.dtE = np.gradient(trace.E, h)
+        trace.nonhyperbolic_points = self.nonhyperbolic_points
 
 
 def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
@@ -408,7 +456,8 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     ``V0`` is any complex vector of length m^2 (usually from
     :func:`hyposym.reduction.transform_initial_data`).  The state is rescaled
     whenever it grows past RENORM_THRESHOLD, so growing modes never overflow;
-    the accumulated log-scale is stored on the trace.
+    the accumulated log-scale is stored on the trace.  The diagnostics take
+    calA and calB from the integration's own assembly, one window at a time.
     """
     m = symbol.m
     V0 = np.asarray(V0, dtype=complex).ravel()
@@ -416,17 +465,18 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
         raise DomainError(f"reduced state must have {m * m} components")
     N, h = config.steps_for(symbol, xi)
     ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
+    ts = ts_half[::2]
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    eps_val = config.eps_for(m, xi) if eps is None else float(eps)
+    terms = _EnergyTerms(symbol, ts, xi, eps_val) if collect_energy else None
     try:
-        V, logs = _lockstep_rk4(_step_matrices(symbol, xi[None], ts_half), V0[None], N, h,
-                                range(N + 1), renormalize=True)
+        V, logs = _lockstep_rk4(_step_matrices(symbol, xi[None], ts_half, terms=terms),
+                                V0[None], N, h, range(N + 1), renormalize=True)
     except NumericError as exc:
         raise NumericError(f"{exc} (xi={xi})") from exc
-    ts = ts_half[::2]
-    eps_val = config.eps_for(m, xi) if eps is None else float(eps)
     trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)
-    if collect_energy:
-        _energy_diagnostics(trace, symbol, eps_val)
+    if terms is not None:
+        terms.finish(trace)
     return trace
 
 
@@ -465,11 +515,18 @@ def reweight_energy(trace: EnergyTrace, symbol: SystemSymbol, eps: float) -> Ene
     """Recompute the energy diagnostics of an existing trajectory at another eps.
 
     The trajectory itself does not depend on eps, so sweeps over the
-    quasi-symmetriser parameter reuse the integrated state.
+    quasi-symmetriser parameter reuse the integrated state.  calA and calB
+    are assembled _TERM3_BLOCK samples at a time.
     """
     new = EnergyTrace(ts=trace.ts, V=trace.V, log_scale=trace.log_scale,
                       xi=trace.xi, eps=float(eps), m=trace.m)
-    _energy_diagnostics(new, symbol, float(eps))
+    ts = trace.ts
+    terms = _EnergyTerms(symbol, ts, trace.xi, float(eps))
+    assembler = PathAssembler(symbol, trace.xi[None])
+    for k0 in range(0, ts.size, _TERM3_BLOCK):
+        k1 = min(k0 + _TERM3_BLOCK, ts.size)
+        terms.add(k0, k1, *assembler.reduce(ts[k0:k1])[:2], trace.V)
+    terms.finish(new)
     return new
 
 

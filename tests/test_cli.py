@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hyposym
 from hyposym.cli import (
@@ -551,21 +555,105 @@ def test_rk4_budget_errors_keep_small_counts_exact():
     assert "got 4096 x 40961" in info.value.errors[0]
 
 
-def test_jsonable_keeps_every_finite_double():
-    from hyposym.cli import _jsonable
+def _json_text(obj) -> str:
+    from hyposym.cli import _write_json
 
+    pieces = []
+    _write_json(pieces.append, obj)
+    return "".join(pieces)
+
+
+def test_report_json_keeps_every_finite_double():
     bits = np.random.default_rng(0).integers(0, 2 ** 64, 20000, dtype=np.uint64)
     values = bits.view(np.float64)
     values = np.concatenate([values[np.isfinite(values)],
                              [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
                               np.finfo(float).max, -np.finfo(float).max, 0.1]])
     assert np.sum(np.abs(values) < np.finfo(float).tiny) >= 6   # subnormals and zeros
-    for v in values:
-        for x in (float(v), v):
-            out = _jsonable(x)
-            assert type(out) is float
-            assert np.float64(out).view(np.uint64) == v.view(np.uint64)
-    assert json.dumps(_jsonable([0.1, np.float64(-0.0)])) == "[0.1, -0.0]"
+    for doc in (values, values.tolist(), list(values), values.reshape(-1, 5)):
+        back = np.array(json.loads(_json_text(doc)), dtype=np.float64).ravel()
+        assert back.view(np.uint64).tobytes() == values.view(np.uint64).tobytes()
+    assert _json_text([0.1, np.float64(-0.0)]) == "[\n  0.1,\n  -0.0\n]"
+
+
+def _jsonable(obj):
+    """The report serializer that the streaming writer replaced: converts
+    to plain JSON for json.dumps, non-finite floats to strings.  The oracle."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, complex):
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if np.isnan(x):
+            return "nan"
+        if np.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    return obj
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, math.inf, math.nan]
+_json_floats = st.sampled_from(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS]) | st.floats()
+_json_keys = st.text(st.sampled_from('az"\\/\x00\x1f\x7f\n\t é€\u2028😀') | st.characters(),
+                     max_size=6)
+_float_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+                           elements=_json_floats)
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 200, 2 ** 200) | _json_floats | _json_keys
+    | st.lists(_json_floats) | st.lists(st.lists(_json_floats, max_size=4)) | _float_arrays,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_keys, children, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_json_docs)
+def test_write_json_matches_json_dumps(doc):
+    """The report writer lays out what json.dumps(indent=2, sort_keys=True)
+    lays out, byte for byte: a config echo as json.dumps writes it (NaN and
+    Infinity), results as the old serializer wrote them (their strings)."""
+    from hyposym.cli import _Echo
+
+    assert _json_text(_Echo(doc)) == json.dumps(doc, indent=2, sort_keys=True,
+                                                default=np.ndarray.tolist)
+    assert _json_text(doc) == json.dumps(_jsonable(doc), indent=2, sort_keys=True)
+
+
+def test_write_json_numpy_values_match_old_serializer():
+    doc = {"ints": np.array([[1, -2], [3, 4]]), "bools": np.array([True, False]),
+           "flag": np.bool_(True), "count": np.int64(-7), "f32": np.float32(0.1),
+           "scalar": np.array(2.5), "nonfinite": np.array([[1.0, np.nan], [-np.inf, np.inf]]),
+           "complex": np.array([1 + 2j, np.nan - 0.0j]), "z": 3 - 0.5j,
+           "tuple": (1.0, np.float64(np.inf), None, "s"), "empty": (np.zeros((2, 0)), np.zeros(0)),
+           7: {"nested": [np.float64(-0.0)]}}
+    assert _json_text(doc) == json.dumps(_jsonable(doc), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("reduce", {"system": {"name": "m2-glaeser"}, "grids": {"xi_list": [2.0]}}),
+    ("verify-qs", {"system": {"name": "m3-tracezero"}}),
+    ("conditions", {"system": {"name": "m2-nonhyp-control"},
+                    "grids": {"t_points": 5, "xi_points": 3}}),
+    ("growth", {"system": {"name": "m2-glaeser"}, "grids": {"xi_list": [1.0, 10.0, 100.0]}}),
+    ("report", {"system": {"name": "m2-wave"},
+                "grids": {"t_points": 5, "xi_points": 3, "xi_list": [1.0, 10.0, 100.0]}}),
+    ("solve", {"system": {"name": "m2-glaeser"}, "grid_size": 8}),
+])
+def test_report_json_is_json_dumps_layout(tmp_path, command, doc):
+    run(parse_config(json.dumps(doc)), command, tmp_path)
+    text = (tmp_path / "report.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("policy, exponent", [
@@ -824,3 +912,26 @@ def test_growth_with_underflowing_frequency_norm(tmp_path, capsys):
                                    "grids": {"xi_list": [1e-300, 1e-100, 1.0]}})
     assert main(["growth", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_example_reports_compare_lists_differing_files(tmp_path, capsys):
+    import importlib.util
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_example_reports.py"
+    spec = importlib.util.spec_from_file_location("run_example_reports", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+    for root in (ours, theirs):
+        for name, commands in module.PIPELINES.items():
+            for command in commands:
+                (root / f"{name}--{command}").mkdir(parents=True)
+                (root / f"{name}--{command}" / "report.json").write_text("{}")
+    assert module.compare_runs(ours, theirs) == 0
+    (theirs / "m2-wave--solve" / "report.json").write_text("{ }")
+    (ours / "m2-glaeser--growth" / "growth.csv").write_text("")
+    assert module.compare_runs(ours, theirs) == 1
+    out = capsys.readouterr().out
+    assert "differs: m2-wave--solve/report.json" in out
+    assert "differs: m2-glaeser--growth/growth.csv" in out
+    assert "2 file(s) differ" in out

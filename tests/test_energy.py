@@ -36,6 +36,25 @@ def constant_symbol(M, horizon=1.0):
     return SystemSymbol(coeffs=coeffs, horizon=horizon)
 
 
+def companion_symbol(last_row, horizon=1.0):
+    """1-d symbol whose matrix is the companion matrix with the polynomials in
+    t of ``last_row`` (coefficient lists, lowest degree first) as last row."""
+    m = len(last_row)
+    coeffs = np.zeros((1, m, m, max(map(len, last_row))))
+    for i in range(m - 1):
+        coeffs[0, i, i + 1, 0] = 1.0
+    for j, poly in enumerate(last_row):
+        coeffs[0, m - 1, j, : len(poly)] = poly
+    return SystemSymbol(coeffs=coeffs, horizon=horizon)
+
+
+# Eigenvalues +-2 and +-t (a double zero at t = 0): the inline system of the
+# report-m4 benchmark.  The m = 6 system adds the pair +-1.
+M4_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]])
+M6_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
+                                   [5.0, 0.0, 1.0], [0.0]])
+
+
 def per_sample_diagnostics(trace, symbol):
     """Energy diagnostics with one quasi-symmetriser, lifting and dot per sample."""
     ts, V, m, eps = trace.ts, trace.V, symbol.m, trace.eps
@@ -61,16 +80,18 @@ def per_sample_diagnostics(trace, symbol):
     comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
         "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q)
     term2 = np.abs(bxi * band_form(comm2))
-    term3 = np.empty(n)
+    term3 = np.empty(n, dtype=complex)
     coercivity = 0.0
     for k in range(n):
         Qf = lift_blocks(Q[k])
         M3 = Qf @ calB[k] - calB[k].conj().T @ Qf
-        term3[k] = abs(np.vdot(V[k], M3 @ V[k]))
+        term3[k] = np.vdot(V[k], M3 @ V[k])
         eigs = np.linalg.eigvalsh(hermitian_part(Q[k]))
         lo, hi = eigs[0], eigs[-1]
         coercivity = max(coercivity, hi if lo <= 0 else max(hi, eps ** (2 * (m - 1)) / lo))
-    return {"E": E, "K": K, "term2": term2, "term3": term3, "dtE": np.gradient(E, h),
+    # np.abs of an array, as the library takes it: the scalar abs() (libm
+    # hypot) can differ from numpy's vectorised loop in the last bit
+    return {"E": E, "K": K, "term2": term2, "term3": np.abs(term3), "dtE": np.gradient(E, h),
             "coercivity_sup": float(coercivity)}
 
 
@@ -238,17 +259,33 @@ class TestReducedIntegrate:
         assert np.all(trace.term3 <= C3 * trace.E * (1 + 1e-6) + 1e-12)
 
     def test_diagnostics_match_per_sample_loop_bitwise(self):
-        # 402 samples: the term3 blocks of the stacked path end mid-trace.
-        S = builtin_system("m3-tracezero")
-        xi = np.array([20.0])
-        V0 = transform_initial_data(S, np.ones(3), xi).V
-        for eps in (None, 0.05):
+        """The diagnostics that reduced_integrate takes from its own RK4
+        windows, and reweight_energy at the same eps, are bitwise the
+        per-sample oracle's."""
+        d6 = 36
+        assert energy._WINDOW_BYTES // (2 * d6 * d6 * 16) == 6
+        cases = [
+            # 402 samples: the term3 blocks end mid-trace
+            (builtin_system("m3-tracezero"), 20.0, None, 402),
+            (builtin_system("m3-tracezero"), 20.0, 0.05, 402),
+            # 2,001 steps in 63 windows of 32
+            (M4_DOUBLE_ZERO, 100.0, None, 2002),
+            # a constant symbol: one assembly and one window of every step
+            (builtin_system("m2-wave"), 300.0, None, 6002),
+            # 6 steps per window
+            (M6_DOUBLE_ZERO, 5.0, None, 103),
+        ]
+        for S, x, eps, samples in cases:
+            xi = np.array([x])
+            V0 = transform_initial_data(S, np.ones(S.m) / np.sqrt(S.m), xi).V
             trace = reduced_integrate(S, xi, V0, SolverConfig(), eps=eps)
+            assert trace.ts.size == samples
             ref = per_sample_diagnostics(trace, S)
-            assert trace.ts.size == 402
-            for name in ("E", "K", "term2", "term3", "dtE"):
-                assert getattr(trace, name).tobytes() == ref[name].tobytes(), name
-            assert trace.coercivity_sup == ref["coercivity_sup"]
+            again = reweight_energy(trace, S, trace.eps)
+            for got in (trace, again):
+                for name in ("E", "K", "term2", "term3", "dtE"):
+                    assert getattr(got, name).tobytes() == ref[name].tobytes(), (S.m, x, name)
+                assert got.coercivity_sup == ref["coercivity_sup"], (S.m, x)
 
     def test_invalid_state_length(self):
         with pytest.raises(DomainError):
