@@ -70,6 +70,9 @@ MAX_SWEEP_STEPS = 1 << 21
 # write that file about 40% slower.
 _CSV_ROWS = 2048
 
+# Most samples of an energy trace that a report carries.
+_TRACE_SAMPLES = 1001
+
 
 class ConfigError(ValueError):
     """Carries the full list of schema errors for a config document."""
@@ -105,8 +108,9 @@ _DEFAULTS = {
 # check keys explicitly instead of the defaults-shape merge.
 _POLYMORPHIC = {"system", "eps_policy", "initial_data"}
 
-# The keys each eps_policy kind takes besides "kind".
+# The keys each eps_policy and initial_data kind takes besides "kind".
 _EPS_POLICY_KEYS = {"fixed": ("value",), "inverse": (), "balanced": ("k",)}
+_INITIAL_DATA_KEYS = {"uniform": (), "fourier_modes": ("modes",)}
 
 
 def _merge_defaults(data: dict, defaults: dict, path: str, errors: list) -> dict:
@@ -134,6 +138,13 @@ def _is_number(value) -> bool:
     beyond the double range (NaN fails the comparison)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def _kind_of(section, kinds) -> str | None:
+    """The "kind" of a section if it is one of ``kinds``, else None; the
+    value there may be any JSON value, a list or an object too."""
+    kind = section.get("kind") if isinstance(section, dict) else None
+    return kind if isinstance(kind, str) and kind in kinds else None
 
 
 def _require_number(data, key, errors, path, low=None, high=None, integer=False):
@@ -194,10 +205,8 @@ def _parse_system(section, errors) -> SystemSymbol | None:
     for block in coeffs:
         for row in block:
             for entry in row:
-                if not isinstance(entry, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry
-                ):
-                    errors.append("system.coefficients entries must be lists of numbers")
+                if not isinstance(entry, list) or not all(map(_is_number, entry)):
+                    errors.append("system.coefficients entries must be lists of finite numbers")
                     return None
                 max_deg = max(max_deg, len(entry))
     arr = np.zeros((n, m, m, max_deg))
@@ -314,10 +323,10 @@ def parse_config(text: str) -> RunConfig:
         xi_list = None
 
     policy = data["eps_policy"]
-    if not isinstance(policy, dict) or policy.get("kind") not in _EPS_POLICY_KEYS:
+    kind = _kind_of(policy, _EPS_POLICY_KEYS)
+    if kind is None:
         errors.append("eps_policy.kind must be fixed, inverse, or balanced")
     else:
-        kind = policy["kind"]
         for key in policy:
             if key in ("value", "k") and key not in _EPS_POLICY_KEYS[kind]:
                 errors.append(f"eps_policy.{key} is not a key of the {kind} policy")
@@ -339,12 +348,14 @@ def parse_config(text: str) -> RunConfig:
     cfl_safety = _require_number(solver, "cfl_safety", errors, "solver.", low=0.0)
 
     init = data["initial_data"]
-    if not isinstance(init, dict) or init.get("kind") not in ("uniform", "fourier_modes"):
+    kind = _kind_of(init, _INITIAL_DATA_KEYS)
+    if kind is None:
         errors.append("initial_data.kind must be uniform or fourier_modes")
-    elif init["kind"] == "fourier_modes":
+    else:
         for key in init:
-            if key not in ("kind", "modes"):
+            if key != "kind" and key not in _INITIAL_DATA_KEYS[kind]:
                 errors.append(f"unknown key initial_data.{key}")
+    if kind == "fourier_modes":
         modes = init.get("modes")
         if not isinstance(modes, list) or not modes:
             errors.append("initial_data.modes must be a non-empty list")
@@ -412,43 +423,31 @@ def config_hash(config: RunConfig) -> str:
 # serialization helpers
 
 
-# How the parts of a report spell non-finite floats: results and failures
-# carry them as strings; the config echo, like json.dumps, writes the NaN and
-# Infinity literals.
-_REPORT_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Results and failures spell non-finite floats as strings.  The config echo
+# holds none: parse_config rejects every non-finite number.
+_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
-class _Echo:
-    """A plain JSON document that :func:`_write_json` writes as json.dumps
-    does, non-finite floats as NaN and Infinity."""
-
-    def __init__(self, doc):
-        self.doc = doc
-
-
-def _float_token(x, nonfinite) -> str:
+def _float_token(x) -> str:
     text = float.__repr__(float(x))
-    return nonfinite.get(text, text)
+    return _NONFINITE.get(text, text)
 
 
-def _float_list(values: list, level: int, nonfinite=None) -> str:
+def _float_list(values: list, level: int, finite: bool) -> str:
     """A nested list of floats (``ndarray.tolist()``), laid out at ``level``
     as json.dumps(indent=2) lays it out: one map and join per innermost row.
-    ``nonfinite`` is None when every float is finite."""
+    ``finite`` says that every float is finite."""
     if not values:
         return "[]"
     inner = "\n" + "  " * (level + 1)
     if isinstance(values[0], list):
-        items = [_float_list(row, level + 1, nonfinite) for row in values]
-    elif nonfinite is None:
-        items = map(float.__repr__, values)
+        items = [_float_list(row, level + 1, finite) for row in values]
     else:
-        items = [_float_token(v, nonfinite) for v in values]
+        items = map(float.__repr__ if finite else _float_token, values)
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
 
 
-def _write_json(write, obj, nonfinite=_REPORT_NONFINITE, level: int = 0) -> None:
+def _write_json(write, obj, level: int = 0) -> None:
     """Write ``obj`` piece by piece, byte for byte as
     ``json.dumps(obj, indent=2, sort_keys=True)`` writes the plain JSON it
     stands for.
@@ -456,21 +455,18 @@ def _write_json(write, obj, nonfinite=_REPORT_NONFINITE, level: int = 0) -> None
     Arrays and numpy scalars become lists and numbers (a float array row by
     row, each float by ``float.__repr__``), tuples become lists, complex
     numbers ``{"re": ..., "im": ...}`` and dict keys strings; non-finite
-    floats take the spelling of ``nonfinite`` (an :class:`_Echo` switches to
-    json's own).  Strings are escaped to ASCII as json.dumps escapes them.
+    floats become the strings of ``_NONFINITE``.  Strings are escaped to
+    ASCII as json.dumps escapes them.
     """
-    if isinstance(obj, _Echo):
-        _write_json(write, obj.doc, _JSON_NONFINITE, level)
-    elif isinstance(obj, np.ndarray):
+    if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
-            write(_float_list(obj.tolist(), level,
-                              None if np.isfinite(obj).all() else nonfinite))
+            write(_float_list(obj.tolist(), level, bool(np.isfinite(obj).all())))
         else:
-            _write_json(write, obj.tolist(), nonfinite, level)
+            _write_json(write, obj.tolist(), level)
     elif isinstance(obj, complex):
-        _write_json(write, {"re": obj.real, "im": obj.imag}, nonfinite, level)
+        _write_json(write, {"re": obj.real, "im": obj.imag}, level)
     elif not isinstance(obj, (dict, list, tuple)):
-        write(_json_scalar(obj, nonfinite))
+        write(_json_scalar(obj))
     elif not obj:
         write("{}" if isinstance(obj, dict) else "[]")
     else:
@@ -481,19 +477,19 @@ def _write_json(write, obj, nonfinite=_REPORT_NONFINITE, level: int = 0) -> None
             for key, value in sorted(((str(k), v) for k, v in obj.items()),
                                      key=lambda item: item[0]):
                 write(sep + encode_basestring_ascii(key) + ": ")
-                _write_json(write, value, nonfinite, level + 1)
+                _write_json(write, value, level + 1)
                 sep = "," + inner
             write("\n" + "  " * level + "}")
         else:
             write("[")
             for value in obj:
                 write(sep)
-                _write_json(write, value, nonfinite, level + 1)
+                _write_json(write, value, level + 1)
                 sep = "," + inner
             write("\n" + "  " * level + "]")
 
 
-def _json_scalar(obj, nonfinite) -> str:
+def _json_scalar(obj) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
@@ -503,7 +499,7 @@ def _json_scalar(obj, nonfinite) -> str:
     if isinstance(obj, (int, np.integer)):
         return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _float_token(obj, nonfinite)
+        return _float_token(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -767,13 +763,13 @@ def _cmd_growth(config: RunConfig):
     return results, [], csvs
 
 
-def _trace_payload(trace, max_samples: int = 1001) -> dict:
-    """Serializable form of an energy trace, stride-decimated to bound size.
+def _trace_payload(trace) -> dict:
+    """Serializable form of an energy trace, stride-decimated to _TRACE_SAMPLES.
 
     Component (i-1)m + (j-1) of V holds the (j-1)-th time derivative of the
     i-th transformed component, scaled by <xi>^{m-j}.
     """
-    stride = max(1, -(-trace.ts.size // max_samples))
+    stride = max(1, -(-trace.ts.size // _TRACE_SAMPLES))
     sl = slice(None, None, stride)
     payload = {
         "xi": trace.xi,
@@ -854,7 +850,7 @@ def run(config: RunConfig, command: str, out_dir: Path) -> int:
         "command": command,
         "seed": config.seed,
         "config_sha256": config_hash(config),
-        "config": _Echo(config.data),
+        "config": config.data,
         "results": results,
         "failures": failures,
     }

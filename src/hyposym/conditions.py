@@ -17,8 +17,7 @@ import numpy as np
 
 from hyposym.errors import CapabilityError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
-from hyposym.quasisym import lift_blocks
-from hyposym.reduction import PathAssembler, assemble_path, lower_order_matrix
+from hyposym.reduction import PathAssembler
 from hyposym.symbols import (
     SystemSymbol,
     deleted_sigmas,
@@ -103,8 +102,9 @@ class GridData:
     dtA0_norms: np.ndarray       # (T, R, D, m-1) spectral norms of D_t^k A_0
 
 
-# (t, xi) points per block of evaluate_grid.  Larger blocks raise the peak
-# RSS of `conditions` (by 2 MB at 8,192 on m3-tracezero) and gain no time.
+# (t, xi) points per block of evaluate_grid and of the sandwich constant.
+# Larger blocks raise the peak RSS of `conditions` (by 2 MB at 8,192 on
+# m3-tracezero) and gain no time.
 _GRID_BLOCK = 1 << 10
 
 
@@ -249,43 +249,38 @@ def thm2_ratios(symbol: SystemSymbol, grid: SamplingGrid, data: GridData | None 
     return sups, values, witness
 
 
-def sandwich_of(W_lift: np.ndarray, B: np.ndarray):
-    """Smallest C with |W_lift B V| <= C |W_lift V|, on stacks (..., n, n).
+def sandwich_of(W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Smallest C with |W_lift calB V| <= C |W_lift V|, on stacks of W rows
+    ``W`` (..., m, m) and calB entries ``b`` (..., m-1, m, m).
 
-    Computed on the orthogonal complement of ker(W*W) via a rank-revealing
-    eigendecomposition; where the lower-order form acts outside that range
-    the result is infinity.  Returns (C, witness): C has the stack shape, and
-    ``witness[...]`` is the most-leaking null vector where C is infinite and
-    zero elsewhere.
+    W's last column is all ones, so band i of W_lift calB V is that column
+    times row i of R V, where R (m x m^2) holds calB's band rows; and
+    W_lift*W_lift = I (x) W*W.  So C^2 = m lambda_max(R (I (x) (W*W)^+) R*),
+    dropping the eigenvalues of W*W below RANK_TOL times the largest.  C is
+    infinite where sqrt(m) |R_j u| > RANK_TOL (sqrt(m) |b| + 1) for a band
+    block R_j and a dropped eigenvector u: the lifted rule for e_j (x) u.
     """
-    WB = W_lift @ B
-    G = hermitian_part(np.swapaxes(W_lift, -1, -2).conj() @ W_lift)
-    Bq = hermitian_part(np.swapaxes(WB, -1, -2).conj() @ WB)
-    vals, vecs = np.linalg.eigh(G)
+    m = W.shape[-1]
+    vals, vecs = np.linalg.eigh(np.swapaxes(W, -1, -2) @ W)
     keep = vals > RANK_TOL * np.maximum(vals[..., -1:], 0.0)
-    leak = np.where(keep, 0.0, np.linalg.norm(WB @ vecs, axis=-2))
-    worst = leak.argmax(axis=-1)[..., None]
-    norm_B = np.linalg.norm(WB, axis=(-2, -1)) + 1.0
-    unbounded = np.take_along_axis(leak, worst, axis=-1)[..., 0] > RANK_TOL * norm_B
-    # Whitening by 1/sqrt(inf) zeroes the columns outside the kept range.
-    white = vecs / np.sqrt(np.where(keep, vals, np.inf))[..., None, :]
-    M = hermitian_part(np.swapaxes(white, -1, -2).conj() @ Bq @ white)
-    top = np.linalg.eigvalsh(M)[..., -1]
-    C = np.where(unbounded, np.inf, np.sqrt(np.maximum(top, 0.0)))
-    null_vec = np.take_along_axis(vecs, worst[..., None, :], axis=-1)[..., 0]
-    return C, np.where(unbounded[..., None], null_vec, 0.0)
+    # Z[..., i, j, k]: row i of band block j of R applied to eigenvector k
+    Z = np.moveaxis(b, -3, -1) @ vecs[..., None, : m - 1, :]
+    leak = np.where(keep[..., None, :], 0.0, np.linalg.norm(Z, axis=-3))
+    norm_b = np.sqrt(m) * np.linalg.norm(b.reshape(b.shape[:-3] + (-1,)), axis=-1) + 1.0
+    unbounded = np.sqrt(m) * leak.max(axis=(-2, -1)) > RANK_TOL * norm_b
+    # Whitening by 1/sqrt(inf) zeroes the eigenvectors outside the kept range.
+    Y = Z / np.sqrt(np.where(keep, vals, np.inf))[..., None, None, :]
+    Y = Y.reshape(W.shape[:-2] + (m, m * m))
+    top = np.linalg.eigvalsh(hermitian_part(Y @ np.swapaxes(Y, -1, -2).conj()))[..., -1]
+    return np.where(unbounded, np.inf, np.sqrt(m * np.maximum(top, 0.0)))
 
 
-def sandwich_constant(symbol: SystemSymbol, t: float, xi):
-    """Smallest C with |W_lift B V| <= C |W_lift V| at one (t, xi).
-
-    Returns (C, witness); the witness null vector is None unless C is infinite.
-    """
+def sandwich_constant(symbol: SystemSymbol, t: float, xi) -> float:
+    """Smallest C with |W_lift calB V| <= C |W_lift V| at one (t, xi)."""
     ts = np.array([float(t)])
-    _, calB = assemble_path(symbol, xi, ts)
+    b = PathAssembler(symbol, xi).reduce(ts)[1]
     W = deleted_sigmas(rescaled_spectra(symbol, ts, xi).lambdas)
-    C, witness = sandwich_of(lift_blocks(W), calB)
-    return float(C[0]), (witness[0] if np.isinf(C[0]) else None)
+    return float(sandwich_of(W, b)[0])
 
 
 def _square_sums(W: np.ndarray) -> np.ndarray:
@@ -380,11 +375,12 @@ class ConditionReport:
 
 
 def run_conditions(symbol: SystemSymbol, grid: SamplingGrid | None = None,
-                   seed: int = 0, deltas=None) -> ConditionReport:
+                   seed: int = 0) -> ConditionReport:
     """Evaluate every condition on the grid and aggregate with witnesses."""
     grid = grid or SamplingGrid.default(symbol)
     data = evaluate_grid(symbol, grid)
     m = symbol.m
+    _, R, D = grid.shape
 
     ks_vals = ks_pointwise(data.lambdas)
     ks_sup, ks_wit = float(ks_vals.max()), _argmax_witness(ks_vals, grid)
@@ -405,25 +401,30 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid | None = None,
             elif live.any():
                 impl = max(impl, float((lv[live] / t2[live]).max()))
 
-    # Sandwich constant on every 4th time sample, stacked per (r, d) pair;
-    # the witness is the first maximiser in (r, d, t) order.
+    # Sandwich constant on every 4th time sample, copied in blocks of whole
+    # (r, d) pairs in (r, d, t) order: argmax gives the first maximiser in it.
+    W4, b4 = (np.swapaxes(a[::4].reshape((-1, R * D) + a.shape[3:]), 0, 1)
+              for a in (data.deleted_sigmas, data.b_entries))
+    T4, step = W4.shape[1], max(1, _GRID_BLOCK // W4.shape[1])
+    sw_vals = np.concatenate([
+        sandwich_of(W4[p:p + step].reshape(-1, m, m), b4[p:p + step].reshape(-1, m - 1, m, m))
+        for p in range(0, R * D, step)])
+    k = int(np.argmax(sw_vals))
     sw_sup, sw_wit = 0.0, {}
-    for r_idx, d_idx, xi in grid.points():
-        vals, _ = sandwich_of(lift_blocks(data.deleted_sigmas[::4, r_idx, d_idx]),
-                              lower_order_matrix(data.b_entries[::4, r_idx, d_idx]))
-        k = int(np.argmax(vals))
-        if vals[k] > sw_sup:
-            sw_sup = float(vals[k])
-            sw_wit = {"t": float(grid.ts[4 * k]), "xi": xi.tolist(), "value": sw_sup}
+    if sw_vals[k] > 0.0:
+        pair, t_idx = divmod(k, T4)
+        xi = grid.xi(*divmod(pair, D))
+        sw_sup = float(sw_vals[k])
+        sw_wit = {"t": float(grid.ts[4 * t_idx]), "xi": xi.tolist(), "value": sw_sup}
 
     # Zone occupancy of seeded random states at grid spectra.
     rng = np.random.default_rng(seed)
-    deltas = np.ones(m - 2) if deltas is None else np.asarray(deltas, float)
     flat_W = data.deleted_sigmas.reshape(-1, m, m)
     sample = rng.choice(flat_W.shape[0], size=min(1000, flat_W.shape[0]), replace=False)
     # One draw of (re, im) per sampled point, in the order of a per-point loop.
     draws = rng.standard_normal((sample.size, 2, m * m))
-    zones = _zones(draws[:, 0] + 1j * draws[:, 1], _square_sums(flat_W[sample]), deltas)
+    zones = _zones(draws[:, 0] + 1j * draws[:, 1], _square_sums(flat_W[sample]),
+                   np.ones(m - 2))
     counts = dict(zip(*np.unique(zones, return_counts=True)))
 
     return ConditionReport(

@@ -38,6 +38,7 @@ from hyposym.symbols import (
 
 ENERGY_FLOOR = 1e-280
 RENORM_THRESHOLD = 1e120
+INEQUALITY_SLACK = 0.05   # relative slack of energy_inequality_check's bound
 
 
 @dataclass(frozen=True)
@@ -493,15 +494,14 @@ def check_sweep_span(xis, name: str = "frequency grid") -> None:
         raise DomainError(f"{name} must span at least two decades")
 
 
-def frequency_sweep(symbol: SystemSymbol, config: SolverConfig, u0hat=None,
+def frequency_sweep(symbol: SystemSymbol, config: SolverConfig,
                     collect_energy: bool = True) -> list:
     """One :func:`reduced_integrate` trace per frequency x of ``config.xi_grid``.
 
-    x is integrated at xi = (x, 0, ..., 0) from ``u0hat`` (default ones /
-    sqrt(m)); growth fits, energy checks and eps sweeps analyse these traces.
+    x is integrated at xi = (x, 0, ..., 0) from u-hat = ones / sqrt(m); growth
+    fits, energy checks and eps sweeps analyse these traces.
     """
-    if u0hat is None:
-        u0hat = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
+    u0hat = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
     traces = []
     for x in config.xi_grid:
         xi = np.zeros(symbol.n)
@@ -551,13 +551,13 @@ def _valid_mask(trace: EnergyTrace) -> np.ndarray:
     return trace.E > max(ENERGY_FLOOR, 1e-13 * scale)
 
 
-def energy_inequality_check(traces, slack: float = 0.05) -> InequalityReport:
+def energy_inequality_check(traces) -> InequalityReport:
     """Fit (C2, C3) and verify the pointwise growth inequality with slack.
 
     The constants are frequency-independent in the theory, so they are fitted
     by nonnegative least squares on the per-trace maxima of dtE/E - K against
     eps * <xi> using every trace except the highest frequency, then asserted
-    pointwise on all traces with the given slack.  A system whose constants
+    pointwise on all traces with INEQUALITY_SLACK.  A system whose constants
     grow with frequency fails at the top frequency.
     """
     traces = list(traces)
@@ -590,7 +590,7 @@ def energy_inequality_check(traces, slack: float = 0.05) -> InequalityReport:
     margins, witnesses, k_ints = [], [], []
     for tr, x in zip(traces, xs):
         mask = _valid_mask(tr)
-        bound = tr.K + (1.0 + slack) * (C2 * x + C3)
+        bound = tr.K + (1.0 + INEQUALITY_SLACK) * (C2 * x + C3)
         resid = np.where(mask, tr.dtE - bound * tr.E, -np.inf)
         rel = np.where(mask, resid / np.maximum(tr.E, ENERGY_FLOOR), -np.inf)
         tr.inequality_residual = np.where(mask, resid, 0.0)

@@ -281,7 +281,8 @@ def companion_roots(c: np.ndarray) -> np.ndarray:
     # Degree after deflation: the index of the last nonzero coefficient.
     degree = m - np.argmax(flat[:, ::-1] != 0.0, axis=1)
     roots = np.zeros((flat.shape[0], m), dtype=complex)
-    for deg in np.unique(degree[degree > 0]):
+    # Not a bare np.unique: numpy 2.4 imports numpy.ma for it (about 1.6 MB).
+    for deg in sorted(set(degree[degree > 0].tolist())):
         rows = np.flatnonzero(degree == deg)
         comp = np.zeros((rows.size, deg, deg))
         comp[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0

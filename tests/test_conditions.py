@@ -19,6 +19,7 @@ from hyposym import (
 )
 from hyposym.conditions import (
     ABS_FLOOR,
+    RANK_TOL,
     _square_sums,
     _zones,
     evaluate_grid,
@@ -26,7 +27,9 @@ from hyposym.conditions import (
     sandwich_of,
 )
 from hyposym.examples import builtin_system
+from hyposym.pencils import hermitian_part
 from hyposym.quasisym import build_W, lift_blocks, sample_separation_set
+from hyposym.reduction import lower_order_matrix
 from hyposym.symbols import bracket, deleted_sigmas, rescaled_spectra
 
 
@@ -39,6 +42,54 @@ def constant_symbol(M, horizon=1.0):
     coeffs = np.zeros((1, M.shape[0], M.shape[0], 1))
     coeffs[..., 0] = M
     return SystemSymbol(coeffs=coeffs, horizon=horizon)
+
+
+def companion_symbol(last_row, horizon=1.0):
+    """1-d symbol whose matrix is the companion matrix with the polynomials in
+    t of ``last_row`` (coefficient lists, lowest degree first) as last row."""
+    m = len(last_row)
+    coeffs = np.zeros((1, m, m, max(map(len, last_row))))
+    for i in range(m - 1):
+        coeffs[0, i, i + 1, 0] = 1.0
+    for j, poly in enumerate(last_row):
+        coeffs[0, m - 1, j, : len(poly)] = poly
+    return SystemSymbol(coeffs=coeffs, horizon=horizon)
+
+
+def lifted_sandwich_of(W_lift, B):
+    """Oracle: smallest C with |W_lift B V| <= C |W_lift V| from the lifted
+    m^2 x m^2 matrices, on stacks.
+
+    Computed on the orthogonal complement of ker(W*W) via a rank-revealing
+    eigendecomposition; where the lower-order form acts outside that range
+    the result is infinity.
+    """
+    WB = W_lift @ B
+    G = hermitian_part(np.swapaxes(W_lift, -1, -2).conj() @ W_lift)
+    Bq = hermitian_part(np.swapaxes(WB, -1, -2).conj() @ WB)
+    vals, vecs = np.linalg.eigh(G)
+    keep = vals > RANK_TOL * np.maximum(vals[..., -1:], 0.0)
+    leak = np.where(keep, 0.0, np.linalg.norm(WB @ vecs, axis=-2))
+    norm_B = np.linalg.norm(WB, axis=(-2, -1)) + 1.0
+    unbounded = leak.max(axis=-1) > RANK_TOL * norm_B
+    # Whitening by 1/sqrt(inf) zeroes the columns outside the kept range.
+    white = vecs / np.sqrt(np.where(keep, vals, np.inf))[..., None, :]
+    M = hermitian_part(np.swapaxes(white, -1, -2).conj() @ Bq @ white)
+    top = np.linalg.eigvalsh(M)[..., -1]
+    return np.where(unbounded, np.inf, np.sqrt(np.maximum(top, 0.0)))
+
+
+def assert_sandwich_matches_lifted(W, b):
+    """sandwich_of(W, b) against the lifted oracle: the same infinite points,
+    finite values within 1e-13 relative, and each row bitwise its own call."""
+    C = sandwich_of(W, b)
+    ref = lifted_sandwich_of(lift_blocks(W), lower_order_matrix(b))
+    np.testing.assert_array_equal(np.isinf(C), np.isinf(ref))
+    finite = np.isfinite(ref)
+    np.testing.assert_allclose(C[finite], ref[finite], rtol=1e-13, atol=0.0)
+    for i in range(W.shape[0]):
+        assert sandwich_of(W[i:i + 1], b[i:i + 1]).tobytes() == C[i:i + 1].tobytes()
+    return C
 
 
 def symmetriser_diagonals(lambdas) -> np.ndarray:
@@ -161,14 +212,13 @@ class TestThm2Ratios:
 class TestSandwichConstant:
     def test_zero_lower_order(self):
         S = builtin_system("m2-wave")
-        value, witness = sandwich_constant(S, 0.5, np.array([10.0]))
+        value = sandwich_constant(S, 0.5, np.array([10.0]))
         assert value == pytest.approx(0.0, abs=1e-12)
-        assert witness is None
 
     def test_glaeser_against_random_sampling(self):
         S = builtin_system("m2-glaeser")
         t, xi = 1.0, np.array([10.0])
-        value, _ = sandwich_constant(S, t, xi)
+        value = sandwich_constant(S, t, xi)
         red = assemble(S, t, xi)
         lam = np.sort(np.linalg.eigvals(
             red.calA[:2, :2] / bracket(xi)).real)
@@ -184,12 +234,10 @@ class TestSandwichConstant:
         assert best >= 0.95 * value
 
     def test_synthetic_large_entries(self):
-        lam = np.array([-1.0, 0.5, 1.5])
-        Wl = lift_blocks(build_W(lam))
-        B = np.zeros((9, 9), dtype=complex)
-        for i in range(3):
-            B[i * 3 + 2, 0] = 1e4
-        value, _ = sandwich_of(Wl, B)
+        W = build_W(np.array([-1.0, 0.5, 1.5]))[None]
+        b = np.zeros((1, 2, 3, 3), dtype=complex)
+        b[0, 0, :, 0] = 1e4   # calB[i*3 + 2, 0] for every band i
+        value = assert_sandwich_matches_lifted(W, b)[0]
         assert np.isfinite(value) and value > 1e3
 
     def test_monotone_envelope_against_levi(self):
@@ -205,21 +253,71 @@ class TestSandwichConstant:
         for r_idx, d_idx, xi in grid.points():
             for t_idx in range(grid.ts.size):
                 L = levi[t_idx, r_idx, d_idx].max()
-                C, _ = sandwich_constant(S, grid.ts[t_idx], xi)
+                C = sandwich_constant(S, grid.ts[t_idx], xi)
                 if L > 1e-14:
                     assert C <= alpha_frozen * np.sqrt(L) * (1 + 1e-9)
                 else:
                     assert C <= 1e-10
 
     def test_leak_outside_range_is_infinite(self):
-        lam = np.array([1.0, 1.0])  # coinciding: W is singular
-        Wl = lift_blocks(build_W(lam))
-        B = np.zeros((4, 4), dtype=complex)
-        B[1, 0] = 1.0
-        B[3, 2] = 1.0
-        value, witness = sandwich_of(Wl, B)
-        assert value == np.inf
-        assert witness is not None
+        W = build_W(np.array([1.0, 1.0]))[None]  # coinciding: W is singular
+        b = np.zeros((1, 1, 2, 2), dtype=complex)
+        b[0, 0, 0, 0] = 1.0   # calB[1, 0]
+        b[0, 0, 1, 1] = 1.0   # calB[3, 2]
+        assert assert_sandwich_matches_lifted(W, b)[0] == np.inf
+
+
+def _every_fourth_t(data):
+    """The (W, b) stacks of run_conditions' sandwich: every 4th t, flattened."""
+    m = data.lambdas.shape[-1]
+    return (data.deleted_sigmas[::4].reshape(-1, m, m),
+            data.b_entries[::4].reshape(-1, m - 1, m, m))
+
+
+# Eigenvalues +-2 and +-t: the inline system of the report-m4 benchmark; the
+# m = 6 system adds the pair +-1.
+M4_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]])
+M6_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
+                                   [5.0, 0.0, 1.0], [0.0]])
+
+
+class TestSandwichAgainstLifted:
+    @pytest.mark.parametrize("name, infinite", [
+        ("m2-glaeser", 0), ("m2-wave", 0), ("m2-nonhyp-control", 0), ("m3-tracezero", 194),
+    ])
+    def test_builtin_default_grids(self, name, infinite):
+        S = builtin_system(name)
+        C = assert_sandwich_matches_lifted(*_every_fourth_t(
+            evaluate_grid(S, SamplingGrid.default(S))))
+        assert np.count_nonzero(np.isinf(C)) == infinite
+
+    @pytest.mark.parametrize("symbol, n_t, n_r", [
+        (M4_DOUBLE_ZERO, 41, 8),   # the report-m4 grid
+        (M6_DOUBLE_ZERO, 21, 4),
+    ])
+    def test_inline_systems(self, symbol, n_t, n_r):
+        grid = SamplingGrid.default(symbol, n_t=n_t, n_r=n_r)
+        C = assert_sandwich_matches_lifted(*_every_fourth_t(evaluate_grid(symbol, grid)))
+        assert np.isinf(C).any() and np.isfinite(C).any()
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_random_stacks_with_coalescing_tuples(self, m):
+        """Tuples drawn from four values, so most repeat one: singular W.
+        Half the rows project b off ker W and stay finite; the rest leak."""
+        rng = np.random.default_rng(m)
+        lams = rng.choice([-1.5, -0.5, 0.0, 2.0], size=(64, m))
+        W = deleted_sigmas(lams)
+        shape = (64, m - 1, m, m)
+        b = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+             * 10.0 ** rng.uniform(-3.0, 3.0, (64, 1, 1, 1)))
+        for row in range(0, 64, 2):
+            _, s, vt = np.linalg.svd(W[row])
+            null = vt[s <= RANK_TOL * s[0], : m - 1].T
+            if null.size:
+                basis, _ = np.linalg.qr(null)
+                b[row] -= np.einsum("lk,pk,pij->lij", basis, basis.conj(), b[row])
+        C = assert_sandwich_matches_lifted(W, b)
+        assert np.isfinite(C).any() and np.isinf(C).any()
 
 
 def _sandwich_loop(symbol, grid):
@@ -227,7 +325,7 @@ def _sandwich_loop(symbol, grid):
     sup, witness = 0.0, {}
     for _, _, xi in grid.points():
         for t_idx in range(0, grid.ts.size, 4):
-            value, _ = sandwich_constant(symbol, grid.ts[t_idx], xi)
+            value = sandwich_constant(symbol, grid.ts[t_idx], xi)
             if value > sup:
                 sup = value
                 witness = {"t": float(grid.ts[t_idx]), "xi": xi.tolist(), "value": value}

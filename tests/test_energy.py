@@ -254,7 +254,7 @@ class TestReducedIntegrate:
         V0 = transform_initial_data(S, np.ones(2), xi).V
         trace = reduced_integrate(S, xi, V0, SolverConfig())
         m = S.m
-        sw = max(sandwich_constant(S, t, xi)[0] for t in trace.ts[:: len(trace.ts) // 40])
+        sw = max(sandwich_constant(S, t, xi) for t in trace.ts[:: len(trace.ts) // 40])
         C3 = 2.0 * factorial(m - 1) * sw
         assert np.all(trace.term3 <= C3 * trace.E * (1 + 1e-6) + 1e-12)
 

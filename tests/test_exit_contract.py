@@ -63,6 +63,7 @@ SYSTEMS = [
               for i in range(6)]]),
     TINY_M6,
     {"m": 2, "n": 1, "horizon": 1.0, "coefficients": [[[["x"], [1.0]], [[1.0], [0.0]]]]},
+    _inline([[[[0.0], [1.0]], [[10 ** 400], [0.0]]]]),
     {"m": 7, "n": 1, "horizon": 1.0, "coefficients": []},
 ]
 
@@ -86,7 +87,7 @@ POOLS = {
                       {"kind": "fixed", "value": 1e-300}, {"kind": "bogus"},
                       {"kind": "inverse", "k": 2.0}, {"kind": "inverse", "value": 0.5},
                       {"kind": "fixed", "value": 0.5, "k": 4},
-                      {"kind": "balanced", "k": 2.0, "value": 0.5}],
+                      {"kind": "balanced", "k": 2.0, "value": 0.5}, {"kind": []}],
     ("solver",): [{"t_step": 1e-300}],
     ("initial_data",): [
         {"kind": "fourier_modes", "modes": [{"k": 1, "amplitudes": [[1.0, 0.0]]}]},
@@ -94,6 +95,7 @@ POOLS = {
         {"kind": "fourier_modes", "modes": [{"k": 3, "amplitudes": [[1e300, -1e300]]}]},
         {"kind": "fourier_modes", "modes": []},
         {"kind": "fourier_modes", "modes": [{"k": 1.5, "amplitudes": []}]},
+        {"kind": "uniform", "junk": float("nan")},
     ],
     ("snapshots",): [[0.5, 1.0], [0.0], [], [1.5], [1e-300, 1.0], ["x"]],
     ("grid_size",): [2, 8, 32, 3, 2 ** 70],
@@ -185,6 +187,10 @@ def _fixed_step(**grids):
 @example(doc=_long_steps(TINY_M6, xi_list=[1e100, 1e101, 1e102]), argv_parts=("growth", []))
 @example(doc=_fixed_step(xi_list=[1e200, 1e201, 1e202]), argv_parts=("growth", []))
 @example(doc=_long_steps(_inline(GLAESER, horizon=1e300)), argv_parts=("reduce", []))
+@example(doc=_with(("system",), _inline([[[[0.0], [1.0]], [[10 ** 400], [0.0]]]])),
+         argv_parts=("conditions", []))
+@example(doc=_with(("initial_data",), {"kind": "uniform", "junk": float("nan")}),
+         argv_parts=("solve", []))
 def test_main_keeps_the_exit_code_contract(doc, argv_parts):
     code, err = _run(doc, argv_parts)
     assert code in (0, 1, 2, 3)
