@@ -22,19 +22,11 @@ from hyposym.symbols import (
     eval_symbol,
     time_derivative,
 )
-from hyposym.reduction import (
-    ReducedSystem,
-    StateVector,
-    assemble,
-    reduction_residual,
-    transform_initial_data,
-)
+from hyposym.reduction import reduction_residual
 from hyposym.quasisym import (
     QuasiSymmetriser,
-    build_P,
     build_Q_eps,
     build_W,
-    lift_blocks,
     near_diagonal_constant,
     sylvester_companion,
     verify_properties,
@@ -71,14 +63,10 @@ __all__ = [
     "EnergyTrace",
     "NumericError",
     "QuasiSymmetriser",
-    "ReducedSystem",
     "SamplingGrid",
     "SolverConfig",
     "Spectrum",
-    "StateVector",
     "SystemSymbol",
-    "assemble",
-    "build_P",
     "build_Q_eps",
     "build_W",
     "builtin_system",
@@ -92,7 +80,6 @@ __all__ = [
     "integral_K_sweep",
     "ks_constant",
     "levi_ratios",
-    "lift_blocks",
     "near_diagonal_constant",
     "reduced_integrate",
     "reduction_residual",
@@ -102,7 +89,6 @@ __all__ = [
     "sylvester_companion",
     "thm2_ratios",
     "time_derivative",
-    "transform_initial_data",
     "verify_properties",
 ]
 

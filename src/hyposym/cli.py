@@ -42,7 +42,7 @@ from hyposym.energy import (
 from hyposym.errors import CapabilityError, ConsistencyError, DomainError, NumericError
 from hyposym.examples import BUILTIN_SYSTEMS, builtin_system
 from hyposym.quasisym import sample_separation_set, verify_properties
-from hyposym.reduction import PathAssembler, assemble, reduction_residual
+from hyposym.reduction import PathAssembler, lower_order_matrix, reduction_residual
 from hyposym.energy import direct_integrate
 from hyposym.symbols import MAX_DIMENSION, SystemSymbol, bracket
 
@@ -547,23 +547,23 @@ def _write_csv(path: Path, columns: dict):
 
 def _cmd_reduce(config: RunConfig):
     symbol = config.symbol
-    results: dict = {"samples": []}
     sample_ts = [0.0, symbol.horizon / 2.0, symbol.horizon]
     xi_list = config.data["grids"]["xi_list"][:3]
-    for xi_mag in xi_list:
-        xi = np.zeros(symbol.n)
-        xi[0] = xi_mag
-        for t in sample_ts:
-            red = assemble(symbol, t, xi)
-            entry = {
-                "t": t,
-                "xi": xi.tolist(),
-                "calA": red.calA,
-                "calB_re": red.calB.real,
-                "calB_im": red.calB.imag,
-                "char_coeffs": red.char,
-            }
-            results["samples"].append(entry)
+    xis = np.zeros((len(xi_list), symbol.n))
+    xis[:, 0] = xi_list
+    calA, b, _, _, c = PathAssembler(symbol, xis).reduce(sample_ts)
+    # (t, xi) pairs whose reduction overflowed, taken frequency by frequency
+    bad = ~(np.isfinite(calA).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1))).T
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise NumericError(f"the reduction overflows at (t={float(sample_ts[i])}, "
+                           f"xi={xis[k].tolist()})")
+    calB = lower_order_matrix(b)
+    results: dict = {"samples": [
+        {"t": t, "xi": xi.tolist(), "calA": calA[i, k], "calB_re": calB[i, k].real,
+         "calB_im": calB[i, k].imag, "char_coeffs": c[i, k]}
+        for k, xi in enumerate(xis) for i, t in enumerate(sample_ts)
+    ]}
     # Convergence study of the reduction against the direct oracle.
     xi = np.zeros(symbol.n)
     xi[0] = min(10.0, float(config.data["grids"]["xi_list"][0]))

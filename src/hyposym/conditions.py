@@ -160,13 +160,17 @@ def _require_finite(values: np.ndarray, grid: SamplingGrid, k0: int, what: str) 
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Elementwise ratio with the 0/0 convention and infinity sentinel."""
+    """Elementwise ratio with the 0/0 convention and infinity sentinel.
+
+    A ratio beyond RATIO_CAP reads inf, and so does inf/inf, where both
+    squares overflowed.
+    """
     out = np.zeros_like(num, dtype=float)
     live = num > ABS_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
     out[live] = vals[live]
-    out[live & (vals > RATIO_CAP)] = np.inf
+    out[live & ~(vals <= RATIO_CAP)] = np.inf   # the NaN of inf/inf too
     return out
 
 
@@ -184,11 +188,12 @@ def ks_pointwise(lambdas: np.ndarray) -> np.ndarray:
     """Worst pair ratio (l_i^2 + l_j^2) / (l_i - l_j)^2 per grid point."""
     m = lambdas.shape[-1]
     worst = np.zeros(lambdas.shape[:-1])
-    for i in range(m):
-        for j in range(i + 1, m):
-            num = lambdas[..., i] ** 2 + lambdas[..., j] ** 2
-            den = (lambdas[..., i] - lambdas[..., j]) ** 2
-            worst = np.maximum(worst, _ratio(num, den))
+    with np.errstate(over="ignore"):   # an overflowed square reads inf
+        for i in range(m):
+            for j in range(i + 1, m):
+                num = lambdas[..., i] ** 2 + lambdas[..., j] ** 2
+                den = (lambdas[..., i] - lambdas[..., j]) ** 2
+                worst = np.maximum(worst, _ratio(num, den))
     return worst
 
 
@@ -208,13 +213,14 @@ def levi_pointwise(data: GridData) -> np.ndarray:
     m = data.lambdas.shape[-1]
     shape = data.lambdas.shape[:-1]
     out = np.zeros(shape + (m - 1, m))
-    for l in range(1, m):
-        # q_ll = sum_i sigma_{m-l}(pi_i lambda)^2; column l-1 of the W rows
-        # holds sigma_{m-l}(pi_i lambda).
-        den = (data.deleted_sigmas[..., :, l - 1] ** 2).sum(axis=-1)
-        for j in range(m):
-            num = (np.abs(data.b_entries[..., l - 1, :, j]) ** 2).sum(axis=-1)
-            out[..., l - 1, j] = _ratio(num, den)
+    with np.errstate(over="ignore"):   # an overflowed square sum reads inf
+        for l in range(1, m):
+            # q_ll = sum_i sigma_{m-l}(pi_i lambda)^2; column l-1 of the W rows
+            # holds sigma_{m-l}(pi_i lambda).
+            den = (data.deleted_sigmas[..., :, l - 1] ** 2).sum(axis=-1)
+            for j in range(m):
+                num = (np.abs(data.b_entries[..., l - 1, :, j]) ** 2).sum(axis=-1)
+                out[..., l - 1, j] = _ratio(num, den)
     return out
 
 
@@ -232,11 +238,12 @@ def thm2_pointwise(data: GridData) -> np.ndarray:
     """max_k ||D_t^k A_0||^2 / q_jj per (grid point, j)."""
     m = data.lambdas.shape[-1]
     shape = data.lambdas.shape[:-1]
-    num = (data.dtA0_norms ** 2).max(axis=-1)
     out = np.zeros(shape + (m - 1,))
-    for j in range(1, m):
-        den = (data.deleted_sigmas[..., :, j - 1] ** 2).sum(axis=-1)
-        out[..., j - 1] = _ratio(num, den)
+    with np.errstate(over="ignore"):   # an overflowed square reads inf
+        num = (data.dtA0_norms ** 2).max(axis=-1)
+        for j in range(1, m):
+            den = (data.deleted_sigmas[..., :, j - 1] ** 2).sum(axis=-1)
+            out[..., j - 1] = _ratio(num, den)
     return out
 
 
@@ -261,12 +268,13 @@ def sandwich_of(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     block R_j and a dropped eigenvector u: the lifted rule for e_j (x) u.
     """
     m = W.shape[-1]
-    vals, vecs = np.linalg.eigh(np.swapaxes(W, -1, -2) @ W)
-    keep = vals > RANK_TOL * np.maximum(vals[..., -1:], 0.0)
-    # Z[..., i, j, k]: row i of band block j of R applied to eigenvector k
-    Z = np.moveaxis(b, -3, -1) @ vecs[..., None, : m - 1, :]
-    leak = np.where(keep[..., None, :], 0.0, np.linalg.norm(Z, axis=-3))
-    norm_b = np.sqrt(m) * np.linalg.norm(b.reshape(b.shape[:-3] + (-1,)), axis=-1) + 1.0
+    with np.errstate(over="ignore"):   # W rows or b entries whose squares overflow
+        vals, vecs = np.linalg.eigh(np.swapaxes(W, -1, -2) @ W)
+        keep = vals > RANK_TOL * np.maximum(vals[..., -1:], 0.0)
+        # Z[..., i, j, k]: row i of band block j of R applied to eigenvector k
+        Z = np.moveaxis(b, -3, -1) @ vecs[..., None, : m - 1, :]
+        leak = np.where(keep[..., None, :], 0.0, np.linalg.norm(Z, axis=-3))
+        norm_b = np.sqrt(m) * np.linalg.norm(b.reshape(b.shape[:-3] + (-1,)), axis=-1) + 1.0
     unbounded = np.sqrt(m) * leak.max(axis=(-2, -1)) > RANK_TOL * norm_b
     # Whitening by 1/sqrt(inf) zeroes the eigenvectors outside the kept range.
     Y = Z / np.sqrt(np.where(keep, vals, np.inf))[..., None, None, :]
@@ -287,8 +295,9 @@ def _square_sums(W: np.ndarray) -> np.ndarray:
     """S[..., j] = sum_i sigma_{m-j}(pi_i lambda)^2 from stacked W rows, j = 1..m; S[..., 0] = 0."""
     m = W.shape[-1]
     S = np.zeros(W.shape[:-2] + (m + 1,))
-    for i in range(m):
-        S[..., 1:] += W[..., i, :] ** 2
+    with np.errstate(over="ignore"):   # an overflowed square reads inf
+        for i in range(m):
+            S[..., 1:] += W[..., i, :] ** 2
     return S
 
 
@@ -315,37 +324,6 @@ def _zones(V: np.ndarray, sig_sq: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         zone[hit] = h
         open_ &= ~hit
     return zone
-
-
-def difference_identity_residual_of(lambdas) -> float:
-    """Max relative residual of the deleted-variable difference identity.
-
-    For every pair i != j and 1 <= k <= m-1:
-    sigma_{m-k}(pi_i l) - sigma_{m-k}(pi_j l)
-        = (-1)^{m-k} (l_j - l_i) * sum of products over (m-k-1)-subsets
-          avoiding i and j.
-    """
-    from itertools import combinations
-
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    m = lam.size
-    worst = 0.0
-    W = deleted_sigmas(lam)   # W[i, k-1] = sigma_{m-k}(pi_i l)
-    for k in range(1, m):
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                lhs = W[i, k - 1] - W[j, k - 1]
-                rest = [idx for idx in range(m) if idx not in (i, j)]
-                ssum = sum(
-                    float(np.prod(lam[list(sub)]))
-                    for sub in combinations(rest, m - k - 1)
-                )
-                rhs = (-1.0) ** (m - k) * (lam[j] - lam[i]) * ssum
-                scale = 1.0 + max(abs(lhs), abs(rhs))
-                worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------

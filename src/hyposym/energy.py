@@ -26,7 +26,6 @@ from hyposym.reduction import (
     SeparablePath,
     initial_states,
     lower_order_matrix,
-    transform_initial_data,
 )
 from hyposym.symbols import (
     SystemSymbol,
@@ -310,16 +309,16 @@ def _step_matrices(symbol: SystemSymbol, xi, ts_half, bxi=None, terms=None):
     constant = symbol.is_constant()
     held = []
 
-    def assemble(ts):
+    def matrices(ts):
         calA, b = assembler.reduce(ts)[:2]
         held[:] = (calA, b) if constant else (calA[::2], b[::2])
         return 1j * (calA + lower_order_matrix(b))
 
     if constant:
-        step_matrices = assemble(ts_half[:1])[0]
+        step_matrices = matrices(ts_half[:1])[0]
     else:
         def step_matrices(k0, k1):
-            return assemble(ts_half[2 * k0 : 2 * k1 + 1])
+            return matrices(ts_half[2 * k0 : 2 * k1 + 1])
     if terms is None:
         return step_matrices
     N = (ts_half.size - 1) // 2
@@ -451,11 +450,11 @@ class _EnergyTerms:
 
 
 def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
-                      collect_energy: bool = True, eps: float | None = None) -> EnergyTrace:
+                      collect_energy: bool = True) -> EnergyTrace:
     """Integrate d/dt V = i (calA + calB) V and record energy diagnostics.
 
-    ``V0`` is any complex vector of length m^2 (usually from
-    :func:`hyposym.reduction.transform_initial_data`).  The state is rescaled
+    ``V0`` is any complex vector of length m^2 (usually a row of
+    :func:`hyposym.reduction.initial_states`).  The state is rescaled
     whenever it grows past RENORM_THRESHOLD, so growing modes never overflow;
     the accumulated log-scale is stored on the trace.  The diagnostics take
     calA and calB from the integration's own assembly, one window at a time.
@@ -468,7 +467,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
     ts = ts_half[::2]
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    eps_val = config.eps_for(m, xi) if eps is None else float(eps)
+    eps_val = config.eps_for(m, xi)
     terms = _EnergyTerms(symbol, ts, xi, eps_val) if collect_energy else None
     try:
         V, logs = _lockstep_rk4(_step_matrices(symbol, xi[None], ts_half, terms=terms),
@@ -501,33 +500,12 @@ def frequency_sweep(symbol: SystemSymbol, config: SolverConfig,
     x is integrated at xi = (x, 0, ..., 0) from u-hat = ones / sqrt(m); growth
     fits, energy checks and eps sweeps analyse these traces.
     """
+    xis = np.zeros((len(config.xi_grid), symbol.n))
+    xis[:, 0] = config.xi_grid
     u0hat = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
-    traces = []
-    for x in config.xi_grid:
-        xi = np.zeros(symbol.n)
-        xi[0] = x
-        V0 = transform_initial_data(symbol, u0hat, xi).V
-        traces.append(reduced_integrate(symbol, xi, V0, config, collect_energy=collect_energy))
-    return traces
-
-
-def reweight_energy(trace: EnergyTrace, symbol: SystemSymbol, eps: float) -> EnergyTrace:
-    """Recompute the energy diagnostics of an existing trajectory at another eps.
-
-    The trajectory itself does not depend on eps, so sweeps over the
-    quasi-symmetriser parameter reuse the integrated state.  calA and calB
-    are assembled _TERM3_BLOCK samples at a time.
-    """
-    new = EnergyTrace(ts=trace.ts, V=trace.V, log_scale=trace.log_scale,
-                      xi=trace.xi, eps=float(eps), m=trace.m)
-    ts = trace.ts
-    terms = _EnergyTerms(symbol, ts, trace.xi, float(eps))
-    assembler = PathAssembler(symbol, trace.xi[None])
-    for k0 in range(0, ts.size, _TERM3_BLOCK):
-        k1 = min(k0 + _TERM3_BLOCK, ts.size)
-        terms.add(k0, k1, *assembler.reduce(ts[k0:k1])[:2], trace.V)
-    terms.finish(new)
-    return new
+    V0s = initial_states(symbol, np.broadcast_to(u0hat, (len(xis), symbol.m)), xis)
+    return [reduced_integrate(symbol, xi, V0, config, collect_energy=collect_energy)
+            for xi, V0 in zip(xis, V0s)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ values, so :func:`q_eps_parts` builds the row and its outer product once per
 subset of the sorted values (at most 2^m of them, stacked over any leading
 shape) and then replays the m! * m additions of the permutation sum in
 permutation order.  Only additions remain in the m! loop, and the result is
-bitwise that of the sum over ``build_P`` of every permutation.
+bitwise that of the sum over every permutation of P(lambda_rho) built level
+by level.
 """
 
 from __future__ import annotations
@@ -68,25 +69,6 @@ def sylvester_companion(lambdas) -> np.ndarray:
     M[..., np.arange(m - 1), np.arange(1, m)] = 1.0
     M[..., m - 1, :] = -sig[..., m - np.arange(m)]
     return M
-
-
-def build_P(lambdas) -> np.ndarray:
-    """Unit lower-triangular transfer matrix, built level by level.
-
-    P for a single eigenvalue is [[1]]; each extension appends the row
-    (sigma_{q-1}(lambda'), ..., sigma_1(lambda'), 1) built from the values
-    seen so far, so the result depends only on lambdas[:-1].  The
-    quasi-symmetriser does not go through it (see :func:`q_eps_parts`).
-    """
-    lam = _as_lambda(lambdas)
-    m = lam.size
-    P = np.zeros((m, m))
-    P[0, 0] = 1.0
-    for q in range(2, m + 1):
-        sig = elementary_symmetric_all(lam[: q - 1])
-        P[q - 1, : q - 1] = sig[q - 1 - np.arange(q - 1)]
-        P[q - 1, q - 1] = 1.0
-    return P
 
 
 def build_W(lambdas) -> np.ndarray:
@@ -145,7 +127,7 @@ def q_eps_parts(lambdas) -> np.ndarray:
     of eps^{2i}.  Row r of P(lambda_rho) is the sigma row
     (sigma_r, ..., sigma_1, 1, 0, ..., 0) of the first r permuted values,
     and ``elementary_symmetric_all`` sorts them first, so the row depends on
-    their set only.  Every row of the result equals the sum over ``build_P``
+    their set only.  Every row of the result equals the permutation sum
     bit for bit (see the module docstring).
     """
     lam = np.sort(np.asarray(lambdas, dtype=float), axis=-1)
@@ -172,7 +154,8 @@ def _replayed_parts(lam: np.ndarray) -> np.ndarray:
         row[..., : r + 1] = sig[..., ::-1]
         rows.append(row)
     rows = np.concatenate(rows)
-    outers = rows[..., :, None] * rows[..., None, :]
+    with np.errstate(over="ignore"):   # an overflowed product reads inf
+        outers = rows[..., :, None] * rows[..., None, :]
     parts = np.zeros((m, n, m, m))
     for take in plan:
         parts += outers[take]
@@ -204,15 +187,6 @@ def build_Q_eps(lambdas, eps: float) -> QuasiSymmetriser:
         m=lam.size, eps=float(eps), lambdas=lam.copy(), Q_eps=sum_parts(parts, eps),
         parts=tuple(parts), W=build_W(lam),
     )
-
-
-def lift_blocks(block: np.ndarray) -> np.ndarray:
-    """Block-diagonal lifting with m identical copies of an m x m block.
-
-    Works on stacks: shape (..., m, m) to (..., m^2, m^2).
-    """
-    block = np.asarray(block)
-    return np.kron(np.eye(block.shape[-1], dtype=block.dtype), block)
 
 
 def near_diagonal_constant(Q: np.ndarray) -> float:

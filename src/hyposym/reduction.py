@@ -14,7 +14,6 @@ algebra real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from hyposym.errors import DomainError, NumericError
 from hyposym.symbols import (
     SystemSymbol,
-    _check_time,
     adjugate_coeffs,
     bracket,
     brackets,
@@ -30,38 +28,6 @@ from hyposym.symbols import (
     faddeev_leverrier,
     time_derivative,
 )
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """Reduced pair (calA, calB) at one (t, xi) plus its building blocks.
-
-    ``bold_A[h]`` are the adjugate coefficient matrices (bold_A[0] = I) and
-    ``bold_B[l-1]`` the lower-order matrices for l = 1..m-1.  ``calB`` stores
-    the entries already scaled by <xi>^{l-m}.
-    """
-
-    m: int
-    t: float
-    xi: np.ndarray
-    calA: np.ndarray
-    calB: np.ndarray
-    bold_A: tuple
-    bold_B: tuple
-    char: np.ndarray
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Reduced state V of length m^2.
-
-    Component (i - 1) * m + (j - 1) (zero-based) holds
-    D_t^{j-1} <xi>^{m-j} u_i-hat, i.e. band i stacks the scaled time
-    derivatives of the i-th original component.
-    """
-
-    V: np.ndarray
-    m: int
 
 
 def _deriv_paths(derivs: list, ts: np.ndarray, xi) -> list:
@@ -233,30 +199,11 @@ class SeparablePath:
 def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
     """Stacked (calA, calB) along a time grid, shapes (len(ts), m^2, m^2).
 
-    calA is real block-companion; calB is complex.  Single-point callers
-    should use :func:`assemble`; a stack of frequencies goes through one
+    calA is real block-companion; calB is complex.  A stack of frequencies,
+    or the building blocks bold_A and bold_B, go through one
     :class:`PathAssembler`.
     """
     return PathAssembler(symbol, xi)(ts)
-
-
-def assemble(symbol: SystemSymbol, t: float, xi) -> ReducedSystem:
-    """Assemble the reduced pair and its building blocks at one (t, xi)."""
-    t = _check_time(symbol, t)
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    calA, b, boldA, boldB, c = PathAssembler(symbol, xi_arr).reduce(np.array([t]))
-    if not (np.isfinite(calA).all() and np.isfinite(b).all()):
-        raise NumericError(f"the reduction overflows at (t={t}, xi={xi_arr.tolist()})")
-    return ReducedSystem(
-        m=symbol.m,
-        t=t,
-        xi=xi_arr,
-        calA=calA[0],
-        calB=lower_order_matrix(b[0]),
-        bold_A=tuple(B[0] for B in boldA),
-        bold_B=tuple(B[0] for B in boldB),
-        char=c[0],
-    )
 
 
 def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
@@ -282,20 +229,6 @@ def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
     return maps
 
 
-def transform_initial_data(symbol: SystemSymbol, u0hat, xi) -> StateVector:
-    """Initial reduced state from u-hat(0, xi).
-
-    Time derivatives at t = 0 are generated recursively from the equation
-    D_t u-hat = A u-hat, then component (i, j) is scaled by <xi>^{m-j}.
-    """
-    u0 = np.asarray(u0hat, dtype=complex).ravel()
-    m = symbol.m
-    if u0.size != m:
-        raise DomainError(f"initial data must have {m} components, got {u0.size}")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return StateVector(V=initial_states(symbol, u0[None], xi[None])[0], m=m)
-
-
 def _power(b: float, e: int) -> float:
     """``b ** e`` on Python floats, inf where it overflows instead of OverflowError."""
     try:
@@ -306,10 +239,13 @@ def _power(b: float, e: int) -> float:
 
 def initial_states(symbol: SystemSymbol, u0hat: np.ndarray, xi: np.ndarray,
                    bxi=None) -> np.ndarray:
-    """:func:`transform_initial_data` for a stack: u0hat (q, m) at xi (q, n) to (q, m^2).
+    """Initial reduced states from u-hat(0, xi): u0hat (q, m) at xi (q, n) to (q, m^2).
 
-    ``bxi`` is ``brackets(xi)`` if the caller has it.  Each row is bitwise
-    the state of its frequency alone.
+    Time derivatives at t = 0 come from the equation D_t u-hat = A u-hat
+    (see :func:`derivative_maps`), then component (i, j) is scaled by
+    <xi>^{m-j}: entry (i - 1) m + (j - 1) of a state holds
+    D_t^{j-1} <xi>^{m-j} u_i-hat.  ``bxi`` is ``brackets(xi)`` if the caller
+    has it.  Each row is bitwise the state of its frequency alone.
     """
     m = symbol.m
     values = (brackets(xi) if bxi is None else np.asarray(bxi)).tolist()

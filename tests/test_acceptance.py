@@ -26,13 +26,14 @@ from hyposym import (
     reduced_integrate,
     reduction_residual,
     solve_cauchy_1d,
-    transform_initial_data,
     verify_properties,
 )
-from hyposym.conditions import difference_identity_residual_of, levi_pointwise, thm2_pointwise, evaluate_grid
+from hyposym.conditions import levi_pointwise, thm2_pointwise, evaluate_grid
 from hyposym.examples import builtin_system
 from hyposym.quasisym import sample_separation_set
+from hyposym.reduction import initial_states
 from hyposym.symbols import faddeev_leverrier
+from oracles import difference_identity_residual_of
 
 # Frozen after the first run: m2-glaeser growth exponent with the default
 # uniform data on geomspace(10, 1000, 7); reruns must stay within +-10%.
@@ -195,7 +196,7 @@ def glaeser_traces():
     out = []
     for xi_mag in (10.0, 100.0, 1000.0):
         xi = np.array([xi_mag])
-        V0 = transform_initial_data(S, np.ones(2) / np.sqrt(2), xi).V
+        V0 = initial_states(S, np.ones((1, 2), dtype=complex) / np.sqrt(2), xi[None])[0]
         out.append(reduced_integrate(S, xi, V0, cfg))
     return S, out
 

@@ -358,7 +358,7 @@ class TestMain:
         import numpy as np
 
         from hyposym.energy import SolverConfig, reduced_integrate
-        from hyposym.reduction import transform_initial_data
+        from hyposym.reduction import initial_states
 
         system = {"m": 2, "n": 2, "horizon": 1.0, "coefficients": [
             [[[0.0], [1.0]], [[0.0, 0.0, 1.0], [0.0]]],
@@ -373,7 +373,7 @@ class TestMain:
         expected = []
         for x in (1.0, 10.0, 100.0):
             xi = np.array([x, 0.0])
-            V0 = transform_initial_data(S, np.ones(2) / np.sqrt(2), xi).V
+            V0 = initial_states(S, np.ones((1, 2), dtype=complex) / np.sqrt(2), xi[None])[0]
             expected.append(reduced_integrate(S, xi, V0, SolverConfig(),
                                               collect_energy=False).growth_log)
         assert results["growth_logs"] == expected
@@ -477,6 +477,46 @@ def test_fuzz_found_config_exits_one(tmp_path, capsys, command, doc, key_path):
     err = capsys.readouterr().err
     assert key_path in err
     assert "Traceback" not in err
+
+
+def _last_row_system(c):
+    """2x2 system with rows (0, 1) and (0, c t^2)."""
+    return {"m": 2, "n": 1, "horizon": 1.0,
+            "coefficients": [[[[0.0], [1.0]], [[0.0], [0.0, 0.0, c]]]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e160, 1e300])
+@pytest.mark.parametrize("command, code", [("conditions", 2), ("report", 3)])
+def test_overflowing_squares_print_no_warning(tmp_path, capsys, command, code, c):
+    # The squares in the condition ratios overflow: a ratio reads inf, inf/inf
+    # included, and report's sweep then overflows its state (exit 3).  Both
+    # once printed numpy RuntimeWarnings ahead of their result.
+    path = write_config(tmp_path, {"system": _last_row_system(c),
+                                   "grids": {"t_points": 9, "xi_points": 3, "directions": 2}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == code
+    assert "Warning" not in capsys.readouterr().err
+    if command == "conditions":
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["ks_constant"] == "inf" and results["thm2_sups"] == ["inf"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduce_overflow_names_its_first_point(tmp_path, capsys):
+    # det A = -1e200 t^2 xi^2 overflows at t = 1 for xi = 1.5e54 and from
+    # t = 0.5 on for xi = 1e60: the error names the first point in the
+    # order of the samples, frequency by frequency and then time.
+    path = write_config(tmp_path, {
+        "system": {"m": 2, "n": 1, "horizon": 1.0,
+                   "coefficients": [[[[0.0], [1.0]], [[0.0, 0.0, 1e200], [0.0]]]]},
+        "grids": {"xi_list": [1.0, 1.5e54, 1e60]}, "solver": {"t_step": 0.01}})
+    out = tmp_path / "out"
+    assert main(["reduce", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "the reduction overflows at (t=1.0, xi=[1.5e+54])" in err
+    assert "Warning" not in err
+    assert not (out / "report.json").exists()
 
 
 def test_grid_point_budget():

@@ -13,20 +13,47 @@ from hyposym import (
     reduced_integrate,
     sandwich_constant,
     solve_cauchy_1d,
-    transform_initial_data,
 )
 from hyposym import energy
 from hyposym.energy import (
+    _TERM3_BLOCK,
     RENORM_THRESHOLD,
+    EnergyTrace,
+    _EnergyTerms,
     _lockstep_rk4,
     _step_matrices,
-    reweight_energy,
 )
 from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
-from hyposym.reduction import assemble_path, initial_states, lift_trajectory
+from hyposym.reduction import PathAssembler, assemble_path, initial_states, lift_trajectory
 from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol, rescaled_spectra
-from hyposym.quasisym import build_Q_eps, lift_blocks, verify_properties
+from hyposym.quasisym import build_Q_eps, verify_properties
+from oracles import lift_blocks
+
+
+def initial_state(symbol, u0hat, xi):
+    """The reduced state of u-hat(0, xi) = u0hat at one frequency xi."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    return initial_states(symbol, np.asarray(u0hat, dtype=complex)[None], xi[None])[0]
+
+
+def reweight_energy(trace, symbol, eps):
+    """The energy diagnostics of an existing trajectory at another eps.
+
+    The oracle of the diagnostics that reduced_integrate takes from its own
+    RK4 windows: calA and calB are assembled _TERM3_BLOCK samples at a time,
+    apart from the integration.
+    """
+    new = EnergyTrace(ts=trace.ts, V=trace.V, log_scale=trace.log_scale,
+                      xi=trace.xi, eps=float(eps), m=trace.m)
+    ts = trace.ts
+    terms = _EnergyTerms(symbol, ts, trace.xi, float(eps))
+    assembler = PathAssembler(symbol, trace.xi[None])
+    for k0 in range(0, ts.size, _TERM3_BLOCK):
+        k1 = min(k0 + _TERM3_BLOCK, ts.size)
+        terms.add(k0, k1, *assembler.reduce(ts[k0:k1])[:2], trace.V)
+    terms.finish(new)
+    return new
 
 
 def constant_symbol(M, horizon=1.0):
@@ -194,7 +221,7 @@ def oracle_gap(symbol, xi, u0hat, config) -> float:
     """
     ts, traj = direct_integrate(symbol, xi, u0hat, config)
     U = lift_trajectory(symbol, xi, ts, traj)
-    V0 = transform_initial_data(symbol, u0hat, xi).V
+    V0 = initial_state(symbol, u0hat, xi)
     trace = reduced_integrate(symbol, xi, V0, config, collect_energy=False)
     scale = max(float(np.linalg.norm(U, axis=1).max()), 1e-300)
     return float(np.linalg.norm(trace.V - U, axis=1).max() / scale)
@@ -227,7 +254,7 @@ class TestReducedIntegrate:
         S = builtin_system("m2-wave")
         xi = np.array([20.0])
         u0 = np.array([1.0, 0.5])
-        V0 = transform_initial_data(S, u0, xi).V
+        V0 = initial_state(S, u0, xi)
         trace = reduced_integrate(S, xi, V0, SolverConfig())
         lam = np.array([-1.0, 1.0]) * (20.0 / bracket(20.0))
         C_comm = verify_properties(lam, trace.eps).commutator_constant
@@ -240,7 +267,7 @@ class TestReducedIntegrate:
         for name in ("m2-glaeser", "m3-tracezero"):
             S = builtin_system(name)
             xi = np.array([30.0])
-            V0 = transform_initial_data(S, np.ones(S.m), xi).V
+            V0 = initial_state(S, np.ones(S.m), xi)
             trace = reduced_integrate(S, xi, V0, SolverConfig())
             m = S.m
             lower = trace.eps ** (2 * (m - 1)) / trace.coercivity_sup
@@ -251,7 +278,7 @@ class TestReducedIntegrate:
     def test_third_term_bound_with_sandwich_constant(self):
         S = builtin_system("m2-glaeser")
         xi = np.array([100.0])
-        V0 = transform_initial_data(S, np.ones(2), xi).V
+        V0 = initial_state(S, np.ones(2), xi)
         trace = reduced_integrate(S, xi, V0, SolverConfig())
         m = S.m
         sw = max(sandwich_constant(S, t, xi) for t in trace.ts[:: len(trace.ts) // 40])
@@ -277,8 +304,9 @@ class TestReducedIntegrate:
         ]
         for S, x, eps, samples in cases:
             xi = np.array([x])
-            V0 = transform_initial_data(S, np.ones(S.m) / np.sqrt(S.m), xi).V
-            trace = reduced_integrate(S, xi, V0, SolverConfig(), eps=eps)
+            V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
+            config = SolverConfig() if eps is None else SolverConfig(eps_policy=("fixed", eps))
+            trace = reduced_integrate(S, xi, V0, config)
             assert trace.ts.size == samples
             ref = per_sample_diagnostics(trace, S)
             again = reweight_energy(trace, S, trace.eps)
@@ -297,7 +325,7 @@ class TestReducedIntegrate:
         # and folds the growth back into growth_log
         S = builtin_system("m2-nonhyp-control")
         xi = np.array([1000.0])
-        V0 = transform_initial_data(S, np.ones(2), xi).V
+        V0 = initial_state(S, np.ones(2), xi)
         trace = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
         assert trace.growth_log == pytest.approx(1000.0, rel=0.05)
 
@@ -310,14 +338,14 @@ class TestEnergyInequality:
         out = []
         for xi_mag in xi_values:
             xi = np.array([xi_mag])
-            V0 = transform_initial_data(S, np.ones(S.m) / np.sqrt(S.m), xi).V
+            V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
             out.append(reduced_integrate(S, xi, V0, cfg))
         return out
 
     def test_constant_coefficients_reduce_to_commutator_term(self):
         S = builtin_system("m2-wave")
         xi = np.array([10.0])
-        V0 = transform_initial_data(S, np.ones(2), xi).V
+        V0 = initial_state(S, np.ones(2), xi)
         trace = reduced_integrate(S, xi, V0, SolverConfig())
         assert np.abs(trace.K).max() <= 1e-8
         assert np.abs(trace.term3).max() <= 1e-12
@@ -357,7 +385,7 @@ class TestIntegralKSweep:
     def test_reweight_reuses_trajectory(self):
         S = builtin_system("m2-glaeser")
         xi = np.array([10.0])
-        V0 = transform_initial_data(S, np.ones(2), xi).V
+        V0 = initial_state(S, np.ones(2), xi)
         base = reduced_integrate(S, xi, V0, SolverConfig())
         re = reweight_energy(base, S, 0.5)
         np.testing.assert_array_equal(re.V, base.V)
@@ -372,7 +400,7 @@ class TestIntegralKSweep:
             eps_values = (1e-1, 1e-2, 1e-3)
             sweep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)),
                                                      collect_energy=False)[0], S, eps_values)
-            V0 = transform_initial_data(S, np.ones(S.m) / np.sqrt(S.m), xi).V
+            V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
             base = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
             for eps, value in zip(eps_values, sweep.K_integrals):
                 tr = reweight_energy(base, S, eps)
@@ -569,7 +597,7 @@ class TestLockstepRK4:
         assert 1 <= width < N  # the run crosses window boundaries
         ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
         u0 = np.array([1.0, 0.5j, -0.25])[:m]
-        V0 = np.stack([transform_initial_data(S, u0, xi).V for xi in xis])
+        V0 = np.stack([initial_state(S, u0, xi) for xi in xis])
         states, logs = _lockstep_rk4(_step_matrices(S, xis, ts_half), V0, N, h, [0, N])
         assert states.shape == (2, len(xis), d)
         assert not logs.any()
@@ -606,8 +634,8 @@ class TestLockstepRK4:
         # With this data the xi = 450 row crosses the threshold at a state
         # whose stacked norm differs from its 1-d norm in the last bit.
         rng = np.random.default_rng(0)
-        V0 = np.stack([transform_initial_data(S, rng.standard_normal(2) + 1j * rng.standard_normal(2),
-                                              xi).V for xi in xis])
+        V0 = np.stack([initial_state(S, rng.standard_normal(2) + 1j * rng.standard_normal(2),
+                                     xi) for xi in xis])
         states, logs = _lockstep_rk4(matrices, V0, N, h, range(N + 1), renormalize=True)
         assert logs[-1, 1] > 2 * log(RENORM_THRESHOLD) and logs[-1, 3] > log(RENORM_THRESHOLD)
         assert not logs[:, [0, 2]].any()
@@ -627,7 +655,7 @@ class TestLockstepRK4:
         xis = np.array([[1.0], [1000.0]])
         N, h = SolverConfig().steps_for(S, np.array([1000.0]))
         matrices = _step_matrices(S, xis, np.linspace(0.0, S.horizon, 2 * N + 1))
-        V0 = np.stack([transform_initial_data(S, np.ones(2), xi).V for xi in xis])
+        V0 = np.stack([initial_state(S, np.ones(2), xi) for xi in xis])
         with pytest.raises(NumericError, match="non-finite state"):
             _lockstep_rk4(matrices, V0, N, h, [N])
 

@@ -46,6 +46,9 @@ def _inline(coefficients, horizon=1.0):
 
 
 GLAESER = [[[[0.0], [1.0]], [[0.0, 0.0, 1.0], [0.0]]]]
+# Last row (0, c t^2): the squares in the condition ratios overflow.
+LAST_ROW_1E160 = [[[[0.0], [1.0]], [[0.0], [0.0, 0.0, 1e160]]]]
+LAST_ROW_1E300 = [[[[0.0], [1.0]], [[0.0], [0.0, 0.0, 1e300]]]]
 # A cyclic shift times 1e-200: its states stay small where <xi>^5 overflows.
 TINY_M6 = _inline([[[[1e-200 * (i == j + 1 or (i == 0 and j == 5))] for j in range(6)]
                     for i in range(6)]])
@@ -58,6 +61,8 @@ SYSTEMS = [
     _inline(GLAESER, horizon=0.25),
     _inline(GLAESER, horizon=1e300),
     _inline([[[[0.0], [1.0]], [[0.0, 0.0, 1e308], [0.0]]]]),
+    _inline(LAST_ROW_1E160),
+    _inline(LAST_ROW_1E300),
     _inline([[[[0.0], [1.0]], [[1.0], [0.0]]], [[[1.0], [0.0]], [[0.0], [-1.0]]]]),
     _inline([[[[1e60 * (i == j + 1 or (i == 5 and j == 0))] for j in range(6)]
               for i in range(6)]]),
@@ -191,6 +196,8 @@ def _fixed_step(**grids):
          argv_parts=("conditions", []))
 @example(doc=_with(("initial_data",), {"kind": "uniform", "junk": float("nan")}),
          argv_parts=("solve", []))
+@example(doc=_with(("system",), _inline(LAST_ROW_1E160)), argv_parts=("conditions", []))
+@example(doc=_with(("system",), _inline(LAST_ROW_1E300)), argv_parts=("report", []))
 def test_main_keeps_the_exit_code_contract(doc, argv_parts):
     code, err = _run(doc, argv_parts)
     assert code in (0, 1, 2, 3)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from hyposym import (
     DomainError,
-    build_P,
     build_Q_eps,
     build_W,
-    lift_blocks,
     near_diagonal_constant,
     sylvester_companion,
     verify_properties,
@@ -20,10 +18,32 @@ from hyposym.errors import CapabilityError, NumericError
 from hyposym.pencils import gen_eigvalsh, hermitian_part
 from hyposym.quasisym import (
     PropertyReport,
+    _as_lambda,
     q_eps,
     q_eps_parts,
     sample_separation_set,
 )
+from hyposym.symbols import elementary_symmetric_all
+from oracles import lift_blocks
+
+
+def build_P(lambdas) -> np.ndarray:
+    """Unit lower-triangular transfer matrix, built level by level.
+
+    P for a single eigenvalue is [[1]]; each extension appends the row
+    (sigma_{q-1}(lambda'), ..., sigma_1(lambda'), 1) built from the values
+    seen so far, so the result depends only on lambdas[:-1].  The
+    quasi-symmetriser does not go through it (see ``q_eps_parts``).
+    """
+    lam = _as_lambda(lambdas)
+    m = lam.size
+    P = np.zeros((m, m))
+    P[0, 0] = 1.0
+    for q in range(2, m + 1):
+        sig = elementary_symmetric_all(lam[: q - 1])
+        P[q - 1, : q - 1] = sig[q - 1 - np.arange(q - 1)]
+        P[q - 1, q - 1] = 1.0
+    return P
 
 
 def closed_form_Q2(lam, eps):

@@ -5,11 +5,9 @@ from math import comb
 from hyposym import (
     DomainError,
     SystemSymbol,
-    assemble,
     eval_symbol,
     reduction_residual,
     time_derivative,
-    transform_initial_data,
 )
 from hyposym.energy import SolverConfig, direct_integrate
 from hyposym.examples import builtin_system
@@ -30,23 +28,34 @@ def dense_symbol(m, seed, degree=2, horizon=1.0):
     return SystemSymbol(coeffs=coeffs, horizon=horizon)
 
 
+def blocks_at(S, t, xi):
+    """(bold_A, bold_B) at one (t, xi)."""
+    _, _, bold_A, bold_B, _ = PathAssembler(S, xi).reduce([t])
+    return [B[0] for B in bold_A], [B[0] for B in bold_B]
+
+
+def state_at(S, u0, xi):
+    """The reduced state of u-hat(0, xi) = u0 at one frequency xi."""
+    return initial_states(S, np.asarray(u0, dtype=complex)[None], xi[None])[0]
+
+
 class TestBoldA:
     def test_order_zero_is_identity(self):
         S = dense_symbol(3, 1)
-        np.testing.assert_array_equal(assemble(S, 0.5, np.array([2.0])).bold_A[0], np.eye(3))
+        np.testing.assert_array_equal(blocks_at(S, 0.5, np.array([2.0]))[0][0], np.eye(3))
 
     def test_m3_first_order(self):
         S = dense_symbol(3, 2)
         t, xi = 0.3, np.array([1.5])
         A = eval_symbol(S, t, xi)
         np.testing.assert_allclose(
-            assemble(S, t, xi).bold_A[1], A - np.trace(A) * np.eye(3), atol=1e-12
+            blocks_at(S, t, xi)[0][1], A - np.trace(A) * np.eye(3), atol=1e-12
         )
 
     def test_zero_symbol(self):
         S = SystemSymbol(coeffs=np.zeros((1, 3, 3, 1)), horizon=1.0)
         for h in (1, 2):
-            np.testing.assert_array_equal(assemble(S, 0.0, np.array([1.0])).bold_A[h],
+            np.testing.assert_array_equal(blocks_at(S, 0.0, np.array([1.0]))[0][h],
                                           np.zeros((3, 3)))
 
 
@@ -55,13 +64,13 @@ class TestBoldB:
         S = builtin_system("m2-glaeser")
         t, xi = 0.7, np.array([3.0])
         dA = eval_symbol(time_derivative(S, 1), t, xi)
-        np.testing.assert_allclose(assemble(S, t, xi).bold_B[0], -1j * dA, atol=1e-12)
+        np.testing.assert_allclose(blocks_at(S, t, xi)[1][0], -1j * dA, atol=1e-12)
 
     def test_m3_second_matrix(self):
         S = dense_symbol(3, 5)
         t, xi = 0.4, np.array([2.0])
         dA = eval_symbol(time_derivative(S, 1), t, xi)
-        np.testing.assert_allclose(assemble(S, t, xi).bold_B[1], 2.0 * (-1j) * dA, atol=1e-12)
+        np.testing.assert_allclose(blocks_at(S, t, xi)[1][1], 2.0 * (-1j) * dA, atol=1e-12)
 
     def test_m3_first_matrix(self):
         S = dense_symbol(3, 6)
@@ -70,7 +79,7 @@ class TestBoldB:
         dA = -1j * eval_symbol(time_derivative(S, 1), t, xi)
         d2A = (-1j) ** 2 * eval_symbol(time_derivative(S, 2), t, xi)
         expected = d2A + (A - np.trace(A) * np.eye(3)) @ dA
-        np.testing.assert_allclose(assemble(S, t, xi).bold_B[0], expected, atol=1e-12)
+        np.testing.assert_allclose(blocks_at(S, t, xi)[1][0], expected, atol=1e-12)
 
     def test_polynomial_identity_consistency(self):
         # The regrouped matrices must reproduce the double-sum expansion of
@@ -79,16 +88,16 @@ class TestBoldB:
         for m, seed in ((2, 11), (3, 12), (4, 13), (5, 14)):
             S = dense_symbol(m, seed, degree=3)
             t, xi = 0.6, np.array([1.3])
-            red = assemble(S, t, xi)
+            bold_A, bold_B = blocks_at(S, t, xi)
             direct = [np.zeros((m, m), dtype=complex) for _ in range(m - 1)]
             for h in range(m - 1):
-                Ah = red.bold_A[h]
+                Ah = bold_A[h]
                 for hp in range(h, m - 1):
                     k = hp + 1 - h
                     dA = (-1j) ** k * eval_symbol(time_derivative(S, k), t, xi)
                     direct[m - 2 - hp] += comb(m - 1 - h, k) * (Ah @ dA)
             for l in range(1, m):
-                regrouped = red.bold_B[l - 1]
+                regrouped = bold_B[l - 1]
                 scale = 1.0 + np.abs(regrouped).max()
                 assert np.abs(regrouped - direct[l - 1]).max() / scale <= 1e-12
 
@@ -99,51 +108,51 @@ class TestAssemble:
         # time derivative of the single nonconstant entry.
         S = builtin_system("m2-glaeser")
         t, xi_val = 0.5, 2.0
-        red = assemble(S, t, np.array([xi_val]))
+        _, calB = assemble_path(S, np.array([xi_val]), [t])
         bxi = bracket(xi_val)
         expected = np.zeros((4, 4), dtype=complex)
         expected[3, 0] = -1j * (2.0 * t) * xi_val / bxi
-        np.testing.assert_allclose(red.calB, expected, atol=1e-14)
+        np.testing.assert_allclose(calB[0], expected, atol=1e-14)
 
     def test_m3_companion_last_row(self):
         S = dense_symbol(3, 21)
         t, xi_val = 0.25, 3.0
-        red = assemble(S, t, np.array([xi_val]))
+        calA, _, _, _, c = PathAssembler(S, np.array([xi_val])).reduce([t])
+        calA, c = calA[0], c[0]
         bxi = bracket(xi_val)
-        c = red.char
-        row = red.calA[2, :3]
+        row = calA[2, :3]
         np.testing.assert_allclose(
             row,
             [-c[3] * bxi ** -3 * bxi, -c[2] * bxi ** -2 * bxi, -c[1] * bxi ** -1 * bxi],
             rtol=1e-12,
         )
         # three identical blocks
-        np.testing.assert_array_equal(red.calA[:3, :3], red.calA[3:6, 3:6])
-        np.testing.assert_array_equal(red.calA[:3, :3], red.calA[6:, 6:])
+        np.testing.assert_array_equal(calA[:3, :3], calA[3:6, 3:6])
+        np.testing.assert_array_equal(calA[:3, :3], calA[6:, 6:])
 
     def test_constant_coefficients_no_lower_order(self):
         S = builtin_system("m2-wave")
-        red = assemble(S, 0.5, np.array([7.0]))
-        assert np.abs(red.calB).max() == 0.0
+        _, calB = assemble_path(S, np.array([7.0]), [0.5])
+        assert np.abs(calB).max() == 0.0
 
     def test_band_zero_columns(self):
         for name in ("m2-glaeser", "m3-tracezero"):
             S = builtin_system(name)
             m = S.m
-            red = assemble(S, 0.8, np.array([4.0]))
+            calB = assemble_path(S, np.array([4.0]), [0.8])[1][0]
             for j in range(1, m + 1):
-                assert np.abs(red.calB[:, j * m - 1]).max() == 0.0
+                assert np.abs(calB[:, j * m - 1]).max() == 0.0
             for i in range(m):
-                band = red.calB[i * m : (i + 1) * m]
+                band = calB[i * m : (i + 1) * m]
                 assert np.abs(band[: m - 1]).max() == 0.0
 
     def test_block_eigenvalues_match_rescaled_spectrum(self):
         for name in ("m2-glaeser", "m3-tracezero"):
             S = builtin_system(name)
             t, xi = 0.6, np.array([5.0])
-            red = assemble(S, t, xi)
+            calA, _ = assemble_path(S, xi, [t])
             spec = rescaled_spectra(S, np.array([t]), xi)
-            block = red.calA[: S.m, : S.m]
+            block = calA[0, : S.m, : S.m]
             eigs = np.sort(np.linalg.eigvals(block).real)
             np.testing.assert_allclose(eigs, bracket(xi) * spec.lambdas[0], atol=1e-8)
 
@@ -160,13 +169,13 @@ class TestAssemble:
 
     def test_scaled_entry_table(self):
         S = builtin_system("m3-tracezero")
-        red = assemble(S, 0.5, np.array([2.0]))
+        calB = assemble_path(S, np.array([2.0]), [0.5])[1][0]
         table = PathAssembler(S, np.array([2.0])).reduce(np.array([0.5]))[1][0]
         m = 3
         for l in (1, 2):
             for i in range(m):
                 for j in range(m):
-                    assert table[l - 1, i, j] == red.calB[i * m + m - 1, j * m + l - 1]
+                    assert table[l - 1, i, j] == calB[i * m + m - 1, j * m + l - 1]
 
 
 class TestTransformInitialData:
@@ -174,27 +183,22 @@ class TestTransformInitialData:
         S = builtin_system("m2-glaeser")
         xi = np.array([3.0])
         u0 = np.array([1.0 + 2.0j, -0.5])
-        sv = transform_initial_data(S, u0, xi)
-        assert sv.V[0] == pytest.approx(bracket(xi) * u0[0])
-        assert sv.V[2] == pytest.approx(bracket(xi) * u0[1])
+        V = state_at(S, u0, xi)
+        assert V[0] == pytest.approx(bracket(xi) * u0[0])
+        assert V[2] == pytest.approx(bracket(xi) * u0[1])
 
     def test_second_components_follow_equation(self):
         S = builtin_system("m2-glaeser")
         xi = np.array([3.0])
         u0 = np.array([1.0, 1.0 - 1.0j])
-        sv = transform_initial_data(S, u0, xi)
+        V = state_at(S, u0, xi)
         Au = eval_symbol(S, 0.0, xi) @ u0
-        assert sv.V[1] == pytest.approx(Au[0])
-        assert sv.V[3] == pytest.approx(Au[1])
+        assert V[1] == pytest.approx(Au[0])
+        assert V[3] == pytest.approx(Au[1])
 
     def test_zero_data(self):
         S = builtin_system("m3-tracezero")
-        sv = transform_initial_data(S, np.zeros(3), np.array([2.0]))
-        assert np.all(sv.V == 0.0)
-
-    def test_wrong_length(self):
-        with pytest.raises(DomainError):
-            transform_initial_data(builtin_system("m2-wave"), np.ones(3), np.array([1.0]))
+        assert np.all(state_at(S, np.zeros(3), np.array([2.0])) == 0.0)
 
 
 class TestReductionResidual:
@@ -249,8 +253,7 @@ class TestLiftTrajectory:
         ts = np.linspace(0.0, 0.1, 6)
         traj = np.tile(u0, (6, 1))
         U = lift_trajectory(S, xi, ts, traj)
-        sv = transform_initial_data(S, u0, xi)
-        np.testing.assert_allclose(U[0], sv.V, atol=1e-14)
+        np.testing.assert_allclose(U[0], state_at(S, u0, xi), atol=1e-14)
 
 
 def stack_symbols():
@@ -304,7 +307,6 @@ class TestStackedFrequencies:
                     for i in range(m):
                         ref[i * m + (j - 1)] = bxi ** (m - j) * dt_u[i]
                 assert V[r].tobytes() == ref.tobytes(), (S.m, r)
-                assert transform_initial_data(S, u0[r], xi).V.tobytes() == ref.tobytes()
 
 
 def inline_m4():
