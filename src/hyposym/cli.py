@@ -568,7 +568,8 @@ def _cmd_reduce(config: RunConfig):
     xi = np.zeros(symbol.n)
     xi[0] = min(10.0, float(config.data["grids"]["xi_list"][0]))
     u0 = np.ones(symbol.m, dtype=complex)
-    steps = (4e-3, 2e-3, 1e-3)
+    h0 = min(4e-3, config.data["solver"]["cfl_safety"] / bracket(xi))   # the stiffness guard
+    steps = (h0, h0 / 2, h0 / 4)
     total = sum(config.solver_config(t_step=h).step_count(symbol, xi) for h in steps)
     if total > MAX_SWEEP_STEPS:
         raise DomainError(f"the residual study of reduce takes {total} RK4 steps "

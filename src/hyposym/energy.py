@@ -12,9 +12,8 @@ order so reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import ceil, log, sqrt
-from typing import Callable
 
 import numpy as np
 
@@ -142,67 +141,39 @@ class EnergyTrace:
         return float((vals + self.log_scale).max() - base)
 
 
-# Bytes of right-hand-side data held per window of the lockstep RK4: dense
-# step matrices (4 steps of 128 modes at m = 2) or the t-only rows of a
-# separable solve.  A window's assembly temporaries take several times this,
-# and longer windows raise the peak RSS of a solve.
+# Bytes of right-hand-side data held per window of the lockstep RK4 (see
+# :func:`_width`): m^4 complex entries per half-step give the frequency
+# sweep's dense windows of 512, 101, 32, 13 and 6 steps at m = 2..6, and the
+# separable solve's windows of 512 (m = 2) and 101 (m = 3) steps.  Only the
+# solve's test oracle holds 128 dense modes, 4 steps at m = 2.  Assembly
+# temporaries take several times this; longer windows raise the peak RSS.
 _WINDOW_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
-class _RHS:
-    """d/dt Y for a lockstep run, one window of ``width`` steps at a time.
-
-    ``window(k0, k1)`` returns f(j, Y): the right-hand side at half-step j
-    (0 <= j <= 2 (k1 - k0)) of steps k0..k1, for the whole state stack Y
-    (q, d).  ``after(k0, k1, out)``, if set, runs once the window's states
-    are checked finite, ``out`` holding the states recorded so far.
-    """
-
-    window: Callable
-    width: int
-    after: Callable | None = None
+def _width(row_bytes: int) -> int:
+    """Steps per window whose half-steps hold ``row_bytes`` each, in _WINDOW_BYTES."""
+    return max(1, _WINDOW_BYTES // (2 * row_bytes))
 
 
-def _matrix_rhs(step_matrices, q: int, d: int, N: int) -> _RHS:
-    """Dense matrices as a right-hand side, each product ``np.matvec``.
-
-    ``step_matrices`` is one constant matrix per row (q, d, d), or a function
-    ``window(k0, k1)`` returning the matrices on the half-step grid of steps
-    k0..k1, shape (2 (k1 - k0) + 1, q, d, d).  ``np.matvec`` is bitwise the
-    row's own ``M @ y``.
-    """
-    if not callable(step_matrices):
-        return _RHS(lambda k0, k1: lambda j, Y: np.matvec(step_matrices, Y), N)
-
-    def window(k0, k1):
-        M = step_matrices(k0, k1)
-        return lambda j, Y: np.matvec(M[j], Y)
-
-    return _RHS(window, max(1, _WINDOW_BYTES // (q * 2 * d * d * 16)))
+def _dense(M):
+    """A window's half-step matrices M (2 (k1 - k0) + 1, q, d, d) as its f(j, Y), by
+    ``np.matvec``: bitwise each row's own ``M @ y``."""
+    return lambda j, Y: np.matvec(M[j], Y)
 
 
-def _separable_rhs(path: SeparablePath, ts_half: np.ndarray) -> _RHS:
-    """:class:`SeparablePath` as a right-hand side, its t-only rows built per window."""
-    row_bytes = path.m ** 4 * 16
-
-    def window(k0, k1):
-        L = path.last_rows(ts_half[2 * k0 : 2 * k1 + 1])
-        return lambda j, Y: path.apply(L[j], Y)
-
-    return _RHS(window, max(1, _WINDOW_BYTES // (2 * row_bytes)))
-
-
-def _lockstep_rk4(rhs, Y0, N: int, h: float, record, renormalize: bool = False):
+def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
+                  renormalize: bool = False, after=None):
     """RK4 on a stack of q states in lockstep, d/dt y_r = f_r(t, y_r).
 
-    ``Y0`` has shape (q, d).  ``rhs`` is an :class:`_RHS` or the dense
-    matrices that :func:`_matrix_rhs` takes; with matrices every row is
-    bitwise its solo run.  Returns the states and accumulated log scales at
-    the sorted step indices ``record``, shapes (len(record), q, d) and
-    (len(record), q).  Renormalisation keeps each row's |y| <=
-    RENORM_THRESHOLD on its own, so exponentially growing rows never
-    overflow.
+    ``Y0`` has shape (q, d).  The steps run in windows of at most ``width``:
+    ``window(k0, k1)`` returns f(j, Y), the right-hand side at half-step j
+    (0 <= j <= 2 (k1 - k0)) of steps k0..k1 for the whole stack Y (q, d).
+    ``after(k0, k1, out)``, if given, runs once a window's states are checked
+    finite, ``out`` holding the states recorded so far.  Returns the states
+    and accumulated log scales at the sorted step indices ``record``, shapes
+    (len(record), q, d) and (len(record), q).  Renormalisation keeps each
+    row's |y| <= RENORM_THRESHOLD on its own, so exponentially growing rows
+    never overflow.
     """
     Y = np.array(Y0, dtype=complex)
     q, d = Y.shape
@@ -214,13 +185,11 @@ def _lockstep_rk4(rhs, Y0, N: int, h: float, record, renormalize: bool = False):
     if record and record[0] == 0:
         out[0] = Y
         slot = 1
-    if not isinstance(rhs, _RHS):
-        rhs = _matrix_rhs(rhs, q, d, N)
     # overflow surfaces through the isfinite guard, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, N, rhs.width):
-            k1 = min(k0 + rhs.width, N)
-            f = rhs.window(k0, k1)
+        for k0 in range(0, N, width):
+            k1 = min(k0 + width, N)
+            f = window(k0, k1)
             for k in range(k0, k1):
                 j = 2 * (k - k0)
                 s1 = f(j, Y)
@@ -238,8 +207,8 @@ def _lockstep_rk4(rhs, Y0, N: int, h: float, record, renormalize: bool = False):
             # catches it.
             if not np.isfinite(Y).all():
                 raise NumericError(f"non-finite state by step {k1} of {N}")
-            if rhs.after is not None:
-                rhs.after(k0, k1, out)
+            if after is not None:
+                after(k0, k1, out)
     return out, logs
 
 
@@ -294,38 +263,6 @@ def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
             acc[r] += log(nrm)
 
 
-def _step_matrices(symbol: SystemSymbol, xi, ts_half, bxi=None, terms=None):
-    """i (calA + calB) for the frequency stack xi (q, n), as _lockstep_rk4 takes it.
-
-    A constant symbol gives one matrix per frequency; otherwise a window
-    function over the half-step grid ``ts_half``, assembled on demand.
-    ``bxi`` is ``brackets(xi)`` if the caller has it.  With ``terms``, the
-    :class:`_EnergyTerms` of a single frequency, the result is an
-    :class:`_RHS` that hands ``terms`` each window's assembly at its integer
-    steps (the even half-steps; a constant symbol's one assembly) together
-    with the states recorded there.
-    """
-    assembler = PathAssembler(symbol, xi, bxi)
-    constant = symbol.is_constant()
-    held = []
-
-    def matrices(ts):
-        calA, b = assembler.reduce(ts)[:2]
-        held[:] = (calA, b) if constant else (calA[::2], b[::2])
-        return 1j * (calA + lower_order_matrix(b))
-
-    if constant:
-        step_matrices = matrices(ts_half[:1])[0]
-    else:
-        def step_matrices(k0, k1):
-            return matrices(ts_half[2 * k0 : 2 * k1 + 1])
-    if terms is None:
-        return step_matrices
-    N = (ts_half.size - 1) // 2
-    return replace(_matrix_rhs(step_matrices, 1, symbol.m ** 2, N),
-                   after=lambda k0, k1, out: terms.add(k0, k1 + (k1 == N), *held, out[:, 0]))
-
-
 def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
     """Oracle for the original system: integrates d/dt u-hat = i A(t, xi) u-hat.
 
@@ -338,9 +275,9 @@ def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
         raise DomainError(f"initial data must have {symbol.m} components")
 
     def window(k0, k1):
-        return (1j * eval_symbol_path(symbol, ts_half[2 * k0 : 2 * k1 + 1], xi))[:, None]
+        return _dense((1j * eval_symbol_path(symbol, ts_half[2 * k0 : 2 * k1 + 1], xi))[:, None])
 
-    traj, _ = _lockstep_rk4(window, u0[None], N, h, range(N + 1))
+    traj, _ = _lockstep_rk4(window, _width(symbol.m ** 2 * 16), u0[None], N, h, range(N + 1))
     return ts_half[::2], traj[:, 0]
 
 
@@ -412,8 +349,8 @@ class _EnergyTerms:
         """term2's calA block and term3 at samples k0..k1-1.
 
         ``calA`` and ``b`` are :meth:`PathAssembler.reduce` output for one
-        frequency, from sample k0 on, or one sample that holds for all
-        (a constant symbol); ``V`` holds the states of every sample so far.
+        frequency, from sample k0 on; ``V`` holds the states of every sample
+        so far.
         term3 = |(Q_lift B - B* Q_lift) V | V| goes in blocks of at most
         _TERM3_BLOCK samples to bound the lifted stacks.
         """
@@ -421,8 +358,7 @@ class _EnergyTerms:
         self.A0_blocks[k0:k1] = calA[: k1 - k0, 0, :m, :m] / self.bxi
         for s0 in range(k0, k1, _TERM3_BLOCK):
             sl = slice(s0, min(s0 + _TERM3_BLOCK, k1))
-            M3 = _lifted_commutator(self.Q[sl], b[s0 - k0 : sl.stop - k0, 0] if len(b) > 1
-                                    else b[:, 0])
+            M3 = _lifted_commutator(self.Q[sl], b[s0 - k0 : sl.stop - k0, 0])
             self.term3[sl] = np.abs(np.vecdot(V[sl], (M3 @ V[sl, :, None])[..., 0]))
 
     def finish(self, trace: EnergyTrace) -> None:
@@ -469,9 +405,29 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eps_val = config.eps_for(m, xi)
     terms = _EnergyTerms(symbol, ts, xi, eps_val) if collect_energy else None
+    assembler = PathAssembler(symbol, xi[None])
+    constant = symbol.is_constant()
+    if constant:   # assembled once; each window holds it broadcast over its steps
+        calA0, b0 = assembler.reduce(ts_half[:1])[:2]
+        M = (1j * (calA0 + lower_order_matrix(b0)))[0]
+    held = ()      # calA and b of the current window at its integer steps k0..k1
+
+    def window(k0, k1):
+        nonlocal held
+        if constant:
+            held = [np.broadcast_to(x, (k1 - k0 + 1,) + x.shape[1:]) for x in (calA0, b0)]
+            return lambda j, Y: np.matvec(M, Y)
+        calA, b = assembler.reduce(ts_half[2 * k0 : 2 * k1 + 1])[:2]
+        held = calA[::2], b[::2]
+        return _dense(1j * (calA + lower_order_matrix(b)))
+
+    def after(k0, k1, out):
+        # samples k0..k1-1, and in the last window the final sample N too
+        terms.add(k0, k1 if k1 < N else N + 1, *held, out[:, 0])
+
     try:
-        V, logs = _lockstep_rk4(_step_matrices(symbol, xi[None], ts_half, terms=terms),
-                                V0[None], N, h, range(N + 1), renormalize=True)
+        V, logs = _lockstep_rk4(window, _width(m ** 4 * 16), V0[None], N, h, range(N + 1),
+                                renormalize=True, after=None if terms is None else after)
     except NumericError as exc:
         raise NumericError(f"{exc} (xi={xi})") from exc
     trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)
@@ -758,12 +714,17 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     record = sorted(set(snap_idx.tolist()))
     if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
-        M = _step_matrices(symbol, xis, np.zeros(1), bxi)
-        states, _ = _rk4_propagate(M, V0, N, h, record)
+        calA, calB = PathAssembler(symbol, xis, bxi)(np.zeros(1))
+        states, _ = _rk4_propagate((1j * (calA + calB))[0], V0, N, h, record)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
-        rhs = _separable_rhs(SeparablePath(symbol, xis, bxi), ts_half)
-        states, _ = _lockstep_rk4(rhs, V0, N, h, record)
+        path = SeparablePath(symbol, xis, bxi)
+
+        def window(k0, k1):
+            L = path.last_rows(ts_half[2 * k0 : 2 * k1 + 1])
+            return lambda j, Y: path.apply(L[j], Y)
+
+        states, _ = _lockstep_rk4(window, _width(m ** 4 * 16), V0, N, h, record)
     # first band component of each snapshot, (n_snapshots, m, n_grid)
     first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
     hat_snaps = first * bxi ** (-(m - 1))

@@ -5,10 +5,12 @@ aside) counts as used when another definition or statement in ``src/``
 refers to it by name, or when a module in ``perfbench/`` or ``scripts/``
 imports it.  Tests do not count: a per-point path that only tests reach
 belongs in ``tests/`` as an oracle.  The allow-list names the exceptions and
-why each stays.
+why each stays.  The other way round, every name that ``perfbench/`` or
+``scripts/`` imports from the package must exist.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -41,23 +43,29 @@ def _names_used(node) -> set:
     return used
 
 
-def _names_imported(path: Path) -> set:
-    """Names a module imports from the package."""
-    names = set()
+def _package_imports(path: Path) -> list:
+    """(module, name) of each ``from hyposym... import name`` in a module, and
+    (module, None) of each ``import hyposym...``, function-local ones too."""
+    found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hyposym"):
-            names.update(alias.name for alias in node.names)
-    return names
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "hyposym"]
+    return found
+
+
+def _tooling_modules() -> list:
+    return [path for folder in ("perfbench", "scripts")
+            for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_public_names() -> dict:
     """{name: module} of public definitions that nothing outside tests uses."""
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    imported = set()
-    for folder in ("perfbench", "scripts"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            imported |= _names_imported(path)
+    imported = {name for path in _tooling_modules() for _, name in _package_imports(path)}
     # statements per name that refer to it, over every module's statements
     referring = Counter()
     for tree in modules.values():
@@ -81,3 +89,19 @@ def test_every_public_definition_is_used():
 def test_allow_list_is_current():
     # an allowed name that is used now, or gone, leaves the list
     assert set(ALLOWED) <= set(unused_public_names())
+
+
+def test_tooling_imports_resolve():
+    # The benchmark and the scripts import from the package, some of them
+    # inside functions (perfbench's child and tracer); a deleted or renamed
+    # name fails here, not first in a benchmark run.
+    missing = []
+    for path in _tooling_modules():
+        for module, name in _package_imports(path):
+            try:
+                found = name is None or hasattr(importlib.import_module(module), name)
+            except ImportError:
+                found = False
+            if not found:
+                missing.append(f"{path.relative_to(ROOT)}: {module} {name or ''}".rstrip())
+    assert not missing, f"names the tooling imports that the package lacks: {missing}"

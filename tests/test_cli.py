@@ -519,6 +519,20 @@ def test_reduce_overflow_names_its_first_point(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_reduce_residual_study_keeps_to_the_stiffness_guard(tmp_path, capsys):
+    # cfl_safety 0.01 puts the guard at xi = 10 at 9.95e-4, below the study's
+    # usual first step 4e-3: the steps then start at the guard.
+    from hyposym.symbols import bracket
+
+    path = write_config(tmp_path, {"system": {"name": "m2-glaeser"},
+                                   "solver": {"cfl_safety": 0.01}})
+    out = tmp_path / "out"
+    assert main(["reduce", "--config", str(path), "--out", str(out)]) == 0, capsys.readouterr()
+    study = json.loads((out / "report.json").read_text())["results"]["residual_study"]
+    h0 = 0.01 / bracket(10.0)
+    assert [row["step"] for row in study] == [h0, h0 / 2, h0 / 4]
+
+
 def test_grid_point_budget():
     from hyposym.cli import MAX_GRID_POINTS
 

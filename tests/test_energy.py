@@ -20,8 +20,9 @@ from hyposym.energy import (
     RENORM_THRESHOLD,
     EnergyTrace,
     _EnergyTerms,
+    _dense,
     _lockstep_rk4,
-    _step_matrices,
+    _width,
 )
 from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
@@ -155,6 +156,25 @@ def reference_rk4(M_half, N, h, y0, renormalize):
     return out, logs
 
 
+def step_matrices(S, xis, ts):
+    """i (calA + calB) of S at the frequency stack xis (q, n) along ts, (len(ts), q, d, d)."""
+    return 1j * np.add(*PathAssembler(S, xis)(ts))
+
+
+def dense_rk4(S, xis, ts_half, Y0, N, h, record, renormalize=False):
+    """_lockstep_rk4 on S's dense windows, as reduced_integrate steps a variable symbol."""
+    def window(k0, k1):
+        return _dense(step_matrices(S, xis, ts_half[2 * k0 : 2 * k1 + 1]))
+    return _lockstep_rk4(window, _width(len(xis) * S.m ** 4 * 16), Y0, N, h, record, renormalize)
+
+
+def constant_rk4(M, Y0, N, h, record, renormalize=False):
+    """_lockstep_rk4 on constant matrices M (q, d, d), as reduced_integrate steps them."""
+    def f(j, Y):
+        return np.matvec(M, Y)
+    return _lockstep_rk4(lambda k0, k1: f, _width(M.size * 16), Y0, N, h, record, renormalize)
+
+
 def windowed_solve(S, u0, config, snapshot_ts):
     """The fields of solve_cauchy_1d, stepped with the dense PathAssembler windows."""
     m, n = S.m, u0.shape[1]
@@ -163,8 +183,7 @@ def windowed_solve(S, u0, config, snapshot_ts):
     snap_idx = np.clip(np.rint(np.asarray(snapshot_ts) / h).astype(int), 0, N)
     record = sorted(set(snap_idx.tolist()))
     V0 = initial_states(S, np.fft.fft(u0, axis=1).T, xis)
-    ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
-    states, _ = _lockstep_rk4(_step_matrices(S, xis, ts_half), V0, N, h, record)
+    states, _ = dense_rk4(S, xis, np.linspace(0.0, S.horizon, 2 * N + 1), V0, N, h, record)
     first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
     return np.fft.ifft(first * brackets(xis) ** (-(m - 1)), axis=2)
 
@@ -290,14 +309,14 @@ class TestReducedIntegrate:
         windows, and reweight_energy at the same eps, are bitwise the
         per-sample oracle's."""
         d6 = 36
-        assert energy._WINDOW_BYTES // (2 * d6 * d6 * 16) == 6
+        assert _width(d6 * d6 * 16) == 6
         cases = [
             # 402 samples: the term3 blocks end mid-trace
             (builtin_system("m3-tracezero"), 20.0, None, 402),
             (builtin_system("m3-tracezero"), 20.0, 0.05, 402),
             # 2,001 steps in 63 windows of 32
             (M4_DOUBLE_ZERO, 100.0, None, 2002),
-            # a constant symbol: one assembly and one window of every step
+            # a constant symbol: one assembly, stepped in windows of 512
             (builtin_system("m2-wave"), 300.0, None, 6002),
             # 6 steps per window
             (M6_DOUBLE_ZERO, 5.0, None, 103),
@@ -314,6 +333,25 @@ class TestReducedIntegrate:
                 for name in ("E", "K", "term2", "term3", "dtE"):
                     assert getattr(got, name).tobytes() == ref[name].tobytes(), (S.m, x, name)
                 assert got.coercivity_sup == ref["coercivity_sup"], (S.m, x)
+
+    def test_constant_symbol_renormalises_across_windows_bitwise(self):
+        """A constant symbol steps its one assembly in bounded windows; a run
+        that renormalises twice is bitwise the step-by-step oracle, and its
+        diagnostics bitwise the per-sample loop's."""
+        S = builtin_system("m2-nonhyp-control")
+        xi = np.array([600.0])
+        N, h = SolverConfig().steps_for(S, xi)
+        assert N == 12001 and N > _width(S.m ** 4 * 16)
+        V0 = initial_state(S, np.ones(2) / np.sqrt(2), xi)
+        trace = reduced_integrate(S, xi, V0, SolverConfig())
+        ref, ref_logs = reference_rk4(step_matrices(S, xi[None], np.zeros(1))[0, 0], N, h, V0,
+                                      renormalize=True)
+        assert np.count_nonzero(np.diff(ref_logs)) == 2
+        assert trace.V.tobytes() == ref.tobytes()
+        assert trace.log_scale.tobytes() == ref_logs.tobytes()
+        diag = per_sample_diagnostics(trace, S)
+        for name in ("E", "K", "term2", "term3", "dtE"):
+            assert getattr(trace, name).tobytes() == diag[name].tobytes(), name
 
     def test_invalid_state_length(self):
         with pytest.raises(DomainError):
@@ -593,12 +631,12 @@ class TestLockstepRK4:
         m, d = S.m, S.m * S.m
         xis = np.array([[0.0], [1.0], [-3.0], [7.0], [12.5]])
         N, h = SolverConfig().steps_for(S, xis[-1])
-        width = energy._WINDOW_BYTES // (len(xis) * 2 * d * d * 16)
+        width = _width(len(xis) * d * d * 16)
         assert 1 <= width < N  # the run crosses window boundaries
         ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
         u0 = np.array([1.0, 0.5j, -0.25])[:m]
         V0 = np.stack([initial_state(S, u0, xi) for xi in xis])
-        states, logs = _lockstep_rk4(_step_matrices(S, xis, ts_half), V0, N, h, [0, N])
+        states, logs = dense_rk4(S, xis, ts_half, V0, N, h, [0, N])
         assert states.shape == (2, len(xis), d)
         assert not logs.any()
         for r, xi in enumerate(xis):
@@ -611,13 +649,13 @@ class TestLockstepRK4:
         S = builtin_system("m2-wave")
         xis = np.fft.fftfreq(16, d=1.0 / 16)[:, None]
         N, h = SolverConfig().steps_for(S, np.array([8.0]))
-        ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
-        matrices = _step_matrices(S, xis, ts_half)
+        matrices = step_matrices(S, xis, np.zeros(1))[0]
         assert matrices.shape == (16, 4, 4)
+        assert _width(matrices.size * 16) < N  # the run crosses window boundaries
         rng = np.random.default_rng(3)
         V0 = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
         record = [0, N // 3, N]
-        states, _ = _lockstep_rk4(matrices, V0, N, h, record)
+        states, _ = constant_rk4(matrices, V0, N, h, record)
         for r in range(16):
             ref, _ = reference_rk4(matrices[r], N, h, V0[r], renormalize=False)
             for slot, k in enumerate(record):
@@ -629,19 +667,18 @@ class TestLockstepRK4:
         S = builtin_system("m2-nonhyp-control")
         xis = np.array([[0.0], [600.0], [2.0], [450.0]])
         N, h = SolverConfig().steps_for(S, np.array([600.0]))
-        ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
-        matrices = _step_matrices(S, xis, ts_half)
+        matrices = step_matrices(S, xis, np.zeros(1))[0]
         # With this data the xi = 450 row crosses the threshold at a state
         # whose stacked norm differs from its 1-d norm in the last bit.
         rng = np.random.default_rng(0)
         V0 = np.stack([initial_state(S, rng.standard_normal(2) + 1j * rng.standard_normal(2),
                                      xi) for xi in xis])
-        states, logs = _lockstep_rk4(matrices, V0, N, h, range(N + 1), renormalize=True)
+        states, logs = constant_rk4(matrices, V0, N, h, range(N + 1), renormalize=True)
         assert logs[-1, 1] > 2 * log(RENORM_THRESHOLD) and logs[-1, 3] > log(RENORM_THRESHOLD)
         assert not logs[:, [0, 2]].any()
         for r in range(len(xis)):
-            solo, solo_logs = _lockstep_rk4(matrices[r : r + 1], V0[r : r + 1], N, h,
-                                            range(N + 1), renormalize=True)
+            solo, solo_logs = constant_rk4(matrices[r : r + 1], V0[r : r + 1], N, h,
+                                           range(N + 1), renormalize=True)
             assert states[:, r].tobytes() == solo[:, 0].tobytes(), r
             assert logs[:, r].tobytes() == solo_logs[:, 0].tobytes(), r
             ref, ref_logs = reference_rk4(matrices[r], N, h, V0[r], renormalize=True)
@@ -654,10 +691,10 @@ class TestLockstepRK4:
         S = builtin_system("m2-nonhyp-control")
         xis = np.array([[1.0], [1000.0]])
         N, h = SolverConfig().steps_for(S, np.array([1000.0]))
-        matrices = _step_matrices(S, xis, np.linspace(0.0, S.horizon, 2 * N + 1))
+        matrices = step_matrices(S, xis, np.zeros(1))[0]
         V0 = np.stack([initial_state(S, np.ones(2), xi) for xi in xis])
         with pytest.raises(NumericError, match="non-finite state"):
-            _lockstep_rk4(matrices, V0, N, h, [N])
+            constant_rk4(matrices, V0, N, h, [N])
 
 
 class TestRK4Propagate:
@@ -674,11 +711,11 @@ class TestRK4Propagate:
     def _compare(S, xis, N, h, seed=3):
         from hyposym.energy import _rk4_propagate
 
-        M = _step_matrices(S, xis, np.zeros(1))
+        M = step_matrices(S, xis, np.zeros(1))[0]
         rng = np.random.default_rng(seed)
         d = M.shape[-1]
         V0 = rng.standard_normal((len(xis), d)) + 1j * rng.standard_normal((len(xis), d))
-        ref, _ = _lockstep_rk4(M, V0, N, h, range(N + 1))
+        ref, _ = constant_rk4(M, V0, N, h, range(N + 1))
         scale = np.abs(ref).max(axis=(0, 2))[:, None]
         for record in ([0, N // 3, N], [0, N // 3, N // 3, N], [N // 3, N]):
             states, logs = _rk4_propagate(M, V0, N, h, record)
@@ -710,10 +747,10 @@ class TestRK4Propagate:
         S = builtin_system("m2-nonhyp-control")
         xis = np.array([[1.0], [1024.0]])
         N, h = SolverConfig().steps_for(S, xis[-1])
-        M = _step_matrices(S, xis, np.zeros(1))
+        M = step_matrices(S, xis, np.zeros(1))[0]
         V0 = np.array([[1.0, 0.5j, -0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
         states, _ = _rk4_propagate(M, V0, N, h, [N])   # one jump: R^N itself overflows
-        ref, _ = _lockstep_rk4(M, V0, N, h, [N])
+        ref, _ = constant_rk4(M, V0, N, h, [N])
         assert not states[:, 1].any() and not ref[:, 1].any()
         scale = np.abs(ref[:, 0]).max()
         assert np.abs(states[:, 0] - ref[:, 0]).max() <= self.TOL * scale
