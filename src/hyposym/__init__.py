@@ -14,31 +14,21 @@ from hyposym.errors import (
     NumericError,
 )
 from hyposym.symbols import (
-    CharCoeffs,
     Spectrum,
     SystemSymbol,
-    cayley_hamilton_residual,
-    char_coeffs,
     eval_symbol,
     time_derivative,
 )
 from hyposym.reduction import reduction_residual
 from hyposym.quasisym import (
-    QuasiSymmetriser,
-    build_Q_eps,
-    build_W,
-    near_diagonal_constant,
     sylvester_companion,
     verify_properties,
 )
 from hyposym.conditions import (
     ConditionReport,
     SamplingGrid,
-    ks_constant,
-    levi_ratios,
     run_conditions,
     sandwich_constant,
-    thm2_ratios,
 )
 from hyposym.energy import (
     EnergyTrace,
@@ -56,38 +46,28 @@ from hyposym.examples import builtin_system, BUILTIN_SYSTEMS
 __all__ = [
     "BUILTIN_SYSTEMS",
     "CapabilityError",
-    "CharCoeffs",
     "ConditionReport",
     "ConsistencyError",
     "DomainError",
     "EnergyTrace",
     "NumericError",
-    "QuasiSymmetriser",
     "SamplingGrid",
     "SolverConfig",
     "Spectrum",
     "SystemSymbol",
-    "build_Q_eps",
-    "build_W",
     "builtin_system",
-    "cayley_hamilton_residual",
-    "char_coeffs",
     "direct_integrate",
     "energy_inequality_check",
     "eval_symbol",
     "frequency_sweep",
     "growth_fit",
     "integral_K_sweep",
-    "ks_constant",
-    "levi_ratios",
-    "near_diagonal_constant",
     "reduced_integrate",
     "reduction_residual",
     "run_conditions",
     "sandwich_constant",
     "solve_cauchy_1d",
     "sylvester_companion",
-    "thm2_ratios",
     "time_derivative",
     "verify_properties",
 ]

@@ -147,7 +147,8 @@ def _kind_of(section, kinds) -> str | None:
     return kind if isinstance(kind, str) and kind in kinds else None
 
 
-def _require_number(data, key, errors, path, low=None, high=None, integer=False):
+def _require_number(data, key, errors, path, low=None, high=None, integer=False,
+                    positive=False):
     value = data.get(key)
     if not _is_number(value):
         errors.append(f"{path}{key} must be a finite number")
@@ -157,6 +158,9 @@ def _require_number(data, key, errors, path, low=None, high=None, integer=False)
         return None
     if low is not None and value < low:
         errors.append(f"{path}{key} must be >= {low}")
+        return None
+    if positive and value <= 0:
+        errors.append(f"{path}{key} must be > 0")
         return None
     if high is not None and value > high:
         errors.append(f"{path}{key} must be <= {high}")
@@ -183,12 +187,12 @@ def _parse_system(section, errors) -> SystemSymbol | None:
             errors.append(f"unknown key system.{key}")
     m = _require_number(section, "m", errors, "system.", low=2, integer=True)
     n = _require_number(section, "n", errors, "system.", low=1, integer=True)
-    horizon = _require_number(section, "horizon", errors, "system.", low=0.0)
+    horizon = _require_number(section, "horizon", errors, "system.", positive=True)
     if m is not None and m > MAX_DIMENSION:
         errors.append(f"system.m must be <= {MAX_DIMENSION}")
         return None
     coeffs = section.get("coefficients")
-    if m is None or n is None or horizon is None or horizon <= 0:
+    if m is None or n is None or horizon is None:
         return None
     if (
         not isinstance(coeffs, list)
@@ -306,13 +310,11 @@ def parse_config(text: str) -> RunConfig:
     if None not in sizes and math.prod(sizes) > MAX_GRID_POINTS:
         errors.append(f"grids.t_points x grids.xi_points x grids.directions must be "
                       f"<= {MAX_GRID_POINTS}")
-    xi_min = _require_number(g, "xi_min", errors, "grids.")
+    xi_min = _require_number(g, "xi_min", errors, "grids.", positive=True)
     xi_max = _require_number(g, "xi_max", errors, "grids.")
-    if xi_min is not None and xi_min <= 0:
-        errors.append("grids.xi_min must be > 0")
-    elif None not in (xi_min, xi_max) and xi_min > xi_max:
-        errors.append("grids.xi_min must be <= grids.xi_max")
     if None not in (xi_min, xi_max):
+        if xi_min > xi_max:
+            errors.append("grids.xi_min must be <= grids.xi_max")
         # numpy's log10 has no loop for Python integers beyond int64
         g["xi_min"], g["xi_max"] = xi_min, xi_max
     xi_list = g.get("xi_list")
@@ -344,8 +346,9 @@ def parse_config(text: str) -> RunConfig:
     solver = data["solver"]
     t_step = None
     if solver["t_step"] is not None:
-        t_step = _require_number(solver, "t_step", errors, "solver.", low=0.0)
-    cfl_safety = _require_number(solver, "cfl_safety", errors, "solver.", low=0.0)
+        t_step = _require_number(solver, "t_step", errors, "solver.", positive=True)
+    cfl_safety = _require_number(solver, "cfl_safety", errors, "solver.", positive=True)
+    steps_valid = cfl_safety is not None and (t_step is not None or solver["t_step"] is None)
 
     init = data["initial_data"]
     kind = _kind_of(init, _INITIAL_DATA_KEYS)
@@ -376,8 +379,10 @@ def parse_config(text: str) -> RunConfig:
             elif not 0 <= v <= horizon:
                 errors.append(f"snapshots[{idx}] must lie in [0, {horizon}]")
     grid_size = _require_number(data, "grid_size", errors, "", low=2, integer=True)
-    # zero steps are rejected when the run builds its SolverConfig
-    if symbol is not None and cfl_safety and (solver["t_step"] is None or t_step):
+    if grid_size is not None and grid_size & (grid_size - 1):
+        errors.append("grid_size must be a power of two")
+        grid_size = None
+    if symbol is not None and steps_valid:
         _check_rk4_budget(symbol, SolverConfig(t_step=t_step, cfl_safety=cfl_safety),
                           grid_size, xi_list, errors)
     if data["out"] is not None and not isinstance(data["out"], str):

@@ -185,7 +185,11 @@ def _argmax_witness(values: np.ndarray, grid: SamplingGrid):
 
 
 def ks_pointwise(lambdas: np.ndarray) -> np.ndarray:
-    """Worst pair ratio (l_i^2 + l_j^2) / (l_i - l_j)^2 per grid point."""
+    """Worst pair ratio (l_i^2 + l_j^2) / (l_i - l_j)^2 per grid point.
+
+    Coinciding zero eigenvalues contribute 0; coinciding nonzero eigenvalues
+    contribute infinity.
+    """
     m = lambdas.shape[-1]
     worst = np.zeros(lambdas.shape[:-1])
     with np.errstate(over="ignore"):   # an overflowed square reads inf
@@ -195,17 +199,6 @@ def ks_pointwise(lambdas: np.ndarray) -> np.ndarray:
                 den = (lambdas[..., i] - lambdas[..., j]) ** 2
                 worst = np.maximum(worst, _ratio(num, den))
     return worst
-
-
-def ks_constant(symbol: SystemSymbol, grid: SamplingGrid, data: GridData | None = None):
-    """Supremum of the pairwise eigenvalue-separation ratio over the grid.
-
-    Coinciding zero eigenvalues contribute 0; coinciding nonzero eigenvalues
-    contribute infinity, recorded with their (t, xi) witness.
-    """
-    data = data or evaluate_grid(symbol, grid)
-    values = ks_pointwise(data.lambdas)
-    return float(values.max()), _argmax_witness(values, grid)
 
 
 def levi_pointwise(data: GridData) -> np.ndarray:
@@ -224,16 +217,6 @@ def levi_pointwise(data: GridData) -> np.ndarray:
     return out
 
 
-def levi_ratios(symbol: SystemSymbol, grid: SamplingGrid, data: GridData | None = None):
-    """Per-(l, j) suprema of the lower-order-term ratios, with witness."""
-    data = data or evaluate_grid(symbol, grid)
-    values = levi_pointwise(data)
-    m = symbol.m
-    sups = values.reshape(-1, m - 1, m).max(axis=0)
-    witness = _argmax_witness(values.max(axis=(-2, -1)), grid)
-    return sups, values, witness
-
-
 def thm2_pointwise(data: GridData) -> np.ndarray:
     """max_k ||D_t^k A_0||^2 / q_jj per (grid point, j)."""
     m = data.lambdas.shape[-1]
@@ -245,15 +228,6 @@ def thm2_pointwise(data: GridData) -> np.ndarray:
             den = (data.deleted_sigmas[..., :, j - 1] ** 2).sum(axis=-1)
             out[..., j - 1] = _ratio(num, den)
     return out
-
-
-def thm2_ratios(symbol: SystemSymbol, grid: SamplingGrid, data: GridData | None = None):
-    """Per-j suprema of the derivative-norm condition, with witness."""
-    data = data or evaluate_grid(symbol, grid)
-    values = thm2_pointwise(data)
-    sups = values.reshape(-1, symbol.m - 1).max(axis=0)
-    witness = _argmax_witness(values.max(axis=-1), grid)
-    return sups, values, witness
 
 
 def sandwich_of(W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -352,19 +326,24 @@ class ConditionReport:
     ks_values: np.ndarray = field(repr=False, default=None)
 
 
-def run_conditions(symbol: SystemSymbol, grid: SamplingGrid | None = None,
-                   seed: int = 0) -> ConditionReport:
-    """Evaluate every condition on the grid and aggregate with witnesses."""
-    grid = grid or SamplingGrid.default(symbol)
+def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> ConditionReport:
+    """Evaluate every condition on the grid and aggregate with witnesses.
+
+    Each sup is the largest value of its pointwise table; the witness is the
+    first grid point, in (t, r, d) order, where it is reached.
+    """
     data = evaluate_grid(symbol, grid)
     m = symbol.m
     _, R, D = grid.shape
 
     ks_vals = ks_pointwise(data.lambdas)
     ks_sup, ks_wit = float(ks_vals.max()), _argmax_witness(ks_vals, grid)
-
-    levi_sups, levi_vals, levi_wit = levi_ratios(symbol, grid, data)
-    thm2_sups, thm2_vals, thm2_wit = thm2_ratios(symbol, grid, data)
+    levi_vals = levi_pointwise(data)
+    levi_sups = levi_vals.reshape(-1, m - 1, m).max(axis=0)
+    levi_wit = _argmax_witness(levi_vals.max(axis=(-2, -1)), grid)
+    thm2_vals = thm2_pointwise(data)
+    thm2_sups = thm2_vals.reshape(-1, m - 1).max(axis=0)
+    thm2_wit = _argmax_witness(thm2_vals.max(axis=-1), grid)
 
     # Implication direction: a finite derivative-norm ratio at a point must
     # bound the Levi ratio there up to a constant.

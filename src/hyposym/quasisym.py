@@ -48,12 +48,6 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"eps must lie in (0, 1], got {eps}")
 
 
-def _as_lambda(lambdas) -> np.ndarray:
-    lam = np.asarray(lambdas, dtype=float).ravel()
-    _check_m(lam.size)
-    return lam
-
-
 def sylvester_companion(lambdas) -> np.ndarray:
     """Companion matrices with characteristic roots ``lambdas``.
 
@@ -69,31 +63,6 @@ def sylvester_companion(lambdas) -> np.ndarray:
     M[..., np.arange(m - 1), np.arange(1, m)] = 1.0
     M[..., m - 1, :] = -sig[..., m - np.arange(m)]
     return M
-
-
-def build_W(lambdas) -> np.ndarray:
-    """Rows (sigma_{m-1}(pi_i lambda), ..., sigma_1(pi_i lambda), 1).
-
-    pi_i deletes the i-th eigenvalue.  The eps^0 part of the quasi-symmetriser
-    factors as Q_0 = (m-1)! W* W.
-    """
-    return deleted_sigmas(_as_lambda(lambdas))
-
-
-@dataclass(frozen=True)
-class QuasiSymmetriser:
-    """Q_eps with its eps-power decomposition and its W matrix.
-
-    ``parts[i]`` is the Hermitian positive semidefinite coefficient of
-    eps^{2i}; ``Q_eps = sum_i eps^{2i} parts[i]``.
-    """
-
-    m: int
-    eps: float
-    lambdas: np.ndarray
-    Q_eps: np.ndarray
-    parts: tuple
-    W: np.ndarray
 
 
 # Rows per block of q_eps_parts: 2^m outer products of 1,024 rows take at
@@ -179,25 +148,14 @@ def q_eps(lambdas, eps: float) -> np.ndarray:
     return sum_parts(q_eps_parts(lambdas), eps)
 
 
-def build_Q_eps(lambdas, eps: float) -> QuasiSymmetriser:
-    """Assemble the quasi-symmetriser at a given eps in (0, 1]."""
-    lam = _as_lambda(lambdas)
-    parts = q_eps_parts(lam)
-    return QuasiSymmetriser(
-        m=lam.size, eps=float(eps), lambdas=lam.copy(), Q_eps=sum_parts(parts, eps),
-        parts=tuple(parts), W=build_W(lam),
-    )
+def build_Q_eps(lambdas, eps: float) -> np.ndarray:
+    """Q_eps (m, m) of one tuple: ``q_eps`` on the flattened ``lambdas``.
 
-
-def near_diagonal_constant(Q: np.ndarray) -> float:
-    """Largest c0 with Q >= c0 diag(Q): the minimal eigenvalue of (Q, diag Q)."""
-    Q = np.asarray(Q)
-    d = np.diag(Q).real
-    if np.any(d <= 0.0):
-        raise DomainError("near-diagonality needs strictly positive diagonal entries")
-    scale = 1.0 / np.sqrt(d)
-    white = scale[:, None] * Q * scale[None, :]
-    return float(np.linalg.eigvalsh(hermitian_part(white))[0])
+    Kept only because the benchmark's kernel table (``perfbench/kernels.py``)
+    imports it.  No package code may call it: the benchmark's tracer reads
+    ``.lambdas`` off the result of every traced call of this name.
+    """
+    return q_eps(np.ravel(lambdas), eps)
 
 
 @dataclass(frozen=True)

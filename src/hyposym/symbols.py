@@ -9,10 +9,9 @@ The polynomial representation keeps every time derivative exact, which the
 block-Sylvester reduction needs up to order m - 1.
 
 Characteristic coefficients are computed with the Faddeev-LeVerrier trace
-recursion and cross-checked against elementary symmetric polynomials of the
-eigenvalues; eigenvalues themselves are the eigenvalues of the companion
-matrix of the characteristic polynomial, stacked over (t, xi) and solved by
-one ``numpy.linalg.eigvals`` call per count of exact trailing zero
+recursion; eigenvalues are the eigenvalues of the companion matrix of the
+characteristic polynomial, stacked over (t, xi) and solved by one
+``numpy.linalg.eigvals`` call per count of exact trailing zero
 coefficients.  Deflating those zeros first, as ``numpy.roots`` does, keeps
 structural zero roots exact, and the companion route keeps coalescing spectra
 far more accurate than running a general eigensolver on A itself.
@@ -20,16 +19,11 @@ far more accurate than running a general eigensolver on A itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from hyposym.errors import CapabilityError, DomainError, NumericError, ConsistencyError
-
-# Relative tolerance for the Faddeev-LeVerrier vs. eigenvalue cross-check of
-# the characteristic coefficients.  Double-precision trace recursion loses
-# roughly m digits, so 1e-8 is comfortable for m <= 6.
-CHAR_XCHECK_TOL = 1e-8
+from hyposym.errors import CapabilityError, DomainError, NumericError
 
 MAX_DIMENSION = 6
 
@@ -125,25 +119,6 @@ class Spectrum:
     lambdas: np.ndarray
     hyperbolic: bool | np.ndarray
     imag_residual: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class CharCoeffs:
-    """Characteristic coefficients c_0..c_m of A(t, xi), c_0 = 1.
-
-    c_h is a homogeneous polynomial of degree h in xi (``degrees`` records
-    this); c_1 = -tr A and c_m = (-1)^m det A.  ``xcheck_residual`` is the
-    relative disagreement between the trace recursion and the elementary
-    symmetric polynomials of the eigenvalues.
-    """
-
-    c: np.ndarray
-    xcheck_residual: float
-    degrees: tuple = field(default=())
-
-    def __post_init__(self):
-        if not self.degrees:
-            object.__setattr__(self, "degrees", tuple(range(len(self.c))))
 
 
 def _check_time(symbol: SystemSymbol, t: float) -> float:
@@ -317,36 +292,6 @@ def rescaled_spectra(symbol: SystemSymbol, ts, xi) -> Spectrum:
     return spectra(faddeev_leverrier(A0).real)
 
 
-def char_coeffs(symbol: SystemSymbol, t: float, xi) -> CharCoeffs:
-    """Characteristic coefficients of the unrescaled symbol A(t, xi).
-
-    Computed by the Faddeev-LeVerrier recursion and cross-checked against the
-    elementary symmetric polynomials of the eigenvalues of A(t, xi); the two
-    must agree to CHAR_XCHECK_TOL relative or a ConsistencyError is raised.
-    """
-    A = eval_symbol(symbol, t, xi)
-    c = faddeev_leverrier(A).real
-    # Independent route: general eigensolver on A, then signed symmetric sums.
-    try:
-        eigs = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue solve failed at (t={t}, xi={xi}): {exc}") from exc
-    m = symbol.m
-    # Vieta: prod (tau - mu_i) expanded by convolution, complex-safe.
-    poly = np.ones(1, dtype=complex)
-    for mu in eigs:
-        poly = np.convolve(poly, np.array([1.0, -mu]))
-    scale = 1.0 + np.abs(c).max()
-    residual = float(np.abs(c - poly.real).max() / scale)
-    residual = max(residual, float(np.abs(poly.imag).max() / scale))
-    if residual > CHAR_XCHECK_TOL:
-        raise ConsistencyError(
-            f"characteristic-coefficient cross-check failed at (t={t}, xi={xi}): "
-            f"relative residual {residual:.3e} > {CHAR_XCHECK_TOL:.1e}"
-        )
-    return CharCoeffs(c=c, xcheck_residual=residual, degrees=tuple(range(m + 1)))
-
-
 def matrix_powers(A: np.ndarray, top: int) -> list:
     """[I, A, A^2, ..., A^top] for a stack of square matrices."""
     m = A.shape[-1]
@@ -371,15 +316,3 @@ def adjugate_coeffs(A: np.ndarray, c: np.ndarray) -> list:
             acc += c[..., hp, None, None] * powers[h - hp]
         out.append(acc)
     return out
-
-
-def cayley_hamilton_residual(symbol: SystemSymbol, t: float, xi) -> float:
-    """Frobenius norm of sum_h c_h A^{m-h}, normalised by ||A||_F^m + 1."""
-    A = eval_symbol(symbol, t, xi)
-    c = faddeev_leverrier(A).real
-    m = symbol.m
-    powers = matrix_powers(A, m)
-    acc = np.zeros_like(A)
-    for h in range(m + 1):
-        acc += c[h] * powers[m - h]
-    return float(np.linalg.norm(acc) / (np.linalg.norm(A) ** m + 1.0))

@@ -15,25 +15,22 @@ import numpy as np
 from hyposym import (
     SamplingGrid,
     SolverConfig,
-    build_Q_eps,
     direct_integrate,
     energy_inequality_check,
     frequency_sweep,
     growth_fit,
     integral_K_sweep,
-    ks_constant,
-    near_diagonal_constant,
     reduced_integrate,
     reduction_residual,
     solve_cauchy_1d,
     verify_properties,
 )
-from hyposym.conditions import levi_pointwise, thm2_pointwise, evaluate_grid
+from hyposym.conditions import evaluate_grid, ks_pointwise, levi_pointwise, thm2_pointwise
 from hyposym.examples import builtin_system
-from hyposym.quasisym import sample_separation_set
+from hyposym.quasisym import q_eps, sample_separation_set
 from hyposym.reduction import initial_states
 from hyposym.symbols import faddeev_leverrier
-from oracles import difference_identity_residual_of
+from oracles import difference_identity_residual_of, near_diagonal_constant
 
 # Frozen after the first run: m2-glaeser growth exponent with the default
 # uniform data on geomspace(10, 1000, 7); reruns must stay within +-10%.
@@ -99,7 +96,7 @@ def test_criterion_2_closed_form_regression():
         eps = rng.uniform(0.01, 1.0)
         l1, l2 = lam2
         Q2 = np.array([[l1 ** 2 + l2 ** 2 + 2 * eps ** 2, -(l1 + l2)], [-(l1 + l2), 2.0]])
-        worst_q = max(worst_q, np.abs(build_Q_eps(lam2, eps).Q_eps - Q2).max())
+        worst_q = max(worst_q, np.abs(q_eps(lam2, eps) - Q2).max())
 
         lam3 = rng.uniform(-2, 2, 3)
         Q3 = np.zeros((3, 3))
@@ -116,7 +113,7 @@ def test_criterion_2_closed_form_regression():
                 [[li ** 2, -li, 0.0], [-li, 1.0, 0.0], [0.0, 0.0, 0.0]]
             )
         Q3 += 6.0 * eps ** 4 * np.diag([1.0, 0.0, 0.0])
-        worst_q = max(worst_q, np.abs(build_Q_eps(lam3, eps).Q_eps - Q3).max())
+        worst_q = max(worst_q, np.abs(q_eps(lam3, eps) - Q3).max())
 
     # adjugate expansions: tau-coefficients [I, A - tr(A) I] and
     # [I, A - tr(A) I, A^2 + c1 A + c2 I]
@@ -160,7 +157,8 @@ def test_criterion_3_reduction_oracle():
 def test_criterion_4_condition_constants():
     S3 = builtin_system("m3-tracezero")
     grid3 = SamplingGrid.default(S3)
-    ks, _ = ks_constant(S3, grid3)
+    data3 = evaluate_grid(S3, grid3)
+    ks = float(ks_pointwise(data3.lambdas).max())
     ks_ok = abs(ks - 1.0) <= 1e-9
 
     S2 = builtin_system("m2-glaeser")
@@ -174,7 +172,7 @@ def test_criterion_4_condition_constants():
     # derivative-norm condition finite at a point forces the lower-order
     # ratios finite there, on both shipped systems
     impl_ok = True
-    for S, grid, data in ((S2, grid2, data2), (S3, grid3, evaluate_grid(S3, grid3))):
+    for S, grid, data in ((S2, grid2, data2), (S3, grid3, data3)):
         thm2 = thm2_pointwise(data)
         levi = levi_pointwise(data)
         for l in range(S.m - 1):
@@ -277,9 +275,7 @@ def near_diagonal_minima():
     for m in (2, 3):
         lams = sample_separation_set(m, bound=10.0, count=1000, seed=1007)
         for eps in (1.0, 0.1, 0.01):
-            minima[(m, eps)] = min(
-                near_diagonal_constant(build_Q_eps(lam, eps).Q_eps) for lam in lams
-            )
+            minima[(m, eps)] = min(near_diagonal_constant(Q) for Q in q_eps(lams, eps))
     return minima
 
 

@@ -2,11 +2,12 @@
 
 A public module-level definition of ``src/hyposym/*.py`` (``__init__.py``
 aside) counts as used when another definition or statement in ``src/``
-refers to it by name, or when a module in ``perfbench/`` or ``scripts/``
-imports it.  Tests do not count: a per-point path that only tests reach
-belongs in ``tests/`` as an oracle.  The allow-list names the exceptions and
-why each stays.  The other way round, every name that ``perfbench/`` or
-``scripts/`` imports from the package must exist.
+reads its name (an ``ast.Name`` in ``Load`` context), or when a module in
+``perfbench/`` or ``scripts/`` imports it.  A dataclass field, keyword
+argument or attribute of the same name does not count, and neither do tests:
+a per-point path that only tests reach belongs in ``tests/`` as an oracle.
+The other way round, every name that ``perfbench/`` or ``scripts/`` imports
+from the package must exist, and so must every name of ``hyposym.__all__``.
 """
 
 import ast
@@ -17,14 +18,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hyposym"
 
-ALLOWED = {
-    # the known-red acceptance criterion 7 measures near-diagonality with it
-    "near_diagonal_constant": "imported by tests/test_acceptance.py, criterion 7",
-    # ROADMAP item 1's telemetry sidecar may stack both health residuals
-    "char_coeffs": "health residual planned for the telemetry sidecar",
-    "cayley_hamilton_residual": "health residual planned for the telemetry sidecar",
-}
-
 
 def _public_definitions(tree: ast.Module) -> list:
     return [node for node in tree.body
@@ -32,15 +25,10 @@ def _public_definitions(tree: ast.Module) -> list:
             and not node.name.startswith("_")]
 
 
-def _names_used(node) -> set:
-    """Every name and attribute a statement refers to."""
-    used = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            used.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            used.add(sub.attr)
-    return used
+def _names_read(node) -> set:
+    """Every name a statement reads: its ``ast.Name`` nodes in ``Load`` context."""
+    return {sub.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
 
 
 def _package_imports(path: Path) -> list:
@@ -66,15 +54,15 @@ def unused_public_names() -> dict:
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     imported = {name for path in _tooling_modules() for _, name in _package_imports(path)}
-    # statements per name that refer to it, over every module's statements
+    # statements per name that read it, over every module's statements
     referring = Counter()
     for tree in modules.values():
         for node in tree.body:
-            referring.update(_names_used(node))
+            referring.update(_names_read(node))
     unused = {}
     for module, tree in modules.items():
         for definition in _public_definitions(tree):
-            itself = definition.name in _names_used(definition)
+            itself = definition.name in _names_read(definition)
             if referring[definition.name] == itself and definition.name not in imported:
                 unused[definition.name] = module
     return unused
@@ -82,13 +70,22 @@ def unused_public_names() -> dict:
 
 def test_every_public_definition_is_used():
     unused = unused_public_names()
-    stray = {name: module for name, module in unused.items() if name not in ALLOWED}
-    assert not stray, f"public definitions only tests reach (move them into tests/): {stray}"
+    assert not unused, f"public definitions only tests reach (move them into tests/): {unused}"
 
 
-def test_allow_list_is_current():
-    # an allowed name that is used now, or gone, leaves the list
-    assert set(ALLOWED) <= set(unused_public_names())
+def test_package_all_is_current():
+    # A name deleted from a module but left in __all__ fails here, not first
+    # at ``from hyposym import *``.
+    import hyposym
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    repeated = [name for name, count in Counter(hyposym.__all__).items() if count > 1]
+    assert not repeated, f"names listed more than once in hyposym.__all__: {repeated}"
+    stray = [name for name in hyposym.__all__
+             if name not in imported or not hasattr(hyposym, name)]
+    assert not stray, f"names in hyposym.__all__ that __init__.py does not import: {stray}"
 
 
 def test_tooling_imports_resolve():

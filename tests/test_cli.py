@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import hyposym
 from hyposym.cli import (
+    COMMANDS,
     ConfigError,
     config_hash,
     main,
@@ -443,10 +444,17 @@ def _modes(*modes):
     ("solve", _modes({"k": 1, "amplitudes": [[1.0]]}), "initial_data.modes[0].amplitudes"),
     ("solve", {"initial_data": {"kind": "uniform", "junk": float("nan")}},
      "unknown key initial_data.junk"),
+    ("growth", {"system": {"name": "m2-wave"}, "grid_size": 3},
+     "grid_size must be a power of two"),
+    ("conditions", {"solver": {"t_step": 0}}, "solver.t_step must be > 0"),
+    ("conditions", {"solver": {"cfl_safety": 0}}, "solver.cfl_safety must be > 0"),
+    ("conditions", {"system": {"m": 2, "n": 1, "horizon": 0, "coefficients": [
+        [[[0.0], [1.0]], [[1.0], [0.0]]]]}}, "system.horizon must be > 0"),
 ], ids=["xi-min-zero", "xi-min-above-max", "eps-value-bool", "eps-k-bool",
         "fixed-with-k", "inverse-with-k", "inverse-with-value", "balanced-with-value",
         "mode-without-amplitudes", "mode-bare-number", "mode-string-k",
-        "mode-too-many-amplitudes", "mode-one-element-pair", "uniform-extra-key"])
+        "mode-too-many-amplitudes", "mode-one-element-pair", "uniform-extra-key",
+        "grid-size-not-power-of-two", "t-step-zero", "cfl-safety-zero", "horizon-zero"])
 def test_config_rejected_at_parse_time(tmp_path, capsys, command, extra, key_path):
     doc = {"system": {"name": "m2-glaeser"}, **extra}
     if "grids" in extra:
@@ -456,6 +464,20 @@ def test_config_rejected_at_parse_time(tmp_path, capsys, command, extra, key_pat
     err = capsys.readouterr().err
     assert key_path in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, key_path", [
+    ({"grid_size": 3}, "grid_size must be a power of two"),
+    ({"solver": {"t_step": 0}}, "solver.t_step must be > 0"),
+    ({"solver": {"cfl_safety": 0}}, "solver.cfl_safety must be > 0"),
+], ids=["grid-size-3", "t-step-zero", "cfl-safety-zero"])
+def test_unrunnable_steps_and_grid_size_fail_every_command(tmp_path, capsys, extra, key_path):
+    path = write_config(tmp_path, {"system": {"name": "m2-wave"}, **extra})
+    for command in COMMANDS:
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key_path in err, (command, err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, doc, key_path", [

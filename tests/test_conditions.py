@@ -6,27 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyposym import (
-    DomainError,
-    SamplingGrid,
-    SystemSymbol,
-    ks_constant,
-    levi_ratios,
-    run_conditions,
-    sandwich_constant,
-    thm2_ratios,
-)
+from hyposym import DomainError, SamplingGrid, SystemSymbol, run_conditions, sandwich_constant
 from hyposym.conditions import (
     ABS_FLOOR,
     RANK_TOL,
     _square_sums,
     _zones,
     evaluate_grid,
+    levi_pointwise,
     sandwich_of,
+    thm2_pointwise,
 )
 from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
-from hyposym.quasisym import build_W, sample_separation_set
+from hyposym.quasisym import sample_separation_set
 from hyposym.reduction import assemble_path, lower_order_matrix
 from hyposym.symbols import bracket, deleted_sigmas, rescaled_spectra
 from oracles import difference_identity_residual_of, lift_blocks
@@ -105,18 +98,20 @@ def zone_of(V, lambdas, deltas) -> int:
 class TestKsConstant:
     def test_tracezero_is_one(self):
         S = builtin_system("m3-tracezero")
-        value, witness = ks_constant(S, small_grid(S))
+        rep = run_conditions(S, small_grid(S))
+        value, witness = rep.ks_constant, rep.ks_witness
         assert value == pytest.approx(1.0, abs=1e-12)
         assert "t" in witness and "xi" in witness
 
     def test_strictly_hyperbolic_pair(self):
         S = builtin_system("m2-wave")  # rescaled spectrum (-s, s)
-        value, _ = ks_constant(S, small_grid(S))
+        value = run_conditions(S, small_grid(S)).ks_constant
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_coinciding_nonzero_reports_infinity(self):
         S = constant_symbol(np.eye(2))  # both eigenvalues equal s != 0
-        value, witness = ks_constant(S, small_grid(S))
+        rep = run_conditions(S, small_grid(S))
+        value, witness = rep.ks_constant, rep.ks_witness
         assert value == np.inf
         assert witness["value"] == np.inf
 
@@ -149,7 +144,8 @@ class TestLeviRatios:
     def test_glaeser_ratio_two(self):
         S = builtin_system("m2-glaeser")
         grid = small_grid(S)
-        sups, values, _ = levi_ratios(S, grid)
+        rep = run_conditions(S, grid)
+        sups, values = rep.levi_sups, rep.levi_values
         assert sups[0, 0] == pytest.approx(2.0, rel=1e-12)
         assert sups[0, 1] == 0.0
         # pointwise: identically two away from the degenerate instant
@@ -159,7 +155,7 @@ class TestLeviRatios:
 
     def test_constant_coefficients_vanish(self):
         S = builtin_system("m2-wave")
-        sups, _, _ = levi_ratios(S, small_grid(S))
+        sups = run_conditions(S, small_grid(S)).levi_sups
         assert np.all(sups == 0.0)
 
     def test_m3_denominators_match_symmetriser_diagonal(self):
@@ -177,30 +173,29 @@ class TestLeviRatios:
 class TestThm2Ratios:
     def test_tracezero_finite_table(self):
         S = builtin_system("m3-tracezero")
-        sups, values, _ = thm2_ratios(S, small_grid(S))
+        rep = run_conditions(S, small_grid(S))
+        sups, values = rep.thm2_sups, rep.thm2_values
         assert np.all(np.isfinite(sups))
         assert np.all(np.isfinite(values))
 
     def test_constant_vanishes(self):
         S = builtin_system("m2-wave")
-        sups, _, _ = thm2_ratios(S, small_grid(S))
+        sups = run_conditions(S, small_grid(S)).thm2_sups
         assert np.all(sups == 0.0)
 
     def test_m2_equivalence_with_levi(self):
         # For 2x2 systems the two conditions are finite together.
         for name in ("m2-glaeser", "m2-wave"):
             S = builtin_system(name)
-            grid = small_grid(S)
-            levi_sups, levi_vals, _ = levi_ratios(S, grid)
-            thm2_sups, thm2_vals, _ = thm2_ratios(S, grid)
+            data = evaluate_grid(S, small_grid(S))
+            levi_vals, thm2_vals = levi_pointwise(data), thm2_pointwise(data)
             assert np.isfinite(levi_vals).all() == np.isfinite(thm2_vals).all()
 
     def test_implication_thm2_finite_gives_levi_finite(self):
         for name in ("m2-glaeser", "m3-tracezero"):
             S = builtin_system(name)
-            grid = small_grid(S, n_t=21, n_r=4)
-            _, levi_vals, _ = levi_ratios(S, grid)
-            _, thm2_vals, _ = thm2_ratios(S, grid)
+            data = evaluate_grid(S, small_grid(S, n_t=21, n_r=4))
+            levi_vals, thm2_vals = levi_pointwise(data), thm2_pointwise(data)
             m = S.m
             for l in range(m - 1):
                 live = np.isfinite(thm2_vals[..., l])
@@ -221,7 +216,7 @@ class TestSandwichConstant:
         calA, calB = assemble_path(S, xi, [t])
         lam = np.sort(np.linalg.eigvals(
             calA[0, :2, :2] / bracket(xi)).real)
-        Wl = lift_blocks(build_W(lam))
+        Wl = lift_blocks(deleted_sigmas(lam))
         rng = np.random.default_rng(9)
         best = 0.0
         for _ in range(100_000):
@@ -233,7 +228,7 @@ class TestSandwichConstant:
         assert best >= 0.95 * value
 
     def test_synthetic_large_entries(self):
-        W = build_W(np.array([-1.0, 0.5, 1.5]))[None]
+        W = deleted_sigmas(np.array([-1.0, 0.5, 1.5]))[None]
         b = np.zeros((1, 2, 3, 3), dtype=complex)
         b[0, 0, :, 0] = 1e4   # calB[i*3 + 2, 0] for every band i
         value = assert_sandwich_matches_lifted(W, b)[0]
@@ -243,8 +238,6 @@ class TestSandwichConstant:
         # The sandwich constant is controlled by a monotone function of the
         # lower-order ratios; for this example the envelope C <= alpha sqrt(L)
         # holds pointwise with alpha = sqrt(2), frozen as a regression value.
-        from hyposym.conditions import evaluate_grid, levi_pointwise
-
         S = builtin_system("m2-glaeser")
         grid = SamplingGrid.default(S, n_t=21, n_r=5, r_max=1000.0)
         levi = levi_pointwise(evaluate_grid(S, grid))
@@ -259,7 +252,7 @@ class TestSandwichConstant:
                     assert C <= 1e-10
 
     def test_leak_outside_range_is_infinite(self):
-        W = build_W(np.array([1.0, 1.0]))[None]  # coinciding: W is singular
+        W = deleted_sigmas(np.array([1.0, 1.0]))[None]  # coinciding: W is singular
         b = np.zeros((1, 1, 2, 2), dtype=complex)
         b[0, 0, 0, 0] = 1.0   # calB[1, 0]
         b[0, 0, 1, 1] = 1.0   # calB[3, 2]
@@ -522,7 +515,7 @@ class TestRunConditions:
         for r in (1e3, 1e4):
             grid = SamplingGrid(ts=np.linspace(0, 1, 21), radii=np.array([r]),
                                 dirs=np.array([[1.0], [-1.0]]))
-            vals[r], _ = ks_constant(S, grid)
+            vals[r] = run_conditions(S, grid).ks_constant
         assert vals[1e3] == pytest.approx(vals[1e4], abs=1e-4)
 
     def test_control_system_flagged(self):
@@ -542,7 +535,7 @@ class TestRunConditions:
         grid = SamplingGrid.default(S, n_t=5, n_r=3, n_dirs=8)
         assert grid.dirs.shape == (8, 2)
         np.testing.assert_allclose(np.linalg.norm(grid.dirs, axis=1), 1.0)
-        value, _ = ks_constant(S, grid)
+        value = run_conditions(S, grid).ks_constant
         assert np.isfinite(value)
 
 

@@ -28,7 +28,7 @@ from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
 from hyposym.reduction import PathAssembler, assemble_path, initial_states, lift_trajectory
 from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol, rescaled_spectra
-from hyposym.quasisym import build_Q_eps, verify_properties
+from hyposym.quasisym import q_eps, verify_properties
 from oracles import lift_blocks
 
 
@@ -93,7 +93,7 @@ def per_sample_diagnostics(trace, symbol):
     Q = np.empty((n, m, m))
     for k in range(n):
         lam = rescaled_spectra(symbol, ts[k : k + 1], trace.xi).lambdas[0]
-        Q[k] = build_Q_eps(lam, eps).Q_eps
+        Q[k] = q_eps(lam, eps)
     dQ = np.gradient(Q, h, axis=0)
     blocks = V.reshape(n, m, m)
     A0 = calA[:, :m, :m] / bxi

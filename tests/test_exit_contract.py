@@ -81,8 +81,8 @@ POOLS = {
     ("grids", "directions"): [1, 2, 4],
     ("grids", "xi_list"): [[1.0, 10.0, 100.0], [1e-300, 1e-100, 1.0], [1e300], [10.0],
                            [0.5, 50.0, 5.0], [1e100, 1e101, 1e102], [[1.0]]],
-    ("solver", "t_step"): [None, 1e-3, 1e-2],
-    ("solver", "cfl_safety"): [0.05, 0.5, 10.0, 1e300],
+    ("solver", "t_step"): [None, 1e-3, 1e-2, 0],
+    ("solver", "cfl_safety"): [0.05, 0.5, 10.0, 1e300, 0],
     ("schema_version",): [1, 2],
     ("command",): [None, *COMMANDS, "bogus"],
     ("system",): SYSTEMS,
@@ -198,6 +198,9 @@ def _fixed_step(**grids):
          argv_parts=("solve", []))
 @example(doc=_with(("system",), _inline(LAST_ROW_1E160)), argv_parts=("conditions", []))
 @example(doc=_with(("system",), _inline(LAST_ROW_1E300)), argv_parts=("report", []))
+@example(doc=_with(("grid_size",), 3), argv_parts=("growth", []))
+@example(doc=_with(("solver", "t_step"), 0), argv_parts=("conditions", []))
+@example(doc=_with(("solver", "cfl_safety"), 0), argv_parts=("conditions", []))
 def test_main_keeps_the_exit_code_contract(doc, argv_parts):
     code, err = _run(doc, argv_parts)
     assert code in (0, 1, 2, 3)

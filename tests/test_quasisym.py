@@ -6,25 +6,19 @@ from math import factorial
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyposym import (
-    DomainError,
-    build_Q_eps,
-    build_W,
-    near_diagonal_constant,
-    sylvester_companion,
-    verify_properties,
-)
+from hyposym import DomainError, sylvester_companion, verify_properties
 from hyposym.errors import CapabilityError, NumericError
 from hyposym.pencils import gen_eigvalsh, hermitian_part
 from hyposym.quasisym import (
     PropertyReport,
-    _as_lambda,
+    build_Q_eps,
     q_eps,
     q_eps_parts,
     sample_separation_set,
+    sum_parts,
 )
-from hyposym.symbols import elementary_symmetric_all
-from oracles import lift_blocks
+from hyposym.symbols import deleted_sigmas, elementary_symmetric_all
+from oracles import lift_blocks, near_diagonal_constant
 
 
 def build_P(lambdas) -> np.ndarray:
@@ -35,7 +29,7 @@ def build_P(lambdas) -> np.ndarray:
     seen so far, so the result depends only on lambdas[:-1].  The
     quasi-symmetriser does not go through it (see ``q_eps_parts``).
     """
-    lam = _as_lambda(lambdas)
+    lam = np.asarray(lambdas, dtype=float).ravel()
     m = lam.size
     P = np.zeros((m, m))
     P[0, 0] = 1.0
@@ -93,24 +87,24 @@ class TestBuildP:
 class TestBuildW:
     def test_m2_rows(self):
         lam = np.array([0.4, -1.1])
-        np.testing.assert_allclose(build_W(lam), [[1.1, 1.0], [-0.4, 1.0]])
+        np.testing.assert_allclose(deleted_sigmas(lam), [[1.1, 1.0], [-0.4, 1.0]])
 
     def test_m3_first_row(self):
         lam = np.array([0.5, -0.3, 2.0])
-        W = build_W(lam)
+        W = deleted_sigmas(lam)
         np.testing.assert_allclose(W[0], [lam[1] * lam[2], -(lam[1] + lam[2]), 1.0])
 
     def test_q0_factorization(self):
         rng = np.random.default_rng(3)
         for m in (2, 3, 4):
             lam = rng.uniform(-1.5, 1.5, m)
-            qs = build_Q_eps(lam, 0.5)
-            W = build_W(lam)
-            np.testing.assert_allclose(qs.parts[0], factorial(m - 1) * W.T @ W, atol=1e-12)
+            W = deleted_sigmas(lam)
+            np.testing.assert_allclose(q_eps_parts(lam)[0], factorial(m - 1) * W.T @ W,
+                                       atol=1e-12)
 
     def test_det_q0_two_values(self):
         lam = np.array([0.9, -0.4])
-        Q0 = build_Q_eps(lam, 1.0).parts[0]
+        Q0 = q_eps_parts(lam)[0]
         assert np.linalg.det(Q0) == pytest.approx((lam[0] - lam[1]) ** 2)
 
 
@@ -121,7 +115,7 @@ class TestBuildQeps:
             lam = rng.uniform(-2, 2, 2)
             eps = rng.uniform(0.01, 1.0)
             np.testing.assert_allclose(
-                build_Q_eps(lam, eps).Q_eps, closed_form_Q2(lam, eps), atol=1e-12
+                q_eps(lam, eps), closed_form_Q2(lam, eps), atol=1e-12
             )
 
     def test_closed_form_m3(self):
@@ -130,30 +124,30 @@ class TestBuildQeps:
             lam = rng.uniform(-2, 2, 3)
             eps = rng.uniform(0.01, 1.0)
             np.testing.assert_allclose(
-                build_Q_eps(lam, eps).Q_eps, closed_form_Q3(lam, eps), atol=1e-12
+                q_eps(lam, eps), closed_form_Q3(lam, eps), atol=1e-12
             )
 
     def test_degenerate_pair_gives_singular_q0(self):
-        Q0 = build_Q_eps([0.8, 0.8], 1.0).parts[0]
+        Q0 = q_eps_parts([0.8, 0.8])[0]
         assert abs(np.linalg.det(Q0)) < 1e-14
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(13)
         for m in (2, 3, 4):
             lam = rng.uniform(-2, 2, m)
-            ref = build_Q_eps(lam, 0.3).Q_eps
+            ref = q_eps(lam, 0.3)
             for rho in permutations(range(m)):
-                np.testing.assert_array_equal(build_Q_eps(lam[list(rho)], 0.3).Q_eps, ref)
+                np.testing.assert_array_equal(q_eps(lam[list(rho)], 0.3), ref)
 
     def test_eps_bounds(self):
         with pytest.raises(DomainError):
-            build_Q_eps([1.0, 2.0], 0.0)
+            q_eps([1.0, 2.0], 0.0)
         with pytest.raises(DomainError):
-            build_Q_eps([1.0, 2.0], 1.5)
+            q_eps([1.0, 2.0], 1.5)
 
     def test_dimension_cap(self):
         with pytest.raises(CapabilityError):
-            build_Q_eps(np.arange(7.0), 0.5)
+            q_eps(np.arange(7.0), 0.5)
 
 
 def permutation_sum_parts(lam):
@@ -203,7 +197,7 @@ class TestStackedKernel:
                 for i, part in enumerate(permutation_sum_parts(lam)):
                     ref += eps ** (2 * i) * part
                 assert Q.tobytes() == ref.tobytes()
-                assert build_Q_eps(lam, eps).Q_eps.tobytes() == ref.tobytes()
+                assert build_Q_eps(lam, eps).tobytes() == ref.tobytes()
 
     def test_empty_stack_and_bad_eps(self):
         assert q_eps_parts(np.zeros((0, 3))).shape == (3, 0, 3, 3)
@@ -217,8 +211,8 @@ def verify_properties_per_point(lambdas, eps: float) -> PropertyReport:
     """The one-tuple-at-a-time body that the stacked kernel replaced; the oracle."""
     lam = np.asarray(lambdas, dtype=float).ravel()
     m = lam.size
-    qs = build_Q_eps(lam, eps)
-    Q, parts, W = qs.Q_eps, qs.parts, qs.W
+    parts = q_eps_parts(lam)
+    Q, W = sum_parts(parts, eps), deleted_sigmas(lam)
 
     psd = tuple(float(np.linalg.eigvalsh(hermitian_part(p))[0]) for p in parts)
 
@@ -376,7 +370,7 @@ class TestVerifyProperties:
         lam = np.array([0.6, -1.4, 0.2])
         eps = 0.2
         rep = verify_properties(lam, eps)
-        Q = build_Q_eps(lam, eps).Q_eps
+        Q = q_eps(lam, eps)
         eigs = np.linalg.eigvalsh(Q)
         C = rep.coercivity_constant
         assert eigs[-1] <= C * (1 + 1e-12)
@@ -399,7 +393,7 @@ class TestVerifyProperties:
 
     def test_det_identity_m2_hand_value(self):
         rep = verify_properties(np.array([1.0, -1.0]), 1e-6)
-        Q0 = build_Q_eps(np.array([1.0, -1.0]), 0.5).parts[0]
+        Q0 = q_eps_parts(np.array([1.0, -1.0]))[0]
         assert np.linalg.det(Q0) == pytest.approx(4.0)
         assert rep.det_identity_rel <= 1e-10
         np.testing.assert_allclose(Q0, 2.0 * np.eye(2))
@@ -424,7 +418,7 @@ class TestVerifyProperties:
             for _ in range(1000):
                 lam = rng.uniform(-1, 1, m)
                 # ratio only involves Q0; evaluate directly for speed
-                Q0 = build_Q_eps(lam, 1.0).parts[0]
+                Q0 = q_eps_parts(lam)[0]
                 prod = 1.0
                 for i in range(m):
                     for j in range(i + 1, m):
@@ -472,14 +466,14 @@ class TestVerifyProperties:
             m = rng.integers(2, 5)
             lam = rng.uniform(-2, 2, m)
             eps = rng.uniform(0.05, 1.0)
-            qs = build_Q_eps(lam, eps)
+            Q = q_eps(lam, eps)
             M = sylvester_companion(lam)
-            comm = -1j * (qs.Q_eps @ M - M.T @ qs.Q_eps)
+            comm = -1j * (Q @ M - M.T @ Q)
             C = verify_properties(lam, eps).commutator_constant
             for _ in range(10):
                 v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 lhs = abs(np.vdot(v, comm @ v))
-                rhs = C * eps * np.vdot(v, qs.Q_eps @ v).real
+                rhs = C * eps * np.vdot(v, Q @ v).real
                 assert lhs <= rhs * (1 + 1e-8) + 1e-12
 
 
@@ -498,7 +492,7 @@ class TestNearDiagonal:
         # Lemma-style lower bound c * m^{1-m} with c = det Q / prod(diag).
         lams = sample_separation_set(2, 10.0, 200, seed=17)
         for lam in lams:
-            Q = build_Q_eps(lam, 0.1).Q_eps
+            Q = q_eps(lam, 0.1)
             c0 = near_diagonal_constant(Q)
             c = np.linalg.det(Q) / np.prod(np.diag(Q))
             assert c0 >= c * 2 ** (1 - 2) - 1e-12
@@ -533,6 +527,6 @@ class TestLiftBlocks:
 )
 def test_quasi_symmetriser_permutation_invariance(lam, eps, data):
     perm = data.draw(st.permutations(lam))
-    ref = build_Q_eps(np.array(lam), eps).Q_eps
-    new = build_Q_eps(np.array(perm), eps).Q_eps
+    ref = q_eps(np.array(lam), eps)
+    new = q_eps(np.array(perm), eps)
     np.testing.assert_array_equal(ref, new)

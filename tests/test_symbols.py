@@ -4,14 +4,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyposym import (
-    DomainError,
-    SystemSymbol,
-    cayley_hamilton_residual,
-    char_coeffs,
-    eval_symbol,
-    time_derivative,
-)
+from hyposym import DomainError, SystemSymbol, eval_symbol, time_derivative
 from hyposym.errors import CapabilityError, NumericError
 from hyposym.examples import builtin_system
 from hyposym.symbols import (
@@ -25,6 +18,7 @@ from hyposym.symbols import (
     faddeev_leverrier,
     rescaled_spectra,
 )
+from oracles import cayley_hamilton_residual, char_coeffs
 
 
 def symbol_2x2(a_poly):
