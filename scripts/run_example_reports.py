@@ -14,10 +14,16 @@ the file of the same path under DIR (an earlier ``--out``), lists the files
 that differ or exist on one side only, and exits 1 if there are any:
 
     python scripts/run_example_reports.py --out runs-new/ --compare runs/
+
+For each file that differs it also prints the largest numeric deviation,
+|a - b| / max(|a|, |b|, 1e-6) as the benchmark's correctness gate measures
+it, and the JSON path or CSV line where it occurs; a difference that is not
+numeric (a key, a length, a string) is printed as such.
 """
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -72,9 +78,84 @@ def run_all(out_root: Path, seed: int) -> int:
     return 1 if failures else 0
 
 
+# Deviation floor of the benchmark's gate: values below it are compared on an
+# absolute scale.
+ABS_FLOOR = 1e-6
+
+
+class Structural(Exception):
+    """Two outputs differ in more than their numbers."""
+
+
+def _number_deviation(a: float, b: float, where: str) -> tuple:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, where
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise Structural(f"{where}: {a!r} != {b!r}")
+    return abs(a - b) / max(abs(a), abs(b), ABS_FLOOR), where
+
+
+def _json_deviation(a, b, where: str) -> tuple:
+    """(largest deviation, its JSON path) between two parsed JSON values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            raise Structural(f"{where}: keys {sorted(a.keys() ^ b.keys())} differ")
+        pairs = [(a[k], b[k], f"{where}.{k}") for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Structural(f"{where}: length {len(a)} != {len(b)}")
+        pairs = [(x, y, f"{where}[{i}]") for i, (x, y) in enumerate(zip(a, b))]
+    elif (isinstance(a, (int, float)) and isinstance(b, (int, float))
+          and not isinstance(a, bool) and not isinstance(b, bool)):
+        return _number_deviation(a, b, where)
+    elif a != b:
+        raise Structural(f"{where}: {a!r} != {b!r}")
+    else:
+        return 0.0, where
+    return max((_json_deviation(*p) for p in pairs), key=lambda d: d[0], default=(0.0, where))
+
+
+def _csv_deviation(text: str, ref: str, name: str) -> tuple:
+    """(largest deviation, its line) between two CSV texts, cell by cell."""
+    lines, ref_lines = text.splitlines(), ref.splitlines()
+    if len(lines) != len(ref_lines):
+        raise Structural(f"{name}: {len(lines)} lines != {len(ref_lines)}")
+    worst = (0.0, name)
+    for row, (line, ref_line) in enumerate(zip(lines, ref_lines), start=1):
+        cells, ref_cells = line.split(","), ref_line.split(",")
+        if len(cells) != len(ref_cells):
+            raise Structural(f"{name} line {row}: cell count differs")
+        for cell, ref_cell in zip(cells, ref_cells):
+            if cell != ref_cell:
+                try:
+                    a, b = float(cell), float(ref_cell)
+                except ValueError:
+                    raise Structural(f"{name} line {row}: {cell!r} != {ref_cell!r}") from None
+                worst = max(worst, _number_deviation(a, b, f"{name} line {row}"),
+                            key=lambda d: d[0])
+    return worst
+
+
+def deviation_note(a: Path, b: Path) -> str:
+    """How two versions of one output file differ: their largest deviation and
+    where it is, or their first difference that is not numeric."""
+    if not (a.is_file() and b.is_file()):
+        return f"only under {(a if a.is_file() else b).parent.parent}"
+    try:
+        if a.suffix == ".json":
+            dev, where = _json_deviation(json.loads(a.read_text()),
+                                         json.loads(b.read_text()), a.name)
+        else:
+            dev, where = _csv_deviation(a.read_text(), b.read_text(), a.name)
+    except (Structural, ValueError) as exc:
+        return f"not numeric: {exc}"
+    return f"largest deviation {dev:.3g} at {where}"
+
+
 def compare_runs(out_root: Path, ref_root: Path) -> int:
     """Byte-compare each run directory under ``out_root`` with the same path
-    under ``ref_root``; print the files that differ, 1 if any do."""
+    under ``ref_root``; print the files that differ, each with
+    :func:`deviation_note`, and return 1 if any do."""
     differ = []
     for name, commands in PIPELINES.items():
         for command in commands:
@@ -84,9 +165,9 @@ def compare_runs(out_root: Path, ref_root: Path) -> int:
             for file in sorted(files):
                 a, b = ours / file, theirs / file
                 if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
-                    differ.append(rel / file)
-    for path in differ:
-        print(f"differs: {path}")
+                    differ.append((rel / file, deviation_note(a, b)))
+    for path, note in differ:
+        print(f"differs: {path} ({note})")
     print(f"compared with {ref_root}: {len(differ)} file(s) differ")
     return 1 if differ else 0
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from hyposym.errors import CapabilityError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
-from hyposym.reduction import PathAssembler
+from hyposym.reduction import PathAssembler, _bold_B_terms, _deriv_paths
 from hyposym.symbols import (
     SystemSymbol,
     deleted_sigmas,
@@ -102,17 +102,20 @@ class GridData:
     dtA0_norms: np.ndarray       # (T, R, D, m-1) spectral norms of D_t^k A_0
 
 
-# (t, xi) points per block of evaluate_grid and of the sandwich constant.
-# Larger blocks raise the peak RSS of `conditions` (by 2 MB at 8,192 on
-# m3-tracezero) and gain no time.
+# (t, xi) points per block of evaluate_grid (on a 1-d grid, its terms and
+# norms come from the block's +1 half) and of the sandwich constant.  Larger
+# blocks raise the peak RSS (by 2 MB at 8,192 on m3-tracezero), gain no time.
 _GRID_BLOCK = 1 << 10
 
 
 def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
     """Evaluate eigenvalues, W-row data, b entries and derivative norms.
 
-    One assembler holds every grid frequency; time runs in blocks to bound
-    the stacks.  Each entry is bitwise that of its (t, xi) point alone.
+    Time runs in blocks to bound the stacks.  A is odd in xi and negating a
+    double is exact, so on a 1-d grid (directions +1, -1) -1 takes the calB
+    terms (:func:`_bold_B_terms`, term hp negated for even hp) and derivative
+    norms of +1.  Every entry is bitwise that of its point alone, but an SVD
+    of -X can differ from one of X in the last bits (within 1e-15 relative).
     """
     m = symbol.m
     T, R, D = grid.shape
@@ -123,6 +126,8 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
     assembler = PathAssembler(symbol, grid.radii[:, None, None] * grid.dirs)
     _require_finite(assembler.bxi[None], grid, 0, "<xi>")
     bxi = assembler.bxi[..., None, None]
+    mirror = grid.dirs.tolist() == [[1.0], [-1.0]]
+    lead = slice(0, 1) if mirror else slice(None)  # the norms of +1 broadcast to -1
     step = max(1, _GRID_BLOCK // (R * D))
     for k0 in range(0, T, step):
         sl = slice(k0, k0 + step)
@@ -130,10 +135,18 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
         A = eval_symbol_path(symbol, ts, assembler.xi)
         char0[sl] = faddeev_leverrier(A / bxi).real
         _require_finite(char0[sl], grid, k0, "a rescaled characteristic coefficient")
-        b_entries[sl] = assembler.reduce(ts)[1]
+        _, terms = _bold_B_terms(faddeev_leverrier(A[:, :, lead]),
+                                 _deriv_paths(assembler.derivs, ts, assembler.xi[:, lead]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            boldB = [sum(t) for t in terms]
+            if mirror:  # bold_B_l at -xi: term hp times (-1)^(hp+1)
+                boldB = [np.concatenate([b, sum(x if hp % 2 else -x for hp, x in enumerate(t))],
+                                        axis=2) for b, t in zip(boldB, terms)]
+            b_entries[sl] = np.stack([boldB[l - 1] * assembler.powers[l - m][..., None, None]
+                                      for l in range(1, m)], axis=-3)
         _require_finite(b_entries[sl], grid, k0, "a lower-order entry of calB")
         for k in range(1, m):
-            dA0 = eval_symbol_path(assembler.derivs[k], ts, assembler.xi) / bxi
+            dA0 = eval_symbol_path(assembler.derivs[k], ts, assembler.xi[:, lead]) / bxi[:, lead]
             dt_norms[sl, ..., k - 1] = np.linalg.svd(dA0, compute_uv=False)[..., 0]
     spec = spectra(char0)
     return GridData(

@@ -37,15 +37,16 @@ def _deriv_paths(derivs: list, ts: np.ndarray, xi) -> list:
                 for k, d in enumerate(derivs)]
 
 
-def _bold_B_path(boldA: list, dtA: list, m: int) -> list:
-    """Lower-order matrices bold_B_1..bold_B_{m-1} from the adjugate expansion."""
-    boldB = []
-    for h in range(m - 1):  # bold_B_{h+1}
-        acc = np.zeros_like(boldA[0])
-        for hp in range(m - 1 - h):
-            acc += comb(m - 1 - hp, h) * (boldA[hp] @ dtA[m - 1 - h - hp])
-        boldB.append(acc)
-    return boldB
+def _bold_B_terms(c: np.ndarray, dtA: list) -> tuple:
+    """bold_A_0..bold_A_{m-1} of A = dtA[0] with char. coefficients c, and the
+    terms of bold_B_l by degree: ``terms[l-1][hp]`` = comb(m-1-hp, l-1)
+    bold_A_hp D_t^(m-l-hp) A, of degree hp + 1 in xi; bold_B_l is their sum."""
+    m = dtA[0].shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        boldA = adjugate_coeffs(dtA[0], c)
+        terms = [[comb(m - 1 - hp, l - 1) * (boldA[hp] @ dtA[m - l - hp]) for hp in range(m - l)]
+                 for l in range(1, m)]
+    return boldA, terms
 
 
 def lower_order_matrix(entries) -> np.ndarray:
@@ -108,10 +109,8 @@ class PathAssembler:
             calA = np.zeros(lead + (m * m, m * m))
             for i in range(m):
                 calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
-
-            dtA = _deriv_paths(self.derivs, ts, self.xi)
-            boldA = adjugate_coeffs(A.astype(complex), c.astype(complex))
-            boldB = _bold_B_path(boldA, dtA, m)
+            boldA, terms = _bold_B_terms(c, _deriv_paths(self.derivs, ts, self.xi))
+            boldB = [sum(t) for t in terms]
             b = np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
                           for l in range(1, m)], axis=-3)
         return calA, b, boldA, boldB, c
@@ -133,7 +132,7 @@ class SeparablePath:
     """i (calA + calB) of a one-dimensional symbol at a stack of frequencies, matrix-free.
 
     For n = 1, A(t, xi) = xi A_1(t), so c_k(t, xi) = xi^k c_k(t, 1), and
-    term hp of bold_B_l (see :func:`_bold_B_path`) is xi^(hp+1) times a
+    term hp of bold_B_l (see :func:`_bold_B_terms`) is xi^(hp+1) times a
     matrix of t alone.  Row j < m-1 of each band of i (calA + calB) V is the
     companion shift i <xi> V[j+1].  The last row of band i sums t-only
     coefficients times per-frequency weights:
@@ -175,14 +174,12 @@ class SeparablePath:
         m = self.m
         dtA = _deriv_paths(self.derivs, ts, np.ones(1))
         c = faddeev_leverrier(dtA[0])
-        boldA = adjugate_coeffs(dtA[0], c)
         # L[t, p-1, band j, component, band i]
         L = np.zeros((ts.size, m, m, m, m), dtype=complex)
         band, col = np.arange(m)[:, None], np.arange(m)[None, :]
         L[:, m - 1 - col, band, col, band] = -c[:, None, :0:-1]
-        for l in range(1, m):
-            for hp in range(m - l):
-                term = comb(m - 1 - hp, l - 1) * (boldA[hp] @ dtA[m - l - hp])
+        for l, terms in enumerate(_bold_B_terms(c, dtA)[1], start=1):
+            for hp, term in enumerate(terms):
                 L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
         return L.reshape(ts.size, m ** 3, m)
 

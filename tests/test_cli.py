@@ -1009,6 +1009,26 @@ def test_example_reports_compare_lists_differing_files(tmp_path, capsys):
     (ours / "m2-glaeser--growth" / "growth.csv").write_text("")
     assert module.compare_runs(ours, theirs) == 1
     out = capsys.readouterr().out
-    assert "differs: m2-wave--solve/report.json" in out
-    assert "differs: m2-glaeser--growth/growth.csv" in out
+    assert "differs: m2-wave--solve/report.json (largest deviation 0 at report.json)" in out
+    assert f"differs: m2-glaeser--growth/growth.csv (only under {ours})" in out
     assert "2 file(s) differ" in out
+
+    # numbers: the gate's rule |a - b| / max(|a|, |b|, 1e-6), with its JSON path or CSV line
+    run = ours / "m2-glaeser--conditions"
+    (run / "report.json").write_text('{"a": [1.0, 2.0], "b": {"c": 1e-9}}')
+    (theirs / run.name / "report.json").write_text('{"a": [1.0, 1.5], "b": {"c": 3e-9}}')
+    (run / "conditions.csv").write_text("t,xi,v\r\n0,1;2,1e-7\r\n1,1;2,3\r\n")
+    (theirs / run.name / "conditions.csv").write_text(
+        "t,xi,v\r\n0,1;2,3e-7\r\n1,1;2,3.0000000000000004\r\n")
+    run = ours / "m3-tracezero--conditions"
+    (run / "report.json").write_text('{"kind": "ks"}')
+    (theirs / run.name / "report.json").write_text('{"kind": "levi"}')
+    assert module.compare_runs(ours, theirs) == 1
+    out = capsys.readouterr().out
+    assert ("differs: m2-glaeser--conditions/report.json "
+            "(largest deviation 0.25 at report.json.a[1])") in out
+    assert ("differs: m2-glaeser--conditions/conditions.csv "
+            "(largest deviation 0.2 at conditions.csv line 2)") in out
+    assert ("differs: m3-tracezero--conditions/report.json "
+            "(not numeric: report.json.kind: 'ks' != 'levi')") in out
+    assert "5 file(s) differ" in out

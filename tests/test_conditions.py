@@ -562,21 +562,66 @@ class TestEvaluateGridStacked:
                 norms[:, r_idx, d_idx, k - 1] = np.linalg.svd(dA0, compute_uv=False)[:, 0]
         return char0, b, norms
 
-    @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero", "n2-inline"])
+    @staticmethod
+    def symbol(name):
+        if name == "n2-inline":
+            rng = np.random.default_rng(5)
+            return SystemSymbol(coeffs=rng.standard_normal((2, 3, 3, 3)), horizon=1.0)
+        if name == "n1-sparse-m5":
+            # half the coefficients zero: SVDs of X and -X differ in the last bits
+            rng = np.random.default_rng(1)
+            coeffs = rng.standard_normal((1, 5, 5, 3))
+            coeffs[rng.random(coeffs.shape) < 0.5] = 0.0
+            return SystemSymbol(coeffs=coeffs, horizon=1.0)
+        if name == "m4-inline":
+            return M4_DOUBLE_ZERO
+        return builtin_system(name)
+
+    @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero", "n2-inline", "m4-inline",
+                                      "n1-sparse-m5"])
     def test_bitwise_per_point(self, name, monkeypatch):
+        """Spectra and calB everywhere, and the derivative norms of every
+        direction that is not the negation of an earlier one, are bitwise."""
         import hyposym.conditions as conditions
         from hyposym.symbols import spectra
 
-        if name == "n2-inline":
-            rng = np.random.default_rng(5)
-            S = SystemSymbol(coeffs=rng.standard_normal((2, 3, 3, 3)), horizon=1.0)
-        else:
-            S = builtin_system(name)
+        S = self.symbol(name)
         grid = SamplingGrid.default(S, n_t=37, n_r=5, n_dirs=7)
         # several time blocks, the last one short
         monkeypatch.setattr(conditions, "_GRID_BLOCK", 8 * grid.shape[1] * grid.shape[2])
         data = evaluate_grid(S, grid)
         char0, b, norms = self.per_point(S, grid)
-        assert data.lambdas.tobytes() == spectra(char0).lambdas.tobytes()
+        spec = spectra(char0)
+        assert data.lambdas.tobytes() == spec.lambdas.tobytes()
+        assert data.nonhyperbolic == np.count_nonzero(~spec.hyperbolic)
         assert data.b_entries.tobytes() == b.tobytes()
-        assert data.dtA0_norms.tobytes() == norms.tobytes()
+        lead = slice(None) if S.n > 1 else slice(0, 1)   # on a 1-d grid, -1 mirrors +1
+        assert data.dtA0_norms[:, :, lead].tobytes() == norms[:, :, lead].tobytes()
+
+    @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero", "m4-inline", "n1-sparse-m5"])
+    def test_negated_direction_norms_within_rounding(self, name):
+        """The direction -1 takes the derivative norms of +1: equal to the
+        per-point SVD of -X within 1e-15 of the norm (up to 8.6e-16 seen on
+        random systems with zero entries), and bitwise on the rank-one
+        derivatives of the built-in and report-m4 systems."""
+        S = self.symbol(name)
+        grid = SamplingGrid.default(S, n_t=37, n_r=5)
+        got = evaluate_grid(S, grid).dtA0_norms
+        _, _, norms = self.per_point(S, grid)
+        assert np.all(np.abs(got - norms) <= 1e-15 * norms)
+        if name != "n1-sparse-m5":
+            assert got.tobytes() == norms.tobytes()
+
+
+def test_calB_overflow_at_the_largest_radius_names_its_first_point():
+    """A = xi [[0, 1], [c t, 0]] with c = 1e305 and t <= 1e-3: A, <xi> and the
+    rescaled characteristic coefficients stay finite on the whole grid, and
+    bold_B_1 = -i xi c at entry (1, 0) overflows at radius 1e4 only."""
+    from hyposym.errors import NumericError
+
+    S = companion_symbol([[0.0, 1e305], [0.0]], horizon=1e-3)
+    data = evaluate_grid(S, SamplingGrid.default(S, n_t=5, n_r=2, r_max=100.0))
+    assert np.isfinite(data.b_entries).all() and np.isfinite(data.lambdas).all()
+    with pytest.raises(NumericError) as exc:
+        evaluate_grid(S, SamplingGrid.default(S, n_t=5, n_r=3, r_max=1e4))
+    assert str(exc.value) == "a lower-order entry of calB is not finite at (t=0.0, xi=[10000.0])"
