@@ -50,8 +50,8 @@ SCHEMA_VERSION = 1
 
 COMMANDS = ("reduce", "verify-qs", "conditions", "solve", "growth", "report")
 
-# Largest t_points x xi_points x directions a config may ask for: about ten
-# times the default 201 x 32 x 16 = 102,912 grid points.
+# Largest t_points x xi_points x directions (2 when n = 1) a config may ask
+# for: about ten times the default 201 x 32 x 16 = 102,912 grid points.
 MAX_GRID_POINTS = 1 << 20
 
 # Largest RK4 work a config may ask for, with the step counts that
@@ -63,11 +63,11 @@ MAX_GRID_POINTS = 1 << 20
 MAX_SOLVE_MODE_STEPS = 1 << 27
 MAX_SWEEP_STEPS = 1 << 21
 
-# Rows per chunk of CSV output.  Peak RSS of the conditions-m3 benchmark (a
-# 115,776-row conditions.csv): 55.7 MB with csv.writer, 76.1 MB when whole
-# columns are formatted before the write, 49.9 MB in chunks of 8,192 rows and
-# 48.9 MB in chunks of 2,048.  Chunks of 512 rows save no more memory and
-# write that file about 40% slower.
+# Rows per slab of CSV output.  Writing the 115,776-row conditions.csv of the
+# conditions-m3 benchmark in process: slabs of 512 rows take 0.054 s at a
+# 0.16 MB tracemalloc peak, 2,048 rows 0.037-0.053 s at 0.46 MB and 8,192 rows
+# 0.035 s at 2.09 MB.  At 2,048 the write adds nothing to the benchmark's
+# 48.0-48.4 MB peak RSS, which the grid evaluation sets.
 _CSV_ROWS = 2048
 
 # Most samples of an energy trace that a report carries.
@@ -307,9 +307,11 @@ def parse_config(text: str) -> RunConfig:
     sizes = [_require_number(g, "t_points", errors, "grids.", low=2, integer=True),
              _require_number(g, "xi_points", errors, "grids.", low=2, integer=True),
              _require_number(g, "directions", errors, "grids.", low=1, integer=True)]
+    dirs = "grids.directions"
+    if symbol is not None and symbol.n == 1:   # its grid has +1 and -1, whatever is set
+        sizes[2], dirs = 2, "2 directions (+1 and -1 when n = 1)"
     if None not in sizes and math.prod(sizes) > MAX_GRID_POINTS:
-        errors.append(f"grids.t_points x grids.xi_points x grids.directions must be "
-                      f"<= {MAX_GRID_POINTS}")
+        errors.append(f"grids.t_points x grids.xi_points x {dirs} must be <= {MAX_GRID_POINTS}")
     xi_min = _require_number(g, "xi_min", errors, "grids.", positive=True)
     xi_max = _require_number(g, "xi_max", errors, "grids.")
     if None not in (xi_min, xi_max):
@@ -519,30 +521,47 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _cell_strings(chunk):
-    """The cells of one column chunk as strings, each distinct value formatted
-    once: a float64 array by its bits (-0.0 stays apart from 0.0) at 17
-    significant digits, anything else (ints, strings) by ``str`` and
-    :func:`_quote`."""
-    if isinstance(chunk, np.ndarray) and chunk.dtype.kind == "f":
-        bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
-        strings = list(map("{:.17g}".format, bits.view(np.float64).tolist()))
-        return map(strings.__getitem__, inverse.tolist())
-    table = {v: _quote(str(v)) for v in set(chunk)}
-    return map(table.__getitem__, chunk)
+def _cell_strings(block: np.ndarray) -> np.ndarray:
+    """The cells of a column block as an object array of strings of its shape,
+    each distinct value formatted once: float64 by its bits (-0.0 stays apart
+    from 0.0) at 17 significant digits, anything else (ints, strings) by
+    ``str`` and :func:`_quote`."""
+    if block.dtype == np.float64:
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        strings = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()], dtype=object)
+        return strings[inverse].reshape(block.shape)
+    values = block.ravel().tolist()
+    table = {v: _quote(str(v)) for v in set(values)}
+    return np.array(list(map(table.__getitem__, values)), dtype=object).reshape(block.shape)
 
 
 def _write_csv(path: Path, columns: dict):
     """One table given as {header: column}, in csv.writer's excel dialect
-    (comma delimiters, :func:`_quote`, ``\r\n`` line ends), _CSV_ROWS rows at
-    a time: each chunk's cells become strings column by column, and one join
-    per row and one per chunk make a single write."""
-    cols = list(columns.values())
+    (comma delimiters, :func:`_quote`, ``\r\n`` line ends).  The columns
+    (arrays; a list is 1-d) broadcast to the table's shape, whose C-order
+    entries are the rows, or raise ValueError before the file is opened.
+    The rows go out in slabs of at most _CSV_ROWS along axis a, the first
+    whose trailing axes fit: one object array of cells and separators and one
+    join each, formatting a column of length 1 along a once per leading index."""
+    cols = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
+            for c in columns.values()]
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
+    a = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= _CSV_ROWS)
+    step = _CSV_ROWS // max(1, math.prod(shape[a + 1:]))
+    cells = np.full((min(step, shape[a]), *shape[a + 1:], 2 * len(cols)), ",", dtype=object)
+    cells[..., -1] = "\r\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(_quote(str(h)) for h in columns) + "\r\n")
-        for start in range(0, min(map(len, cols), default=0), _CSV_ROWS):
-            cells = [_cell_strings(col[start:start + _CSV_ROWS]) for col in cols]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        for lead in np.ndindex(shape[:a]):
+            sub = [c[tuple(i * (n > 1) for i, n in zip(lead, c.shape))] for c in cols]
+            once = [_cell_strings(c) if c.shape[0] == 1 else None for c in sub]
+            for start in range(0, shape[a], step):
+                slab = cells[:shape[a] - start]
+                for k, (col, strings) in enumerate(zip(sub, once)):
+                    slab[..., 2 * k] = (_cell_strings(col[start:start + step])
+                                        if strings is None else strings)
+                fh.write("".join(slab.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -680,25 +699,21 @@ def _cmd_conditions(config: RunConfig):
             "directions": report.grid.dirs.shape[0],
         },
     }
-    # Per grid point, in (t, r, d) order: the ks row, then per l the thm2 row
-    # and the m levi rows.
+    # Rows in (t, r, d) order, per point the ks row, then per l the thm2 row and
+    # the m levi rows; each column has the shape it varies in, within (T, R, D, K).
     grid = report.grid
     m = symbol.m
     T, R, D = grid.shape
-    kinds = ["ks"] + (["thm2"] + ["levi"] * m) * (m - 1)
-    ls = [0] + [l for l in range(1, m) for _ in range(m + 1)]
-    js = [0] + list(range(m + 1)) * (m - 1)
     per_l = np.concatenate([report.thm2_values[..., None], report.levi_values], axis=-1)
-    values = np.concatenate([report.ks_values[..., None], per_l.reshape(T, R, D, -1)], axis=-1)
-    xi_strs = np.array([";".join(f"{v:.17g}" for v in xi) for _, _, xi in grid.points()],
-                       dtype=object)
+    xi_strs = [";".join(f"{v:.17g}" for v in xi) for _, _, xi in grid.points()]
     csvs = {"conditions.csv": {
-        "t": np.repeat(grid.ts, R * D * len(kinds)),
-        "xi": np.tile(np.repeat(xi_strs, len(kinds)), T),
-        "kind": kinds * (T * R * D),
-        "l": ls * (T * R * D),
-        "j": js * (T * R * D),
-        "value": values.ravel(),
+        "t": grid.ts[:, None, None, None],
+        "xi": np.array(xi_strs, dtype=object).reshape(1, R, D, 1),
+        "kind": ["ks"] + (["thm2"] + ["levi"] * m) * (m - 1),
+        "l": [0] + [l for l in range(1, m) for _ in range(m + 1)],
+        "j": [0] + list(range(m + 1)) * (m - 1),
+        "value": np.concatenate([report.ks_values[..., None], per_l.reshape(T, R, D, -1)],
+                                axis=-1),
     }}
     return results, failures, csvs
 

@@ -556,10 +556,11 @@ def test_reduce_residual_study_keeps_to_the_stiffness_guard(tmp_path, capsys):
 
 
 def test_grid_point_budget():
+    # An n = 2 grid has the 16 directions it is given.
     from hyposym.cli import MAX_GRID_POINTS
 
     def grids(t_points):
-        return json.dumps({"system": {"name": "m2-glaeser"},
+        return json.dumps({"system": _inline_system(2, 2),
                            "grids": {"t_points": t_points, "xi_points": 32, "directions": 16}})
 
     parse_config(grids(MAX_GRID_POINTS // (32 * 16)))
@@ -567,6 +568,23 @@ def test_grid_point_budget():
         parse_config(grids(MAX_GRID_POINTS // (32 * 16) + 1))
     assert any("grids.t_points x grids.xi_points x grids.directions" in e
                for e in err.value.errors)
+
+
+def test_grid_point_budget_counts_two_directions_in_one_dimension():
+    # A one-dimensional grid has the directions +1 and -1 whatever
+    # grids.directions says, so the budget counts 2.
+    from hyposym.cli import MAX_GRID_POINTS
+
+    def grids(t_points):
+        return json.dumps({"system": {"name": "m2-glaeser"},
+                           "grids": {"t_points": t_points, "xi_points": 32, "directions": 16}})
+
+    assert parse_config(grids(MAX_GRID_POINTS // 64)).sampling_grid().shape == (
+        MAX_GRID_POINTS // 64, 32, 2)
+    with pytest.raises(ConfigError) as err:
+        parse_config(grids(MAX_GRID_POINTS // 64 + 1))
+    assert err.value.errors == [f"grids.t_points x grids.xi_points x 2 directions "
+                                f"(+1 and -1 when n = 1) must be <= {MAX_GRID_POINTS}"]
 
 
 def test_integer_xi_max_beyond_int64_is_read_as_float(tmp_path):
@@ -903,6 +921,37 @@ def _chunked_table():
             "u": (values * (1 + 1j))[::-1].imag}
 
 
+def _conditions_shaped_table():
+    """Columns in the shapes conditions.csv passes, (T, 1, 1, 1), (1, R, D, 1),
+    (K,) and (T, R, D, K), with a partial last slab: 2,048 // 54 = 37 time
+    entries per slab, so 80 of them make slabs of 37, 37 and 6."""
+    from hyposym.cli import _CSV_ROWS
+
+    T, R, D, K = 80, 3, 2, 9
+    assert T % (_CSV_ROWS // (R * D * K)) != 0
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal((T, R, D, K))
+    values[::4, 1] = -0.0
+    values[1::7, :, 1, 2] = _SPECIAL_FLOATS[2]
+    xi = np.array([f"{r};{d}" for r in range(R) for d in ("1", '-1,"q"')], dtype=object)
+    return {"t": np.linspace(0.0, 1.0, T)[:, None, None, None],
+            "xi": xi.reshape(1, R, D, 1),
+            "kind": ["ks"] + ["thm2", "levi", "levi"] * 2 + ["levi", "levi"],
+            "l": np.arange(K) % 3,
+            "j": list(range(K)),
+            "value": values}
+
+
+def _wide_table():
+    """A table whose trailing axes alone hold more than _CSV_ROWS rows."""
+    from hyposym.cli import _CSV_ROWS
+
+    width = _CSV_ROWS + 5
+    return {"row": np.array([0.5, -0.0, 2.0])[:, None],
+            "col": np.arange(width),
+            "value": np.random.default_rng(13).standard_normal((3, width))}
+
+
 @pytest.mark.parametrize("columns", [
     {"special": _SPECIAL_FLOATS, "again": _SPECIAL_FLOATS[::-1].copy()},
     {"re": _U.real, "im": _U.imag},
@@ -911,34 +960,78 @@ def _chunked_table():
     {'head,"er"': np.array([1.5, -0.0])},
     _chunked_table(),
     {"x": np.zeros(0), "kind": [], "l": np.zeros(0, dtype=int)},
+    _conditions_shaped_table(),
+    _wide_table(),
+    {"t": np.arange(4.0)[:, None, None], "xi": np.zeros((0, 1)), "kind": ["a", "b", "c"]},
+    {"x": np.zeros((0, 2)), "c": np.array([[1.5, -0.0]]), "k": ["a", "b"]},
 ], ids=["special-floats", "strided-floats", "ints-and-strings",
-        "quoted-header", "several-chunks", "empty"])
+        "quoted-header", "several-chunks", "empty", "conditions-shapes",
+        "wide-trailing-axes", "zero-middle-axis", "zero-first-axis-constant-column"])
 def test_write_csv_matches_row_writer(tmp_path, columns):
     from hyposym.cli import _write_csv
 
     _write_csv(tmp_path / "got.csv", columns)
-    rows = zip(*[col.tolist() if isinstance(col, np.ndarray) else col
-                 for col in columns.values()])
+    cols = [col if isinstance(col, np.ndarray) else np.array(col, dtype=object)
+            for col in columns.values()]
+    shape = np.broadcast_shapes(*(col.shape for col in cols))
+    rows = zip(*[np.broadcast_to(col, shape).ravel().tolist() for col in cols])
     _write_rows(tmp_path / "oracle.csv", list(columns), rows)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
+@pytest.mark.parametrize("columns", [
+    {"a": np.zeros(3), "b": np.zeros(2)},
+    {"t": np.zeros((4, 1)), "kind": ["ks", "thm2", "levi"], "value": np.zeros((4, 2))},
+], ids=["unequal-lengths", "trailing-mismatch"])
+def test_write_csv_rejects_columns_that_do_not_broadcast(tmp_path, columns):
+    from hyposym.cli import _write_csv
+
+    with pytest.raises(ValueError):
+        _write_csv(tmp_path / "got.csv", columns)
+    assert not (tmp_path / "got.csv").exists()
+
+
 def test_write_csv_memory_stays_chunk_sized(tmp_path):
     """The traced peak of writing the default m3-tracezero conditions.csv
-    (115,776 rows) stays a few chunks in size.  Measured with tracemalloc:
-    the csv.writer path that formatted whole ``tolist()`` columns peaked at
-    7.58 MB (about 3.7 MB of float objects per float column); the chunked
-    writer peaks at 0.45 MB."""
+    (115,776 rows) stays a few chunks in size, and the file is the row
+    writer's.  Measured with tracemalloc: the csv.writer path that formatted
+    whole ``tolist()`` columns peaked at 7.58 MB (about 3.7 MB of float
+    objects per float column); the chunked writer peaks at 0.45 MB, and the
+    broadcast one at 0.46 MB."""
     import tracemalloc
 
     from hyposym.cli import _cmd_conditions, _write_csv
+    from hyposym.conditions import run_conditions
 
     cfg = parse_config(json.dumps({"system": {"name": "m3-tracezero"}}))
     columns = _cmd_conditions(cfg)[2]["conditions.csv"]
-    assert len(columns["value"]) == 115776
+    assert columns["value"].size == 115776
     tracemalloc.start()
     try:
         _write_csv(tmp_path / "conditions.csv", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    report = run_conditions(cfg.symbol, cfg.sampling_grid(), seed=cfg.seed)
+    _write_rows(tmp_path / "oracle.csv", list(columns), _conditions_rows(report, 3))
+    assert (tmp_path / "conditions.csv").read_bytes() == (
+        tmp_path / "oracle.csv").read_bytes()
+
+
+def test_write_csv_memory_stays_slab_sized_for_wide_tables(tmp_path):
+    """Slabs of whole first-axis entries would hold 100,000 rows here (a
+    tracemalloc peak of 22.4 MB, measured); slabs along the second axis hold
+    at most _CSV_ROWS of them."""
+    import tracemalloc
+
+    from hyposym.cli import _write_csv
+
+    columns = {"t": np.array([[0.0], [0.5]]),
+               "value": np.random.default_rng(14).standard_normal((2, 100_000))}
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "wide.csv", columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
