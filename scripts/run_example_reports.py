@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run the full report pipeline for every built-in example system.
+"""Run the full report pipeline for every built-in example system, and for
+two inline systems of order 4 and 6.
 
 Writes one output directory per (system, command) pair, holding the
 ``config.json`` it ran and the ``report.json`` it produced, and prints a
@@ -30,11 +31,31 @@ from pathlib import Path
 
 from hyposym.cli import main as hyposym_main
 
+
+def companion_system(last_row) -> dict:
+    """Inline config of the 1-d system whose matrix is the companion matrix
+    with the polynomials in t of ``last_row`` (lowest degree first) as last row."""
+    m = len(last_row)
+    rows = [[[1.0] if j == i + 1 else [0.0] for j in range(m)] for i in range(m - 1)]
+    return {"m": m, "n": 1, "horizon": 1.0, "coefficients": [rows + [last_row]]}
+
+
+# Eigenvalues +-2 and +-t (a double zero at t = 0): the report-m4 benchmark
+# system; the m = 6 system adds the pair +-1.  Their sweeps run the dense RK4
+# windows of m = 4 and m = 6.
+INLINE_SYSTEMS = {
+    "inline-m4": companion_system([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]]),
+    "inline-m6": companion_system([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
+                                   [5.0, 0.0, 1.0], [0.0]]),
+}
+
 PIPELINES = {
     "m2-glaeser": ("reduce", "verify-qs", "conditions", "growth", "report", "solve"),
     "m2-wave": ("reduce", "conditions", "solve"),
     "m2-nonhyp-control": ("growth", "conditions", "report"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions"),
+    "inline-m4": ("growth", "report"),
+    "inline-m6": ("growth",),
 }
 
 SOLVE_EXTRAS = {
@@ -57,7 +78,7 @@ def run_all(out_root: Path, seed: int) -> int:
     rows = []
     for name, commands in PIPELINES.items():
         for command in commands:
-            doc = {"system": {"name": name}, "seed": seed}
+            doc = {"system": INLINE_SYSTEMS.get(name, {"name": name}), "seed": seed}
             if command == "solve":
                 doc.update(SOLVE_EXTRAS)
             out_dir = out_root / f"{name}--{command}"

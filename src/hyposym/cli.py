@@ -542,25 +542,31 @@ def _write_csv(path: Path, columns: dict):
     entries are the rows, or raise ValueError before the file is opened.
     The rows go out in slabs of at most _CSV_ROWS along axis a, the first
     whose trailing axes fit: one object array of cells and separators and one
-    join each, formatting a column of length 1 along a once per leading index."""
+    join each.  A column constant along the leading axes is formatted once per
+    slab start, and one of length 1 along a once per leading index."""
     cols = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
             for c in columns.values()]
     shape = np.broadcast_shapes(*(c.shape for c in cols))
     cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
     a = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= _CSV_ROWS)
     step = _CSV_ROWS // max(1, math.prod(shape[a + 1:]))
+    fixed = [a > 0 and math.prod(c.shape[:a]) == 1 for c in cols]
     cells = np.full((min(step, shape[a]), *shape[a + 1:], 2 * len(cols)), ",", dtype=object)
     cells[..., -1] = "\r\n"
+    memo = {}   # (column, slab start) -> strings that repeat
     with path.open("w", newline="") as fh:
         fh.write(",".join(_quote(str(h)) for h in columns) + "\r\n")
         for lead in np.ndindex(shape[:a]):
             sub = [c[tuple(i * (n > 1) for i, n in zip(lead, c.shape))] for c in cols]
-            once = [_cell_strings(c) if c.shape[0] == 1 else None for c in sub]
+            memo = {key: strings for key, strings in memo.items() if fixed[key[0]]}
             for start in range(0, shape[a], step):
                 slab = cells[:shape[a] - start]
-                for k, (col, strings) in enumerate(zip(sub, once)):
-                    slab[..., 2 * k] = (_cell_strings(col[start:start + step])
-                                        if strings is None else strings)
+                for k, col in enumerate(sub):
+                    at = start if col.shape[0] > 1 else 0
+                    if (k, at) not in memo:
+                        memo[k, at] = _cell_strings(col[at:at + step])
+                    keep = fixed[k] or col.shape[0] == 1
+                    slab[..., 2 * k] = memo[k, at] if keep else memo.pop((k, at))
                 fh.write("".join(slab.ravel().tolist()))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from hyposym.errors import CapabilityError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
-from hyposym.reduction import PathAssembler, _bold_B_terms, _deriv_paths
+from hyposym.reduction import PathAssembler, _bold_B_terms
 from hyposym.symbols import (
     SystemSymbol,
     deleted_sigmas,
@@ -135,8 +135,8 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
         A = eval_symbol_path(symbol, ts, assembler.xi)
         char0[sl] = faddeev_leverrier(A / bxi).real
         _require_finite(char0[sl], grid, k0, "a rescaled characteristic coefficient")
-        _, terms = _bold_B_terms(faddeev_leverrier(A[:, :, lead]),
-                                 _deriv_paths(assembler.derivs, ts, assembler.xi[:, lead]))
+        paths = [eval_symbol_path(d, ts, assembler.xi[:, lead]) for d in assembler.derivs]
+        _, terms = _bold_B_terms(faddeev_leverrier(A[:, :, lead]), paths)
         with np.errstate(over="ignore", invalid="ignore"):
             boldB = [sum(t) for t in terms]
             if mirror:  # bold_B_l at -xi: term hp times (-1)^(hp+1)

@@ -142,12 +142,14 @@ class EnergyTrace:
 
 
 # Bytes of right-hand-side data held per window of the lockstep RK4 (see
-# :func:`_width`): m^4 complex entries per half-step give the frequency
-# sweep's dense windows of 512, 101, 32, 13 and 6 steps at m = 2..6, and the
-# separable solve's windows of 512 (m = 2) and 101 (m = 3) steps.  Only the
-# solve's test oracle holds 128 dense modes, 4 steps at m = 2.  Assembly
-# temporaries take several times this; longer windows raise the peak RSS.
-_WINDOW_BYTES = 1 << 18
+# :func:`_width`).  A window of reduced_integrate holds i (calA + calB), calA
+# and the calB entries b at each half-step, 24 m^4 + 16 (m-1) m^2 bytes:
+# windows of 1,170, 234, 75, 31 and 15 steps at m = 2..6.  The separable
+# solve's window builds its m^4 complex last-row coefficients from terms and
+# paths about as large again: windows of 1,024 (m = 2) and 202 (m = 3) steps.
+# Twice the budget raised the peak RSS of an m = 6 growth sweep by 1.3 MB;
+# counting the separable coefficients alone raised solve-glaeser's by 0.5 MB.
+_WINDOW_BYTES = 1 << 20
 
 
 def _width(row_bytes: int) -> int:
@@ -419,15 +421,17 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
             return lambda j, Y: np.matvec(M, Y)
         calA, b = assembler.reduce(ts_half[2 * k0 : 2 * k1 + 1])[:2]
         held = calA[::2], b[::2]
-        return _dense(1j * (calA + lower_order_matrix(b)))
+        rhs = lower_order_matrix(b)   # i (calA + calB) in calB's buffer, by the same ufuncs
+        return _dense(np.multiply(1j, np.add(calA, rhs, out=rhs), out=rhs))
 
     def after(k0, k1, out):
         # samples k0..k1-1, and in the last window the final sample N too
         terms.add(k0, k1 if k1 < N else N + 1, *held, out[:, 0])
 
     try:
-        V, logs = _lockstep_rk4(window, _width(m ** 4 * 16), V0[None], N, h, range(N + 1),
-                                renormalize=True, after=None if terms is None else after)
+        V, logs = _lockstep_rk4(window, _width(24 * m ** 4 + 16 * (m - 1) * m ** 2), V0[None], N,
+                                h, range(N + 1), renormalize=True,
+                                after=None if terms is None else after)
     except NumericError as exc:
         raise NumericError(f"{exc} (xi={xi})") from exc
     trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)
@@ -724,7 +728,7 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
             L = path.last_rows(ts_half[2 * k0 : 2 * k1 + 1])
             return lambda j, Y: path.apply(L[j], Y)
 
-        states, _ = _lockstep_rk4(window, _width(m ** 4 * 16), V0, N, h, record)
+        states, _ = _lockstep_rk4(window, _width(m ** 4 * 32), V0, N, h, record)
     # first band component of each snapshot, (n_snapshots, m, n_grid)
     first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
     hat_snaps = first * bxi ** (-(m - 1))

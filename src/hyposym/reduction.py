@@ -7,9 +7,10 @@ calA is block diagonal with m identical companion blocks scaled by <xi>;
 calB collects the lower-order terms that the reduction generates even for a
 homogeneous system, one nonzero row per m-row band.
 
-Every time derivative D_t^k A is exact: the symbol stores polynomial
-coefficients and the factor (-i)^k is applied here, keeping the symbol
-algebra real.
+Every time derivative D_t^k A = (-i)^k d^k/dt^k A is exact: the symbol
+stores polynomial coefficients, so the paths d^k/dt^k A, bold_A and every
+product of the lower-order terms stay real, and the phase (-i)^k is applied
+once, where a product becomes the real or the imaginary part of its term.
 """
 
 from __future__ import annotations
@@ -30,22 +31,18 @@ from hyposym.symbols import (
 )
 
 
-def _deriv_paths(derivs: list, ts: np.ndarray, xi) -> list:
-    """(-i)^k d^k/dt^k A(t, xi) for the k-th symbol of ``derivs`` = [d^k/dt^k A]."""
-    with np.errstate(invalid="ignore"):  # inf entries of an overflowing symbol
-        return [(-1j) ** k * eval_symbol_path(d, ts, xi).astype(complex)
-                for k, d in enumerate(derivs)]
-
-
-def _bold_B_terms(c: np.ndarray, dtA: list) -> tuple:
-    """bold_A_0..bold_A_{m-1} of A = dtA[0] with char. coefficients c, and the
+def _bold_B_terms(c: np.ndarray, paths: list) -> tuple:
+    """bold_A_0..bold_A_{m-1} of A = paths[0] with char. coefficients c, and the
     terms of bold_B_l by degree: ``terms[l-1][hp]`` = comb(m-1-hp, l-1)
-    bold_A_hp D_t^(m-l-hp) A, of degree hp + 1 in xi; bold_B_l is their sum."""
-    m = dtA[0].shape[-1]
+    bold_A_hp D_t^k A with k = m-l-hp, of degree hp + 1 in xi; bold_B_l is
+    their sum.  From the real paths d^k/dt^k A, bold_A and each product are
+    real; the phase (-i)^k puts the product into the real or imaginary part.
+    Up to the sign of a zero, each term is bitwise the complex product."""
+    m = paths[0].shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        boldA = adjugate_coeffs(dtA[0], c)
-        terms = [[comb(m - 1 - hp, l - 1) * (boldA[hp] @ dtA[m - l - hp]) for hp in range(m - l)]
-                 for l in range(1, m)]
+        boldA = adjugate_coeffs(paths[0], c)
+        terms = [[comb(m - 1 - hp, l - 1) * (boldA[hp] @ paths[m - l - hp]) * (-1j) ** (m - l - hp)
+                  for hp in range(m - l)] for l in range(1, m)]
     return boldA, terms
 
 
@@ -89,7 +86,8 @@ class PathAssembler:
     def reduce(self, ts) -> tuple:
         """(calA, b, bold_A, bold_B, c), each of leading shape (len(ts), ...).
 
-        ``b`` (..., m-1, m, m) holds the scaled entries of calB; see
+        calA, bold_A and c are real, b and bold_B complex.  ``b``
+        (..., m-1, m, m) holds the scaled entries of calB; see
         :func:`lower_order_matrix`.  Overflow leaves non-finite entries,
         without a warning, for the caller to check.
         """
@@ -109,7 +107,8 @@ class PathAssembler:
             calA = np.zeros(lead + (m * m, m * m))
             for i in range(m):
                 calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
-            boldA, terms = _bold_B_terms(c, _deriv_paths(self.derivs, ts, self.xi))
+            paths = [A] + [eval_symbol_path(d, ts, self.xi) for d in self.derivs[1:]]
+            boldA, terms = _bold_B_terms(c, paths)
             boldB = [sum(t) for t in terms]
             b = np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
                           for l in range(1, m)], axis=-3)
@@ -172,13 +171,16 @@ class SeparablePath:
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         m = self.m
-        dtA = _deriv_paths(self.derivs, ts, np.ones(1))
-        c = faddeev_leverrier(dtA[0])
+        paths = [eval_symbol_path(d, ts, np.ones(1)) for d in self.derivs]
+        # c by the complex recursion: numpy divides its traces by k through 1/k,
+        # which can round apart from the real quotients of reduce, and the
+        # separable solve's fields are kept bitwise on these coefficients
+        c = faddeev_leverrier(paths[0].astype(complex))
         # L[t, p-1, band j, component, band i]
         L = np.zeros((ts.size, m, m, m, m), dtype=complex)
         band, col = np.arange(m)[:, None], np.arange(m)[None, :]
         L[:, m - 1 - col, band, col, band] = -c[:, None, :0:-1]
-        for l, terms in enumerate(_bold_B_terms(c, dtA)[1], start=1):
+        for l, terms in enumerate(_bold_B_terms(c.real, paths)[1], start=1):
             for hp, term in enumerate(terms):
                 L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
         return L.reshape(ts.size, m ** 3, m)
@@ -212,12 +214,12 @@ def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
     stack of frequencies xi (..., n).
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    dtA = _deriv_paths([time_derivative(symbol, k) for k in range(max(top - 1, 0) + 1)], ts, xi)
-    shape = dtA[0].shape
-    maps = [np.broadcast_to(np.eye(symbol.m, dtype=complex), shape).copy()]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing symbol's inf entries
+        dtA = [(-1j) ** k * eval_symbol_path(time_derivative(symbol, k), ts, xi).astype(complex)
+               for k in range(max(top - 1, 0) + 1)]
+        maps = [np.broadcast_to(np.eye(symbol.m, dtype=complex), dtA[0].shape).copy()]
         for j in range(1, top + 1):
-            acc = np.zeros(shape, dtype=complex)
+            acc = np.zeros(dtA[0].shape, dtype=complex)
             for l in range(j):
                 acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
             maps.append(acc)

@@ -3,11 +3,15 @@
 None is on a path of the package: the kernels in ``src/`` work on the m x m
 blocks and the W rows directly, stacked over (t, xi).  The characteristic
 coefficients with their eigenvalue cross-check, the Cayley-Hamilton residual
-and the near-diagonality constant work at one point or on one matrix.
+and the near-diagonality constant work at one point or on one matrix.  The
+lower-order terms of the reduction are formed here in complex arithmetic,
+from the phased paths (-i)^k d^k/dt^k A.  The inline companion systems with
+a double zero eigenvalue at t = 0 are shared by several test modules.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -15,16 +19,39 @@ from hyposym.errors import ConsistencyError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
 from hyposym.symbols import (
     SystemSymbol,
+    adjugate_coeffs,
+    brackets,
     deleted_sigmas,
     eval_symbol,
+    eval_symbol_path,
     faddeev_leverrier,
     matrix_powers,
+    time_derivative,
 )
 
 # Relative tolerance for the Faddeev-LeVerrier vs. eigenvalue cross-check of
 # the characteristic coefficients.  Double-precision trace recursion loses
 # roughly m digits, so 1e-8 is comfortable for m <= 6.
 CHAR_XCHECK_TOL = 1e-8
+
+
+def companion_symbol(last_row, horizon=1.0):
+    """1-d symbol whose matrix is the companion matrix with the polynomials in
+    t of ``last_row`` (coefficient lists, lowest degree first) as last row."""
+    m = len(last_row)
+    coeffs = np.zeros((1, m, m, max(map(len, last_row))))
+    for i in range(m - 1):
+        coeffs[0, i, i + 1, 0] = 1.0
+    for j, poly in enumerate(last_row):
+        coeffs[0, m - 1, j, : len(poly)] = poly
+    return SystemSymbol(coeffs=coeffs, horizon=horizon)
+
+
+# Eigenvalues +-2 and +-t (a double zero at t = 0): the inline system of the
+# report-m4 benchmark.  The m = 6 system adds the pair +-1.
+M4_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]])
+M6_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
+                                   [5.0, 0.0, 1.0], [0.0]])
 
 
 def lift_blocks(block: np.ndarray) -> np.ndarray:
@@ -135,3 +162,65 @@ def near_diagonal_constant(Q: np.ndarray) -> float:
     scale = 1.0 / np.sqrt(d)
     white = scale[:, None] * Q * scale[None, :]
     return float(np.linalg.eigvalsh(hermitian_part(white))[0])
+
+
+def deriv_paths(derivs: list, ts: np.ndarray, xi) -> list:
+    """(-i)^k d^k/dt^k A(t, xi) for the k-th symbol of ``derivs`` = [d^k/dt^k A]."""
+    with np.errstate(invalid="ignore"):  # inf entries of an overflowing symbol
+        return [(-1j) ** k * eval_symbol_path(d, ts, xi).astype(complex)
+                for k, d in enumerate(derivs)]
+
+
+def bold_B_terms(c: np.ndarray, dtA: list) -> tuple:
+    """bold_A_0..bold_A_{m-1} of A = dtA[0] with char. coefficients c, and the
+    terms ``terms[l-1][hp]`` = comb(m-1-hp, l-1) bold_A_hp D_t^(m-l-hp) A of
+    bold_B_l, all in complex arithmetic."""
+    m = dtA[0].shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        boldA = adjugate_coeffs(dtA[0], c)
+        terms = [[comb(m - 1 - hp, l - 1) * (boldA[hp] @ dtA[m - l - hp]) for hp in range(m - l)]
+                 for l in range(1, m)]
+    return boldA, terms
+
+
+def reduce_reference(symbol: SystemSymbol, xi, ts) -> tuple:
+    """(calA, b, c) of ``PathAssembler(symbol, xi).reduce(ts)``, with the calB
+    entries b from the complex terms of :func:`bold_B_terms`."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    m = symbol.m
+    bxi = brackets(xi)
+    powers = {e: np.array([b ** e for b in bxi.ravel().tolist()]).reshape(bxi.shape)
+              for e in range(-m, 0)}
+    derivs = [time_derivative(symbol, k) for k in range(m)]
+    A = eval_symbol_path(derivs[0], ts, xi)
+    c = faddeev_leverrier(A)
+    block = np.zeros(A.shape)
+    for j in range(m - 1):
+        block[..., j, j + 1] = bxi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in range(m):
+            block[..., m - 1, col] = -c[..., m - col] * powers[col - m] * bxi
+        calA = np.zeros(A.shape[:-2] + (m * m, m * m))
+        for i in range(m):
+            calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
+        _, terms = bold_B_terms(c, deriv_paths(derivs, ts, xi))
+        b = np.stack([sum(t) * powers[l - m][..., None, None] for l, t in enumerate(terms, 1)],
+                     axis=-3)
+    return calA, b, c
+
+
+def last_rows_reference(symbol: SystemSymbol, ts) -> np.ndarray:
+    """``SeparablePath.last_rows(ts)`` of a one-dimensional symbol, from the
+    complex paths, coefficients and terms at xi = 1."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    m = symbol.m
+    dtA = deriv_paths([time_derivative(symbol, k) for k in range(m)], ts, np.ones(1))
+    c = faddeev_leverrier(dtA[0])
+    L = np.zeros((ts.size, m, m, m, m), dtype=complex)
+    band, col = np.arange(m)[:, None], np.arange(m)[None, :]
+    L[:, m - 1 - col, band, col, band] = -c[:, None, :0:-1]
+    for l, terms in enumerate(bold_B_terms(c, dtA)[1], start=1):
+        for hp, term in enumerate(terms):
+            L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
+    return L.reshape(ts.size, m ** 3, m)

@@ -942,6 +942,22 @@ def _conditions_shaped_table():
             "value": values}
 
 
+def _n2_conditions_table():
+    """conditions.csv's column shapes on a two-dimensional grid whose (R, D, K)
+    block holds more than _CSV_ROWS rows: slabs along R of 5 and 3 entries
+    for each of the T time entries, and xi strings that vary along R and D only."""
+    from hyposym.cli import _CSV_ROWS
+
+    T, R, D, K = 3, 8, 40, 9
+    assert R * D * K > _CSV_ROWS and (R * D * K) % _CSV_ROWS
+    xi = np.array([f"[{r}, {d / 7}]" for r in range(R) for d in range(D)], dtype=object)
+    return {"t": np.linspace(0.0, 1.0, T)[:, None, None, None],
+            "xi": xi.reshape(1, R, D, 1),
+            "kind": ["ks"] + ["thm2", "levi", "levi"] * 2 + ["levi", "levi"],
+            "l": np.arange(K) % 3,
+            "value": np.random.default_rng(15).standard_normal((T, R, D, K))}
+
+
 def _wide_table():
     """A table whose trailing axes alone hold more than _CSV_ROWS rows."""
     from hyposym.cli import _CSV_ROWS
@@ -961,12 +977,14 @@ def _wide_table():
     _chunked_table(),
     {"x": np.zeros(0), "kind": [], "l": np.zeros(0, dtype=int)},
     _conditions_shaped_table(),
+    _n2_conditions_table(),
     _wide_table(),
     {"t": np.arange(4.0)[:, None, None], "xi": np.zeros((0, 1)), "kind": ["a", "b", "c"]},
     {"x": np.zeros((0, 2)), "c": np.array([[1.5, -0.0]]), "k": ["a", "b"]},
 ], ids=["special-floats", "strided-floats", "ints-and-strings",
         "quoted-header", "several-chunks", "empty", "conditions-shapes",
-        "wide-trailing-axes", "zero-middle-axis", "zero-first-axis-constant-column"])
+        "n2-conditions-shapes", "wide-trailing-axes", "zero-middle-axis",
+        "zero-first-axis-constant-column"])
 def test_write_csv_matches_row_writer(tmp_path, columns):
     from hyposym.cli import _write_csv
 
@@ -989,6 +1007,25 @@ def test_write_csv_rejects_columns_that_do_not_broadcast(tmp_path, columns):
     with pytest.raises(ValueError):
         _write_csv(tmp_path / "got.csv", columns)
     assert not (tmp_path / "got.csv").exists()
+
+
+def test_write_csv_formats_a_column_constant_along_leading_axes_once(tmp_path, monkeypatch):
+    """The xi strings of a two-dimensional conditions.csv vary along R and D
+    only: each is quoted once, not once per time entry."""
+    import hyposym.cli as cli
+
+    quoted = []
+
+    def counting_quote(cell):
+        quoted.append(cell)
+        return _quote(cell)
+
+    _quote = cli._quote
+    monkeypatch.setattr(cli, "_quote", counting_quote)
+    columns = _n2_conditions_table()
+    cli._write_csv(tmp_path / "got.csv", columns)
+    xi = set(columns["xi"].ravel().tolist())
+    assert sorted(c for c in quoted if c in xi) == sorted(xi)
 
 
 def test_write_csv_memory_stays_chunk_sized(tmp_path):

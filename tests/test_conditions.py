@@ -22,7 +22,13 @@ from hyposym.pencils import hermitian_part
 from hyposym.quasisym import sample_separation_set
 from hyposym.reduction import assemble_path, lower_order_matrix
 from hyposym.symbols import bracket, deleted_sigmas, rescaled_spectra
-from oracles import difference_identity_residual_of, lift_blocks
+from oracles import (
+    M4_DOUBLE_ZERO,
+    M6_DOUBLE_ZERO,
+    companion_symbol,
+    difference_identity_residual_of,
+    lift_blocks,
+)
 
 
 def small_grid(symbol, n_t=41, n_r=6, r_max=100.0):
@@ -33,18 +39,6 @@ def constant_symbol(M, horizon=1.0):
     M = np.asarray(M, dtype=float)
     coeffs = np.zeros((1, M.shape[0], M.shape[0], 1))
     coeffs[..., 0] = M
-    return SystemSymbol(coeffs=coeffs, horizon=horizon)
-
-
-def companion_symbol(last_row, horizon=1.0):
-    """1-d symbol whose matrix is the companion matrix with the polynomials in
-    t of ``last_row`` (coefficient lists, lowest degree first) as last row."""
-    m = len(last_row)
-    coeffs = np.zeros((1, m, m, max(map(len, last_row))))
-    for i in range(m - 1):
-        coeffs[0, i, i + 1, 0] = 1.0
-    for j, poly in enumerate(last_row):
-        coeffs[0, m - 1, j, : len(poly)] = poly
     return SystemSymbol(coeffs=coeffs, horizon=horizon)
 
 
@@ -264,13 +258,6 @@ def _every_fourth_t(data):
     m = data.lambdas.shape[-1]
     return (data.deleted_sigmas[::4].reshape(-1, m, m),
             data.b_entries[::4].reshape(-1, m - 1, m, m))
-
-
-# Eigenvalues +-2 and +-t: the inline system of the report-m4 benchmark; the
-# m = 6 system adds the pair +-1.
-M4_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]])
-M6_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
-                                   [5.0, 0.0, 1.0], [0.0]])
 
 
 class TestSandwichAgainstLifted:

@@ -29,7 +29,7 @@ from hyposym.pencils import hermitian_part
 from hyposym.reduction import PathAssembler, assemble_path, initial_states, lift_trajectory
 from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol, rescaled_spectra
 from hyposym.quasisym import q_eps, verify_properties
-from oracles import lift_blocks
+from oracles import M4_DOUBLE_ZERO, M6_DOUBLE_ZERO, lift_blocks
 
 
 def initial_state(symbol, u0hat, xi):
@@ -62,25 +62,6 @@ def constant_symbol(M, horizon=1.0):
     coeffs = np.zeros((1, M.shape[0], M.shape[0], 1))
     coeffs[..., 0] = M
     return SystemSymbol(coeffs=coeffs, horizon=horizon)
-
-
-def companion_symbol(last_row, horizon=1.0):
-    """1-d symbol whose matrix is the companion matrix with the polynomials in
-    t of ``last_row`` (coefficient lists, lowest degree first) as last row."""
-    m = len(last_row)
-    coeffs = np.zeros((1, m, m, max(map(len, last_row))))
-    for i in range(m - 1):
-        coeffs[0, i, i + 1, 0] = 1.0
-    for j, poly in enumerate(last_row):
-        coeffs[0, m - 1, j, : len(poly)] = poly
-    return SystemSymbol(coeffs=coeffs, horizon=horizon)
-
-
-# Eigenvalues +-2 and +-t (a double zero at t = 0): the inline system of the
-# report-m4 benchmark.  The m = 6 system adds the pair +-1.
-M4_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]])
-M6_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
-                                   [5.0, 0.0, 1.0], [0.0]])
 
 
 def per_sample_diagnostics(trace, symbol):
@@ -166,6 +147,19 @@ def dense_rk4(S, xis, ts_half, Y0, N, h, record, renormalize=False):
     def window(k0, k1):
         return _dense(step_matrices(S, xis, ts_half[2 * k0 : 2 * k1 + 1]))
     return _lockstep_rk4(window, _width(len(xis) * S.m ** 4 * 16), Y0, N, h, record, renormalize)
+
+
+def lockstep_widths(monkeypatch):
+    """The list that records the window width of every _lockstep_rk4 run
+    started through the energy module from now on."""
+    widths = []
+
+    def spy(window, width, *args, **kwargs):
+        widths.append(width)
+        return _lockstep_rk4(window, width, *args, **kwargs)
+
+    monkeypatch.setattr(energy, "_lockstep_rk4", spy)
+    return widths
 
 
 def constant_rk4(M, Y0, N, h, record, renormalize=False):
@@ -304,29 +298,29 @@ class TestReducedIntegrate:
         C3 = 2.0 * factorial(m - 1) * sw
         assert np.all(trace.term3 <= C3 * trace.E * (1 + 1e-6) + 1e-12)
 
-    def test_diagnostics_match_per_sample_loop_bitwise(self):
+    def test_diagnostics_match_per_sample_loop_bitwise(self, monkeypatch):
         """The diagnostics that reduced_integrate takes from its own RK4
         windows, and reweight_energy at the same eps, are bitwise the
-        per-sample oracle's."""
-        d6 = 36
-        assert _width(d6 * d6 * 16) == 6
+        per-sample oracle's.  Every run crosses window boundaries."""
+        widths = lockstep_widths(monkeypatch)
         cases = [
-            # 402 samples: the term3 blocks end mid-trace
-            (builtin_system("m3-tracezero"), 20.0, None, 402),
-            (builtin_system("m3-tracezero"), 20.0, 0.05, 402),
-            # 2,001 steps in 63 windows of 32
-            (M4_DOUBLE_ZERO, 100.0, None, 2002),
-            # a constant symbol: one assembly, stepped in windows of 512
-            (builtin_system("m2-wave"), 300.0, None, 6002),
-            # 6 steps per window
-            (M6_DOUBLE_ZERO, 5.0, None, 103),
+            # 401 steps in windows of 234; 402 samples: the term3 blocks end mid-trace
+            (builtin_system("m3-tracezero"), 20.0, None, 402, 234),
+            (builtin_system("m3-tracezero"), 20.0, 0.05, 402, 234),
+            # 2,001 steps in 27 windows of 75
+            (M4_DOUBLE_ZERO, 100.0, None, 2002, 75),
+            # a constant symbol: one assembly, stepped in windows of 1,170
+            (builtin_system("m2-wave"), 300.0, None, 6002, 1170),
+            # 102 steps in windows of 15
+            (M6_DOUBLE_ZERO, 5.0, None, 103, 15),
         ]
-        for S, x, eps, samples in cases:
+        for S, x, eps, samples, width in cases:
             xi = np.array([x])
             V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
             config = SolverConfig() if eps is None else SolverConfig(eps_policy=("fixed", eps))
             trace = reduced_integrate(S, xi, V0, config)
             assert trace.ts.size == samples
+            assert widths[-1] == width < samples - 1
             ref = per_sample_diagnostics(trace, S)
             again = reweight_energy(trace, S, trace.eps)
             for got in (trace, again):
@@ -334,16 +328,18 @@ class TestReducedIntegrate:
                     assert getattr(got, name).tobytes() == ref[name].tobytes(), (S.m, x, name)
                 assert got.coercivity_sup == ref["coercivity_sup"], (S.m, x)
 
-    def test_constant_symbol_renormalises_across_windows_bitwise(self):
+    def test_constant_symbol_renormalises_across_windows_bitwise(self, monkeypatch):
         """A constant symbol steps its one assembly in bounded windows; a run
         that renormalises twice is bitwise the step-by-step oracle, and its
         diagnostics bitwise the per-sample loop's."""
         S = builtin_system("m2-nonhyp-control")
         xi = np.array([600.0])
         N, h = SolverConfig().steps_for(S, xi)
-        assert N == 12001 and N > _width(S.m ** 4 * 16)
+        assert N == 12001
+        widths = lockstep_widths(monkeypatch)
         V0 = initial_state(S, np.ones(2) / np.sqrt(2), xi)
         trace = reduced_integrate(S, xi, V0, SolverConfig())
+        assert widths == [1170]   # 11 windows
         ref, ref_logs = reference_rk4(step_matrices(S, xi[None], np.zeros(1))[0, 0], N, h, V0,
                                       renormalize=True)
         assert np.count_nonzero(np.diff(ref_logs)) == 2
@@ -629,7 +625,7 @@ class TestLockstepRK4:
     def test_variable_coefficients_across_windows(self, name):
         S = builtin_system(name)
         m, d = S.m, S.m * S.m
-        xis = np.array([[0.0], [1.0], [-3.0], [7.0], [12.5]])
+        xis = np.array([[0.0], [1.0], [-3.0], [7.0], [50.0]])
         N, h = SolverConfig().steps_for(S, xis[-1])
         width = _width(len(xis) * d * d * 16)
         assert 1 <= width < N  # the run crosses window boundaries

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from math import comb
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
 from hyposym import (
     DomainError,
     SystemSymbol,
@@ -20,6 +24,16 @@ from hyposym.reduction import (
     lift_trajectory,
 )
 from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier, rescaled_spectra
+from hyposym.conditions import SamplingGrid, evaluate_grid
+from hyposym.errors import NumericError
+from oracles import (
+    M4_DOUBLE_ZERO,
+    M6_DOUBLE_ZERO,
+    bold_B_terms,
+    companion_symbol,
+    last_rows_reference,
+    reduce_reference,
+)
 
 
 def dense_symbol(m, seed, degree=2, horizon=1.0):
@@ -309,15 +323,6 @@ class TestStackedFrequencies:
                 assert V[r].tobytes() == ref.tobytes(), (S.m, r)
 
 
-def inline_m4():
-    """n = 1, m = 4: eigenvalues +-2 and +-t (the report-m4 benchmark system)."""
-    coeffs = np.zeros((1, 4, 4, 3))
-    coeffs[0, 0, 1, 0] = coeffs[0, 1, 2, 0] = coeffs[0, 2, 3, 0] = 1.0
-    coeffs[0, 3, 0, 2] = -4.0
-    coeffs[0, 3, 2] = [4.0, 0.0, 1.0]
-    return SystemSymbol(coeffs=coeffs, horizon=1.0)
-
-
 class TestSeparablePath:
     """The matrix-free i (calA + calB) against the assembled matrices.
 
@@ -328,7 +333,7 @@ class TestSeparablePath:
     TOL = 1e-13
 
     @pytest.mark.parametrize("S", [builtin_system("m2-glaeser"), builtin_system("m3-tracezero"),
-                                   inline_m4()], ids=["m2-glaeser", "m3-tracezero", "inline-m4"])
+                                   M4_DOUBLE_ZERO], ids=["m2-glaeser", "m3-tracezero", "inline-m4"])
     def test_matches_assembled_matrices(self, S):
         rng = np.random.default_rng(6)
         d = S.m * S.m
@@ -353,3 +358,87 @@ class TestSeparablePath:
         xis = np.ones((3, 2))
         with pytest.raises(DomainError):
             SeparablePath(S, xis, brackets(xis))
+
+
+def complex_terms(c, paths):
+    """The conditions layer's ``_bold_B_terms`` as it was: complex products of
+    the phased paths (-i)^k d^k/dt^k A."""
+    with np.errstate(invalid="ignore"):
+        return bold_B_terms(c, [(-1j) ** k * p.astype(complex) for k, p in enumerate(paths)])
+
+
+class TestRealTermsAgainstComplexOracle:
+    """The lower-order terms from real products, phased once, against the
+    complex products of the oracle.
+
+    reduce's (calA, b, c) and evaluate_grid's b_entries are bitwise.  So is
+    last_rows up to the sign of its zero entries: the complex path's zeros
+    take their signs from complex rounding (the imaginary zero of -c_k
+    follows the sign of c_k), and the sign of a zero entry of L changes no
+    nonzero entry of the products in ``apply``.
+    """
+
+    SYSTEMS = {**{name: builtin_system(name) for name in
+                  ("m2-glaeser", "m2-wave", "m2-nonhyp-control", "m3-tracezero")},
+               "m4-double-zero": M4_DOUBLE_ZERO, "m6-double-zero": M6_DOUBLE_ZERO}
+
+    @staticmethod
+    def check(S, xis, ts):
+        calA, b, _, _, c = PathAssembler(S, xis).reduce(ts)
+        ref = reduce_reference(S, xis, ts)
+        for name, got, want in zip(("calA", "b", "c"), (calA, b, c), ref):
+            assert got.tobytes() == want.tobytes(), name
+        if S.n == 1:
+            L = SeparablePath(S, xis, brackets(xis)).last_rows(ts)
+            assert (L + 0.0).tobytes() == (last_rows_reference(S, ts) + 0.0).tobytes()
+        grid = SamplingGrid.default(S, n_t=ts.size, n_r=3, r_max=float(np.abs(xis).max()) + 2.0,
+                                    n_dirs=3)
+        grid = SamplingGrid(ts=ts, radii=grid.radii, dirs=grid.dirs)
+        want = reduce_reference(S, grid.radii[:, None, None] * grid.dirs, ts)[1]
+        assert evaluate_grid(S, grid).b_entries.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_systems(self, name):
+        S = self.SYSTEMS[name]
+        xis = np.array([[0.0], [1.0], [-3.0], [100.0], [1e4]])
+        self.check(S, xis, np.linspace(0.0, S.horizon, 65))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 6), n=st.integers(1, 2), degree=st.integers(0, 2))
+    def test_drawn_symbols(self, data, m, n, degree):
+        coeffs = data.draw(hnp.arrays(np.float64, (n, m, m, degree + 1),
+                                      elements=st.floats(-4.0, 4.0)), label="coeffs")
+        xis = data.draw(hnp.arrays(np.float64, (3, n), elements=st.floats(-1e3, 1e3)), label="xis")
+        ts = np.sort(data.draw(hnp.arrays(np.float64, 4, elements=st.floats(0.0, 1.0)),
+                               label="ts"))
+        self.check(SystemSymbol(coeffs=coeffs, horizon=1.0), xis, ts)
+
+    @pytest.mark.parametrize("last_row", [
+        [[0.0, 1e305], [0.0], [0.0]],
+        [[0.0, 1e300], [1.0, 1e303], [0.0, 1e200], [2.0, 1e100], [0.0, 1e250], [1.0]],
+    ], ids=["m3", "m6"])
+    def test_overflowing_symbol(self, last_row, monkeypatch):
+        """Where the terms overflow, the same entries are non-finite (the
+        complex products may hold NaN where the real ones hold inf), the
+        finite entries are bitwise, and evaluate_grid fails with the same text."""
+        import hyposym.conditions as conditions
+
+        S = companion_symbol(last_row, horizon=1e-3)
+        xis = np.array([[1.0], [100.0], [1e4]])
+        ts = np.linspace(0.0, S.horizon, 7)
+        b = PathAssembler(S, xis).reduce(ts)[1]
+        ref = reduce_reference(S, xis, ts)[1]
+        finite = np.isfinite(b)
+        assert not finite.all()
+        assert (finite == np.isfinite(ref)).all()
+        assert np.where(finite, b, 0).tobytes() == np.where(finite, ref, 0).tobytes()
+        L = SeparablePath(S, xis, brackets(xis)).last_rows(ts)
+        assert (np.isfinite(L) == np.isfinite(last_rows_reference(S, ts))).all()
+        grid = SamplingGrid.default(S, n_t=5, n_r=3, r_max=1e4)
+        messages = []
+        for terms in (conditions._bold_B_terms, complex_terms):
+            monkeypatch.setattr(conditions, "_bold_B_terms", terms)
+            with pytest.raises(NumericError) as exc:
+                evaluate_grid(S, grid)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
