@@ -53,7 +53,7 @@ PIPELINES = {
     "m2-glaeser": ("reduce", "verify-qs", "conditions", "growth", "report", "solve"),
     "m2-wave": ("reduce", "conditions", "solve"),
     "m2-nonhyp-control": ("growth", "conditions", "report"),
-    "m3-tracezero": ("reduce", "verify-qs", "conditions"),
+    "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
     "inline-m4": ("growth", "report"),
     "inline-m6": ("growth",),
 }

@@ -104,6 +104,13 @@ class SolverConfig:
         return N, symbol.horizon / N
 
 
+# Time samples per block of the term3 products and of growth_log's row
+# norms: the lifted (m^2 x m^2) complex stacks of 256 samples take 5.3 MB
+# each at m = 6, and a norm over a whole m = 6 trace of 20,001 samples
+# raised the peak RSS of growth by 10 MB.
+_TERM3_BLOCK = 256
+
+
 @dataclass
 class EnergyTrace:
     """Per-frequency time series of the reduced state and energy terms.
@@ -134,7 +141,9 @@ class EnergyTrace:
     @property
     def growth_log(self) -> float:
         """sup_t log(|V(t)| / |V(0)|), renormalisation folded back in."""
-        norms = np.linalg.norm(self.V, axis=1)
+        # each row's norm is the same reduction in a block as in the whole trace
+        norms = np.concatenate([np.linalg.norm(self.V[k : k + _TERM3_BLOCK], axis=1)
+                                for k in range(0, len(self.V), _TERM3_BLOCK)])
         base = log(max(norms[0], 1e-300)) + self.log_scale[0]
         with np.errstate(divide="ignore"):
             vals = np.where(norms > 0, np.log(np.maximum(norms, 1e-300)), -np.inf)
@@ -158,9 +167,9 @@ def _width(row_bytes: int) -> int:
 
 
 def _dense(M):
-    """A window's half-step matrices M (2 (k1 - k0) + 1, q, d, d) as its f(j, Y), by
-    ``np.matvec``: bitwise each row's own ``M @ y``."""
-    return lambda j, Y: np.matvec(M[j], Y)
+    """A window's half-step matrices M (2 (k1 - k0) + 1, q, d, d) as its f(j, Y, out), by
+    ``np.matvec`` into ``out``: bitwise each row's own ``M @ y``."""
+    return lambda j, Y, out: np.matvec(M[j], Y, out=out)
 
 
 def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
@@ -168,8 +177,13 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     """RK4 on a stack of q states in lockstep, d/dt y_r = f_r(t, y_r).
 
     ``Y0`` has shape (q, d).  The steps run in windows of at most ``width``:
-    ``window(k0, k1)`` returns f(j, Y), the right-hand side at half-step j
-    (0 <= j <= 2 (k1 - k0)) of steps k0..k1 for the whole stack Y (q, d).
+    ``window(k0, k1)`` returns f(j, Y, out), which writes the right-hand side
+    at half-step j (0 <= j <= 2 (k1 - k0)) of steps k0..k1 for the whole
+    stack Y (q, d) into ``out`` (q, d), a C-contiguous buffer that is not Y.
+    The loop owns the state, the four stages and one temporary and reuses
+    them from step to step.  Each stage and the update run the ufuncs of
+    Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4), with its scalars and in its order,
+    in place, so every state is bitwise that of the allocating expression.
     ``after(k0, k1, out)``, if given, runs once a window's states are checked
     finite, ``out`` holding the states recorded so far.  Returns the states
     and accumulated log scales at the sorted step indices ``record``, shapes
@@ -177,8 +191,13 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     row's |y| <= RENORM_THRESHOLD on its own, so exponentially growing rows
     never overflow.
     """
-    Y = np.array(Y0, dtype=complex)
+    Y = np.array(Y0, dtype=complex, order="C")
     q, d = Y.shape
+    s1, s2, s3, s4, Z = (np.empty_like(Y) for _ in range(5))
+    # The update's scalars as complex 0-d arrays: a ufunc casts a Python
+    # float to the same complex value on every call, which takes about as
+    # long as a product of 128 states of 4 entries.
+    half, step, two, sixth = (np.array(c, dtype=complex) for c in (0.5 * h, h, 2.0, h / 6.0))
     record = [int(k) for k in record]
     out = np.empty((len(record), q, d), dtype=complex)
     logs = np.zeros((len(record), q))
@@ -194,11 +213,14 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
             f = window(k0, k1)
             for k in range(k0, k1):
                 j = 2 * (k - k0)
-                s1 = f(j, Y)
-                s2 = f(j + 1, Y + (0.5 * h) * s1)
-                s3 = f(j + 1, Y + (0.5 * h) * s2)
-                s4 = f(j + 2, Y + h * s3)
-                Y = Y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                f(j, Y, s1)
+                f(j + 1, np.add(Y, np.multiply(half, s1, Z), Z), s2)
+                f(j + 1, np.add(Y, np.multiply(half, s2, Z), Z), s3)
+                f(j + 2, np.add(Y, np.multiply(step, s3, Z), Z), s4)
+                np.add(s1, np.multiply(two, s2, s2), s1)
+                np.add(s1, np.multiply(two, s3, s3), s1)
+                np.add(s1, s4, s1)
+                np.add(Y, np.multiply(sixth, s1, s1), Y)
                 if renormalize:
                     _renormalize_rows(Y, acc)
                 if slot < len(record) and record[slot] == k + 1:
@@ -214,33 +236,64 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     return out, logs
 
 
+def _matrix_powers(R: np.ndarray, exponents: list):
+    """Yield R^n for each n of ``exponents`` in turn, each bitwise
+    ``np.linalg.matrix_power(R, n)``.
+
+    The squares R^(2^k) are formed once for all exponents, and only those an
+    exponent takes are kept; one power is held at a time.  Each power is
+    built as matrix_power builds it: R^3 as (R R) R, every other n as the
+    product of its squares from the least significant bit up.
+    """
+    bits = [[k for k in range(n.bit_length()) if n >> k & 1] for n in exponents]
+    keep = set().union(*bits)
+    squares, z = {}, R
+    for k in range(max(keep, default=-1) + 1):
+        if k:
+            z = np.matmul(z, z)
+        if k in keep:
+            squares[k] = z
+    for n, ks in zip(exponents, bits):
+        if n == 0:
+            power = np.empty_like(R)
+            power[...] = np.eye(R.shape[-1], dtype=R.dtype)
+        elif n == 3:
+            power = np.matmul(squares[1], R)
+        else:
+            power = squares[ks[0]]
+            for k in ks[1:]:
+                power = np.matmul(power, squares[k])
+        yield power
+
+
 def _rk4_propagate(M: np.ndarray, Y0, N: int, h: float, record):
     """:func:`_lockstep_rk4` for constant matrices M (q, d, d), by propagator powers.
 
     On a constant matrix one RK4 step is multiplication by its stability
     polynomial R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, so the state
     at step k is R(hM)^k y0.  R is formed once per row and the state jumps
-    from one recorded step to the next by R^delta (binary powering), then on
-    to step N so that a run fails where the stepped run would.  Not
-    bitwise the stepped run: the powers round differently from four stages
-    per step.  Returns the same (states, logs) as the stepped run, logs all
-    zero.
+    from one recorded step to the next by R^delta, then on to step N so that
+    a run fails where the stepped run would; the powers of all jumps share
+    one set of squares of R (:func:`_matrix_powers`).  Not bitwise the
+    stepped run: the powers round differently from four stages per step.
+    Returns the same (states, logs) as the stepped run, logs all zero.
     """
     Y = np.array(Y0, dtype=complex)
     eye = np.eye(M.shape[-1])
     # A zero row stays zero, as in the stepped run, even where R^delta overflows.
     live = Y.any(axis=1, keepdims=True)
-    at, done = {0: Y}, 0
+    stops = sorted(set(int(k) for k in record if k > 0) | {N})
+    at = {0: Y}
     # overflow surfaces through the isfinite guard, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         Z = h * M
         R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
-        for k in sorted(set(int(k) for k in record) | {N}):
-            if k > done:
-                Y = np.where(live, np.matvec(np.linalg.matrix_power(R, k - done), Y), 0)
-                if not np.isfinite(Y).all():
-                    raise NumericError(f"non-finite state by step {k} of {N}")
-                at[k], done = Y, k
+        jumps = _matrix_powers(R, np.diff([0] + stops).tolist())
+        for k in stops:
+            Y = np.where(live, np.matvec(next(jumps), Y), 0)
+            if not np.isfinite(Y).all():
+                raise NumericError(f"non-finite state by step {k} of {N}")
+            at[k] = Y
     out = np.array([at[int(k)] for k in record]).reshape((len(record),) + Y.shape)
     return out, np.zeros(out.shape[:2])
 
@@ -281,11 +334,6 @@ def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
 
     traj, _ = _lockstep_rk4(window, _width(symbol.m ** 2 * 16), u0[None], N, h, range(N + 1))
     return ts_half[::2], traj[:, 0]
-
-
-# Time samples per block of the term3 products: the lifted (m^2 x m^2)
-# complex stacks of 256 samples take 5.3 MB each at m = 6.
-_TERM3_BLOCK = 256
 
 
 def _band_form(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -418,7 +466,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
         nonlocal held
         if constant:
             held = [np.broadcast_to(x, (k1 - k0 + 1,) + x.shape[1:]) for x in (calA0, b0)]
-            return lambda j, Y: np.matvec(M, Y)
+            return lambda j, Y, out: np.matvec(M, Y, out=out)
         calA, b = assembler.reduce(ts_half[2 * k0 : 2 * k1 + 1])[:2]
         held = calA[::2], b[::2]
         rhs = lower_order_matrix(b)   # i (calA + calB) in calB's buffer, by the same ufuncs
@@ -726,7 +774,7 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
 
         def window(k0, k1):
             L = path.last_rows(ts_half[2 * k0 : 2 * k1 + 1])
-            return lambda j, Y: path.apply(L[j], Y)
+            return lambda j, Y, out: path.apply(L[j], Y, out)
 
         states, _ = _lockstep_rk4(window, _width(m ** 4 * 32), V0, N, h, record)
     # first band component of each snapshot, (n_snapshots, m, n_grid)

@@ -142,8 +142,10 @@ class SeparablePath:
     Every weight is xi^p <xi>^(c+1-m) for the component c it multiplies and
     a power 1 <= p <= m, and no two terms share (p, component, band), so the
     last rows are one product of the weighted states with a t-only stack.
-    Not bitwise :class:`PathAssembler`: xi^k FL(A_1) rounds differently
-    from FL(xi A_1).
+    The path holds the weights, the shift i <xi> of every entry of the
+    flattened stack and the buffer of the weighted states, so :meth:`apply`
+    allocates nothing.  Not bitwise :class:`PathAssembler`: xi^k FL(A_1)
+    rounds differently from FL(xi A_1).
     """
 
     def __init__(self, symbol: SystemSymbol, xi, bxi):
@@ -158,9 +160,15 @@ class SeparablePath:
         # weights[:, p-1, a] = i xi^p <xi>^(c+1-m), c the component of state entry a
         self.weights = 1j * (x ** np.arange(1, m + 1))[:, :, None] * (
             b ** (component + 1 - m))[:, None, :]
-        self.shift = 1j * b
         rows = gcd(x.shape[0], _BLAS_ROWS)
         self.blocks = (x.shape[0] // rows, rows, m ** 3)
+        self.weighted = np.empty(self.blocks, dtype=complex)
+        # i <xi> of each state entry's mode, over the flattened stack but its
+        # last entry; zero on the last entry of each row, whose product takes
+        # Y[r+1, 0] and so can neither overflow nor hold a value that is read
+        shift = np.repeat(1j * b, m * m, axis=1)
+        shift[:, -1] = 0.0
+        self.shift = shift.reshape(-1)[:-1]
 
     def last_rows(self, ts) -> np.ndarray:
         """The t-only stack L, shape (len(ts), m m^2, m).
@@ -185,13 +193,22 @@ class SeparablePath:
                 L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
         return L.reshape(ts.size, m ** 3, m)
 
-    def apply(self, L, Y) -> np.ndarray:
-        """i (calA + calB) Y for states Y (q, m^2), with L one time of :meth:`last_rows`."""
+    def apply(self, L, Y, out) -> np.ndarray:
+        """i (calA + calB) Y into ``out`` for states Y (q, m^2), with L one time of
+        :meth:`last_rows`; Y and out are C-contiguous and distinct.
+
+        Allocates nothing.  The companion shift is one product over the
+        flattened stack: its entry at the end of row r takes Y[r+1, 0] times
+        zero, and lies in the last row of band m-1, which the last rows
+        overwrite.  The weighted states go into a buffer of the path, and
+        their product with L writes the last rows into ``out`` in place.
+        Bitwise the same products formed row by row.
+        """
+        assert Y.flags.c_contiguous and out.flags.c_contiguous
         m = self.m
-        out = np.empty_like(Y)
-        np.multiply(self.shift, Y[:, 1:], out=out[:, :-1])
-        weighted = (self.weights * Y[:, None, :]).reshape(self.blocks)
-        out[:, m - 1 :: m] = (weighted @ L).reshape(-1, m)
+        np.multiply(self.shift, Y.reshape(-1)[1:], out.reshape(-1)[:-1])
+        np.multiply(self.weights, Y[:, None, :], self.weighted.reshape(self.weights.shape))
+        np.matmul(self.weighted, L, out.reshape(self.blocks[:2] + (m * m,))[..., m - 1 :: m])
         return out
 
 

@@ -5,8 +5,10 @@ blocks and the W rows directly, stacked over (t, xi).  The characteristic
 coefficients with their eigenvalue cross-check, the Cayley-Hamilton residual
 and the near-diagonality constant work at one point or on one matrix.  The
 lower-order terms of the reduction are formed here in complex arithmetic,
-from the phased paths (-i)^k d^k/dt^k A.  The inline companion systems with
-a double zero eigenvalue at t = 0 are shared by several test modules.
+from the phased paths (-i)^k d^k/dt^k A.  The lockstep RK4 and the
+separable right-hand side allocate their stages and products, as they did
+before they were written in place.  The inline companion systems with a
+double zero eigenvalue at t = 0 are shared by several test modules.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +17,7 @@ from math import comb
 
 import numpy as np
 
+from hyposym.energy import _renormalize_rows
 from hyposym.errors import ConsistencyError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
 from hyposym.symbols import (
@@ -224,3 +227,57 @@ def last_rows_reference(symbol: SystemSymbol, ts) -> np.ndarray:
         for hp, term in enumerate(terms):
             L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
     return L.reshape(ts.size, m ** 3, m)
+
+
+def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, after=None):
+    """``hyposym.energy._lockstep_rk4`` with a fresh array for every stage, every
+    temporary and every state: each f(j, Y, out) of ``window(k0, k1)`` gets a
+    new ``out``, and Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4) is one expression."""
+    Y = np.array(Y0, dtype=complex)
+    q, d = Y.shape
+    record = [int(k) for k in record]
+    out = np.empty((len(record), q, d), dtype=complex)
+    logs = np.zeros((len(record), q))
+    acc = np.zeros(q)
+    slot = 0
+    if record and record[0] == 0:
+        out[0] = Y
+        slot = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, N, width):
+            k1 = min(k0 + width, N)
+            f = window(k0, k1)
+
+            def g(j, Y):
+                return f(j, Y, np.empty_like(Y))
+
+            for k in range(k0, k1):
+                j = 2 * (k - k0)
+                s1 = g(j, Y)
+                s2 = g(j + 1, Y + (0.5 * h) * s1)
+                s3 = g(j + 1, Y + (0.5 * h) * s2)
+                s4 = g(j + 2, Y + h * s3)
+                Y = Y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                if renormalize:
+                    _renormalize_rows(Y, acc)
+                if slot < len(record) and record[slot] == k + 1:
+                    out[slot] = Y
+                    logs[slot] = acc
+                    slot += 1
+            if not np.isfinite(Y).all():
+                raise NumericError(f"non-finite state by step {k1} of {N}")
+            if after is not None:
+                after(k0, k1, out)
+    return out, logs
+
+
+def separable_apply_reference(path, L, Y, bxi) -> np.ndarray:
+    """``SeparablePath.apply(L, Y, out)`` into a new array: the shift i <xi>
+    row by row, the weighted states and the last rows each a new product.
+    ``bxi`` holds the brackets the path was built with."""
+    m = path.m
+    out = np.empty_like(Y)
+    np.multiply(1j * np.reshape(bxi, (-1, 1)), Y[:, 1:], out=out[:, :-1])
+    weighted = (path.weights * Y[:, None, :]).reshape(path.blocks)
+    out[:, m - 1 :: m] = (weighted @ L).reshape(-1, m)
+    return out

@@ -26,10 +26,22 @@ from hyposym.energy import (
 )
 from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
-from hyposym.reduction import PathAssembler, assemble_path, initial_states, lift_trajectory
+from hyposym.reduction import (
+    PathAssembler,
+    SeparablePath,
+    assemble_path,
+    initial_states,
+    lift_trajectory,
+)
 from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol, rescaled_spectra
 from hyposym.quasisym import q_eps, verify_properties
-from oracles import M4_DOUBLE_ZERO, M6_DOUBLE_ZERO, lift_blocks
+from oracles import (
+    M4_DOUBLE_ZERO,
+    M6_DOUBLE_ZERO,
+    lift_blocks,
+    lockstep_rk4_reference,
+    separable_apply_reference,
+)
 
 
 def initial_state(symbol, u0hat, xi):
@@ -164,8 +176,8 @@ def lockstep_widths(monkeypatch):
 
 def constant_rk4(M, Y0, N, h, record, renormalize=False):
     """_lockstep_rk4 on constant matrices M (q, d, d), as reduced_integrate steps them."""
-    def f(j, Y):
-        return np.matvec(M, Y)
+    def f(j, Y, out):
+        return np.matvec(M, Y, out=out)
     return _lockstep_rk4(lambda k0, k1: f, _width(M.size * 16), Y0, N, h, record, renormalize)
 
 
@@ -567,11 +579,18 @@ class TestSolveCauchy1d:
 
     @pytest.mark.parametrize("name", ["m2-glaeser", "m2-wave"])
     def test_one_bracket_per_mode(self, name, monkeypatch):
-        from hyposym import symbols
+        # every frequency handed to brackets, in the modules a solve runs
+        from hyposym import reduction, symbols
 
         calls = []
-        real = symbols.bracket
-        monkeypatch.setattr(symbols, "bracket", lambda xi: calls.append(1) or real(xi))
+        real = symbols.brackets
+
+        def spy(xi):
+            calls.extend(np.ndindex(np.shape(xi)[:-1]))
+            return real(xi)
+
+        for module in (symbols, reduction, energy):
+            monkeypatch.setattr(module, "brackets", spy)
         n = 64
         solve_cauchy_1d(builtin_system(name), np.ones((2, n), dtype=complex), SolverConfig(),
                         [1.0])
@@ -693,6 +712,96 @@ class TestLockstepRK4:
             constant_rk4(matrices, V0, N, h, [N])
 
 
+class TestInPlaceStages:
+    """The lockstep RK4 with its stages, temporaries and the separable
+    right-hand side written into reused buffers, against the allocating loop
+    and apply of the oracles: bitwise on every state."""
+
+    def test_dense_windows_renormalising_bitwise(self, monkeypatch):
+        # 2,001 steps in windows of 75; the state starts at 0.9 RENORM_THRESHOLD
+        # and is renormalised once, after the first window (at step 1,569)
+        S, xi = M4_DOUBLE_ZERO, np.array([100.0])
+        V0 = initial_state(S, np.ones(4) / 2, xi)
+        V0 = V0 * (0.9 * RENORM_THRESHOLD / np.linalg.norm(V0))
+        trace = reduced_integrate(S, xi, V0, SolverConfig())
+        renormalised = np.flatnonzero(np.diff(trace.log_scale))
+        assert renormalised.size == 1 and renormalised[0] >= 75
+        monkeypatch.setattr(energy, "_lockstep_rk4", lockstep_rk4_reference)
+        ref = reduced_integrate(S, xi, V0, SolverConfig())
+        for name in ("V", "log_scale", "E", "K", "term2", "term3", "dtE"):
+            assert getattr(trace, name).tobytes() == getattr(ref, name).tobytes(), name
+
+    @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero"])
+    @pytest.mark.parametrize("q", [1, 2, 128, 1024])
+    def test_separable_steps_bitwise(self, name, q):
+        # q = 1,024 runs four blocks of _BLAS_ROWS; windows of 16 steps
+        S = builtin_system(name)
+        d = S.m * S.m
+        xis = np.array([[3.0]]) if q == 1 else np.fft.fftfreq(q, d=1.0 / q)[:, None]
+        bxi = brackets(xis)
+        N, h = 40, S.horizon / 1000
+        ts_half = np.linspace(0.0, N * h, 2 * N + 1)
+        rng = np.random.default_rng(q)
+        V0 = rng.standard_normal((q, d)) + 1j * rng.standard_normal((q, d))
+        path = SeparablePath(S, xis, bxi)
+
+        def windows(apply):
+            def window(k0, k1):
+                L = path.last_rows(ts_half[2 * k0 : 2 * k1 + 1])
+                return lambda j, Y, out: apply(L[j], Y, out)
+            return window
+
+        got = _lockstep_rk4(windows(path.apply), 16, V0, N, h, [0, 17, N])
+        ref = lockstep_rk4_reference(
+            windows(lambda L, Y, out: separable_apply_reference(path, L, Y, bxi)),
+            16, V0, N, h, [0, 17, N])
+        assert np.isfinite(got[0]).all()
+        assert got[0].tobytes() == ref[0].tobytes()
+
+    def test_solve_bitwise(self, monkeypatch):
+        S = builtin_system("m3-tracezero")
+        n = 64
+        x = 2 * np.pi * np.arange(n) / n
+        u0 = np.stack([np.exp(1j * x), 0.5 * np.cos(2 * x), np.zeros(n)])
+        field = solve_cauchy_1d(S, u0, SolverConfig(), [0.5, 1.0])
+        bxi = brackets(np.fft.fftfreq(n, d=1.0 / n)[:, None])
+        monkeypatch.setattr(energy, "_lockstep_rk4", lockstep_rk4_reference)
+        monkeypatch.setattr(SeparablePath, "apply",
+                            lambda path, L, Y, out: separable_apply_reference(path, L, Y, bxi))
+        ref = solve_cauchy_1d(S, u0, SolverConfig(), [0.5, 1.0])
+        assert field.fields.tobytes() == ref.fields.tobytes()
+
+    def test_apply_writes_only_out(self):
+        S = builtin_system("m3-tracezero")
+        xis = np.fft.fftfreq(8, d=1.0 / 8)[:, None]
+        path = SeparablePath(S, xis, brackets(xis))
+        L = path.last_rows(np.array([0.25]))[0]
+        rng = np.random.default_rng(4)
+        Y = rng.standard_normal((8, 9)) + 1j * rng.standard_normal((8, 9))
+        before = Y.copy()
+        out = np.full_like(Y, np.nan)
+        assert path.apply(L, Y, out) is out
+        assert Y.tobytes() == before.tobytes()
+        assert out.tobytes() == separable_apply_reference(path, L, Y, brackets(xis)).tobytes()
+
+
+class TestGrowthLog:
+    def test_blocked_row_norms_match_whole_trace_bitwise(self):
+        # 1,000 rows: three whole blocks of _TERM3_BLOCK and a partial one
+        rng = np.random.default_rng(2)
+        V = rng.standard_normal((1000, 36)) + 1j * rng.standard_normal((1000, 36))
+        V[3] = 0.0
+        V[500:] *= 1e150
+        logs = np.sort(rng.uniform(0.0, 50.0, 1000))
+        trace = EnergyTrace(ts=np.linspace(0.0, 1.0, 1000), V=V, log_scale=logs,
+                            xi=np.array([1.0]), eps=1.0, m=6)
+        norms = np.linalg.norm(V, axis=1)
+        base = log(norms[0]) + logs[0]
+        with np.errstate(divide="ignore"):
+            vals = np.where(norms > 0, np.log(np.maximum(norms, 1e-300)), -np.inf)
+        assert trace.growth_log == float((vals + logs).max() - base)
+
+
 class TestRK4Propagate:
     """Propagator powers R(hM)^k against the stepped constant-coefficient run.
 
@@ -750,6 +859,40 @@ class TestRK4Propagate:
         assert not states[:, 1].any() and not ref[:, 1].any()
         scale = np.abs(ref[:, 0]).max()
         assert np.abs(states[:, 0] - ref[:, 0]).max() <= self.TOL * scale
+
+    def test_powers_match_matrix_power_bitwise(self):
+        # solve-wave's jumps: R^5120 to the snapshot at t = 0.5, then R^5121 to N
+        from hyposym.energy import _matrix_powers
+
+        S = builtin_system("m2-wave")
+        xis = np.fft.fftfreq(64, d=1.0 / 64)[:, None]
+        N, h = SolverConfig().steps_for(S, np.array([32.0]))
+        M = step_matrices(S, xis, np.zeros(1))[0]
+        Z = h * M
+        eye = np.eye(4)
+        R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+        exponents = [0, 1, 2, 3, 4, 5, 6, 7, 5120, 5121]
+        powers = list(_matrix_powers(R, exponents))
+        assert len(powers) == len(exponents)
+        for n, power in zip(exponents, powers):
+            assert power.tobytes() == np.linalg.matrix_power(R, n).tobytes(), n
+
+    def test_powers_match_matrix_power_where_they_overflow(self):
+        from hyposym.energy import _matrix_powers
+
+        S = builtin_system("m2-nonhyp-control")
+        xis = np.array([[1.0], [1024.0]])
+        N, h = SolverConfig().steps_for(S, xis[-1])
+        Z = h * step_matrices(S, xis, np.zeros(1))[0]
+        eye = np.eye(4)
+        R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+        exponents = [3, N // 2, N]
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = list(_matrix_powers(R, exponents))
+            for n, power in zip(exponents, powers):
+                want = np.linalg.matrix_power(R, n)
+                assert np.array_equal(power, want, equal_nan=True), n
+        assert np.isfinite(powers[-1][0]).all() and not np.isfinite(powers[-1][1]).all()
 
     def test_overflow_raises_numeric_error(self):
         from hyposym.errors import NumericError

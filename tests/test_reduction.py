@@ -347,11 +347,11 @@ class TestSeparablePath:
         for k in range(sample.size):
             Y = rng.standard_normal((len(xis), d)) + 1j * rng.standard_normal((len(xis), d))
             M = 1j * (calA[k] + calB[k])
-            err = np.linalg.norm(path.apply(L[k], Y) - np.matvec(M, Y), axis=1)
+            err = np.linalg.norm(path.apply(L[k], Y, np.empty_like(Y)) - np.matvec(M, Y), axis=1)
             scale = np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(Y, axis=1)
             assert (err <= self.TOL * scale).all(), (k, err / scale)
         # every weight carries xi^p, p >= 1: the last rows vanish at wavenumber 0
-        assert not path.apply(L[0], Y)[0, S.m - 1 :: S.m].any()
+        assert not path.apply(L[0], Y, np.empty_like(Y))[0, S.m - 1 :: S.m].any()
 
     def test_rejects_more_than_one_direction(self):
         S = SystemSymbol(coeffs=np.ones((2, 2, 2, 2)), horizon=1.0)

@@ -127,6 +127,20 @@ class TestBatchedKernels:
                 assert value.tobytes() == np.float64(bracket(row)).tobytes()
         assert brackets(np.array([3.0, 4.0])).shape == ()
 
+    def test_brackets_match_bracket_on_zero_and_overflowing_rows(self):
+        # |xi|^2 overflows from about 1.3e154 on; one big entry suffices
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            xi = rng.standard_normal((2000, n)) * 10.0 ** rng.uniform(-8.0, 160.0, (2000, 1))
+            xi[:10] = 0.0
+            xi[10:20, 0] = 1e155
+            xi[20:30] = -0.0
+            got = brackets(xi.reshape(40, 50, n))
+            assert got.shape == (40, 50)
+            want = np.array([bracket(row) for row in xi]).reshape(40, 50)
+            assert got.tobytes() == want.tobytes()
+            assert (got[0, :10] == 1.0).all() and np.isinf(got[0, 10:20]).all()
+
     def test_companion_roots_rejects_bad_coefficients(self):
         with pytest.raises(DomainError):
             companion_roots(np.array([0.0, 1.0, 2.0]))
