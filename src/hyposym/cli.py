@@ -581,7 +581,7 @@ def _cmd_reduce(config: RunConfig):
     xi_list = config.data["grids"]["xi_list"][:3]
     xis = np.zeros((len(xi_list), symbol.n))
     xis[:, 0] = xi_list
-    calA, b, _, _, c = PathAssembler(symbol, xis).reduce(sample_ts)
+    calA, b, c = PathAssembler(symbol, xis).reduce(sample_ts)
     # (t, xi) pairs whose reduction overflowed, taken frequency by frequency
     bad = ~(np.isfinite(calA).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1))).T
     if bad.any():

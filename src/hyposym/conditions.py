@@ -111,11 +111,13 @@ _GRID_BLOCK = 1 << 10
 def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
     """Evaluate eigenvalues, W-row data, b entries and derivative norms.
 
-    Time runs in blocks to bound the stacks.  A is odd in xi and negating a
-    double is exact, so on a 1-d grid (directions +1, -1) -1 takes the calB
-    terms (:func:`_bold_B_terms`, term hp negated for even hp) and derivative
-    norms of +1.  Every entry is bitwise that of its point alone, but an SVD
-    of -X can differ from one of X in the last bits (within 1e-15 relative).
+    Time runs in blocks; each takes its derivative norms and calB terms from
+    one call of :func:`_bold_B_terms`.  A is odd in xi and negating a double
+    is exact, so on a 1-d grid (directions +1, -1) -1 takes the terms (term
+    hp negated for even hp) and norms of +1, but not c: (-1)^k c_k would not
+    keep the sign of a zero c_k.  Every entry is bitwise that of its point
+    alone, but an SVD of -X can differ from one of X in the last bits
+    (within 1e-15 relative).
     """
     m = symbol.m
     T, R, D = grid.shape
@@ -132,21 +134,19 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
     for k0 in range(0, T, step):
         sl = slice(k0, k0 + step)
         ts = grid.ts[sl]
-        A = eval_symbol_path(symbol, ts, assembler.xi)
+        paths, _, _, terms = _bold_B_terms(assembler.derivs, ts, assembler.xi[:, lead])
+        A = eval_symbol_path(symbol, ts, assembler.xi) if mirror else paths[0]
         char0[sl] = faddeev_leverrier(A / bxi).real
         _require_finite(char0[sl], grid, k0, "a rescaled characteristic coefficient")
-        paths = [eval_symbol_path(d, ts, assembler.xi[:, lead]) for d in assembler.derivs]
-        _, terms = _bold_B_terms(faddeev_leverrier(A[:, :, lead]), paths)
         with np.errstate(over="ignore", invalid="ignore"):
             boldB = [sum(t) for t in terms]
             if mirror:  # bold_B_l at -xi: term hp times (-1)^(hp+1)
                 boldB = [np.concatenate([b, sum(x if hp % 2 else -x for hp, x in enumerate(t))],
                                         axis=2) for b, t in zip(boldB, terms)]
-            b_entries[sl] = np.stack([boldB[l - 1] * assembler.powers[l - m][..., None, None]
-                                      for l in range(1, m)], axis=-3)
+        b_entries[sl] = assembler.entries(boldB)
         _require_finite(b_entries[sl], grid, k0, "a lower-order entry of calB")
         for k in range(1, m):
-            dA0 = eval_symbol_path(assembler.derivs[k], ts, assembler.xi[:, lead]) / bxi[:, lead]
+            dA0 = paths[k] / bxi[:, lead]
             dt_norms[sl, ..., k - 1] = np.linalg.svd(dA0, compute_uv=False)[..., 0]
     spec = spectra(char0)
     return GridData(
@@ -215,31 +215,28 @@ def ks_pointwise(lambdas: np.ndarray) -> np.ndarray:
 
 
 def levi_pointwise(data: GridData) -> np.ndarray:
-    """Levi ratios per (grid point, l, j): column sums of |b|^2 against q_ll."""
+    """Levi ratios per (grid point, l, j): column sums of |b|^2 against q_ll,
+    the square sums of :func:`_square_sums`."""
     m = data.lambdas.shape[-1]
-    shape = data.lambdas.shape[:-1]
-    out = np.zeros(shape + (m - 1, m))
+    q = _square_sums(data.deleted_sigmas)
+    out = np.zeros(q.shape[:-1] + (m - 1, m))
     with np.errstate(over="ignore"):   # an overflowed square sum reads inf
         for l in range(1, m):
-            # q_ll = sum_i sigma_{m-l}(pi_i lambda)^2; column l-1 of the W rows
-            # holds sigma_{m-l}(pi_i lambda).
-            den = (data.deleted_sigmas[..., :, l - 1] ** 2).sum(axis=-1)
             for j in range(m):
                 num = (np.abs(data.b_entries[..., l - 1, :, j]) ** 2).sum(axis=-1)
-                out[..., l - 1, j] = _ratio(num, den)
+                out[..., l - 1, j] = _ratio(num, q[..., l])
     return out
 
 
 def thm2_pointwise(data: GridData) -> np.ndarray:
-    """max_k ||D_t^k A_0||^2 / q_jj per (grid point, j)."""
+    """max_k ||D_t^k A_0||^2 / q_jj per (grid point, j), q_jj from :func:`_square_sums`."""
     m = data.lambdas.shape[-1]
-    shape = data.lambdas.shape[:-1]
-    out = np.zeros(shape + (m - 1,))
+    q = _square_sums(data.deleted_sigmas)
+    out = np.zeros(q.shape[:-1] + (m - 1,))
     with np.errstate(over="ignore"):   # an overflowed square reads inf
         num = (data.dtA0_norms ** 2).max(axis=-1)
         for j in range(1, m):
-            den = (data.deleted_sigmas[..., :, j - 1] ** 2).sum(axis=-1)
-            out[..., j - 1] = _ratio(num, den)
+            out[..., j - 1] = _ratio(num, q[..., j])
     return out
 
 

@@ -31,19 +31,25 @@ from hyposym.symbols import (
 )
 
 
-def _bold_B_terms(c: np.ndarray, paths: list) -> tuple:
-    """bold_A_0..bold_A_{m-1} of A = paths[0] with char. coefficients c, and the
-    terms of bold_B_l by degree: ``terms[l-1][hp]`` = comb(m-1-hp, l-1)
-    bold_A_hp D_t^k A with k = m-l-hp, of degree hp + 1 in xi; bold_B_l is
-    their sum.  From the real paths d^k/dt^k A, bold_A and each product are
-    real; the phase (-i)^k puts the product into the real or imaginary part.
-    Up to the sign of a zero, each term is bitwise the complex product."""
-    m = paths[0].shape[-1]
+def _bold_B_terms(derivs: list, ts, xi) -> tuple:
+    """(paths, c, bold_A, terms): the one producer of the reduction's blocks.
+
+    ``paths[k]`` is d^k/dt^k A along ``ts`` at ``xi`` for the symbols
+    ``derivs``, k < m; c are the characteristic coefficients of A = paths[0]
+    by the real recursion and bold_A_0..bold_A_{m-1} its adjugate
+    coefficients.  ``terms[l-1][hp]`` = comb(m-1-hp, l-1) bold_A_hp D_t^k A,
+    k = m-l-hp, of degree hp + 1 in xi, sum to bold_B_l.  Each product is
+    real; the phase (-i)^k puts it into the real or imaginary part, bitwise
+    the complex product up to the sign of a zero.
+    """
+    paths = [eval_symbol_path(d, ts, xi) for d in derivs]
+    c = faddeev_leverrier(paths[0])
+    m = c.shape[-1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         boldA = adjugate_coeffs(paths[0], c)
         terms = [[comb(m - 1 - hp, l - 1) * (boldA[hp] @ paths[m - l - hp]) * (-1j) ** (m - l - hp)
                   for hp in range(m - l)] for l in range(1, m)]
-    return boldA, terms
+    return paths, c, boldA, terms
 
 
 def lower_order_matrix(entries) -> np.ndarray:
@@ -84,39 +90,37 @@ class PathAssembler:
                        for e in range(-m, 0)}
 
     def reduce(self, ts) -> tuple:
-        """(calA, b, bold_A, bold_B, c), each of leading shape (len(ts), ...).
-
-        calA, bold_A and c are real, b and bold_B complex.  ``b``
-        (..., m-1, m, m) holds the scaled entries of calB; see
-        :func:`lower_order_matrix`.  Overflow leaves non-finite entries,
-        without a warning, for the caller to check.
+        """(calA, b, c), each of leading shape (len(ts), ...), from one call of
+        :func:`_bold_B_terms`: calA and c real, b the scaled calB entries of
+        :meth:`entries`.  Overflow leaves non-finite entries, without a
+        warning, for the caller to check.
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        m = self.m
-        bxi = self.bxi
-        A = eval_symbol_path(self.derivs[0], ts, self.xi)
-        c = faddeev_leverrier(A)
-        lead = A.shape[:-2]
-
+        m, bxi = self.m, self.bxi
+        _, c, _, terms = _bold_B_terms(self.derivs, np.atleast_1d(ts), self.xi)
+        lead = c.shape[:-1]
         block = np.zeros(lead + (m, m))
         for j in range(m - 1):
             block[..., j, j + 1] = bxi
         with np.errstate(over="ignore", invalid="ignore"):
             for col in range(m):
                 block[..., m - 1, col] = -c[..., m - col] * self.powers[col - m] * bxi
-            calA = np.zeros(lead + (m * m, m * m))
-            for i in range(m):
-                calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
-            paths = [A] + [eval_symbol_path(d, ts, self.xi) for d in self.derivs[1:]]
-            boldA, terms = _bold_B_terms(c, paths)
             boldB = [sum(t) for t in terms]
-            b = np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
-                          for l in range(1, m)], axis=-3)
-        return calA, b, boldA, boldB, c
+        calA = np.zeros(lead + (m * m, m * m))
+        for i in range(m):
+            calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
+        return calA, self.entries(boldB), c
+
+    def entries(self, boldB: list) -> np.ndarray:
+        """b[..., l-1, :, :] = bold_B_l <xi>^(l-m) of [bold_B_1, ..., bold_B_{m-1}]
+        at these frequencies; see :func:`lower_order_matrix`."""
+        m = self.m
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
+                             for l in range(1, m)], axis=-3)
 
     def __call__(self, ts) -> tuple:
         """(calA, calB) along ``ts``, shapes (len(ts), ..., m^2, m^2)."""
-        calA, b, _, _, _ = self.reduce(ts)
+        calA, b, _ = self.reduce(ts)
         return calA, lower_order_matrix(b)
 
 
@@ -175,21 +179,19 @@ class SeparablePath:
 
         Row (p-1) m^2 + a, column i holds the coefficient of weight p on
         state entry a in the last row of band i, so the last rows at ts[k]
-        are ``(weights * V[:, None, :]).reshape(q, -1) @ L[k]``.
+        are ``(weights * V[:, None, :]).reshape(q, -1) @ L[k]``.  c and the
+        terms come from one call of :func:`_bold_B_terms` at xi = 1, so the
+        companion entries are bitwise -c of :meth:`PathAssembler.reduce` there.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         m = self.m
-        paths = [eval_symbol_path(d, ts, np.ones(1)) for d in self.derivs]
-        # c by the complex recursion: numpy divides its traces by k through 1/k,
-        # which can round apart from the real quotients of reduce, and the
-        # separable solve's fields are kept bitwise on these coefficients
-        c = faddeev_leverrier(paths[0].astype(complex))
+        _, c, _, terms = _bold_B_terms(self.derivs, ts, np.ones(1))
         # L[t, p-1, band j, component, band i]
         L = np.zeros((ts.size, m, m, m, m), dtype=complex)
         band, col = np.arange(m)[:, None], np.arange(m)[None, :]
         L[:, m - 1 - col, band, col, band] = -c[:, None, :0:-1]
-        for l, terms in enumerate(_bold_B_terms(c.real, paths)[1], start=1):
-            for hp, term in enumerate(terms):
+        for l, band_terms in enumerate(terms, start=1):
+            for hp, term in enumerate(band_terms):
                 L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
         return L.reshape(ts.size, m ** 3, m)
 
@@ -215,9 +217,9 @@ class SeparablePath:
 def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
     """Stacked (calA, calB) along a time grid, shapes (len(ts), m^2, m^2).
 
-    calA is real block-companion; calB is complex.  A stack of frequencies,
-    or the building blocks bold_A and bold_B, go through one
-    :class:`PathAssembler`.
+    calA is real block-companion; calB is complex.  A stack of frequencies
+    goes through one :class:`PathAssembler`; the building blocks bold_A and
+    bold_B come from :func:`_bold_B_terms`.
     """
     return PathAssembler(symbol, xi)(ts)
 

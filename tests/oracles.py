@@ -215,11 +215,11 @@ def reduce_reference(symbol: SystemSymbol, xi, ts) -> tuple:
 
 def last_rows_reference(symbol: SystemSymbol, ts) -> np.ndarray:
     """``SeparablePath.last_rows(ts)`` of a one-dimensional symbol, from the
-    complex paths, coefficients and terms at xi = 1."""
+    complex paths and terms at xi = 1 and the real recursion's coefficients."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     m = symbol.m
     dtA = deriv_paths([time_derivative(symbol, k) for k in range(m)], ts, np.ones(1))
-    c = faddeev_leverrier(dtA[0])
+    c = faddeev_leverrier(dtA[0].real)
     L = np.zeros((ts.size, m, m, m, m), dtype=complex)
     band, col = np.arange(m)[:, None], np.arange(m)[None, :]
     L[:, m - 1 - col, band, col, band] = -c[:, None, :0:-1]

@@ -8,6 +8,8 @@ argument or attribute of the same name does not count, and neither do tests:
 a per-point path that only tests reach belongs in ``tests/`` as an oracle.
 The other way round, every name that ``perfbench/`` or ``scripts/`` imports
 from the package must exist, and so must every name of ``hyposym.__all__``.
+Each recursion of the reduction has one producer: only the definitions
+pinned in ``PRODUCERS`` read ``faddeev_leverrier`` or ``adjugate_coeffs``.
 """
 
 import ast
@@ -17,11 +19,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hyposym"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _public_definitions(tree: ast.Module) -> list:
     return [node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,))
             and not node.name.startswith("_")]
 
 
@@ -66,6 +69,39 @@ def unused_public_names() -> dict:
             if referring[definition.name] == itself and definition.name not in imported:
                 unused[definition.name] = module
     return unused
+
+
+# the definitions of src/ that may read each recursion
+PRODUCERS = {
+    # the spectra of one frequency, the reduction's kernel, and the
+    # conditions grid's rescaled coefficients at every direction
+    "faddeev_leverrier": {"symbols.rescaled_spectra", "reduction._bold_B_terms",
+                          "conditions.evaluate_grid"},
+    "adjugate_coeffs": {"reduction._bold_B_terms"},
+}
+
+
+def readers(name: str) -> set:
+    """Where src/ reads ``name``: ``module.function`` or ``module.Class.method``
+    for a definition, the bare module for any other statement."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                members, prefix = node.body, f"{path.stem}.{node.name}."
+            else:
+                members, prefix = [node], f"{path.stem}."
+            for sub in members:
+                if name in _names_read(sub):
+                    found.add(prefix + sub.name if isinstance(sub, FUNCTIONS) else path.stem)
+    return found
+
+
+def test_one_producer_per_recursion():
+    # reduce, last_rows and evaluate_grid take c and bold_A from the kernel
+    # _bold_B_terms; a second recursion beside it fails here
+    for name, producers in PRODUCERS.items():
+        assert readers(name) == producers, name
 
 
 def test_every_public_definition_is_used():

@@ -599,6 +599,31 @@ class TestEvaluateGridStacked:
         if name != "n1-sparse-m5":
             assert got.tobytes() == norms.tobytes()
 
+    @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero", "m4-inline"])
+    def test_paths_per_block(self, name, monkeypatch):
+        """On a one-dimensional grid each time block evaluates A once on the
+        whole grid, for the rescaled coefficients, and the m derivative paths
+        once on the direction +1, for the terms and the norms alike."""
+        import hyposym.conditions as conditions
+        import hyposym.reduction as reduction
+        from hyposym.symbols import eval_symbol_path
+
+        calls = []
+
+        def counting(symbol, ts, xi):
+            calls.append(len(ts))
+            return eval_symbol_path(symbol, ts, xi)
+
+        for module in (conditions, reduction):
+            monkeypatch.setattr(module, "eval_symbol_path", counting)
+        S = self.symbol(name)
+        grid = SamplingGrid.default(S, n_t=37, n_r=5)
+        monkeypatch.setattr(conditions, "_GRID_BLOCK", 8 * grid.shape[1] * grid.shape[2])
+        evaluate_grid(S, grid)
+        blocks = -(-grid.shape[0] // 8)
+        assert len(calls) == blocks * (S.m + 1)
+        assert sum(calls) == grid.shape[0] * (S.m + 1)
+
 
 def test_calB_overflow_at_the_largest_radius_names_its_first_point():
     """A = xi [[0, 1], [c t, 0]] with c = 1e305 and t <= 1e-3: A, <xi> and the

@@ -18,6 +18,7 @@ from hyposym.examples import builtin_system
 from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
+    _bold_B_terms,
     assemble_path,
     derivative_maps,
     initial_states,
@@ -43,9 +44,9 @@ def dense_symbol(m, seed, degree=2, horizon=1.0):
 
 
 def blocks_at(S, t, xi):
-    """(bold_A, bold_B) at one (t, xi)."""
-    _, _, bold_A, bold_B, _ = PathAssembler(S, xi).reduce([t])
-    return [B[0] for B in bold_A], [B[0] for B in bold_B]
+    """(bold_A, bold_B) at one (t, xi), from the reduction's kernel."""
+    _, _, bold_A, terms = _bold_B_terms(PathAssembler(S, xi).derivs, [t], xi)
+    return [B[0] for B in bold_A], [sum(T)[0] for T in terms]
 
 
 def state_at(S, u0, xi):
@@ -131,7 +132,7 @@ class TestAssemble:
     def test_m3_companion_last_row(self):
         S = dense_symbol(3, 21)
         t, xi_val = 0.25, 3.0
-        calA, _, _, _, c = PathAssembler(S, np.array([xi_val])).reduce([t])
+        calA, _, c = PathAssembler(S, np.array([xi_val])).reduce([t])
         calA, c = calA[0], c[0]
         bxi = bracket(xi_val)
         row = calA[2, :3]
@@ -360,11 +361,48 @@ class TestSeparablePath:
             SeparablePath(S, xis, brackets(xis))
 
 
-def complex_terms(c, paths):
-    """The conditions layer's ``_bold_B_terms`` as it was: complex products of
-    the phased paths (-i)^k d^k/dt^k A."""
+class TestOneRecursion:
+    """The separable solve's companion entries are -c of reduce at xi = 1,
+    bit for bit: both take c from the one real recursion of the kernel."""
+
+    @staticmethod
+    def check(S, ts):
+        m = S.m
+        xis = np.ones((1, 1))
+        L = SeparablePath(S, xis, brackets(xis)).last_rows(ts).reshape(ts.size, m, m, m, m)
+        c = PathAssembler(S, xis).reduce(ts)[2][:, 0]
+        band, col = np.arange(m)[:, None], np.arange(m)[None, :]
+        companion = L[:, m - 1 - col, band, col, band]
+        want = np.broadcast_to(-c[:, None, :0:-1], companion.shape)
+        assert companion.real.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert not companion.imag.any()
+
+    @pytest.mark.parametrize("m, value", [(4, 1.63e-80), (4, 1 / 3), (5, 0.7), (6, 0.7)])
+    def test_equal_entries(self, m, value):
+        """Constant symbols of equal entries, where a complex recursion's
+        quotients round apart from the real ones."""
+        self.check(SystemSymbol(coeffs=np.full((1, m, m, 1), value), horizon=1.0),
+                   np.array([0.0, 0.5]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(2, 6), degree=st.integers(0, 2),
+           scale=st.sampled_from([1e-80, 1e-3, 1.0, 7.0, 1e40]))
+    def test_drawn_symbols(self, data, m, degree, scale):
+        coeffs = data.draw(hnp.arrays(np.float64, (1, m, m, degree + 1),
+                                      elements=st.floats(-4.0, 4.0)), label="coeffs")
+        ts = np.sort(data.draw(hnp.arrays(np.float64, 4, elements=st.floats(0.0, 1.0)),
+                               label="ts"))
+        self.check(SystemSymbol(coeffs=scale * coeffs, horizon=1.0), ts)
+
+
+def complex_terms(derivs, ts, xi):
+    """``_bold_B_terms`` with its terms as complex products of the phased
+    paths (-i)^k d^k/dt^k A."""
+    paths = [eval_symbol_path(d, ts, xi) for d in derivs]
+    c = faddeev_leverrier(paths[0])
     with np.errstate(invalid="ignore"):
-        return bold_B_terms(c, [(-1j) ** k * p.astype(complex) for k, p in enumerate(paths)])
+        dtA = [(-1j) ** k * p.astype(complex) for k, p in enumerate(paths)]
+    return (paths, c) + bold_B_terms(c, dtA)
 
 
 class TestRealTermsAgainstComplexOracle:
@@ -372,10 +410,10 @@ class TestRealTermsAgainstComplexOracle:
     complex products of the oracle.
 
     reduce's (calA, b, c) and evaluate_grid's b_entries are bitwise.  So is
-    last_rows up to the sign of its zero entries: the complex path's zeros
-    take their signs from complex rounding (the imaginary zero of -c_k
-    follows the sign of c_k), and the sign of a zero entry of L changes no
-    nonzero entry of the products in ``apply``.
+    last_rows, with the oracle's c from the real recursion, up to the sign of
+    its zero entries: the complex products' zeros take their signs from
+    complex rounding, and the sign of a zero entry of L changes no nonzero
+    entry of the products in ``apply``.
     """
 
     SYSTEMS = {**{name: builtin_system(name) for name in
@@ -384,7 +422,7 @@ class TestRealTermsAgainstComplexOracle:
 
     @staticmethod
     def check(S, xis, ts):
-        calA, b, _, _, c = PathAssembler(S, xis).reduce(ts)
+        calA, b, c = PathAssembler(S, xis).reduce(ts)
         ref = reduce_reference(S, xis, ts)
         for name, got, want in zip(("calA", "b", "c"), (calA, b, c), ref):
             assert got.tobytes() == want.tobytes(), name
