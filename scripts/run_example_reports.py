@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Run the full report pipeline for every built-in example system, and for
-two inline systems of order 4 and 6.
+inline systems of order 4 and 6 and one in two space dimensions.
 
 Writes one output directory per (system, command) pair, holding the
 ``config.json`` it ran and the ``report.json`` it produced, and prints a
@@ -47,7 +47,17 @@ INLINE_SYSTEMS = {
     "inline-m4": companion_system([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]]),
     "inline-m6": companion_system([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
                                    [5.0, 0.0, 1.0], [0.0]]),
+    # A symmetric 3x3 system in two space dimensions, xi_1 diag(1, 0, -1) +
+    # xi_2 [[0, t, 0], [t, 0, 1], [0, 1, 0]]: every built-in is one-dimensional,
+    # and this is the one grid whose directions are not the mirrored pair +-1.
+    "inline-n2-m3": {"m": 3, "n": 2, "horizon": 1.0, "coefficients": [
+        [[[1.0], [0.0], [0.0]], [[0.0], [0.0], [0.0]], [[0.0], [0.0], [-1.0]]],
+        [[[0.0], [0.0, 1.0], [0.0]], [[0.0, 1.0], [0.0], [1.0]], [[0.0], [1.0], [0.0]]]]},
 }
+
+# Config entries of a system's runs beside the defaults: the n = 2 system's
+# default grid has 102,912 points and a 926,208-row conditions.csv.
+SYSTEM_EXTRAS = {"inline-n2-m3": {"grids": {"t_points": 41, "xi_points": 8}}}
 
 PIPELINES = {
     "m2-glaeser": ("reduce", "verify-qs", "conditions", "growth", "report", "solve"),
@@ -56,6 +66,7 @@ PIPELINES = {
     "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
     "inline-m4": ("growth", "report"),
     "inline-m6": ("growth",),
+    "inline-n2-m3": ("conditions",),
 }
 
 SOLVE_EXTRAS = {
@@ -78,7 +89,8 @@ def run_all(out_root: Path, seed: int) -> int:
     rows = []
     for name, commands in PIPELINES.items():
         for command in commands:
-            doc = {"system": INLINE_SYSTEMS.get(name, {"name": name}), "seed": seed}
+            doc = {"system": INLINE_SYSTEMS.get(name, {"name": name}), "seed": seed,
+                   **SYSTEM_EXTRAS.get(name, {})}
             if command == "solve":
                 doc.update(SOLVE_EXTRAS)
             out_dir = out_root / f"{name}--{command}"

@@ -93,61 +93,55 @@ class SamplingGrid:
 
 @dataclass
 class GridData:
-    """Per-grid-point spectra and lower-order data, indexed (t, r, dir)."""
+    """Spectra and lower-order data of one time block, indexed (t, r, dir)."""
 
-    lambdas: np.ndarray          # (T, R, D, m) rescaled eigenvalues (real parts)
+    lambdas: np.ndarray          # (t, R, D, m) rescaled eigenvalues (real parts)
     nonhyperbolic: int
-    deleted_sigmas: np.ndarray   # (T, R, D, m, m); [..., i, c] = sigma_{m-1-c}(pi_i lambda)
-    b_entries: np.ndarray        # (T, R, D, m-1, m, m) scaled entries of calB
-    dtA0_norms: np.ndarray       # (T, R, D, m-1) spectral norms of D_t^k A_0
+    deleted_sigmas: np.ndarray   # (t, R, D, m, m); [..., i, c] = sigma_{m-1-c}(pi_i lambda)
+    b_entries: np.ndarray        # (t, R, D, m-1, m, m) scaled entries of calB
+    dtA0_norms: np.ndarray       # (t, R, D, m-1) spectral norms of D_t^k A_0
 
 
-# (t, xi) points per block of evaluate_grid (on a 1-d grid, its terms and
-# norms come from the block's +1 half) and of the sandwich constant.  Larger
-# blocks raise the peak RSS (by 2 MB at 8,192 on m3-tracezero), gain no time.
+# (t, xi) points per time block of evaluate_grid.  run_conditions holds one
+# block's GridData at a time, beside its per-point tables.  Larger blocks
+# gain no time and raise the peak: 8,192 points took run_conditions on
+# m3-tracezero from 2.9 to 12.8 MiB of traced memory.
 _GRID_BLOCK = 1 << 10
 
 
-def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
-    """Evaluate eigenvalues, W-row data, b entries and derivative norms.
+def evaluate_grid(assembler: PathAssembler, grid: SamplingGrid, block: slice) -> GridData:
+    """Eigenvalues, W rows, b entries and derivative norms on the time
+    samples ``grid.ts[block]``, with ``assembler`` built at the grid's
+    frequencies (r, d).
 
-    Time runs in blocks; each takes its derivative norms and calB terms from
-    one call of :func:`_bold_B_terms`.  A is odd in xi and negating a double
-    is exact, so on a 1-d grid (directions +1, -1) -1 takes the terms (term
-    hp negated for even hp) and norms of +1, but not c: (-1)^k c_k would not
-    keep the sign of a zero c_k.  Every entry is bitwise that of its point
-    alone, but an SVD of -X can differ from one of X in the last bits
-    (within 1e-15 relative).
+    The derivative norms and calB terms come from one call of
+    :func:`_bold_B_terms`.  A is odd in xi and negating a double is exact,
+    so on a 1-d grid (directions +1, -1) -1 takes the terms (term hp negated
+    for even hp) and norms of +1, but not c: (-1)^k c_k would not keep the
+    sign of a zero c_k.  Every entry is bitwise that of its point alone, but
+    an SVD of -X can differ from one of X in the last bits (within 1e-15
+    relative).
     """
-    m = symbol.m
-    T, R, D = grid.shape
-    char0 = np.zeros((T, R, D, m + 1))
-    b_entries = np.zeros((T, R, D, m - 1, m, m), dtype=complex)
-    dt_norms = np.zeros((T, R, D, m - 1))
-
-    assembler = PathAssembler(symbol, grid.radii[:, None, None] * grid.dirs)
-    _require_finite(assembler.bxi[None], grid, 0, "<xi>")
+    m, k0 = assembler.m, block.start
+    ts = grid.ts[block]
     bxi = assembler.bxi[..., None, None]
     mirror = grid.dirs.tolist() == [[1.0], [-1.0]]
     lead = slice(0, 1) if mirror else slice(None)  # the norms of +1 broadcast to -1
-    step = max(1, _GRID_BLOCK // (R * D))
-    for k0 in range(0, T, step):
-        sl = slice(k0, k0 + step)
-        ts = grid.ts[sl]
-        paths, _, _, terms = _bold_B_terms(assembler.derivs, ts, assembler.xi[:, lead])
-        A = eval_symbol_path(symbol, ts, assembler.xi) if mirror else paths[0]
-        char0[sl] = faddeev_leverrier(A / bxi).real
-        _require_finite(char0[sl], grid, k0, "a rescaled characteristic coefficient")
-        with np.errstate(over="ignore", invalid="ignore"):
-            boldB = [sum(t) for t in terms]
-            if mirror:  # bold_B_l at -xi: term hp times (-1)^(hp+1)
-                boldB = [np.concatenate([b, sum(x if hp % 2 else -x for hp, x in enumerate(t))],
-                                        axis=2) for b, t in zip(boldB, terms)]
-        b_entries[sl] = assembler.entries(boldB)
-        _require_finite(b_entries[sl], grid, k0, "a lower-order entry of calB")
-        for k in range(1, m):
-            dA0 = paths[k] / bxi[:, lead]
-            dt_norms[sl, ..., k - 1] = np.linalg.svd(dA0, compute_uv=False)[..., 0]
+    paths, _, _, terms = _bold_B_terms(assembler.derivs, ts, assembler.xi[:, lead])
+    A = eval_symbol_path(assembler.derivs[0], ts, assembler.xi) if mirror else paths[0]
+    char0 = faddeev_leverrier(A / bxi).real
+    _require_finite(char0, grid, k0, "a rescaled characteristic coefficient")
+    with np.errstate(over="ignore", invalid="ignore"):
+        boldB = [sum(t) for t in terms]
+        if mirror:  # bold_B_l at -xi: term hp times (-1)^(hp+1)
+            boldB = [np.concatenate([b, sum(x if hp % 2 else -x for hp, x in enumerate(t))],
+                                    axis=2) for b, t in zip(boldB, terms)]
+    b_entries = assembler.entries(boldB)
+    _require_finite(b_entries, grid, k0, "a lower-order entry of calB")
+    dt_norms = np.empty(char0.shape[:3] + (m - 1,))
+    for k in range(1, m):
+        dA0 = paths[k] / bxi[:, lead]
+        dt_norms[..., k - 1] = np.linalg.svd(dA0, compute_uv=False)[..., 0]
     spec = spectra(char0)
     return GridData(
         lambdas=spec.lambdas,
@@ -156,6 +150,17 @@ def evaluate_grid(symbol: SystemSymbol, grid: SamplingGrid) -> GridData:
         b_entries=b_entries,
         dtA0_norms=dt_norms,
     )
+
+
+def _grid_blocks(symbol: SystemSymbol, grid: SamplingGrid):
+    """Yield (k0, GridData) for the time blocks of _GRID_BLOCK points in turn,
+    k0 the block's first time index; one assembler serves every block."""
+    T, R, D = grid.shape
+    assembler = PathAssembler(symbol, grid.radii[:, None, None] * grid.dirs)
+    _require_finite(assembler.bxi[None], grid, 0, "<xi>")
+    step = max(1, _GRID_BLOCK // (R * D))
+    for k0 in range(0, T, step):
+        yield k0, evaluate_grid(assembler, grid, slice(k0, k0 + step))
 
 
 def _require_finite(values: np.ndarray, grid: SamplingGrid, k0: int, what: str) -> None:
@@ -178,13 +183,10 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     A ratio beyond RATIO_CAP reads inf, and so does inf/inf, where both
     squares overflowed.
     """
-    out = np.zeros_like(num, dtype=float)
-    live = num > ABS_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
-    out[live] = vals[live]
-    out[live & ~(vals <= RATIO_CAP)] = np.inf   # the NaN of inf/inf too
-    return out
+    # ~(vals <= RATIO_CAP) holds for the NaN of inf/inf too
+    return np.where(num > ABS_FLOOR, np.where(vals <= RATIO_CAP, vals, np.inf), 0.0)
 
 
 def _argmax_witness(values: np.ndarray, grid: SamplingGrid):
@@ -214,27 +216,25 @@ def ks_pointwise(lambdas: np.ndarray) -> np.ndarray:
     return worst
 
 
-def levi_pointwise(data: GridData) -> np.ndarray:
-    """Levi ratios per (grid point, l, j): column sums of |b|^2 against q_ll,
-    the square sums of :func:`_square_sums`."""
-    m = data.lambdas.shape[-1]
-    q = _square_sums(data.deleted_sigmas)
+def levi_pointwise(b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Levi ratios per (grid point, l, j) from calB entries ``b``: column sums
+    of |b|^2 against q_ll, with ``q`` the square sums of :func:`_square_sums`."""
+    m = q.shape[-1] - 1
     out = np.zeros(q.shape[:-1] + (m - 1, m))
     with np.errstate(over="ignore"):   # an overflowed square sum reads inf
         for l in range(1, m):
             for j in range(m):
-                num = (np.abs(data.b_entries[..., l - 1, :, j]) ** 2).sum(axis=-1)
+                num = (np.abs(b[..., l - 1, :, j]) ** 2).sum(axis=-1)
                 out[..., l - 1, j] = _ratio(num, q[..., l])
     return out
 
 
-def thm2_pointwise(data: GridData) -> np.ndarray:
-    """max_k ||D_t^k A_0||^2 / q_jj per (grid point, j), q_jj from :func:`_square_sums`."""
-    m = data.lambdas.shape[-1]
-    q = _square_sums(data.deleted_sigmas)
+def thm2_pointwise(dtA0_norms: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """max_k ||D_t^k A_0||^2 / q_jj per (grid point, j), q as in :func:`levi_pointwise`."""
+    m = q.shape[-1] - 1
     out = np.zeros(q.shape[:-1] + (m - 1,))
     with np.errstate(over="ignore"):   # an overflowed square reads inf
-        num = (data.dtA0_norms ** 2).max(axis=-1)
+        num = (dtA0_norms ** 2).max(axis=-1)
         for j in range(1, m):
             out[..., j - 1] = _ratio(num, q[..., j])
     return out
@@ -339,19 +339,38 @@ class ConditionReport:
 def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> ConditionReport:
     """Evaluate every condition on the grid and aggregate with witnesses.
 
+    The grid is evaluated one time block at a time.  Each block's GridData
+    goes into the per-point tables and the eigenvalues, and gives the
+    sandwich constants at its every 4th time sample; then it is dropped.
     Each sup is the largest value of its pointwise table; the witness is the
     first grid point, in (t, r, d) order, where it is reached.
     """
-    data = evaluate_grid(symbol, grid)
     m = symbol.m
-    _, R, D = grid.shape
+    T, R, D = grid.shape
+    T4 = -(-T // 4)
+    lambdas = np.empty((T, R, D, m))
+    levi_vals = np.empty((T, R, D, m - 1, m))
+    thm2_vals = np.empty((T, R, D, m - 1))
+    sandwich = np.empty((T4, R, D))   # at every 4th time sample
+    nonhyperbolic = 0
+    for k0, data in _grid_blocks(symbol, grid):
+        sl = slice(k0, k0 + data.lambdas.shape[0])
+        lambdas[sl] = data.lambdas
+        nonhyperbolic += data.nonhyperbolic
+        q = _square_sums(data.deleted_sigmas)
+        levi_vals[sl] = levi_pointwise(data.b_entries, q)
+        thm2_vals[sl] = thm2_pointwise(data.dtA0_norms, q)
+        j0 = -(-k0 // 4)   # time index 4 j0 is the block's first multiple of 4
+        W, b = data.deleted_sigmas[4 * j0 - k0 :: 4], data.b_entries[4 * j0 - k0 :: 4]
+        if W.size:   # a block of under 4 time samples may hold none
+            sandwich[j0 : j0 + W.shape[0]] = sandwich_of(
+                W.reshape(-1, m, m), b.reshape(-1, m - 1, m, m)).reshape(W.shape[:3])
+        del data, q, W, b   # before the next block is evaluated
 
-    ks_vals = ks_pointwise(data.lambdas)
+    ks_vals = ks_pointwise(lambdas)
     ks_sup, ks_wit = float(ks_vals.max()), _argmax_witness(ks_vals, grid)
-    levi_vals = levi_pointwise(data)
     levi_sups = levi_vals.reshape(-1, m - 1, m).max(axis=0)
     levi_wit = _argmax_witness(levi_vals.max(axis=(-2, -1)), grid)
-    thm2_vals = thm2_pointwise(data)
     thm2_sups = thm2_vals.reshape(-1, m - 1).max(axis=0)
     thm2_wit = _argmax_witness(thm2_vals.max(axis=-1), grid)
 
@@ -368,14 +387,9 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> C
             elif live.any():
                 impl = max(impl, float((lv[live] / t2[live]).max()))
 
-    # Sandwich constant on every 4th time sample, copied in blocks of whole
-    # (r, d) pairs in (r, d, t) order: argmax gives the first maximiser in it.
-    W4, b4 = (np.swapaxes(a[::4].reshape((-1, R * D) + a.shape[3:]), 0, 1)
-              for a in (data.deleted_sigmas, data.b_entries))
-    T4, step = W4.shape[1], max(1, _GRID_BLOCK // W4.shape[1])
-    sw_vals = np.concatenate([
-        sandwich_of(W4[p:p + step].reshape(-1, m, m), b4[p:p + step].reshape(-1, m - 1, m, m))
-        for p in range(0, R * D, step)])
+    # Sandwich constant on every 4th time sample: argmax gives the first
+    # maximiser in (r, d, t) order.
+    sw_vals = np.moveaxis(sandwich, 0, 2).reshape(-1)
     k = int(np.argmax(sw_vals))
     sw_sup, sw_wit = 0.0, {}
     if sw_vals[k] > 0.0:
@@ -384,13 +398,15 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> C
         sw_sup = float(sw_vals[k])
         sw_wit = {"t": float(grid.ts[4 * t_idx]), "xi": xi.tolist(), "value": sw_sup}
 
-    # Zone occupancy of seeded random states at grid spectra.
+    # Zone occupancy of seeded random states at grid spectra.  Each W row is
+    # bitwise that of its eigenvalue tuple alone, so the sampled rows are
+    # built from the sampled tuples.
     rng = np.random.default_rng(seed)
-    flat_W = data.deleted_sigmas.reshape(-1, m, m)
-    sample = rng.choice(flat_W.shape[0], size=min(1000, flat_W.shape[0]), replace=False)
+    flat = lambdas.reshape(-1, m)
+    sample = rng.choice(flat.shape[0], size=min(1000, flat.shape[0]), replace=False)
     # One draw of (re, im) per sampled point, in the order of a per-point loop.
     draws = rng.standard_normal((sample.size, 2, m * m))
-    zones = _zones(draws[:, 0] + 1j * draws[:, 1], _square_sums(flat_W[sample]),
+    zones = _zones(draws[:, 0] + 1j * draws[:, 1], _square_sums(deleted_sigmas(flat[sample])),
                    np.ones(m - 2))
     counts = dict(zip(*np.unique(zones, return_counts=True)))
 
@@ -406,7 +422,7 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> C
         sandwich_witness=sw_wit,
         implication_constant=impl,
         zone_stats={int(k): int(v) for k, v in sorted(counts.items())},
-        nonhyperbolic_points=data.nonhyperbolic,
+        nonhyperbolic_points=nonhyperbolic,
         grid=grid,
         levi_values=levi_vals,
         thm2_values=thm2_vals,

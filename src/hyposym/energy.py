@@ -241,28 +241,35 @@ def _matrix_powers(R: np.ndarray, exponents: list):
     ``np.linalg.matrix_power(R, n)``.
 
     The squares R^(2^k) are formed once for all exponents, and only those an
-    exponent takes are kept; one power is held at a time.  Each power is
-    built as matrix_power builds it: R^3 as (R R) R, every other n as the
-    product of its squares from the least significant bit up.
+    exponent takes are kept, each until its last product; one power is held
+    at a time.  Each power is built as matrix_power builds it: R^3 as
+    (R R) R, every other n as the product of its squares from the least
+    significant bit up.
     """
     bits = [[k for k in range(n.bit_length()) if n >> k & 1] for n in exponents]
-    keep = set().union(*bits)
+    last = {k: i for i, ks in enumerate(bits) for k in ks}
     squares, z = {}, R
-    for k in range(max(keep, default=-1) + 1):
+    for k in range(max(last, default=-1) + 1):
         if k:
             z = np.matmul(z, z)
-        if k in keep:
+        if k in last:
             squares[k] = z
-    for n, ks in zip(exponents, bits):
+    del z
+
+    def take(k, i):
+        """Square k for power i, dropped from ``squares`` at its last use."""
+        return squares.pop(k) if last[k] == i else squares[k]
+
+    for i, (n, ks) in enumerate(zip(exponents, bits)):
         if n == 0:
             power = np.empty_like(R)
             power[...] = np.eye(R.shape[-1], dtype=R.dtype)
         elif n == 3:
-            power = np.matmul(squares[1], R)
+            power = np.matmul(take(1, i), take(0, i))
         else:
-            power = squares[ks[0]]
+            power = take(ks[0], i)
             for k in ks[1:]:
-                power = np.matmul(power, squares[k])
+                power = np.matmul(power, take(k, i))
         yield power
 
 

@@ -17,7 +17,9 @@ subset of the sorted values (at most 2^m of them, stacked over any leading
 shape) and then replays the m! * m additions of the permutation sum in
 permutation order.  Only additions remain in the m! loop, and the result is
 bitwise that of the sum over every permutation of P(lambda_rho) built level
-by level.
+by level.  Both run in blocks of rows, and :func:`q_eps` sums each block's
+parts into Q_eps as the block is built, so it never holds the parts of a
+whole stack; :func:`q_eps_parts` returns them for an eps sweep.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ def sylvester_companion(lambdas) -> np.ndarray:
     return M
 
 
-# Rows per block of q_eps_parts: 2^m outer products of 1,024 rows take at
-# most 19 MB at m = 6.
+# Rows per block of q_eps_parts and q_eps.  At m = 6 a block of 1,024 rows
+# holds the outer products of its 63 subsets (18.6 MB) and its 6 parts
+# (1.8 MB); q_eps keeps only the block's Q (0.3 MB).
 _ROW_BLOCK = 1024
 
 
@@ -89,6 +92,13 @@ def _subset_plan(m: int) -> tuple:
     return subsets, plan
 
 
+def _sorted_rows(lambdas) -> tuple:
+    """(lam, flat): the tuples sorted along the last axis, and as rows (n, m)."""
+    lam = np.sort(np.asarray(lambdas, dtype=float), axis=-1)
+    _check_m(lam.shape[-1])
+    return lam, lam.reshape(-1, lam.shape[-1])
+
+
 def q_eps_parts(lambdas) -> np.ndarray:
     """eps-power parts of the permutation sum for stacked tuples.
 
@@ -99,10 +109,8 @@ def q_eps_parts(lambdas) -> np.ndarray:
     their set only.  Every row of the result equals the permutation sum
     bit for bit (see the module docstring).
     """
-    lam = np.sort(np.asarray(lambdas, dtype=float), axis=-1)
+    lam, flat = _sorted_rows(lambdas)
     m = lam.shape[-1]
-    _check_m(m)
-    flat = lam.reshape(-1, m)
     parts = np.empty((m, flat.shape[0], m, m))
     # Blocks of rows bound the 2^m stacked outer products in memory.
     for k0 in range(0, flat.shape[0], _ROW_BLOCK):
@@ -144,8 +152,18 @@ def sum_parts(parts: np.ndarray, eps: float) -> np.ndarray:
 
 
 def q_eps(lambdas, eps: float) -> np.ndarray:
-    """Q_eps for stacked tuples, shape (..., m) to (..., m, m)."""
-    return sum_parts(q_eps_parts(lambdas), eps)
+    """Q_eps for stacked tuples, shape (..., m) to (..., m, m).
+
+    The parts of each block of _ROW_BLOCK rows are summed into Q as the
+    block is built, so the parts of the whole stack are never held at once;
+    each row is bitwise ``sum_parts(q_eps_parts(lambdas), eps)``.
+    """
+    lam, flat = _sorted_rows(lambdas)
+    _check_eps(eps)
+    Q = np.empty(flat.shape + flat.shape[-1:])
+    for k0 in range(0, flat.shape[0], _ROW_BLOCK):
+        Q[k0 : k0 + _ROW_BLOCK] = sum_parts(_replayed_parts(flat[k0 : k0 + _ROW_BLOCK]), eps)
+    return Q.reshape(lam.shape + lam.shape[-1:])
 
 
 def build_Q_eps(lambdas, eps: float) -> np.ndarray:

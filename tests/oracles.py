@@ -8,7 +8,8 @@ lower-order terms of the reduction are formed here in complex arithmetic,
 from the phased paths (-i)^k d^k/dt^k A.  The lockstep RK4 and the
 separable right-hand side allocate their stages and products, as they did
 before they were written in place.  The inline companion systems with a
-double zero eigenvalue at t = 0 are shared by several test modules.
+double zero eigenvalue at t = 0 are shared by several test modules.  The
+conditions grid's ``GridData`` of the whole grid is its time blocks joined.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from math import comb
 
 import numpy as np
 
+from hyposym.conditions import GridData, _grid_blocks
 from hyposym.energy import _renormalize_rows
 from hyposym.errors import ConsistencyError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
@@ -64,6 +66,20 @@ def lift_blocks(block: np.ndarray) -> np.ndarray:
     """
     block = np.asarray(block)
     return np.kron(np.eye(block.shape[-1], dtype=block.dtype), block)
+
+
+def grid_data(symbol: SystemSymbol, grid) -> GridData:
+    """GridData of the whole sampling grid: the time blocks that
+    ``run_conditions`` evaluates one at a time, joined along t."""
+    blocks = [data for _, data in _grid_blocks(symbol, grid)]
+
+    def joined(name):
+        return np.concatenate([getattr(data, name) for data in blocks])
+
+    return GridData(lambdas=joined("lambdas"),
+                    nonhyperbolic=sum(data.nonhyperbolic for data in blocks),
+                    deleted_sigmas=joined("deleted_sigmas"), b_entries=joined("b_entries"),
+                    dtA0_norms=joined("dtA0_norms"))
 
 
 def difference_identity_residual_of(lambdas) -> float:

@@ -22,10 +22,10 @@ from hyposym import (
     integral_K_sweep,
     reduced_integrate,
     reduction_residual,
+    run_conditions,
     solve_cauchy_1d,
     verify_properties,
 )
-from hyposym.conditions import evaluate_grid, ks_pointwise, levi_pointwise, thm2_pointwise
 from hyposym.examples import builtin_system
 from hyposym.quasisym import q_eps, sample_separation_set
 from hyposym.reduction import initial_states
@@ -156,15 +156,14 @@ def test_criterion_3_reduction_oracle():
 
 def test_criterion_4_condition_constants():
     S3 = builtin_system("m3-tracezero")
-    grid3 = SamplingGrid.default(S3)
-    data3 = evaluate_grid(S3, grid3)
-    ks = float(ks_pointwise(data3.lambdas).max())
+    rep3 = run_conditions(S3, SamplingGrid.default(S3))
+    ks = float(rep3.ks_values.max())
     ks_ok = abs(ks - 1.0) <= 1e-9
 
     S2 = builtin_system("m2-glaeser")
     grid2 = SamplingGrid.default(S2)
-    data2 = evaluate_grid(S2, grid2)
-    levi2 = levi_pointwise(data2)
+    rep2 = run_conditions(S2, grid2)
+    levi2 = rep2.levi_values
     window = grid2.ts >= 0.1
     levi_sup = float(levi2[window].max())
     levi_ok = np.isfinite(levi2[window]).all() and abs(levi_sup - 2.0) <= 0.05 * 2.0
@@ -172,9 +171,8 @@ def test_criterion_4_condition_constants():
     # derivative-norm condition finite at a point forces the lower-order
     # ratios finite there, on both shipped systems
     impl_ok = True
-    for S, grid, data in ((S2, grid2, data2), (S3, grid3, data3)):
-        thm2 = thm2_pointwise(data)
-        levi = levi_pointwise(data)
+    for S, rep in ((S2, rep2), (S3, rep3)):
+        thm2, levi = rep.thm2_values, rep.levi_values
         for l in range(S.m - 1):
             live = np.isfinite(thm2[..., l])
             for j in range(S.m):

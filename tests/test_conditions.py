@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -12,10 +12,7 @@ from hyposym.conditions import (
     RANK_TOL,
     _square_sums,
     _zones,
-    evaluate_grid,
-    levi_pointwise,
     sandwich_of,
-    thm2_pointwise,
 )
 from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
@@ -27,6 +24,7 @@ from oracles import (
     M6_DOUBLE_ZERO,
     companion_symbol,
     difference_identity_residual_of,
+    grid_data,
     lift_blocks,
 )
 
@@ -155,7 +153,7 @@ class TestLeviRatios:
     def test_m3_denominators_match_symmetriser_diagonal(self):
         S = builtin_system("m3-tracezero")
         grid = small_grid(S, n_t=5, n_r=2)
-        data = evaluate_grid(S, grid)
+        data = grid_data(S, grid)
         lam = data.lambdas[3, 1, 0]
         den_l1 = (data.deleted_sigmas[3, 1, 0, :, 0] ** 2).sum()
         den_l2 = (data.deleted_sigmas[3, 1, 0, :, 1] ** 2).sum()
@@ -181,15 +179,15 @@ class TestThm2Ratios:
         # For 2x2 systems the two conditions are finite together.
         for name in ("m2-glaeser", "m2-wave"):
             S = builtin_system(name)
-            data = evaluate_grid(S, small_grid(S))
-            levi_vals, thm2_vals = levi_pointwise(data), thm2_pointwise(data)
+            rep = run_conditions(S, small_grid(S))
+            levi_vals, thm2_vals = rep.levi_values, rep.thm2_values
             assert np.isfinite(levi_vals).all() == np.isfinite(thm2_vals).all()
 
     def test_implication_thm2_finite_gives_levi_finite(self):
         for name in ("m2-glaeser", "m3-tracezero"):
             S = builtin_system(name)
-            data = evaluate_grid(S, small_grid(S, n_t=21, n_r=4))
-            levi_vals, thm2_vals = levi_pointwise(data), thm2_pointwise(data)
+            rep = run_conditions(S, small_grid(S, n_t=21, n_r=4))
+            levi_vals, thm2_vals = rep.levi_values, rep.thm2_values
             m = S.m
             for l in range(m - 1):
                 live = np.isfinite(thm2_vals[..., l])
@@ -234,7 +232,7 @@ class TestSandwichConstant:
         # holds pointwise with alpha = sqrt(2), frozen as a regression value.
         S = builtin_system("m2-glaeser")
         grid = SamplingGrid.default(S, n_t=21, n_r=5, r_max=1000.0)
-        levi = levi_pointwise(evaluate_grid(S, grid))
+        levi = run_conditions(S, grid).levi_values
         alpha_frozen = np.sqrt(2.0)
         for r_idx, d_idx, xi in grid.points():
             for t_idx in range(grid.ts.size):
@@ -267,7 +265,7 @@ class TestSandwichAgainstLifted:
     def test_builtin_default_grids(self, name, infinite):
         S = builtin_system(name)
         C = assert_sandwich_matches_lifted(*_every_fourth_t(
-            evaluate_grid(S, SamplingGrid.default(S))))
+            grid_data(S, SamplingGrid.default(S))))
         assert np.count_nonzero(np.isinf(C)) == infinite
 
     @pytest.mark.parametrize("symbol, n_t, n_r", [
@@ -276,7 +274,7 @@ class TestSandwichAgainstLifted:
     ])
     def test_inline_systems(self, symbol, n_t, n_r):
         grid = SamplingGrid.default(symbol, n_t=n_t, n_r=n_r)
-        C = assert_sandwich_matches_lifted(*_every_fourth_t(evaluate_grid(symbol, grid)))
+        C = assert_sandwich_matches_lifted(*_every_fourth_t(grid_data(symbol, grid)))
         assert np.isinf(C).any() and np.isfinite(C).any()
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -576,7 +574,7 @@ class TestEvaluateGridStacked:
         grid = SamplingGrid.default(S, n_t=37, n_r=5, n_dirs=7)
         # several time blocks, the last one short
         monkeypatch.setattr(conditions, "_GRID_BLOCK", 8 * grid.shape[1] * grid.shape[2])
-        data = evaluate_grid(S, grid)
+        data = grid_data(S, grid)
         char0, b, norms = self.per_point(S, grid)
         spec = spectra(char0)
         assert data.lambdas.tobytes() == spec.lambdas.tobytes()
@@ -593,7 +591,7 @@ class TestEvaluateGridStacked:
         derivatives of the built-in and report-m4 systems."""
         S = self.symbol(name)
         grid = SamplingGrid.default(S, n_t=37, n_r=5)
-        got = evaluate_grid(S, grid).dtA0_norms
+        got = grid_data(S, grid).dtA0_norms
         _, _, norms = self.per_point(S, grid)
         assert np.all(np.abs(got - norms) <= 1e-15 * norms)
         if name != "n1-sparse-m5":
@@ -619,10 +617,70 @@ class TestEvaluateGridStacked:
         S = self.symbol(name)
         grid = SamplingGrid.default(S, n_t=37, n_r=5)
         monkeypatch.setattr(conditions, "_GRID_BLOCK", 8 * grid.shape[1] * grid.shape[2])
-        evaluate_grid(S, grid)
+        grid_data(S, grid)
         blocks = -(-grid.shape[0] // 8)
         assert len(calls) == blocks * (S.m + 1)
         assert sum(calls) == grid.shape[0] * (S.m + 1)
+
+
+# The n = 2, m = 3 inline system of scripts/run_example_reports.py.
+N2_M3 = SystemSymbol(coeffs=np.array([
+    [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+     [[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]],
+    [[[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]],
+     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]]]), horizon=1.0)
+
+
+def report_bytes(report) -> dict:
+    """Every field of a ConditionReport but its grid: arrays as bytes, the
+    rest by repr, which spells each float exactly."""
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name != "grid":
+            out[f.name] = value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+    return out
+
+
+class TestTimeBlocks:
+    """run_conditions evaluates the grid one time block at a time."""
+
+    @pytest.mark.parametrize("symbol, n_dirs", [
+        (builtin_system("m3-tracezero"), 16), (builtin_system("m2-glaeser"), 16), (N2_M3, 7),
+    ], ids=["m3-tracezero", "m2-glaeser", "n2-m3"])
+    def test_report_does_not_depend_on_the_block_size(self, symbol, n_dirs, monkeypatch):
+        """Blocks of 1, 3, 5 and 8 time samples (the every-4th-sample slice
+        starts at an offset in most of them, and is empty in many blocks of
+        1 and 3), one block for the whole grid, and the default: every
+        field, the sandwich witness and zone_stats included, is bit for bit
+        the same."""
+        import hyposym.conditions as conditions
+
+        grid = SamplingGrid.default(symbol, n_t=37, n_r=5, n_dirs=n_dirs)
+        points = grid.shape[1] * grid.shape[2]
+        report = run_conditions(symbol, grid, seed=3)
+        assert report.sandwich_witness and len(report.zone_stats) > (symbol.m > 2)
+        want = report_bytes(report)
+        for per_block in (1, 3, 5, 8, grid.shape[0]):
+            monkeypatch.setattr(conditions, "_GRID_BLOCK", per_block * points)
+            assert report_bytes(run_conditions(symbol, grid, seed=3)) == want, per_block
+
+    def test_traced_peak_on_the_default_m3_grid(self):
+        """No whole-grid GridData: on the 12,864 points of m3-tracezero,
+        run_conditions peaks at 2.9 MiB of traced memory (8.5 MiB when it
+        held the whole grid's W rows and calB entries)."""
+        import tracemalloc
+
+        S = builtin_system("m3-tracezero")
+        grid = SamplingGrid.default(S)
+        run_conditions(S, grid)   # lazy imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            run_conditions(S, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 def test_calB_overflow_at_the_largest_radius_names_its_first_point():
@@ -632,8 +690,8 @@ def test_calB_overflow_at_the_largest_radius_names_its_first_point():
     from hyposym.errors import NumericError
 
     S = companion_symbol([[0.0, 1e305], [0.0]], horizon=1e-3)
-    data = evaluate_grid(S, SamplingGrid.default(S, n_t=5, n_r=2, r_max=100.0))
+    data = grid_data(S, SamplingGrid.default(S, n_t=5, n_r=2, r_max=100.0))
     assert np.isfinite(data.b_entries).all() and np.isfinite(data.lambdas).all()
     with pytest.raises(NumericError) as exc:
-        evaluate_grid(S, SamplingGrid.default(S, n_t=5, n_r=3, r_max=1e4))
+        grid_data(S, SamplingGrid.default(S, n_t=5, n_r=3, r_max=1e4))
     assert str(exc.value) == "a lower-order entry of calB is not finite at (t=0.0, xi=[10000.0])"

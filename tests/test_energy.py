@@ -871,11 +871,35 @@ class TestRK4Propagate:
         Z = h * M
         eye = np.eye(4)
         R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
-        exponents = [0, 1, 2, 3, 4, 5, 6, 7, 5120, 5121]
+        # then exponents of several squares each, a square's last use before
+        # later exponents that take other squares, and 3 after R^2 is gone
+        exponents = [0, 1, 2, 3, 4, 5, 6, 7, 5120, 5121, 1023, 12289, 4097, 3, 6144, 2, 8191]
         powers = list(_matrix_powers(R, exponents))
         assert len(powers) == len(exponents)
         for n, power in zip(exponents, powers):
             assert power.tobytes() == np.linalg.matrix_power(R, n).tobytes(), n
+
+    def test_powers_drop_each_square_after_its_last_product(self):
+        # solve-wave's jumps R^5120 and R^5121 at 1,024 modes take the squares
+        # R^1024 and R^4096.  The generator holds at most three matrices
+        # besides R, as matrix_power does: R^1024 is dropped once R R^1024 is
+        # formed, before the product with R^4096 (four when it was kept).
+        import tracemalloc
+
+        from hyposym.energy import _matrix_powers
+
+        rng = np.random.default_rng(4)
+        R = np.eye(4) + 1e-3 * (rng.standard_normal((1024, 4, 4))
+                                + 1j * rng.standard_normal((1024, 4, 4)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for power in _matrix_powers(R, [5120, 5121]):
+                del power
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * R.nbytes
 
     def test_powers_match_matrix_power_where_they_overflow(self):
         from hyposym.energy import _matrix_powers

@@ -10,6 +10,7 @@ from hyposym import DomainError, sylvester_companion, verify_properties
 from hyposym.errors import CapabilityError, NumericError
 from hyposym.pencils import gen_eigvalsh, hermitian_part
 from hyposym.quasisym import (
+    _ROW_BLOCK,
     PropertyReport,
     build_Q_eps,
     q_eps,
@@ -199,8 +200,43 @@ class TestStackedKernel:
                 assert Q.tobytes() == ref.tobytes()
                 assert build_Q_eps(lam, eps).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_q_eps_by_row_blocks_is_the_sum_of_parts_bitwise(self, m):
+        """Q_eps summed block by block equals the sum of the whole stack's
+        parts on a stack of two full row blocks and a short one."""
+        rng = np.random.default_rng(60 + m)
+        lams = np.concatenate([awkward_rows(m, rng)] + [
+            rng.choice([-1.5, -0.5, 0.0, 1e-3, 2.0], size=(_ROW_BLOCK, m)) for _ in range(2)])
+        lams = lams.reshape(2, -1, m)
+        assert lams[0].shape[0] > _ROW_BLOCK // 2 and lams.size > _ROW_BLOCK * m
+        parts = q_eps_parts(lams)
+        for eps in (1.0, 0.3, 1e-4):
+            Q = q_eps(lams, eps)
+            assert Q.shape == lams.shape + (m,)
+            assert Q.tobytes() == sum_parts(parts, eps).tobytes()
+
+    def test_q_eps_holds_one_block_of_parts(self):
+        """At m = 4 the parts of 16,384 rows take 8.4 MB; Q_eps from them
+        must peak below that, holding Q (2.1 MB) and one block's work."""
+        import tracemalloc
+
+        m, rows = 4, 16 * _ROW_BLOCK
+        lams = np.random.default_rng(7).uniform(-2.0, 2.0, (rows, m))
+        parts_bytes = m * rows * m * m * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            q_eps(lams, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < parts_bytes
+
     def test_empty_stack_and_bad_eps(self):
         assert q_eps_parts(np.zeros((0, 3))).shape == (3, 0, 3, 3)
+        assert q_eps(np.zeros((0, 3)), 0.5).shape == (0, 3, 3)
+        with pytest.raises(DomainError):
+            q_eps(np.zeros((0, 3)), 0.0)
         with pytest.raises(DomainError):
             q_eps(np.zeros((2, 3)), 0.0)
         with pytest.raises(CapabilityError):

@@ -25,13 +25,14 @@ from hyposym.reduction import (
     lift_trajectory,
 )
 from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier, rescaled_spectra
-from hyposym.conditions import SamplingGrid, evaluate_grid
+from hyposym.conditions import SamplingGrid
 from hyposym.errors import NumericError
 from oracles import (
     M4_DOUBLE_ZERO,
     M6_DOUBLE_ZERO,
     bold_B_terms,
     companion_symbol,
+    grid_data,
     last_rows_reference,
     reduce_reference,
 )
@@ -433,7 +434,7 @@ class TestRealTermsAgainstComplexOracle:
                                     n_dirs=3)
         grid = SamplingGrid(ts=ts, radii=grid.radii, dirs=grid.dirs)
         want = reduce_reference(S, grid.radii[:, None, None] * grid.dirs, ts)[1]
-        assert evaluate_grid(S, grid).b_entries.tobytes() == want.tobytes()
+        assert grid_data(S, grid).b_entries.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_systems(self, name):
@@ -477,6 +478,6 @@ class TestRealTermsAgainstComplexOracle:
         for terms in (conditions._bold_B_terms, complex_terms):
             monkeypatch.setattr(conditions, "_bold_B_terms", terms)
             with pytest.raises(NumericError) as exc:
-                evaluate_grid(S, grid)
+                grid_data(S, grid)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
