@@ -64,8 +64,8 @@ PIPELINES = {
     "m2-wave": ("reduce", "conditions", "solve"),
     "m2-nonhyp-control": ("growth", "conditions", "report"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
-    "inline-m4": ("growth", "report"),
-    "inline-m6": ("growth",),
+    "inline-m4": ("reduce", "growth", "report"),
+    "inline-m6": ("reduce", "growth"),
     "inline-n2-m3": ("conditions",),
 }
 

@@ -16,7 +16,6 @@ from hyposym.errors import (
 from hyposym.symbols import (
     Spectrum,
     SystemSymbol,
-    eval_symbol,
     time_derivative,
 )
 from hyposym.reduction import reduction_residual
@@ -58,7 +57,6 @@ __all__ = [
     "builtin_system",
     "direct_integrate",
     "energy_inequality_check",
-    "eval_symbol",
     "frequency_sweep",
     "growth_fit",
     "integral_K_sweep",

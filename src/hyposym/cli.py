@@ -44,7 +44,7 @@ from hyposym.examples import BUILTIN_SYSTEMS, builtin_system
 from hyposym.quasisym import sample_separation_set, verify_properties
 from hyposym.reduction import PathAssembler, lower_order_matrix, reduction_residual
 from hyposym.energy import direct_integrate
-from hyposym.symbols import MAX_DIMENSION, SystemSymbol, bracket
+from hyposym.symbols import MAX_DIMENSION, SystemSymbol, bracket, eval_symbol_path
 
 SCHEMA_VERSION = 1
 
@@ -618,15 +618,12 @@ def _cmd_reduce(config: RunConfig):
 def _closed_form_comparison(symbol: SystemSymbol, xi, sample_ts):
     """Informational diff between assembled 3x3 lower-order entries and the
     closed forms sometimes quoted for them; emitted, never asserted."""
-    from hyposym.symbols import eval_symbol, time_derivative
-
     bxi = bracket(xi)
-    entries = PathAssembler(symbol, xi).reduce(np.array(sample_ts))[1]
+    assembler = PathAssembler(symbol, xi)
+    entries = assembler.reduce(np.array(sample_ts))[1]
+    paths = zip(*(eval_symbol_path(d, sample_ts, xi) for d in assembler.derivs))
     out = []
-    for t, b in zip(sample_ts, entries):
-        A = eval_symbol(symbol, t, xi)
-        dA = eval_symbol(time_derivative(symbol, 1), t, xi)
-        d2A = eval_symbol(time_derivative(symbol, 2), t, xi)
+    for t, b, (A, dA, d2A) in zip(sample_ts, entries, paths):
         trA0 = np.trace(A) / bxi
         b1_closed = (-d2A + (-1j) * 2.0 * dA - trA0 * (-1j) * dA) / bxi
         b2_closed = (A @ ((-1j) * dA)) / bxi ** 2
@@ -711,7 +708,7 @@ def _cmd_conditions(config: RunConfig):
     m = symbol.m
     T, R, D = grid.shape
     per_l = np.concatenate([report.thm2_values[..., None], report.levi_values], axis=-1)
-    xi_strs = [";".join(f"{v:.17g}" for v in xi) for _, _, xi in grid.points()]
+    xi_strs = [";".join(f"{v:.17g}" for v in xi) for xi in grid.xis.reshape(R * D, -1)]
     csvs = {"conditions.csv": {
         "t": grid.ts[:, None, None, None],
         "xi": np.array(xi_strs, dtype=object).reshape(1, R, D, 1),
@@ -790,8 +787,9 @@ def _cmd_growth(config: RunConfig):
     return results, [], csvs
 
 
-def _trace_payload(trace) -> dict:
-    """Serializable form of an energy trace, stride-decimated to _TRACE_SAMPLES.
+def _trace_payload(trace, residual) -> dict:
+    """Serializable form of an energy trace and its inequality residual,
+    stride-decimated to _TRACE_SAMPLES.
 
     Component (i-1)m + (j-1) of V holds the (j-1)-th time derivative of the
     i-th transformed component, scaled by <xi>^{m-j}.
@@ -807,10 +805,9 @@ def _trace_payload(trace) -> dict:
         "V_im": trace.V[sl].imag,
         "log_scale": trace.log_scale[sl],
     }
-    for name in ("E", "K", "term2", "term3", "dtE", "inequality_residual"):
-        arr = getattr(trace, name)
-        if arr is not None:
-            payload[name] = arr[sl]
+    for name in ("E", "K", "term2", "term3", "dtE"):
+        payload[name] = getattr(trace, name)[sl]
+    payload["inequality_residual"] = residual[sl]
     payload["coercivity_sup"] = trace.coercivity_sup
     return payload
 
@@ -835,7 +832,7 @@ def _cmd_report(config: RunConfig):
         "margins": ineq.margins,
         "K_integrals": ineq.K_integrals,
         "passed": ineq.passed,
-        "traces": [_trace_payload(tr) for tr in traces],
+        "traces": [_trace_payload(tr, r) for tr, r in zip(traces, ineq.residuals)],
     }
     if not ineq.passed:
         failures.append({"kind": "energy_inequality", "witnesses": list(ineq.witnesses)})

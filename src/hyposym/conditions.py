@@ -82,13 +82,10 @@ class SamplingGrid:
     def shape(self) -> tuple:
         return (self.ts.size, self.radii.size, self.dirs.shape[0])
 
-    def xi(self, r_idx: int, d_idx: int) -> np.ndarray:
-        return self.radii[r_idx] * self.dirs[d_idx]
-
-    def points(self):
-        for r_idx in range(self.radii.size):
-            for d_idx in range(self.dirs.shape[0]):
-                yield r_idx, d_idx, self.xi(r_idx, d_idx)
+    @property
+    def xis(self) -> np.ndarray:
+        """The frequencies xi = r * direction, shape (R, D, n)."""
+        return self.radii[:, None, None] * self.dirs
 
 
 @dataclass
@@ -156,7 +153,7 @@ def _grid_blocks(symbol: SystemSymbol, grid: SamplingGrid):
     """Yield (k0, GridData) for the time blocks of _GRID_BLOCK points in turn,
     k0 the block's first time index; one assembler serves every block."""
     T, R, D = grid.shape
-    assembler = PathAssembler(symbol, grid.radii[:, None, None] * grid.dirs)
+    assembler = PathAssembler(symbol, grid.xis)
     _require_finite(assembler.bxi[None], grid, 0, "<xi>")
     step = max(1, _GRID_BLOCK // (R * D))
     for k0 in range(0, T, step):
@@ -170,7 +167,7 @@ def _require_finite(values: np.ndarray, grid: SamplingGrid, k0: int, what: str) 
     if bad.any():
         t_idx, r_idx, d_idx = np.argwhere(bad)[0]
         raise NumericError(f"{what} is not finite at (t={grid.ts[k0 + t_idx]}, "
-                           f"xi={grid.xi(r_idx, d_idx).tolist()})")
+                           f"xi={grid.xis[r_idx, d_idx].tolist()})")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +191,7 @@ def _argmax_witness(values: np.ndarray, grid: SamplingGrid):
     t_idx, r_idx, d_idx = np.unravel_index(flat, values.shape)
     return {
         "t": float(grid.ts[t_idx]),
-        "xi": (grid.radii[r_idx] * grid.dirs[d_idx]).tolist(),
+        "xi": grid.xis[r_idx, d_idx].tolist(),
         "value": float(values[t_idx, r_idx, d_idx]),
     }
 
@@ -394,9 +391,9 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> C
     sw_sup, sw_wit = 0.0, {}
     if sw_vals[k] > 0.0:
         pair, t_idx = divmod(k, T4)
-        xi = grid.xi(*divmod(pair, D))
         sw_sup = float(sw_vals[k])
-        sw_wit = {"t": float(grid.ts[4 * t_idx]), "xi": xi.tolist(), "value": sw_sup}
+        sw_wit = {"t": float(grid.ts[4 * t_idx]), "xi": grid.xis[divmod(pair, D)].tolist(),
+                  "value": sw_sup}
 
     # Zone occupancy of seeded random states at grid spectra.  Each W row is
     # bitwise that of its eigenvalue tuple alone, so the sampled rows are

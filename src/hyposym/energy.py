@@ -12,7 +12,7 @@ order so reports are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log, sqrt
 
 import numpy as np
@@ -23,7 +23,7 @@ from hyposym.quasisym import q_eps, q_eps_parts, sum_parts
 from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
-    initial_states,
+    lift_states,
     lower_order_matrix,
 )
 from hyposym.symbols import (
@@ -104,10 +104,12 @@ class SolverConfig:
         return N, symbol.horizon / N
 
 
-# Time samples per block of the term3 products and of growth_log's row
-# norms: the lifted (m^2 x m^2) complex stacks of 256 samples take 5.3 MB
-# each at m = 6, and a norm over a whole m = 6 trace of 20,001 samples
-# raised the peak RSS of growth by 10 MB.
+# Time samples per block of the energy terms (term2, term3 and the
+# coercivity candidates) and of growth_log's row norms: the lifted
+# (m^2 x m^2) complex stacks of 256 samples take 5.3 MB each at m = 6, a
+# norm over a whole m = 6 trace of 20,001 samples raised the peak RSS of
+# growth by 10 MB, and term2 and the eigenvalues of Q over that whole trace
+# added 29.6 MB of traced memory to the energy diagnostics.
 _TERM3_BLOCK = 256
 
 
@@ -136,7 +138,6 @@ class EnergyTrace:
     dtE: np.ndarray | None = None
     coercivity_sup: float = float("nan")
     nonhyperbolic_points: int = 0
-    inequality_residual: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def growth_log(self) -> float:
@@ -344,9 +345,14 @@ def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
 
 
 def _band_form(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Sum over bands of v* (mat v), with per-time m x m matrices and band blocks."""
-    prod = np.einsum("kab,kib->kia", mats, blocks)
-    return np.einsum("kia,kia->k", np.conj(blocks), prod)
+    """Sum over bands of v* (mat v), with per-time m x m matrices and band
+    blocks, _TERM3_BLOCK samples at a time."""
+    out = np.empty(len(mats), dtype=complex)
+    for s0 in range(0, len(mats), _TERM3_BLOCK):
+        sl = slice(s0, s0 + _TERM3_BLOCK)
+        prod = np.einsum("kab,kib->kia", mats[sl], blocks[sl])
+        out[sl] = np.einsum("kia,kia->k", np.conj(blocks[sl]), prod)
+    return out
 
 
 def _lifted_commutator(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -380,8 +386,8 @@ def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float) -> tuple:
 class _EnergyTerms:
     """E, K, term2, term3, dtE and the coercivity constant of one trajectory.
 
-    Q (the spectra and q_eps) depends only on (ts, xi, eps), so it is built
-    before the states exist.  term2 reads the first m x m block of calA and
+    Q (the spectra and q_eps) depends only on (ts, xi, eps), so it and the
+    coercivity constant are built before the states exist.  term2 reads the first m x m block of calA and
     term3 reads calB, at each sample: :meth:`add` takes them from an
     assembly that the caller already holds (the integration's own windows),
     so nothing is assembled here.  dQ/dt is taken by centred finite
@@ -399,45 +405,46 @@ class _EnergyTerms:
         self.Q = q_eps(spec.lambdas, eps)
         self.nonhyperbolic_points = int(np.count_nonzero(~spec.hyperbolic))
         self.bxi = bracket(xi)
-        self.A0_blocks = np.empty((ts.size, m, m))   # every band shares it
+        self.term2 = np.empty(ts.size)
         self.term3 = np.empty(ts.size)
+        # the coercivity constant needs Q alone; blocks of _TERM3_BLOCK
+        # samples bound the stacks of eigvalsh
+        self.coercivity_sup = 0.0
+        for s0 in range(0, ts.size, _TERM3_BLOCK):
+            eigs = np.linalg.eigvalsh(hermitian_part(self.Q[s0 : s0 + _TERM3_BLOCK]))
+            lo, hi = eigs[:, 0], eigs[:, -1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                floor_ratio = eps ** (2 * (m - 1)) / lo
+            cm = np.where(lo <= 0, hi, np.where(floor_ratio > hi, floor_ratio, hi))
+            self.coercivity_sup = max(self.coercivity_sup,
+                                      float(np.max(cm, where=cm > 0.0, initial=0.0)))
 
     def add(self, k0: int, k1: int, calA, b, V) -> None:
-        """term2's calA block and term3 at samples k0..k1-1.
+        """term2 and term3 at samples k0..k1-1.
 
         ``calA`` and ``b`` are :meth:`PathAssembler.reduce` output for one
         frequency, from sample k0 on; ``V`` holds the states of every sample
-        so far.
-        term3 = |(Q_lift B - B* Q_lift) V | V| goes in blocks of at most
-        _TERM3_BLOCK samples to bound the lifted stacks.
+        so far.  The samples go in blocks of at most _TERM3_BLOCK to bound
+        the lifted stacks of term3 = |(Q_lift B - B* Q_lift) V | V| and the
+        commutator of term2 = |<xi> ((Q A_0 - A_0* Q) V | V)|.
         """
         m = self.Q.shape[-1]
-        self.A0_blocks[k0:k1] = calA[: k1 - k0, 0, :m, :m] / self.bxi
         for s0 in range(k0, k1, _TERM3_BLOCK):
             sl = slice(s0, min(s0 + _TERM3_BLOCK, k1))
-            M3 = _lifted_commutator(self.Q[sl], b[s0 - k0 : sl.stop - k0, 0])
+            Q, A0 = self.Q[sl], calA[s0 - k0 : sl.stop - k0, 0, :m, :m] / self.bxi
+            comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
+                "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q)
+            self.term2[sl] = np.abs(self.bxi * _band_form(comm2, V[sl].reshape(-1, m, m)))
+            M3 = _lifted_commutator(Q, b[s0 - k0 : sl.stop - k0, 0])
             self.term3[sl] = np.abs(np.vecdot(V[sl], (M3 @ V[sl, :, None])[..., 0]))
 
     def finish(self, trace: EnergyTrace) -> None:
         """Fill the trace's diagnostics once :meth:`add` has covered every sample."""
-        ts, V, m, eps, Q = trace.ts, trace.V, trace.m, trace.eps, self.Q
+        ts, m = trace.ts, trace.m
         h = ts[1] - ts[0]
-        blocks = V.reshape(ts.size, m, m)   # blocks[k, i] = band i of V(t_k)
-        trace.E, trace.K = _energy_and_K(Q, blocks, h)
-
-        A0 = self.A0_blocks
-        comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
-            "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q
-        )
-        trace.term2 = np.abs(self.bxi * _band_form(comm2, blocks))
-        trace.term3 = self.term3
-
-        eigs = np.linalg.eigvalsh(hermitian_part(Q))
-        lo, hi = eigs[:, 0], eigs[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            floor_ratio = eps ** (2 * (m - 1)) / lo
-        cm = np.where(lo <= 0, hi, np.where(floor_ratio > hi, floor_ratio, hi))
-        trace.coercivity_sup = float(np.max(cm, where=cm > 0.0, initial=0.0))
+        trace.E, trace.K = _energy_and_K(self.Q, trace.V.reshape(ts.size, m, m), h)
+        trace.term2, trace.term3 = self.term2, self.term3
+        trace.coercivity_sup = self.coercivity_sup
         trace.dtE = np.gradient(trace.E, h)
         trace.nonhyperbolic_points = self.nonhyperbolic_points
 
@@ -447,7 +454,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     """Integrate d/dt V = i (calA + calB) V and record energy diagnostics.
 
     ``V0`` is any complex vector of length m^2 (usually a row of
-    :func:`hyposym.reduction.initial_states`).  The state is rescaled
+    :func:`hyposym.reduction.lift_states` at t = 0).  The state is rescaled
     whenever it grows past RENORM_THRESHOLD, so growing modes never overflow;
     the accumulated log-scale is stored on the trace.  The diagnostics take
     calA and calB from the integration's own assembly, one window at a time.
@@ -518,7 +525,7 @@ def frequency_sweep(symbol: SystemSymbol, config: SolverConfig,
     xis = np.zeros((len(config.xi_grid), symbol.n))
     xis[:, 0] = config.xi_grid
     u0hat = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
-    V0s = initial_states(symbol, np.broadcast_to(u0hat, (len(xis), symbol.m)), xis)
+    V0s = lift_states(symbol, xis, [0.0], np.broadcast_to(u0hat, (1, len(xis), symbol.m)))[0]
     return [reduced_integrate(symbol, xi, V0, config, collect_energy=collect_energy)
             for xi, V0 in zip(xis, V0s)]
 
@@ -537,6 +544,7 @@ class InequalityReport:
     K_integrals: tuple
     passed: bool
     witnesses: tuple
+    residuals: tuple        # per trace: dtE - (K + 1.05 (C2 e<xi> + C3)) E, 0 where E is tiny
 
 
 def _valid_mask(trace: EnergyTrace) -> np.ndarray:
@@ -551,7 +559,8 @@ def energy_inequality_check(traces) -> InequalityReport:
     by nonnegative least squares on the per-trace maxima of dtE/E - K against
     eps * <xi> using every trace except the highest frequency, then asserted
     pointwise on all traces with INEQUALITY_SLACK.  A system whose constants
-    grow with frequency fails at the top frequency.
+    grow with frequency fails at the top frequency.  The traces are left as
+    they are given.
     """
     traces = list(traces)
     if not traces:
@@ -580,13 +589,13 @@ def energy_inequality_check(traces) -> InequalityReport:
         C3 = 0.0
         C2 = float(np.dot(xs[fit_idx], ms[fit_idx]) / np.dot(xs[fit_idx], xs[fit_idx]))
 
-    margins, witnesses, k_ints = [], [], []
+    margins, witnesses, k_ints, residuals = [], [], [], []
     for tr, x in zip(traces, xs):
         mask = _valid_mask(tr)
         bound = tr.K + (1.0 + INEQUALITY_SLACK) * (C2 * x + C3)
         resid = np.where(mask, tr.dtE - bound * tr.E, -np.inf)
         rel = np.where(mask, resid / np.maximum(tr.E, ENERGY_FLOOR), -np.inf)
-        tr.inequality_residual = np.where(mask, resid, 0.0)
+        residuals.append(np.where(mask, resid, 0.0))
         worst = int(np.argmax(rel))
         margins.append(float(rel[worst]) if mask.any() else 0.0)
         witnesses.append({"t": float(tr.ts[worst]), "xi": tr.xi.tolist(),
@@ -595,7 +604,7 @@ def energy_inequality_check(traces) -> InequalityReport:
     passed = all(mg <= 0.0 for mg in margins)
     return InequalityReport(C2=C2, C3=C3, margins=tuple(margins),
                             K_integrals=tuple(k_ints), passed=passed,
-                            witnesses=tuple(witnesses))
+                            witnesses=tuple(witnesses), residuals=tuple(residuals))
 
 
 @dataclass(frozen=True)
@@ -767,14 +776,14 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
 
     xis = wavenumbers[:, None]
     bxi = brackets(xis)
-    V0 = initial_states(symbol, np.ascontiguousarray(u0_hat.T), xis, bxi)
+    V0 = lift_states(symbol, xis, [0.0], np.ascontiguousarray(u0_hat.T)[None], bxi)[0]
 
     # Every mode takes the step of the top wavenumber, so all advance together.
     record = sorted(set(snap_idx.tolist()))
     if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
-        calA, calB = PathAssembler(symbol, xis, bxi)(np.zeros(1))
-        states, _ = _rk4_propagate((1j * (calA + calB))[0], V0, N, h, record)
+        calA, b, _ = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))
+        states, _ = _rk4_propagate((1j * (calA + lower_order_matrix(b)))[0], V0, N, h, record)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
         path = SeparablePath(symbol, xis, bxi)

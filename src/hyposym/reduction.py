@@ -23,7 +23,6 @@ from hyposym.errors import DomainError, NumericError
 from hyposym.symbols import (
     SystemSymbol,
     adjugate_coeffs,
-    bracket,
     brackets,
     eval_symbol_path,
     faddeev_leverrier,
@@ -117,11 +116,6 @@ class PathAssembler:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
                              for l in range(1, m)], axis=-3)
-
-    def __call__(self, ts) -> tuple:
-        """(calA, calB) along ``ts``, shapes (len(ts), ..., m^2, m^2)."""
-        calA, b, _ = self.reduce(ts)
-        return calA, lower_order_matrix(b)
 
 
 # Rows per BLAS product of SeparablePath.apply.  On 2 cores, one OpenBLAS
@@ -218,33 +212,11 @@ def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
     """Stacked (calA, calB) along a time grid, shapes (len(ts), m^2, m^2).
 
     calA is real block-companion; calB is complex.  A stack of frequencies
-    goes through one :class:`PathAssembler`; the building blocks bold_A and
-    bold_B come from :func:`_bold_B_terms`.
+    goes through one :meth:`PathAssembler.reduce`; the building blocks bold_A
+    and bold_B come from :func:`_bold_B_terms`.
     """
-    return PathAssembler(symbol, xi)(ts)
-
-
-def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
-    """Matrices P_j(t) with D_t^j u-hat = P_j u-hat along exact solutions.
-
-    Built from the Leibniz recursion
-    P_0 = I,  P_j = sum_l binom(j-1, l) (D_t^l A) P_{j-1-l};
-    shape of each entry is (len(ts), m, m), or (len(ts), ..., m, m) for a
-    stack of frequencies xi (..., n).
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing symbol's inf entries
-        dtA = [(-1j) ** k * eval_symbol_path(time_derivative(symbol, k), ts, xi).astype(complex)
-               for k in range(max(top - 1, 0) + 1)]
-        maps = [np.broadcast_to(np.eye(symbol.m, dtype=complex), dtA[0].shape).copy()]
-        for j in range(1, top + 1):
-            acc = np.zeros(dtA[0].shape, dtype=complex)
-            for l in range(j):
-                acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
-            maps.append(acc)
-    if not np.isfinite(maps[-1]).all():
-        raise NumericError("the time-derivative maps of u-hat overflow")
-    return maps
+    calA, b, _ = PathAssembler(symbol, xi).reduce(ts)
+    return calA, lower_order_matrix(b)
 
 
 def _power(b: float, e: int) -> float:
@@ -255,46 +227,42 @@ def _power(b: float, e: int) -> float:
         return float("inf")
 
 
-def initial_states(symbol: SystemSymbol, u0hat: np.ndarray, xi: np.ndarray,
-                   bxi=None) -> np.ndarray:
-    """Initial reduced states from u-hat(0, xi): u0hat (q, m) at xi (q, n) to (q, m^2).
+def lift_states(symbol: SystemSymbol, xi, ts, u, bxi=None) -> np.ndarray:
+    """Reduced states of u-hat along ``ts``: u (len(ts), ..., m) at frequencies
+    xi (..., n) to (len(ts), ..., m^2).
 
-    Time derivatives at t = 0 come from the equation D_t u-hat = A u-hat
-    (see :func:`derivative_maps`), then component (i, j) is scaled by
-    <xi>^{m-j}: entry (i - 1) m + (j - 1) of a state holds
-    D_t^{j-1} <xi>^{m-j} u_i-hat.  ``bxi`` is ``brackets(xi)`` if the caller
-    has it.  Each row is bitwise the state of its frequency alone.
+    The time derivatives come from the equation D_t u-hat = A u-hat: D_t^j
+    u-hat = P_j u-hat by the Leibniz recursion P_0 = I,
+    P_j = sum_l binom(j-1, l) (D_t^l A) P_{j-1-l}.  Entry (i - 1) m + (j - 1)
+    of a state holds <xi>^{m-j} D_t^{j-1} u_i-hat.  ``bxi`` is
+    ``brackets(xi)`` if the caller has it.  Each (t, xi) state is bitwise
+    that of its frequency alone.
     """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    u = np.asarray(u, dtype=complex)
     m = symbol.m
-    values = (brackets(xi) if bxi is None else np.asarray(bxi)).tolist()
-    maps = derivative_maps(symbol, xi, np.array([0.0]), m - 1)
-    V = np.zeros((len(values), m * m), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    lead = xi.shape[:-1]
+    if u.shape != (ts.size,) + lead + (m,):
+        raise DomainError(f"u-hat shape {u.shape} does not match the grid "
+                          f"{(ts.size,) + lead + (m,)}")
+    values = np.ravel(brackets(xi) if bxi is None else bxi).tolist()
+    V = np.empty(u.shape[:-1] + (m * m,), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing symbol's inf entries
+        dtA = [(-1j) ** k * eval_symbol_path(time_derivative(symbol, k), ts, xi).astype(complex)
+               for k in range(m - 1)]
+        maps = [np.broadcast_to(np.eye(m, dtype=complex), dtA[0].shape)]
+        for j in range(1, m):
+            acc = np.zeros(dtA[0].shape, dtype=complex)
+            for l in range(j):
+                acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
+            maps.append(acc)
         for j in range(1, m + 1):
-            scale = np.array([_power(b, m - j) for b in values])
-            V[:, j - 1 :: m] = scale[:, None] * np.matvec(maps[j - 1][0], u0hat)
+            scale = np.array([_power(b, m - j) for b in values]).reshape(lead)
+            V[..., j - 1 :: m] = scale[..., None] * np.matvec(maps[j - 1], u)
     if not np.isfinite(V).all():
-        raise NumericError("the initial reduced states overflow")
+        raise NumericError("the lifted states of u-hat overflow")
     return V
-
-
-def lift_trajectory(symbol: SystemSymbol, xi, ts, u_hat_traj: np.ndarray) -> np.ndarray:
-    """Reduced states U(t_k) built from a u-hat trajectory, shape (N, m^2)."""
-    ts = np.asarray(ts, dtype=float)
-    traj = np.asarray(u_hat_traj, dtype=complex)
-    m = symbol.m
-    if traj.shape != (ts.size, m):
-        raise DomainError(
-            f"trajectory shape {traj.shape} does not match grid ({ts.size}, {m})"
-        )
-    bxi = bracket(xi)
-    maps = derivative_maps(symbol, xi, ts, m - 1)
-    U = np.zeros((ts.size, m * m), dtype=complex)
-    for j in range(1, m + 1):
-        dt_u = np.einsum("tij,tj->ti", maps[j - 1], traj)
-        for i in range(m):
-            U[:, i * m + (j - 1)] = bxi ** (m - j) * dt_u[:, i]
-    return U
 
 
 def reduction_residual(symbol: SystemSymbol, xi, t_grid, u_hat_traj) -> float:
@@ -313,7 +281,7 @@ def reduction_residual(symbol: SystemSymbol, xi, t_grid, u_hat_traj) -> float:
     h = steps[0]
     if not np.allclose(steps, h, rtol=1e-9, atol=1e-15):
         raise DomainError("time grid must be uniform")
-    U = lift_trajectory(symbol, xi, ts, u_hat_traj)
+    U = lift_states(symbol, xi, ts, u_hat_traj)
     # Fourth-order central difference; D_t = -i d/dt.
     dU = (U[:-4] - 8.0 * U[1:-3] + 8.0 * U[3:-1] - U[4:]) / (12.0 * h)
     DtU = -1j * dU

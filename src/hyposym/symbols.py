@@ -123,29 +123,12 @@ class Spectrum:
     imag_residual: float | np.ndarray
 
 
-def _check_time(symbol: SystemSymbol, t: float) -> float:
-    t = float(t)
-    if not 0.0 <= t <= symbol.horizon:
-        raise DomainError(f"t={t} outside [0, {symbol.horizon}]")
-    return t
-
-
-def eval_symbol(symbol: SystemSymbol, t: float, xi) -> np.ndarray:
-    """Evaluate A(t, xi) = sum_p A_p(t) xi_p as a real m x m matrix."""
-    t = _check_time(symbol, t)
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (symbol.n,):
-        raise DomainError(f"xi must have {symbol.n} components, got shape {xi.shape}")
-    mats = symbol.direction_matrices(t)
-    return np.einsum("p,pij->ij", xi, mats)
-
-
 def eval_symbol_path(symbol: SystemSymbol, ts: np.ndarray, xi) -> np.ndarray:
-    """Vectorised ``eval_symbol`` over a 1-d array of times.
+    """A(t, xi) = sum_p A_p(t) xi_p, real, along a 1-d array of times.
 
     ``xi`` of shape (n,) gives (len(ts), m, m); a stack (..., n) of
     frequencies gives (len(ts), ..., m, m), each entry bitwise that of its
-    frequency alone.
+    frequency alone.  A single point is ``eval_symbol_path(symbol, [t], xi)[0]``.
     """
     ts = np.asarray(ts, dtype=float)
     if ts.size and (ts.min() < 0.0 or ts.max() > symbol.horizon):

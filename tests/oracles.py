@@ -7,8 +7,10 @@ and the near-diagonality constant work at one point or on one matrix.  The
 lower-order terms of the reduction are formed here in complex arithmetic,
 from the phased paths (-i)^k d^k/dt^k A.  The lockstep RK4 and the
 separable right-hand side allocate their stages and products, as they did
-before they were written in place.  The inline companion systems with a
-double zero eigenvalue at t = 0 are shared by several test modules.  The
+before they were written in place.  The lifting of u-hat to reduced states
+keeps its two earlier forms: at t = 0 with ``np.matvec`` and along a
+trajectory with ``np.einsum``.  The inline companion systems with a double
+zero eigenvalue at t = 0 are shared by several test modules.  The
 conditions grid's ``GridData`` of the whole grid is its time blocks joined.
 """
 
@@ -25,9 +27,9 @@ from hyposym.pencils import hermitian_part
 from hyposym.symbols import (
     SystemSymbol,
     adjugate_coeffs,
+    bracket,
     brackets,
     deleted_sigmas,
-    eval_symbol,
     eval_symbol_path,
     faddeev_leverrier,
     matrix_powers,
@@ -137,7 +139,7 @@ def char_coeffs(symbol: SystemSymbol, t: float, xi) -> CharCoeffs:
     elementary symmetric polynomials of the eigenvalues of A(t, xi); the two
     must agree to CHAR_XCHECK_TOL relative or a ConsistencyError is raised.
     """
-    A = eval_symbol(symbol, t, xi)
+    A = eval_symbol_path(symbol, [t], xi)[0]
     c = faddeev_leverrier(A).real
     # Independent route: general eigensolver on A, then signed symmetric sums.
     try:
@@ -162,7 +164,7 @@ def char_coeffs(symbol: SystemSymbol, t: float, xi) -> CharCoeffs:
 
 def cayley_hamilton_residual(symbol: SystemSymbol, t: float, xi) -> float:
     """Frobenius norm of sum_h c_h A^{m-h}, normalised by ||A||_F^m + 1."""
-    A = eval_symbol(symbol, t, xi)
+    A = eval_symbol_path(symbol, [t], xi)[0]
     c = faddeev_leverrier(A).real
     m = symbol.m
     powers = matrix_powers(A, m)
@@ -243,6 +245,53 @@ def last_rows_reference(symbol: SystemSymbol, ts) -> np.ndarray:
         for hp, term in enumerate(terms):
             L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
     return L.reshape(ts.size, m ** 3, m)
+
+
+def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
+    """Matrices P_j(t), j = 0..top, with D_t^j u-hat = P_j u-hat along exact
+    solutions, from P_0 = I, P_j = sum_l binom(j-1, l) (D_t^l A) P_{j-1-l};
+    each of shape (len(ts), ..., m, m) for frequencies xi (..., n)."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dtA = [(-1j) ** k * eval_symbol_path(time_derivative(symbol, k), ts, xi).astype(complex)
+               for k in range(max(top - 1, 0) + 1)]
+        maps = [np.broadcast_to(np.eye(symbol.m, dtype=complex), dtA[0].shape).copy()]
+        for j in range(1, top + 1):
+            acc = np.zeros(dtA[0].shape, dtype=complex)
+            for l in range(j):
+                acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
+            maps.append(acc)
+    return maps
+
+
+def initial_states(symbol: SystemSymbol, u0hat: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Reduced states of u-hat(0, xi): u0hat (q, m) at xi (q, n) to (q, m^2),
+    each band component scaled by <xi>^{m-j} after one ``np.matvec``."""
+    m = symbol.m
+    values = brackets(xi).tolist()
+    maps = derivative_maps(symbol, xi, np.array([0.0]), m - 1)
+    V = np.zeros((len(values), m * m), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, m + 1):
+            scale = np.array([b ** (m - j) for b in values])
+            V[:, j - 1 :: m] = scale[:, None] * np.matvec(maps[j - 1][0], u0hat)
+    return V
+
+
+def lift_trajectory(symbol: SystemSymbol, xi, ts, u_hat_traj: np.ndarray) -> np.ndarray:
+    """Reduced states U(t_k) of a u-hat trajectory (N, m) at one frequency,
+    shape (N, m^2), the derivative maps applied by ``np.einsum``."""
+    ts = np.asarray(ts, dtype=float)
+    traj = np.asarray(u_hat_traj, dtype=complex)
+    m = symbol.m
+    bxi = bracket(xi)
+    maps = derivative_maps(symbol, xi, ts, m - 1)
+    U = np.zeros((ts.size, m * m), dtype=complex)
+    for j in range(1, m + 1):
+        dt_u = np.einsum("tij,tj->ti", maps[j - 1], traj)
+        for i in range(m):
+            U[:, i * m + (j - 1)] = bxi ** (m - j) * dt_u[:, i]
+    return U
 
 
 def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, after=None):

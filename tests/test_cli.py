@@ -359,7 +359,7 @@ class TestMain:
         import numpy as np
 
         from hyposym.energy import SolverConfig, reduced_integrate
-        from hyposym.reduction import initial_states
+        from hyposym.reduction import lift_states
 
         system = {"m": 2, "n": 2, "horizon": 1.0, "coefficients": [
             [[[0.0], [1.0]], [[0.0, 0.0, 1.0], [0.0]]],
@@ -374,8 +374,8 @@ class TestMain:
         expected = []
         for x in (1.0, 10.0, 100.0):
             xi = np.array([x, 0.0])
-            V0 = initial_states(S, np.ones((1, 2), dtype=complex) / np.sqrt(2), xi[None])[0]
-            expected.append(reduced_integrate(S, xi, V0, SolverConfig(),
+            V0 = lift_states(S, xi[None], [0.0], np.ones((1, 1, 2), dtype=complex) / np.sqrt(2))
+            expected.append(reduced_integrate(S, xi, V0[0, 0], SolverConfig(),
                                               collect_energy=False).growth_log)
         assert results["growth_logs"] == expected
         assert results["growth_logs"] == pytest.approx([0.1869, 0.7865, 1.894], abs=1e-3)
@@ -821,7 +821,7 @@ def _conditions_rows(report, m):
     for t_idx, t in enumerate(grid.ts):
         for r_idx in range(grid.radii.size):
             for d_idx in range(grid.dirs.shape[0]):
-                xi_str = ";".join(f"{v:.17g}" for v in grid.xi(r_idx, d_idx))
+                xi_str = ";".join(f"{v:.17g}" for v in grid.radii[r_idx] * grid.dirs[d_idx])
                 rows.append((float(t), xi_str, "ks", 0, 0,
                              float(report.ks_values[t_idx, r_idx, d_idx])))
                 for l in range(m - 1):

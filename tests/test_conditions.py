@@ -33,6 +33,12 @@ def small_grid(symbol, n_t=41, n_r=6, r_max=100.0):
     return SamplingGrid.default(symbol, n_t=n_t, n_r=n_r, r_max=r_max)
 
 
+def grid_points(grid):
+    """(r, d, xi) of every frequency of the grid, in (r, d) order."""
+    for r_idx, d_idx in np.ndindex(grid.radii.size, grid.dirs.shape[0]):
+        yield r_idx, d_idx, grid.radii[r_idx] * grid.dirs[d_idx]
+
+
 def constant_symbol(M, horizon=1.0):
     M = np.asarray(M, dtype=float)
     coeffs = np.zeros((1, M.shape[0], M.shape[0], 1))
@@ -234,7 +240,7 @@ class TestSandwichConstant:
         grid = SamplingGrid.default(S, n_t=21, n_r=5, r_max=1000.0)
         levi = run_conditions(S, grid).levi_values
         alpha_frozen = np.sqrt(2.0)
-        for r_idx, d_idx, xi in grid.points():
+        for r_idx, d_idx, xi in grid_points(grid):
             for t_idx in range(grid.ts.size):
                 L = levi[t_idx, r_idx, d_idx].max()
                 C = sandwich_constant(S, grid.ts[t_idx], xi)
@@ -300,7 +306,7 @@ class TestSandwichAgainstLifted:
 def _sandwich_loop(symbol, grid):
     """Per-point oracle: every 4th t, first maximiser in (r, d, t) order."""
     sup, witness = 0.0, {}
-    for _, _, xi in grid.points():
+    for _, _, xi in grid_points(grid):
         for t_idx in range(0, grid.ts.size, 4):
             value = sandwich_constant(symbol, grid.ts[t_idx], xi)
             if value > sup:
@@ -523,6 +529,15 @@ class TestRunConditions:
         value = run_conditions(S, grid).ks_constant
         assert np.isfinite(value)
 
+    def test_grid_frequencies_are_radius_times_direction(self):
+        for n, n_dirs in ((1, 2), (2, 7), (3, 5)):
+            S = SystemSymbol(coeffs=np.ones((n, 2, 2, 1)), horizon=1.0)
+            grid = SamplingGrid.default(S, n_t=3, n_r=6, n_dirs=n_dirs)
+            xis = grid.xis
+            assert xis.shape == (6, grid.dirs.shape[0], n)
+            for r_idx, d_idx, xi in grid_points(grid):
+                assert xis[r_idx, d_idx].tobytes() == xi.tobytes(), (n, r_idx, d_idx)
+
 
 class TestEvaluateGridStacked:
     """The one-assembler, time-blocked evaluate_grid against a per-point loop."""
@@ -537,7 +552,7 @@ class TestEvaluateGridStacked:
         char0 = np.zeros((T, R, D, m + 1))
         b = np.zeros((T, R, D, m - 1, m, m), dtype=complex)
         norms = np.zeros((T, R, D, m - 1))
-        for r_idx, d_idx, xi in grid.points():
+        for r_idx, d_idx, xi in grid_points(grid):
             bxi = bracket(xi)
             A = eval_symbol_path(symbol, grid.ts, xi)
             char0[:, r_idx, d_idx] = faddeev_leverrier(A / bxi).real

@@ -30,10 +30,9 @@ from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
     assemble_path,
-    initial_states,
-    lift_trajectory,
+    lift_states,
 )
-from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol, rescaled_spectra
+from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol_path, rescaled_spectra
 from hyposym.quasisym import q_eps, verify_properties
 from oracles import (
     M4_DOUBLE_ZERO,
@@ -47,7 +46,7 @@ from oracles import (
 def initial_state(symbol, u0hat, xi):
     """The reduced state of u-hat(0, xi) = u0hat at one frequency xi."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return initial_states(symbol, np.asarray(u0hat, dtype=complex)[None], xi[None])[0]
+    return lift_states(symbol, xi[None], [0.0], np.asarray(u0hat, dtype=complex)[None, None])[0, 0]
 
 
 def reweight_energy(trace, symbol, eps):
@@ -151,7 +150,7 @@ def reference_rk4(M_half, N, h, y0, renormalize):
 
 def step_matrices(S, xis, ts):
     """i (calA + calB) of S at the frequency stack xis (q, n) along ts, (len(ts), q, d, d)."""
-    return 1j * np.add(*PathAssembler(S, xis)(ts))
+    return 1j * np.add(*assemble_path(S, xis, ts))
 
 
 def dense_rk4(S, xis, ts_half, Y0, N, h, record, renormalize=False):
@@ -188,7 +187,7 @@ def windowed_solve(S, u0, config, snapshot_ts):
     N, h = config.steps_for(S, np.array([n / 2.0]))
     snap_idx = np.clip(np.rint(np.asarray(snapshot_ts) / h).astype(int), 0, N)
     record = sorted(set(snap_idx.tolist()))
-    V0 = initial_states(S, np.fft.fft(u0, axis=1).T, xis)
+    V0 = lift_states(S, xis, [0.0], np.fft.fft(u0, axis=1).T[None])[0]
     states, _ = dense_rk4(S, xis, np.linspace(0.0, S.horizon, 2 * N + 1), V0, N, h, record)
     first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
     return np.fft.ifft(first * brackets(xis) ** (-(m - 1)), axis=2)
@@ -211,7 +210,7 @@ class TestDirectIntegrate:
         xi = np.array([2.0])
         u0 = np.array([1.0, 0.25 - 0.5j])
         ts, traj = direct_integrate(S, xi, u0, SolverConfig(t_step=1e-3))
-        A = eval_symbol(S, 0.0, xi)
+        A = eval_symbol_path(S, [0.0], xi)[0]
         for idx in (len(ts) // 2, len(ts) - 1):
             exact = expm(1j * ts[idx] * A) @ u0
             np.testing.assert_allclose(traj[idx], exact, atol=1e-10)
@@ -221,7 +220,7 @@ class TestDirectIntegrate:
         xi = np.array([5.0])
         u0 = np.array([1.0, 1.0]) / np.sqrt(2)
         ts, traj = direct_integrate(S, xi, u0, SolverConfig())
-        A = eval_symbol(S, 0.0, xi)
+        A = eval_symbol_path(S, [0.0], xi)[0]
         exact = expm(1j * ts[-1] * A) @ u0
         np.testing.assert_allclose(traj[-1], exact, rtol=1e-6)
         # exp(i t A xi) has modes exp(+-xi t): growth rate xi up to a
@@ -245,7 +244,7 @@ def oracle_gap(symbol, xi, u0hat, config) -> float:
     state, normalised by the largest lifted state norm.
     """
     ts, traj = direct_integrate(symbol, xi, u0hat, config)
-    U = lift_trajectory(symbol, xi, ts, traj)
+    U = lift_states(symbol, xi, ts, traj)
     V0 = initial_state(symbol, u0hat, xi)
     trace = reduced_integrate(symbol, xi, V0, config, collect_energy=False)
     scale = max(float(np.linalg.norm(U, axis=1).max()), 1e-300)
@@ -340,6 +339,27 @@ class TestReducedIntegrate:
                     assert getattr(got, name).tobytes() == ref[name].tobytes(), (S.m, x, name)
                 assert got.coercivity_sup == ref["coercivity_sup"], (S.m, x)
 
+    def test_band_forms_hold_one_block(self):
+        """E, K and term2 take their band forms _TERM3_BLOCK samples at a
+        time: at m = 6 the products over 16,384 samples take 9.4 MB, and the
+        whole-trace form held two such stacks."""
+        import tracemalloc
+
+        k, m = 64 * _TERM3_BLOCK, 6
+        rng = np.random.default_rng(2)
+        Q = rng.standard_normal((k, m, m))
+        blocks = rng.standard_normal((k, m, m)) + 1j * rng.standard_normal((k, m, m))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            form = energy._band_form(Q, blocks)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < k * m * m * 16 / 4
+        ref = np.einsum("kia,kia->k", np.conj(blocks), np.einsum("kab,kib->kia", Q, blocks))
+        assert form.tobytes() == ref.tobytes()
+
     def test_constant_symbol_renormalises_across_windows_bitwise(self, monkeypatch):
         """A constant symbol steps its one assembly in bounded windows; a run
         that renormalises twice is bitwise the step-by-step oracle, and its
@@ -425,6 +445,19 @@ class TestEnergyInequality:
                                   collect_energy=False)
         with pytest.raises(DomainError):
             energy_inequality_check([trace])
+
+    def test_check_leaves_its_traces_unchanged(self):
+        traces = self.traces_for("m2-glaeser", (10.0, 100.0, 1000.0))
+        before = [{k: np.copy(v) for k, v in vars(tr).items()} for tr in traces]
+        rep = energy_inequality_check(traces)
+        for tr, fields in zip(traces, before):
+            assert vars(tr).keys() == fields.keys()
+            for k, v in fields.items():
+                assert np.asarray(getattr(tr, k)).tobytes() == v.tobytes(), k
+        # one residual per trace and sample, zero where the energy is negligible
+        assert [r.shape for r in rep.residuals] == [tr.ts.shape for tr in traces]
+        for tr, r in zip(traces, rep.residuals):
+            assert np.all(r[tr.E <= 1e-280] == 0.0)
 
 
 class TestIntegralKSweep:
@@ -569,7 +602,9 @@ class TestSolveCauchy1d:
         def refuse(*args, **kwargs):
             raise AssertionError("a solve must not assemble dense matrices")
 
-        monkeypatch.setattr(reduction.PathAssembler, "__call__", refuse)
+        monkeypatch.setattr(reduction.PathAssembler, "reduce", refuse)
+        monkeypatch.setattr(reduction, "lower_order_matrix", refuse)
+        monkeypatch.setattr(energy, "lower_order_matrix", refuse)
         S = builtin_system("m2-glaeser")
         n = 16
         x = 2 * np.pi * np.arange(n) / n
@@ -950,8 +985,8 @@ class TestRK4Propagate:
         T = field.snapshot_ts[0]
         u0h = np.fft.fft(u0, axis=1)
         k = np.fft.fftfreq(n, d=1.0 / n)
-        exact_h = np.stack([expm(1j * T * eval_symbol(S, 0.0, np.array([kq]))) @ u0h[:, q]
-                            for q, kq in enumerate(k)], axis=1)
+        A = eval_symbol_path(S, [0.0], k[:, None])[0]
+        exact_h = np.stack([expm(1j * T * A[q]) @ u0h[:, q] for q in range(n)], axis=1)
         exact = np.fft.ifft(exact_h, axis=1)
         err = np.abs(field.fields[0] - exact).max() / np.abs(exact).max()
         assert err <= 1e-8

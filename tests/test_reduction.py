@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from hyposym import (
     DomainError,
     SystemSymbol,
-    eval_symbol,
     reduction_residual,
     time_derivative,
 )
@@ -20,9 +19,7 @@ from hyposym.reduction import (
     SeparablePath,
     _bold_B_terms,
     assemble_path,
-    derivative_maps,
-    initial_states,
-    lift_trajectory,
+    lift_states,
 )
 from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier, rescaled_spectra
 from hyposym.conditions import SamplingGrid
@@ -32,8 +29,11 @@ from oracles import (
     M6_DOUBLE_ZERO,
     bold_B_terms,
     companion_symbol,
+    derivative_maps,
     grid_data,
+    initial_states,
     last_rows_reference,
+    lift_trajectory,
     reduce_reference,
 )
 
@@ -52,7 +52,7 @@ def blocks_at(S, t, xi):
 
 def state_at(S, u0, xi):
     """The reduced state of u-hat(0, xi) = u0 at one frequency xi."""
-    return initial_states(S, np.asarray(u0, dtype=complex)[None], xi[None])[0]
+    return lift_states(S, xi[None], [0.0], np.asarray(u0, dtype=complex)[None, None])[0, 0]
 
 
 class TestBoldA:
@@ -63,7 +63,7 @@ class TestBoldA:
     def test_m3_first_order(self):
         S = dense_symbol(3, 2)
         t, xi = 0.3, np.array([1.5])
-        A = eval_symbol(S, t, xi)
+        A = eval_symbol_path(S, [t], xi)[0]
         np.testing.assert_allclose(
             blocks_at(S, t, xi)[0][1], A - np.trace(A) * np.eye(3), atol=1e-12
         )
@@ -79,21 +79,21 @@ class TestBoldB:
     def test_m2_is_time_derivative(self):
         S = builtin_system("m2-glaeser")
         t, xi = 0.7, np.array([3.0])
-        dA = eval_symbol(time_derivative(S, 1), t, xi)
+        dA = eval_symbol_path(time_derivative(S, 1), [t], xi)[0]
         np.testing.assert_allclose(blocks_at(S, t, xi)[1][0], -1j * dA, atol=1e-12)
 
     def test_m3_second_matrix(self):
         S = dense_symbol(3, 5)
         t, xi = 0.4, np.array([2.0])
-        dA = eval_symbol(time_derivative(S, 1), t, xi)
+        dA = eval_symbol_path(time_derivative(S, 1), [t], xi)[0]
         np.testing.assert_allclose(blocks_at(S, t, xi)[1][1], 2.0 * (-1j) * dA, atol=1e-12)
 
     def test_m3_first_matrix(self):
         S = dense_symbol(3, 6)
         t, xi = 0.9, np.array([1.0])
-        A = eval_symbol(S, t, xi)
-        dA = -1j * eval_symbol(time_derivative(S, 1), t, xi)
-        d2A = (-1j) ** 2 * eval_symbol(time_derivative(S, 2), t, xi)
+        A = eval_symbol_path(S, [t], xi)[0]
+        dA = -1j * eval_symbol_path(time_derivative(S, 1), [t], xi)[0]
+        d2A = (-1j) ** 2 * eval_symbol_path(time_derivative(S, 2), [t], xi)[0]
         expected = d2A + (A - np.trace(A) * np.eye(3)) @ dA
         np.testing.assert_allclose(blocks_at(S, t, xi)[1][0], expected, atol=1e-12)
 
@@ -110,7 +110,7 @@ class TestBoldB:
                 Ah = bold_A[h]
                 for hp in range(h, m - 1):
                     k = hp + 1 - h
-                    dA = (-1j) ** k * eval_symbol(time_derivative(S, k), t, xi)
+                    dA = (-1j) ** k * eval_symbol_path(time_derivative(S, k), [t], xi)[0]
                     direct[m - 2 - hp] += comb(m - 1 - h, k) * (Ah @ dA)
             for l in range(1, m):
                 regrouped = bold_B[l - 1]
@@ -208,7 +208,7 @@ class TestTransformInitialData:
         xi = np.array([3.0])
         u0 = np.array([1.0, 1.0 - 1.0j])
         V = state_at(S, u0, xi)
-        Au = eval_symbol(S, 0.0, xi) @ u0
+        Au = eval_symbol_path(S, [0.0], xi)[0] @ u0
         assert V[1] == pytest.approx(Au[0])
         assert V[3] == pytest.approx(Au[1])
 
@@ -268,8 +268,71 @@ class TestLiftTrajectory:
         u0 = np.array([0.2, -1.0, 0.5 + 0.5j])
         ts = np.linspace(0.0, 0.1, 6)
         traj = np.tile(u0, (6, 1))
-        U = lift_trajectory(S, xi, ts, traj)
+        U = lift_states(S, xi, ts, traj)
         np.testing.assert_allclose(U[0], state_at(S, u0, xi), atol=1e-14)
+
+
+def lift_symbols():
+    """m = 2..6: the built-ins, dense random symbols, the inline double-zero
+    systems and one symbol in two space dimensions."""
+    yield builtin_system("m2-glaeser")
+    yield builtin_system("m3-tracezero")
+    for m in range(2, 7):
+        yield dense_symbol(m, 30 + m)
+    yield M4_DOUBLE_ZERO
+    yield M6_DOUBLE_ZERO
+    rng = np.random.default_rng(12)
+    yield SystemSymbol(coeffs=rng.uniform(-1, 1, (2, 4, 4, 3)), horizon=1.0)
+
+
+class TestLiftStates:
+    """The one lifting of u-hat against its earlier forms, kept in the oracles."""
+
+    def test_stack_matches_each_frequency_alone_bitwise(self):
+        rng = np.random.default_rng(5)
+        ts = np.linspace(0.0, 1.0, 9)
+        for S in lift_symbols():
+            m = S.m
+            xis = rng.uniform(-30.0, 30.0, (6, S.n))
+            u = rng.standard_normal((ts.size, 6, m)) + 1j * rng.standard_normal((ts.size, 6, m))
+            V = lift_states(S, xis, ts, u)
+            assert V.shape == (ts.size, 6, m * m)
+            for r, xi in enumerate(xis):
+                alone = lift_states(S, xi, ts, u[:, r])
+                assert V[:, r].tobytes() == alone.tobytes(), (m, S.n, r)
+
+    def test_at_zero_matches_initial_states_bitwise(self):
+        rng = np.random.default_rng(6)
+        for S in lift_symbols():
+            m = S.m
+            xis = rng.uniform(-50.0, 50.0, (7, S.n))
+            u0 = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
+            V = lift_states(S, xis, [0.0], u0[None])[0]
+            assert V.tobytes() == initial_states(S, u0, xis).tobytes(), (m, S.n)
+
+    def test_trajectory_matches_lift_trajectory(self):
+        # einsum and matvec round the derivative maps' products differently
+        # on dense symbols from m = 3 on; they agree bit for bit at m = 2 and
+        # on the built-in systems (the first two of lift_symbols)
+        rng = np.random.default_rng(7)
+        ts = np.linspace(0.0, 1.0, 41)
+        for k, S in enumerate(lift_symbols()):
+            m = S.m
+            xi = rng.uniform(-20.0, 20.0, S.n)
+            traj = rng.standard_normal((ts.size, m)) + 1j * rng.standard_normal((ts.size, m))
+            U = lift_states(S, xi, ts, traj)
+            ref = lift_trajectory(S, xi, ts, traj)
+            if m == 2 or k < 2:
+                assert U.tobytes() == ref.tobytes(), (m, S.n, k)
+            gap = np.abs(U - ref).max(axis=1)
+            assert np.all(gap <= 1e-15 * np.abs(ref).max(axis=1)), (m, S.n, gap.max())
+
+    def test_shape_mismatch_and_overflow(self):
+        S = builtin_system("m3-tracezero")
+        with pytest.raises(DomainError):
+            lift_states(S, np.ones((4, 1)), [0.0, 0.5], np.zeros((2, 3, 3)))
+        with pytest.raises(NumericError):
+            lift_states(S, np.array([1e300]), [0.0], np.ones((1, 3)))
 
 
 def stack_symbols():
@@ -291,7 +354,7 @@ class TestStackedFrequencies:
             # integer wavenumbers as in a solve, then random frequencies
             xis = np.concatenate([np.repeat(np.arange(-48.0, 48.0)[:, None], S.n, axis=1),
                                   rng.uniform(-1e3, 1e3, (32, S.n))])
-            calA, calB = PathAssembler(S, xis)(ts)
+            calA, calB = assemble_path(S, xis, ts)
             assert calA.shape == (ts.size, len(xis), S.m ** 2, S.m ** 2)
             for r, xi in enumerate(xis):
                 refA, refB = assemble_path(S, xi, ts)
@@ -313,7 +376,7 @@ class TestStackedFrequencies:
             m = S.m
             xis = rng.uniform(-40.0, 40.0, (7, S.n))
             u0 = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
-            V = initial_states(S, u0, xis)
+            V = lift_states(S, xis, [0.0], u0[None])[0]
             for r, xi in enumerate(xis):
                 bxi = bracket(xi)
                 maps = derivative_maps(S, xi, np.array([0.0]), m - 1)
@@ -345,7 +408,7 @@ class TestSeparablePath:
         sample = np.concatenate([[0, 1, 2], rng.choice(ts_half.size, 10, replace=False),
                                  [ts_half.size - 1]])
         L = path.last_rows(ts_half[sample])
-        calA, calB = PathAssembler(S, xis)(ts_half[sample])
+        calA, calB = assemble_path(S, xis, ts_half[sample])
         for k in range(sample.size):
             Y = rng.standard_normal((len(xis), d)) + 1j * rng.standard_normal((len(xis), d))
             M = 1j * (calA[k] + calB[k])

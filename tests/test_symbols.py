@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyposym import DomainError, SystemSymbol, eval_symbol, time_derivative
+from hyposym import DomainError, SystemSymbol, time_derivative
 from hyposym.errors import CapabilityError, NumericError
 from hyposym.examples import builtin_system
 from hyposym.symbols import (
@@ -31,12 +31,13 @@ def symbol_2x2(a_poly):
 class TestEvalSymbol:
     def test_direct_substitution(self):
         S = symbol_2x2([0.0, 0.0, 1.0])  # a(t) = t^2
-        A = eval_symbol(S, 2.0, np.array([3.0]))
+        A = eval_symbol_path(S, [2.0], np.array([3.0]))[0]
         np.testing.assert_allclose(A, [[0.0, 3.0], [12.0, 0.0]])
 
     def test_zero_frequency(self):
         S = symbol_2x2([0.0, 1.0])
-        np.testing.assert_array_equal(eval_symbol(S, 1.0, np.array([0.0])), np.zeros((2, 2)))
+        np.testing.assert_array_equal(eval_symbol_path(S, [1.0], np.array([0.0]))[0],
+                                      np.zeros((2, 2)))
 
     def test_tracefree_3x3(self):
         # trace-free shape with a(t) = 4 held constant
@@ -45,13 +46,13 @@ class TestEvalSymbol:
         coeffs[0, 1, 0, 0] = 1.0
         coeffs[0, 2, 1, 0] = 1.0
         S = SystemSymbol(coeffs=coeffs, horizon=1.0)
-        A = eval_symbol(S, 0.5, np.array([1.0]))
+        A = eval_symbol_path(S, [0.5], np.array([1.0]))[0]
         np.testing.assert_allclose(A, [[0, 4, 0], [1, 0, 0], [0, 1, 0]], atol=1e-12)
 
     def test_time_outside_horizon(self):
         S = symbol_2x2([1.0])
         with pytest.raises(DomainError):
-            eval_symbol(S, 5.0, np.array([1.0]))
+            eval_symbol_path(S, [5.0], np.array([1.0]))
 
     def test_m7_rejected(self):
         with pytest.raises(CapabilityError):
@@ -69,7 +70,7 @@ class TestEvalSymbol:
                 eval_symbol_path(S, ts, np.ones(shape))
         assert eval_symbol_path(S, ts, np.array([3.0, 0.0])).shape == (2, 2, 2)
         np.testing.assert_array_equal(eval_symbol_path(S, ts, np.array([3.0, 0.0]))[1],
-                                      eval_symbol(S, 0.5, np.array([3.0, 0.0])))
+                                      eval_symbol_path(S, [0.5], np.array([3.0, 0.0]))[0])
         assert eval_symbol_path(S, ts, np.ones((4, 2))).shape == (2, 4, 2, 2)
 
 
@@ -272,7 +273,7 @@ class TestAdjugate:
     def test_m2_form(self):
         S = symbol_2x2([0.0, 1.0])
         t, xi = 2.0, 3.0
-        A = eval_symbol(S, t, np.array([xi]))
+        A = eval_symbol_path(S, [t], np.array([xi]))[0]
         B = adjugate_coeffs(A, faddeev_leverrier(A))
         np.testing.assert_array_equal(B[0], np.eye(2))
         np.testing.assert_allclose(B[1], A - np.trace(A) * np.eye(2), atol=1e-12)
@@ -280,7 +281,7 @@ class TestAdjugate:
     def test_m3_form(self):
         S = builtin_system("m3-tracezero")
         t, xi = 0.9, 2.0
-        A = eval_symbol(S, t, np.array([xi]))
+        A = eval_symbol_path(S, [t], np.array([xi]))[0]
         B = adjugate_coeffs(A, faddeev_leverrier(A))
         adjA = np.linalg.det(A) * np.linalg.inv(A) if abs(np.linalg.det(A)) > 1e-12 else None
         np.testing.assert_array_equal(B[0], np.eye(3))
@@ -293,7 +294,7 @@ class TestAdjugate:
         coeffs = np.zeros((1, 2, 2, 1))
         coeffs[..., 0] = [[1.0, 2.0], [3.0, 4.0]]
         S = SystemSymbol(coeffs=coeffs, horizon=1.0)
-        A = eval_symbol(S, 0.0, np.array([1.0]))
+        A = eval_symbol_path(S, [0.0], np.array([1.0]))[0]
         B = adjugate_coeffs(A, faddeev_leverrier(A))
         tau = 5.0
         adj_at_tau = B[0] * tau + B[1]
@@ -365,7 +366,7 @@ class TestTimeDerivative:
         S = symbol_2x2([0.0, 0.0, 1.0])
         dS = time_derivative(S, 1)
         np.testing.assert_allclose(
-            eval_symbol(dS, 3.0, np.array([1.0])), [[0.0, 0.0], [6.0, 0.0]]
+            eval_symbol_path(dS, [3.0], np.array([1.0]))[0], [[0.0, 0.0], [6.0, 0.0]]
         )
 
     def test_identity_at_order_zero(self):
@@ -375,7 +376,7 @@ class TestTimeDerivative:
     def test_second_derivative_of_cubic(self):
         S = symbol_2x2([0.0, 0.0, 0.0, 1.0])  # a = t^3
         d2 = time_derivative(S, 2)
-        assert eval_symbol(d2, 1.0, np.array([1.0]))[1, 0] == pytest.approx(6.0)
+        assert eval_symbol_path(d2, [1.0], np.array([1.0]))[0, 1, 0] == pytest.approx(6.0)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
