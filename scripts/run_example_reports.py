@@ -62,7 +62,7 @@ SYSTEM_EXTRAS = {"inline-n2-m3": {"grids": {"t_points": 41, "xi_points": 8}}}
 PIPELINES = {
     "m2-glaeser": ("reduce", "verify-qs", "conditions", "growth", "report", "solve"),
     "m2-wave": ("reduce", "conditions", "solve"),
-    "m2-nonhyp-control": ("growth", "conditions", "report"),
+    "m2-nonhyp-control": ("growth", "conditions", "report", "solve"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
     "inline-m4": ("reduce", "growth", "report"),
     "inline-m6": ("reduce", "growth"),

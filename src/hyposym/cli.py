@@ -598,7 +598,8 @@ def _cmd_reduce(config: RunConfig):
     xi = np.zeros(symbol.n)
     xi[0] = min(10.0, float(config.data["grids"]["xi_list"][0]))
     u0 = np.ones(symbol.m, dtype=complex)
-    h0 = min(4e-3, config.data["solver"]["cfl_safety"] / bracket(xi))   # the stiffness guard
+    # the stiffness guard, and 4 steps or more on a short horizon
+    h0 = min(4e-3, config.data["solver"]["cfl_safety"] / bracket(xi), symbol.horizon / 4)
     steps = (h0, h0 / 2, h0 / 4)
     total = sum(config.solver_config(t_step=h).step_count(symbol, xi) for h in steps)
     if total > MAX_SWEEP_STEPS:
@@ -839,7 +840,7 @@ def _cmd_report(config: RunConfig):
     # -2(m-1)/k with the k of a balanced eps policy; other policies keep k = 2
     policy = config.data["eps_policy"]
     k = policy["k"] if policy["kind"] == "balanced" else 2.0
-    sweep = integral_K_sweep(traces[0], config.symbol, (1e-1, 1e-2, 1e-3), k_regularity=k)
+    sweep = integral_K_sweep(traces[0], (1e-1, 1e-2, 1e-3), k_regularity=k)
     results["K_sweep"] = {
         "eps": sweep.eps_values,
         "integrals": sweep.K_integrals,

@@ -120,7 +120,8 @@ class EnergyTrace:
     ``V`` stores the (possibly renormalised) state; the true state is
     V * exp(log_scale[:, None]).  ``K`` is |(dQ/dt V|V)| / (Q V|V); ``term2``
     and ``term3`` are the commutator summands of the growth inequality;
-    ``dtE`` is the centred difference of E.  All energy diagnostics refer to
+    ``dtE`` is the centred difference of E; ``lambdas`` (len(ts), m) are the
+    rescaled eigenvalues Q was built from.  All energy diagnostics refer to
     the stored state, so across a renormalisation step dtE carries a negative
     spike; ratios like K and term/E are scale-free.
     """
@@ -136,6 +137,7 @@ class EnergyTrace:
     term2: np.ndarray | None = None
     term3: np.ndarray | None = None
     dtE: np.ndarray | None = None
+    lambdas: np.ndarray | None = None
     coercivity_sup: float = float("nan")
     nonhyperbolic_points: int = 0
 
@@ -237,73 +239,37 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     return out, logs
 
 
-def _matrix_powers(R: np.ndarray, exponents: list):
-    """Yield R^n for each n of ``exponents`` in turn, each bitwise
-    ``np.linalg.matrix_power(R, n)``.
-
-    The squares R^(2^k) are formed once for all exponents, and only those an
-    exponent takes are kept, each until its last product; one power is held
-    at a time.  Each power is built as matrix_power builds it: R^3 as
-    (R R) R, every other n as the product of its squares from the least
-    significant bit up.
-    """
-    bits = [[k for k in range(n.bit_length()) if n >> k & 1] for n in exponents]
-    last = {k: i for i, ks in enumerate(bits) for k in ks}
-    squares, z = {}, R
-    for k in range(max(last, default=-1) + 1):
-        if k:
-            z = np.matmul(z, z)
-        if k in last:
-            squares[k] = z
-    del z
-
-    def take(k, i):
-        """Square k for power i, dropped from ``squares`` at its last use."""
-        return squares.pop(k) if last[k] == i else squares[k]
-
-    for i, (n, ks) in enumerate(zip(exponents, bits)):
-        if n == 0:
-            power = np.empty_like(R)
-            power[...] = np.eye(R.shape[-1], dtype=R.dtype)
-        elif n == 3:
-            power = np.matmul(take(1, i), take(0, i))
-        else:
-            power = take(ks[0], i)
-            for k in ks[1:]:
-                power = np.matmul(power, take(k, i))
-        yield power
-
-
 def _rk4_propagate(M: np.ndarray, Y0, N: int, h: float, record):
-    """:func:`_lockstep_rk4` for constant matrices M (q, d, d), by propagator powers.
+    """:func:`_lockstep_rk4`'s states for constant matrices M (q, d, d), in one sweep.
 
     On a constant matrix one RK4 step is multiplication by its stability
     polynomial R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, so the state
-    at step k is R(hM)^k y0.  R is formed once per row and the state jumps
-    from one recorded step to the next by R^delta, then on to step N so that
-    a run fails where the stepped run would; the powers of all jumps share
-    one set of squares of R (:func:`_matrix_powers`).  Not bitwise the
-    stepped run: the powers round differently from four stages per step.
-    Returns the same (states, logs) as the stepped run, logs all zero.
+    at step k is R(hM)^k y0.  Each recorded step k, and N, starts from y0 and
+    takes the square R^(2^b) of every set bit b of k as the squares are
+    formed, so one square is held at a time.  Not bitwise the stepped run:
+    about log2(N) products round where it rounds four stages per step.  The
+    states, (len(record), q, d), are checked in ascending step order, so a
+    run fails where the stepped run would.
     """
-    Y = np.array(Y0, dtype=complex)
+    Y0 = np.array(Y0, dtype=complex)
     eye = np.eye(M.shape[-1])
-    # A zero row stays zero, as in the stepped run, even where R^delta overflows.
-    live = Y.any(axis=1, keepdims=True)
-    stops = sorted(set(int(k) for k in record if k > 0) | {N})
-    at = {0: Y}
+    # A zero row stays zero, as in the stepped run, even where a square of R overflows.
+    live = Y0.any(axis=1, keepdims=True)
+    at = dict.fromkeys(sorted(set(int(k) for k in record) | {N}), Y0)
     # overflow surfaces through the isfinite guard, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         Z = h * M
         R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
-        jumps = _matrix_powers(R, np.diff([0] + stops).tolist())
-        for k in stops:
-            Y = np.where(live, np.matvec(next(jumps), Y), 0)
-            if not np.isfinite(Y).all():
-                raise NumericError(f"non-finite state by step {k} of {N}")
-            at[k] = Y
-    out = np.array([at[int(k)] for k in record]).reshape((len(record),) + Y.shape)
-    return out, np.zeros(out.shape[:2])
+        for bit in range(N.bit_length()):
+            if bit:
+                R = R @ R
+            for k in at:
+                if k >> bit & 1:
+                    at[k] = np.where(live, np.matvec(R, at[k]), 0)
+    for k, Y in at.items():
+        if not np.isfinite(Y).all():
+            raise NumericError(f"non-finite state by step {k} of {N}")
+    return np.array([at[int(k)] for k in record]).reshape((len(record),) + Y0.shape)
 
 
 def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
@@ -402,6 +368,7 @@ class _EnergyTerms:
     def __init__(self, symbol: SystemSymbol, ts, xi, eps: float):
         m = symbol.m
         spec = rescaled_spectra(symbol, ts, xi)
+        self.lambdas = spec.lambdas
         self.Q = q_eps(spec.lambdas, eps)
         self.nonhyperbolic_points = int(np.count_nonzero(~spec.hyperbolic))
         self.bxi = bracket(xi)
@@ -446,6 +413,7 @@ class _EnergyTerms:
         trace.term2, trace.term3 = self.term2, self.term3
         trace.coercivity_sup = self.coercivity_sup
         trace.dtE = np.gradient(trace.E, h)
+        trace.lambdas = self.lambdas
         trace.nonhyperbolic_points = self.nonhyperbolic_points
 
 
@@ -618,19 +586,21 @@ class KSweepReport:
     C1_values: tuple        # integral * eps^{-theoretical exponent}
 
 
-def integral_K_sweep(trace: EnergyTrace, symbol: SystemSymbol, eps_values,
-                     k_regularity: float = 2.0) -> KSweepReport:
+def integral_K_sweep(trace: EnergyTrace, eps_values, k_regularity: float = 2.0) -> KSweepReport:
     """Measure int_0^T K_eps dt along one trajectory across the eps sweep.
 
     Fits the exponent p in int K ~ C eps^p by least squares on the log-log
     pairs and reports the theoretical bound exponent -2(m-1)/k next to it.
     An integral that is not positive has no logarithm, so then p is not
     measured and reads nan (a constant symbol has dQ/dt = 0 and K = 0).
+    The trace must carry energy diagnostics: the sweep reads its spectra.
     """
-    m = symbol.m
+    if trace.lambdas is None:
+        raise DomainError("the trace must carry energy diagnostics")
+    m = trace.m
     # Only the eps-weighted sum of the quasi-symmetriser parts depends on eps.
     ts = trace.ts
-    parts = q_eps_parts(rescaled_spectra(symbol, ts, trace.xi).lambdas)
+    parts = q_eps_parts(trace.lambdas)
     blocks = trace.V.reshape(ts.size, m, m)
     integrals = []
     for eps in eps_values:
@@ -751,8 +721,9 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     renormalised: a mode that overflows fails the solve.  A variable symbol
     is stepped with the matrix-free right-hand side of
     :class:`hyposym.reduction.SeparablePath`, its t-only rows built once per
-    half-step; a constant symbol jumps between the snapshot steps by RK4
-    propagator powers (:func:`_rk4_propagate`) instead of stepping.
+    half-step; a constant symbol is not stepped: each snapshot is the RK4
+    propagator power R(hM)^k V0, taken by one sweep over the bits of the
+    snapshot steps (:func:`_rk4_propagate`).
     """
     if symbol.n != 1:
         raise DomainError("the Cauchy solver is one-dimensional (n = 1)")
@@ -783,7 +754,7 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
         calA, b, _ = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))
-        states, _ = _rk4_propagate((1j * (calA + lower_order_matrix(b)))[0], V0, N, h, record)
+        states = _rk4_propagate((1j * (calA + lower_order_matrix(b)))[0], V0, N, h, record)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
         path = SeparablePath(symbol, xis, bxi)

@@ -7,7 +7,8 @@ and the near-diagonality constant work at one point or on one matrix.  The
 lower-order terms of the reduction are formed here in complex arithmetic,
 from the phased paths (-i)^k d^k/dt^k A.  The lockstep RK4 and the
 separable right-hand side allocate their stages and products, as they did
-before they were written in place.  The lifting of u-hat to reduced states
+before they were written in place.  The constant-coefficient RK4 solve
+keeps its chain of propagator powers from one recorded step to the next.  The lifting of u-hat to reduced states
 keeps its two earlier forms: at t = 0 with ``np.matvec`` and along a
 trajectory with ``np.einsum``.  The inline companion systems with a double
 zero eigenvalue at t = 0 are shared by several test modules.  The
@@ -346,3 +347,24 @@ def separable_apply_reference(path, L, Y, bxi) -> np.ndarray:
     weighted = (path.weights * Y[:, None, :]).reshape(path.blocks)
     out[:, m - 1 :: m] = (weighted @ L).reshape(-1, m)
     return out
+
+
+def rk4_propagate_reference(M, Y0, N, h, record) -> np.ndarray:
+    """``hyposym.energy._rk4_propagate`` as a chain of jumps: the state moves
+    from one recorded step to the next, and on to N, by
+    ``np.linalg.matrix_power(R(hM), delta)``, and fails at the first stop
+    whose state is not finite."""
+    Y = np.array(Y0, dtype=complex)
+    eye = np.eye(M.shape[-1])
+    live = Y.any(axis=1, keepdims=True)
+    stops = sorted(set(int(k) for k in record if k > 0) | {N})
+    at = {0: Y}
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = h * M
+        R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+        for k, delta in zip(stops, np.diff([0] + stops).tolist()):
+            Y = np.where(live, np.matvec(np.linalg.matrix_power(R, delta), Y), 0)
+            if not np.isfinite(Y).all():
+                raise NumericError(f"non-finite state by step {k} of {N}")
+            at[k] = Y
+    return np.array([at[int(k)] for k in record]).reshape((len(record),) + Y.shape)

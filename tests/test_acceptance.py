@@ -215,9 +215,8 @@ def test_criterion_5_integral_K_scaling():
     # is expected to fail; the bound itself, int K <= C1 eps^{-2(m-1)/k},
     # holds with large headroom and is checked in the unit suite.
     S = builtin_system("m2-glaeser")
-    rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(100.0,)),
-                                           collect_energy=False)[0],
-                           S, (1e-1, 1e-2, 1e-3), k_regularity=2.0)
+    rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(100.0,)))[0],
+                           (1e-1, 1e-2, 1e-3), k_regularity=2.0)
     target = rep.theoretical_exponent
     ok = abs(rep.fitted_exponent - target) <= 0.25 * abs(target)
     announce("5 (K-scaling)", ok,

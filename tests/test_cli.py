@@ -555,6 +555,18 @@ def test_reduce_residual_study_keeps_to_the_stiffness_guard(tmp_path, capsys):
     assert [row["step"] for row in study] == [h0, h0 / 2, h0 / 4]
 
 
+def test_reduce_residual_study_takes_four_steps_on_a_short_horizon(tmp_path, capsys):
+    # At T = 0.01 the usual first step 4e-3 leaves 3 steps, and the lifting
+    # of a trajectory needs 5 samples: the steps then start at T / 4.
+    path = write_config(tmp_path, {"system": {"m": 2, "n": 1, "horizon": 0.01,
+                                              "coefficients": [[[[0.0], [1.0]],
+                                                                [[1.0], [0.0]]]]}})
+    out = tmp_path / "out"
+    assert main(["reduce", "--config", str(path), "--out", str(out)]) == 0, capsys.readouterr()
+    study = json.loads((out / "report.json").read_text())["results"]["residual_study"]
+    assert [row["step"] for row in study] == [0.01 / 4, 0.01 / 8, 0.01 / 16]
+
+
 def test_grid_point_budget():
     # An n = 2 grid has the 16 directions it is given.
     from hyposym.cli import MAX_GRID_POINTS

@@ -39,6 +39,7 @@ from oracles import (
     M6_DOUBLE_ZERO,
     lift_blocks,
     lockstep_rk4_reference,
+    rk4_propagate_reference,
     separable_apply_reference,
 )
 
@@ -477,19 +478,28 @@ class TestIntegralKSweep:
             S = builtin_system(name)
             xi = np.array([10.0])
             eps_values = (1e-1, 1e-2, 1e-3)
-            sweep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)),
-                                                     collect_energy=False)[0], S, eps_values)
+            sweep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)))[0],
+                                     eps_values)
             V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
             base = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
             for eps, value in zip(eps_values, sweep.K_integrals):
                 tr = reweight_energy(base, S, eps)
                 assert value == float(np.trapezoid(tr.K, tr.ts)), (name, eps)
 
+    def test_sweep_reads_the_spectra_of_the_trace(self):
+        S = builtin_system("m3-tracezero")
+        trace = frequency_sweep(S, SolverConfig(xi_grid=(10.0,)))[0]
+        want = rescaled_spectra(S, trace.ts, trace.xi).lambdas
+        assert trace.lambdas.tobytes() == want.tobytes()
+        bare = frequency_sweep(S, SolverConfig(xi_grid=(10.0,)), collect_energy=False)[0]
+        with pytest.raises(DomainError, match="energy diagnostics"):
+            integral_K_sweep(bare, (1e-1,))
+
     def test_upper_bound_direction_holds(self):
         # int K <= C1 eps^{-2(m-1)/k} with C1 calibrated at the largest eps.
         S = builtin_system("m2-glaeser")
-        rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)),
-                                               collect_energy=False)[0], S, (1e-1, 1e-2, 1e-3))
+        rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)))[0],
+                               (1e-1, 1e-2, 1e-3))
         C1 = rep.C1_values[0]
         for eps, val in zip(rep.eps_values, rep.K_integrals):
             assert val <= C1 * eps ** rep.theoretical_exponent * (1 + 1e-9)
@@ -498,8 +508,8 @@ class TestIntegralKSweep:
         S = builtin_system("m2-glaeser")
         vals = []
         for h in (4e-4, 2e-4):
-            rep = integral_K_sweep(frequency_sweep(S, SolverConfig(t_step=h, xi_grid=(100.0,)),
-                                                   collect_energy=False)[0], S, (1e-2,))
+            rep = integral_K_sweep(frequency_sweep(S, SolverConfig(t_step=h, xi_grid=(100.0,)))[0],
+                                   (1e-2,))
             vals.append(rep.K_integrals[0])
         assert vals[0] == pytest.approx(vals[1], rel=1e-5)
 
@@ -840,7 +850,7 @@ class TestGrowthLog:
 class TestRK4Propagate:
     """Propagator powers R(hM)^k against the stepped constant-coefficient run.
 
-    Not bitwise: the stepped run rounds once per step, the powers about
+    Not bitwise: the stepped run rounds once per step, the sweep about
     log2(N) times, so the two differ by roughly N unit roundoffs of each
     row's size (1.1e-12 at N = 10,241).
     """
@@ -858,9 +868,8 @@ class TestRK4Propagate:
         ref, _ = constant_rk4(M, V0, N, h, range(N + 1))
         scale = np.abs(ref).max(axis=(0, 2))[:, None]
         for record in ([0, N // 3, N], [0, N // 3, N // 3, N], [N // 3, N]):
-            states, logs = _rk4_propagate(M, V0, N, h, record)
+            states = _rk4_propagate(M, V0, N, h, record)
             assert states.shape == (len(record), len(xis), d)
-            assert logs.shape == (len(record), len(xis)) and not logs.any()
             for slot, k in enumerate(record):
                 err = np.abs(states[slot] - ref[k]).max(axis=1, keepdims=True)
                 assert (err <= TestRK4Propagate.TOL * scale).all(), (record, k)
@@ -889,69 +898,61 @@ class TestRK4Propagate:
         N, h = SolverConfig().steps_for(S, xis[-1])
         M = step_matrices(S, xis, np.zeros(1))[0]
         V0 = np.array([[1.0, 0.5j, -0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
-        states, _ = _rk4_propagate(M, V0, N, h, [N])   # one jump: R^N itself overflows
+        states = _rk4_propagate(M, V0, N, h, [N])   # the squares of R^N overflow
         ref, _ = constant_rk4(M, V0, N, h, [N])
         assert not states[:, 1].any() and not ref[:, 1].any()
         scale = np.abs(ref[:, 0]).max()
         assert np.abs(states[:, 0] - ref[:, 0]).max() <= self.TOL * scale
 
-    def test_powers_match_matrix_power_bitwise(self):
-        # solve-wave's jumps: R^5120 to the snapshot at t = 0.5, then R^5121 to N
-        from hyposym.energy import _matrix_powers
+    @staticmethod
+    def _compare_chain(S, xis, N, h, seed=5):
+        from hyposym.energy import _rk4_propagate
 
-        S = builtin_system("m2-wave")
-        xis = np.fft.fftfreq(64, d=1.0 / 64)[:, None]
-        N, h = SolverConfig().steps_for(S, np.array([32.0]))
         M = step_matrices(S, xis, np.zeros(1))[0]
-        Z = h * M
-        eye = np.eye(4)
-        R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
-        # then exponents of several squares each, a square's last use before
-        # later exponents that take other squares, and 3 after R^2 is gone
-        exponents = [0, 1, 2, 3, 4, 5, 6, 7, 5120, 5121, 1023, 12289, 4097, 3, 6144, 2, 8191]
-        powers = list(_matrix_powers(R, exponents))
-        assert len(powers) == len(exponents)
-        for n, power in zip(exponents, powers):
-            assert power.tobytes() == np.linalg.matrix_power(R, n).tobytes(), n
+        rng = np.random.default_rng(seed)
+        shape = (len(xis), M.shape[-1])
+        V0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for record in ([0, N // 2, N], [N // 3, N // 3, N], [N]):
+            ref = rk4_propagate_reference(M, V0, N, h, record)
+            states = _rk4_propagate(M, V0, N, h, record)
+            scale = np.abs(ref).max(axis=(0, 2))[:, None]
+            assert (np.abs(states - ref).max(axis=0) <= 1e-15 * scale).all(), record
 
-    def test_powers_drop_each_square_after_its_last_product(self):
-        # solve-wave's jumps R^5120 and R^5121 at 1,024 modes take the squares
-        # R^1024 and R^4096.  The generator holds at most three matrices
-        # besides R, as matrix_power does: R^1024 is dropped once R R^1024 is
-        # formed, before the product with R^4096 (four when it was kept).
+    def test_sweep_matches_jump_chain_at_solve_wave_shape(self):
+        # solve-wave: 1,024 modes, N = 10,241, snapshots at N / 2 and N
+        S = builtin_system("m2-wave")
+        xis = np.fft.fftfreq(1024, d=1.0 / 1024)[:, None]
+        N, h = SolverConfig().steps_for(S, np.array([512.0]))
+        assert N == 10241
+        self._compare_chain(S, xis, N, h)
+
+    def test_sweep_matches_jump_chain_on_nonhyperbolic_control(self):
+        # modes grow like exp(xi t), up to exp(300) without renormalisation
+        S = builtin_system("m2-nonhyp-control")
+        xis = np.array([[0.0], [1.0], [-7.0], [50.0], [300.0], [-300.0]])
+        N, h = SolverConfig().steps_for(S, np.array([300.0]))
+        self._compare_chain(S, xis, N, h)
+
+    def test_sweep_holds_one_square_at_a_time(self):
+        # solve-wave's stack: the sweep holds R, its next square and the
+        # states, about 3.8 M.nbytes; a chain of jumps that keeps the squares
+        # it still needs beside the jump being built peaks near 5.8 M.nbytes
         import tracemalloc
 
-        from hyposym.energy import _matrix_powers
+        from hyposym.energy import _rk4_propagate
 
         rng = np.random.default_rng(4)
-        R = np.eye(4) + 1e-3 * (rng.standard_normal((1024, 4, 4))
-                                + 1j * rng.standard_normal((1024, 4, 4)))
+        M = 1e-3 * (rng.standard_normal((1024, 4, 4)) + 1j * rng.standard_normal((1024, 4, 4)))
+        V0 = rng.standard_normal((1024, 4)) + 1j * rng.standard_normal((1024, 4))
+        N = 10241
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for power in _matrix_powers(R, [5120, 5121]):
-                del power
+            _rk4_propagate(M, V0, N, 1.0 / N, [0, N // 2, N])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * R.nbytes
-
-    def test_powers_match_matrix_power_where_they_overflow(self):
-        from hyposym.energy import _matrix_powers
-
-        S = builtin_system("m2-nonhyp-control")
-        xis = np.array([[1.0], [1024.0]])
-        N, h = SolverConfig().steps_for(S, xis[-1])
-        Z = h * step_matrices(S, xis, np.zeros(1))[0]
-        eye = np.eye(4)
-        R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
-        exponents = [3, N // 2, N]
-        with np.errstate(over="ignore", invalid="ignore"):
-            powers = list(_matrix_powers(R, exponents))
-            for n, power in zip(exponents, powers):
-                want = np.linalg.matrix_power(R, n)
-                assert np.array_equal(power, want, equal_nan=True), n
-        assert np.isfinite(powers[-1][0]).all() and not np.isfinite(powers[-1][1]).all()
+        assert peak < 4.5 * M.nbytes
 
     def test_overflow_raises_numeric_error(self):
         from hyposym.errors import NumericError
