@@ -6,7 +6,9 @@ Writes one output directory per (system, command) pair, holding the
 ``config.json`` it ran and the ``report.json`` it produced, and prints a
 summary table of exit codes and wall times (``time.perf_counter`` around each
 CLI call), so the whole desk-scale experiment set can be reproduced with a
-single invocation:
+single invocation.  A numpy ``RuntimeWarning`` in a CLI call is an error, as
+in the test suite: the call stops there and counts as failed.  An inline
+system whose reduction overflows checks that such a run ends in exit 3:
 
     python scripts/run_example_reports.py --out runs/
 
@@ -27,6 +29,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from hyposym.cli import main as hyposym_main
@@ -53,6 +56,9 @@ INLINE_SYSTEMS = {
     "inline-n2-m3": {"m": 3, "n": 2, "horizon": 1.0, "coefficients": [
         [[[1.0], [0.0], [0.0]], [[0.0], [0.0], [0.0]], [[0.0], [0.0], [-1.0]]],
         [[[0.0], [0.0, 1.0], [0.0]], [[0.0, 1.0], [0.0], [1.0]], [[0.0], [1.0], [0.0]]]]},
+    # 1e300 xi [[0, 1], [1, 0]]: a constant symbol whose reduction overflows.
+    "inline-overflow": {"m": 2, "n": 1, "horizon": 1.0,
+                        "coefficients": [[[[0.0], [1e300]], [[1e300], [0.0]]]]},
 }
 
 # Config entries of a system's runs beside the defaults: the n = 2 system's
@@ -67,7 +73,11 @@ PIPELINES = {
     "inline-m4": ("reduce", "growth", "report"),
     "inline-m6": ("reduce", "growth"),
     "inline-n2-m3": ("conditions",),
+    "inline-overflow": ("growth", "solve"),
 }
+
+# Exit codes a system's runs must end in, where that is not 0 or 2.
+EXPECTED_EXITS = {"inline-overflow": (3,)}
 
 SOLVE_EXTRAS = {
     "grid_size": 1024,
@@ -98,15 +108,23 @@ def run_all(out_root: Path, seed: int) -> int:
             cfg_path = out_dir / "config.json"
             cfg_path.write_text(json.dumps(doc))
             start = time.perf_counter()
-            code = hyposym_main([command, "--config", str(cfg_path), "--out", str(out_dir)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    code = hyposym_main([command, "--config", str(cfg_path),
+                                         "--out", str(out_dir)])
+                except RuntimeWarning as exc:
+                    print(f"error: {name} {command}: RuntimeWarning: {exc}", file=sys.stderr)
+                    code = "W"
             rows.append((name, command, code, time.perf_counter() - start))
-            if code in (1, 3):
+            if code not in EXPECTED_EXITS.get(name, (0, 2)):
                 failures += 1
     width = max(len(row[0]) for row in rows)
     print(f"\n{'system':<{width}}  {'command':<10}  exit  {'wall_s':>7}")
     for name, command, code, wall in rows:
         note = {0: "ok", 2: "property finding (see report.json)",
-                3: "computation not trustworthy (see stderr)"}.get(code, "error")
+                3: "computation not trustworthy (see stderr)",
+                "W": "numpy RuntimeWarning (see stderr)"}.get(code, "error")
         print(f"{name:<{width}}  {command:<10}  {code}     {wall:7.2f}  {note}")
     return 1 if failures else 0
 

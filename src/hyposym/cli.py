@@ -18,7 +18,6 @@ reruns with identical inputs produce byte-identical numeric payloads.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import re
@@ -26,6 +25,16 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+try:
+    # hashlib loads OpenSSL's libcrypto, about 3.5 MB of RSS, for one digest a
+    # run; CPython's built-in module gives the same digest.
+    from _sha2 import sha256        # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython up to 3.11
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -422,8 +431,14 @@ def _count(n) -> str:
 
 
 def config_hash(config: RunConfig) -> str:
+    """The report's ``config_sha256``: the hex SHA-256 of the UTF-8 bytes of
+    ``json.dumps(config.data, sort_keys=True, separators=(",", ":"))``, whose
+    ``ensure_ascii`` escapes make them plain ASCII.  The digest comes from
+    CPython's built-in SHA-256 module where it exists, so a run that never
+    samples does not load OpenSSL; ``hashlib.sha256`` gives the same digest.
+    """
     canonical = json.dumps(config.data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +596,7 @@ def _cmd_reduce(config: RunConfig):
     xi_list = config.data["grids"]["xi_list"][:3]
     xis = np.zeros((len(xi_list), symbol.n))
     xis[:, 0] = xi_list
-    calA, b, c = PathAssembler(symbol, xis).reduce(sample_ts)
-    # (t, xi) pairs whose reduction overflowed, taken frequency by frequency
-    bad = ~(np.isfinite(calA).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1))).T
-    if bad.any():
-        k, i = np.argwhere(bad)[0]
-        raise NumericError(f"the reduction overflows at (t={float(sample_ts[i])}, "
-                           f"xi={xis[k].tolist()})")
+    calA, b, c = PathAssembler(symbol, xis).checked_reduce(sample_ts)
     calB = lower_order_matrix(b)
     results: dict = {"samples": [
         {"t": t, "xi": xi.tolist(), "calA": calA[i, k], "calB_re": calB[i, k].real,

@@ -440,7 +440,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     assembler = PathAssembler(symbol, xi[None])
     constant = symbol.is_constant()
     if constant:   # assembled once; each window holds it broadcast over its steps
-        calA0, b0 = assembler.reduce(ts_half[:1])[:2]
+        calA0, b0 = assembler.checked_reduce(ts_half[:1])[:2]
         M = (1j * (calA0 + lower_order_matrix(b0)))[0]
     held = ()      # calA and b of the current window at its integer steps k0..k1
 
@@ -753,7 +753,7 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     record = sorted(set(snap_idx.tolist()))
     if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
-        calA, b, _ = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))
+        calA, b, _ = PathAssembler(symbol, xis, bxi).checked_reduce(np.zeros(1))
         states = _rk4_propagate((1j * (calA + lower_order_matrix(b)))[0], V0, N, h, record)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)

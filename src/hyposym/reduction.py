@@ -109,6 +109,18 @@ class PathAssembler:
             calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
         return calA, self.entries(boldB), c
 
+    def checked_reduce(self, ts) -> tuple:
+        """:meth:`reduce` of a stack xi (K, n), raising NumericError at the first
+        (t, xi) pair, frequency by frequency, whose reduction overflowed."""
+        ts = np.atleast_1d(ts)
+        calA, b, c = self.reduce(ts)
+        bad = ~(np.isfinite(calA).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1))).T
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            raise NumericError(f"the reduction overflows at (t={float(ts[i])}, "
+                               f"xi={self.xi[k].tolist()})")
+        return calA, b, c
+
     def entries(self, boldB: list) -> np.ndarray:
         """b[..., l-1, :, :] = bold_B_l <xi>^(l-m) of [bold_B_1, ..., bold_B_{m-1}]
         at these frequencies; see :func:`lower_order_matrix`."""

@@ -10,6 +10,8 @@ The other way round, every name that ``perfbench/`` or ``scripts/`` imports
 from the package must exist, and so must every name of ``hyposym.__all__``.
 Each recursion of the reduction has one producer: only the definitions
 pinned in ``PRODUCERS`` read ``faddeev_leverrier`` or ``adjugate_coeffs``.
+No module imports ``hashlib``, which loads OpenSSL, except as the fallback
+of CPython's built-in SHA-256 module.
 """
 
 import ast
@@ -138,3 +140,44 @@ def test_tooling_imports_resolve():
             if not found:
                 missing.append(f"{path.relative_to(ROOT)}: {module} {name or ''}".rstrip())
     assert not missing, f"names the tooling imports that the package lacks: {missing}"
+
+
+# CPython's built-in SHA-256 module: _sha256 up to 3.11, _sha2 from 3.12
+BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
+def _modules_imported(*nodes) -> set:
+    """Top-level names of the modules that the imports under ``nodes`` load."""
+    found = set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, ast.ImportFrom) and sub.module:
+            found.add(sub.module.split(".")[0])
+        elif isinstance(sub, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in sub.names)
+    return found
+
+
+def hashlib_imports() -> list:
+    """``module:line`` of each import of hashlib in src/ that is not in the
+    ``except ImportError`` handler of a ``try`` importing the built-in module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        fallback = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Try) and BUILTIN_SHA256 & _modules_imported(*node.body):
+                fallback.update(id(sub) for handler in node.handlers
+                                if isinstance(handler.type, ast.Name)
+                                and handler.type.id in ("ImportError", "ModuleNotFoundError")
+                                for sub in ast.walk(handler))
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and "hashlib" in _modules_imported(node) and id(node) not in fallback]
+    return found
+
+
+def test_hashlib_only_as_the_builtin_sha256_fallback():
+    # config_hash's one digest a run would otherwise load OpenSSL's libcrypto
+    # into solve, growth and reduce, which never sample.
+    stray = hashlib_imports()
+    assert not stray, f"imports of hashlib outside the built-in SHA-256 fallback: {stray}"

@@ -621,6 +621,69 @@ def test_overflowing_constant_coefficient_solve_exits_three(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+# A(t, xi) = 1e300 xi [[0, 1], [1, 0]]: det A overflows at every xi != 0.
+OVERFLOWING_CONSTANT = {"m": 2, "n": 1, "horizon": 1.0,
+                        "coefficients": [[[[0.0], [1e300]], [[1e300], [0.0]]]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, xi", [("growth", 10.0), ("solve", 1.0)])
+def test_constant_reduction_overflow_names_its_first_point(tmp_path, capsys, command, xi):
+    # The constant paths form i (calA + calB) once, at t = 0; an overflowed
+    # reduction there once printed numpy's "invalid value encountered in
+    # multiply" ahead of the exit-3 line.  growth meets it at its first
+    # sweep frequency, solve at wavenumber 1 (wavenumber 0 is A = 0).
+    path = write_config(tmp_path, {"system": OVERFLOWING_CONSTANT})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"the reduction overflows at (t=0.0, xi=[{xi}])" in err
+    assert "Warning" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("system, out", [
+    ({"name": "m2-glaeser"}, None),
+    (OVERFLOWING_CONSTANT, None),
+    ({"name": "m3-tracezero"}, "résultats/β→γ"),
+], ids=["builtin", "inline", "non-ascii-out"])
+def test_config_hash_is_sha256_of_canonical_json(system, out):
+    import hashlib
+
+    cfg = parse_config(json.dumps({"system": system, "out": out}))
+    canonical = json.dumps(cfg.data, sort_keys=True, separators=(",", ":"))
+    assert config_hash(cfg) == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _builtin_sha256_missing() -> bool:
+    import importlib.util
+
+    return all(importlib.util.find_spec(name) is None for name in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(_builtin_sha256_missing(), reason="no built-in SHA-256 module")
+@pytest.mark.parametrize("command", ["solve", "growth", "reduce"])
+def test_commands_that_never_sample_leave_openssl_unloaded(tmp_path, command):
+    # config_hash takes CPython's built-in SHA-256: hashlib would load
+    # OpenSSL's libcrypto through _hashlib.  Only numpy.random, which the
+    # seeded sampling of conditions, verify-qs and report needs, loads it.
+    path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, "grid_size": 16})
+    script = (
+        "import sys\n"
+        "from hyposym.cli import main\n"
+        f"code = main([{command!r}, '--config', {str(path)!r}, '--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    src = Path(hyposym.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("command, doc, message, key_path", [
     ("solve", {"solver": {"cfl_safety": 1e-12}}, "grid_size x RK4 steps", "solver.cfl_safety"),
     ("solve", {"grid_size": 2 ** 20}, "grid_size x RK4 steps", "grid_size"),

@@ -49,6 +49,8 @@ GLAESER = [[[[0.0], [1.0]], [[0.0, 0.0, 1.0], [0.0]]]]
 # Last row (0, c t^2): the squares in the condition ratios overflow.
 LAST_ROW_1E160 = [[[[0.0], [1.0]], [[0.0], [0.0, 0.0, 1e160]]]]
 LAST_ROW_1E300 = [[[[0.0], [1.0]], [[0.0], [0.0, 0.0, 1e300]]]]
+# 1e300 xi [[0, 1], [1, 0]]: a constant symbol whose reduction overflows.
+OVERFLOWING_CONSTANT = [[[[0.0], [1e300]], [[1e300], [0.0]]]]
 # A cyclic shift times 1e-200: its states stay small where <xi>^5 overflows.
 TINY_M6 = _inline([[[[1e-200 * (i == j + 1 or (i == 0 and j == 5))] for j in range(6)]
                     for i in range(6)]])
@@ -63,6 +65,7 @@ SYSTEMS = [
     _inline([[[[0.0], [1.0]], [[0.0, 0.0, 1e308], [0.0]]]]),
     _inline(LAST_ROW_1E160),
     _inline(LAST_ROW_1E300),
+    _inline(OVERFLOWING_CONSTANT),
     _inline([[[[0.0], [1.0]], [[1.0], [0.0]]], [[[1.0], [0.0]], [[0.0], [-1.0]]]]),
     _inline([[[[1e60 * (i == j + 1 or (i == 5 and j == 0))] for j in range(6)]
               for i in range(6)]]),
@@ -198,6 +201,8 @@ def _fixed_step(**grids):
          argv_parts=("solve", []))
 @example(doc=_with(("system",), _inline(LAST_ROW_1E160)), argv_parts=("conditions", []))
 @example(doc=_with(("system",), _inline(LAST_ROW_1E300)), argv_parts=("report", []))
+@example(doc=_with(("system",), _inline(OVERFLOWING_CONSTANT)), argv_parts=("growth", []))
+@example(doc=_with(("system",), _inline(OVERFLOWING_CONSTANT)), argv_parts=("solve", []))
 @example(doc=_with(("grid_size",), 3), argv_parts=("growth", []))
 @example(doc=_with(("solver", "t_step"), 0), argv_parts=("conditions", []))
 @example(doc=_with(("solver", "cfl_safety"), 0), argv_parts=("conditions", []))
