@@ -7,8 +7,9 @@ Writes one output directory per (system, command) pair, holding the
 summary table of exit codes and wall times (``time.perf_counter`` around each
 CLI call), so the whole desk-scale experiment set can be reproduced with a
 single invocation.  A numpy ``RuntimeWarning`` in a CLI call is an error, as
-in the test suite: the call stops there and counts as failed.  An inline
-system whose reduction overflows checks that such a run ends in exit 3:
+in the test suite: the call stops there and counts as failed.  Inline
+systems whose reduction or whose renormalised states overflow check that
+such a run ends in exit 3:
 
     python scripts/run_example_reports.py --out runs/
 
@@ -59,6 +60,13 @@ INLINE_SYSTEMS = {
     # 1e300 xi [[0, 1], [1, 0]]: a constant symbol whose reduction overflows.
     "inline-overflow": {"m": 2, "n": 1, "horizon": 1.0,
                         "coefficients": [[[[0.0], [1e300]], [[1e300], [0.0]]]]},
+    # [[0, 1], [1 + 1e160 t, 0]]: the Gram product of its sandwich constant overflows.
+    "inline-1e160": {"m": 2, "n": 1, "horizon": 1.0,
+                     "coefficients": [[[[0.0], [1.0]], [[1.0, 1e160], [0.0]]]]},
+    # [[0, 1], [1e50, 0]]: the sweep's RK4 steps lie far past the stability
+    # interval, and a state's norm overflows in one step.
+    "inline-1e50": {"m": 2, "n": 1, "horizon": 1.0,
+                    "coefficients": [[[[0.0], [1.0]], [[1e50], [0.0]]]]},
 }
 
 # Config entries of a system's runs beside the defaults: the n = 2 system's
@@ -74,10 +82,12 @@ PIPELINES = {
     "inline-m6": ("reduce", "growth"),
     "inline-n2-m3": ("conditions",),
     "inline-overflow": ("growth", "solve"),
+    "inline-1e160": ("conditions",),
+    "inline-1e50": ("growth", "report"),
 }
 
 # Exit codes a system's runs must end in, where that is not 0 or 2.
-EXPECTED_EXITS = {"inline-overflow": (3,)}
+EXPECTED_EXITS = {"inline-overflow": (3,), "inline-1e50": (3,)}
 
 SOLVE_EXTRAS = {
     "grid_size": 1024,

@@ -5,11 +5,12 @@ validated and unknown keys are rejected with their path.  Exit codes:
 
 * 0 -- run completed (classifications and measured constants are data),
 * 1 -- usage error: bad arguments (argparse errors included), invalid
-  config, I/O failure,
+  config, a run over the RK4 work budget that its command checks before it
+  computes anything, I/O failure,
 * 2 -- a property the analysed system was expected to satisfy failed on this
   input; the report carries witnesses,
 * 3 -- computation not trustworthy: a numeric or consistency check failed
-  (for example a state overflowed), and no report is written.
+  (for example the reduction or a state overflowed), and no report is written.
 
 Reports embed the canonical config echo, its SHA-256 hash, and the seed, so
 reruns with identical inputs produce byte-identical numeric payloads.
@@ -63,8 +64,9 @@ COMMANDS = ("reduce", "verify-qs", "conditions", "solve", "growth", "report")
 # for: about ten times the default 201 x 32 x 16 = 102,912 grid points.
 MAX_GRID_POINTS = 1 << 20
 
-# Largest RK4 work a config may ask for, with the step counts that
-# SolverConfig.steps_for gives.  A solve steps grid_size modes with the step
+# Largest RK4 work a command may run, with the step counts that
+# SolverConfig.steps_for gives; each command that integrates checks its own
+# before it computes anything.  A solve steps grid_size modes with the step
 # of its top wavenumber grid_size / 2: at most 2^27 = 134,217,728
 # mode-steps, about 13 times the default 1,024 x 10,241.  A frequency sweep
 # (growth, report) takes one run per grids.xi_list entry: at most 2^21 =
@@ -333,7 +335,6 @@ def parse_config(text: str) -> RunConfig:
         _is_number(v) and v > 0 for v in xi_list
     ):
         errors.append("grids.xi_list must be a non-empty list of positive numbers")
-        xi_list = None
 
     policy = data["eps_policy"]
     kind = _kind_of(policy, _EPS_POLICY_KEYS)
@@ -355,11 +356,9 @@ def parse_config(text: str) -> RunConfig:
                 errors.append("eps_policy.k must be >= 1")
 
     solver = data["solver"]
-    t_step = None
     if solver["t_step"] is not None:
-        t_step = _require_number(solver, "t_step", errors, "solver.", positive=True)
-    cfl_safety = _require_number(solver, "cfl_safety", errors, "solver.", positive=True)
-    steps_valid = cfl_safety is not None and (t_step is not None or solver["t_step"] is None)
+        _require_number(solver, "t_step", errors, "solver.", positive=True)
+    _require_number(solver, "cfl_safety", errors, "solver.", positive=True)
 
     init = data["initial_data"]
     kind = _kind_of(init, _INITIAL_DATA_KEYS)
@@ -392,10 +391,6 @@ def parse_config(text: str) -> RunConfig:
     grid_size = _require_number(data, "grid_size", errors, "", low=2, integer=True)
     if grid_size is not None and grid_size & (grid_size - 1):
         errors.append("grid_size must be a power of two")
-        grid_size = None
-    if symbol is not None and steps_valid:
-        _check_rk4_budget(symbol, SolverConfig(t_step=t_step, cfl_safety=cfl_safety),
-                          grid_size, xi_list, errors)
     if data["out"] is not None and not isinstance(data["out"], str):
         errors.append("out must be a string path")
     seed = _require_number(data, "seed", errors, "", low=0, integer=True)
@@ -403,23 +398,6 @@ def parse_config(text: str) -> RunConfig:
     if errors or symbol is None:
         raise ConfigError(errors or ["invalid system section"])
     return RunConfig(data=data, symbol=symbol, command=data["command"], seed=seed)
-
-
-def _check_rk4_budget(symbol: SystemSymbol, solver: SolverConfig, grid_size, xi_list,
-                      errors: list) -> None:
-    """MAX_SOLVE_MODE_STEPS for grid_size, MAX_SWEEP_STEPS for grids.xi_list."""
-    step_key = "solver.t_step" if solver.t_step is not None else "solver.cfl_safety"
-    if grid_size is not None:
-        steps = solver.step_count(symbol, np.array([grid_size / 2.0]))
-        if grid_size * steps > MAX_SOLVE_MODE_STEPS:
-            errors.append(f"grid_size x RK4 steps (set by grid_size and {step_key}) must be "
-                          f"<= {MAX_SOLVE_MODE_STEPS} mode-steps, "
-                          f"got {_count(grid_size)} x {_count(steps)}")
-    if xi_list is not None:
-        total = sum(solver.step_count(symbol, np.array([float(x)])) for x in xi_list)
-        if total > MAX_SWEEP_STEPS:
-            errors.append(f"RK4 steps over grids.xi_list (set by {step_key}) must total "
-                          f"<= {MAX_SWEEP_STEPS}, got {_count(total)}")
 
 
 def _count(n) -> str:
@@ -596,7 +574,7 @@ def _cmd_reduce(config: RunConfig):
     xi_list = config.data["grids"]["xi_list"][:3]
     xis = np.zeros((len(xi_list), symbol.n))
     xis[:, 0] = xi_list
-    calA, b, c = PathAssembler(symbol, xis).checked_reduce(sample_ts)
+    calA, b, c = PathAssembler(symbol, xis).reduce(sample_ts)
     calB = lower_order_matrix(b)
     results: dict = {"samples": [
         {"t": t, "xi": xi.tolist(), "calA": calA[i, k], "calB_re": calB[i, k].real,
@@ -747,11 +725,20 @@ def _initial_field(config: RunConfig, n_grid: int) -> np.ndarray:
     return u0
 
 
+def _step_key(solver: SolverConfig) -> str:
+    return "solver.t_step" if solver.t_step is not None else "solver.cfl_safety"
+
+
 def _cmd_solve(config: RunConfig):
     symbol = config.symbol
     n_grid = config.data["grid_size"]
-    u0 = _initial_field(config, n_grid)
     cfg = config.solver_config()
+    steps = cfg.step_count(symbol, np.array([n_grid / 2.0]))
+    if n_grid * steps > MAX_SOLVE_MODE_STEPS:
+        raise DomainError(f"grid_size x RK4 steps (set by grid_size and {_step_key(cfg)}) "
+                          f"must be <= {MAX_SOLVE_MODE_STEPS} mode-steps, "
+                          f"got {_count(n_grid)} x {_count(steps)}")
+    u0 = _initial_field(config, n_grid)
     field = solve_cauchy_1d(symbol, u0, cfg, config.data["snapshots"])
     results = {
         "grid_size": n_grid,
@@ -784,15 +771,22 @@ def _growth_results(traces):
                                     "log_growth": np.array(report.growth_logs)}}
 
 
-def _check_sweep(config: RunConfig) -> None:
-    """Reject, before any integration, a grids.xi_list that growth_fit cannot
-    fit.  The sweep integrates x at xi = (x, 0, ..., 0), whose norm is |x|."""
-    check_sweep_span(np.array(config.data["grids"]["xi_list"], dtype=float), "grids.xi_list")
+def _sweep_solver(config: RunConfig) -> SolverConfig:
+    """The solver config of the sweep over grids.xi_list, once its RK4 steps
+    and its span (the sweep integrates x at xi = (x, 0, ..., 0), whose norm
+    is |x|) are checked against MAX_SWEEP_STEPS and growth_fit's needs."""
+    solver = config.solver_config()
+    xi_list = np.array(config.data["grids"]["xi_list"], dtype=float)
+    total = sum(solver.step_count(config.symbol, xi[None]) for xi in xi_list)
+    if total > MAX_SWEEP_STEPS:
+        raise DomainError(f"RK4 steps over grids.xi_list (set by {_step_key(solver)}) "
+                          f"must total <= {MAX_SWEEP_STEPS}, got {_count(total)}")
+    check_sweep_span(xi_list, "grids.xi_list")
+    return solver
 
 
 def _cmd_growth(config: RunConfig):
-    _check_sweep(config)
-    traces = frequency_sweep(config.symbol, config.solver_config(), collect_energy=False)
+    traces = frequency_sweep(config.symbol, _sweep_solver(config), collect_energy=False)
     results, csvs = _growth_results(traces)
     return results, [], csvs
 
@@ -823,7 +817,7 @@ def _trace_payload(trace, residual) -> dict:
 
 
 def _cmd_report(config: RunConfig):
-    _check_sweep(config)
+    solver = _sweep_solver(config)   # before any work
     results, failures, csvs = {}, [], {}
     for name, fn in (("conditions", _cmd_conditions), ("verify_qs", _cmd_verify_qs)):
         sub_results, sub_failures, sub_csvs = fn(config)
@@ -832,7 +826,7 @@ def _cmd_report(config: RunConfig):
         csvs.update(sub_csvs)
     # One trajectory per configured frequency feeds the growth fit, the
     # energy inequality summary and, at the first frequency, the K sweep.
-    traces = frequency_sweep(config.symbol, config.solver_config())
+    traces = frequency_sweep(config.symbol, solver)
     results["growth"], growth_csvs = _growth_results(traces)
     csvs.update(growth_csvs)
     ineq = energy_inequality_check(traces)

@@ -260,8 +260,15 @@ def sandwich_of(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Whitening by 1/sqrt(inf) zeroes the eigenvectors outside the kept range.
     Y = Z / np.sqrt(np.where(keep, vals, np.inf))[..., None, None, :]
     Y = Y.reshape(W.shape[:-2] + (m, m * m))
+    # Where a part of Y exceeds 2^500 its Gram product may overflow: that Y
+    # is scaled by 2^-e, e the exponent of its largest part, and its C by 2^e.
+    parts = Y.view(np.float64)
+    e = np.frexp(np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1))))[1]
+    e = np.where(e > 500, e, 0)
+    Y *= np.ldexp(1.0, -e)[..., None, None]
     top = np.linalg.eigvalsh(hermitian_part(Y @ np.swapaxes(Y, -1, -2).conj()))[..., -1]
-    return np.where(unbounded, np.inf, np.sqrt(m * np.maximum(top, 0.0)))
+    with np.errstate(over="ignore"):   # a C beyond the double range reads inf
+        return np.ldexp(np.where(unbounded, np.inf, np.sqrt(m * np.maximum(top, 0.0))), e)
 
 
 def sandwich_constant(symbol: SystemSymbol, t: float, xi) -> float:

@@ -176,7 +176,7 @@ def _dense(M):
 
 
 def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
-                  renormalize: bool = False, after=None):
+                  renormalize: bool = False, after=None, where: str = ""):
     """RK4 on a stack of q states in lockstep, d/dt y_r = f_r(t, y_r).
 
     ``Y0`` has shape (q, d).  The steps run in windows of at most ``width``:
@@ -192,7 +192,8 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     and accumulated log scales at the sorted step indices ``record``, shapes
     (len(record), q, d) and (len(record), q).  Renormalisation keeps each
     row's |y| <= RENORM_THRESHOLD on its own, so exponentially growing rows
-    never overflow.
+    never overflow; a row whose norm overflows in one step raises
+    NumericError.  ``where`` ends the messages of the errors raised here.
     """
     Y = np.array(Y0, dtype=complex, order="C")
     q, d = Y.shape
@@ -224,8 +225,8 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
                 np.add(s1, np.multiply(two, s3, s3), s1)
                 np.add(s1, s4, s1)
                 np.add(Y, np.multiply(sixth, s1, s1), Y)
-                if renormalize:
-                    _renormalize_rows(Y, acc)
+                if renormalize and not _renormalize_rows(Y, acc):
+                    raise NumericError(f"a state overflows at step {k + 1} of {N}{where}")
                 if slot < len(record) and record[slot] == k + 1:
                     out[slot] = Y
                     logs[slot] = acc
@@ -233,7 +234,7 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
             # A non-finite entry stays non-finite, so one check per window
             # catches it.
             if not np.isfinite(Y).all():
-                raise NumericError(f"non-finite state by step {k1} of {N}")
+                raise NumericError(f"non-finite state by step {k1} of {N}{where}")
             if after is not None:
                 after(k0, k1, out)
     return out, logs
@@ -272,8 +273,9 @@ def _rk4_propagate(M: np.ndarray, Y0, N: int, h: float, record):
     return np.array([at[int(k)] for k in record]).reshape((len(record),) + Y0.shape)
 
 
-def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
-    """Scale each row of Y with |y| > RENORM_THRESHOLD to unit norm, in place.
+def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> bool:
+    """Scale each row of Y with |y| > RENORM_THRESHOLD to unit norm, in place;
+    False at the first row whose norm overflows.
 
     A row whose real and imaginary parts all lie within RENORM_THRESHOLD /
     sqrt(2 d) has a norm below the threshold, so most steps end after one
@@ -283,13 +285,16 @@ def _renormalize_rows(Y: np.ndarray, acc: np.ndarray) -> None:
     """
     if np.abs(Y.view(np.float64)).max() <= (
             RENORM_THRESHOLD / sqrt(2 * Y.shape[1]) * (1.0 - 1e-12)):
-        return
+        return True
     rough = np.linalg.norm(Y, axis=1)
     for r in np.flatnonzero(rough > RENORM_THRESHOLD * (1.0 - 1e-12)):
         nrm = float(np.linalg.norm(Y[r]))
+        if nrm == float("inf"):
+            return False
         if nrm > RENORM_THRESHOLD:
             Y[r] = Y[r] / nrm
             acc[r] += log(nrm)
+    return True
 
 
 def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
@@ -440,7 +445,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     assembler = PathAssembler(symbol, xi[None])
     constant = symbol.is_constant()
     if constant:   # assembled once; each window holds it broadcast over its steps
-        calA0, b0 = assembler.checked_reduce(ts_half[:1])[:2]
+        calA0, b0 = assembler.reduce(ts_half[:1])[:2]
         M = (1j * (calA0 + lower_order_matrix(b0)))[0]
     held = ()      # calA and b of the current window at its integer steps k0..k1
 
@@ -458,12 +463,9 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
         # samples k0..k1-1, and in the last window the final sample N too
         terms.add(k0, k1 if k1 < N else N + 1, *held, out[:, 0])
 
-    try:
-        V, logs = _lockstep_rk4(window, _width(24 * m ** 4 + 16 * (m - 1) * m ** 2), V0[None], N,
-                                h, range(N + 1), renormalize=True,
-                                after=None if terms is None else after)
-    except NumericError as exc:
-        raise NumericError(f"{exc} (xi={xi})") from exc
+    V, logs = _lockstep_rk4(window, _width(24 * m ** 4 + 16 * (m - 1) * m ** 2), V0[None], N,
+                            h, range(N + 1), renormalize=True,
+                            after=None if terms is None else after, where=f" (xi={xi})")
     trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)
     if terms is not None:
         terms.finish(trace)
@@ -753,7 +755,7 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     record = sorted(set(snap_idx.tolist()))
     if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
-        calA, b, _ = PathAssembler(symbol, xis, bxi).checked_reduce(np.zeros(1))
+        calA, b, _ = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))
         states = _rk4_propagate((1j * (calA + lower_order_matrix(b)))[0], V0, N, h, record)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)

@@ -5,7 +5,8 @@ system D_t U = (calA + calB) U by applying the adjugate operator of
 I D_t - A and stacking U_i = (D_t^{j-1} <D_x>^{m-j} u_i)_j per component.
 calA is block diagonal with m identical companion blocks scaled by <xi>;
 calB collects the lower-order terms that the reduction generates even for a
-homogeneous system, one nonzero row per m-row band.
+homogeneous system, one nonzero row per m-row band.  Where they overflow,
+:meth:`PathAssembler.reduce` raises NumericError.
 
 Every time derivative D_t^k A = (-i)^k d^k/dt^k A is exact: the symbol
 stores polynomial coefficients, so the paths d^k/dt^k A, bold_A and every
@@ -91,11 +92,13 @@ class PathAssembler:
     def reduce(self, ts) -> tuple:
         """(calA, b, c), each of leading shape (len(ts), ...), from one call of
         :func:`_bold_B_terms`: calA and c real, b the scaled calB entries of
-        :meth:`entries`.  Overflow leaves non-finite entries, without a
-        warning, for the caller to check.
+        :meth:`entries`.  Raises NumericError at the first (t, xi) pair,
+        frequency by frequency and then by time, whose companion block or b
+        overflowed.
         """
+        ts = np.atleast_1d(ts)
         m, bxi = self.m, self.bxi
-        _, c, _, terms = _bold_B_terms(self.derivs, np.atleast_1d(ts), self.xi)
+        _, c, _, terms = _bold_B_terms(self.derivs, ts, self.xi)
         lead = c.shape[:-1]
         block = np.zeros(lead + (m, m))
         for j in range(m - 1):
@@ -103,22 +106,15 @@ class PathAssembler:
         with np.errstate(over="ignore", invalid="ignore"):
             for col in range(m):
                 block[..., m - 1, col] = -c[..., m - col] * self.powers[col - m] * bxi
-            boldB = [sum(t) for t in terms]
+            b = self.entries([sum(t) for t in terms])
+        bad = ~(np.isfinite(block).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1)))
+        if bad.any():
+            *k, i = np.argwhere(np.moveaxis(bad, 0, -1))[0]
+            raise NumericError(f"the reduction overflows at (t={float(ts[i])}, "
+                               f"xi={self.xi[tuple(k)].tolist()})")
         calA = np.zeros(lead + (m * m, m * m))
         for i in range(m):
             calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
-        return calA, self.entries(boldB), c
-
-    def checked_reduce(self, ts) -> tuple:
-        """:meth:`reduce` of a stack xi (K, n), raising NumericError at the first
-        (t, xi) pair, frequency by frequency, whose reduction overflowed."""
-        ts = np.atleast_1d(ts)
-        calA, b, c = self.reduce(ts)
-        bad = ~(np.isfinite(calA).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1))).T
-        if bad.any():
-            k, i = np.argwhere(bad)[0]
-            raise NumericError(f"the reduction overflows at (t={float(ts[i])}, "
-                               f"xi={self.xi[k].tolist()})")
         return calA, b, c
 
     def entries(self, boldB: list) -> np.ndarray:

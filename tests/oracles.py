@@ -295,7 +295,8 @@ def lift_trajectory(symbol: SystemSymbol, xi, ts, u_hat_traj: np.ndarray) -> np.
     return U
 
 
-def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, after=None):
+def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, after=None,
+                           where=""):
     """``hyposym.energy._lockstep_rk4`` with a fresh array for every stage, every
     temporary and every state: each f(j, Y, out) of ``window(k0, k1)`` gets a
     new ``out``, and Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4) is one expression."""
@@ -324,14 +325,14 @@ def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, a
                 s3 = g(j + 1, Y + (0.5 * h) * s2)
                 s4 = g(j + 2, Y + h * s3)
                 Y = Y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-                if renormalize:
-                    _renormalize_rows(Y, acc)
+                if renormalize and not _renormalize_rows(Y, acc):
+                    raise NumericError(f"a state overflows at step {k + 1} of {N}{where}")
                 if slot < len(record) and record[slot] == k + 1:
                     out[slot] = Y
                     logs[slot] = acc
                     slot += 1
             if not np.isfinite(Y).all():
-                raise NumericError(f"non-finite state by step {k1} of {N}")
+                raise NumericError(f"non-finite state by step {k1} of {N}{where}")
             if after is not None:
                 after(k0, k1, out)
     return out, logs

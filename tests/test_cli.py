@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -642,6 +643,40 @@ def test_constant_reduction_overflow_names_its_first_point(tmp_path, capsys, com
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_sweep_reduction_overflow_names_its_frequency_once(tmp_path, capsys):
+    # det A = -1e200 t^2 xi^2 overflows at t = 1 for xi = 1.5e54; a huge
+    # cfl_safety makes the first run one step, whose window reduces t = 0, 0.5, 1.
+    path = write_config(tmp_path, {
+        "system": {"m": 2, "n": 1, "horizon": 1.0,
+                   "coefficients": [[[[0.0], [1.0]], [[0.0, 0.0, 1e200], [0.0]]]]},
+        "grids": {"xi_list": [1.5e54, 1e60, 1.0]}, "solver": {"cfl_safety": 1e60}})
+    out = tmp_path / "out"
+    assert main(["growth", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "the reduction overflows at (t=1.0, xi=[1.5e+54])" in err
+    assert err.count("xi=") == 1 and "Warning" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["growth", "report"])
+@pytest.mark.parametrize("a", [[1e50], [1.0, 1e50], [1.0, 0.0, 1e100]],
+                         ids=["1e50", "1+1e50t", "1+1e100t2"])
+def test_renormalisation_overflow_exits_three(tmp_path, capsys, command, a):
+    # |h lambda| far past RK4's stability interval multiplies a state near
+    # RENORM_THRESHOLD by about 1e92 in one step, so its norm overflows; the
+    # fit once failed on the NaN growth log with a TypeError.
+    path = write_config(tmp_path, {"system": {"m": 2, "n": 1, "horizon": 1.0,
+                                              "coefficients": [[[[0.0], [1.0]], [a, [0.0]]]]}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"a state overflows at step \d+ of 201 \(xi=\[10\.\]\)", err), err
+    assert err.count("xi=") == 1 and "Warning" not in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("system, out", [
     ({"name": "m2-glaeser"}, None),
     (OVERFLOWING_CONSTANT, None),
@@ -684,6 +719,17 @@ def test_commands_that_never_sample_leave_openssl_unloaded(tmp_path, command):
     assert proc.stdout.strip() == "False"
 
 
+def _refuse_work(monkeypatch):
+    """Make every computation that a command runs fail its test."""
+    import hyposym.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a config over the RK4 budget must not run")
+
+    for name in ("solve_cauchy_1d", "frequency_sweep", "run_conditions", "verify_properties"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
 @pytest.mark.parametrize("command, doc, message, key_path", [
     ("solve", {"solver": {"cfl_safety": 1e-12}}, "grid_size x RK4 steps", "solver.cfl_safety"),
     ("solve", {"grid_size": 2 ** 20}, "grid_size x RK4 steps", "grid_size"),
@@ -696,37 +742,36 @@ def test_commands_that_never_sample_leave_openssl_unloaded(tmp_path, command):
         "sweep-t-step"])
 def test_rk4_work_budget_exits_one_before_any_run(tmp_path, capsys, monkeypatch, command, doc,
                                                  message, key_path):
-    import hyposym.cli as cli
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a config over the RK4 budget must not run")
-
-    monkeypatch.setattr(cli, "run", refuse)
+    _refuse_work(monkeypatch)
     path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, **doc})
-    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert message in err and key_path in err
     assert "Traceback" not in err
+    assert not (out / "report.json").exists()
 
 
-def test_rk4_budget_errors_print_huge_counts_short(tmp_path, capsys):
+def test_rk4_budget_errors_print_huge_counts_short(tmp_path, capsys, monkeypatch):
     # T = 1e300 asks for about 1e304 steps per mode; the two sweep entries
-    # total 3.2e308 steps, past the largest double.
+    # total 3.2e308 steps, past the largest double.  Each command that runs
+    # the work checks its own budget.
+    _refuse_work(monkeypatch)
     system = {"m": 2, "n": 1, "horizon": 1e300, "coefficients": [[[[0.0], [1.0]], [[1.0], [0.0]]]]}
     path = write_config(tmp_path, {"system": system, "grids": {"xi_list": [8e6, 8e6]}})
-    assert main(["conditions", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 2 and all(len(line) < 160 for line in lines)
-    assert "grid_size" in lines[0] and "got 1024 x 1.024e+304" in lines[0]
-    assert "grids.xi_list" in lines[1] and "got 3.200e+308" in lines[1]
-    assert all("solver.cfl_safety" in line for line in lines)
+    for command, key, count in (("solve", "grid_size", "got 1024 x 1.024e+304"),
+                                ("growth", "grids.xi_list", "got 3.200e+308")):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) < 160
+        assert key in lines[0] and count in lines[0] and "solver.cfl_safety" in lines[0]
 
 
-def test_rk4_budget_errors_keep_small_counts_exact():
-    doc = json.dumps({"system": {"name": "m2-glaeser"}, "grid_size": 4096})
-    with pytest.raises(ConfigError) as info:
-        parse_config(doc)
-    assert "got 4096 x 40961" in info.value.errors[0]
+def test_rk4_budget_errors_keep_small_counts_exact(tmp_path, capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, "grid_size": 4096})
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "got 4096 x 40961" in capsys.readouterr().err
 
 
 def _json_text(obj) -> str:
@@ -841,23 +886,60 @@ def test_report_k_sweep_uses_configured_regularity(tmp_path, policy, exponent):
     assert report["results"]["K_sweep"]["theoretical_exponent"] == exponent
 
 
-def test_rk4_work_budget_edges():
+class _Reached(Exception):
+    """Raised where a command would start its integration."""
+
+
+def test_rk4_work_budget_edges(tmp_path, capsys, monkeypatch):
+    import hyposym.cli as cli
     from hyposym.cli import MAX_SOLVE_MODE_STEPS, MAX_SWEEP_STEPS
 
-    def doc(**extra):
-        return json.dumps({"system": {"name": "m2-glaeser"}, **extra})
-
-    # the default solve, 1,024 modes x 10,241 steps, has room for ten more
     assert 10 * 1024 * 10241 <= MAX_SOLVE_MODE_STEPS
-    parse_config(doc())
-    parse_config(doc(grid_size=2048))               # 2,048 x 20,481 mode-steps
-    with pytest.raises(ConfigError):
-        parse_config(doc(grid_size=4096))           # 4,096 x 40,961
-    # 2,000,001 steps at xi = 1e5; 200,001 more at 1e4 exceed the sweep budget
     assert 2000001 <= MAX_SWEEP_STEPS < 2000001 + 200001
-    parse_config(doc(grids={"xi_list": [1e5]}))
-    with pytest.raises(ConfigError):
-        parse_config(doc(grids={"xi_list": [1e5, 1e4]}))
+    _refuse_work(monkeypatch)
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    monkeypatch.setattr(cli, "solve_cauchy_1d", reached)
+    monkeypatch.setattr(cli, "frequency_sweep", reached)
+    for command, doc, within in (
+        # the default solve, 1,024 modes x 10,241 steps, has room for ten more
+        ("solve", {}, True),
+        ("solve", {"grid_size": 2048}, True),                    # 2,048 x 20,481 mode-steps
+        ("solve", {"grid_size": 4096}, False),                   # 4,096 x 40,961
+        # 2,000,001 steps at xi = 1e5; 200,001 more at 1e4 exceed the sweep budget
+        ("growth", {"grids": {"xi_list": [1e5, 1e3, 10.0]}}, True),
+        ("growth", {"grids": {"xi_list": [1e5, 1e4]}}, False),
+        ("report", {"grids": {"xi_list": [1e5, 1e4]}}, False),
+    ):
+        path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, **doc})
+        out = tmp_path / command
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if within:
+            with pytest.raises(_Reached):
+                main(argv)
+        else:
+            assert main(argv) == 1, (command, doc)
+            err = capsys.readouterr().err
+            assert ("got 4096 x 40961" if command == "solve" else "got 2200002") in err
+            assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("growth", {"grid_size": 65536, "grids": SMALL_GRIDS}),
+    ("conditions", {"grid_size": 65536, "grids": SMALL_GRIDS}),
+    ("solve", {"grid_size": 8, "grids": {"xi_list": [1e5, 1e4]}}),
+    ("conditions", {"system": {"m": 2, "n": 1, "horizon": 1e6, "coefficients": [
+        [[[0.0], [1.0]], [[1.0], [0.0]]]]}, "grids": {"t_points": 5, "xi_points": 3}}),
+], ids=["growth-grid-65536", "conditions-grid-65536", "solve-xi-list-1e5",
+        "conditions-horizon-1e6"])
+def test_commands_ignore_the_rk4_budgets_of_keys_they_do_not_read(tmp_path, capsys, command,
+                                                                  doc):
+    doc = {"system": {"name": "m2-glaeser"}, **doc}
+    path = write_config(tmp_path, doc)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 2), (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["growth", "report"])

@@ -232,6 +232,16 @@ class TestSandwichConstant:
         value = assert_sandwich_matches_lifted(W, b)[0]
         assert np.isfinite(value) and value > 1e3
 
+    def test_gram_product_beyond_the_double_range(self):
+        """A row whose Gram product would overflow is scaled by a power of two
+        and its C scaled back, exactly; a row that needs no scaling is bitwise."""
+        rng = np.random.default_rng(7)
+        W = deleted_sigmas(np.array([[-1.0, 0.5, 1.5]] * 2))
+        b = rng.standard_normal((2, 2, 3, 3)) + 1j * rng.standard_normal((2, 2, 3, 3))
+        C = assert_sandwich_matches_lifted(W, b)
+        got = sandwich_of(W, b * np.array([1.0, 2.0 ** 600])[:, None, None, None])
+        assert got[0] == C[0] and got[1] == np.ldexp(C[1], 600)
+
     def test_monotone_envelope_against_levi(self):
         # The sandwich constant is controlled by a monotone function of the
         # lower-order ratios; for this example the envelope C <= alpha sqrt(L)

@@ -16,6 +16,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -211,3 +212,22 @@ def test_main_keeps_the_exit_code_contract(doc, argv_parts):
     assert code in (0, 1, 2, 3)
     stray = [line for line in err.splitlines() if not OWN_LINE.match(line)]
     assert not stray, stray
+
+
+# a(t) in [[0, 1], [a(t), 0]]: a constant, a t-linear and a t^2 entry at each
+# coefficient scale.  The scales 1e50-1e150 once overflowed growth's
+# renormalisation, and 1 + s t with s >= 1e160 the Gram product of the
+# sandwich constant.
+SCALES = [1.0, 1e50, 1e100, 1e150, 1e160, 1e200, 1e250, 1e300, 1e-300]
+LADDER = {f"{form}-{s:g}": [[[[0.0], [1.0]], [entry, [0.0]]]]
+          for s in SCALES
+          for form, entry in (("s", [s]), ("1+st", [1.0, s]), ("1+st2", [1.0, 0.0, s]))}
+
+
+@pytest.mark.parametrize("coefficients", LADDER.values(), ids=LADDER.keys())
+def test_scale_ladder_keeps_the_exit_code_contract(coefficients):
+    doc = _with(("system",), _inline(coefficients))
+    doc.update(grid_size=16, snapshots=[1.0])
+    for command in COMMANDS:
+        code, err = _run(doc, (command, []))
+        assert code in (0, 2, 3), (command, code, err)

@@ -522,18 +522,28 @@ class TestRealTermsAgainstComplexOracle:
     def test_overflowing_symbol(self, last_row, monkeypatch):
         """Where the terms overflow, the same entries are non-finite (the
         complex products may hold NaN where the real ones hold inf), the
-        finite entries are bitwise, and evaluate_grid fails with the same text."""
+        finite entries are bitwise, reduce fails at the first overflowed point,
+        frequency by frequency, and evaluate_grid fails with the same text."""
         import hyposym.conditions as conditions
 
         S = companion_symbol(last_row, horizon=1e-3)
         xis = np.array([[1.0], [100.0], [1e4]])
         ts = np.linspace(0.0, S.horizon, 7)
-        b = PathAssembler(S, xis).reduce(ts)[1]
-        ref = reduce_reference(S, xis, ts)[1]
+        assembler = PathAssembler(S, xis)
+        terms = _bold_B_terms(assembler.derivs, ts, xis)[3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = assembler.entries([sum(t) for t in terms])
+        refA, ref, _ = reduce_reference(S, xis, ts)
         finite = np.isfinite(b)
         assert not finite.all()
         assert (finite == np.isfinite(ref)).all()
         assert np.where(finite, b, 0).tobytes() == np.where(finite, ref, 0).tobytes()
+        bad = ~(np.isfinite(refA).all(axis=(-2, -1)) & finite.all(axis=(-3, -2, -1)))
+        k, i = np.argwhere(bad.T)[0]
+        with pytest.raises(NumericError) as exc:
+            assembler.reduce(ts)
+        assert str(exc.value) == (f"the reduction overflows at (t={ts[i]}, "
+                                  f"xi={xis[k].tolist()})")
         L = SeparablePath(S, xis, brackets(xis)).last_rows(ts)
         assert (np.isfinite(L) == np.isfinite(last_rows_reference(S, ts))).all()
         grid = SamplingGrid.default(S, n_t=5, n_r=3, r_max=1e4)
