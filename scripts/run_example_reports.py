@@ -4,8 +4,10 @@ inline systems of order 4 and 6 and one in two space dimensions.
 
 Writes one output directory per (system, command) pair, holding the
 ``config.json`` it ran and the ``report.json`` it produced, and prints a
-summary table of exit codes and wall times (``time.perf_counter`` around each
-CLI call), so the whole desk-scale experiment set can be reproduced with a
+summary table of exit codes, wall times (``time.perf_counter`` around each
+CLI call) and CPU times (``time.process_time``, which counts every thread of
+the process, so a BLAS pool's busy-waiting shows as ``cpu_s`` above
+``wall_s``), so the whole desk-scale experiment set can be reproduced with a
 single invocation.  A numpy ``RuntimeWarning`` in a CLI call is an error, as
 in the test suite: the call stops there and counts as failed.  Inline
 systems whose reduction or whose renormalised states overflow check that
@@ -117,7 +119,7 @@ def run_all(out_root: Path, seed: int) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             cfg_path = out_dir / "config.json"
             cfg_path.write_text(json.dumps(doc))
-            start = time.perf_counter()
+            start, cpu_start = time.perf_counter(), time.process_time()
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 try:
@@ -126,16 +128,17 @@ def run_all(out_root: Path, seed: int) -> int:
                 except RuntimeWarning as exc:
                     print(f"error: {name} {command}: RuntimeWarning: {exc}", file=sys.stderr)
                     code = "W"
-            rows.append((name, command, code, time.perf_counter() - start))
+            rows.append((name, command, code, time.perf_counter() - start,
+                         time.process_time() - cpu_start))
             if code not in EXPECTED_EXITS.get(name, (0, 2)):
                 failures += 1
     width = max(len(row[0]) for row in rows)
-    print(f"\n{'system':<{width}}  {'command':<10}  exit  {'wall_s':>7}")
-    for name, command, code, wall in rows:
+    print(f"\n{'system':<{width}}  {'command':<10}  exit  {'wall_s':>7}  {'cpu_s':>7}")
+    for name, command, code, wall, cpu in rows:
         note = {0: "ok", 2: "property finding (see report.json)",
                 3: "computation not trustworthy (see stderr)",
                 "W": "numpy RuntimeWarning (see stderr)"}.get(code, "error")
-        print(f"{name:<{width}}  {command:<10}  {code}     {wall:7.2f}  {note}")
+        print(f"{name:<{width}}  {command:<10}  {code}     {wall:7.2f}  {cpu:7.2f}  {note}")
     return 1 if failures else 0
 
 

@@ -7,6 +7,14 @@ Levi-type conditions on sampling grids, and integrates the reduced system per
 frequency to measure energy growth and frequency bounds.
 """
 
+import os
+
+# One BLAS thread: every product here is a small matrix stack (order at most
+# m^2 = 36), and numpy's bundled OpenBLAS would otherwise start a worker at
+# import that busy-waits for about 0.13 s of CPU in every process.  This must
+# run before numpy is imported; a value the user has set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from hyposym.errors import (
     CapabilityError,
     ConsistencyError,

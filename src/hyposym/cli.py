@@ -871,8 +871,23 @@ def run(config: RunConfig, command: str, out_dir: Path) -> int:
         raise DomainError(
             f"config requests command {config.command!r} but {command!r} was invoked"
         )
+    # Created before the command, so that an unwritable directory fails before
+    # any computing; a command that raises leaves none of them behind.
+    created = []
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            break
+        created.append(path)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results, failures, csvs = _COMMAND_TABLE[command](config)
+    try:
+        results, failures, csvs = _COMMAND_TABLE[command](config)
+    except BaseException:
+        for path in created:    # leaf first; rmdir refuses a directory that is not empty
+            try:
+                path.rmdir()
+            except OSError:
+                break
+        raise
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,

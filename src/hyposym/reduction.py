@@ -126,10 +126,12 @@ class PathAssembler:
                              for l in range(1, m)], axis=-3)
 
 
-# Rows per BLAS product of SeparablePath.apply.  On 2 cores, one OpenBLAS
-# product over all 1,024 modes of an m = 3 solve ran multithreaded and
-# doubled the solve's time (18.7 s against 9.5 s at grid 1,024); products of
-# 256 rows stay single-threaded.
+# Rows per BLAS product of SeparablePath.apply.  hyposym asks for one BLAS
+# thread (see __init__.py), but a program that imported numpy first keeps
+# OpenBLAS's pool.  There, one product over all 1,024 modes of an m = 3 solve
+# ran multithreaded and doubled the solve's time on 2 cores (18.7 s against
+# 9.5 s at grid 1,024); products of 256 rows stay single-threaded.  Under one
+# thread the blocks give the same bits at about the same speed.
 _BLAS_ROWS = 256
 
 

@@ -677,6 +677,21 @@ def test_renormalisation_overflow_exits_three(tmp_path, capsys, command, a):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("doc, code", [
+    ({"system": {"name": "m2-glaeser"}, "grid_size": 4096}, 1),    # over the RK4 budget
+    ({"system": OVERFLOWING_CONSTANT, "grid_size": 8}, 3),         # the reduction overflows
+], ids=["exit-1", "exit-3"])
+def test_rejected_run_removes_only_the_directories_it_created(tmp_path, capsys, doc, code):
+    path = write_config(tmp_path, doc)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "emptyout" / "a" / "b", kept, kept / "a" / "b"):
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kept"]
+        assert list(kept.iterdir()) == []
+
+
 @pytest.mark.parametrize("system, out", [
     ({"name": "m2-glaeser"}, None),
     (OVERFLOWING_CONSTANT, None),
@@ -710,13 +725,43 @@ def test_commands_that_never_sample_leave_openssl_unloaded(tmp_path, command):
         "assert code == 0, code\n"
         "print('_hashlib' in sys.modules)\n"
     )
+    assert _python(script) == "False"
+
+
+def _python(script: str, openblas_threads: str | None = None) -> str:
+    """Standard output of ``script`` in a fresh interpreter with this hyposym on
+    its path and OPENBLAS_NUM_THREADS set to ``openblas_threads`` or unset."""
     src = Path(hyposym.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+_THREADS_AFTER_IMPORT = (
+    "import os\n"
+    "import hyposym.cli\n"
+    "tasks = '/proc/self/task'\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'],"
+    " len(os.listdir(tasks)) if os.path.isdir(tasks) else None)\n"
+)
+
+
+def test_import_runs_openblas_on_one_thread():
+    # numpy's bundled OpenBLAS would start a worker at import that busy-waits
+    # for about 0.13 s of CPU; hyposym sets the variable before numpy loads.
+    setting, tasks = _python(_THREADS_AFTER_IMPORT).split()
+    assert setting == "1"
+    if tasks != "None":     # /proc/self/task lists the threads on Linux
+        assert tasks == "1"
+
+
+def test_import_keeps_the_users_openblas_threads():
+    assert _python(_THREADS_AFTER_IMPORT, openblas_threads="2").split()[0] == "2"
 
 
 def _refuse_work(monkeypatch):
