@@ -170,23 +170,24 @@ def _width(row_bytes: int) -> int:
 
 
 def _dense(M):
-    """A window's half-step matrices M (2 (k1 - k0) + 1, q, d, d) as its f(j, Y, out), by
-    ``np.matvec`` into ``out``: bitwise each row's own ``M @ y``."""
-    return lambda j, Y, out: np.matvec(M[j], Y, out=out)
+    """A window's half-step matrices M (2 (k1 - k0) + 1, q, d, d), split once, as its bind:
+    f(j, i) writes ``np.matvec(M[j], Y)`` of (Y, out) = stages[i] into out, bitwise ``M @ y``."""
+    Ms = list(M)
+    return lambda stages: lambda j, i: np.matvec(Ms[j], *stages[i])
 
 
 def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
                   renormalize: bool = False, after=None, where: str = ""):
     """RK4 on a stack of q states in lockstep, d/dt y_r = f_r(t, y_r).
 
-    ``Y0`` has shape (q, d).  The steps run in windows of at most ``width``:
-    ``window(k0, k1)`` returns f(j, Y, out), which writes the right-hand side
-    at half-step j (0 <= j <= 2 (k1 - k0)) of steps k0..k1 for the whole
-    stack Y (q, d) into ``out`` (q, d), a C-contiguous buffer that is not Y.
-    The loop owns the state, the four stages and one temporary and reuses
-    them from step to step.  Each stage and the update run the ufuncs of
-    Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4), with its scalars and in its order,
-    in place, so every state is bitwise that of the allocating expression.
+    ``Y0`` has shape (q, d).  The loop owns the state Y, the stages s1..s4 and
+    a temporary Z.  Once per window of at most ``width`` steps,
+    ``window(k0, k1)(stages)`` binds the C-contiguous complex (q, d) pairs
+    stages = ((Y, s1), (Z, s2), (Z, s3), (Z, s4)) to f(j, i), which writes the
+    right-hand side at half-step j (0 <= j <= 2 (k1 - k0)) of steps k0..k1 for
+    ``stages[i][0]`` into ``stages[i][1]``.  Each stage and the update run the
+    ufuncs of Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4), with its scalars and in its
+    order, in place, so every state is bitwise the allocating expression's.
     ``after(k0, k1, out)``, if given, runs once a window's states are checked
     finite, ``out`` holding the states recorded so far.  Returns the states
     and accumulated log scales at the sorted step indices ``record``, shapes
@@ -198,6 +199,7 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     Y = np.array(Y0, dtype=complex, order="C")
     q, d = Y.shape
     s1, s2, s3, s4, Z = (np.empty_like(Y) for _ in range(5))
+    stages = ((Y, s1), (Z, s2), (Z, s3), (Z, s4))
     # The update's scalars as complex 0-d arrays: a ufunc casts a Python
     # float to the same complex value on every call, which takes about as
     # long as a product of 128 states of 4 entries.
@@ -214,13 +216,16 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, N, width):
             k1 = min(k0 + width, N)
-            f = window(k0, k1)
+            f = window(k0, k1)(stages)
             for k in range(k0, k1):
                 j = 2 * (k - k0)
-                f(j, Y, s1)
-                f(j + 1, np.add(Y, np.multiply(half, s1, Z), Z), s2)
-                f(j + 1, np.add(Y, np.multiply(half, s2, Z), Z), s3)
-                f(j + 2, np.add(Y, np.multiply(step, s3, Z), Z), s4)
+                f(j, 0)
+                np.add(Y, np.multiply(half, s1, Z), Z)
+                f(j + 1, 1)
+                np.add(Y, np.multiply(half, s2, Z), Z)
+                f(j + 1, 2)
+                np.add(Y, np.multiply(step, s3, Z), Z)
+                f(j + 2, 3)
                 np.add(s1, np.multiply(two, s2, s2), s1)
                 np.add(s1, np.multiply(two, s3, s3), s1)
                 np.add(s1, s4, s1)
@@ -453,7 +458,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
         nonlocal held
         if constant:
             held = [np.broadcast_to(x, (k1 - k0 + 1,) + x.shape[1:]) for x in (calA0, b0)]
-            return lambda j, Y, out: np.matvec(M, Y, out=out)
+            return lambda stages: lambda j, i: np.matvec(M, *stages[i])
         calA, b = assembler.reduce(ts_half[2 * k0 : 2 * k1 + 1])[:2]
         held = calA[::2], b[::2]
         rhs = lower_order_matrix(b)   # i (calA + calB) in calB's buffer, by the same ufuncs
@@ -762,8 +767,12 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
         path = SeparablePath(symbol, xis, bxi)
 
         def window(k0, k1):
-            L = path.last_rows(ts_half[2 * k0 : 2 * k1 + 1])
-            return lambda j, Y, out: path.apply(L[j], Y, out)
+            L = list(path.last_rows(ts_half[2 * k0 : 2 * k1 + 1]))
+
+            def bind(stages):
+                f = path.bind(stages)
+                return lambda j, i: f(L[j], i)
+            return bind
 
         states, _ = _lockstep_rk4(window, _width(m ** 4 * 32), V0, N, h, record)
     # first band component of each snapshot, (n_snapshots, m, n_grid)

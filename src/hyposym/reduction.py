@@ -126,7 +126,7 @@ class PathAssembler:
                              for l in range(1, m)], axis=-3)
 
 
-# Rows per BLAS product of SeparablePath.apply.  hyposym asks for one BLAS
+# Rows per BLAS product of SeparablePath.bind.  hyposym asks for one BLAS
 # thread (see __init__.py), but a program that imported numpy first keeps
 # OpenBLAS's pool.  There, one product over all 1,024 modes of an m = 3 solve
 # ran multithreaded and doubled the solve's time on 2 cores (18.7 s against
@@ -151,9 +151,9 @@ class SeparablePath:
     a power 1 <= p <= m, and no two terms share (p, component, band), so the
     last rows are one product of the weighted states with a t-only stack.
     The path holds the weights, the shift i <xi> of every entry of the
-    flattened stack and the buffer of the weighted states, so :meth:`apply`
-    allocates nothing.  Not bitwise :class:`PathAssembler`: xi^k FL(A_1)
-    rounds differently from FL(xi A_1).
+    flattened stack and the buffer of the weighted states, so the right-hand
+    sides of :meth:`bind` allocate nothing.  Not bitwise :class:`PathAssembler`:
+    xi^k FL(A_1) rounds differently from FL(xi A_1).
     """
 
     def __init__(self, symbol: SystemSymbol, xi, bxi):
@@ -199,23 +199,29 @@ class SeparablePath:
                 L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
         return L.reshape(ts.size, m ** 3, m)
 
-    def apply(self, L, Y, out) -> np.ndarray:
-        """i (calA + calB) Y into ``out`` for states Y (q, m^2), with L one time of
-        :meth:`last_rows`; Y and out are C-contiguous and distinct.
-
-        Allocates nothing.  The companion shift is one product over the
-        flattened stack: its entry at the end of row r takes Y[r+1, 0] times
-        zero, and lies in the last row of band m-1, which the last rows
-        overwrite.  The weighted states go into a buffer of the path, and
-        their product with L writes the last rows into ``out`` in place.
-        Bitwise the same products formed row by row.
+    def bind(self, stages):
+        """f(L, i): i (calA + calB) Y into ``out`` for (Y, out) = ``stages[i]``,
+        L one time of :meth:`last_rows`; ValueError here unless each pair is two
+        distinct C-contiguous complex (q, m^2) arrays.  The views are built here,
+        once per pair, so f allocates nothing: the shift is one product over the
+        flattened stack, and the weighted states, in a buffer of the path, times
+        L write the last rows into ``out``; bitwise the same products row by row.
         """
-        assert Y.flags.c_contiguous and out.flags.c_contiguous
-        m = self.m
-        np.multiply(self.shift, Y.reshape(-1)[1:], out.reshape(-1)[:-1])
-        np.multiply(self.weights, Y[:, None, :], self.weighted.reshape(self.weights.shape))
-        np.matmul(self.weighted, L, out.reshape(self.blocks[:2] + (m * m,))[..., m - 1 :: m])
-        return out
+        m, shape, views = self.m, (len(self.weights), self.m ** 2), []
+        for Y, out in stages:
+            if np.may_share_memory(Y, out) or any(a.shape != shape or a.dtype != complex
+                                                  or not a.flags.c_contiguous for a in (Y, out)):
+                raise ValueError(f"stages must be distinct C-contiguous complex {shape} arrays")
+            views.append((Y.reshape(-1)[1:], out.reshape(-1)[:-1], Y[:, None, :],
+                          out.reshape(self.blocks[:2] + (m * m,))[..., m - 1 :: m]))
+        flat = self.weighted.reshape(self.weights.shape)
+
+        def f(L, i):
+            y, o, rows, last = views[i]
+            np.multiply(self.shift, y, o)
+            np.multiply(self.weights, rows, flat)
+            np.matmul(self.weighted, L, last)
+        return f
 
 
 def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:

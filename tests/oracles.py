@@ -298,8 +298,9 @@ def lift_trajectory(symbol: SystemSymbol, xi, ts, u_hat_traj: np.ndarray) -> np.
 def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, after=None,
                            where=""):
     """``hyposym.energy._lockstep_rk4`` with a fresh array for every stage, every
-    temporary and every state: each f(j, Y, out) of ``window(k0, k1)`` gets a
-    new ``out``, and Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4) is one expression."""
+    temporary and every state: each stage binds ``window(k0, k1)`` to a table
+    of one new pair (Y, out), and Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4) is one
+    expression."""
     Y = np.array(Y0, dtype=complex)
     q, d = Y.shape
     record = [int(k) for k in record]
@@ -313,10 +314,12 @@ def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, a
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, N, width):
             k1 = min(k0 + width, N)
-            f = window(k0, k1)
+            bind = window(k0, k1)
 
             def g(j, Y):
-                return f(j, Y, np.empty_like(Y))
+                out = np.empty_like(Y)
+                bind(((Y, out),))(j, 0)
+                return out
 
             for k in range(k0, k1):
                 j = 2 * (k - k0)
@@ -338,10 +341,16 @@ def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, a
     return out, logs
 
 
+def separable_apply(path, L, Y, out) -> np.ndarray:
+    """i (calA + calB) Y into ``out`` by one call of ``path.bind(((Y, out),))``."""
+    path.bind(((Y, out),))(L, 0)
+    return out
+
+
 def separable_apply_reference(path, L, Y, bxi) -> np.ndarray:
-    """``SeparablePath.apply(L, Y, out)`` into a new array: the shift i <xi>
-    row by row, the weighted states and the last rows each a new product.
-    ``bxi`` holds the brackets the path was built with."""
+    """:func:`separable_apply` into a new array: the shift i <xi> row by row,
+    the weighted states and the last rows each a new product.  ``bxi`` holds
+    the brackets the path was built with."""
     m = path.m
     out = np.empty_like(Y)
     np.multiply(1j * np.reshape(bxi, (-1, 1)), Y[:, 1:], out=out[:, :-1])

@@ -213,7 +213,12 @@ def test_criterion_5_integral_K_scaling():
     # energy is carried by components on which the eps^0 part of the
     # quasi-symmetriser is already coercive), so this is kept as written and
     # is expected to fail; the bound itself, int K <= C1 eps^{-2(m-1)/k},
-    # holds with large headroom and is checked in the unit suite.
+    # holds with large headroom and is checked in the unit suite.  Not even
+    # worst-case data reaches that exponent: the data-independent bound
+    # int rho(Q_eps^-1 dQ_eps/dt) over [0, T] (tests/test_energy.py,
+    # test_data_independent_bound) reads 4.615 / 9.211 / 13.897 at eps =
+    # 1e-1 / 1e-2 / 1e-3, linear in log(1/eps), against int K = 2.516 /
+    # 3.034 / 3.041 for this trace.
     S = builtin_system("m2-glaeser")
     rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(100.0,)))[0],
                            (1e-1, 1e-2, 1e-3), k_regularity=2.0)

@@ -11,7 +11,8 @@ from the package must exist, and so must every name of ``hyposym.__all__``.
 Each recursion of the reduction has one producer: only the definitions
 pinned in ``PRODUCERS`` read ``faddeev_leverrier`` or ``adjugate_coeffs``.
 No module imports ``hashlib``, which loads OpenSSL, except as the fallback
-of CPython's built-in SHA-256 module.
+of CPython's built-in SHA-256 module.  ``src/`` holds no ``assert``
+statement: ``python -O`` drops them, so a check that must hold raises.
 """
 
 import ast
@@ -181,3 +182,11 @@ def test_hashlib_only_as_the_builtin_sha256_fallback():
     # into solve, growth and reduce, which never sample.
     stray = hashlib_imports()
     assert not stray, f"imports of hashlib outside the built-in SHA-256 fallback: {stray}"
+
+
+def test_no_assert_statements():
+    # An assert guarding input vanishes under python -O; the package raises
+    # its errors (DomainError, NumericError, ValueError) instead.
+    found = [f"{path.stem}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in src/: {found}"

@@ -1323,13 +1323,19 @@ def test_growth_with_underflowing_frequency_norm(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_example_reports_compare_lists_differing_files(tmp_path, capsys):
+def load_script(name: str):
+    """The module of ``scripts/<name>.py``, which is not a package."""
     import importlib.util
 
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_example_reports.py"
-    spec = importlib.util.spec_from_file_location("run_example_reports", script)
+    script = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_example_reports_compare_lists_differing_files(tmp_path, capsys):
+    module = load_script("run_example_reports")
     ours, theirs = tmp_path / "ours", tmp_path / "theirs"
     for root in (ours, theirs):
         for name, commands in module.PIPELINES.items():
@@ -1364,3 +1370,31 @@ def test_example_reports_compare_lists_differing_files(tmp_path, capsys):
     assert ("differs: m3-tracezero--conditions/report.json "
             "(not numeric: report.json.kind: 'ks' != 'levi')") in out
     assert "5 file(s) differ" in out
+
+
+def test_ab_pairs_summary_applies_the_claim_rule():
+    summarize = load_script("ab_pairs").summarize
+    parent = [0.140, 0.150, 0.130, 0.145, 0.135, 0.142, 0.138, 0.148, 0.133, 0.141]
+    # lower in 9 of 10 pairs, by more than the parent's quartile distance
+    change = [0.110, 0.120, 0.105, 0.115, 0.112, 0.118, 0.109, 0.150, 0.111, 0.116]
+    pairs = [({"run_s": a, "rate": 1.0, "hits": a}, {"run_s": b, "rate": 1.0, "hits": b})
+             for a, b in zip(parent, change)]
+    got = summarize(pairs, {"run_s": "lower", "rate": "higher", "hits": "higher"})
+    run = got["run_s"]
+    assert (run["wins"], run["pairs"], run["claim"]) == (9, 10, True)
+    assert run["parent"][1] == pytest.approx(0.1405)
+    assert run["change"][1] == pytest.approx(0.1135)
+    assert run["parent"][0] < run["parent"][1] < run["parent"][2]
+    # ties win nothing; where higher is better, only the one pair the change
+    # lost on run_s is a win
+    assert (got["rate"]["wins"], got["rate"]["claim"]) == (0, False)
+    assert (got["hits"]["wins"], got["hits"]["claim"]) == (1, False)
+
+    # 8 of 10 wins, though the medians stay far apart: no claim
+    change[0] = 0.141
+    pairs = [({"run_s": a}, {"run_s": b}) for a, b in zip(parent, change)]
+    assert summarize(pairs, {"run_s": "lower"})["run_s"]["claim"] is False
+    # 10 of 10 wins by less than the parent's quartile distance: no claim
+    pairs = [({"run_s": a}, {"run_s": a - 0.001}) for a in parent]
+    got = summarize(pairs, {"run_s": "lower"})["run_s"]
+    assert (got["wins"], got["claim"]) == (10, False)

@@ -21,11 +21,12 @@ from hyposym.energy import (
     EnergyTrace,
     _EnergyTerms,
     _dense,
+    _energy_and_K,
     _lockstep_rk4,
     _width,
 )
 from hyposym.examples import builtin_system
-from hyposym.pencils import hermitian_part
+from hyposym.pencils import gen_eigvalsh, hermitian_part
 from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
@@ -33,13 +34,14 @@ from hyposym.reduction import (
     lift_states,
 )
 from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol_path, rescaled_spectra
-from hyposym.quasisym import q_eps, verify_properties
+from hyposym.quasisym import q_eps, q_eps_parts, sum_parts, verify_properties
 from oracles import (
     M4_DOUBLE_ZERO,
     M6_DOUBLE_ZERO,
     lift_blocks,
     lockstep_rk4_reference,
     rk4_propagate_reference,
+    separable_apply,
     separable_apply_reference,
 )
 
@@ -176,9 +178,9 @@ def lockstep_widths(monkeypatch):
 
 def constant_rk4(M, Y0, N, h, record, renormalize=False):
     """_lockstep_rk4 on constant matrices M (q, d, d), as reduced_integrate steps them."""
-    def f(j, Y, out):
-        return np.matvec(M, Y, out=out)
-    return _lockstep_rk4(lambda k0, k1: f, _width(M.size * 16), Y0, N, h, record, renormalize)
+    def bind(stages):
+        return lambda j, i: np.matvec(M, *stages[i])
+    return _lockstep_rk4(lambda k0, k1: bind, _width(M.size * 16), Y0, N, h, record, renormalize)
 
 
 def windowed_solve(S, u0, config, snapshot_ts):
@@ -504,6 +506,25 @@ class TestIntegralKSweep:
         for eps, val in zip(rep.eps_values, rep.K_integrals):
             assert val <= C1 * eps ** rep.theoretical_exponent * (1 + 1e-9)
 
+    def test_data_independent_bound(self):
+        # For every state, |(dQ V|V)| / (Q V|V) <= rho, the largest |eigenvalue|
+        # of the pencil (dQ, Q), so int rho bounds int K for any initial data.
+        # m2-glaeser at xi = 100, eps = 1e-1 / 1e-2 / 1e-3: int rho = 4.615 /
+        # 9.211 / 13.897 against int K = 2.516 / 3.034 / 3.041, max K / rho
+        # 0.977-0.984.
+        S = builtin_system("m2-glaeser")
+        trace = frequency_sweep(S, SolverConfig(xi_grid=(100.0,)))[0]
+        ts = trace.ts
+        h = ts[1] - ts[0]
+        parts = q_eps_parts(trace.lambdas)
+        blocks = trace.V.reshape(ts.size, S.m, S.m)
+        for eps in (1e-1, 1e-2, 1e-3):
+            Q = sum_parts(parts, eps)
+            _, K = _energy_and_K(Q, blocks, h)
+            rho = np.abs(gen_eigvalsh(np.gradient(Q, h, axis=0), Q)).max(axis=-1)
+            assert (K <= rho * (1 + 1e-9)).all(), eps
+            assert np.trapezoid(K, ts) <= np.trapezoid(rho, ts), eps
+
     def test_integral_stable_under_grid_refinement(self):
         S = builtin_system("m2-glaeser")
         vals = []
@@ -757,6 +778,17 @@ class TestLockstepRK4:
             constant_rk4(matrices, V0, N, h, [N])
 
 
+def separable_bind_reference(bxi):
+    """A stand-in for ``SeparablePath.bind`` whose f(L, i) copies the
+    allocating :func:`separable_apply_reference` into the pair's ``out``."""
+    def bind(path, stages):
+        def f(L, i):
+            Y, out = stages[i]
+            out[...] = separable_apply_reference(path, L, Y, bxi)
+        return f
+    return bind
+
+
 class TestInPlaceStages:
     """The lockstep RK4 with its stages, temporaries and the separable
     right-hand side written into reused buffers, against the allocating loop
@@ -790,16 +822,19 @@ class TestInPlaceStages:
         V0 = rng.standard_normal((q, d)) + 1j * rng.standard_normal((q, d))
         path = SeparablePath(S, xis, bxi)
 
-        def windows(apply):
+        def windows(bind):
             def window(k0, k1):
                 L = path.last_rows(ts_half[2 * k0 : 2 * k1 + 1])
-                return lambda j, Y, out: apply(L[j], Y, out)
+
+                def bound(stages):
+                    f = bind(path, stages)
+                    return lambda j, i: f(L[j], i)
+                return bound
             return window
 
-        got = _lockstep_rk4(windows(path.apply), 16, V0, N, h, [0, 17, N])
-        ref = lockstep_rk4_reference(
-            windows(lambda L, Y, out: separable_apply_reference(path, L, Y, bxi)),
-            16, V0, N, h, [0, 17, N])
+        got = _lockstep_rk4(windows(SeparablePath.bind), 16, V0, N, h, [0, 17, N])
+        ref = lockstep_rk4_reference(windows(separable_bind_reference(bxi)),
+                                     16, V0, N, h, [0, 17, N])
         assert np.isfinite(got[0]).all()
         assert got[0].tobytes() == ref[0].tobytes()
 
@@ -811,8 +846,7 @@ class TestInPlaceStages:
         field = solve_cauchy_1d(S, u0, SolverConfig(), [0.5, 1.0])
         bxi = brackets(np.fft.fftfreq(n, d=1.0 / n)[:, None])
         monkeypatch.setattr(energy, "_lockstep_rk4", lockstep_rk4_reference)
-        monkeypatch.setattr(SeparablePath, "apply",
-                            lambda path, L, Y, out: separable_apply_reference(path, L, Y, bxi))
+        monkeypatch.setattr(SeparablePath, "bind", separable_bind_reference(bxi))
         ref = solve_cauchy_1d(S, u0, SolverConfig(), [0.5, 1.0])
         assert field.fields.tobytes() == ref.fields.tobytes()
 
@@ -825,7 +859,7 @@ class TestInPlaceStages:
         Y = rng.standard_normal((8, 9)) + 1j * rng.standard_normal((8, 9))
         before = Y.copy()
         out = np.full_like(Y, np.nan)
-        assert path.apply(L, Y, out) is out
+        assert separable_apply(path, L, Y, out) is out
         assert Y.tobytes() == before.tobytes()
         assert out.tobytes() == separable_apply_reference(path, L, Y, brackets(xis)).tobytes()
 
