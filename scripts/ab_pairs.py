@@ -11,10 +11,17 @@ that goes second in a pair tends to read differently from the first.  Each
 pair's end-to-end metrics are printed as they arrive (``*`` marks a pair whose
 change ran first).  Then, for each metric, each side's median and quartiles,
 the pairs the change won (better by the direction ``BENCHMARK.json`` gives it;
-a tie is no win), and whether a gain can be claimed: the change wins at
-least 9 of 10 pairs, and the medians differ in its favour by more than the
-distance between the parent's quartiles.  Exits 1 if a run is not
-``correct`` or does not finish.
+a tie is no win), whether a gain can be claimed: the change wins at least
+9 of 10 pairs, and the medians differ in its favour by more than the
+distance between the parent's quartiles, and a no-regression verdict:
+
+- ``worse``: the change's median is worse than the parent's by more than the
+  metric's relative ``bound`` in ``BENCHMARK.json``;
+- ``unresolved``: otherwise, the parent's quartile distance is wider than
+  the bound, and not every change run beats every parent run;
+- ``ok``: neither.
+
+Exits 1 if a run is not ``correct`` or does not finish.
 """
 
 import argparse
@@ -40,13 +47,15 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def summarize(pairs: list, better: dict) -> dict:
+def summarize(pairs: list, better: dict, bounds: dict) -> dict:
     """{metric: summary} of pairs [(parent, change), ...] of {metric: value}.
 
     A summary holds each side's (q1, median, q3), the change's ``wins`` out of
-    ``pairs``, and ``claim``: True when it wins at least WIN_SHARE of the
-    pairs and its median beats the parent's by more than the parent's
-    quartile distance.  ``better[metric]`` is "lower" or "higher".
+    ``pairs``, ``claim``: True when it wins at least WIN_SHARE of the pairs
+    and its median beats the parent's by more than the parent's quartile
+    distance, and ``verdict``: "worse", "unresolved" or "ok" as the module
+    docstring defines them.  ``better[metric]`` is "lower" or "higher", and
+    ``bounds[metric]`` the relative bound of the verdict.
     """
     out = {}
     for name, direction in better.items():
@@ -56,9 +65,17 @@ def summarize(pairs: list, better: dict) -> dict:
         wins = int(np.count_nonzero(sign * (a - b) > 0))
         pa, pb = np.percentile(a, [25, 50, 75]), np.percentile(b, [25, 50, 75])
         gap = sign * (pa[1] - pb[1])
+        allowed = bounds[name] * abs(pa[1])
+        if -gap > allowed:
+            verdict = "worse"
+        elif pa[2] - pa[0] > allowed and not (sign * a).min() > (sign * b).max():
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
         out[name] = {"parent": tuple(pa.tolist()), "change": tuple(pb.tolist()),
                      "wins": wins, "pairs": len(pairs),
-                     "claim": wins >= WIN_SHARE * len(pairs) and gap > pa[2] - pa[0]}
+                     "claim": wins >= WIN_SHARE * len(pairs) and gap > pa[2] - pa[0],
+                     "verdict": verdict}
     return out
 
 
@@ -74,6 +91,7 @@ def main() -> int:
     args = parser.parse_args()
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     pairs, correct = [], True
     for p in range(args.pairs):
@@ -88,12 +106,12 @@ def main() -> int:
             f"{name} {parent[name]:.4g}/{change[name]:.4g}" for name in better), flush=True)
 
     print(f"\n{'metric':<14} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} "
-          f"{'wins':<7} claim")
-    for name, s in summarize(pairs, better).items():
+          f"{'wins':<7} {'claim':<6} verdict")
+    for name, s in summarize(pairs, better, bounds).items():
         (a1, a2, a3), (b1, b2, b3) = s["parent"], s["change"]
         print(f"{name:<14} {f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':<30} "
               f"{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':<30} {s['wins']}/{s['pairs']:<5} "
-              f"{'holds' if s['claim'] else 'no'}")
+              f"{'holds' if s['claim'] else 'no':<6} {s['verdict']}")
     if not correct:
         print("error: a run was not correct", file=sys.stderr)
         return 1

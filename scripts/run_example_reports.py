@@ -47,8 +47,9 @@ def companion_system(last_row) -> dict:
 
 
 # Eigenvalues +-2 and +-t (a double zero at t = 0): the report-m4 benchmark
-# system; the m = 6 system adds the pair +-1.  Their sweeps run the dense RK4
-# windows of m = 4 and m = 6.
+# system; the m = 6 system adds the pair +-1.  Their sweeps run the band-row
+# RK4 windows of m = 4 and m = 6, and their reports the energy diagnostics
+# read from those windows.
 INLINE_SYSTEMS = {
     "inline-m4": companion_system([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]]),
     "inline-m6": companion_system([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
@@ -81,7 +82,7 @@ PIPELINES = {
     "m2-nonhyp-control": ("growth", "conditions", "report", "solve"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
     "inline-m4": ("reduce", "growth", "report"),
-    "inline-m6": ("reduce", "growth"),
+    "inline-m6": ("reduce", "growth", "report"),
     "inline-n2-m3": ("conditions",),
     "inline-overflow": ("growth", "solve"),
     "inline-1e160": ("conditions",),

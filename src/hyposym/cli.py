@@ -52,7 +52,7 @@ from hyposym.energy import (
 from hyposym.errors import CapabilityError, ConsistencyError, DomainError, NumericError
 from hyposym.examples import BUILTIN_SYSTEMS, builtin_system
 from hyposym.quasisym import sample_separation_set, verify_properties
-from hyposym.reduction import PathAssembler, lower_order_matrix, reduction_residual
+from hyposym.reduction import PathAssembler, block_sylvester, reduction_residual
 from hyposym.energy import direct_integrate
 from hyposym.symbols import MAX_DIMENSION, SystemSymbol, bracket, eval_symbol_path
 
@@ -574,8 +574,8 @@ def _cmd_reduce(config: RunConfig):
     xi_list = config.data["grids"]["xi_list"][:3]
     xis = np.zeros((len(xi_list), symbol.n))
     xis[:, 0] = xi_list
-    calA, b, c = PathAssembler(symbol, xis).reduce(sample_ts)
-    calB = lower_order_matrix(b)
+    block, b, c = PathAssembler(symbol, xis).reduce(sample_ts)
+    calA, calB = block_sylvester(block, b)
     results: dict = {"samples": [
         {"t": t, "xi": xi.tolist(), "calA": calA[i, k], "calB_re": calB[i, k].real,
          "calB_im": calB[i, k].imag, "char_coeffs": c[i, k]}

@@ -23,8 +23,9 @@ from hyposym.quasisym import q_eps, q_eps_parts, sum_parts
 from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
+    band_rows,
+    block_sylvester,
     lift_states,
-    lower_order_matrix,
 )
 from hyposym.symbols import (
     SystemSymbol,
@@ -57,22 +58,22 @@ class SolverConfig:
     xi_grid: tuple = ()
 
     def __post_init__(self):
-        if self.cfl_safety <= 0:
-            raise DomainError("cfl_safety must be positive")
-        if self.t_step is not None and self.t_step <= 0:
-            raise DomainError("t_step must be positive")
-        kind = self.eps_policy[0]
+        for name in ("cfl_safety", "t_step"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < float("inf"):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
+        kind = self.eps_policy[0] if len(self.eps_policy) else None
+        if kind not in ("fixed", "inverse", "balanced"):
+            raise DomainError(f"unknown eps policy {kind!r}")
+        if kind != "inverse" and len(self.eps_policy) < 2:
+            raise DomainError(f"the {kind} eps policy needs a value")
         if kind == "fixed":
             v = float(self.eps_policy[1])
             if not 0.0 < v <= 1.0:
                 raise DomainError(f"fixed eps must lie in (0, 1], got {v}")
-        elif kind == "inverse":
-            pass
         elif kind == "balanced":
-            if float(self.eps_policy[1]) < 1:
-                raise DomainError("regularity parameter k must be >= 1")
-        else:
-            raise DomainError(f"unknown eps policy {kind!r}")
+            if not 1.0 <= float(self.eps_policy[1]) < float("inf"):
+                raise DomainError("regularity parameter k must be finite and >= 1")
 
     def eps_for(self, m: int, xi) -> float:
         bxi = bracket(xi)
@@ -154,26 +155,19 @@ class EnergyTrace:
 
 
 # Bytes of right-hand-side data held per window of the lockstep RK4 (see
-# :func:`_width`).  A window of reduced_integrate holds i (calA + calB), calA
-# and the calB entries b at each half-step, 24 m^4 + 16 (m-1) m^2 bytes:
-# windows of 1,170, 234, 75, 31 and 15 steps at m = 2..6.  The separable
-# solve's window builds its m^4 complex last-row coefficients from terms and
-# paths about as large again: windows of 1,024 (m = 2) and 202 (m = 3) steps.
-# Twice the budget raised the peak RSS of an m = 6 growth sweep by 1.3 MB;
-# counting the separable coefficients alone raised solve-glaeser's by 0.5 MB.
+# :func:`_width`).  A window of reduced_integrate holds the band rows, the
+# companion block and b at each half-step, 16 m^3 + 8 m^2 + 16 (m-1) m^2 =
+# 8 m^2 (4m - 1) bytes: windows of 2,340, 661, 273, 137 and 79 steps at
+# m = 2..6.  The separable solve's window builds its m^4 complex last-row
+# coefficients from terms and paths about as large again: windows of 1,024
+# (m = 2) and 202 (m = 3) steps.  Twice the budget cost 1.3 MB of peak RSS in
+# an m = 6 growth sweep of dense windows, and 0.5 MB in solve-glaeser.
 _WINDOW_BYTES = 1 << 20
 
 
 def _width(row_bytes: int) -> int:
     """Steps per window whose half-steps hold ``row_bytes`` each, in _WINDOW_BYTES."""
     return max(1, _WINDOW_BYTES // (2 * row_bytes))
-
-
-def _dense(M):
-    """A window's half-step matrices M (2 (k1 - k0) + 1, q, d, d), split once, as its bind:
-    f(j, i) writes ``np.matvec(M[j], Y)`` of (Y, out) = stages[i] into out, bitwise ``M @ y``."""
-    Ms = list(M)
-    return lambda stages: lambda j, i: np.matvec(Ms[j], *stages[i])
 
 
 def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
@@ -313,8 +307,9 @@ def direct_integrate(symbol: SystemSymbol, xi, u0hat, config: SolverConfig):
     if u0.size != symbol.m:
         raise DomainError(f"initial data must have {symbol.m} components")
 
-    def window(k0, k1):
-        return _dense((1j * eval_symbol_path(symbol, ts_half[2 * k0 : 2 * k1 + 1], xi))[:, None])
+    def window(k0, k1):   # the half-step matrices, split once
+        Ms = list((1j * eval_symbol_path(symbol, ts_half[2 * k0 : 2 * k1 + 1], xi))[:, None])
+        return lambda stages: lambda j, i: np.matvec(Ms[j], *stages[i])
 
     traj, _ = _lockstep_rk4(window, _width(symbol.m ** 2 * 16), u0[None], N, h, range(N + 1))
     return ts_half[::2], traj[:, 0]
@@ -333,7 +328,7 @@ def _band_form(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 def _lifted_commutator(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Q_lift B - B* Q_lift, (k, m^2, m^2), for real Q (k, m, m) and calB
-    entries b (k, m-1, m, m) (see :func:`hyposym.reduction.lower_order_matrix`).
+    entries b (k, m-1, m, m) (see :func:`hyposym.reduction.block_sylvester`).
 
     calB has one nonzero row per band, so every entry of Q_lift B and of
     B* Q_lift is a single product of a Q entry and a calB entry; formed one
@@ -363,14 +358,14 @@ class _EnergyTerms:
     """E, K, term2, term3, dtE and the coercivity constant of one trajectory.
 
     Q (the spectra and q_eps) depends only on (ts, xi, eps), so it and the
-    coercivity constant are built before the states exist.  term2 reads the first m x m block of calA and
-    term3 reads calB, at each sample: :meth:`add` takes them from an
-    assembly that the caller already holds (the integration's own windows),
-    so nothing is assembled here.  dQ/dt is taken by centred finite
-    differences of the quasi-symmetriser entries (one-sided at the ends):
-    the entries are polynomial in the eigenvalues and stay smooth through
-    multiplicity crossings even when the individual eigenvalue branches do
-    not.  Every quantity is computed on stacks over the time samples; each
+    coercivity constant are built before the states exist.  term2 reads the
+    companion block of calA and term3 reads calB, at each sample: :meth:`add`
+    takes them from an assembly that the caller already holds (the
+    integration's own windows), so nothing is assembled here.  dQ/dt is
+    taken by centred finite differences of the quasi-symmetriser entries
+    (one-sided at the ends): the entries are polynomial in the eigenvalues
+    and stay smooth through multiplicity crossings even when the individual
+    eigenvalue branches do not.  Every quantity is computed on stacks over the time samples; each
     sample's value is bitwise that of the same operations on the sample
     alone.
     """
@@ -396,10 +391,10 @@ class _EnergyTerms:
             self.coercivity_sup = max(self.coercivity_sup,
                                       float(np.max(cm, where=cm > 0.0, initial=0.0)))
 
-    def add(self, k0: int, k1: int, calA, b, V) -> None:
+    def add(self, k0: int, k1: int, block, b, V) -> None:
         """term2 and term3 at samples k0..k1-1.
 
-        ``calA`` and ``b`` are :meth:`PathAssembler.reduce` output for one
+        ``block`` and ``b`` are :meth:`PathAssembler.reduce` output for one
         frequency, from sample k0 on; ``V`` holds the states of every sample
         so far.  The samples go in blocks of at most _TERM3_BLOCK to bound
         the lifted stacks of term3 = |(Q_lift B - B* Q_lift) V | V| and the
@@ -408,7 +403,7 @@ class _EnergyTerms:
         m = self.Q.shape[-1]
         for s0 in range(k0, k1, _TERM3_BLOCK):
             sl = slice(s0, min(s0 + _TERM3_BLOCK, k1))
-            Q, A0 = self.Q[sl], calA[s0 - k0 : sl.stop - k0, 0, :m, :m] / self.bxi
+            Q, A0 = self.Q[sl], block[s0 - k0 : sl.stop - k0, 0] / self.bxi
             comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
                 "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q)
             self.term2[sl] = np.abs(self.bxi * _band_form(comm2, V[sl].reshape(-1, m, m)))
@@ -434,8 +429,8 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     ``V0`` is any complex vector of length m^2 (usually a row of
     :func:`hyposym.reduction.lift_states` at t = 0).  The state is rescaled
     whenever it grows past RENORM_THRESHOLD, so growing modes never overflow;
-    the accumulated log-scale is stored on the trace.  The diagnostics take
-    calA and calB from the integration's own assembly, one window at a time.
+    the accumulated log-scale is stored on the trace.  A window steps the shift
+    i <xi> and the band rows of its reduction, whose block and b feed the diagnostics.
     """
     m = symbol.m
     V0 = np.asarray(V0, dtype=complex).ravel()
@@ -449,26 +444,33 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     terms = _EnergyTerms(symbol, ts, xi, eps_val) if collect_energy else None
     assembler = PathAssembler(symbol, xi[None])
     constant = symbol.is_constant()
-    if constant:   # assembled once; each window holds it broadcast over its steps
-        calA0, b0 = assembler.reduce(ts_half[:1])[:2]
-        M = (1j * (calA0 + lower_order_matrix(b0)))[0]
-    held = ()      # calA and b of the current window at its integer steps k0..k1
+    shift = np.full(m * m - 1, 1j * float(assembler.bxi[0]))   # rows j < m-1: i <xi> V[j+1]
+    held = ()      # block and b of the current window at its integer steps k0..k1
 
     def window(k0, k1):
         nonlocal held
-        if constant:
-            held = [np.broadcast_to(x, (k1 - k0 + 1,) + x.shape[1:]) for x in (calA0, b0)]
-            return lambda stages: lambda j, i: np.matvec(M, *stages[i])
-        calA, b = assembler.reduce(ts_half[2 * k0 : 2 * k1 + 1])[:2]
-        held = calA[::2], b[::2]
-        rhs = lower_order_matrix(b)   # i (calA + calB) in calB's buffer, by the same ufuncs
-        return _dense(np.multiply(1j, np.add(calA, rhs, out=rhs), out=rhs))
+        n = 2 * (k1 - k0) + 1   # a constant symbol reduces one sample and broadcasts it
+        block, b = assembler.reduce(ts_half[2 * k0 : 2 * k0 + (1 if constant else n)])[:2]
+        rows, block, b = (np.broadcast_to(x, (n,) + x.shape[1:])
+                          for x in (band_rows(block, b), block, b))
+        held, rows = (block[::2], b[::2]), list(rows)
+
+        def bind(stages):
+            views = [(Y.reshape(-1)[1:], out.reshape(-1)[:-1], Y, out[:, m - 1 :: m])
+                     for Y, out in stages]
+
+            def f(j, i):
+                y, o, Y, last = views[i]
+                np.multiply(shift, y, o)
+                np.matvec(rows[j], Y, last)
+            return f
+        return bind
 
     def after(k0, k1, out):
         # samples k0..k1-1, and in the last window the final sample N too
         terms.add(k0, k1 if k1 < N else N + 1, *held, out[:, 0])
 
-    V, logs = _lockstep_rk4(window, _width(24 * m ** 4 + 16 * (m - 1) * m ** 2), V0[None], N,
+    V, logs = _lockstep_rk4(window, _width(8 * m * m * (4 * m - 1)), V0[None], N,
                             h, range(N + 1), renormalize=True,
                             after=None if terms is None else after, where=f" (xi={xi})")
     trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)
@@ -760,8 +762,8 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     record = sorted(set(snap_idx.tolist()))
     if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
-        calA, b, _ = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))
-        states = _rk4_propagate((1j * (calA + lower_order_matrix(b)))[0], V0, N, h, record)
+        block, b, _ = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))
+        states = _rk4_propagate((1j * np.add(*block_sylvester(block, b)))[0], V0, N, h, record)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
         path = SeparablePath(symbol, xis, bxi)

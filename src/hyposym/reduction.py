@@ -52,17 +52,30 @@ def _bold_B_terms(derivs: list, ts, xi) -> tuple:
     return paths, c, boldA, terms
 
 
-def lower_order_matrix(entries) -> np.ndarray:
-    """calB from its scaled entries, shape (..., m-1, m, m) to (..., m^2, m^2).
-
-    ``entries[..., l-1, i, j]`` goes to row i*m + m-1 and column j*m + l-1
-    (zero-based); every other entry of calB is zero.
-    """
-    b = np.asarray(entries)
-    m = b.shape[-1]
+def block_sylvester(block, b) -> tuple:
+    """Dense (calA, calB), (..., m^2, m^2), of the companion block (..., m, m) and
+    calB entries b (..., m-1, m, m) of :meth:`PathAssembler.reduce`: calA holds m
+    copies of ``block`` on its diagonal, and b[..., l-1, i, j] is calB's entry at
+    row i*m + m-1, column j*m + l-1 (zero-based); every other entry is zero."""
+    m = block.shape[-1]
+    calA = np.zeros(block.shape[:-2] + (m * m, m * m))
+    for i in range(m):
+        calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
     calB = np.zeros(b.shape[:-3] + (m, m, m, m), dtype=complex)
     calB[..., :, m - 1, :, : m - 1] = np.moveaxis(b, -3, -1)
-    return calB.reshape(b.shape[:-3] + (m * m, m * m))
+    return calA, calB.reshape(b.shape[:-3] + (m * m, m * m))
+
+
+def band_rows(block, b) -> np.ndarray:
+    """Rows m-1, 2m-1, ... of i (calA + calB), (..., m, m^2), bitwise those of
+    ``1j * np.add(*block_sylvester(block, b))``, from the same arguments."""
+    m = block.shape[-1]
+    rows = np.zeros(b.shape[:-3] + (m, m, m), dtype=complex)   # [band, band, component]
+    rows[..., : m - 1] = np.moveaxis(b, -3, -1)
+    diagonal = np.zeros(rows.shape)   # calA's rows, zeros too: 0.0 + (-0.0) is +0.0
+    diagonal[..., range(m), range(m), :] = block[..., None, m - 1, :]
+    np.multiply(1j, np.add(diagonal, rows, out=rows), out=rows)
+    return rows.reshape(rows.shape[:-2] + (m * m,))
 
 
 class PathAssembler:
@@ -90,17 +103,17 @@ class PathAssembler:
                        for e in range(-m, 0)}
 
     def reduce(self, ts) -> tuple:
-        """(calA, b, c), each of leading shape (len(ts), ...), from one call of
-        :func:`_bold_B_terms`: calA and c real, b the scaled calB entries of
-        :meth:`entries`.  Raises NumericError at the first (t, xi) pair,
+        """(block, b, c), each of leading shape (len(ts), ...), from one call of
+        :func:`_bold_B_terms`: the companion block (..., m, m) of calA and c
+        real, b the scaled calB entries of :meth:`entries`; see
+        :func:`block_sylvester`.  Raises NumericError at the first (t, xi) pair,
         frequency by frequency and then by time, whose companion block or b
         overflowed.
         """
         ts = np.atleast_1d(ts)
         m, bxi = self.m, self.bxi
         _, c, _, terms = _bold_B_terms(self.derivs, ts, self.xi)
-        lead = c.shape[:-1]
-        block = np.zeros(lead + (m, m))
+        block = np.zeros(c.shape[:-1] + (m, m))
         for j in range(m - 1):
             block[..., j, j + 1] = bxi
         with np.errstate(over="ignore", invalid="ignore"):
@@ -112,14 +125,11 @@ class PathAssembler:
             *k, i = np.argwhere(np.moveaxis(bad, 0, -1))[0]
             raise NumericError(f"the reduction overflows at (t={float(ts[i])}, "
                                f"xi={self.xi[tuple(k)].tolist()})")
-        calA = np.zeros(lead + (m * m, m * m))
-        for i in range(m):
-            calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
-        return calA, b, c
+        return block, b, c
 
     def entries(self, boldB: list) -> np.ndarray:
         """b[..., l-1, :, :] = bold_B_l <xi>^(l-m) of [bold_B_1, ..., bold_B_{m-1}]
-        at these frequencies; see :func:`lower_order_matrix`."""
+        at these frequencies; see :func:`block_sylvester`."""
         m = self.m
         with np.errstate(over="ignore", invalid="ignore"):
             return np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
@@ -231,8 +241,8 @@ def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
     goes through one :meth:`PathAssembler.reduce`; the building blocks bold_A
     and bold_B come from :func:`_bold_B_terms`.
     """
-    calA, b, _ = PathAssembler(symbol, xi).reduce(ts)
-    return calA, lower_order_matrix(b)
+    block, b, _ = PathAssembler(symbol, xi).reduce(ts)
+    return block_sylvester(block, b)
 
 
 def _power(b: float, e: int) -> float:

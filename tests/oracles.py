@@ -206,7 +206,7 @@ def bold_B_terms(c: np.ndarray, dtA: list) -> tuple:
 
 
 def reduce_reference(symbol: SystemSymbol, xi, ts) -> tuple:
-    """(calA, b, c) of ``PathAssembler(symbol, xi).reduce(ts)``, with the calB
+    """(block, b, c) of ``PathAssembler(symbol, xi).reduce(ts)``, with the calB
     entries b from the complex terms of :func:`bold_B_terms`."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -223,13 +223,10 @@ def reduce_reference(symbol: SystemSymbol, xi, ts) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         for col in range(m):
             block[..., m - 1, col] = -c[..., m - col] * powers[col - m] * bxi
-        calA = np.zeros(A.shape[:-2] + (m * m, m * m))
-        for i in range(m):
-            calA[..., i * m : (i + 1) * m, i * m : (i + 1) * m] = block
         _, terms = bold_B_terms(c, deriv_paths(derivs, ts, xi))
         b = np.stack([sum(t) * powers[l - m][..., None, None] for l, t in enumerate(terms, 1)],
                      axis=-3)
-    return calA, b, c
+    return block, b, c
 
 
 def last_rows_reference(symbol: SystemSymbol, ts) -> np.ndarray:

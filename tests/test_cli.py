@@ -1379,7 +1379,8 @@ def test_ab_pairs_summary_applies_the_claim_rule():
     change = [0.110, 0.120, 0.105, 0.115, 0.112, 0.118, 0.109, 0.150, 0.111, 0.116]
     pairs = [({"run_s": a, "rate": 1.0, "hits": a}, {"run_s": b, "rate": 1.0, "hits": b})
              for a, b in zip(parent, change)]
-    got = summarize(pairs, {"run_s": "lower", "rate": "higher", "hits": "higher"})
+    got = summarize(pairs, {"run_s": "lower", "rate": "higher", "hits": "higher"},
+                    {"run_s": 0.25, "rate": 0.05, "hits": 0.25})
     run = got["run_s"]
     assert (run["wins"], run["pairs"], run["claim"]) == (9, 10, True)
     assert run["parent"][1] == pytest.approx(0.1405)
@@ -1393,8 +1394,30 @@ def test_ab_pairs_summary_applies_the_claim_rule():
     # 8 of 10 wins, though the medians stay far apart: no claim
     change[0] = 0.141
     pairs = [({"run_s": a}, {"run_s": b}) for a, b in zip(parent, change)]
-    assert summarize(pairs, {"run_s": "lower"})["run_s"]["claim"] is False
+    assert summarize(pairs, {"run_s": "lower"}, {"run_s": 0.25})["run_s"]["claim"] is False
     # 10 of 10 wins by less than the parent's quartile distance: no claim
     pairs = [({"run_s": a}, {"run_s": a - 0.001}) for a in parent]
-    got = summarize(pairs, {"run_s": "lower"})["run_s"]
+    got = summarize(pairs, {"run_s": "lower"}, {"run_s": 0.25})["run_s"]
     assert (got["wins"], got["claim"]) == (10, False)
+
+
+def test_ab_pairs_summary_gives_a_no_regression_verdict():
+    summarize = load_script("ab_pairs").summarize
+    parent = [0.140, 0.150, 0.130, 0.145, 0.135, 0.142, 0.138, 0.148, 0.133, 0.141]
+
+    def verdict(change, bound, better="lower"):
+        pairs = [({"m": a}, {"m": b}) for a, b in zip(parent, change)]
+        return summarize(pairs, {"m": better}, {"m": bound})["m"]["verdict"]
+
+    # the parent's median is 0.1405 and its quartile distance 0.0075 (5.3%)
+    assert verdict([a * 1.05 for a in parent], 0.1) == "ok"
+    assert verdict([a * 1.12 for a in parent], 0.1) == "worse"
+    # within a 1% bound, but the quartiles are wider than the bound
+    assert verdict([a * 1.005 for a in parent], 0.01) == "unresolved"
+    assert verdict([a * 0.98 for a in parent], 0.01) == "unresolved"
+    # every change run beats every parent run: resolved whatever the spread
+    assert verdict([0.129] * 10, 0.01) == "ok"
+    # where higher is better, a lower median is the regression
+    assert verdict([a * 0.88 for a in parent], 0.1, "higher") == "worse"
+    assert verdict([a * 1.12 for a in parent], 0.1, "higher") == "ok"
+    assert verdict([0.151] * 10, 0.01, "higher") == "ok"

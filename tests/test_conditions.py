@@ -17,7 +17,7 @@ from hyposym.conditions import (
 from hyposym.examples import builtin_system
 from hyposym.pencils import hermitian_part
 from hyposym.quasisym import sample_separation_set
-from hyposym.reduction import assemble_path, lower_order_matrix
+from hyposym.reduction import assemble_path, block_sylvester
 from hyposym.symbols import bracket, deleted_sigmas, rescaled_spectra
 from oracles import (
     M4_DOUBLE_ZERO,
@@ -73,7 +73,7 @@ def assert_sandwich_matches_lifted(W, b):
     """sandwich_of(W, b) against the lifted oracle: the same infinite points,
     finite values within 1e-13 relative, and each row bitwise its own call."""
     C = sandwich_of(W, b)
-    ref = lifted_sandwich_of(lift_blocks(W), lower_order_matrix(b))
+    ref = lifted_sandwich_of(lift_blocks(W), block_sylvester(np.zeros(W.shape), b)[1])
     np.testing.assert_array_equal(np.isinf(C), np.isinf(ref))
     finite = np.isfinite(ref)
     np.testing.assert_allclose(C[finite], ref[finite], rtol=1e-13, atol=0.0)

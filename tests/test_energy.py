@@ -20,7 +20,6 @@ from hyposym.energy import (
     RENORM_THRESHOLD,
     EnergyTrace,
     _EnergyTerms,
-    _dense,
     _energy_and_K,
     _lockstep_rk4,
     _width,
@@ -156,10 +155,16 @@ def step_matrices(S, xis, ts):
     return 1j * np.add(*assemble_path(S, xis, ts))
 
 
+def dense_bind(M):
+    """The bind of a window's half-step matrices M (2 (k1 - k0) + 1, q, d, d):
+    f(j, i) writes ``np.matvec(M[j], Y)`` of (Y, out) = stages[i] into out."""
+    return lambda stages: lambda j, i: np.matvec(M[j], *stages[i])
+
+
 def dense_rk4(S, xis, ts_half, Y0, N, h, record, renormalize=False):
-    """_lockstep_rk4 on S's dense windows, as reduced_integrate steps a variable symbol."""
+    """_lockstep_rk4 on S's dense windows of i (calA + calB)."""
     def window(k0, k1):
-        return _dense(step_matrices(S, xis, ts_half[2 * k0 : 2 * k1 + 1]))
+        return dense_bind(step_matrices(S, xis, ts_half[2 * k0 : 2 * k1 + 1]))
     return _lockstep_rk4(window, _width(len(xis) * S.m ** 4 * 16), Y0, N, h, record, renormalize)
 
 
@@ -177,7 +182,7 @@ def lockstep_widths(monkeypatch):
 
 
 def constant_rk4(M, Y0, N, h, record, renormalize=False):
-    """_lockstep_rk4 on constant matrices M (q, d, d), as reduced_integrate steps them."""
+    """_lockstep_rk4 on constant matrices M (q, d, d), one window width at a time."""
     def bind(stages):
         return lambda j, i: np.matvec(M, *stages[i])
     return _lockstep_rk4(lambda k0, k1: bind, _width(M.size * 16), Y0, N, h, record, renormalize)
@@ -318,15 +323,15 @@ class TestReducedIntegrate:
         per-sample oracle's.  Every run crosses window boundaries."""
         widths = lockstep_widths(monkeypatch)
         cases = [
-            # 401 steps in windows of 234; 402 samples: the term3 blocks end mid-trace
-            (builtin_system("m3-tracezero"), 20.0, None, 402, 234),
-            (builtin_system("m3-tracezero"), 20.0, 0.05, 402, 234),
-            # 2,001 steps in 27 windows of 75
-            (M4_DOUBLE_ZERO, 100.0, None, 2002, 75),
-            # a constant symbol: one assembly, stepped in windows of 1,170
-            (builtin_system("m2-wave"), 300.0, None, 6002, 1170),
-            # 102 steps in windows of 15
-            (M6_DOUBLE_ZERO, 5.0, None, 103, 15),
+            # 801 steps in windows of 661; 802 samples: the term3 blocks end mid-trace
+            (builtin_system("m3-tracezero"), 40.0, None, 802, 661),
+            (builtin_system("m3-tracezero"), 40.0, 0.05, 802, 661),
+            # 2,001 steps in 8 windows of 273
+            (M4_DOUBLE_ZERO, 100.0, None, 2002, 273),
+            # a constant symbol: one sample per window, stepped in windows of 2,340
+            (builtin_system("m2-wave"), 300.0, None, 6002, 2340),
+            # 102 steps in windows of 79
+            (M6_DOUBLE_ZERO, 5.0, None, 103, 79),
         ]
         for S, x, eps, samples, width in cases:
             xi = np.array([x])
@@ -364,7 +369,7 @@ class TestReducedIntegrate:
         assert form.tobytes() == ref.tobytes()
 
     def test_constant_symbol_renormalises_across_windows_bitwise(self, monkeypatch):
-        """A constant symbol steps its one assembly in bounded windows; a run
+        """A constant symbol steps one sample per window in bounded windows; a run
         that renormalises twice is bitwise the step-by-step oracle, and its
         diagnostics bitwise the per-sample loop's."""
         S = builtin_system("m2-nonhyp-control")
@@ -374,7 +379,7 @@ class TestReducedIntegrate:
         widths = lockstep_widths(monkeypatch)
         V0 = initial_state(S, np.ones(2) / np.sqrt(2), xi)
         trace = reduced_integrate(S, xi, V0, SolverConfig())
-        assert widths == [1170]   # 11 windows
+        assert widths == [2340]   # 6 windows
         ref, ref_logs = reference_rk4(step_matrices(S, xi[None], np.zeros(1))[0, 0], N, h, V0,
                                       renormalize=True)
         assert np.count_nonzero(np.diff(ref_logs)) == 2
@@ -383,6 +388,50 @@ class TestReducedIntegrate:
         diag = per_sample_diagnostics(trace, S)
         for name in ("E", "K", "term2", "term3", "dtE"):
             assert getattr(trace, name).tobytes() == diag[name].tobytes(), name
+
+    @pytest.mark.parametrize("name, x, start, renormalisations", [
+        ("m2-glaeser", 50.0, None, 0),
+        # a constant symbol, renormalised in the third and fifth windows of 2,340 steps
+        ("m2-nonhyp-control", 600.0, None, 2),
+        ("m2-wave", 300.0, None, 0),
+        ("m3-tracezero", 40.0, None, 0),
+        # from norm 0.9 RENORM_THRESHOLD; renormalised at step 1,569, in the
+        # sixth window of 273 steps
+        ("m4-double-zero", 100.0, 0.9 * RENORM_THRESHOLD, 1),
+        ("m6-double-zero", 5.0, None, 0),
+    ])
+    def test_sweep_is_bitwise_the_dense_oracle(self, name, x, start, renormalisations):
+        """The band rows and the shift step the sweep bitwise as the dense
+        i (calA + calB) of assemble_path steps it, one step at a time."""
+        S = {"m4-double-zero": M4_DOUBLE_ZERO, "m6-double-zero": M6_DOUBLE_ZERO}.get(name)
+        S = builtin_system(name) if S is None else S
+        xi = np.array([x])
+        V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
+        if start is not None:
+            V0 = V0 * (start / np.linalg.norm(V0))
+        trace = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
+        N, h = SolverConfig().steps_for(S, xi)
+        ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
+        ref, ref_logs = reference_rk4(1j * np.add(*assemble_path(S, xi, ts_half)), N, h, V0,
+                                      renormalize=True)
+        assert np.count_nonzero(np.diff(ref_logs)) == renormalisations
+        assert trace.V.tobytes() == ref.tobytes()
+        assert trace.log_scale.tobytes() == ref_logs.tobytes()
+
+    @pytest.mark.parametrize("name", ["m3-tracezero", "m2-wave"])
+    def test_sweep_assembles_no_dense_matrix(self, name, monkeypatch):
+        """The sweep's twin of test_variable_coefficients_assemble_no_matrices:
+        a variable and a constant symbol step the band rows of i (calA + calB),
+        and their diagnostics read the companion block and b."""
+        from hyposym import reduction
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep must not assemble dense matrices")
+
+        monkeypatch.setattr(reduction, "block_sylvester", refuse)
+        monkeypatch.setattr(energy, "block_sylvester", refuse)
+        traces = frequency_sweep(builtin_system(name), SolverConfig(xi_grid=(1.0, 10.0, 100.0)))
+        assert all(np.isfinite(tr.term3).all() and np.isfinite(tr.term2).all() for tr in traces)
 
     def test_invalid_state_length(self):
         with pytest.raises(DomainError):
@@ -634,8 +683,8 @@ class TestSolveCauchy1d:
             raise AssertionError("a solve must not assemble dense matrices")
 
         monkeypatch.setattr(reduction.PathAssembler, "reduce", refuse)
-        monkeypatch.setattr(reduction, "lower_order_matrix", refuse)
-        monkeypatch.setattr(energy, "lower_order_matrix", refuse)
+        monkeypatch.setattr(reduction, "block_sylvester", refuse)
+        monkeypatch.setattr(energy, "block_sylvester", refuse)
         S = builtin_system("m2-glaeser")
         n = 16
         x = 2 * np.pi * np.arange(n) / n
@@ -686,6 +735,23 @@ class TestSolverConfig:
             SolverConfig(eps_policy=("mystery",))
         with pytest.raises(DomainError):
             SolverConfig(t_step=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"eps_policy": ("balanced",)},
+        {"eps_policy": ("fixed",)},
+        {"eps_policy": ()},
+        {"eps_policy": ("balanced", float("nan"))},
+        {"eps_policy": ("balanced", float("inf"))},
+        {"cfl_safety": float("nan")},
+        {"cfl_safety": float("inf")},
+        {"t_step": float("nan")},
+        {"t_step": float("inf")},
+    ])
+    def test_missing_or_non_finite_values_are_domain_errors(self, kwargs):
+        # a policy without its value raised IndexError, and a balanced k of
+        # nan or inf made eps_for return 1.0 at every frequency
+        with pytest.raises(DomainError):
+            SolverConfig(**kwargs)
 
     def test_underflowing_step_is_a_domain_error(self):
         # cfl / <xi> rounds to a subnormal or to zero: T / h is not finite
@@ -795,14 +861,14 @@ class TestInPlaceStages:
     and apply of the oracles: bitwise on every state."""
 
     def test_dense_windows_renormalising_bitwise(self, monkeypatch):
-        # 2,001 steps in windows of 75; the state starts at 0.9 RENORM_THRESHOLD
+        # 2,001 steps in windows of 273; the state starts at 0.9 RENORM_THRESHOLD
         # and is renormalised once, after the first window (at step 1,569)
         S, xi = M4_DOUBLE_ZERO, np.array([100.0])
         V0 = initial_state(S, np.ones(4) / 2, xi)
         V0 = V0 * (0.9 * RENORM_THRESHOLD / np.linalg.norm(V0))
         trace = reduced_integrate(S, xi, V0, SolverConfig())
         renormalised = np.flatnonzero(np.diff(trace.log_scale))
-        assert renormalised.size == 1 and renormalised[0] >= 75
+        assert renormalised.size == 1 and renormalised[0] >= 273
         monkeypatch.setattr(energy, "_lockstep_rk4", lockstep_rk4_reference)
         ref = reduced_integrate(S, xi, V0, SolverConfig())
         for name in ("V", "log_scale", "E", "K", "term2", "term3", "dtE"):

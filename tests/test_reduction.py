@@ -19,6 +19,8 @@ from hyposym.reduction import (
     SeparablePath,
     _bold_B_terms,
     assemble_path,
+    band_rows,
+    block_sylvester,
     lift_states,
 )
 from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier, rescaled_spectra
@@ -134,8 +136,8 @@ class TestAssemble:
     def test_m3_companion_last_row(self):
         S = dense_symbol(3, 21)
         t, xi_val = 0.25, 3.0
-        calA, _, c = PathAssembler(S, np.array([xi_val])).reduce([t])
-        calA, c = calA[0], c[0]
+        block, b, c = PathAssembler(S, np.array([xi_val])).reduce([t])
+        calA, c = block_sylvester(block, b)[0][0], c[0]
         bxi = bracket(xi_val)
         row = calA[2, :3]
         np.testing.assert_allclose(
@@ -498,11 +500,11 @@ class TestRealTermsAgainstComplexOracle:
     """The lower-order terms from real products, phased once, against the
     complex products of the oracle.
 
-    reduce's (calA, b, c) and evaluate_grid's b_entries are bitwise.  So is
-    last_rows, with the oracle's c from the real recursion, up to the sign of
-    its zero entries: the complex products' zeros take their signs from
-    complex rounding, and the sign of a zero entry of L changes no nonzero
-    entry of the products in ``apply``.
+    reduce's (block, b, c), its band rows and evaluate_grid's b_entries are
+    bitwise.  So is last_rows, with the oracle's c from the real recursion,
+    up to the sign of its zero entries: the complex products' zeros take
+    their signs from complex rounding, and the sign of a zero entry of L
+    changes no nonzero entry of the products in ``apply``.
     """
 
     SYSTEMS = {**{name: builtin_system(name) for name in
@@ -511,10 +513,13 @@ class TestRealTermsAgainstComplexOracle:
 
     @staticmethod
     def check(S, xis, ts):
-        calA, b, c = PathAssembler(S, xis).reduce(ts)
+        block, b, c = PathAssembler(S, xis).reduce(ts)
         ref = reduce_reference(S, xis, ts)
-        for name, got, want in zip(("calA", "b", "c"), (calA, b, c), ref):
+        for name, got, want in zip(("block", "b", "c"), (block, b, c), ref):
             assert got.tobytes() == want.tobytes(), name
+        # the sweep's band rows are those of the dense i (calA + calB), zeros' signs included
+        rows = (1j * np.add(*block_sylvester(block, b)))[..., S.m - 1 :: S.m, :]
+        assert band_rows(block, b).tobytes() == rows.tobytes()
         if S.n == 1:
             L = SeparablePath(S, xis, brackets(xis)).last_rows(ts)
             assert (L + 0.0).tobytes() == (last_rows_reference(S, ts) + 0.0).tobytes()
@@ -558,12 +563,12 @@ class TestRealTermsAgainstComplexOracle:
         terms = _bold_B_terms(assembler.derivs, ts, xis)[3]
         with np.errstate(over="ignore", invalid="ignore"):
             b = assembler.entries([sum(t) for t in terms])
-        refA, ref, _ = reduce_reference(S, xis, ts)
+        ref_block, ref, _ = reduce_reference(S, xis, ts)
         finite = np.isfinite(b)
         assert not finite.all()
         assert (finite == np.isfinite(ref)).all()
         assert np.where(finite, b, 0).tobytes() == np.where(finite, ref, 0).tobytes()
-        bad = ~(np.isfinite(refA).all(axis=(-2, -1)) & finite.all(axis=(-3, -2, -1)))
+        bad = ~(np.isfinite(ref_block).all(axis=(-2, -1)) & finite.all(axis=(-3, -2, -1)))
         k, i = np.argwhere(bad.T)[0]
         with pytest.raises(NumericError) as exc:
             assembler.reduce(ts)
