@@ -2,7 +2,7 @@
 """A/B pairs of the benchmark between two checkouts, and the claim rule on them.
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        --pairs N --seconds S --seed0 K
+        --pairs N --seconds S --seed0 K [--json BENCH.json]
 
 Pair p (p = 0..N-1) runs ``perfbench/run.py --workload W --seed K+p
 --seconds S --trace 0`` once in each checkout, one after the other; the
@@ -21,6 +21,12 @@ distance between the parent's quartiles, and a no-regression verdict:
   the bound, and not every change run beats every parent run;
 - ``ok``: neither.
 
+With ``--json PATH`` the set is also kept under its workload's key in PATH,
+a JSON object that may already hold other workloads: every pair's seed, its
+order and each side's full ``run.py`` output (the ``#`` lines by name, such
+as ``machine`` and ``samples``, and the result), the summaries and the
+printed table.
+
 Exits 1 if a run is not ``correct`` or does not finish.
 """
 
@@ -35,16 +41,26 @@ import numpy as np
 WIN_SHARE = 0.9   # share of pairs the change must win for a claim
 
 
+def parse_run(stdout: str) -> dict:
+    """A ``perfbench/run.py`` output as a dict: each ``# name: {...}`` line
+    under its name, and the JSON result, the last line, under ``result``."""
+    lines = stdout.strip().splitlines()
+    out = {"result": json.loads(lines[-1])}
+    for line in lines[:-1]:
+        name, _, value = line.removeprefix("# ").partition(": ")
+        out[name] = json.loads(value)
+    return out
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON result of one ``perfbench/run.py --trace 0`` in ``checkout``."""
+    """:func:`parse_run` of one ``perfbench/run.py --trace 0`` in ``checkout``."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=checkout, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or not proc.stdout.strip():
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"error: perfbench/run.py exited {proc.returncode} in {checkout}")
-    return json.loads(lines[-1])
+    return parse_run(proc.stdout)
 
 
 def summarize(pairs: list, better: dict, bounds: dict) -> dict:
@@ -74,7 +90,7 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
             verdict = "ok"
         out[name] = {"parent": tuple(pa.tolist()), "change": tuple(pb.tolist()),
                      "wins": wins, "pairs": len(pairs),
-                     "claim": wins >= WIN_SHARE * len(pairs) and gap > pa[2] - pa[0],
+                     "claim": bool(wins >= WIN_SHARE * len(pairs) and gap > pa[2] - pa[0]),
                      "verdict": verdict}
     return out
 
@@ -88,30 +104,42 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed0", type=int, required=True)
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="keep the pairs' outputs and the summary under the workload in PATH")
     args = parser.parse_args()
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
-    pairs, correct = [], True
+    pairs, runs, correct = [], [], True
     for p in range(args.pairs):
         seed = args.seed0 + p
         sides = [args.parent, args.change][:: 1 if p % 2 == 0 else -1]
-        runs = {side: run_bench(side, args.workload, seed, args.seconds) for side in sides}
-        correct &= all(run["correct"] for run in runs.values())
-        parent, change = ({name: m["value"] for name, m in runs[side]["metrics"].items()}
+        out = {side: run_bench(side, args.workload, seed, args.seconds) for side in sides}
+        correct &= all(run["result"]["correct"] for run in out.values())
+        parent, change = ({name: m["value"] for name, m in out[side]["result"]["metrics"].items()}
                           for side in (args.parent, args.change))
         pairs.append((parent, change))
+        runs.append({"seed": seed, "first": "parent" if p % 2 == 0 else "change",
+                     "parent": out[args.parent], "change": out[args.change]})
         print(f"pair {p + 1} seed {seed}{'*' if p % 2 else ''}: " + ", ".join(
             f"{name} {parent[name]:.4g}/{change[name]:.4g}" for name in better), flush=True)
 
-    print(f"\n{'metric':<14} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} "
-          f"{'wins':<7} {'claim':<6} verdict")
-    for name, s in summarize(pairs, better, bounds).items():
+    summary = summarize(pairs, better, bounds)
+    table = [f"{'metric':<14} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} "
+             f"{'wins':<7} {'claim':<6} verdict"]
+    for name, s in summary.items():
         (a1, a2, a3), (b1, b2, b3) = s["parent"], s["change"]
-        print(f"{name:<14} {f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':<30} "
-              f"{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':<30} {s['wins']}/{s['pairs']:<5} "
-              f"{'holds' if s['claim'] else 'no':<6} {s['verdict']}")
+        table.append(f"{name:<14} {f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':<30} "
+                     f"{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':<30} {s['wins']}/{s['pairs']:<5} "
+                     f"{'holds' if s['claim'] else 'no':<6} {s['verdict']}")
+    print("\n" + "\n".join(table))
+    if args.json is not None:
+        doc = json.loads(args.json.read_text()) if args.json.exists() else {}
+        doc[args.workload] = {"pairs": args.pairs, "seconds": args.seconds,
+                              "seed0": args.seed0, "runs": runs, "summary": summary,
+                              "table": table}
+        args.json.write_text(json.dumps(doc, indent=1) + "\n")
     if not correct:
         print("error: a run was not correct", file=sys.stderr)
         return 1

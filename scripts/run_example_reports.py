@@ -81,7 +81,7 @@ PIPELINES = {
     "m2-wave": ("reduce", "conditions", "solve"),
     "m2-nonhyp-control": ("growth", "conditions", "report", "solve"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
-    "inline-m4": ("reduce", "growth", "report"),
+    "inline-m4": ("reduce", "growth", "report", "solve"),
     "inline-m6": ("reduce", "growth", "report"),
     "inline-n2-m3": ("conditions",),
     "inline-overflow": ("growth", "solve"),
@@ -106,6 +106,12 @@ SOLVE_EXTRAS = {
 }
 
 
+# Solve grid sizes other than SOLVE_EXTRAS': inline-m4's solve, the one
+# variable-coefficient solve at m >= 4, where the phase (-i)^3 of the separable
+# right-hand side first appears, runs in about 2 s at 512 modes.
+SOLVE_GRID_SIZES = {"inline-m4": 512}
+
+
 def run_all(out_root: Path, seed: int) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     failures = 0
@@ -115,7 +121,8 @@ def run_all(out_root: Path, seed: int) -> int:
             doc = {"system": INLINE_SYSTEMS.get(name, {"name": name}), "seed": seed,
                    **SYSTEM_EXTRAS.get(name, {})}
             if command == "solve":
-                doc.update(SOLVE_EXTRAS)
+                doc.update(SOLVE_EXTRAS,
+                           grid_size=SOLVE_GRID_SIZES.get(name, SOLVE_EXTRAS["grid_size"]))
             out_dir = out_root / f"{name}--{command}"
             out_dir.mkdir(parents=True, exist_ok=True)
             cfg_path = out_dir / "config.json"

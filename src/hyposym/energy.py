@@ -158,10 +158,12 @@ class EnergyTrace:
 # :func:`_width`).  A window of reduced_integrate holds the band rows, the
 # companion block and b at each half-step, 16 m^3 + 8 m^2 + 16 (m-1) m^2 =
 # 8 m^2 (4m - 1) bytes: windows of 2,340, 661, 273, 137 and 79 steps at
-# m = 2..6.  The separable solve's window builds its m^4 complex last-row
-# coefficients from terms and paths about as large again: windows of 1,024
-# (m = 2) and 202 (m = 3) steps.  Twice the budget cost 1.3 MB of peak RSS in
-# an m = 6 growth sweep of dense windows, and 0.5 MB in solve-glaeser.
+# m = 2..6.  The separable solve's window is counted at 32 m^4 bytes a
+# half-step: windows of 1,024 (m = 2) and 202 (m = 3) steps.  Its real
+# last-row coefficients, 8 m^4 bytes, and the complex terms and real paths
+# they are built from peaked at 17-20 m^4 bytes a half-step (tracemalloc of
+# one window of m2-glaeser and of m3-tracezero), so its windows hold about
+# 0.6 MB.
 _WINDOW_BYTES = 1 << 20
 
 
@@ -730,9 +732,10 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     renormalised: a mode that overflows fails the solve.  A variable symbol
     is stepped with the matrix-free right-hand side of
     :class:`hyposym.reduction.SeparablePath`, its t-only rows built once per
-    half-step; a constant symbol is not stepped: each snapshot is the RK4
-    propagator power R(hM)^k V0, taken by one sweep over the bits of the
-    snapshot steps (:func:`_rk4_propagate`).
+    half-step and its states stored mode-last, (m^2, n_grid); a constant
+    symbol is not stepped: each snapshot is the RK4 propagator power
+    R(hM)^k V0, taken by one sweep over the bits of the snapshot steps
+    (:func:`_rk4_propagate`).
     """
     if symbol.n != 1:
         raise DomainError("the Cauchy solver is one-dimensional (n = 1)")
@@ -763,7 +766,8 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     if symbol.is_constant():
         # assembled at t = 0 only; no half-step grid
         block, b, _ = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))
-        states = _rk4_propagate((1j * np.add(*block_sylvester(block, b)))[0], V0, N, h, record)
+        states = np.swapaxes(
+            _rk4_propagate((1j * np.add(*block_sylvester(block, b)))[0], V0, N, h, record), 1, 2)
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
         path = SeparablePath(symbol, xis, bxi)
@@ -776,9 +780,9 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
                 return lambda j, i: f(L[j], i)
             return bind
 
-        states, _ = _lockstep_rk4(window, _width(m ** 4 * 32), V0, N, h, record)
+        states, _ = _lockstep_rk4(window, _width(m ** 4 * 32), V0.T, N, h, record)
     # first band component of each snapshot, (n_snapshots, m, n_grid)
-    first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
+    first = states[[record.index(k) for k in snap_idx]][:, ::m]
     hat_snaps = first * bxi ** (-(m - 1))
 
     fields = np.fft.ifft(hat_snaps, axis=2)

@@ -16,7 +16,7 @@ once, where a product becomes the real or the imaginary part of its term.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
@@ -136,15 +136,6 @@ class PathAssembler:
                              for l in range(1, m)], axis=-3)
 
 
-# Rows per BLAS product of SeparablePath.bind.  hyposym asks for one BLAS
-# thread (see __init__.py), but a program that imported numpy first keeps
-# OpenBLAS's pool.  There, one product over all 1,024 modes of an m = 3 solve
-# ran multithreaded and doubled the solve's time on 2 cores (18.7 s against
-# 9.5 s at grid 1,024); products of 256 rows stay single-threaded.  Under one
-# thread the blocks give the same bits at about the same speed.
-_BLAS_ROWS = 256
-
-
 class SeparablePath:
     """i (calA + calB) of a one-dimensional symbol at a stack of frequencies, matrix-free.
 
@@ -160,77 +151,79 @@ class SeparablePath:
     Every weight is xi^p <xi>^(c+1-m) for the component c it multiplies and
     a power 1 <= p <= m, and no two terms share (p, component, band), so the
     last rows are one product of the weighted states with a t-only stack.
-    The path holds the weights, the shift i <xi> of every entry of the
-    flattened stack and the buffer of the weighted states, so the right-hand
-    sides of :meth:`bind` allocate nothing.  Not bitwise :class:`PathAssembler`:
-    xi^k FL(A_1) rounds differently from FL(xi A_1).
+    Each coefficient of power p on component c carries the phase
+    (-i)^(m-c-p), so the stack is real once the i of the odd phases moves
+    into the weights.  States are stored mode-last, (m^2, q): every product
+    runs over rows of the q modes.  The path holds the weights, the shift
+    i <xi> of each mode and the buffer of the weighted states, so the
+    right-hand sides of :meth:`bind` allocate nothing.  Not bitwise
+    :class:`PathAssembler`: xi^k FL(A_1) rounds differently from FL(xi A_1).
     """
 
     def __init__(self, symbol: SystemSymbol, xi, bxi):
         if symbol.n != 1:
             raise DomainError("the separable reduction is one-dimensional (n = 1)")
         m = symbol.m
-        x = np.asarray(xi, dtype=float).reshape(-1, 1)
-        b = np.asarray(bxi, dtype=float).reshape(-1, 1)
+        x = np.asarray(xi, dtype=float).reshape(1, 1, -1)
+        b = np.asarray(bxi, dtype=float).reshape(1, 1, -1)
         self.m = m
         self.derivs = [time_derivative(symbol, k) for k in range(m)]
-        component = np.tile(np.arange(m), m)
-        # weights[:, p-1, a] = i xi^p <xi>^(c+1-m), c the component of state entry a
-        self.weights = 1j * (x ** np.arange(1, m + 1))[:, :, None] * (
-            b ** (component + 1 - m))[:, None, :]
-        rows = gcd(x.shape[0], _BLAS_ROWS)
-        self.blocks = (x.shape[0] // rows, rows, m ** 3)
-        self.weighted = np.empty(self.blocks, dtype=complex)
-        # i <xi> of each state entry's mode, over the flattened stack but its
-        # last entry; zero on the last entry of each row, whose product takes
-        # Y[r+1, 0] and so can neither overflow nor hold a value that is read
-        shift = np.repeat(1j * b, m * m, axis=1)
-        shift[:, -1] = 0.0
-        self.shift = shift.reshape(-1)[:-1]
+        power = np.arange(1, m + 1)[:, None, None]
+        component = np.tile(np.arange(m), m)[None, :, None]
+        # weights[p-1, a, r] = i xi^p <xi>^(c+1-m), times i where m-c-p is odd,
+        # c the component of state entry a and r the mode
+        phase = np.where((m - component - power) % 2, -1.0 + 0j, 1j)
+        self.weights = (x ** power) * (b ** (component + 1 - m)) * phase
+        self.weighted = np.empty(self.weights.shape, dtype=complex)
+        self.shift = 1j * b.reshape(-1)
 
     def last_rows(self, ts) -> np.ndarray:
-        """The t-only stack L, shape (len(ts), m m^2, m).
+        """The real t-only stack L, shape (len(ts), m, m m^2).
 
-        Row (p-1) m^2 + a, column i holds the coefficient of weight p on
-        state entry a in the last row of band i, so the last rows at ts[k]
-        are ``(weights * V[:, None, :]).reshape(q, -1) @ L[k]``.  c and the
-        terms come from one call of :func:`_bold_B_terms` at xi = 1, so the
-        companion entries are bitwise -c of :meth:`PathAssembler.reduce` there.
+        Row i, column (p-1) m^2 + a holds the coefficient of weight p on
+        state entry a in the last row of band i, its phase (-i)^k, k =
+        m-c-p, taken as the real part for even k and the imaginary part for
+        odd k; so the last rows at ts[k] are ``L[k] @ W`` with W the weighted
+        states (m m^2, q) as floats (m m^2, 2q).  c and the terms come from
+        one call of :func:`_bold_B_terms` at xi = 1, so the companion
+        entries are bitwise -c of :meth:`PathAssembler.reduce` there.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         m = self.m
         _, c, _, terms = _bold_B_terms(self.derivs, ts, np.ones(1))
-        # L[t, p-1, band j, component, band i]
-        L = np.zeros((ts.size, m, m, m, m), dtype=complex)
+        # L[t, band i, p-1, band j, component]
+        L = np.zeros((ts.size, m, m, m, m))
         band, col = np.arange(m)[:, None], np.arange(m)[None, :]
-        L[:, m - 1 - col, band, col, band] = -c[:, None, :0:-1]
+        L[:, band, m - 1 - col, band, col] = -c[:, None, :0:-1]
         for l, band_terms in enumerate(terms, start=1):
             for hp, term in enumerate(band_terms):
-                L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
-        return L.reshape(ts.size, m ** 3, m)
+                part = term.imag if (m - l - hp) % 2 else term.real
+                L[:, :, hp, :, l - 1] = part
+        return L.reshape(ts.size, m, m ** 3)
 
     def bind(self, stages):
         """f(L, i): i (calA + calB) Y into ``out`` for (Y, out) = ``stages[i]``,
         L one time of :meth:`last_rows`; ValueError here unless each pair is two
-        distinct C-contiguous complex (q, m^2) arrays.  The views are built here,
-        once per pair, so f allocates nothing: the shift is one product over the
-        flattened stack, and the weighted states, in a buffer of the path, times
-        L write the last rows into ``out``; bitwise the same products row by row.
+        distinct C-contiguous complex (m^2, q) arrays.  The views are built here,
+        once per pair, so f allocates nothing: the shift is one product of rows
+        1.. of Y into rows ..m^2-2 of ``out``, and the weighted states, in a
+        buffer of the path, times L overwrite the last row of each band as one
+        real product.
         """
-        m, shape, views = self.m, (len(self.weights), self.m ** 2), []
+        m, q = self.m, self.shift.size
+        shape, views = (m * m, q), []
         for Y, out in stages:
             if np.may_share_memory(Y, out) or any(a.shape != shape or a.dtype != complex
                                                   or not a.flags.c_contiguous for a in (Y, out)):
                 raise ValueError(f"stages must be distinct C-contiguous complex {shape} arrays")
-            views.append((Y.reshape(-1)[1:], out.reshape(-1)[:-1], Y[:, None, :],
-                          out.reshape(self.blocks[:2] + (m * m,))[..., m - 1 :: m]))
-        flat = self.weighted.reshape(self.weights.shape)
+            views.append((Y[1:], out[:-1], Y[None], out.view(float)[m - 1 :: m]))
+        weighted = self.weighted.view(float).reshape(m ** 3, 2 * q)
 
         def f(L, i):
-            y, o, rows, last = views[i]
+            y, o, states, last = views[i]
             np.multiply(self.shift, y, o)
-            np.multiply(self.weights, rows, flat)
-            np.matmul(self.weighted, L, last)
+            np.multiply(self.weights, states, self.weighted)
+            np.matmul(L, weighted, last)
         return f
 
 

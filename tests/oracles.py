@@ -230,8 +230,11 @@ def reduce_reference(symbol: SystemSymbol, xi, ts) -> tuple:
 
 
 def last_rows_reference(symbol: SystemSymbol, ts) -> np.ndarray:
-    """``SeparablePath.last_rows(ts)`` of a one-dimensional symbol, from the
-    complex paths and terms at xi = 1 and the real recursion's coefficients."""
+    """The complex t-only stack of the mode-major separable apply, shape
+    (len(ts), m m^2, m), from the complex paths and terms at xi = 1 and the
+    real recursion's coefficients: row (p-1) m^2 + a, column i holds the
+    coefficient of weight p on state entry a in the last row of band i;
+    :func:`phase_folded` turns it into ``SeparablePath.last_rows(ts)``."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     m = symbol.m
     dtA = deriv_paths([time_derivative(symbol, k) for k in range(m)], ts, np.ones(1))
@@ -243,6 +246,18 @@ def last_rows_reference(symbol: SystemSymbol, ts) -> np.ndarray:
         for hp, term in enumerate(terms):
             L[:, hp, :, l - 1, :] = np.swapaxes(term, 1, 2)
     return L.reshape(ts.size, m ** 3, m)
+
+
+def phase_folded(L: np.ndarray) -> np.ndarray:
+    """The complex stack of :func:`last_rows_reference` (T, m m^2, m) as the
+    real (T, m, m m^2) of ``SeparablePath.last_rows``: the coefficient of
+    power p on component c carries the phase (-i)^(m-c-p), so each row keeps
+    its real part where m-c-p is even and its imaginary part where it is odd."""
+    m = L.shape[-1]
+    power = np.arange(1, m + 1)[:, None, None]
+    component = np.arange(m)[None, None, :]
+    odd = np.broadcast_to((m - component - power) % 2 == 1, (m, m, m)).reshape(-1)
+    return np.swapaxes(np.where(odd[:, None], L.imag, L.real), 1, 2)
 
 
 def derivative_maps(symbol: SystemSymbol, xi, ts, top: int) -> list:
@@ -339,7 +354,8 @@ def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, a
 
 
 def separable_apply(path, L, Y, out) -> np.ndarray:
-    """i (calA + calB) Y into ``out`` by one call of ``path.bind(((Y, out),))``."""
+    """i (calA + calB) Y into ``out`` by one call of ``path.bind(((Y, out),))``;
+    Y and out mode-last, (m^2, q)."""
     path.bind(((Y, out),))(L, 0)
     return out
 
@@ -348,11 +364,29 @@ def separable_apply_reference(path, L, Y, bxi) -> np.ndarray:
     """:func:`separable_apply` into a new array: the shift i <xi> row by row,
     the weighted states and the last rows each a new product.  ``bxi`` holds
     the brackets the path was built with."""
-    m = path.m
+    m, q = path.m, Y.shape[1]
+    out = np.empty(Y.shape, dtype=complex)
+    np.multiply(1j * np.ravel(bxi), Y[1:], out=out[:-1])
+    weighted = np.ascontiguousarray(path.weights * Y[None]).view(float).reshape(m ** 3, 2 * q)
+    out.view(float)[m - 1 :: m] = L @ weighted
+    return out
+
+
+def mode_major_apply(xi, bxi, L, Y) -> np.ndarray:
+    """The separable i (calA + calB) Y on states stored mode-major, Y (q, m^2),
+    in complex arithmetic: the shift i <xi> on each state's next entry, then
+    the weighted states (q, m m^2), weight p on entry a being
+    i xi^p <xi>^(c+1-m) with c the entry's component, times one time of
+    :func:`last_rows_reference` into the last row of each band."""
+    q, d = Y.shape
+    m = L.shape[-1]
+    x = np.reshape(xi, (-1, 1))
+    b = np.reshape(bxi, (-1, 1))
+    component = np.tile(np.arange(m), m)
+    weights = 1j * (x ** np.arange(1, m + 1))[:, :, None] * (b ** (component + 1 - m))[:, None, :]
     out = np.empty_like(Y)
-    np.multiply(1j * np.reshape(bxi, (-1, 1)), Y[:, 1:], out=out[:, :-1])
-    weighted = (path.weights * Y[:, None, :]).reshape(path.blocks)
-    out[:, m - 1 :: m] = (weighted @ L).reshape(-1, m)
+    np.multiply(1j * b, Y[:, 1:], out=out[:, :-1])
+    out[:, m - 1 :: m] = (weights * Y[:, None, :]).reshape(q, m * d) @ L
     return out
 
 

@@ -1421,3 +1421,12 @@ def test_ab_pairs_summary_gives_a_no_regression_verdict():
     assert verdict([a * 0.88 for a in parent], 0.1, "higher") == "worse"
     assert verdict([a * 1.12 for a in parent], 0.1, "higher") == "ok"
     assert verdict([0.151] * 10, 0.01, "higher") == "ok"
+
+
+def test_ab_pairs_keeps_every_line_of_a_run():
+    parse_run = load_script("ab_pairs").parse_run
+    stdout = ('# machine: {"cpus": 2}\n# samples: {"setup_s": [0.5], "reps": [0.1, 0.2]}\n'
+              '{"correct": true, "metrics": {"run_s": {"value": 0.1, "unit": "s"}}}\n')
+    assert parse_run(stdout) == {
+        "machine": {"cpus": 2}, "samples": {"setup_s": [0.5], "reps": [0.1, 0.2]},
+        "result": {"correct": True, "metrics": {"run_s": {"value": 0.1, "unit": "s"}}}}

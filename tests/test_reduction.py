@@ -36,6 +36,8 @@ from oracles import (
     initial_states,
     last_rows_reference,
     lift_trajectory,
+    mode_major_apply,
+    phase_folded,
     reduce_reference,
     separable_apply,
 )
@@ -399,10 +401,14 @@ class TestSeparablePath:
     """
 
     TOL = 1e-13
+    SYSTEMS = {"m2-glaeser": builtin_system("m2-glaeser"),
+               "m3-tracezero": builtin_system("m3-tracezero"),
+               "inline-m4": M4_DOUBLE_ZERO, "m6-double-zero": M6_DOUBLE_ZERO}
 
-    @pytest.mark.parametrize("S", [builtin_system("m2-glaeser"), builtin_system("m3-tracezero"),
-                                   M4_DOUBLE_ZERO], ids=["m2-glaeser", "m3-tracezero", "inline-m4"])
-    def test_matches_assembled_matrices(self, S):
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_matches_assembled_matrices(self, name):
+        # m = 6 runs K = 216 coefficients and every phase (-i)^k, k = 0..5
+        S = self.SYSTEMS[name]
         rng = np.random.default_rng(6)
         d = S.m * S.m
         xis = np.array([[0.0], [1.0], [-1.0], [-7.0], [64.0], [-512.0], [511.0], [3.5]])
@@ -413,14 +419,46 @@ class TestSeparablePath:
         L = path.last_rows(ts_half[sample])
         calA, calB = assemble_path(S, xis, ts_half[sample])
         for k in range(sample.size):
-            Y = rng.standard_normal((len(xis), d)) + 1j * rng.standard_normal((len(xis), d))
+            Y = rng.standard_normal((d, len(xis))) + 1j * rng.standard_normal((d, len(xis)))
             M = 1j * (calA[k] + calB[k])
             err = np.linalg.norm(separable_apply(path, L[k], Y, np.empty_like(Y))
-                                 - np.matvec(M, Y), axis=1)
-            scale = np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(Y, axis=1)
+                                 - np.matvec(M, Y.T).T, axis=0)
+            scale = np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(Y, axis=0)
             assert (err <= self.TOL * scale).all(), (k, err / scale)
         # every weight carries xi^p, p >= 1: the last rows vanish at wavenumber 0
-        assert not separable_apply(path, L[0], Y, np.empty_like(Y))[0, S.m - 1 :: S.m].any()
+        assert not separable_apply(path, L[0], Y, np.empty_like(Y))[S.m - 1 :: S.m, 0].any()
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    @pytest.mark.parametrize("q", [1, 8, 256])
+    def test_matches_complex_mode_major_apply(self, name, q):
+        """The real last-row product on mode-last states against the complex
+        one on mode-major states.  Both sum the same K = m^3 products, in the
+        orders of OpenBLAS's real and complex kernels, so they differ by at
+        most 2 K u sum |L W| (the error bound of a dot product, u = 2^-53);
+        they agree bit for bit at m = 2 and 3 for q > 1, and the shift rows
+        always do."""
+        S = self.SYSTEMS[name]
+        m, d = S.m, S.m * S.m
+        xis = np.array([[3.0]]) if q == 1 else np.fft.fftfreq(q, d=1.0 / q)[:, None]
+        bxi = brackets(xis)
+        path = SeparablePath(S, xis, bxi)
+        ts = np.linspace(0.0, S.horizon, 9)
+        L, complex_L = path.last_rows(ts), last_rows_reference(S, ts)
+        rng = np.random.default_rng(q)
+        for k in range(ts.size):
+            Y = rng.standard_normal((q, d)) + 1j * rng.standard_normal((q, d))
+            got = separable_apply(path, L[k], np.ascontiguousarray(Y.T), np.empty((d, q), complex))
+            want = np.ascontiguousarray(mode_major_apply(xis, bxi, complex_L[k], Y).T)
+            if m <= 3 and q > 1:
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), k
+                continue
+            shift = np.ones(d, dtype=bool)
+            shift[m - 1 :: m] = False
+            assert got[shift].tobytes() == want[shift].tobytes(), k
+            weighted = (path.weights * Y.T[None]).view(float).reshape(m ** 3, 2 * q)
+            bound = 2 * m ** 3 * 2.0 ** -53 * (np.abs(L[k]) @ np.abs(weighted))
+            err = np.abs(got.view(float)[m - 1 :: m] - want.view(float)[m - 1 :: m])
+            assert (err <= bound).all(), k
 
     def test_bind_rejects_aliased_or_mislaid_buffers(self):
         # Written in place, an aliased pair read the states it had already
@@ -430,16 +468,16 @@ class TestSeparablePath:
         path = SeparablePath(S, xis, brackets(xis))
         L = path.last_rows(np.array([0.25]))[0]
         rng = np.random.default_rng(5)
-        Y = rng.standard_normal((8, 9)) + 1j * rng.standard_normal((8, 9))
+        Y = rng.standard_normal((9, 8)) + 1j * rng.standard_normal((9, 8))
         out = np.empty_like(Y)
         path.bind(((Y, out), (out, Y)))   # a buffer may appear in several pairs
-        shared = np.zeros((9, 9), dtype=complex)
+        shared = np.zeros((10, 8), dtype=complex)
         with pytest.raises(ValueError, match="distinct C-contiguous complex"):
             separable_apply(path, L, Y, Y)
         with pytest.raises(ValueError, match="distinct C-contiguous complex"):
-            path.bind(((Y, out), (shared[:8], shared[1:])))
-        for bad in (np.asfortranarray(Y), Y.real.copy(), np.empty((8, 4), dtype=complex),
-                    np.empty((4, 9), dtype=complex)):
+            path.bind(((Y, out), (shared[:9], shared[1:])))
+        for bad in (np.asfortranarray(Y), Y.real.copy(), np.empty((4, 8), dtype=complex),
+                    np.empty((9, 4), dtype=complex), np.empty((8, 9), dtype=complex)):
             with pytest.raises(ValueError, match="C-contiguous complex"):
                 path.bind(((Y, bad),))
             with pytest.raises(ValueError, match="C-contiguous complex"):
@@ -463,10 +501,10 @@ class TestOneRecursion:
         L = SeparablePath(S, xis, brackets(xis)).last_rows(ts).reshape(ts.size, m, m, m, m)
         c = PathAssembler(S, xis).reduce(ts)[2][:, 0]
         band, col = np.arange(m)[:, None], np.arange(m)[None, :]
-        companion = L[:, m - 1 - col, band, col, band]
+        companion = L[:, band, m - 1 - col, band, col]
         want = np.broadcast_to(-c[:, None, :0:-1], companion.shape)
-        assert companion.real.tobytes() == np.ascontiguousarray(want).tobytes()
-        assert not companion.imag.any()
+        assert L.dtype == float
+        assert companion.tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("m, value", [(4, 1.63e-80), (4, 1 / 3), (5, 0.7), (6, 0.7)])
     def test_equal_entries(self, m, value):
@@ -501,10 +539,11 @@ class TestRealTermsAgainstComplexOracle:
     complex products of the oracle.
 
     reduce's (block, b, c), its band rows and evaluate_grid's b_entries are
-    bitwise.  So is last_rows, with the oracle's c from the real recursion,
-    up to the sign of its zero entries: the complex products' zeros take
-    their signs from complex rounding, and the sign of a zero entry of L
-    changes no nonzero entry of the products in ``apply``.
+    bitwise.  So is the real last_rows against the oracle's complex stack,
+    with c from the real recursion and phase-folded, up to the sign of its
+    zero entries: the complex products' zeros take their signs from complex
+    rounding, and the sign of a zero entry of L changes no nonzero entry of
+    the last-row product.
     """
 
     SYSTEMS = {**{name: builtin_system(name) for name in
@@ -522,7 +561,8 @@ class TestRealTermsAgainstComplexOracle:
         assert band_rows(block, b).tobytes() == rows.tobytes()
         if S.n == 1:
             L = SeparablePath(S, xis, brackets(xis)).last_rows(ts)
-            assert (L + 0.0).tobytes() == (last_rows_reference(S, ts) + 0.0).tobytes()
+            want = phase_folded(last_rows_reference(S, ts))
+            assert (L + 0.0).tobytes() == (want + 0.0).tobytes()
         grid = SamplingGrid.default(S, n_t=ts.size, n_r=3, r_max=float(np.abs(xis).max()) + 2.0,
                                     n_dirs=3)
         grid = SamplingGrid(ts=ts, radii=grid.radii, dirs=grid.dirs)
@@ -575,7 +615,7 @@ class TestRealTermsAgainstComplexOracle:
         assert str(exc.value) == (f"the reduction overflows at (t={ts[i]}, "
                                   f"xi={xis[k].tolist()})")
         L = SeparablePath(S, xis, brackets(xis)).last_rows(ts)
-        assert (np.isfinite(L) == np.isfinite(last_rows_reference(S, ts))).all()
+        assert (np.isfinite(L) == np.isfinite(phase_folded(last_rows_reference(S, ts)))).all()
         grid = SamplingGrid.default(S, n_t=5, n_r=3, r_max=1e4)
         messages = []
         for terms in (conditions._bold_B_terms, complex_terms):
