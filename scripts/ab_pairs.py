@@ -21,6 +21,16 @@ distance between the parent's quartiles, and a no-regression verdict:
   the bound, and not every change run beats every parent run;
 - ``ok``: neither.
 
+Beside the end-to-end metrics the summary holds ``run_s/setup_s``, the
+median over a run's reps of each rep's run time over its own set-up time.
+Both are measured in the same child, so the ratio divides out most of a
+host-speed mode that the whole process shares.  Set-up is import time, so
+where a change moves it the ratio is not evidence: its row reads
+"n/a (setup moved)" when the two ``setup_s`` medians differ by more than
+the parent's quartile distance.  The row takes ``run_s``'s direction and
+bound; it is evidence beside ``run_s`` and changes no bound and no claim of
+the other rows.
+
 With ``--json PATH`` the set is also kept under its workload's key in PATH,
 a JSON object that may already hold other workloads: every pair's seed, its
 order and each side's full ``run.py`` output (the ``#`` lines by name, such
@@ -39,6 +49,8 @@ from pathlib import Path
 import numpy as np
 
 WIN_SHARE = 0.9   # share of pairs the change must win for a claim
+RATIO = "run_s/setup_s"
+SETUP_MOVED = "n/a (setup moved)"
 
 
 def parse_run(stdout: str) -> dict:
@@ -63,6 +75,14 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_run(proc.stdout)
 
 
+def metrics_of(run: dict) -> dict:
+    """{metric: value} of one :func:`parse_run` output: its end-to-end
+    metrics and RATIO over the reps of its ``samples`` line."""
+    values = {name: m["value"] for name, m in run["result"]["metrics"].items()}
+    values[RATIO] = float(np.median([r["run_s"] / r["setup_s"] for r in run["samples"]["reps"]]))
+    return values
+
+
 def summarize(pairs: list, better: dict, bounds: dict) -> dict:
     """{metric: summary} of pairs [(parent, change), ...] of {metric: value}.
 
@@ -71,7 +91,10 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
     and its median beats the parent's by more than the parent's quartile
     distance, and ``verdict``: "worse", "unresolved" or "ok" as the module
     docstring defines them.  ``better[metric]`` is "lower" or "higher", and
-    ``bounds[metric]`` the relative bound of the verdict.
+    ``bounds[metric]`` the relative bound of the verdict.  Where ``setup_s``
+    is summarized too, RATIO claims nothing and its verdict reads SETUP_MOVED
+    when the ``setup_s`` medians differ by more than the parent's quartile
+    distance.
     """
     out = {}
     for name, direction in better.items():
@@ -92,6 +115,10 @@ def summarize(pairs: list, better: dict, bounds: dict) -> dict:
                      "wins": wins, "pairs": len(pairs),
                      "claim": bool(wins >= WIN_SHARE * len(pairs) and gap > pa[2] - pa[0]),
                      "verdict": verdict}
+    setup = out.get("setup_s")
+    if RATIO in out and setup is not None and (
+            abs(setup["parent"][1] - setup["change"][1]) > setup["parent"][2] - setup["parent"][0]):
+        out[RATIO].update(claim=False, verdict=SETUP_MOVED)
     return out
 
 
@@ -110,6 +137,7 @@ def main() -> int:
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    better[RATIO], bounds[RATIO] = better["run_s"], bounds["run_s"]
 
     pairs, runs, correct = [], [], True
     for p in range(args.pairs):
@@ -117,8 +145,7 @@ def main() -> int:
         sides = [args.parent, args.change][:: 1 if p % 2 == 0 else -1]
         out = {side: run_bench(side, args.workload, seed, args.seconds) for side in sides}
         correct &= all(run["result"]["correct"] for run in out.values())
-        parent, change = ({name: m["value"] for name, m in out[side]["result"]["metrics"].items()}
-                          for side in (args.parent, args.change))
+        parent, change = (metrics_of(out[side]) for side in (args.parent, args.change))
         pairs.append((parent, change))
         runs.append({"seed": seed, "first": "parent" if p % 2 == 0 else "change",
                      "parent": out[args.parent], "change": out[args.change]})

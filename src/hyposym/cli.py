@@ -78,11 +78,19 @@ MAX_SWEEP_STEPS = 1 << 21
 # conditions-m3 benchmark in process: slabs of 512 rows take 0.054 s at a
 # 0.16 MB tracemalloc peak, 2,048 rows 0.037-0.053 s at 0.46 MB and 8,192 rows
 # 0.035 s at 2.09 MB.  At 2,048 the write adds nothing to the benchmark's
-# 48.0-48.4 MB peak RSS, which the grid evaluation sets.
+# 43.2-43.6 MB peak RSS, which run_conditions sets, numpy.random's import
+# (5.0-5.4 MB, OpenSSL included) among it.
 _CSV_ROWS = 2048
 
 # Most samples of an energy trace that a report carries.
 _TRACE_SAMPLES = 1001
+
+# Rows per chunk of a float array in JSON output (see _write_floats).  A
+# (1001, 16) array, as a report trace's V_re, peaked at 1.83 MB of traced
+# memory written whole and at 0.27 MB in chunks of 256 rows (0.07 MB at 64).
+# Three such traces were written in the same time at 64 to 512 rows as
+# whole (min of 12 interleaved calls 114-131 ms, within the host's noise).
+_JSON_ROWS = 256
 
 
 class ConfigError(ValueError):
@@ -447,20 +455,39 @@ def _float_list(values: list, level: int, finite: bool) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
 
 
+def _write_floats(write, array: np.ndarray, level: int) -> None:
+    """A float array of one or more dimensions as a nested JSON list at
+    ``level``, _JSON_ROWS entries of its first axis at a time, so neither
+    the whole array's ``tolist()`` nor its text exists at once."""
+    if not len(array):
+        write("[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    for k in range(0, len(array), _JSON_ROWS):
+        chunk = array[k : k + _JSON_ROWS]
+        finite = bool(np.isfinite(chunk).all())
+        if chunk.ndim > 1:
+            items = (_float_list(row, level + 1, finite) for row in chunk.tolist())
+        else:
+            items = map(float.__repr__ if finite else _float_token, chunk.tolist())
+        write(("," if k else "[") + inner + ("," + inner).join(items))
+    write("\n" + "  " * level + "]")
+
+
 def _write_json(write, obj, level: int = 0) -> None:
     """Write ``obj`` piece by piece, byte for byte as
     ``json.dumps(obj, indent=2, sort_keys=True)`` writes the plain JSON it
     stands for.
 
-    Arrays and numpy scalars become lists and numbers (a float array row by
-    row, each float by ``float.__repr__``), tuples become lists, complex
-    numbers ``{"re": ..., "im": ...}`` and dict keys strings; non-finite
+    Arrays and numpy scalars become lists and numbers (a float array in
+    chunks of rows, each float by ``float.__repr__``), tuples become lists,
+    complex numbers ``{"re": ..., "im": ...}`` and dict keys strings; non-finite
     floats become the strings of ``_NONFINITE``.  Strings are escaped to
     ASCII as json.dumps escapes them.
     """
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
-            write(_float_list(obj.tolist(), level, bool(np.isfinite(obj).all())))
+            _write_floats(write, obj, level)
         else:
             _write_json(write, obj.tolist(), level)
     elif isinstance(obj, complex):

@@ -129,6 +129,7 @@ def evaluate_grid(assembler: PathAssembler, grid: SamplingGrid, block: slice) ->
     char0 = faddeev_leverrier(A / bxi).real
     _require_finite(char0, grid, k0, "a rescaled characteristic coefficient")
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = [list(band) for band in terms]   # the mirror sums them twice
         boldB = [sum(t) for t in terms]
         if mirror:  # bold_B_l at -xi: term hp times (-1)^(hp+1)
             boldB = [np.concatenate([b, sum(x if hp % 2 else -x for hp, x in enumerate(t))],

@@ -105,13 +105,15 @@ class SolverConfig:
         return N, symbol.horizon / N
 
 
-# Time samples per block of the energy terms (term2, term3 and the
-# coercivity candidates) and of growth_log's row norms: the lifted
-# (m^2 x m^2) complex stacks of 256 samples take 5.3 MB each at m = 6, a
-# norm over a whole m = 6 trace of 20,001 samples raised the peak RSS of
-# growth by 10 MB, and term2 and the eigenvalues of Q over that whole trace
-# added 29.6 MB of traced memory to the energy diagnostics.
-_TERM3_BLOCK = 256
+# Time samples per block of the energy terms (term2, term3, E, K and the
+# coercivity candidates) and of growth_log's row norms.  The lifted
+# (m^2 x m^2) complex stack of term3 takes 16 m^4 bytes a sample, 2.7 MB
+# for 128 samples at m = 6; a norm over a whole m = 6 trace of 20,001
+# samples raised the peak RSS of growth by 10 MB.  _EnergyTerms.add over
+# 2,002 random samples (2 cores, 2 MiB L2, min of 15 calls), blocks of
+# 32 / 64 / 128 / 256 / 512: m = 3 11.2 / 8.8 / 7.5 / 8.8 / 8.0 ms, m = 4
+# 19.4 / 12.9 / 11.1 / 12.1 / 14.6 ms, m = 6 42 / 44 / 50 / 62 / 65 ms.
+_TERM3_BLOCK = 128
 
 
 @dataclass
@@ -156,14 +158,22 @@ class EnergyTrace:
 
 # Bytes of right-hand-side data held per window of the lockstep RK4 (see
 # :func:`_width`).  A window of reduced_integrate holds the band rows, the
-# companion block and b at each half-step, 16 m^3 + 8 m^2 + 16 (m-1) m^2 =
-# 8 m^2 (4m - 1) bytes: windows of 2,340, 661, 273, 137 and 79 steps at
-# m = 2..6.  The separable solve's window is counted at 32 m^4 bytes a
-# half-step: windows of 1,024 (m = 2) and 202 (m = 3) steps.  Its real
-# last-row coefficients, 8 m^4 bytes, and the complex terms and real paths
-# they are built from peaked at 17-20 m^4 bytes a half-step (tracemalloc of
-# one window of m2-glaeser and of m3-tracezero), so its windows hold about
-# 0.6 MB.
+# companion block and b at each half-step, 8 m^2 (4m - 1) bytes, and
+# building them takes more: reduce's paths and bold_A with one bold_B term
+# at a time, then band_rows' real diagonal.  The tracemalloc peak of reduce
+# and band_rows at xi = 100, per half-step over windows of 201 to 801
+# half-steps, read 411 / 1,295 / 2,662 / 4,871 / 8,352 bytes at m = 2..6
+# (m2-glaeser, m3-tracezero and companion systems with a double zero).  At
+# each m the least multiple of 16 m^2 above the reading is 16 m^2 (2m + 3),
+# so a half-step is counted at that: windows of 1,170, 404, 186, 100 and 60
+# steps.  While reduce held every term of a window at once, the readings
+# were 411 / 1,616 / 4,520 / 10,048 / 19,352 bytes.
+# The separable solve's window is counted at 32 m^4 bytes a half-step:
+# windows of 1,024 (m = 2) and 202 (m = 3) steps.  Its real last-row
+# coefficients, 8 m^4 bytes, and the complex terms and real paths they are
+# built from peaked at 17-20 m^4 bytes a half-step (tracemalloc of one
+# window of m2-glaeser and of m3-tracezero, with every term held at once),
+# so its windows hold about 0.6 MB.
 _WINDOW_BYTES = 1 << 20
 
 
@@ -232,6 +242,7 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
                     out[slot] = Y
                     logs[slot] = acc
                     slot += 1
+            del f   # the window's data goes before ``after`` and the next window
             # A non-finite entry stays non-finite, so one check per window
             # catches it.
             if not np.isfinite(Y).all():
@@ -339,18 +350,28 @@ def _lifted_commutator(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
     k, m = Q.shape[0], Q.shape[-1]
     bt = np.moveaxis(b, 1, -1)                      # bt[s, i, j, l] = b[s, l, i, j]
     P = np.zeros((k, m, m, m, m), dtype=complex)    # [sample, band, row, band, column]
-    # (Q_lift B)[i m + a, j m + l] = Q[a, m-1] b[l, i, j]
-    P[..., : m - 1] = Q[:, None, :, m - 1, None, None] * bt[:, :, None]
-    # (B* Q_lift)[j m + l, i m + c] = conj(b[l, i, j]) Q[m-1, c]
-    P[:, :, : m - 1] -= np.conj(bt).transpose(0, 2, 3, 1)[..., None] * Q[:, None, None, None, m - 1]
+    # one band of rows i at a time, so each product takes 1/m of P
+    for i in range(m):
+        # (Q_lift B)[i m + a, j m + l] = Q[a, m-1] b[l, i, j]
+        P[:, i, :, :, : m - 1] = Q[:, :, m - 1, None, None] * bt[:, i, None]
+        # (B* Q_lift)[i m + l, j m + c] = conj(b[l, j, i]) Q[m-1, c]
+        P[:, i, : m - 1] -= np.conj(bt[:, :, i]).transpose(0, 2, 1)[..., None] * Q[:, None, None, m - 1]
     return P.reshape(k, m * m, m * m)
 
 
 def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float) -> tuple:
-    """E = (Q_lift V | V) and K = |(dQ/dt V | V)| / E along a trajectory."""
-    dQ = np.gradient(Q, h, axis=0)
+    """E = (Q_lift V | V) and K = |(dQ/dt V | V)| / E along a trajectory.
+
+    dQ/dt is taken _TERM3_BLOCK samples at a time, from the block and one
+    sample on each side: bitwise ``np.gradient(Q, h, axis=0)``, whose
+    centred and one-sided differences read only neighbouring samples.
+    """
     E = _band_form(Q, blocks).real
-    K_num = np.abs(_band_form(dQ, blocks))
+    K_num = np.empty(len(Q))
+    for s0 in range(0, len(Q), _TERM3_BLOCK):
+        sl, lo = slice(s0, s0 + _TERM3_BLOCK), max(s0 - 1, 0)
+        dQ = np.gradient(Q[lo : sl.stop + 1], h, axis=0)[s0 - lo : sl.stop - lo]
+        K_num[sl] = np.abs(_band_form(dQ, blocks[sl]))
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(E > ENERGY_FLOOR, K_num / np.maximum(E, ENERGY_FLOOR), 0.0)
     return E, K
@@ -451,6 +472,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
 
     def window(k0, k1):
         nonlocal held
+        held = ()   # the last window's, released before this one is reduced
         n = 2 * (k1 - k0) + 1   # a constant symbol reduces one sample and broadcasts it
         block, b = assembler.reduce(ts_half[2 * k0 : 2 * k0 + (1 if constant else n)])[:2]
         rows, block, b = (np.broadcast_to(x, (n,) + x.shape[1:])
@@ -472,7 +494,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
         # samples k0..k1-1, and in the last window the final sample N too
         terms.add(k0, k1 if k1 < N else N + 1, *held, out[:, 0])
 
-    V, logs = _lockstep_rk4(window, _width(8 * m * m * (4 * m - 1)), V0[None], N,
+    V, logs = _lockstep_rk4(window, _width(16 * m * m * (2 * m + 3)), V0[None], N,
                             h, range(N + 1), renormalize=True,
                             after=None if terms is None else after, where=f" (xi={xi})")
     trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)

@@ -67,10 +67,15 @@ def sylvester_companion(lambdas) -> np.ndarray:
     return M
 
 
-# Rows per block of q_eps_parts and q_eps.  At m = 6 a block of 1,024 rows
-# holds the outer products of its 63 subsets (18.6 MB) and its 6 parts
-# (1.8 MB); q_eps keeps only the block's Q (0.3 MB).
-_ROW_BLOCK = 1024
+# Rows per block of q_eps_parts and q_eps.  A block holds the outer products
+# of its 2^m - 1 subsets and its m parts (4.6 and 0.4 MB at m = 6); q_eps
+# keeps only the block's Q.  q_eps on sorted random rows (2 cores, 2 MiB L2,
+# min of 3-5 calls), blocks of 64 / 128 / 256 / 512 / 1,024 rows: m = 3,
+# 4,096 rows 12.4 / 8.7 / 6.7 / 8.1 / 7.5 ms; m = 4, 2,002 rows 15.5 / 11.7 /
+# 9.3 / 8.4 / 11.7 ms; m = 5, 4,096 rows 85 / 72 / 65 / 68 / 92 ms; m = 6,
+# 4,096 rows 538 / 594 / 592 / 730 / 1,117 ms.  The tracemalloc peak at
+# m = 6 is 3.0 / 4.6 / 7.8 / 14.3 / 27.2 MB.
+_ROW_BLOCK = 256
 
 
 @lru_cache(maxsize=None)

@@ -37,19 +37,25 @@ def _bold_B_terms(derivs: list, ts, xi) -> tuple:
     ``paths[k]`` is d^k/dt^k A along ``ts`` at ``xi`` for the symbols
     ``derivs``, k < m; c are the characteristic coefficients of A = paths[0]
     by the real recursion and bold_A_0..bold_A_{m-1} its adjugate
-    coefficients.  ``terms[l-1][hp]`` = comb(m-1-hp, l-1) bold_A_hp D_t^k A,
-    k = m-l-hp, of degree hp + 1 in xi, sum to bold_B_l.  Each product is
-    real; the phase (-i)^k puts it into the real or imaginary part, bitwise
-    the complex product up to the sign of a zero.
+    coefficients.  ``terms[l-1]`` yields, once, the terms hp = 0, 1, ... of
+    bold_B_l: comb(m-1-hp, l-1) bold_A_hp D_t^k A, k = m-l-hp, of degree
+    hp + 1 in xi, each formed as it is taken, so a caller that sums them
+    holds one at a time.  Each product is real; the phase (-i)^k puts it into
+    the real or imaginary part, bitwise the complex product up to the sign
+    of a zero.
     """
     paths = [eval_symbol_path(d, ts, xi) for d in derivs]
     c = faddeev_leverrier(paths[0])
     m = c.shape[-1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         boldA = adjugate_coeffs(paths[0], c)
-        terms = [[comb(m - 1 - hp, l - 1) * (boldA[hp] @ paths[m - l - hp]) * (-1j) ** (m - l - hp)
-                  for hp in range(m - l)] for l in range(1, m)]
-    return paths, c, boldA, terms
+
+    def band(l):
+        for hp in range(m - l):
+            with np.errstate(over="ignore", invalid="ignore"):
+                term = comb(m - 1 - hp, l - 1) * (boldA[hp] @ paths[m - l - hp]) * (-1j) ** (m - l - hp)
+            yield term
+    return paths, c, boldA, [band(l) for l in range(1, m)]
 
 
 def block_sylvester(block, b) -> tuple:
@@ -116,10 +122,18 @@ class PathAssembler:
         block = np.zeros(c.shape[:-1] + (m, m))
         for j in range(m - 1):
             block[..., j, j + 1] = bxi
+        # Each bold_B_l is summed and scaled in place as its terms are formed:
+        # bitwise self.entries([sum(t) for t in terms]), without their stacks.
+        b = np.zeros(c.shape[:-1] + (m - 1, m, m), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             for col in range(m):
                 block[..., m - 1, col] = -c[..., m - col] * self.powers[col - m] * bxi
-            b = self.entries([sum(t) for t in terms])
+            for l, band in enumerate(terms, start=1):
+                bl = b[..., l - 1, :, :]
+                for term in band:
+                    bl += term
+                del term   # freed before the next band's first term is formed
+                bl *= self.powers[l - m][..., None, None]
         bad = ~(np.isfinite(block).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1)))
         if bad.any():
             *k, i = np.argwhere(np.moveaxis(bad, 0, -1))[0]

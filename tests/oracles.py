@@ -13,6 +13,7 @@ keeps its two earlier forms: at t = 0 with ``np.matvec`` and along a
 trajectory with ``np.einsum``.  The inline companion systems with a double
 zero eigenvalue at t = 0 are shared by several test modules.  The
 conditions grid's ``GridData`` of the whole grid is its time blocks joined.
+The memory bounds of the tests read one call's tracemalloc peak.
 """
 
 from dataclasses import dataclass, field
@@ -409,3 +410,17 @@ def rk4_propagate_reference(M, Y0, N, h, record) -> np.ndarray:
                 raise NumericError(f"non-finite state by step {k} of {N}")
             at[k] = Y
     return np.array([at[int(k)] for k in record]).reshape((len(record),) + Y.shape)
+
+
+def traced_peak(fn, *args) -> tuple:
+    """(fn(*args), bytes): the call's result and its tracemalloc peak above
+    the memory traced when it starts."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

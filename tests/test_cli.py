@@ -23,6 +23,7 @@ from hyposym.cli import (
     run,
 )
 from hyposym.quasisym import sample_separation_set
+from oracles import traced_peak
 
 
 MINIMAL_GLAESER = json.dumps(
@@ -900,6 +901,33 @@ def test_write_json_numpy_values_match_old_serializer():
     assert _json_text(doc) == json.dumps(_jsonable(doc), indent=2, sort_keys=True)
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_write_json_chunks_change_no_byte(rows, monkeypatch):
+    """Float arrays go out _JSON_ROWS entries of their first axis at a time;
+    at 1 and at 7, which split every array here, with non-finite values in
+    some chunks only, the text is still json.dumps's."""
+    import hyposym.cli as cli_module
+
+    rng = np.random.default_rng(3)
+    two = rng.standard_normal((23, 4))
+    two[5, 2], two[17, 0] = np.nan, -np.inf
+    doc = {"two": two, "three": rng.standard_normal((9, 2, 3)), "one": rng.standard_normal(15),
+           "strided": (two + 1j).imag[::2], "no_rows": np.zeros((0, 3)), "no_cols": np.zeros((4, 0))}
+    monkeypatch.setattr(cli_module, "_JSON_ROWS", rows)
+    assert _json_text(doc) == json.dumps(_jsonable(doc), indent=2, sort_keys=True)
+
+
+def test_write_json_holds_one_chunk_of_an_array():
+    """A (1001, 16) float array, as a report trace's V_re: written whole, its
+    tolist() and its text peaked at 1.83 MB of traced memory, and in chunks
+    of 256 rows at 0.27 MB."""
+    from hyposym.cli import _write_json
+
+    array = np.random.default_rng(4).standard_normal((1001, 16))
+    _, peak = traced_peak(_write_json, lambda text: None, array)
+    assert peak < 0.5e6
+
+
 @pytest.mark.parametrize("command, doc", [
     ("reduce", {"system": {"name": "m2-glaeser"}, "grids": {"xi_list": [2.0]}}),
     ("verify-qs", {"system": {"name": "m3-tracezero"}}),
@@ -1399,6 +1427,63 @@ def test_ab_pairs_summary_applies_the_claim_rule():
     pairs = [({"run_s": a}, {"run_s": a - 0.001}) for a in parent]
     got = summarize(pairs, {"run_s": "lower"}, {"run_s": 0.25})["run_s"]
     assert (got["wins"], got["claim"]) == (10, False)
+
+
+def test_ab_pairs_ratio_row_divides_out_a_shared_speed_factor():
+    """Each rep's run and set-up share a host-speed factor, slow (1.7) in a
+    different number of reps per run: the run_s medians land in either mode
+    and the claim fails, while run_s/setup_s wins every pair."""
+    module = load_script("ab_pairs")
+    better = {"run_s": "lower", "setup_s": "lower", module.RATIO: "lower"}
+    bounds = {"run_s": 0.25, "setup_s": 0.25, module.RATIO: 0.25}
+
+    def run(run_s, setup_s, slow):
+        reps = [{"run_s": run_s * f, "setup_s": setup_s * f}
+                for f in [1.7] * slow + [1.0] * (9 - slow)]
+        return {"samples": {"reps": reps}, "result": {"metrics": {
+            name: {"value": float(np.median([r[name] for r in reps]))}
+            for name in ("run_s", "setup_s")}}}
+
+    slow_parent = [2, 3, 6, 1, 7, 2, 3, 1, 2, 3]
+    slow_change = [7, 2, 3, 8, 1, 6, 2, 3, 1, 2]
+
+    def summary(change_setup):
+        pairs = [(module.metrics_of(run(0.10, 0.25, a)), module.metrics_of(run(0.08, change_setup, b)))
+                 for a, b in zip(slow_parent, slow_change)]
+        return module.summarize(pairs, better, bounds)
+
+    got = summary(0.25)
+    assert (got["run_s"]["wins"], got["run_s"]["claim"]) == (7, False)
+    ratio = got[module.RATIO]
+    assert (ratio["wins"], ratio["claim"], ratio["verdict"]) == (10, True, "ok")
+    assert ratio["parent"][1] == pytest.approx(0.4) and ratio["change"][1] == pytest.approx(0.32)
+    # a change that moves set-up moves the ratio too: no evidence either way
+    got = summary(0.20)[module.RATIO]
+    assert (got["claim"], got["verdict"]) == (False, module.SETUP_MOVED)
+
+
+def test_ab_pairs_rescores_bench_30():
+    """The committed BENCH_30.json, re-scored from its raw reps: the
+    run_s/setup_s row resolves solve-glaeser's gain that run_s left at 8 of
+    10 pairs, and reads no change on solve-wave, whose code that change left
+    alone."""
+    module = load_script("ab_pairs")
+    doc = json.loads((Path(__file__).resolve().parent.parent / "BENCH_30.json").read_text())
+    better = {"run_s": "lower", "setup_s": "lower", module.RATIO: "lower"}
+    bounds = {"run_s": 0.25, "setup_s": 0.25, module.RATIO: 0.25}
+    got = {}
+    for workload, entry in doc.items():
+        pairs = [(module.metrics_of(r["parent"]), module.metrics_of(r["change"]))
+                 for r in entry["runs"]]
+        got[workload] = module.summarize(pairs, better, bounds)
+    glaeser = got["solve-glaeser"]
+    assert (glaeser["run_s"]["wins"], glaeser["run_s"]["claim"]) == (8, False)
+    ratio = glaeser[module.RATIO]
+    assert round(ratio["parent"][1], 3) == 0.380 and round(ratio["change"][1], 3) == 0.286
+    assert (ratio["wins"], ratio["pairs"], ratio["claim"]) == (10, 10, True)
+    wave = got["solve-wave"][module.RATIO]
+    assert round(wave["parent"][1], 3) == 0.126 and round(wave["change"][1], 3) == 0.124
+    assert wave["claim"] is False
 
 
 def test_ab_pairs_summary_gives_a_no_regression_verdict():

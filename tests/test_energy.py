@@ -42,6 +42,7 @@ from oracles import (
     rk4_propagate_reference,
     separable_apply,
     separable_apply_reference,
+    traced_peak,
 )
 
 
@@ -323,15 +324,15 @@ class TestReducedIntegrate:
         per-sample oracle's.  Every run crosses window boundaries."""
         widths = lockstep_widths(monkeypatch)
         cases = [
-            # 801 steps in windows of 661; 802 samples: the term3 blocks end mid-trace
-            (builtin_system("m3-tracezero"), 40.0, None, 802, 661),
-            (builtin_system("m3-tracezero"), 40.0, 0.05, 802, 661),
-            # 2,001 steps in 8 windows of 273
-            (M4_DOUBLE_ZERO, 100.0, None, 2002, 273),
-            # a constant symbol: one sample per window, stepped in windows of 2,340
-            (builtin_system("m2-wave"), 300.0, None, 6002, 2340),
-            # 102 steps in windows of 79
-            (M6_DOUBLE_ZERO, 5.0, None, 103, 79),
+            # 801 steps in windows of 404; 802 samples: the term3 blocks end mid-trace
+            (builtin_system("m3-tracezero"), 40.0, None, 802, 404),
+            (builtin_system("m3-tracezero"), 40.0, 0.05, 802, 404),
+            # 2,001 steps in 11 windows of 186
+            (M4_DOUBLE_ZERO, 100.0, None, 2002, 186),
+            # a constant symbol: one sample per window, stepped in windows of 1,170
+            (builtin_system("m2-wave"), 300.0, None, 6002, 1170),
+            # 102 steps in windows of 60
+            (M6_DOUBLE_ZERO, 5.0, None, 103, 60),
         ]
         for S, x, eps, samples, width in cases:
             xi = np.array([x])
@@ -368,6 +369,41 @@ class TestReducedIntegrate:
         ref = np.einsum("kia,kia->k", np.conj(blocks), np.einsum("kab,kib->kia", Q, blocks))
         assert form.tobytes() == ref.tobytes()
 
+    def test_diagnostics_peak(self):
+        """One run with diagnostics on M4_DOUBLE_ZERO at xi = 100 (2,002
+        samples) peaked at 2.3 MB of traced memory; with every bold_B term of
+        a window held at once, windows counted without the reduction's
+        temporaries and term3 in blocks of 256 samples it peaked at 4.6 MB."""
+        xi = np.array([100.0])
+        V0 = initial_state(M4_DOUBLE_ZERO, np.ones(4) / 2, xi)
+        _, peak = traced_peak(reduced_integrate, M4_DOUBLE_ZERO, xi, V0, SolverConfig())
+        assert peak < 3e6
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_block_sizes_change_no_output_bit(self, size, monkeypatch):
+        """Q_eps rows, energy-term samples and RK4 windows taken 1 and 7 at a
+        time: every diagnostic and the K sweep keep every bit."""
+        from hyposym import quasisym
+
+        S, xi = M4_DOUBLE_ZERO, np.array([10.0])
+        V0 = initial_state(S, np.ones(4) / 2, xi)
+
+        def outputs():
+            trace = reduced_integrate(S, xi, V0, SolverConfig())
+            sweep = integral_K_sweep(trace, (1e-1, 1e-2))
+            return [getattr(trace, name).tobytes() for name in
+                    ("V", "log_scale", "E", "K", "term2", "term3", "dtE", "lambdas")] + [
+                trace.coercivity_sup, sweep.K_integrals]
+
+        ref = outputs()
+        widths = lockstep_widths(monkeypatch)
+        monkeypatch.setattr(quasisym, "_ROW_BLOCK", size)
+        monkeypatch.setattr(energy, "_TERM3_BLOCK", size)
+        # windows of `size` steps: a half-step of m = 4 is counted at 2,816 bytes
+        monkeypatch.setattr(energy, "_WINDOW_BYTES", size * 2 * 2816)
+        assert outputs() == ref
+        assert widths == [size]
+
     def test_constant_symbol_renormalises_across_windows_bitwise(self, monkeypatch):
         """A constant symbol steps one sample per window in bounded windows; a run
         that renormalises twice is bitwise the step-by-step oracle, and its
@@ -379,7 +415,7 @@ class TestReducedIntegrate:
         widths = lockstep_widths(monkeypatch)
         V0 = initial_state(S, np.ones(2) / np.sqrt(2), xi)
         trace = reduced_integrate(S, xi, V0, SolverConfig())
-        assert widths == [2340]   # 6 windows
+        assert widths == [1170]   # 11 windows
         ref, ref_logs = reference_rk4(step_matrices(S, xi[None], np.zeros(1))[0, 0], N, h, V0,
                                       renormalize=True)
         assert np.count_nonzero(np.diff(ref_logs)) == 2
@@ -391,12 +427,12 @@ class TestReducedIntegrate:
 
     @pytest.mark.parametrize("name, x, start, renormalisations", [
         ("m2-glaeser", 50.0, None, 0),
-        # a constant symbol, renormalised in the third and fifth windows of 2,340 steps
+        # a constant symbol, renormalised in the fifth and tenth windows of 1,170 steps
         ("m2-nonhyp-control", 600.0, None, 2),
         ("m2-wave", 300.0, None, 0),
         ("m3-tracezero", 40.0, None, 0),
         # from norm 0.9 RENORM_THRESHOLD; renormalised at step 1,569, in the
-        # sixth window of 273 steps
+        # ninth window of 186 steps
         ("m4-double-zero", 100.0, 0.9 * RENORM_THRESHOLD, 1),
         ("m6-double-zero", 5.0, None, 0),
     ])
@@ -863,14 +899,14 @@ class TestInPlaceStages:
     and apply of the oracles: bitwise on every state."""
 
     def test_dense_windows_renormalising_bitwise(self, monkeypatch):
-        # 2,001 steps in windows of 273; the state starts at 0.9 RENORM_THRESHOLD
+        # 2,001 steps in windows of 186; the state starts at 0.9 RENORM_THRESHOLD
         # and is renormalised once, after the first window (at step 1,569)
         S, xi = M4_DOUBLE_ZERO, np.array([100.0])
         V0 = initial_state(S, np.ones(4) / 2, xi)
         V0 = V0 * (0.9 * RENORM_THRESHOLD / np.linalg.norm(V0))
         trace = reduced_integrate(S, xi, V0, SolverConfig())
         renormalised = np.flatnonzero(np.diff(trace.log_scale))
-        assert renormalised.size == 1 and renormalised[0] >= 273
+        assert renormalised.size == 1 and renormalised[0] >= 186
         monkeypatch.setattr(energy, "_lockstep_rk4", lockstep_rk4_reference)
         ref = reduced_integrate(S, xi, V0, SolverConfig())
         for name in ("V", "log_scale", "E", "K", "term2", "term3", "dtE"):

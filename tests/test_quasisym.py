@@ -19,7 +19,7 @@ from hyposym.quasisym import (
     sum_parts,
 )
 from hyposym.symbols import deleted_sigmas, elementary_symmetric_all
-from oracles import lift_blocks, near_diagonal_constant
+from oracles import lift_blocks, near_diagonal_constant, traced_peak
 
 
 def build_P(lambdas) -> np.ndarray:
@@ -216,8 +216,8 @@ class TestStackedKernel:
             assert Q.tobytes() == sum_parts(parts, eps).tobytes()
 
     def test_q_eps_holds_one_block_of_parts(self):
-        """At m = 4 the parts of 16,384 rows take 8.4 MB; Q_eps from them
-        must peak below that, holding Q (2.1 MB) and one block's work."""
+        """At m = 4 the parts of 16 row blocks take four times their Q_eps;
+        Q_eps from them must peak below that, holding Q and one block's work."""
         import tracemalloc
 
         m, rows = 4, 16 * _ROW_BLOCK
@@ -231,6 +231,13 @@ class TestStackedKernel:
         finally:
             tracemalloc.stop()
         assert peak < parts_bytes
+
+    def test_q_eps_peak_at_m6(self):
+        """4,096 sorted m = 6 rows: q_eps peaked at 7.8 MB of traced memory in
+        blocks of 256 rows and at 27.2 MB in blocks of 1,024."""
+        lams = np.sort(np.random.default_rng(8).uniform(-1.0, 1.0, (4096, 6)), axis=-1)
+        _, peak = traced_peak(q_eps, lams, 0.3)
+        assert peak < 10e6
 
     def test_empty_stack_and_bad_eps(self):
         assert q_eps_parts(np.zeros((0, 3))).shape == (3, 0, 3, 3)
