@@ -54,6 +54,9 @@ INLINE_SYSTEMS = {
     "inline-m4": companion_system([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]]),
     "inline-m6": companion_system([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
                                    [5.0, 0.0, 1.0], [0.0]]),
+    # Eigenvalues +-1, +-2 and +-3, constant in t: its solve runs the
+    # constant-coefficient propagator on the 6 x 6 companion block of each mode.
+    "inline-m6-const": companion_system([[36.0], [0.0], [-49.0], [0.0], [14.0], [0.0]]),
     # A symmetric 3x3 system in two space dimensions, xi_1 diag(1, 0, -1) +
     # xi_2 [[0, t, 0], [t, 0, 1], [0, 1, 0]]: every built-in is one-dimensional,
     # and this is the one grid whose directions are not the mirrored pair +-1.
@@ -83,6 +86,7 @@ PIPELINES = {
     "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
     "inline-m4": ("reduce", "growth", "report", "solve"),
     "inline-m6": ("reduce", "growth", "report"),
+    "inline-m6-const": ("solve",),
     "inline-n2-m3": ("conditions",),
     "inline-overflow": ("growth", "solve"),
     "inline-1e160": ("conditions",),

@@ -9,15 +9,15 @@ frequency to measure energy growth and frequency bounds.
 
 import os
 
-# One BLAS thread.  Most products here are small matrix stacks (order at
-# most m^2 = 36), and numpy's bundled OpenBLAS would otherwise start a worker
-# at import that busy-waits for about 0.13 s of CPU in every process.  One
-# product is not small: SeparablePath's last rows, (m, m^3) @ (m^3, 2q) for
-# q Fourier modes.  It gains no wall time from a second thread either: an
-# m = 6 solve at grid 1,024 took 48.6 s wall and 96.3 s CPU with OpenBLAS's
-# pool up, against 47.4 s wall and 47.4 s CPU with the product split into
-# 128-mode column blocks, which ran on one thread.  This must run before
-# numpy is imported; a value the user has set is kept.
+# One BLAS thread.  Most products here are small matrix stacks, of order m <= 6
+# or m^2 = 36 (term3's), and numpy's bundled OpenBLAS would otherwise start a
+# worker at import that busy-waits for about 0.13 s of CPU in every process; the
+# constant-coefficient solve runs no BLAS product.  SeparablePath's last rows,
+# (m, m^3) @ (m^3, 2q) for q Fourier modes, are not small, but gain no wall
+# time from a second thread either: an m = 6 solve at grid 1,024 took 48.6 s
+# wall and 96.3 s CPU with OpenBLAS's pool up, against 47.4 s wall and 47.4 s
+# CPU with the product split into 128-mode column blocks on one thread.  This
+# must run before numpy is imported; a value the user has set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from hyposym.errors import (

@@ -642,13 +642,8 @@ def _closed_form_comparison(symbol: SystemSymbol, xi, sample_ts):
         trA0 = np.trace(A) / bxi
         b1_closed = (-d2A + (-1j) * 2.0 * dA - trA0 * (-1j) * dA) / bxi
         b2_closed = (A @ ((-1j) * dA)) / bxi ** 2
-        out.append(
-            {
-                "t": t,
-                "b1_max_diff": float(np.abs(b[0] - b1_closed).max()),
-                "b2_max_diff": float(np.abs(b[1] - b2_closed).max()),
-            }
-        )
+        out.append({"t": t, "b1_max_diff": float(np.abs(b[0] - b1_closed).max()),
+                    "b2_max_diff": float(np.abs(b[1] - b2_closed).max())})
     return out
 
 
@@ -745,10 +740,8 @@ def _initial_field(config: RunConfig, n_grid: int) -> np.ndarray:
         u0 += np.exp(1j * x)[None, :]
         return u0
     for mode in init["modes"]:
-        k = mode["k"]
-        amps = mode["amplitudes"]
-        for i, amp in enumerate(amps):
-            u0[i] += complex(amp[0], amp[1]) * np.exp(1j * k * x)
+        for i, (re, im) in enumerate(mode["amplitudes"]):
+            u0[i] += complex(re, im) * np.exp(1j * mode["k"] * x)
     return u0
 
 

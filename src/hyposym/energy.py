@@ -17,6 +17,7 @@ from math import ceil, log, sqrt
 
 import numpy as np
 
+from hyposym import quasisym
 from hyposym.errors import DomainError, NumericError
 from hyposym.pencils import hermitian_part
 from hyposym.quasisym import q_eps, q_eps_parts, sum_parts
@@ -24,7 +25,6 @@ from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
     band_rows,
-    block_sylvester,
     lift_states,
 )
 from hyposym.symbols import (
@@ -105,14 +105,13 @@ class SolverConfig:
         return N, symbol.horizon / N
 
 
-# Time samples per block of the energy terms (term2, term3, E, K and the
-# coercivity candidates) and of growth_log's row norms.  The lifted
-# (m^2 x m^2) complex stack of term3 takes 16 m^4 bytes a sample, 2.7 MB
-# for 128 samples at m = 6; a norm over a whole m = 6 trace of 20,001
-# samples raised the peak RSS of growth by 10 MB.  _EnergyTerms.add over
-# 2,002 random samples (2 cores, 2 MiB L2, min of 15 calls), blocks of
-# 32 / 64 / 128 / 256 / 512: m = 3 11.2 / 8.8 / 7.5 / 8.8 / 8.0 ms, m = 4
-# 19.4 / 12.9 / 11.1 / 12.1 / 14.6 ms, m = 6 42 / 44 / 50 / 62 / 65 ms.
+# Time samples per block of the energy terms (term2, term3, E and K) and of
+# growth_log's row norms.  term3's lifted (m^2 x m^2) complex stack takes
+# 16 m^4 bytes a sample, 2.7 MB for 128 samples at m = 6; a norm over a whole
+# m = 6 trace of 20,001 samples raised the peak RSS of growth by 10 MB.
+# _EnergyTerms.add over 2,002 random samples (2 cores, 2 MiB L2, min of 15
+# calls), blocks of 32 / 64 / 128 / 256 / 512: m = 3 11.2 / 8.8 / 7.5 / 8.8 /
+# 8.0 ms, m = 4 19.4 / 12.9 / 11.1 / 12.1 / 14.6 ms, m = 6 42 / 44 / 50 / 62 / 65 ms.
 _TERM3_BLOCK = 128
 
 
@@ -166,8 +165,7 @@ class EnergyTrace:
 # (m2-glaeser, m3-tracezero and companion systems with a double zero).  At
 # each m the least multiple of 16 m^2 above the reading is 16 m^2 (2m + 3),
 # so a half-step is counted at that: windows of 1,170, 404, 186, 100 and 60
-# steps.  While reduce held every term of a window at once, the readings
-# were 411 / 1,616 / 4,520 / 10,048 / 19,352 bytes.
+# steps.
 # The separable solve's window is counted at 32 m^4 bytes a half-step:
 # windows of 1,024 (m = 2) and 202 (m = 3) steps.  Its real last-row
 # coefficients, 8 m^4 bytes, and the complex terms and real paths they are
@@ -252,33 +250,43 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     return out, logs
 
 
-def _rk4_propagate(M: np.ndarray, Y0, N: int, h: float, record):
-    """:func:`_lockstep_rk4`'s states for constant matrices M (q, d, d), in one sweep.
+def _mode_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A (d, e, q) @ B (e, r, q) per mode q, summed over e in order on (q,) rows."""
+    out = A[:, 0, None] * B[0]
+    for k in range(1, A.shape[1]):
+        out += A[:, k, None] * B[k]
+    return out
 
-    On a constant matrix one RK4 step is multiplication by its stability
-    polynomial R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24, so the state
-    at step k is R(hM)^k y0.  Each recorded step k, and N, starts from y0 and
-    takes the square R^(2^b) of every set bit b of k as the squares are
-    formed, so one square is held at a time.  Not bitwise the stepped run:
-    about log2(N) products round where it rounds four stages per step.  The
-    states, (len(record), q, d), are checked in ascending step order, so a
-    run fails where the stepped run would.
+
+def _rk4_propagate(C: np.ndarray, Y0, N: int, h: float, record):
+    """:func:`_lockstep_rk4`'s states for constant matrices C (d, d, q), in one sweep.
+
+    Modes last: Y0 (d, s, q) holds s states of each mode r, which share its
+    matrix C[..., r].  On a constant matrix one RK4 step is multiplication by
+    its stability polynomial R(hC) = I + hC + (hC)^2/2 + (hC)^3/6 +
+    (hC)^4/24, so the state at step k is R(hC)^k y0.  Each recorded step k,
+    and N, starts from y0 and takes the square R^(2^b) of every set bit b of
+    k as the squares are formed, so one square is held at a time.  Not
+    bitwise the stepped run: about log2(N) products round where it rounds
+    four stages per step.  The states, (len(record), d, s, q), are checked in
+    ascending step order, so a run fails where the stepped run would.
     """
-    Y0 = np.array(Y0, dtype=complex)
-    eye = np.eye(M.shape[-1])
-    # A zero row stays zero, as in the stepped run, even where a square of R overflows.
-    live = Y0.any(axis=1, keepdims=True)
+    Y0 = np.array(Y0, dtype=complex, order="C")   # rows of q modes, contiguous
+    eye = np.eye(C.shape[0])[..., None]
+    # A zero state stays zero, as in the stepped run, even where a square of R overflows.
+    live = Y0.any(axis=0)
     at = dict.fromkeys(sorted(set(int(k) for k in record) | {N}), Y0)
     # overflow surfaces through the isfinite guard, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        Z = h * M
-        R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+        Z = h * np.ascontiguousarray(C)
+        R = eye + _mode_product(Z, eye + _mode_product(
+            Z, eye + _mode_product(Z, eye + Z / 4.0) / 3.0) / 2.0)
         for bit in range(N.bit_length()):
             if bit:
-                R = R @ R
+                R = _mode_product(R, R)
             for k in at:
                 if k >> bit & 1:
-                    at[k] = np.where(live, np.matvec(R, at[k]), 0)
+                    at[k] = np.where(live, _mode_product(R, at[k]), 0)
     for k, Y in at.items():
         if not np.isfinite(Y).all():
             raise NumericError(f"non-finite state by step {k} of {N}")
@@ -395,18 +403,19 @@ class _EnergyTerms:
 
     def __init__(self, symbol: SystemSymbol, ts, xi, eps: float):
         m = symbol.m
-        spec = rescaled_spectra(symbol, ts, xi)
-        self.lambdas = spec.lambdas
-        self.Q = q_eps(spec.lambdas, eps)
-        self.nonhyperbolic_points = int(np.count_nonzero(~spec.hyperbolic))
+        self.lambdas, self.Q = np.empty((ts.size, m)), np.empty((ts.size, m, m))
+        self.nonhyperbolic_points = 0
         self.bxi = bracket(xi)
-        self.term2 = np.empty(ts.size)
-        self.term3 = np.empty(ts.size)
-        # the coercivity constant needs Q alone; blocks of _TERM3_BLOCK
-        # samples bound the stacks of eigvalsh
+        self.term2, self.term3 = np.empty(ts.size), np.empty(ts.size)
+        # The spectra, Q and the coercivity candidates, which need Q alone, go
+        # quasisym._ROW_BLOCK samples at a time, each sample's bitwise its own.
         self.coercivity_sup = 0.0
-        for s0 in range(0, ts.size, _TERM3_BLOCK):
-            eigs = np.linalg.eigvalsh(hermitian_part(self.Q[s0 : s0 + _TERM3_BLOCK]))
+        for s0 in range(0, ts.size, quasisym._ROW_BLOCK):
+            sl = slice(s0, s0 + quasisym._ROW_BLOCK)
+            spec = rescaled_spectra(symbol, ts[sl], xi)
+            self.lambdas[sl], self.Q[sl] = spec.lambdas, q_eps(spec.lambdas, eps)
+            self.nonhyperbolic_points += int(np.count_nonzero(~spec.hyperbolic))
+            eigs = np.linalg.eigvalsh(hermitian_part(self.Q[sl]))
             lo, hi = eigs[:, 0], eigs[:, -1]
             with np.errstate(divide="ignore", invalid="ignore"):
                 floor_ratio = eps ** (2 * (m - 1)) / lo
@@ -438,10 +447,9 @@ class _EnergyTerms:
         ts, m = trace.ts, trace.m
         h = ts[1] - ts[0]
         trace.E, trace.K = _energy_and_K(self.Q, trace.V.reshape(ts.size, m, m), h)
-        trace.term2, trace.term3 = self.term2, self.term3
+        trace.term2, trace.term3, trace.lambdas = self.term2, self.term3, self.lambdas
         trace.coercivity_sup = self.coercivity_sup
         trace.dtE = np.gradient(trace.E, h)
-        trace.lambdas = self.lambdas
         trace.nonhyperbolic_points = self.nonhyperbolic_points
 
 
@@ -754,10 +762,10 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     renormalised: a mode that overflows fails the solve.  A variable symbol
     is stepped with the matrix-free right-hand side of
     :class:`hyposym.reduction.SeparablePath`, its t-only rows built once per
-    half-step and its states stored mode-last, (m^2, n_grid); a constant
-    symbol is not stepped: each snapshot is the RK4 propagator power
-    R(hM)^k V0, taken by one sweep over the bits of the snapshot steps
-    (:func:`_rk4_propagate`).
+    half-step and its states stored mode-last, (m^2, n_grid).  A constant
+    symbol is not stepped: its calB is zero, so each snapshot is the RK4
+    propagator power R(hC)^k of the m x m companion block C on each band of
+    a state, modes last, by one sweep over the bits of the snapshot steps.
     """
     if symbol.n != 1:
         raise DomainError("the Cauchy solver is one-dimensional (n = 1)")
@@ -786,10 +794,10 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     # Every mode takes the step of the top wavenumber, so all advance together.
     record = sorted(set(snap_idx.tolist()))
     if symbol.is_constant():
-        # assembled at t = 0 only; no half-step grid
-        block, b, _ = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))
-        states = np.swapaxes(
-            _rk4_propagate((1j * np.add(*block_sylvester(block, b)))[0], V0, N, h, record), 1, 2)
+        # assembled at t = 0 only; calB is zero: each of its terms holds a D_t^k A, k >= 1
+        block = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))[0][0]
+        first = _rk4_propagate(np.moveaxis(1j * block, 0, -1), V0.reshape(-1, m, m).T,
+                               N, h, record)[:, 0]
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
         path = SeparablePath(symbol, xis, bxi)
@@ -802,10 +810,9 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
                 return lambda j, i: f(L[j], i)
             return bind
 
-        states, _ = _lockstep_rk4(window, _width(m ** 4 * 32), V0.T, N, h, record)
+        first = _lockstep_rk4(window, _width(m ** 4 * 32), V0.T, N, h, record)[0][:, ::m]
     # first band component of each snapshot, (n_snapshots, m, n_grid)
-    first = states[[record.index(k) for k in snap_idx]][:, ::m]
-    hat_snaps = first * bxi ** (-(m - 1))
+    hat_snaps = first[[record.index(k) for k in snap_idx]] * bxi ** (-(m - 1))
 
     fields = np.fft.ifft(hat_snaps, axis=2)
     x = 2.0 * np.pi * np.arange(n_grid) / n_grid

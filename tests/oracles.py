@@ -8,10 +8,12 @@ lower-order terms of the reduction are formed here in complex arithmetic,
 from the phased paths (-i)^k d^k/dt^k A.  The lockstep RK4 and the
 separable right-hand side allocate their stages and products, as they did
 before they were written in place.  The constant-coefficient RK4 solve
-keeps its chain of propagator powers from one recorded step to the next.  The lifting of u-hat to reduced states
-keeps its two earlier forms: at t = 0 with ``np.matvec`` and along a
-trajectory with ``np.einsum``.  The inline companion systems with a double
-zero eigenvalue at t = 0 are shared by several test modules.  The
+keeps its propagator on the dense m^2 x m^2 reduced matrices, and its
+chain of propagator powers from one recorded step to the next.  The lifting
+of u-hat to reduced states keeps its two earlier forms: at t = 0 with
+``np.matvec`` and along a trajectory with ``np.einsum``.  The inline
+companion systems with a double zero eigenvalue at t = 0, and constant ones,
+are shared by several test modules.  The
 conditions grid's ``GridData`` of the whole grid is its time blocks joined.
 The memory bounds of the tests read one call's tracemalloc peak.
 """
@@ -61,6 +63,14 @@ def companion_symbol(last_row, horizon=1.0):
 M4_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, -4.0], [0.0], [4.0, 0.0, 1.0], [0.0]])
 M6_DOUBLE_ZERO = companion_symbol([[0.0, 0.0, 4.0], [0.0], [-4.0, 0.0, -5.0], [0.0],
                                    [5.0, 0.0, 1.0], [0.0]])
+
+# Constant companion systems by order: eigenvalues 0 and +-1 at m = 3,
+# +-1 and +-2 at m = 4, and +-1, +-2 and +-3 at m = 6.
+CONSTANT_COMPANIONS = {
+    3: companion_symbol([[0.0], [1.0], [0.0]]),
+    4: companion_symbol([[-4.0], [0.0], [5.0], [0.0]]),
+    6: companion_symbol([[36.0], [0.0], [-49.0], [0.0], [14.0], [0.0]]),
+}
 
 
 def lift_blocks(block: np.ndarray) -> np.ndarray:
@@ -391,19 +401,47 @@ def mode_major_apply(xi, bxi, L, Y) -> np.ndarray:
     return out
 
 
+def _stability_polynomial(M, h):
+    """R(hM) = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 of matrices M (q, d, d)."""
+    eye = np.eye(M.shape[-1])
+    Z = h * M
+    return eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+
+
+def rk4_propagate_dense(M, Y0, N, h, record) -> np.ndarray:
+    """The constant-coefficient propagator on the dense reduced matrices M (q,
+    d, d) and states Y0 (q, d), with numpy ``matmul`` and ``matvec`` on the
+    stacks: the sweep of ``hyposym.energy._rk4_propagate`` over the bits of the
+    recorded steps, one square held at a time, each recorded state taken by
+    the squares of its set bits.  Returns (len(record), q, d)."""
+    Y0 = np.array(Y0, dtype=complex)
+    live = Y0.any(axis=1, keepdims=True)
+    at = dict.fromkeys(sorted(set(int(k) for k in record) | {N}), Y0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = _stability_polynomial(M, h)
+        for bit in range(N.bit_length()):
+            if bit:
+                R = R @ R
+            for k in at:
+                if k >> bit & 1:
+                    at[k] = np.where(live, np.matvec(R, at[k]), 0)
+    for k, Y in at.items():
+        if not np.isfinite(Y).all():
+            raise NumericError(f"non-finite state by step {k} of {N}")
+    return np.array([at[int(k)] for k in record]).reshape((len(record),) + Y0.shape)
+
+
 def rk4_propagate_reference(M, Y0, N, h, record) -> np.ndarray:
-    """``hyposym.energy._rk4_propagate`` as a chain of jumps: the state moves
+    """:func:`rk4_propagate_dense` as a chain of jumps: the state moves
     from one recorded step to the next, and on to N, by
     ``np.linalg.matrix_power(R(hM), delta)``, and fails at the first stop
     whose state is not finite."""
     Y = np.array(Y0, dtype=complex)
-    eye = np.eye(M.shape[-1])
     live = Y.any(axis=1, keepdims=True)
     stops = sorted(set(int(k) for k in record if k > 0) | {N})
     at = {0: Y}
     with np.errstate(over="ignore", invalid="ignore"):
-        Z = h * M
-        R = eye + Z @ (eye + Z @ (eye + Z @ (eye + Z / 4.0) / 3.0) / 2.0)
+        R = _stability_polynomial(M, h)
         for k, delta in zip(stops, np.diff([0] + stops).tolist()):
             Y = np.where(live, np.matvec(np.linalg.matrix_power(R, delta), Y), 0)
             if not np.isfinite(Y).all():

@@ -35,10 +35,12 @@ from hyposym.reduction import (
 from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol_path, rescaled_spectra
 from hyposym.quasisym import q_eps, q_eps_parts, sum_parts, verify_properties
 from oracles import (
+    CONSTANT_COMPANIONS,
     M4_DOUBLE_ZERO,
     M6_DOUBLE_ZERO,
     lift_blocks,
     lockstep_rk4_reference,
+    rk4_propagate_dense,
     rk4_propagate_reference,
     separable_apply,
     separable_apply_reference,
@@ -379,6 +381,18 @@ class TestReducedIntegrate:
         _, peak = traced_peak(reduced_integrate, M4_DOUBLE_ZERO, xi, V0, SolverConfig())
         assert peak < 3e6
 
+    def test_energy_terms_setup_peak(self):
+        """The spectra, Q and coercivity constant of M6_DOUBLE_ZERO at
+        xi = 1000 (20,002 samples), taken in blocks of quasisym._ROW_BLOCK
+        samples, peaked at 13.7 MB of traced memory, of which Q takes 5.8 MB;
+        with the spectra of the whole trace at once they peaked at 24.2 MB."""
+        S, xi = M6_DOUBLE_ZERO, np.array([1000.0])
+        N, h = SolverConfig().steps_for(S, xi)
+        ts = np.linspace(0.0, S.horizon, 2 * N + 1)[::2]
+        terms, peak = traced_peak(_EnergyTerms, S, ts, xi, SolverConfig().eps_for(6, xi))
+        assert terms.Q.shape == (20002, 6, 6)
+        assert peak < 16e6
+
     @pytest.mark.parametrize("size", [1, 7])
     def test_block_sizes_change_no_output_bit(self, size, monkeypatch):
         """Q_eps rows, energy-term samples and RK4 windows taken 1 and 7 at a
@@ -465,7 +479,7 @@ class TestReducedIntegrate:
             raise AssertionError("a sweep must not assemble dense matrices")
 
         monkeypatch.setattr(reduction, "block_sylvester", refuse)
-        monkeypatch.setattr(energy, "block_sylvester", refuse)
+        assert not hasattr(energy, "block_sylvester")
         traces = frequency_sweep(builtin_system(name), SolverConfig(xi_grid=(1.0, 10.0, 100.0)))
         assert all(np.isfinite(tr.term3).all() and np.isfinite(tr.term2).all() for tr in traces)
 
@@ -722,12 +736,26 @@ class TestSolveCauchy1d:
 
         monkeypatch.setattr(reduction.PathAssembler, "reduce", refuse)
         monkeypatch.setattr(reduction, "block_sylvester", refuse)
-        monkeypatch.setattr(energy, "block_sylvester", refuse)
+        assert not hasattr(energy, "block_sylvester")
         S = builtin_system("m2-glaeser")
         n = 16
         x = 2 * np.pi * np.arange(n) / n
         u0 = np.stack([np.exp(1j * x), np.zeros(n)])
         field = solve_cauchy_1d(S, u0, SolverConfig(), [1.0])
+        assert np.isfinite(field.fields).all() and np.abs(field.fields).max() > 0.5
+
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_constant_coefficients_assemble_no_dense_matrix(self, m, monkeypatch):
+        # the propagator steps the m x m companion block; calB is zero
+        from hyposym import reduction
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve must not assemble dense matrices")
+
+        monkeypatch.setattr(reduction, "block_sylvester", refuse)
+        S = builtin_system("m2-wave") if m == 2 else CONSTANT_COMPANIONS[m]
+        x = 2 * np.pi * np.arange(16) / 16
+        field = solve_cauchy_1d(S, np.stack([np.exp(1j * x)] * m), SolverConfig(), [1.0])
         assert np.isfinite(field.fields).all() and np.abs(field.fields).max() > 0.5
 
     @pytest.mark.parametrize("name", ["m2-glaeser", "m2-wave"])
@@ -748,6 +776,17 @@ class TestSolveCauchy1d:
         solve_cauchy_1d(builtin_system(name), np.ones((2, n), dtype=complex), SolverConfig(),
                         [1.0])
         assert len(calls) == n
+
+    def test_constant_m6_solve_peak(self):
+        """An m = 6 constant solve at grid 1,024 peaked at 9.2 MB of traced
+        memory; stepped on the dense (1,024, 36, 36) reduced matrices it
+        peaked at 90.7 MB."""
+        S, n = CONSTANT_COMPANIONS[6], 1024
+        x = 2 * np.pi * np.arange(n) / n
+        u0 = np.stack([np.exp(1j * (i + 1) * x) for i in range(6)])
+        field, peak = traced_peak(solve_cauchy_1d, S, u0, SolverConfig(), [0.5, 1.0])
+        assert np.isfinite(field.fields).all()
+        assert peak < 12e6
 
     def test_grid_validation(self):
         S = builtin_system("m2-wave")
@@ -985,10 +1024,24 @@ class TestGrowthLog:
         assert trace.growth_log == float((vals + logs).max() - base)
 
 
-class TestRK4Propagate:
-    """Propagator powers R(hM)^k against the stepped constant-coefficient run.
+def block_propagate(S, xis, V0, N, h, record):
+    """_rk4_propagate on the companion block of the constant symbol S at the
+    frequency stack xis (q, n), as solve_cauchy_1d calls it; the states go in
+    as (q, m^2) and come out as (len(record), q, m^2)."""
+    from hyposym.energy import _rk4_propagate
 
-    Not bitwise: the stepped run rounds once per step, the sweep about
+    m = S.m
+    block = PathAssembler(S, xis).reduce(np.zeros(1))[0][0]
+    states = _rk4_propagate(np.moveaxis(1j * block, 0, -1), V0.reshape(-1, m, m).T,
+                            N, h, record)
+    return states.transpose(0, 3, 2, 1).reshape(len(record), len(xis), m * m)
+
+
+class TestRK4Propagate:
+    """Propagator powers R(hC)^k of the companion block C against the dense
+    oracle and the stepped constant-coefficient run.
+
+    Not bitwise the stepped run: it rounds once per step, the sweep about
     log2(N) times, so the two differ by roughly N unit roundoffs of each
     row's size (1.1e-12 at N = 10,241).
     """
@@ -997,8 +1050,6 @@ class TestRK4Propagate:
 
     @staticmethod
     def _compare(S, xis, N, h, seed=3):
-        from hyposym.energy import _rk4_propagate
-
         M = step_matrices(S, xis, np.zeros(1))[0]
         rng = np.random.default_rng(seed)
         d = M.shape[-1]
@@ -1006,7 +1057,7 @@ class TestRK4Propagate:
         ref, _ = constant_rk4(M, V0, N, h, range(N + 1))
         scale = np.abs(ref).max(axis=(0, 2))[:, None]
         for record in ([0, N // 3, N], [0, N // 3, N // 3, N], [N // 3, N]):
-            states = _rk4_propagate(M, V0, N, h, record)
+            states = block_propagate(S, xis, V0, N, h, record)
             assert states.shape == (len(record), len(xis), d)
             for slot, k in enumerate(record):
                 err = np.abs(states[slot] - ref[k]).max(axis=1, keepdims=True)
@@ -1029,14 +1080,12 @@ class TestRK4Propagate:
     def test_zero_row_stays_zero_where_the_power_overflows(self):
         # R(hM)^N overflows at xi = 1024 (growth like exp(1024 t)); the
         # stepped run keeps a zero state at zero, and so must the powers.
-        from hyposym.energy import _rk4_propagate
-
         S = builtin_system("m2-nonhyp-control")
         xis = np.array([[1.0], [1024.0]])
         N, h = SolverConfig().steps_for(S, xis[-1])
         M = step_matrices(S, xis, np.zeros(1))[0]
         V0 = np.array([[1.0, 0.5j, -0.25, 2.0], [0.0, 0.0, 0.0, 0.0]])
-        states = _rk4_propagate(M, V0, N, h, [N])   # the squares of R^N overflow
+        states = block_propagate(S, xis, V0, N, h, [N])   # the squares of R^N overflow
         ref, _ = constant_rk4(M, V0, N, h, [N])
         assert not states[:, 1].any() and not ref[:, 1].any()
         scale = np.abs(ref[:, 0]).max()
@@ -1044,15 +1093,13 @@ class TestRK4Propagate:
 
     @staticmethod
     def _compare_chain(S, xis, N, h, seed=5):
-        from hyposym.energy import _rk4_propagate
-
         M = step_matrices(S, xis, np.zeros(1))[0]
         rng = np.random.default_rng(seed)
         shape = (len(xis), M.shape[-1])
         V0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for record in ([0, N // 2, N], [N // 3, N // 3, N], [N]):
             ref = rk4_propagate_reference(M, V0, N, h, record)
-            states = _rk4_propagate(M, V0, N, h, record)
+            states = block_propagate(S, xis, V0, N, h, record)
             scale = np.abs(ref).max(axis=(0, 2))[:, None]
             assert (np.abs(states - ref).max(axis=0) <= 1e-15 * scale).all(), record
 
@@ -1071,26 +1118,51 @@ class TestRK4Propagate:
         N, h = SolverConfig().steps_for(S, np.array([300.0]))
         self._compare_chain(S, xis, N, h)
 
-    def test_sweep_holds_one_square_at_a_time(self):
-        # solve-wave's stack: the sweep holds R, its next square and the
-        # states, about 3.8 M.nbytes; a chain of jumps that keeps the squares
-        # it still needs beside the jump being built peaks near 5.8 M.nbytes
-        import tracemalloc
+    @staticmethod
+    def _dense_and_block(S, n, seed=6):
+        """(dense oracle, block propagator) states at snapshots N / 2 and N
+        of the solve shape of S at grid n, from random reduced states."""
+        xis = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+        N, h = SolverConfig().steps_for(S, np.array([n / 2.0]))
+        rng = np.random.default_rng(seed)
+        shape = (n, S.m ** 2)
+        V0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        record = [0, N // 2, N]
+        ref = rk4_propagate_dense(step_matrices(S, xis, np.zeros(1))[0], V0, N, h, record)
+        return ref, block_propagate(S, xis, V0, N, h, record)
 
+    def test_block_is_the_dense_oracle_bitwise_at_solve_wave_shape(self):
+        # m = 2: each entry of R(hC) and its squares sums the same two
+        # products as the dense matmul, whose other terms are exact zeros
+        ref, states = self._dense_and_block(builtin_system("m2-wave"), 1024)
+        assert states.tobytes() == ref.tobytes()
+
+    # The largest deviation at grid 1,024, relative to each state's largest
+    # |entry|, read 8.6e-14 / 6.3e-13 / 1.2e-12 at m = 3 / 4 / 6.
+    @pytest.mark.parametrize("m, n", [(3, 1024), (4, 256), (6, 256)])
+    def test_block_matches_the_dense_oracle(self, m, n):
+        # Not bitwise: the dense matmul rounds its complex products and sums
+        # in another order, through about log2(N) squarings.
+        ref, states = self._dense_and_block(CONSTANT_COMPANIONS[m], n)
+        assert states[0].tobytes() == ref[0].tobytes()
+        scale = np.abs(ref).max(axis=-1, keepdims=True)
+        assert (np.abs(states - ref) <= 5e-12 * scale).all()
+
+    def test_sweep_holds_one_square_at_a_time(self):
+        # An m = 6 companion stack at grid 1,024, modes last: the block C and
+        # each state take C.nbytes.  The sweep peaked at 8.0 C.nbytes: R, hC,
+        # y0 and the two recorded states, a product being formed and its term,
+        # and at the end the stacked result.  Holding the 14 squares of
+        # N = 10,241 at once would add 13 C.nbytes.
         from hyposym.energy import _rk4_propagate
 
         rng = np.random.default_rng(4)
-        M = 1e-3 * (rng.standard_normal((1024, 4, 4)) + 1j * rng.standard_normal((1024, 4, 4)))
-        V0 = rng.standard_normal((1024, 4)) + 1j * rng.standard_normal((1024, 4))
+        shape = (6, 6, 1024)
+        C = 1e-3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        V0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         N = 10241
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _rk4_propagate(M, V0, N, 1.0 / N, [0, N // 2, N])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.5 * M.nbytes
+        _, peak = traced_peak(_rk4_propagate, C, V0, N, 1.0 / N, [0, N // 2, N])
+        assert peak < 9 * C.nbytes
 
     def test_overflow_raises_numeric_error(self):
         from hyposym.errors import NumericError

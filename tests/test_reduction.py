@@ -13,7 +13,7 @@ from hyposym import (
     time_derivative,
 )
 from hyposym.energy import SolverConfig, direct_integrate
-from hyposym.examples import builtin_system
+from hyposym.examples import BUILTIN_SYSTEMS, builtin_system
 from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
@@ -27,6 +27,7 @@ from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverri
 from hyposym.conditions import SamplingGrid
 from hyposym.errors import NumericError
 from oracles import (
+    CONSTANT_COMPANIONS,
     M4_DOUBLE_ZERO,
     M6_DOUBLE_ZERO,
     bold_B_terms,
@@ -155,6 +156,30 @@ class TestAssemble:
         S = builtin_system("m2-wave")
         _, calB = assemble_path(S, np.array([7.0]), [0.5])
         assert np.abs(calB).max() == 0.0
+
+    def test_constant_symbols_have_zero_b(self):
+        """Each term of calB holds a D_t^k A with k >= 1, so b is exactly zero
+        for every constant symbol: the constant built-ins, the constant
+        companion systems of m = 3, 4 and 6, the inline [[0, 1], [1e50, 0]],
+        and random constant symbols of m = 2..6 in one and two space
+        dimensions, one with a zero t^2 coefficient."""
+        symbols = [S for S in map(builtin_system, BUILTIN_SYSTEMS) if S.is_constant()]
+        assert len(symbols) == 2
+        symbols += CONSTANT_COMPANIONS.values()
+        symbols.append(SystemSymbol(coeffs=np.array([[[[0.0], [1.0]], [[1e50], [0.0]]]]),
+                                    horizon=1.0))
+        rng = np.random.default_rng(8)
+        symbols += [SystemSymbol(coeffs=rng.uniform(-1, 1, (n, m, m, 1)), horizon=1.0)
+                    for m in range(2, 7) for n in (1, 2)]
+        padded = np.zeros((1, 3, 3, 3))
+        padded[..., 0] = rng.uniform(-1, 1, (1, 3, 3))
+        symbols.append(SystemSymbol(coeffs=padded, horizon=1.0))
+        ts = np.linspace(0.0, 1.0, 5)
+        for S in symbols:
+            assert S.is_constant()
+            xis = rng.uniform(-1e3, 1e3, (7, S.n))
+            b = PathAssembler(S, xis).reduce(ts)[1]
+            assert b.shape == (5, 7, S.m - 1, S.m, S.m) and not b.any()
 
     def test_band_zero_columns(self):
         for name in ("m2-glaeser", "m3-tracezero"):
