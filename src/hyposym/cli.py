@@ -636,9 +636,10 @@ def _closed_form_comparison(symbol: SystemSymbol, xi, sample_ts):
     bxi = bracket(xi)
     assembler = PathAssembler(symbol, xi)
     entries = assembler.reduce(np.array(sample_ts))[1]
-    paths = zip(*(eval_symbol_path(d, sample_ts, xi) for d in assembler.derivs))
+    paths = [eval_symbol_path(d, sample_ts, xi) for d in assembler.derivs]
+    paths += [np.zeros_like(paths[0])] * (3 - len(paths))   # dA or d2A of a lower degree
     out = []
-    for t, b, (A, dA, d2A) in zip(sample_ts, entries, paths):
+    for t, b, A, dA, d2A in zip(sample_ts, entries, *paths):
         trA0 = np.trace(A) / bxi
         b1_closed = (-d2A + (-1j) * 2.0 * dA - trA0 * (-1j) * dA) / bxi
         b2_closed = (A @ ((-1j) * dA)) / bxi ** 2

@@ -112,12 +112,12 @@ def evaluate_grid(assembler: PathAssembler, grid: SamplingGrid, block: slice) ->
     frequencies (r, d).
 
     The derivative norms and calB terms come from one call of
-    :func:`_bold_B_terms`.  A is odd in xi and negating a double is exact,
-    so on a 1-d grid (directions +1, -1) -1 takes the terms (term hp negated
-    for even hp) and norms of +1, but not c: (-1)^k c_k would not keep the
-    sign of a zero c_k.  Every entry is bitwise that of its point alone, but
-    an SVD of -X can differ from one of X in the last bits (within 1e-15
-    relative).
+    :func:`_bold_B_terms`; a missing path has norm 0.0 and no terms.  A is
+    odd in xi and negating a double is exact, so on a 1-d grid (directions
+    +1, -1) -1 takes the terms (term hp negated for even hp) and norms of +1,
+    but not c: (-1)^k c_k would not keep the sign of a zero c_k.  Every entry
+    is bitwise that of its point alone, but an SVD of -X can differ from one
+    of X in the last bits (within 1e-15 relative).
     """
     m, k0 = assembler.m, block.start
     ts = grid.ts[block]
@@ -128,16 +128,17 @@ def evaluate_grid(assembler: PathAssembler, grid: SamplingGrid, block: slice) ->
     A = eval_symbol_path(assembler.derivs[0], ts, assembler.xi) if mirror else paths[0]
     char0 = faddeev_leverrier(A / bxi).real
     _require_finite(char0, grid, k0, "a rescaled characteristic coefficient")
+    zero = np.zeros(paths[0].shape, dtype=complex)   # the sum of a band without terms
     with np.errstate(over="ignore", invalid="ignore"):
         terms = [list(band) for band in terms]   # the mirror sums them twice
-        boldB = [sum(t) for t in terms]
+        boldB = [sum((x for _, x in t), zero) for t in terms]
         if mirror:  # bold_B_l at -xi: term hp times (-1)^(hp+1)
-            boldB = [np.concatenate([b, sum(x if hp % 2 else -x for hp, x in enumerate(t))],
+            boldB = [np.concatenate([b, sum((x if hp % 2 else -x for hp, x in t), zero)],
                                     axis=2) for b, t in zip(boldB, terms)]
     b_entries = assembler.entries(boldB)
     _require_finite(b_entries, grid, k0, "a lower-order entry of calB")
-    dt_norms = np.empty(char0.shape[:3] + (m - 1,))
-    for k in range(1, m):
+    dt_norms = np.zeros(char0.shape[:3] + (m - 1,))   # a missing path's: its SVD reads 0.0
+    for k in range(1, len(paths)):
         dA0 = paths[k] / bxi[:, lead]
         dt_norms[..., k - 1] = np.linalg.svd(dA0, compute_uv=False)[..., 0]
     spec = spectra(char0)

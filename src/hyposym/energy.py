@@ -25,12 +25,10 @@ from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
     band_rows,
-    lift_states,
 )
 from hyposym.symbols import (
     SystemSymbol,
     bracket,
-    brackets,
     eval_symbol_path,
     rescaled_spectra,
 )
@@ -458,7 +456,7 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     """Integrate d/dt V = i (calA + calB) V and record energy diagnostics.
 
     ``V0`` is any complex vector of length m^2 (usually a row of
-    :func:`hyposym.reduction.lift_states` at t = 0).  The state is rescaled
+    :meth:`hyposym.reduction.PathAssembler.lift` at t = 0).  The state is rescaled
     whenever it grows past RENORM_THRESHOLD, so growing modes never overflow;
     the accumulated log-scale is stored on the trace.  A window steps the shift
     i <xi> and the band rows of its reduction, whose block and b feed the diagnostics.
@@ -534,7 +532,8 @@ def frequency_sweep(symbol: SystemSymbol, config: SolverConfig,
     xis = np.zeros((len(config.xi_grid), symbol.n))
     xis[:, 0] = config.xi_grid
     u0hat = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
-    V0s = lift_states(symbol, xis, [0.0], np.broadcast_to(u0hat, (1, len(xis), symbol.m)))[0]
+    u0hats = np.broadcast_to(u0hat, (1, len(xis), symbol.m))
+    V0s = PathAssembler(symbol, xis).lift([0.0], u0hats)[0]
     return [reduced_integrate(symbol, xi, V0, config, collect_energy=collect_energy)
             for xi, V0 in zip(xis, V0s)]
 
@@ -787,20 +786,19 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
     N, h = config.steps_for(symbol, np.array([xi_max]))
     snap_idx = np.clip(np.rint(snapshot_ts / h).astype(int), 0, N)
 
-    xis = wavenumbers[:, None]
-    bxi = brackets(xis)
-    V0 = lift_states(symbol, xis, [0.0], np.ascontiguousarray(u0_hat.T)[None], bxi)[0]
+    assembler = PathAssembler(symbol, wavenumbers[:, None])
+    V0 = assembler.lift([0.0], np.ascontiguousarray(u0_hat.T)[None])[0]
 
     # Every mode takes the step of the top wavenumber, so all advance together.
     record = sorted(set(snap_idx.tolist()))
     if symbol.is_constant():
-        # assembled at t = 0 only; calB is zero: each of its terms holds a D_t^k A, k >= 1
-        block = PathAssembler(symbol, xis, bxi).reduce(np.zeros(1))[0][0]
+        # assembled at t = 0 only; calB is zero: a constant symbol has no path D_t^k A, k >= 1
+        block = assembler.reduce(np.zeros(1))[0][0]
         first = _rk4_propagate(np.moveaxis(1j * block, 0, -1), V0.reshape(-1, m, m).T,
                                N, h, record)[:, 0]
     else:
         ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
-        path = SeparablePath(symbol, xis, bxi)
+        path = SeparablePath(assembler)
 
         def window(k0, k1):
             L = list(path.last_rows(ts_half[2 * k0 : 2 * k1 + 1]))
@@ -812,7 +810,7 @@ def solve_cauchy_1d(symbol: SystemSymbol, u0_samples, config: SolverConfig,
 
         first = _lockstep_rk4(window, _width(m ** 4 * 32), V0.T, N, h, record)[0][:, ::m]
     # first band component of each snapshot, (n_snapshots, m, n_grid)
-    hat_snaps = first[[record.index(k) for k in snap_idx]] * bxi ** (-(m - 1))
+    hat_snaps = first[[record.index(k) for k in snap_idx]] * assembler.bxi ** (-(m - 1))
 
     fields = np.fft.ifft(hat_snaps, axis=2)
     x = 2.0 * np.pi * np.arange(n_grid) / n_grid

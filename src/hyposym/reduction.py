@@ -16,6 +16,7 @@ once, where a product becomes the real or the imaginary part of its term.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from math import comb
 
 import numpy as np
@@ -35,14 +36,14 @@ def _bold_B_terms(derivs: list, ts, xi) -> tuple:
     """(paths, c, bold_A, terms): the one producer of the reduction's blocks.
 
     ``paths[k]`` is d^k/dt^k A along ``ts`` at ``xi`` for the symbols
-    ``derivs``, k < m; c are the characteristic coefficients of A = paths[0]
-    by the real recursion and bold_A_0..bold_A_{m-1} its adjugate
-    coefficients.  ``terms[l-1]`` yields, once, the terms hp = 0, 1, ... of
-    bold_B_l: comb(m-1-hp, l-1) bold_A_hp D_t^k A, k = m-l-hp, of degree
-    hp + 1 in xi, each formed as it is taken, so a caller that sums them
-    holds one at a time.  Each product is real; the phase (-i)^k puts it into
-    the real or imaginary part, bitwise the complex product up to the sign
-    of a zero.
+    ``derivs`` of a :class:`PathAssembler`; c are the characteristic
+    coefficients of A = paths[0] by the real recursion and
+    bold_A_0..bold_A_{m-1} its adjugate coefficients.  ``terms[l-1]`` yields,
+    once, (hp, term) for each term of bold_B_l whose path k exists,
+    comb(m-1-hp, l-1) bold_A_hp D_t^k A, k = m-l-hp, of degree hp + 1 in xi,
+    formed as it is taken, so a caller that sums them holds one at a time.
+    Each product is real; the phase (-i)^k puts it into the real or imaginary
+    part, bitwise the complex product up to the sign of a zero.
     """
     paths = [eval_symbol_path(d, ts, xi) for d in derivs]
     c = faddeev_leverrier(paths[0])
@@ -51,10 +52,10 @@ def _bold_B_terms(derivs: list, ts, xi) -> tuple:
         boldA = adjugate_coeffs(paths[0], c)
 
     def band(l):
-        for hp in range(m - l):
+        for hp in range(max(0, m - l - len(paths) + 1), m - l):
             with np.errstate(over="ignore", invalid="ignore"):
                 term = comb(m - 1 - hp, l - 1) * (boldA[hp] @ paths[m - l - hp]) * (-1j) ** (m - l - hp)
-            yield term
+            yield hp, term
     return paths, c, boldA, [band(l) for l in range(1, m)]
 
 
@@ -87,26 +88,35 @@ def band_rows(block, b) -> np.ndarray:
 class PathAssembler:
     """The reduction of one symbol at a stack of frequencies, on any time grid.
 
-    ``xi`` has shape (n,) or (..., n).  The derivative symbols d^k/dt^k A,
-    k < m, and the powers of <xi> are built once, so a windowed integration
-    assembles one time window after another without rebuilding them.  The
-    powers are taken per frequency as Python floats: numpy's array power is
-    not bitwise ``float ** e``.  Every (t, xi) entry of a stacked result is
+    ``xi`` has shape (n,) or (..., n).  The assembler owns the reduction's
+    inputs, built once for every time window: ``derivs``, the symbols
+    d^k/dt^k A, k < m, up to the first that is zero (so is every higher one);
+    ``bxi`` = <xi>; and ``powers[e]`` = <xi>^e, e = -m..m-1, per frequency as
+    Python floats (numpy's array power is not bitwise ``float ** e``), inf
+    where a positive power overflows.  A missing path's terms of bold_B and
+    of the Leibniz maps would be +-0 where finite, and each sum they would
+    join starts at +0.0, which adding +-0 keeps, so leaving them out is
+    bitwise the full table.  Every (t, xi) entry of a stacked result is
     bitwise that of the frequency alone.
     """
 
-    def __init__(self, symbol: SystemSymbol, xi, bxi=None):
+    def __init__(self, symbol: SystemSymbol, xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         m = symbol.m
         self.m = m
         self.xi = xi
-        self.derivs = [time_derivative(symbol, k) for k in range(m)]
-        # bxi: the caller's brackets(xi), if it has them
-        self.bxi = brackets(xi) if bxi is None else np.reshape(bxi, xi.shape[:-1])
-        values = self.bxi.ravel().tolist()
-        # <xi>^e for e = -m..-1, each of the frequency stack's shape
-        self.powers = {e: np.array([b ** e for b in values]).reshape(xi.shape[:-1])
-                       for e in range(-m, 0)}
+        derivs = (time_derivative(symbol, k) for k in range(1, m))
+        self.derivs = [symbol, *takewhile(lambda d: d.coeffs.any(), derivs)]
+        self.bxi = brackets(xi)
+        values, self.powers = self.bxi.ravel().tolist(), {}
+        for e in range(-m, m):
+            row = []
+            for b in values:
+                try:
+                    row.append(b ** e)
+                except OverflowError:
+                    row.append(float("inf"))
+            self.powers[e] = np.array(row).reshape(xi.shape[:-1])
 
     def reduce(self, ts) -> tuple:
         """(block, b, c), each of leading shape (len(ts), ...), from one call of
@@ -123,16 +133,16 @@ class PathAssembler:
         for j in range(m - 1):
             block[..., j, j + 1] = bxi
         # Each bold_B_l is summed and scaled in place as its terms are formed:
-        # bitwise self.entries([sum(t) for t in terms]), without their stacks.
+        # bitwise :meth:`entries` of the summed bands, without their stacks.
         b = np.zeros(c.shape[:-1] + (m - 1, m, m), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             for col in range(m):
                 block[..., m - 1, col] = -c[..., m - col] * self.powers[col - m] * bxi
             for l, band in enumerate(terms, start=1):
                 bl = b[..., l - 1, :, :]
-                for term in band:
+                for _, term in band:
                     bl += term
-                del term   # freed before the next band's first term is formed
+                    del term   # the band's last, freed before the next band forms its first
                 bl *= self.powers[l - m][..., None, None]
         bad = ~(np.isfinite(block).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1)))
         if bad.any():
@@ -148,6 +158,37 @@ class PathAssembler:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.stack([boldB[l - 1] * self.powers[l - m][..., None, None]
                              for l in range(1, m)], axis=-3)
+
+    def lift(self, ts, u) -> np.ndarray:
+        """Reduced states of u-hat along ``ts``: u (len(ts), ..., m) at these
+        frequencies to (len(ts), ..., m^2).
+
+        The time derivatives come from the equation D_t u-hat = A u-hat: D_t^j
+        u-hat = P_j u-hat by the Leibniz recursion P_0 = I,
+        P_j = sum_l binom(j-1, l) (D_t^l A) P_{j-1-l}, over the paths l that
+        exist.  Entry (i - 1) m + (j - 1) of a state holds <xi>^{m-j} D_t^{j-1}
+        u_i-hat.  Each (t, xi) state is bitwise that of its frequency alone.
+        """
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        u, m = np.asarray(u, dtype=complex), self.m
+        grid = (ts.size,) + self.xi.shape[:-1] + (m,)
+        if u.shape != grid:
+            raise DomainError(f"u-hat shape {u.shape} does not match the grid {grid}")
+        V = np.empty(u.shape[:-1] + (m * m,), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing symbol's inf entries
+            dtA = [(-1j) ** k * eval_symbol_path(d, ts, self.xi).astype(complex)
+                   for k, d in enumerate(self.derivs[: m - 1])]
+            maps = [np.broadcast_to(np.eye(m, dtype=complex), dtA[0].shape)]
+            for j in range(1, m):
+                acc = np.zeros(dtA[0].shape, dtype=complex)
+                for l in range(min(j, len(dtA))):
+                    acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
+                maps.append(acc)
+            for j in range(1, m + 1):
+                V[..., j - 1 :: m] = self.powers[m - j][..., None] * np.matvec(maps[j - 1], u)
+        if not np.isfinite(V).all():
+            raise NumericError("the lifted states of u-hat overflow")
+        return V
 
 
 class SeparablePath:
@@ -170,18 +211,20 @@ class SeparablePath:
     into the weights.  States are stored mode-last, (m^2, q): every product
     runs over rows of the q modes.  The path holds the weights, the shift
     i <xi> of each mode and the buffer of the weighted states, so the
-    right-hand sides of :meth:`bind` allocate nothing.  Not bitwise
-    :class:`PathAssembler`: xi^k FL(A_1) rounds differently from FL(xi A_1).
+    right-hand sides of :meth:`bind` allocate nothing.  It takes the
+    derivative symbols, the frequencies and <xi> of ``assembler``.  Not
+    bitwise :meth:`PathAssembler.reduce`: xi^k FL(A_1) rounds differently
+    from FL(xi A_1).
     """
 
-    def __init__(self, symbol: SystemSymbol, xi, bxi):
-        if symbol.n != 1:
+    def __init__(self, assembler: PathAssembler):
+        if assembler.derivs[0].n != 1:
             raise DomainError("the separable reduction is one-dimensional (n = 1)")
-        m = symbol.m
-        x = np.asarray(xi, dtype=float).reshape(1, 1, -1)
-        b = np.asarray(bxi, dtype=float).reshape(1, 1, -1)
+        m = assembler.m
+        x = assembler.xi.reshape(1, 1, -1)
+        b = assembler.bxi.reshape(1, 1, -1)
         self.m = m
-        self.derivs = [time_derivative(symbol, k) for k in range(m)]
+        self.derivs = assembler.derivs
         power = np.arange(1, m + 1)[:, None, None]
         component = np.tile(np.arange(m), m)[None, :, None]
         # weights[p-1, a, r] = i xi^p <xi>^(c+1-m), times i where m-c-p is odd,
@@ -210,7 +253,7 @@ class SeparablePath:
         band, col = np.arange(m)[:, None], np.arange(m)[None, :]
         L[:, band, m - 1 - col, band, col] = -c[:, None, :0:-1]
         for l, band_terms in enumerate(terms, start=1):
-            for hp, term in enumerate(band_terms):
+            for hp, term in band_terms:
                 part = term.imag if (m - l - hp) % 2 else term.real
                 L[:, :, hp, :, l - 1] = part
         return L.reshape(ts.size, m, m ** 3)
@@ -252,52 +295,6 @@ def assemble_path(symbol: SystemSymbol, xi, ts) -> tuple:
     return block_sylvester(block, b)
 
 
-def _power(b: float, e: int) -> float:
-    """``b ** e`` on Python floats, inf where it overflows instead of OverflowError."""
-    try:
-        return b ** e
-    except OverflowError:
-        return float("inf")
-
-
-def lift_states(symbol: SystemSymbol, xi, ts, u, bxi=None) -> np.ndarray:
-    """Reduced states of u-hat along ``ts``: u (len(ts), ..., m) at frequencies
-    xi (..., n) to (len(ts), ..., m^2).
-
-    The time derivatives come from the equation D_t u-hat = A u-hat: D_t^j
-    u-hat = P_j u-hat by the Leibniz recursion P_0 = I,
-    P_j = sum_l binom(j-1, l) (D_t^l A) P_{j-1-l}.  Entry (i - 1) m + (j - 1)
-    of a state holds <xi>^{m-j} D_t^{j-1} u_i-hat.  ``bxi`` is
-    ``brackets(xi)`` if the caller has it.  Each (t, xi) state is bitwise
-    that of its frequency alone.
-    """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    u = np.asarray(u, dtype=complex)
-    m = symbol.m
-    lead = xi.shape[:-1]
-    if u.shape != (ts.size,) + lead + (m,):
-        raise DomainError(f"u-hat shape {u.shape} does not match the grid "
-                          f"{(ts.size,) + lead + (m,)}")
-    values = np.ravel(brackets(xi) if bxi is None else bxi).tolist()
-    V = np.empty(u.shape[:-1] + (m * m,), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing symbol's inf entries
-        dtA = [(-1j) ** k * eval_symbol_path(time_derivative(symbol, k), ts, xi).astype(complex)
-               for k in range(m - 1)]
-        maps = [np.broadcast_to(np.eye(m, dtype=complex), dtA[0].shape)]
-        for j in range(1, m):
-            acc = np.zeros(dtA[0].shape, dtype=complex)
-            for l in range(j):
-                acc += comb(j - 1, l) * (dtA[l] @ maps[j - 1 - l])
-            maps.append(acc)
-        for j in range(1, m + 1):
-            scale = np.array([_power(b, m - j) for b in values]).reshape(lead)
-            V[..., j - 1 :: m] = scale[..., None] * np.matvec(maps[j - 1], u)
-    if not np.isfinite(V).all():
-        raise NumericError("the lifted states of u-hat overflow")
-    return V
-
-
 def reduction_residual(symbol: SystemSymbol, xi, t_grid, u_hat_traj) -> float:
     """Ground-truth check of the reduction against a direct trajectory.
 
@@ -314,11 +311,12 @@ def reduction_residual(symbol: SystemSymbol, xi, t_grid, u_hat_traj) -> float:
     h = steps[0]
     if not np.allclose(steps, h, rtol=1e-9, atol=1e-15):
         raise DomainError("time grid must be uniform")
-    U = lift_states(symbol, xi, ts, u_hat_traj)
+    assembler = PathAssembler(symbol, xi)
+    U = assembler.lift(ts, u_hat_traj)
     # Fourth-order central difference; D_t = -i d/dt.
     dU = (U[:-4] - 8.0 * U[1:-3] + 8.0 * U[3:-1] - U[4:]) / (12.0 * h)
     DtU = -1j * dU
-    calA, calB = assemble_path(symbol, xi, ts[2:-2])
+    calA, calB = block_sylvester(*assembler.reduce(ts[2:-2])[:2])
     rhs = np.einsum("tij,tj->ti", calA + calB, U[2:-2])
     num = np.linalg.norm(DtU - rhs, axis=1)
     den = 1.0 + np.linalg.norm(U[2:-2], axis=1)

@@ -13,7 +13,8 @@ chain of propagator powers from one recorded step to the next.  The lifting
 of u-hat to reduced states keeps its two earlier forms: at t = 0 with
 ``np.matvec`` and along a trajectory with ``np.einsum``.  The inline
 companion systems with a double zero eigenvalue at t = 0, and constant ones,
-are shared by several test modules.  The
+are shared by several test modules.  The full-table assembler keeps every
+derivative path d^k/dt^k A, k < m, the identically zero ones too.  The
 conditions grid's ``GridData`` of the whole grid is its time blocks joined.
 The memory bounds of the tests read one call's tracemalloc peak.
 """
@@ -28,6 +29,7 @@ from hyposym.conditions import GridData, _grid_blocks
 from hyposym.energy import _renormalize_rows
 from hyposym.errors import ConsistencyError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
+from hyposym.reduction import PathAssembler
 from hyposym.symbols import (
     SystemSymbol,
     adjugate_coeffs,
@@ -80,6 +82,15 @@ def lift_blocks(block: np.ndarray) -> np.ndarray:
     """
     block = np.asarray(block)
     return np.kron(np.eye(block.shape[-1], dtype=block.dtype), block)
+
+
+def full_table(symbol: SystemSymbol, xi) -> PathAssembler:
+    """``PathAssembler(symbol, xi)`` with every derivative symbol d^k/dt^k A,
+    k < m, in its table, zero ones too, so that its reduce, lift, separable
+    last rows and evaluate_grid form every path and every term."""
+    assembler = PathAssembler(symbol, xi)
+    assembler.derivs = [time_derivative(symbol, k) for k in range(symbol.m)]
+    return assembler
 
 
 def grid_data(symbol: SystemSymbol, grid) -> GridData:

@@ -28,7 +28,7 @@ from hyposym import (
 )
 from hyposym.examples import builtin_system
 from hyposym.quasisym import q_eps, sample_separation_set
-from hyposym.reduction import lift_states
+from hyposym.reduction import PathAssembler
 from hyposym.symbols import faddeev_leverrier
 from oracles import difference_identity_residual_of, near_diagonal_constant
 
@@ -192,7 +192,8 @@ def glaeser_traces():
     out = []
     for xi_mag in (10.0, 100.0, 1000.0):
         xi = np.array([xi_mag])
-        V0 = lift_states(S, xi[None], [0.0], np.ones((1, 1, 2), dtype=complex) / np.sqrt(2))[0, 0]
+        u0 = np.ones((1, 1, 2), dtype=complex) / np.sqrt(2)
+        V0 = PathAssembler(S, xi[None]).lift([0.0], u0)[0, 0]
         out.append(reduced_integrate(S, xi, V0, cfg))
     return S, out
 

@@ -9,7 +9,8 @@ a per-point path that only tests reach belongs in ``tests/`` as an oracle.
 The other way round, every name that ``perfbench/`` or ``scripts/`` imports
 from the package must exist, and so must every name of ``hyposym.__all__``.
 Each recursion of the reduction has one producer: only the definitions
-pinned in ``PRODUCERS`` read ``faddeev_leverrier`` or ``adjugate_coeffs``.
+pinned in ``PRODUCERS`` read ``faddeev_leverrier`` or ``adjugate_coeffs``,
+and only ``PathAssembler.__init__`` calls ``time_derivative``.
 No module imports ``hashlib``, which loads OpenSSL, except as the fallback
 of CPython's built-in SHA-256 module.  ``src/`` holds no ``assert``
 statement: ``python -O`` drops them, so a check that must hold raises.
@@ -98,6 +99,42 @@ def readers(name: str) -> set:
                 if name in _names_read(sub):
                     found.add(prefix + sub.name if isinstance(sub, FUNCTIONS) else path.stem)
     return found
+
+
+def occurrences(text: str) -> set:
+    """Where ``text`` occurs in src/: ``module.function`` or
+    ``module.Class.method`` of the definition holding the line, else the bare
+    module."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        spans = []
+        for node in tree.body:
+            for sub in [node] + (node.body if isinstance(node, ast.ClassDef) else []):
+                if isinstance(sub, FUNCTIONS):
+                    name = sub.name if sub is node else f"{node.name}.{sub.name}"
+                    spans.append((sub.lineno, sub.end_lineno, f"{path.stem}.{name}"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            if text in line:
+                found |= {name for lo, hi, name in spans if lo <= lineno <= hi} or {path.stem}
+    return found
+
+
+def test_one_builder_of_the_derivative_symbols():
+    # PathAssembler builds the table of d^k/dt^k A that reduce, lift, the
+    # separable last rows and evaluate_grid read; it stops before the first
+    # zero derivative, and a second table beside it would form zero paths again
+    assert occurrences("time_derivative(") == {"symbols.time_derivative",
+                                               "reduction.PathAssembler.__init__"}
+
+
+def test_one_lifting_of_u_hat():
+    # PathAssembler.lift replaced the free lift_states, and its powers of <xi>
+    # the overflow helper _power
+    import hyposym.reduction as reduction
+
+    assert not hasattr(reduction, "lift_states")
+    assert not hasattr(reduction, "_power")
 
 
 def test_one_producer_per_recursion():

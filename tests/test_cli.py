@@ -361,7 +361,7 @@ class TestMain:
         import numpy as np
 
         from hyposym.energy import SolverConfig, reduced_integrate
-        from hyposym.reduction import lift_states
+        from hyposym.reduction import PathAssembler
 
         system = {"m": 2, "n": 2, "horizon": 1.0, "coefficients": [
             [[[0.0], [1.0]], [[0.0, 0.0, 1.0], [0.0]]],
@@ -376,7 +376,8 @@ class TestMain:
         expected = []
         for x in (1.0, 10.0, 100.0):
             xi = np.array([x, 0.0])
-            V0 = lift_states(S, xi[None], [0.0], np.ones((1, 1, 2), dtype=complex) / np.sqrt(2))
+            u0 = np.ones((1, 1, 2), dtype=complex) / np.sqrt(2)
+            V0 = PathAssembler(S, xi[None]).lift([0.0], u0)
             expected.append(reduced_integrate(S, xi, V0[0, 0], SolverConfig(),
                                               collect_energy=False).growth_log)
         assert results["growth_logs"] == expected

@@ -625,8 +625,9 @@ class TestEvaluateGridStacked:
     @pytest.mark.parametrize("name", ["m2-glaeser", "m3-tracezero", "m4-inline"])
     def test_paths_per_block(self, name, monkeypatch):
         """On a one-dimensional grid each time block evaluates A once on the
-        whole grid, for the rescaled coefficients, and the m derivative paths
-        once on the direction +1, for the terms and the norms alike."""
+        whole grid, for the rescaled coefficients, and the derivative paths
+        that are not identically zero once on the direction +1, for the terms
+        and the norms alike: all m of them, but 3 for m4-inline, of degree 2."""
         import hyposym.conditions as conditions
         import hyposym.reduction as reduction
         from hyposym.symbols import eval_symbol_path
@@ -640,12 +641,13 @@ class TestEvaluateGridStacked:
         for module in (conditions, reduction):
             monkeypatch.setattr(module, "eval_symbol_path", counting)
         S = self.symbol(name)
+        paths = {"m2-glaeser": 2, "m3-tracezero": 3, "m4-inline": 3}[name]
         grid = SamplingGrid.default(S, n_t=37, n_r=5)
         monkeypatch.setattr(conditions, "_GRID_BLOCK", 8 * grid.shape[1] * grid.shape[2])
         grid_data(S, grid)
         blocks = -(-grid.shape[0] // 8)
-        assert len(calls) == blocks * (S.m + 1)
-        assert sum(calls) == grid.shape[0] * (S.m + 1)
+        assert len(calls) == blocks * (paths + 1)
+        assert sum(calls) == grid.shape[0] * (paths + 1)
 
 
 # The n = 2, m = 3 inline system of scripts/run_example_reports.py.

@@ -30,7 +30,6 @@ from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
     assemble_path,
-    lift_states,
 )
 from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol_path, rescaled_spectra
 from hyposym.quasisym import q_eps, q_eps_parts, sum_parts, verify_properties
@@ -51,7 +50,8 @@ from oracles import (
 def initial_state(symbol, u0hat, xi):
     """The reduced state of u-hat(0, xi) = u0hat at one frequency xi."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return lift_states(symbol, xi[None], [0.0], np.asarray(u0hat, dtype=complex)[None, None])[0, 0]
+    u0hat = np.asarray(u0hat, dtype=complex)
+    return PathAssembler(symbol, xi[None]).lift([0.0], u0hat[None, None])[0, 0]
 
 
 def reweight_energy(trace, symbol, eps):
@@ -198,7 +198,7 @@ def windowed_solve(S, u0, config, snapshot_ts):
     N, h = config.steps_for(S, np.array([n / 2.0]))
     snap_idx = np.clip(np.rint(np.asarray(snapshot_ts) / h).astype(int), 0, N)
     record = sorted(set(snap_idx.tolist()))
-    V0 = lift_states(S, xis, [0.0], np.fft.fft(u0, axis=1).T[None])[0]
+    V0 = PathAssembler(S, xis).lift([0.0], np.fft.fft(u0, axis=1).T[None])[0]
     states, _ = dense_rk4(S, xis, np.linspace(0.0, S.horizon, 2 * N + 1), V0, N, h, record)
     first = np.swapaxes(states[[record.index(k) for k in snap_idx]][:, :, ::m], 1, 2)
     return np.fft.ifft(first * brackets(xis) ** (-(m - 1)), axis=2)
@@ -255,7 +255,7 @@ def oracle_gap(symbol, xi, u0hat, config) -> float:
     state, normalised by the largest lifted state norm.
     """
     ts, traj = direct_integrate(symbol, xi, u0hat, config)
-    U = lift_states(symbol, xi, ts, traj)
+    U = PathAssembler(symbol, xi).lift(ts, traj)
     V0 = initial_state(symbol, u0hat, xi)
     trace = reduced_integrate(symbol, xi, V0, config, collect_energy=False)
     scale = max(float(np.linalg.norm(U, axis=1).max()), 1e-300)
@@ -760,7 +760,8 @@ class TestSolveCauchy1d:
 
     @pytest.mark.parametrize("name", ["m2-glaeser", "m2-wave"])
     def test_one_bracket_per_mode(self, name, monkeypatch):
-        # every frequency handed to brackets, in the modules a solve runs
+        # every frequency handed to brackets, in the modules a solve runs;
+        # energy takes <xi> from its assembler
         from hyposym import reduction, symbols
 
         calls = []
@@ -770,7 +771,7 @@ class TestSolveCauchy1d:
             calls.extend(np.ndindex(np.shape(xi)[:-1]))
             return real(xi)
 
-        for module in (symbols, reduction, energy):
+        for module in (symbols, reduction):
             monkeypatch.setattr(module, "brackets", spy)
         n = 64
         solve_cauchy_1d(builtin_system(name), np.ones((2, n), dtype=complex), SolverConfig(),
@@ -963,7 +964,7 @@ class TestInPlaceStages:
         ts_half = np.linspace(0.0, N * h, 2 * N + 1)
         rng = np.random.default_rng(q)
         V0 = rng.standard_normal((d, q)) + 1j * rng.standard_normal((d, q))
-        path = SeparablePath(S, xis, bxi)
+        path = SeparablePath(PathAssembler(S, xis))
 
         def windows(bind):
             def window(k0, k1):
@@ -996,7 +997,7 @@ class TestInPlaceStages:
     def test_apply_writes_only_out(self):
         S = builtin_system("m3-tracezero")
         xis = np.fft.fftfreq(8, d=1.0 / 8)[:, None]
-        path = SeparablePath(S, xis, brackets(xis))
+        path = SeparablePath(PathAssembler(S, xis))
         L = path.last_rows(np.array([0.25]))[0]
         rng = np.random.default_rng(4)
         Y = rng.standard_normal((9, 8)) + 1j * rng.standard_normal((9, 8))

@@ -12,7 +12,8 @@ from hyposym import (
     reduction_residual,
     time_derivative,
 )
-from hyposym.energy import SolverConfig, direct_integrate
+from hyposym import energy
+from hyposym.energy import SolverConfig, direct_integrate, solve_cauchy_1d
 from hyposym.examples import BUILTIN_SYSTEMS, builtin_system
 from hyposym.reduction import (
     PathAssembler,
@@ -21,10 +22,9 @@ from hyposym.reduction import (
     assemble_path,
     band_rows,
     block_sylvester,
-    lift_states,
 )
 from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier, rescaled_spectra
-from hyposym.conditions import SamplingGrid
+from hyposym.conditions import SamplingGrid, evaluate_grid
 from hyposym.errors import NumericError
 from oracles import (
     CONSTANT_COMPANIONS,
@@ -33,6 +33,7 @@ from oracles import (
     bold_B_terms,
     companion_symbol,
     derivative_maps,
+    full_table,
     grid_data,
     initial_states,
     last_rows_reference,
@@ -53,12 +54,13 @@ def dense_symbol(m, seed, degree=2, horizon=1.0):
 def blocks_at(S, t, xi):
     """(bold_A, bold_B) at one (t, xi), from the reduction's kernel."""
     _, _, bold_A, terms = _bold_B_terms(PathAssembler(S, xi).derivs, [t], xi)
-    return [B[0] for B in bold_A], [sum(T)[0] for T in terms]
+    zero = np.zeros((S.m, S.m), dtype=complex)   # bold_B_l of a band without terms
+    return [B[0] for B in bold_A], [sum((x[0] for _, x in T), zero) for T in terms]
 
 
 def state_at(S, u0, xi):
     """The reduced state of u-hat(0, xi) = u0 at one frequency xi."""
-    return lift_states(S, xi[None], [0.0], np.asarray(u0, dtype=complex)[None, None])[0, 0]
+    return PathAssembler(S, xi[None]).lift([0.0], np.asarray(u0, dtype=complex)[None, None])[0, 0]
 
 
 class TestBoldA:
@@ -298,7 +300,7 @@ class TestLiftTrajectory:
         u0 = np.array([0.2, -1.0, 0.5 + 0.5j])
         ts = np.linspace(0.0, 0.1, 6)
         traj = np.tile(u0, (6, 1))
-        U = lift_states(S, xi, ts, traj)
+        U = PathAssembler(S, xi).lift(ts, traj)
         np.testing.assert_allclose(U[0], state_at(S, u0, xi), atol=1e-14)
 
 
@@ -325,10 +327,10 @@ class TestLiftStates:
             m = S.m
             xis = rng.uniform(-30.0, 30.0, (6, S.n))
             u = rng.standard_normal((ts.size, 6, m)) + 1j * rng.standard_normal((ts.size, 6, m))
-            V = lift_states(S, xis, ts, u)
+            V = PathAssembler(S, xis).lift(ts, u)
             assert V.shape == (ts.size, 6, m * m)
             for r, xi in enumerate(xis):
-                alone = lift_states(S, xi, ts, u[:, r])
+                alone = PathAssembler(S, xi).lift(ts, u[:, r])
                 assert V[:, r].tobytes() == alone.tobytes(), (m, S.n, r)
 
     def test_at_zero_matches_initial_states_bitwise(self):
@@ -337,7 +339,7 @@ class TestLiftStates:
             m = S.m
             xis = rng.uniform(-50.0, 50.0, (7, S.n))
             u0 = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
-            V = lift_states(S, xis, [0.0], u0[None])[0]
+            V = PathAssembler(S, xis).lift([0.0], u0[None])[0]
             assert V.tobytes() == initial_states(S, u0, xis).tobytes(), (m, S.n)
 
     def test_trajectory_matches_lift_trajectory(self):
@@ -350,7 +352,7 @@ class TestLiftStates:
             m = S.m
             xi = rng.uniform(-20.0, 20.0, S.n)
             traj = rng.standard_normal((ts.size, m)) + 1j * rng.standard_normal((ts.size, m))
-            U = lift_states(S, xi, ts, traj)
+            U = PathAssembler(S, xi).lift(ts, traj)
             ref = lift_trajectory(S, xi, ts, traj)
             if m == 2 or k < 2:
                 assert U.tobytes() == ref.tobytes(), (m, S.n, k)
@@ -360,9 +362,9 @@ class TestLiftStates:
     def test_shape_mismatch_and_overflow(self):
         S = builtin_system("m3-tracezero")
         with pytest.raises(DomainError):
-            lift_states(S, np.ones((4, 1)), [0.0, 0.5], np.zeros((2, 3, 3)))
+            PathAssembler(S, np.ones((4, 1))).lift([0.0, 0.5], np.zeros((2, 3, 3)))
         with pytest.raises(NumericError):
-            lift_states(S, np.array([1e300]), [0.0], np.ones((1, 3)))
+            PathAssembler(S, np.array([1e300])).lift([0.0], np.ones((1, 3)))
 
 
 def stack_symbols():
@@ -406,7 +408,7 @@ class TestStackedFrequencies:
             m = S.m
             xis = rng.uniform(-40.0, 40.0, (7, S.n))
             u0 = rng.standard_normal((7, m)) + 1j * rng.standard_normal((7, m))
-            V = lift_states(S, xis, [0.0], u0[None])[0]
+            V = PathAssembler(S, xis).lift([0.0], u0[None])[0]
             for r, xi in enumerate(xis):
                 bxi = bracket(xi)
                 maps = derivative_maps(S, xi, np.array([0.0]), m - 1)
@@ -437,7 +439,7 @@ class TestSeparablePath:
         rng = np.random.default_rng(6)
         d = S.m * S.m
         xis = np.array([[0.0], [1.0], [-1.0], [-7.0], [64.0], [-512.0], [511.0], [3.5]])
-        path = SeparablePath(S, xis, brackets(xis))
+        path = SeparablePath(PathAssembler(S, xis))
         ts_half = np.linspace(0.0, S.horizon, 2 * 40 + 1)
         sample = np.concatenate([[0, 1, 2], rng.choice(ts_half.size, 10, replace=False),
                                  [ts_half.size - 1]])
@@ -466,7 +468,7 @@ class TestSeparablePath:
         m, d = S.m, S.m * S.m
         xis = np.array([[3.0]]) if q == 1 else np.fft.fftfreq(q, d=1.0 / q)[:, None]
         bxi = brackets(xis)
-        path = SeparablePath(S, xis, bxi)
+        path = SeparablePath(PathAssembler(S, xis))
         ts = np.linspace(0.0, S.horizon, 9)
         L, complex_L = path.last_rows(ts), last_rows_reference(S, ts)
         rng = np.random.default_rng(q)
@@ -490,7 +492,7 @@ class TestSeparablePath:
         # overwritten: m3-tracezero at 8 modes came out up to 2.66 off.
         S = builtin_system("m3-tracezero")
         xis = np.fft.fftfreq(8, d=1.0 / 8)[:, None]
-        path = SeparablePath(S, xis, brackets(xis))
+        path = SeparablePath(PathAssembler(S, xis))
         L = path.last_rows(np.array([0.25]))[0]
         rng = np.random.default_rng(5)
         Y = rng.standard_normal((9, 8)) + 1j * rng.standard_normal((9, 8))
@@ -512,7 +514,7 @@ class TestSeparablePath:
         S = SystemSymbol(coeffs=np.ones((2, 2, 2, 2)), horizon=1.0)
         xis = np.ones((3, 2))
         with pytest.raises(DomainError):
-            SeparablePath(S, xis, brackets(xis))
+            SeparablePath(PathAssembler(S, xis))
 
 
 class TestOneRecursion:
@@ -523,7 +525,7 @@ class TestOneRecursion:
     def check(S, ts):
         m = S.m
         xis = np.ones((1, 1))
-        L = SeparablePath(S, xis, brackets(xis)).last_rows(ts).reshape(ts.size, m, m, m, m)
+        L = SeparablePath(PathAssembler(S, xis)).last_rows(ts).reshape(ts.size, m, m, m, m)
         c = PathAssembler(S, xis).reduce(ts)[2][:, 0]
         band, col = np.arange(m)[:, None], np.arange(m)[None, :]
         companion = L[:, band, m - 1 - col, band, col]
@@ -551,12 +553,16 @@ class TestOneRecursion:
 
 def complex_terms(derivs, ts, xi):
     """``_bold_B_terms`` with its terms as complex products of the phased
-    paths (-i)^k d^k/dt^k A."""
+    paths (-i)^k d^k/dt^k A, the (hp, term) pairs of the paths in ``derivs``."""
     paths = [eval_symbol_path(d, ts, xi) for d in derivs]
     c = faddeev_leverrier(paths[0])
+    m = c.shape[-1] - 1
     with np.errstate(invalid="ignore"):
         dtA = [(-1j) ** k * p.astype(complex) for k, p in enumerate(paths)]
-    return (paths, c) + bold_B_terms(c, dtA)
+    dtA += [np.zeros_like(dtA[0])] * (m - len(dtA))
+    boldA, terms = bold_B_terms(c, dtA)
+    return paths, c, boldA, [[(hp, x) for hp, x in enumerate(t) if m - l - hp < len(paths)]
+                             for l, t in enumerate(terms, start=1)]
 
 
 class TestRealTermsAgainstComplexOracle:
@@ -585,7 +591,7 @@ class TestRealTermsAgainstComplexOracle:
         rows = (1j * np.add(*block_sylvester(block, b)))[..., S.m - 1 :: S.m, :]
         assert band_rows(block, b).tobytes() == rows.tobytes()
         if S.n == 1:
-            L = SeparablePath(S, xis, brackets(xis)).last_rows(ts)
+            L = SeparablePath(PathAssembler(S, xis)).last_rows(ts)
             want = phase_folded(last_rows_reference(S, ts))
             assert (L + 0.0).tobytes() == (want + 0.0).tobytes()
         grid = SamplingGrid.default(S, n_t=ts.size, n_r=3, r_max=float(np.abs(xis).max()) + 2.0,
@@ -618,7 +624,11 @@ class TestRealTermsAgainstComplexOracle:
         """Where the terms overflow, the same entries are non-finite (the
         complex products may hold NaN where the real ones hold inf), the
         finite entries are bitwise, reduce fails at the first overflowed point,
-        frequency by frequency, and evaluate_grid fails with the same text."""
+        frequency by frequency, and evaluate_grid fails with the same text.
+        The last rows' entries of a missing path (k >= 2 here) are +0.0: the
+        full table's product of an overflowed bold_A and a zero path read NaN
+        there, while the path k = 1 term of the same bold_A keeps its row
+        non-finite."""
         import hyposym.conditions as conditions
 
         S = companion_symbol(last_row, horizon=1e-3)
@@ -627,7 +637,7 @@ class TestRealTermsAgainstComplexOracle:
         assembler = PathAssembler(S, xis)
         terms = _bold_B_terms(assembler.derivs, ts, xis)[3]
         with np.errstate(over="ignore", invalid="ignore"):
-            b = assembler.entries([sum(t) for t in terms])
+            b = assembler.entries([sum(x for _, x in t) for t in terms])
         ref_block, ref, _ = reduce_reference(S, xis, ts)
         finite = np.isfinite(b)
         assert not finite.all()
@@ -639,8 +649,12 @@ class TestRealTermsAgainstComplexOracle:
             assembler.reduce(ts)
         assert str(exc.value) == (f"the reduction overflows at (t={ts[i]}, "
                                   f"xi={xis[k].tolist()})")
-        L = SeparablePath(S, xis, brackets(xis)).last_rows(ts)
-        assert (np.isfinite(L) == np.isfinite(phase_folded(last_rows_reference(S, ts)))).all()
+        L = SeparablePath(assembler).last_rows(ts)
+        missing = missing_slots(S.m, len(assembler.derivs))
+        assert (L[..., missing] == 0).all() and not np.signbit(L[..., missing]).any()
+        want = np.isfinite(phase_folded(last_rows_reference(S, ts)))
+        assert (np.isfinite(L) == want)[..., ~missing].all()
+        assert (np.isfinite(L).all(axis=-1) == want.all(axis=-1)).all()
         grid = SamplingGrid.default(S, n_t=5, n_r=3, r_max=1e4)
         messages = []
         for terms in (conditions._bold_B_terms, complex_terms):
@@ -649,3 +663,85 @@ class TestRealTermsAgainstComplexOracle:
                 grid_data(S, grid)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+
+
+def assert_bitwise(got, want, what):
+    """Equal values and equal sign bits, zeros' included."""
+    got, want = (np.asarray(x) for x in (got, want))
+    if np.iscomplexobj(got) or np.iscomplexobj(want):
+        got, want = (np.stack([x.real, x.imag]) for x in (got, want))
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what
+
+
+def missing_slots(m: int, paths: int) -> np.ndarray:
+    """The columns of ``SeparablePath.last_rows`` whose terms hold a path
+    k >= ``paths``: column (p-1) m^2 + a, a on component c, holds path m-c-p."""
+    power, component = np.arange(1, m + 1)[:, None, None], np.arange(m)
+    return np.broadcast_to(m - component - power >= paths, (m, m, m)).reshape(-1)
+
+
+class TestMissingPaths:
+    """The assembler stops its table of derivative paths before the first
+    zero one and forms none of their terms, bitwise the full table of the
+    oracles, which forms every d^k/dt^k A, k < m: a term of a zero path is
+    +-0, and each sum it would join starts at +0.0, which adding +-0 keeps.
+
+    The separable last rows hold each term in its own entries, unsummed, so
+    there a missing path leaves +0.0 where the full table's zero product,
+    phased by (-i)^k, read -0.0 for k = 2 (the constant systems' entries);
+    a separable solve through them is bitwise the full table's.
+    """
+
+    # (symbol, zero paths among k < m)
+    SYSTEMS = {"m2-glaeser": (builtin_system("m2-glaeser"), 0),
+               "m4-double-zero": (M4_DOUBLE_ZERO, 1), "m6-double-zero": (M6_DOUBLE_ZERO, 3),
+               **{f"constant-m{m}": (S, m - 1) for m, S in CONSTANT_COMPANIONS.items()}}
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_bitwise_the_full_table(self, name):
+        S, zero_paths = self.SYSTEMS[name]
+        m = S.m
+        xis = np.array([[0.0], [1.0], [-3.0], [100.0], [1e4]])
+        ts = np.linspace(0.0, S.horizon, 17)
+        short, full = PathAssembler(S, xis), full_table(S, xis)
+        assert len(short.derivs) == m - zero_paths and len(full.derivs) == m
+        for what, got, want in zip(("block", "b", "c"), short.reduce(ts), full.reduce(ts)):
+            assert_bitwise(got, want, what)
+        rng = np.random.default_rng(m)
+        shape = (ts.size, len(xis), m)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert_bitwise(short.lift(ts, u), full.lift(ts, u), "lift")
+        assert_bitwise(short.lift([0.0], u[:1])[0], initial_states(S, u[0], xis), "initial states")
+        L, want = SeparablePath(short).last_rows(ts), SeparablePath(full).last_rows(ts)
+        missing = missing_slots(m, len(short.derivs))
+        assert np.array_equal(L, want)
+        assert_bitwise(L[..., ~missing], want[..., ~missing], "last rows")
+        assert_bitwise(L[..., missing], np.zeros(L[..., missing].shape), "missing paths' rows")
+        # +1 and -1 take the mirror, in which term hp of -xi is negated for even hp
+        for dirs in (np.array([[1.0], [-1.0]]), np.array([[1.0]])):
+            grid = SamplingGrid(ts=ts, radii=np.array([1.0, 3.0, 100.0, 1e4]), dirs=dirs)
+            got, want = (evaluate_grid(a, grid, slice(0, ts.size))
+                         for a in (PathAssembler(S, grid.xis), full_table(S, grid.xis)))
+            assert got.nonhyperbolic == want.nonhyperbolic
+            for field in ("lambdas", "deleted_sigmas", "b_entries", "dtA0_norms"):
+                assert_bitwise(getattr(got, field), getattr(want, field), (field, dirs.size))
+
+    @pytest.mark.parametrize("last_row", [
+        [[0.0, 2.0], [0.0], [0.0, -1.0]],
+        [[4.0, 0.0, -1.0], [0.0], [-5.0, 0.0, 1.0], [0.0], [1.0], [0.0]],
+    ], ids=["m3-linear", "m6-quadratic"])
+    def test_separable_solve_is_bitwise_the_full_table(self, last_row, monkeypatch):
+        # m = 3 of degree 1 misses path 2, whose entries read -0.0 in the full
+        # table; the data has a nonzero mean, so wavenumber 0, whose weights
+        # are all zero, is stepped too
+        S = companion_symbol(last_row)
+        n = 32
+        x = 2 * np.pi * np.arange(n) / n
+        u0 = np.stack([1.0 + np.cos(j * x) + 0.5j * np.sin((j + 1) * x) for j in range(S.m)])
+        config = SolverConfig(t_step=1e-3)
+        field = solve_cauchy_1d(S, u0, config, [0.5, 1.0])
+        monkeypatch.setattr(energy, "PathAssembler", full_table)
+        ref = solve_cauchy_1d(S, u0, config, [0.5, 1.0])
+        assert field.fields.tobytes() == ref.fields.tobytes()
