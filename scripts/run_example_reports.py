@@ -85,7 +85,7 @@ PIPELINES = {
     "m2-nonhyp-control": ("growth", "conditions", "report", "solve"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
     "inline-m4": ("reduce", "growth", "report", "solve"),
-    "inline-m6": ("reduce", "growth", "report"),
+    "inline-m6": ("reduce", "growth", "report", "solve"),
     "inline-m6-const": ("solve",),
     "inline-n2-m3": ("conditions",),
     "inline-overflow": ("growth", "solve"),
@@ -110,10 +110,10 @@ SOLVE_EXTRAS = {
 }
 
 
-# Solve grid sizes other than SOLVE_EXTRAS': inline-m4's solve, the one
-# variable-coefficient solve at m >= 4, where the phase (-i)^3 of the separable
-# right-hand side first appears, runs in about 2 s at 512 modes.
-SOLVE_GRID_SIZES = {"inline-m4": 512}
+# Solve grid sizes other than SOLVE_EXTRAS': the variable-coefficient solves
+# at m >= 4, where the phase (-i)^3 of the separable right-hand side first
+# appears.  Each runs in about 2 s: inline-m4's at 512 modes, inline-m6's at 256.
+SOLVE_GRID_SIZES = {"inline-m4": 512, "inline-m6": 256}
 
 
 def run_all(out_root: Path, seed: int) -> int:

@@ -77,9 +77,10 @@ MAX_SWEEP_STEPS = 1 << 21
 # Rows per slab of CSV output.  Writing the 115,776-row conditions.csv of the
 # conditions-m3 benchmark in process: slabs of 512 rows take 0.054 s at a
 # 0.16 MB tracemalloc peak, 2,048 rows 0.037-0.053 s at 0.46 MB and 8,192 rows
-# 0.035 s at 2.09 MB.  At 2,048 the write adds nothing to the benchmark's
-# 43.2-43.6 MB peak RSS, which run_conditions sets, numpy.random's import
-# (5.0-5.4 MB, OpenSSL included) among it.
+# 0.035 s at 2.09 MB.  At 2,048 the write sets the command's peak RSS, 0.25 MB
+# above the 41.3 MB of run_conditions (in process, numpy.random's import of
+# 5.0-5.4 MB, OpenSSL included, among it): the value column is
+# run_conditions' own per-point table, so nothing is copied before the write.
 _CSV_ROWS = 2048
 
 # Most samples of an energy trace that a report carries.
@@ -714,11 +715,11 @@ def _cmd_conditions(config: RunConfig):
         },
     }
     # Rows in (t, r, d) order, per point the ks row, then per l the thm2 row and
-    # the m levi rows; each column has the shape it varies in, within (T, R, D, K).
+    # the m levi rows, the order of report.table; each column has the shape it
+    # varies in, within (T, R, D, K).
     grid = report.grid
     m = symbol.m
-    T, R, D = grid.shape
-    per_l = np.concatenate([report.thm2_values[..., None], report.levi_values], axis=-1)
+    _, R, D = grid.shape
     xi_strs = [";".join(f"{v:.17g}" for v in xi) for xi in grid.xis.reshape(R * D, -1)]
     csvs = {"conditions.csv": {
         "t": grid.ts[:, None, None, None],
@@ -726,8 +727,7 @@ def _cmd_conditions(config: RunConfig):
         "kind": ["ks"] + (["thm2"] + ["levi"] * m) * (m - 1),
         "l": [0] + [l for l in range(1, m) for _ in range(m + 1)],
         "j": [0] + list(range(m + 1)) * (m - 1),
-        "value": np.concatenate([report.ks_values[..., None], per_l.reshape(T, R, D, -1)],
-                                axis=-1),
+        "value": report.table,
     }}
     return results, failures, csvs
 

@@ -124,7 +124,7 @@ def evaluate_grid(assembler: PathAssembler, grid: SamplingGrid, block: slice) ->
     bxi = assembler.bxi[..., None, None]
     mirror = grid.dirs.tolist() == [[1.0], [-1.0]]
     lead = slice(0, 1) if mirror else slice(None)  # the norms of +1 broadcast to -1
-    paths, _, _, terms = _bold_B_terms(assembler.derivs, ts, assembler.xi[:, lead])
+    paths, _, terms = _bold_B_terms(assembler.derivs, ts, assembler.xi[:, lead])
     A = eval_symbol_path(assembler.derivs[0], ts, assembler.xi) if mirror else paths[0]
     char0 = faddeev_leverrier(A / bxi).real
     _require_finite(char0, grid, k0, "a rescaled characteristic coefficient")
@@ -337,32 +337,41 @@ class ConditionReport:
     zone_stats: dict
     nonhyperbolic_points: int
     grid: SamplingGrid
-    levi_values: np.ndarray = field(repr=False, default=None)
-    thm2_values: np.ndarray = field(repr=False, default=None)
-    ks_values: np.ndarray = field(repr=False, default=None)
+    # (T, R, D, 1 + (m-1)(m+1)) per point in conditions.csv's row order: ks,
+    # then per l the thm2 ratio and the m levi ratios; the three views below
+    # are its parts
+    table: np.ndarray = field(repr=False, default=None)
+    levi_values: np.ndarray = field(repr=False, default=None)   # (T, R, D, m-1, m)
+    thm2_values: np.ndarray = field(repr=False, default=None)   # (T, R, D, m-1)
+    ks_values: np.ndarray = field(repr=False, default=None)     # (T, R, D)
 
 
 def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> ConditionReport:
     """Evaluate every condition on the grid and aggregate with witnesses.
 
     The grid is evaluated one time block at a time.  Each block's GridData
-    goes into the per-point tables and the eigenvalues, and gives the
-    sandwich constants at its every 4th time sample; then it is dropped.
-    Each sup is the largest value of its pointwise table; the witness is the
-    first grid point, in (t, r, d) order, where it is reached.
+    writes its ks, thm2 and levi ratios into views of one per-point table,
+    laid out in conditions.csv's row order, and its eigenvalues into their
+    own table, and gives the sandwich constants at its every 4th time
+    sample; then it is dropped.  Each sup is the largest value of its
+    pointwise view; the witness is the first grid point, in (t, r, d) order,
+    where it is reached.
     """
     m = symbol.m
     T, R, D = grid.shape
     T4 = -(-T // 4)
     lambdas = np.empty((T, R, D, m))
-    levi_vals = np.empty((T, R, D, m - 1, m))
-    thm2_vals = np.empty((T, R, D, m - 1))
+    table = np.empty((T, R, D, 1 + (m - 1) * (m + 1)))
+    ks_vals = table[..., 0]
+    per_l = table[..., 1:].reshape(T, R, D, m - 1, m + 1)
+    thm2_vals, levi_vals = per_l[..., 0], per_l[..., 1:]
     sandwich = np.empty((T4, R, D))   # at every 4th time sample
     nonhyperbolic = 0
     for k0, data in _grid_blocks(symbol, grid):
         sl = slice(k0, k0 + data.lambdas.shape[0])
         lambdas[sl] = data.lambdas
         nonhyperbolic += data.nonhyperbolic
+        ks_vals[sl] = ks_pointwise(data.lambdas)
         q = _square_sums(data.deleted_sigmas)
         levi_vals[sl] = levi_pointwise(data.b_entries, q)
         thm2_vals[sl] = thm2_pointwise(data.dtA0_norms, q)
@@ -373,11 +382,10 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> C
                 W.reshape(-1, m, m), b.reshape(-1, m - 1, m, m)).reshape(W.shape[:3])
         del data, q, W, b   # before the next block is evaluated
 
-    ks_vals = ks_pointwise(lambdas)
     ks_sup, ks_wit = float(ks_vals.max()), _argmax_witness(ks_vals, grid)
-    levi_sups = levi_vals.reshape(-1, m - 1, m).max(axis=0)
+    levi_sups = levi_vals.max(axis=(0, 1, 2))
     levi_wit = _argmax_witness(levi_vals.max(axis=(-2, -1)), grid)
-    thm2_sups = thm2_vals.reshape(-1, m - 1).max(axis=0)
+    thm2_sups = thm2_vals.max(axis=(0, 1, 2))
     thm2_wit = _argmax_witness(thm2_vals.max(axis=-1), grid)
 
     # Implication direction: a finite derivative-norm ratio at a point must
@@ -430,6 +438,7 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> C
         zone_stats={int(k): int(v) for k, v in sorted(counts.items())},
         nonhyperbolic_points=nonhyperbolic,
         grid=grid,
+        table=table,
         levi_values=levi_vals,
         thm2_values=thm2_vals,
         ks_values=ks_vals,

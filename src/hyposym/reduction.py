@@ -33,30 +33,31 @@ from hyposym.symbols import (
 
 
 def _bold_B_terms(derivs: list, ts, xi) -> tuple:
-    """(paths, c, bold_A, terms): the one producer of the reduction's blocks.
+    """(paths, c, terms): the one producer of the reduction's blocks.
 
     ``paths[k]`` is d^k/dt^k A along ``ts`` at ``xi`` for the symbols
     ``derivs`` of a :class:`PathAssembler`; c are the characteristic
-    coefficients of A = paths[0] by the real recursion and
-    bold_A_0..bold_A_{m-1} its adjugate coefficients.  ``terms[l-1]`` yields,
-    once, (hp, term) for each term of bold_B_l whose path k exists,
+    coefficients of A = paths[0] by the real recursion.  ``terms[l-1]``
+    yields, once, (hp, term) for each term of bold_B_l whose path k exists,
     comb(m-1-hp, l-1) bold_A_hp D_t^k A, k = m-l-hp, of degree hp + 1 in xi,
     formed as it is taken, so a caller that sums them holds one at a time.
-    Each product is real; the phase (-i)^k puts it into the real or imaginary
+    bold_A_0..bold_A_{m-1}, the adjugate coefficients of A, are formed only
+    where a path k >= 1 exists: without one no band has a term.  Each
+    product is real; the phase (-i)^k puts it into the real or imaginary
     part, bitwise the complex product up to the sign of a zero.
     """
     paths = [eval_symbol_path(d, ts, xi) for d in derivs]
     c = faddeev_leverrier(paths[0])
     m = c.shape[-1] - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        boldA = adjugate_coeffs(paths[0], c)
+        boldA = adjugate_coeffs(paths[0], c) if len(paths) > 1 else None
 
     def band(l):
         for hp in range(max(0, m - l - len(paths) + 1), m - l):
             with np.errstate(over="ignore", invalid="ignore"):
                 term = comb(m - 1 - hp, l - 1) * (boldA[hp] @ paths[m - l - hp]) * (-1j) ** (m - l - hp)
             yield hp, term
-    return paths, c, boldA, [band(l) for l in range(1, m)]
+    return paths, c, [band(l) for l in range(1, m)]
 
 
 def block_sylvester(block, b) -> tuple:
@@ -128,7 +129,7 @@ class PathAssembler:
         """
         ts = np.atleast_1d(ts)
         m, bxi = self.m, self.bxi
-        _, c, _, terms = _bold_B_terms(self.derivs, ts, self.xi)
+        _, c, terms = _bold_B_terms(self.derivs, ts, self.xi)
         block = np.zeros(c.shape[:-1] + (m, m))
         for j in range(m - 1):
             block[..., j, j + 1] = bxi
@@ -247,7 +248,7 @@ class SeparablePath:
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         m = self.m
-        _, c, _, terms = _bold_B_terms(self.derivs, ts, np.ones(1))
+        _, c, terms = _bold_B_terms(self.derivs, ts, np.ones(1))
         # L[t, band i, p-1, band j, component]
         L = np.zeros((ts.size, m, m, m, m))
         band, col = np.arange(m)[:, None], np.arange(m)[None, :]

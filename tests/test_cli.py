@@ -1088,6 +1088,51 @@ def test_conditions_csv_matches_row_writer(tmp_path, m, n):
     assert len(got.splitlines()) == 1 + 5 * 3 * (2 if n == 1 else 4) * (1 + (m - 1) * (m + 1))
 
 
+def test_conditions_csv_values_are_the_report_table(tmp_path, monkeypatch):
+    """run_conditions keeps one per-point table: the ks, thm2 and levi values
+    are views of it, and the conditions command hands it to the CSV writer as
+    its value column, uncopied."""
+    import hyposym.cli as cli
+
+    cli_run_conditions, cli_write_csv = cli.run_conditions, cli._write_csv
+    reports, columns = [], []
+
+    def keep_report(*args, **kwargs):
+        reports.append(cli_run_conditions(*args, **kwargs))
+        return reports[-1]
+
+    def keep_columns(path, cols):
+        columns.append(cols)
+        cli_write_csv(path, cols)
+
+    monkeypatch.setattr(cli, "run_conditions", keep_report)
+    monkeypatch.setattr(cli, "_write_csv", keep_columns)
+    cfg = parse_config(json.dumps({"system": {"name": "m3-tracezero"},
+                                   "grids": {"t_points": 9, "xi_points": 3}}))
+    run(cfg, "conditions", tmp_path / "out")
+    (report,), (written,) = reports, columns
+    assert report.table.shape == (9, 3, 2, 1 + 2 * 4)
+    for name in ("ks_values", "thm2_values", "levi_values"):
+        assert np.shares_memory(getattr(report, name), report.table), name
+    assert np.shares_memory(written["value"], report.table)
+
+
+def test_conditions_peak_holds_one_table():
+    """The conditions command at m3-tracezero with 1,024 time samples (65,536
+    points; a 4.7 MB table of 9 ratios per point) peaks at 8.3 MB of traced
+    memory, 1.75 times the table.  It peaked at 13.7 MB, 2.9 times, when it
+    held the ks, thm2 and levi tables apart and concatenated them, twice,
+    into the CSV's value column."""
+    from hyposym.cli import _cmd_conditions
+
+    doc = {"system": {"name": "m3-tracezero"}}
+    _cmd_conditions(parse_config(json.dumps({**doc, "grids": {"t_points": 5}})))  # lazy imports
+    cfg = parse_config(json.dumps({**doc, "grids": {"t_points": 1024}}))
+    _, peak = traced_peak(_cmd_conditions, cfg)
+    table_bytes = 1024 * 32 * 2 * 9 * 8
+    assert peak < 2.2 * table_bytes
+
+
 @pytest.mark.parametrize("name, grid_size", [("m2-glaeser", 16), ("m2-wave", 16),
                                              ("m3-tracezero", 8)])
 def test_solve_csv_matches_row_writer(tmp_path, name, grid_size):

@@ -23,7 +23,14 @@ from hyposym.reduction import (
     band_rows,
     block_sylvester,
 )
-from hyposym.symbols import bracket, brackets, eval_symbol_path, faddeev_leverrier, rescaled_spectra
+from hyposym.symbols import (
+    adjugate_coeffs,
+    bracket,
+    brackets,
+    eval_symbol_path,
+    faddeev_leverrier,
+    rescaled_spectra,
+)
 from hyposym.conditions import SamplingGrid, evaluate_grid
 from hyposym.errors import NumericError
 from oracles import (
@@ -52,8 +59,10 @@ def dense_symbol(m, seed, degree=2, horizon=1.0):
 
 
 def blocks_at(S, t, xi):
-    """(bold_A, bold_B) at one (t, xi), from the reduction's kernel."""
-    _, _, bold_A, terms = _bold_B_terms(PathAssembler(S, xi).derivs, [t], xi)
+    """(bold_A, bold_B) at one (t, xi), from the reduction's kernel; bold_A,
+    which the kernel forms only where a band has a term, from its A and c."""
+    paths, c, terms = _bold_B_terms(PathAssembler(S, xi).derivs, [t], xi)
+    bold_A = adjugate_coeffs(paths[0], c)
     zero = np.zeros((S.m, S.m), dtype=complex)   # bold_B_l of a band without terms
     return [B[0] for B in bold_A], [sum((x[0] for _, x in T), zero) for T in terms]
 
@@ -560,9 +569,9 @@ def complex_terms(derivs, ts, xi):
     with np.errstate(invalid="ignore"):
         dtA = [(-1j) ** k * p.astype(complex) for k, p in enumerate(paths)]
     dtA += [np.zeros_like(dtA[0])] * (m - len(dtA))
-    boldA, terms = bold_B_terms(c, dtA)
-    return paths, c, boldA, [[(hp, x) for hp, x in enumerate(t) if m - l - hp < len(paths)]
-                             for l, t in enumerate(terms, start=1)]
+    terms = bold_B_terms(c, dtA)[1]
+    return paths, c, [[(hp, x) for hp, x in enumerate(t) if m - l - hp < len(paths)]
+                      for l, t in enumerate(terms, start=1)]
 
 
 class TestRealTermsAgainstComplexOracle:
@@ -635,7 +644,7 @@ class TestRealTermsAgainstComplexOracle:
         xis = np.array([[1.0], [100.0], [1e4]])
         ts = np.linspace(0.0, S.horizon, 7)
         assembler = PathAssembler(S, xis)
-        terms = _bold_B_terms(assembler.derivs, ts, xis)[3]
+        terms = _bold_B_terms(assembler.derivs, ts, xis)[2]
         with np.errstate(over="ignore", invalid="ignore"):
             b = assembler.entries([sum(x for _, x in t) for t in terms])
         ref_block, ref, _ = reduce_reference(S, xis, ts)
@@ -745,3 +754,22 @@ class TestMissingPaths:
         monkeypatch.setattr(energy, "PathAssembler", full_table)
         ref = solve_cauchy_1d(S, u0, config, [0.5, 1.0])
         assert field.fields.tobytes() == ref.fields.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_bold_A_only_where_a_band_has_a_term(self, name, monkeypatch):
+        """bold_A enters bold_B only through the terms of paths k >= 1: a
+        constant symbol's reduce forms none of it, and every other symbol's
+        forms it once."""
+        import hyposym.reduction as reduction
+
+        S, zero_paths = self.SYSTEMS[name]
+        calls = []
+
+        def counted(A, c):
+            calls.append(A.shape)
+            return adjugate_coeffs(A, c)
+
+        monkeypatch.setattr(reduction, "adjugate_coeffs", counted)
+        assembler = PathAssembler(S, np.array([[1.0], [-3.0], [1e4]]))
+        assembler.reduce(np.linspace(0.0, S.horizon, 5))
+        assert len(calls) == (zero_paths < S.m - 1)
