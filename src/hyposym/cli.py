@@ -83,9 +83,6 @@ MAX_SWEEP_STEPS = 1 << 21
 # run_conditions' own per-point table, so nothing is copied before the write.
 _CSV_ROWS = 2048
 
-# Most samples of an energy trace that a report carries.
-_TRACE_SAMPLES = 1001
-
 # Rows per chunk of a float array in JSON output (see _write_floats).  A
 # (1001, 16) array, as a report trace's V_re, peaked at 1.83 MB of traced
 # memory written whole and at 0.27 MB in chunks of 256 rows (0.07 MB at 64).
@@ -813,21 +810,22 @@ def _cmd_growth(config: RunConfig):
 
 
 def _trace_payload(trace, residual) -> dict:
-    """Serializable form of an energy trace and its inequality residual,
-    stride-decimated to _TRACE_SAMPLES.
+    """Serializable form of an energy trace and its inequality residual at
+    the samples ts[::trace.stride].
 
     Component (i-1)m + (j-1) of V holds the (j-1)-th time derivative of the
     i-th transformed component, scaled by <xi>^{m-j}.
     """
-    stride = max(1, -(-trace.ts.size // _TRACE_SAMPLES))
-    sl = slice(None, None, stride)
+    sl = slice(None, None, trace.stride)
+    # a trace keeps the states of every sample or of these samples only
+    V = trace.V[sl] if len(trace.V) == trace.ts.size else trace.V
     payload = {
         "xi": trace.xi,
         "eps": trace.eps,
-        "stride": stride,
+        "stride": trace.stride,
         "t": trace.ts[sl],
-        "V_re": trace.V[sl].real,
-        "V_im": trace.V[sl].imag,
+        "V_re": V.real,
+        "V_im": V.imag,
         "log_scale": trace.log_scale[sl],
     }
     for name in ("E", "K", "term2", "term3", "dtE"):
@@ -845,9 +843,11 @@ def _cmd_report(config: RunConfig):
         results[name] = sub_results
         failures.extend(sub_failures)
         csvs.update(sub_csvs)
-    # One trajectory per configured frequency feeds the growth fit, the
-    # energy inequality summary and, at the first frequency, the K sweep.
-    traces = frequency_sweep(config.symbol, solver)
+    # One trajectory per configured frequency feeds the growth fit, the energy
+    # inequality summary and, at the first frequency, the K sweep, which reads
+    # every state; the others keep only the states their payloads emit.
+    keep = ["all"] + ["stride"] * (len(solver.xi_grid) - 1)
+    traces = frequency_sweep(config.symbol, solver, keep=keep)
     results["growth"], growth_csvs = _growth_results(traces)
     csvs.update(growth_csvs)
     ineq = energy_inequality_check(traces)

@@ -103,35 +103,39 @@ class SolverConfig:
         return N, symbol.horizon / N
 
 
-# Time samples per block of the energy terms (term2, term3, E and K) and of
-# growth_log's row norms.  term3's lifted (m^2 x m^2) complex stack takes
-# 16 m^4 bytes a sample, 2.7 MB for 128 samples at m = 6; a norm over a whole
-# m = 6 trace of 20,001 samples raised the peak RSS of growth by 10 MB.
+# Time samples per block of E, K, term2 and term3 in each RK4 window: term3's lifted
+# (m^2 x m^2) complex stack takes 16 m^4 bytes a sample, 2.7 MB for 128 at m = 6.
 # _EnergyTerms.add over 2,002 random samples (2 cores, 2 MiB L2, min of 15
 # calls), blocks of 32 / 64 / 128 / 256 / 512: m = 3 11.2 / 8.8 / 7.5 / 8.8 /
 # 8.0 ms, m = 4 19.4 / 12.9 / 11.1 / 12.1 / 14.6 ms, m = 6 42 / 44 / 50 / 62 / 65 ms.
 _TERM3_BLOCK = 128
+_TRACE_SAMPLES = 1001   # most samples of a trace that a report emits, ts[::stride]
 
 
 @dataclass
 class EnergyTrace:
     """Per-frequency time series of the reduced state and energy terms.
 
-    ``V`` stores the (possibly renormalised) state; the true state is
-    V * exp(log_scale[:, None]).  ``K`` is |(dQ/dt V|V)| / (Q V|V); ``term2``
-    and ``term3`` are the commutator summands of the growth inequality;
-    ``dtE`` is the centred difference of E; ``lambdas`` (len(ts), m) are the
-    rescaled eigenvalues Q was built from.  All energy diagnostics refer to
-    the stored state, so across a renormalisation step dtE carries a negative
-    spike; ratios like K and term/E are scale-free.
+    ``V`` holds the (possibly renormalised) states of every sample, of the at
+    most _TRACE_SAMPLES samples ts[::stride] a report emits, or of none (see
+    :func:`reduced_integrate`); ``norms`` and every other series hold each
+    sample, and the true state is V * exp(log_scale[:, None]).  ``K`` is
+    |(dQ/dt V|V)| / (Q V|V); ``term2`` and ``term3`` are the commutator
+    summands of the growth inequality; ``dtE`` is the centred difference of
+    E; ``lambdas`` (len(ts), m) are the rescaled eigenvalues Q was built
+    from.  All energy diagnostics refer to the stored state, so across a
+    renormalisation step dtE carries a negative spike; ratios like K and
+    term/E are scale-free.
     """
 
     ts: np.ndarray
     V: np.ndarray
     log_scale: np.ndarray
+    norms: np.ndarray
     xi: np.ndarray
     eps: float
     m: int
+    stride: int = 1
     E: np.ndarray | None = None
     K: np.ndarray | None = None
     term2: np.ndarray | None = None
@@ -139,14 +143,11 @@ class EnergyTrace:
     dtE: np.ndarray | None = None
     lambdas: np.ndarray | None = None
     coercivity_sup: float = float("nan")
-    nonhyperbolic_points: int = 0
 
     @property
     def growth_log(self) -> float:
         """sup_t log(|V(t)| / |V(0)|), renormalisation folded back in."""
-        # each row's norm is the same reduction in a block as in the whole trace
-        norms = np.concatenate([np.linalg.norm(self.V[k : k + _TERM3_BLOCK], axis=1)
-                                for k in range(0, len(self.V), _TERM3_BLOCK)])
+        norms = self.norms
         base = log(max(norms[0], 1e-300)) + self.log_scale[0]
         with np.errstate(divide="ignore"):
             vals = np.where(norms > 0, np.log(np.maximum(norms, 1e-300)), -np.inf)
@@ -154,22 +155,20 @@ class EnergyTrace:
 
 
 # Bytes of right-hand-side data held per window of the lockstep RK4 (see
-# :func:`_width`).  A window of reduced_integrate holds the band rows, the
-# companion block and b at each half-step, 8 m^2 (4m - 1) bytes, and
-# building them takes more: reduce's paths and bold_A with one bold_B term
-# at a time, then band_rows' real diagonal.  The tracemalloc peak of reduce
-# and band_rows at xi = 100, per half-step over windows of 201 to 801
-# half-steps, read 411 / 1,295 / 2,662 / 4,871 / 8,352 bytes at m = 2..6
-# (m2-glaeser, m3-tracezero and companion systems with a double zero).  At
-# each m the least multiple of 16 m^2 above the reading is 16 m^2 (2m + 3),
-# so a half-step is counted at that: windows of 1,170, 404, 186, 100 and 60
-# steps.
-# The separable solve's window is counted at 32 m^4 bytes a half-step:
-# windows of 1,024 (m = 2) and 202 (m = 3) steps.  Its real last-row
-# coefficients, 8 m^4 bytes, and the complex terms and real paths they are
-# built from peaked at 17-20 m^4 bytes a half-step (tracemalloc of one
-# window of m2-glaeser and of m3-tracezero, with every term held at once),
-# so its windows hold about 0.6 MB.
+# :func:`_width`).  A window of reduced_integrate holds the band rows at each
+# half-step and the companion block, b and the state at its integer steps,
+# 4 m^2 (6m + 1) bytes a half-step; reduce's paths and bold_A, one bold_B
+# term at a time, take more.  The tracemalloc peak of reduce and band_rows
+# (then with a real diagonal) at xi = 100, per half-step over windows of 201
+# to 801 half-steps, read 411 / 1,295 / 2,662 / 4,871 / 8,352 bytes at
+# m = 2..6 (m2-glaeser, m3-tracezero and companion systems with a double
+# zero); a half-step is counted at 16 m^2 (2m + 3), the least multiple of
+# 16 m^2 above each: windows of 1,170, 404, 186, 100 and 60 steps.
+# The separable solve's window is counted at 32 m^4 bytes a half-step
+# (1,024 steps at m = 2, 202 at m = 3): its real last-row coefficients,
+# 8 m^4 bytes, and the terms and paths they are built from peaked at
+# 17-20 m^4 bytes a half-step (one window of m2-glaeser and of m3-tracezero,
+# every term held at once), so its windows hold about 0.6 MB.
 _WINDOW_BYTES = 1 << 20
 
 
@@ -190,9 +189,10 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     ``stages[i][0]`` into ``stages[i][1]``.  Each stage and the update run the
     ufuncs of Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4), with its scalars and in its
     order, in place, so every state is bitwise the allocating expression's.
-    ``after(k0, k1, out)``, if given, runs once a window's states are checked
-    finite, ``out`` holding the states recorded so far.  Returns the states
-    and accumulated log scales at the sorted step indices ``record``, shapes
+    ``after(k0, k1, states, logs)``, if given, runs once a window's states are
+    checked finite, with the states (k1 - k0 + 1, q, d) and log scales of its
+    steps k0..k1 in buffers that the next window overwrites.  Returns the
+    states and log scales at the sorted step indices ``record``, shapes
     (len(record), q, d) and (len(record), q).  Renormalisation keeps each
     row's |y| <= RENORM_THRESHOLD on its own, so exponentially growing rows
     never overflow; a row whose norm overflows in one step raises
@@ -214,11 +214,15 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
     if record and record[0] == 0:
         out[0] = Y
         slot = 1
+    if after is not None:
+        states, state_logs = np.empty((width + 1, q, d), dtype=complex), np.empty((width + 1, q))
     # overflow surfaces through the isfinite guard, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, N, width):
             k1 = min(k0 + width, N)
             f = window(k0, k1)(stages)
+            if after is not None:
+                states[0], state_logs[0] = Y, acc
             for k in range(k0, k1):
                 j = 2 * (k - k0)
                 f(j, 0)
@@ -234,17 +238,18 @@ def _lockstep_rk4(window, width: int, Y0, N: int, h: float, record,
                 np.add(Y, np.multiply(sixth, s1, s1), Y)
                 if renormalize and not _renormalize_rows(Y, acc):
                     raise NumericError(f"a state overflows at step {k + 1} of {N}{where}")
+                if after is not None:
+                    states[k - k0 + 1], state_logs[k - k0 + 1] = Y, acc
                 if slot < len(record) and record[slot] == k + 1:
                     out[slot] = Y
                     logs[slot] = acc
                     slot += 1
             del f   # the window's data goes before ``after`` and the next window
-            # A non-finite entry stays non-finite, so one check per window
-            # catches it.
+            # a non-finite entry stays non-finite: one check per window catches it
             if not np.isfinite(Y).all():
                 raise NumericError(f"non-finite state by step {k1} of {N}{where}")
             if after is not None:
-                after(k0, k1, out)
+                after(k0, k1, states[: k1 - k0 + 1], state_logs[: k1 - k0 + 1])
     return out, logs
 
 
@@ -365,18 +370,17 @@ def _lifted_commutator(Q: np.ndarray, b: np.ndarray) -> np.ndarray:
     return P.reshape(k, m * m, m * m)
 
 
-def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float) -> tuple:
-    """E = (Q_lift V | V) and K = |(dQ/dt V | V)| / E along a trajectory.
-
-    dQ/dt is taken _TERM3_BLOCK samples at a time, from the block and one
-    sample on each side: bitwise ``np.gradient(Q, h, axis=0)``, whose
-    centred and one-sided differences read only neighbouring samples.
-    """
-    E = _band_form(Q, blocks).real
-    K_num = np.empty(len(Q))
-    for s0 in range(0, len(Q), _TERM3_BLOCK):
-        sl, lo = slice(s0, s0 + _TERM3_BLOCK), max(s0 - 1, 0)
-        dQ = np.gradient(Q[lo : sl.stop + 1], h, axis=0)[s0 - lo : sl.stop - lo]
+def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float, first: int = 0) -> tuple:
+    """E = (Q_lift V | V) and K = |(dQ/dt V | V)| / E of ``blocks``, whose Q is
+    Q[first : first + len(blocks)], _TERM3_BLOCK samples at a time.  dQ/dt
+    reads one sample of Q on each side, where there is one: bitwise
+    ``np.gradient`` of the whole trajectory's Q."""
+    E, K_num = np.empty(len(blocks)), np.empty(len(blocks))
+    for s0 in range(0, len(blocks), _TERM3_BLOCK):
+        sl = slice(s0, min(s0 + _TERM3_BLOCK, len(blocks)))
+        a, z, lo = first + s0, first + sl.stop, max(first + s0 - 1, 0)   # samples in Q
+        dQ = np.gradient(Q[lo : z + 1], h, axis=0)[a - lo : z - lo]
+        E[sl] = _band_form(Q[a:z], blocks[sl]).real
         K_num[sl] = np.abs(_band_form(dQ, blocks[sl]))
     with np.errstate(divide="ignore", invalid="ignore"):
         K = np.where(E > ENERGY_FLOOR, K_num / np.maximum(E, ENERGY_FLOOR), 0.0)
@@ -384,82 +388,83 @@ def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float) -> tuple:
 
 
 class _EnergyTerms:
-    """E, K, term2, term3, dtE and the coercivity constant of one trajectory.
+    """E, K, term2, term3, dtE and the coercivity constant of one trajectory,
+    from the states of each RK4 window that :meth:`add` receives.
 
-    Q (the spectra and q_eps) depends only on (ts, xi, eps), so it and the
-    coercivity constant are built before the states exist.  term2 reads the
-    companion block of calA and term3 reads calB, at each sample: :meth:`add`
-    takes them from an assembly that the caller already holds (the
-    integration's own windows), so nothing is assembled here.  dQ/dt is
-    taken by centred finite differences of the quasi-symmetriser entries
-    (one-sided at the ends): the entries are polynomial in the eigenvalues
-    and stay smooth through multiplicity crossings even when the individual
-    eigenvalue branches do not.  Every quantity is computed on stacks over the time samples; each
-    sample's value is bitwise that of the same operations on the sample
-    alone.
+    The spectra depend only on (ts, xi) and are taken before the run; Q and
+    the coercivity candidates, which need Q alone, are built as the windows
+    reach them, both quasisym._ROW_BLOCK samples at a time, and dropped once
+    no later sample reads them.  term2 and term3 read calA's companion block
+    and calB of the integration's own windows: nothing is assembled here.
+    dQ/dt is taken by centred finite differences of the quasi-symmetriser
+    entries (one-sided at the ends), which are polynomial in the eigenvalues
+    and stay smooth through multiplicity crossings even where the eigenvalue
+    branches do not.  Each sample's value is bitwise that of the same
+    operations on the sample alone.
     """
 
     def __init__(self, symbol: SystemSymbol, ts, xi, eps: float):
-        m = symbol.m
-        self.lambdas, self.Q = np.empty((ts.size, m)), np.empty((ts.size, m, m))
-        self.nonhyperbolic_points = 0
-        self.bxi = bracket(xi)
-        self.term2, self.term3 = np.empty(ts.size), np.empty(ts.size)
-        # The spectra, Q and the coercivity candidates, which need Q alone, go
-        # quasisym._ROW_BLOCK samples at a time, each sample's bitwise its own.
-        self.coercivity_sup = 0.0
-        for s0 in range(0, ts.size, quasisym._ROW_BLOCK):
+        m, n = symbol.m, ts.size
+        self.ts, self.eps, self.bxi, self.floor = ts, eps, bracket(xi), eps ** (2 * (m - 1))
+        self.lambdas = np.empty((n, m))
+        for s0 in range(0, n, quasisym._ROW_BLOCK):
             sl = slice(s0, s0 + quasisym._ROW_BLOCK)
-            spec = rescaled_spectra(symbol, ts[sl], xi)
-            self.lambdas[sl], self.Q[sl] = spec.lambdas, q_eps(spec.lambdas, eps)
-            self.nonhyperbolic_points += int(np.count_nonzero(~spec.hyperbolic))
-            eigs = np.linalg.eigvalsh(hermitian_part(self.Q[sl]))
-            lo, hi = eigs[:, 0], eigs[:, -1]
+            self.lambdas[sl] = rescaled_spectra(symbol, ts[sl], xi).lambdas
+        self.E, self.K, self.term2, self.term3 = (np.empty(n) for _ in range(4))
+        self.Q, self.q0 = np.empty((0, m, m)), 0   # Q of samples q0..q0 + len(Q) - 1
+        self.coercivity_sup = 0.0
+
+    def _Q(self, lo: int, hi: int) -> np.ndarray:
+        """Q of samples lo..hi-1, its blocks built up to hi; rows before lo are dropped."""
+        while self.q0 + len(self.Q) < hi:
+            s0 = self.q0 + len(self.Q)
+            Q = q_eps(self.lambdas[s0 : s0 + quasisym._ROW_BLOCK], self.eps)
+            eigs = np.linalg.eigvalsh(hermitian_part(Q))
+            low, high = eigs[:, 0], eigs[:, -1]
             with np.errstate(divide="ignore", invalid="ignore"):
-                floor_ratio = eps ** (2 * (m - 1)) / lo
-            cm = np.where(lo <= 0, hi, np.where(floor_ratio > hi, floor_ratio, hi))
+                floor_ratio = self.floor / low
+            cm = np.where(low <= 0, high, np.where(floor_ratio > high, floor_ratio, high))
             self.coercivity_sup = max(self.coercivity_sup,
                                       float(np.max(cm, where=cm > 0.0, initial=0.0)))
+            self.Q, self.q0 = np.concatenate([self.Q[lo - self.q0 :], Q]), lo
+        return self.Q[lo - self.q0 : hi - self.q0]
 
-    def add(self, k0: int, k1: int, block, b, V) -> None:
-        """term2 and term3 at samples k0..k1-1.
-
-        ``block`` and ``b`` are :meth:`PathAssembler.reduce` output for one
-        frequency, from sample k0 on; ``V`` holds the states of every sample
-        so far.  The samples go in blocks of at most _TERM3_BLOCK to bound
-        the lifted stacks of term3 = |(Q_lift B - B* Q_lift) V | V| and the
-        commutator of term2 = |<xi> ((Q A_0 - A_0* Q) V | V)|.
-        """
-        m = self.Q.shape[-1]
-        for s0 in range(k0, k1, _TERM3_BLOCK):
-            sl = slice(s0, min(s0 + _TERM3_BLOCK, k1))
-            Q, A0 = self.Q[sl], block[s0 - k0 : sl.stop - k0, 0] / self.bxi
-            comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
-                "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q)
-            self.term2[sl] = np.abs(self.bxi * _band_form(comm2, V[sl].reshape(-1, m, m)))
-            M3 = _lifted_commutator(Q, b[s0 - k0 : sl.stop - k0, 0])
-            self.term3[sl] = np.abs(np.vecdot(V[sl], (M3 @ V[sl, :, None])[..., 0]))
+    def add(self, k0: int, block, b, V) -> None:
+        """The diagnostics of samples k0..k0 + len(V) - 1 from their states V
+        and the window's companion block and b from sample k0 on.  term3's
+        lifted stack goes _TERM3_BLOCK samples at a time."""
+        m, sl, lo = self.lambdas.shape[1], slice(k0, k0 + len(V)), max(k0 - 1, 0)
+        Qh = self._Q(lo, min(sl.stop + 1, self.ts.size))
+        Q, blocks = Qh[k0 - lo : sl.stop - lo], V.reshape(-1, m, m)
+        self.E[sl], self.K[sl] = _energy_and_K(Qh, blocks, self.ts[1] - self.ts[0], k0 - lo)
+        A0, b = block[: len(V), 0] / self.bxi, b[: len(V), 0]
+        comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
+            "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q)
+        self.term2[sl] = np.abs(self.bxi * _band_form(comm2, blocks))
+        for s0 in range(0, len(V), _TERM3_BLOCK):
+            s = slice(s0, s0 + _TERM3_BLOCK)
+            M3V = _lifted_commutator(Q[s], b[s]) @ V[s, :, None]
+            self.term3[k0 + s0 : k0 + s0 + len(M3V)] = np.abs(np.vecdot(V[s], M3V[..., 0]))
 
     def finish(self, trace: EnergyTrace) -> None:
         """Fill the trace's diagnostics once :meth:`add` has covered every sample."""
-        ts, m = trace.ts, trace.m
-        h = ts[1] - ts[0]
-        trace.E, trace.K = _energy_and_K(self.Q, trace.V.reshape(ts.size, m, m), h)
-        trace.term2, trace.term3, trace.lambdas = self.term2, self.term3, self.lambdas
-        trace.coercivity_sup = self.coercivity_sup
-        trace.dtE = np.gradient(trace.E, h)
-        trace.nonhyperbolic_points = self.nonhyperbolic_points
+        trace.E, trace.K, trace.term2, trace.term3 = self.E, self.K, self.term2, self.term3
+        trace.lambdas, trace.coercivity_sup = self.lambdas, self.coercivity_sup
+        trace.dtE = np.gradient(trace.E, trace.ts[1] - trace.ts[0])
 
 
 def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
-                      collect_energy: bool = True) -> EnergyTrace:
+                      collect_energy: bool = True, keep: str = "all") -> EnergyTrace:
     """Integrate d/dt V = i (calA + calB) V and record energy diagnostics.
 
     ``V0`` is any complex vector of length m^2 (usually a row of
     :meth:`hyposym.reduction.PathAssembler.lift` at t = 0).  The state is rescaled
     whenever it grows past RENORM_THRESHOLD, so growing modes never overflow;
     the accumulated log-scale is stored on the trace.  A window steps the shift
-    i <xi> and the band rows of its reduction, whose block and b feed the diagnostics.
+    i <xi> and the band rows of its reduction; as it ends, its states, block
+    and b give the diagnostics, norms and log scales of its samples.  The trace
+    keeps the states of every sample (``keep="all"``), of those a report emits
+    (``"stride"``) or of none (``"none"``).
     """
     m = symbol.m
     V0 = np.asarray(V0, dtype=complex).ravel()
@@ -470,11 +475,17 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     ts = ts_half[::2]
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eps_val = config.eps_for(m, xi)
+    stride = max(1, -(-ts.size // _TRACE_SAMPLES))
+    step = {"all": 1, "stride": stride, "none": 0}.get(keep)
+    if step is None:
+        raise DomainError(f"unknown keep {keep!r}")
     terms = _EnergyTerms(symbol, ts, xi, eps_val) if collect_energy else None
     assembler = PathAssembler(symbol, xi[None])
     constant = symbol.is_constant()
     shift = np.full(m * m - 1, 1j * float(assembler.bxi[0]))   # rows j < m-1: i <xi> V[j+1]
     held = ()      # block and b of the current window at its integer steps k0..k1
+    kept = np.empty((-(-ts.size // step) if step else 0, m * m), dtype=complex)
+    norms, log_scale = np.empty(ts.size), np.empty(ts.size)
 
     def window(k0, k1):
         nonlocal held
@@ -483,7 +494,8 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
         block, b = assembler.reduce(ts_half[2 * k0 : 2 * k0 + (1 if constant else n)])[:2]
         rows, block, b = (np.broadcast_to(x, (n,) + x.shape[1:])
                           for x in (band_rows(block, b), block, b))
-        held, rows = (block[::2], b[::2]), list(rows)
+        held = tuple(x[::2] if constant else x[::2].copy() for x in (block, b))
+        rows = list(rows)
 
         def bind(stages):
             views = [(Y.reshape(-1)[1:], out.reshape(-1)[:-1], Y, out[:, m - 1 :: m])
@@ -496,14 +508,20 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
             return f
         return bind
 
-    def after(k0, k1, out):
-        # samples k0..k1-1, and in the last window the final sample N too
-        terms.add(k0, k1 if k1 < N else N + 1, *held, out[:, 0])
+    def after(k0, k1, states, logs):
+        n = k1 - k0 + (k1 == N)   # samples k0..k1-1, and in the last window N too
+        V = states[:n, 0]
+        log_scale[k0 : k0 + n] = logs[:n, 0]
+        norms[k0 : k0 + n] = np.linalg.norm(V, axis=1)
+        if step:
+            kept[-(-k0 // step) : -(-(k0 + n) // step)] = V[-k0 % step :: step]
+        if terms is not None:
+            terms.add(k0, *held, V)
 
-    V, logs = _lockstep_rk4(window, _width(16 * m * m * (2 * m + 3)), V0[None], N,
-                            h, range(N + 1), renormalize=True,
-                            after=None if terms is None else after, where=f" (xi={xi})")
-    trace = EnergyTrace(ts=ts, V=V[:, 0], log_scale=logs[:, 0], xi=xi, eps=eps_val, m=m)
+    _lockstep_rk4(window, _width(16 * m * m * (2 * m + 3)), V0[None], N, h, (),
+                  renormalize=True, after=after, where=f" (xi={xi})")
+    trace = EnergyTrace(ts=ts, V=kept, log_scale=log_scale, norms=norms, xi=xi,
+                        eps=eps_val, m=m, stride=stride)
     if terms is not None:
         terms.finish(trace)
     return trace
@@ -523,19 +541,22 @@ def check_sweep_span(xis, name: str = "frequency grid") -> None:
 
 
 def frequency_sweep(symbol: SystemSymbol, config: SolverConfig,
-                    collect_energy: bool = True) -> list:
+                    collect_energy: bool = True, keep=None) -> list:
     """One :func:`reduced_integrate` trace per frequency x of ``config.xi_grid``.
 
     x is integrated at xi = (x, 0, ..., 0) from u-hat = ones / sqrt(m); growth
-    fits, energy checks and eps sweeps analyse these traces.
+    fits, energy checks and eps sweeps analyse these traces.  ``keep`` holds
+    :func:`reduced_integrate`'s ``keep`` per frequency, by default "all" with
+    energy diagnostics and "none" without.
     """
     xis = np.zeros((len(config.xi_grid), symbol.n))
     xis[:, 0] = config.xi_grid
     u0hat = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
     u0hats = np.broadcast_to(u0hat, (1, len(xis), symbol.m))
     V0s = PathAssembler(symbol, xis).lift([0.0], u0hats)[0]
-    return [reduced_integrate(symbol, xi, V0, config, collect_energy=collect_energy)
-            for xi, V0 in zip(xis, V0s)]
+    keep = keep or ["all" if collect_energy else "none"] * len(xis)
+    return [reduced_integrate(symbol, xi, V0, config, collect_energy=collect_energy, keep=k)
+            for xi, V0, k in zip(xis, V0s, keep, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +654,11 @@ def integral_K_sweep(trace: EnergyTrace, eps_values, k_regularity: float = 2.0) 
     pairs and reports the theoretical bound exponent -2(m-1)/k next to it.
     An integral that is not positive has no logarithm, so then p is not
     measured and reads nan (a constant symbol has dQ/dt = 0 and K = 0).
-    The trace must carry energy diagnostics: the sweep reads its spectra.
+    The trace must carry energy diagnostics, whose spectra the sweep reads,
+    and keep every state.
     """
-    if trace.lambdas is None:
-        raise DomainError("the trace must carry energy diagnostics")
+    if trace.lambdas is None or len(trace.V) != trace.ts.size:
+        raise DomainError("the trace must carry energy diagnostics and keep every state")
     m = trace.m
     # Only the eps-weighted sum of the quasi-symmetriser parts depends on eps.
     ts = trace.ts

@@ -80,9 +80,10 @@ def band_rows(block, b) -> np.ndarray:
     m = block.shape[-1]
     rows = np.zeros(b.shape[:-3] + (m, m, m), dtype=complex)   # [band, band, component]
     rows[..., : m - 1] = np.moveaxis(b, -3, -1)
-    diagonal = np.zeros(rows.shape)   # calA's rows, zeros too: 0.0 + (-0.0) is +0.0
-    diagonal[..., range(m), range(m), :] = block[..., None, m - 1, :]
-    np.multiply(1j, np.add(diagonal, rows, out=rows), out=rows)
+    diagonal = (..., range(m), range(m), slice(None))
+    calA = rows[diagonal] + block[..., None, m - 1, :]   # calA's rows, each added once
+    np.multiply(1j, np.add(rows, 0.0, out=rows), out=rows)   # calA's zeros: 0.0 + (-0.0) is +0.0
+    rows[diagonal] = 1j * calA
     return rows.reshape(rows.shape[:-2] + (m * m,))
 
 
@@ -123,9 +124,10 @@ class PathAssembler:
         """(block, b, c), each of leading shape (len(ts), ...), from one call of
         :func:`_bold_B_terms`: the companion block (..., m, m) of calA and c
         real, b the scaled calB entries of :meth:`entries`; see
-        :func:`block_sylvester`.  Raises NumericError at the first (t, xi) pair,
-        frequency by frequency and then by time, whose companion block or b
-        overflowed.
+        :func:`block_sylvester`.  Without a path k >= 1 (a constant symbol) no
+        band of calB has a term, and b is a read-only broadcast zero.  Raises
+        NumericError at the first (t, xi) pair, frequency by frequency and
+        then by time, whose companion block or b overflowed.
         """
         ts = np.atleast_1d(ts)
         m, bxi = self.m, self.bxi
@@ -135,17 +137,21 @@ class PathAssembler:
             block[..., j, j + 1] = bxi
         # Each bold_B_l is summed and scaled in place as its terms are formed:
         # bitwise :meth:`entries` of the summed bands, without their stacks.
-        b = np.zeros(c.shape[:-1] + (m - 1, m, m), dtype=complex)
+        # Without a path k >= 1 each entry would be 0.0 <xi>^(l-m): +0.0, finite.
+        shape, variable = c.shape[:-1] + (m - 1, m, m), len(self.derivs) > 1
+        b = np.zeros(shape, dtype=complex) if variable else np.broadcast_to(0j, shape)
         with np.errstate(over="ignore", invalid="ignore"):
             for col in range(m):
                 block[..., m - 1, col] = -c[..., m - col] * self.powers[col - m] * bxi
-            for l, band in enumerate(terms, start=1):
+            for l, band in enumerate(terms if variable else (), start=1):
                 bl = b[..., l - 1, :, :]
                 for _, term in band:
                     bl += term
                     del term   # the band's last, freed before the next band forms its first
                 bl *= self.powers[l - m][..., None, None]
-        bad = ~(np.isfinite(block).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-3, -2, -1)))
+        bad = ~np.isfinite(block).all(axis=(-2, -1))
+        if variable:
+            bad |= ~np.isfinite(b).all(axis=(-3, -2, -1))
         if bad.any():
             *k, i = np.argwhere(np.moveaxis(bad, 0, -1))[0]
             raise NumericError(f"the reduction overflows at (t={float(ts[i])}, "

@@ -333,8 +333,9 @@ def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, a
                            where=""):
     """``hyposym.energy._lockstep_rk4`` with a fresh array for every stage, every
     temporary and every state: each stage binds ``window(k0, k1)`` to a table
-    of one new pair (Y, out), and Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4) is one
-    expression."""
+    of one new pair (Y, out), Y + (h / 6) (s1 + 2 s2 + 2 s3 + s4) is one
+    expression, and ``after`` receives the window's states and log scales
+    stacked from lists."""
     Y = np.array(Y0, dtype=complex)
     q, d = Y.shape
     record = [int(k) for k in record]
@@ -349,6 +350,7 @@ def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, a
         for k0 in range(0, N, width):
             k1 = min(k0 + width, N)
             bind = window(k0, k1)
+            states, state_logs = [Y], [acc.copy()]
 
             def g(j, Y):
                 out = np.empty_like(Y)
@@ -364,6 +366,8 @@ def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, a
                 Y = Y + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
                 if renormalize and not _renormalize_rows(Y, acc):
                     raise NumericError(f"a state overflows at step {k + 1} of {N}{where}")
+                states.append(Y)
+                state_logs.append(acc.copy())
                 if slot < len(record) and record[slot] == k + 1:
                     out[slot] = Y
                     logs[slot] = acc
@@ -371,7 +375,7 @@ def lockstep_rk4_reference(window, width, Y0, N, h, record, renormalize=False, a
             if not np.isfinite(Y).all():
                 raise NumericError(f"non-finite state by step {k1} of {N}{where}")
             if after is not None:
-                after(k0, k1, out)
+                after(k0, k1, np.array(states), np.array(state_logs))
     return out, logs
 
 

@@ -58,17 +58,19 @@ def reweight_energy(trace, symbol, eps):
     """The energy diagnostics of an existing trajectory at another eps.
 
     The oracle of the diagnostics that reduced_integrate takes from its own
-    RK4 windows: calA and calB are assembled _TERM3_BLOCK samples at a time,
-    apart from the integration.
+    RK4 windows: windows of _TERM3_BLOCK samples hand the trace's states to
+    _EnergyTerms.add, as reduced_integrate's ``after`` hook hands each RK4
+    window's, with calA and calB assembled apart from the integration.  The
+    trace must keep every state.
     """
-    new = EnergyTrace(ts=trace.ts, V=trace.V, log_scale=trace.log_scale,
-                      xi=trace.xi, eps=float(eps), m=trace.m)
+    new = EnergyTrace(ts=trace.ts, V=trace.V, log_scale=trace.log_scale, norms=trace.norms,
+                      xi=trace.xi, eps=float(eps), m=trace.m, stride=trace.stride)
     ts = trace.ts
     terms = _EnergyTerms(symbol, ts, trace.xi, float(eps))
     assembler = PathAssembler(symbol, trace.xi[None])
     for k0 in range(0, ts.size, _TERM3_BLOCK):
         k1 = min(k0 + _TERM3_BLOCK, ts.size)
-        terms.add(k0, k1, *assembler.reduce(ts[k0:k1])[:2], trace.V)
+        terms.add(k0, *assembler.reduce(ts[k0:k1])[:2], trace.V[k0:k1])
     terms.finish(new)
     return new
 
@@ -373,25 +375,29 @@ class TestReducedIntegrate:
 
     def test_diagnostics_peak(self):
         """One run with diagnostics on M4_DOUBLE_ZERO at xi = 100 (2,002
-        samples) peaked at 2.3 MB of traced memory; with every bold_B term of
-        a window held at once, windows counted without the reduction's
-        temporaries and term3 in blocks of 256 samples it peaked at 4.6 MB."""
+        samples, every state kept, 0.5 MB) peaked at 2.04 MB of traced
+        memory, q_eps of one block of quasisym._ROW_BLOCK samples (1.0 MB) on
+        top of the window's data; with Q and the diagnostics of the whole
+        trace it peaked at 2.3 MB, and with every bold_B term of a window held
+        at once, windows counted without the reduction's temporaries and
+        term3 in blocks of 256 samples at 4.6 MB."""
         xi = np.array([100.0])
         V0 = initial_state(M4_DOUBLE_ZERO, np.ones(4) / 2, xi)
         _, peak = traced_peak(reduced_integrate, M4_DOUBLE_ZERO, xi, V0, SolverConfig())
-        assert peak < 3e6
+        assert peak < 2.5e6
 
-    def test_energy_terms_setup_peak(self):
-        """The spectra, Q and coercivity constant of M6_DOUBLE_ZERO at
-        xi = 1000 (20,002 samples), taken in blocks of quasisym._ROW_BLOCK
-        samples, peaked at 13.7 MB of traced memory, of which Q takes 5.8 MB;
-        with the spectra of the whole trace at once they peaked at 24.2 MB."""
+    def test_trace_peak_holds_no_whole_trace_stack(self):
+        """A whole run with diagnostics on M6_DOUBLE_ZERO at xi = 1000
+        (20,002 samples), keeping the 1,001 states a report emits, peaked at
+        9.7 MB of traced memory: q_eps of one block of quasisym._ROW_BLOCK
+        samples (6.5 MB) over the spectra and the 1-d series of every sample.
+        With Q (5.8 MB) and every state (11.5 MB) of the trace held it
+        peaked at 22.1 MB."""
         S, xi = M6_DOUBLE_ZERO, np.array([1000.0])
-        N, h = SolverConfig().steps_for(S, xi)
-        ts = np.linspace(0.0, S.horizon, 2 * N + 1)[::2]
-        terms, peak = traced_peak(_EnergyTerms, S, ts, xi, SolverConfig().eps_for(6, xi))
-        assert terms.Q.shape == (20002, 6, 6)
-        assert peak < 16e6
+        V0 = initial_state(S, np.ones(6) / np.sqrt(6), xi)
+        trace, peak = traced_peak(reduced_integrate, S, xi, V0, SolverConfig(), True, "stride")
+        assert trace.ts.size == 20002 and trace.V.shape == (1001, 36)
+        assert peak < 12e6
 
     @pytest.mark.parametrize("size", [1, 7])
     def test_block_sizes_change_no_output_bit(self, size, monkeypatch):
@@ -487,6 +493,60 @@ class TestReducedIntegrate:
         with pytest.raises(DomainError):
             reduced_integrate(builtin_system("m2-wave"), np.array([1.0]), np.zeros(3),
                               SolverConfig())
+        with pytest.raises(DomainError, match="keep"):
+            reduced_integrate(builtin_system("m2-wave"), np.array([1.0]), np.zeros(4),
+                              SolverConfig(), keep="some")
+
+    @pytest.mark.parametrize("name, xis, strides", [
+        ("m3-tracezero", (10.0, 100.0, 400.0), [1, 2, 8]),
+        # exp(600 t) growth, renormalised twice at xi = 600
+        ("m2-nonhyp-control", (10.0, 100.0, 600.0), [1, 2, 12]),
+    ])
+    def test_kept_states_are_the_full_record_at_the_stride(self, name, xis, strides):
+        """A report's traces keep the states of the samples ts[::stride] that
+        it emits (the first every state, for the K sweep), and a growth
+        sweep's none: bitwise the full run's, as is every series, which
+        holds every sample; the payloads of the two runs are bitwise equal."""
+        from hyposym.cli import _trace_payload
+
+        S = builtin_system(name)
+        config = SolverConfig(xi_grid=xis)
+        full = frequency_sweep(S, config)
+        kept = frequency_sweep(S, config, keep=["all", "stride", "stride"])
+        bare = frequency_sweep(S, config, collect_energy=False)
+        assert [tr.stride for tr in full] == strides
+        assert np.count_nonzero(np.diff(full[-1].log_scale)) == (2 if name[1] == "2" else 0)
+        for r, (f, k, b) in enumerate(zip(full, kept, bare)):
+            assert k.stride == b.stride == f.stride == max(1, -(-f.ts.size // 1001))
+            want = f.V if r == 0 else f.V[:: f.stride]
+            assert k.V.tobytes() == want.tobytes(), r
+            assert b.V.shape == (0, S.m * S.m) and b.E is None
+            for field in ("log_scale", "norms"):
+                assert getattr(k, field).tobytes() == getattr(f, field).tobytes(), (r, field)
+                assert getattr(b, field).tobytes() == getattr(f, field).tobytes(), (r, field)
+            for field in ("E", "K", "term2", "term3", "dtE", "lambdas"):
+                assert getattr(k, field).tobytes() == getattr(f, field).tobytes(), (r, field)
+            residual = np.zeros(f.ts.size)
+            got, ref = _trace_payload(k, residual), _trace_payload(f, residual)
+            assert ref["V_re"].tobytes() == f.V[:: f.stride].real.tobytes()
+            assert ref["log_scale"].tobytes() == f.log_scale[:: f.stride].tobytes()
+            assert got.keys() == ref.keys()
+            for key, value in ref.items():
+                assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), (r, key)
+
+    def test_sweep_without_energy_keeps_no_state(self):
+        """A growth sweep keeps no state: its traced peak at xi = 1000
+        (20,002 samples) read 1.73 MB against 1.15 MB at xi = 100 (2,002),
+        the difference being the half-step times, row norms and log scales,
+        32 bytes a sample; every state of the trace would add 5.1 MB."""
+        peaks = []
+        for x in (100.0, 1000.0):
+            traces, peak = traced_peak(frequency_sweep, M4_DOUBLE_ZERO,
+                                       SolverConfig(xi_grid=(x,)), False)
+            assert traces[0].V.shape == (0, 16)
+            peaks.append(peak)
+        assert traces[0].ts.size == 20002
+        assert peaks[1] < peaks[0] + 1e6
 
     def test_overflowing_mode_is_renormalised(self):
         # exp(1000 t) overflows a double; renormalisation finishes the run
@@ -595,6 +655,10 @@ class TestIntegralKSweep:
         bare = frequency_sweep(S, SolverConfig(xi_grid=(10.0,)), collect_energy=False)[0]
         with pytest.raises(DomainError, match="energy diagnostics"):
             integral_K_sweep(bare, (1e-1,))
+        strided = frequency_sweep(S, SolverConfig(xi_grid=(100.0,)), keep=["stride"])[0]
+        assert strided.stride == 2
+        with pytest.raises(DomainError, match="every state"):
+            integral_K_sweep(strided, (1e-1,))
 
     def test_upper_bound_direction_holds(self):
         # int K <= C1 eps^{-2(m-1)/k} with C1 calibrated at the largest eps.
@@ -910,6 +974,38 @@ class TestLockstepRK4:
             assert states[:, r].tobytes() == ref.tobytes(), r
             assert logs[:, r].tobytes() == ref_logs.tobytes(), r
 
+    @pytest.mark.parametrize("width", [1, 7, 400])
+    def test_after_receives_each_window_states(self, width):
+        """``after`` receives the states and log scales of steps k0..k1 of
+        each window, bitwise the full record, from the integrator and from
+        the reference loop; the xi = 600 row is renormalised at step 53, in
+        the middle of a window of 7 steps and of the one window of N."""
+        S = builtin_system("m2-nonhyp-control")
+        xis = np.array([[600.0], [2.0]])
+        N, h = 400, SolverConfig().steps_for(S, xis[0])[1]
+        matrices = step_matrices(S, xis, np.zeros(1))[0]
+        V0 = np.stack([initial_state(S, np.ones(2), xi) for xi in xis])
+        V0[0] *= 0.1 * RENORM_THRESHOLD / np.linalg.norm(V0[0])
+
+        def window(k0, k1):
+            return lambda stages: lambda j, i: np.matvec(matrices, *stages[i])
+
+        full, full_logs = _lockstep_rk4(window, width, V0, N, h, range(N + 1), renormalize=True)
+        assert (np.flatnonzero(np.diff(full_logs[:, 0])) + 1).tolist() == [53]
+        assert not full_logs[:, 1].any()
+        for run in (_lockstep_rk4, lockstep_rk4_reference):
+            seen = []
+
+            def after(k0, k1, states, logs):
+                seen.append((k0, k1))
+                assert states.shape == (k1 - k0 + 1,) + V0.shape
+                assert states.tobytes() == full[k0 : k1 + 1].tobytes(), (k0, k1)
+                assert logs.tobytes() == full_logs[k0 : k1 + 1].tobytes(), (k0, k1)
+
+            out, logs = run(window, width, V0, N, h, (), renormalize=True, after=after)
+            assert out.shape == (0,) + V0.shape and logs.shape == (0, 2)
+            assert seen == [(k0, min(k0 + width, N)) for k0 in range(0, N, width)]
+
     def test_overflow_is_reported_as_numeric_error(self):
         from hyposym.errors import NumericError
 
@@ -1008,21 +1104,45 @@ class TestInPlaceStages:
         assert out.tobytes() == separable_apply_reference(path, L, Y, brackets(xis)).tobytes()
 
 
+def whole_trace_growth_log(V, logs) -> float:
+    """growth_log's formula on the norms of a whole record of states."""
+    norms = np.linalg.norm(V, axis=1)
+    base = log(norms[0]) + logs[0]
+    with np.errstate(divide="ignore"):
+        vals = np.where(norms > 0, np.log(np.maximum(norms, 1e-300)), -np.inf)
+    return float((vals + logs).max() - base)
+
+
 class TestGrowthLog:
     def test_blocked_row_norms_match_whole_trace_bitwise(self):
-        # 1,000 rows: three whole blocks of _TERM3_BLOCK and a partial one
+        # 1,000 rows, their norms taken `width` rows at a time, as
+        # reduced_integrate takes them per RK4 window
         rng = np.random.default_rng(2)
         V = rng.standard_normal((1000, 36)) + 1j * rng.standard_normal((1000, 36))
         V[3] = 0.0
         V[500:] *= 1e150
         logs = np.sort(rng.uniform(0.0, 50.0, 1000))
-        trace = EnergyTrace(ts=np.linspace(0.0, 1.0, 1000), V=V, log_scale=logs,
-                            xi=np.array([1.0]), eps=1.0, m=6)
-        norms = np.linalg.norm(V, axis=1)
-        base = log(norms[0]) + logs[0]
-        with np.errstate(divide="ignore"):
-            vals = np.where(norms > 0, np.log(np.maximum(norms, 1e-300)), -np.inf)
-        assert trace.growth_log == float((vals + logs).max() - base)
+        for width in (1, 7, 60, 1000):
+            norms = np.concatenate([np.linalg.norm(V[k : k + width], axis=1)
+                                    for k in range(0, 1000, width)])
+            trace = EnergyTrace(ts=np.linspace(0.0, 1.0, 1000), V=V, log_scale=logs,
+                                norms=norms, xi=np.array([1.0]), eps=1.0, m=6)
+            assert trace.growth_log == whole_trace_growth_log(V, logs), width
+
+    @pytest.mark.parametrize("name, x", [("m2-nonhyp-control", 600.0), ("m6-double-zero", 5.0)])
+    def test_runs_without_states_match_the_whole_record(self, name, x):
+        """The row norms a run takes per window are bitwise those of its
+        whole record, and a run that keeps no state reads the same growth."""
+        S = M6_DOUBLE_ZERO if name == "m6-double-zero" else builtin_system(name)
+        xi = np.array([x])
+        V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
+        full = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
+        bare = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False, keep="none")
+        assert bare.V.shape == (0, S.m * S.m)
+        assert full.norms.tobytes() == np.linalg.norm(full.V, axis=1).tobytes()
+        assert bare.norms.tobytes() == full.norms.tobytes()
+        assert bare.log_scale.tobytes() == full.log_scale.tobytes()
+        assert bare.growth_log == full.growth_log == whole_trace_growth_log(full.V, full.log_scale)
 
 
 def block_propagate(S, xis, V0, N, h, record):

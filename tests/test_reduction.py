@@ -49,6 +49,7 @@ from oracles import (
     phase_folded,
     reduce_reference,
     separable_apply,
+    traced_peak,
 )
 
 
@@ -773,3 +774,17 @@ class TestMissingPaths:
         assembler = PathAssembler(S, np.array([[1.0], [-3.0], [1e4]]))
         assembler.reduce(np.linspace(0.0, S.horizon, 5))
         assert len(calls) == (zero_paths < S.m - 1)
+
+    def test_constant_reduce_allocates_no_b(self):
+        """A constant symbol's b is a read-only broadcast zero, bitwise the
+        full table's.  reduce at t = 0 on the 1,024 wavenumbers of an m = 6
+        solve peaked at 1.24 MB of traced memory; allocating, scaling and
+        checking the all-zero b (2.9 MB) took it to 4.0 MB."""
+        S = CONSTANT_COMPANIONS[6]
+        xis = np.fft.fftfreq(1024, d=1.0 / 1024)[:, None]
+        (block, b, c), peak = traced_peak(PathAssembler(S, xis).reduce, np.zeros(1))
+        assert b.shape == (1, 1024, 5, 6, 6) and not b.flags.writeable
+        want = full_table(S, xis).reduce(np.zeros(1))
+        for what, got, ref in zip(("block", "b", "c"), (block, b, c), want):
+            assert_bitwise(got, ref, what)
+        assert peak < 1.55e6
