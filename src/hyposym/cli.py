@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -75,12 +75,12 @@ MAX_SOLVE_MODE_STEPS = 1 << 27
 MAX_SWEEP_STEPS = 1 << 21
 
 # Rows per slab of CSV output.  Writing the 115,776-row conditions.csv of the
-# conditions-m3 benchmark in process: slabs of 512 rows take 0.054 s at a
-# 0.16 MB tracemalloc peak, 2,048 rows 0.037-0.053 s at 0.46 MB and 8,192 rows
-# 0.035 s at 2.09 MB.  At 2,048 the write sets the command's peak RSS, 0.25 MB
-# above the 41.3 MB of run_conditions (in process, numpy.random's import of
-# 5.0-5.4 MB, OpenSSL included, among it): the value column is
-# run_conditions' own per-point table, so nothing is copied before the write.
+# conditions-m3 benchmark in process, one time block of run_conditions at a
+# time (min of 12 calls on a 2-core host): slabs of 512 rows take 0.036-0.049 s
+# at a 0.15 MB tracemalloc peak, 2,048 rows 0.028-0.030 s at 0.33 MB and 8,192
+# rows 0.026-0.040 s at 1.31 MB.  A slab holds 3 cells a row of conditions.csv
+# (t, the constant xi to j, value), and the rows of a block are written as
+# run_conditions hands them out, so no whole-grid table of ratios exists.
 _CSV_ROWS = 2048
 
 # Rows per chunk of a float array in JSON output (see _write_floats).  A
@@ -539,61 +539,95 @@ def _quote(cell: str) -> str:
     return cell
 
 
-def _cell_strings(block: np.ndarray) -> np.ndarray:
+def _cell_strings(block: np.ndarray, sep: str) -> np.ndarray:
     """The cells of a column block as an object array of strings of its shape,
-    each distinct value formatted once: float64 by its bits (-0.0 stays apart
-    from 0.0) at 17 significant digits, anything else (ints, strings) by
-    ``str`` and :func:`_quote`."""
+    each ending in ``sep`` and each distinct value formatted once: float64 by
+    its bits (-0.0 stays apart from 0.0) at 17 significant digits, anything
+    else (ints, strings) by ``str`` and :func:`_quote`."""
     if block.dtype == np.float64:
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        strings = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()], dtype=object)
+        strings = np.array([f"{v:.17g}{sep}" for v in bits.view(np.float64).tolist()],
+                           dtype=object)
         return strings[inverse].reshape(block.shape)
     values = block.ravel().tolist()
-    table = {v: _quote(str(v)) for v in set(values)}
+    table = {v: _quote(str(v)) + sep for v in set(values)}
     return np.array(list(map(table.__getitem__, values)), dtype=object).reshape(block.shape)
 
 
-def _write_csv(path: Path, columns: dict):
-    """One table given as {header: column}, in csv.writer's excel dialect
-    (comma delimiters, :func:`_quote`, ``\r\n`` line ends).  The columns
-    (arrays; a list is 1-d) broadcast to the table's shape, whose C-order
-    entries are the rows, or raise ValueError before the file is opened.
-    The rows go out in slabs of at most _CSV_ROWS along axis a, the first
-    whose trailing axes fit: one object array of cells and separators and one
-    join each.  A column constant along the leading axes is formatted once per
-    slab start, and one of length 1 along a once per leading index."""
-    cols = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
-            for c in columns.values()]
-    shape = np.broadcast_shapes(*(c.shape for c in cols))
-    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
-    a = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= _CSV_ROWS)
-    step = _CSV_ROWS // max(1, math.prod(shape[a + 1:]))
-    fixed = [a > 0 and math.prod(c.shape[:a]) == 1 for c in cols]
-    cells = np.full((min(step, shape[a]), *shape[a + 1:], 2 * len(cols)), ",", dtype=object)
-    cells[..., -1] = "\r\n"
-    memo = {}   # (column, slab start) -> strings that repeat
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(_quote(str(h)) for h in columns) + "\r\n")
+class _RowWriter:
+    """The rows of one table in csv.writer's excel dialect (comma delimiters,
+    :func:`_quote`, ``\r\n`` line ends) to ``write``, the header at once and
+    the rows in blocks of entries along the table's first axis.
+
+    ``columns`` ({header: column}; arrays, a list is 1-d) broadcast to the
+    table's ``shape``, whose C-order entries are the rows.  A column given as
+    None is fed to each call; one that varies along the first axis is cut to
+    the block.  The rows go out in slabs of at most _CSV_ROWS along axis a,
+    the first whose trailing axes fit: one object array of cells and one
+    join each, each cell ending in its separator.  Adjacent columns constant
+    along axis 0 and the axes before a make one cell, formatted once.
+    """
+
+    def __init__(self, columns: dict, shape: tuple, write):
+        write(",".join(_quote(str(h)) for h in columns) + "\r\n")
+        a = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= _CSV_ROWS)
+        self.shape, self.write, self.a = shape, write, a
+        self.step = _CSV_ROWS // max(1, math.prod(shape[a + 1:]))
+        self.row = []   # per cell: (column, separator), or the strings of constant columns
+        for c, sep in zip(columns.values(), [","] * (len(columns) - 1) + ["\r\n"]):
+            if c is not None:
+                c = c if isinstance(c, np.ndarray) else np.array(c, dtype=object)
+                c = c.reshape((1,) * (len(shape) - c.ndim) + c.shape)
+            if c is None or math.prod(c.shape[:max(a, 1)]) != 1:
+                self.row.append((c, sep))
+                continue
+            strings = _cell_strings(c[(0,) * a], sep)
+            if self.row and not isinstance(self.row[-1], tuple):
+                strings = self.row.pop() + strings
+            self.row.append(strings)
+        self.cells = np.empty((min(self.step, shape[a]), *shape[a + 1:], len(self.row)),
+                              dtype=object)
+
+    def __call__(self, k0: int, *fed) -> None:
+        """Write the rows of first-axis entries k0, k0 + 1, ...: as many as
+        the fed columns hold, or the rest of the table when none is fed."""
+        n = fed[0].shape[0] if fed else self.shape[0] - k0
+        fed, a, step, shape = iter(fed), self.a, self.step, (n, *self.shape[1:])
+        row = []
+        for cell in self.row:
+            if isinstance(cell, tuple):
+                c, sep = cell
+                cell = (next(fed) if c is None else c[k0:k0 + n] if len(c) > 1 else c, sep)
+            row.append(cell)
         for lead in np.ndindex(shape[:a]):
-            sub = [c[tuple(i * (n > 1) for i, n in zip(lead, c.shape))] for c in cols]
-            memo = {key: strings for key, strings in memo.items() if fixed[key[0]]}
             for start in range(0, shape[a], step):
-                slab = cells[:shape[a] - start]
-                for k, col in enumerate(sub):
-                    at = start if col.shape[0] > 1 else 0
-                    if (k, at) not in memo:
-                        memo[k, at] = _cell_strings(col[at:at + step])
-                    keep = fixed[k] or col.shape[0] == 1
-                    slab[..., 2 * k] = memo[k, at] if keep else memo.pop((k, at))
-                fh.write("".join(slab.ravel().tolist()))
+                slab = self.cells[:shape[a] - start]
+                for r, cell in enumerate(row):
+                    if isinstance(cell, tuple):
+                        c, sep = cell
+                        c = c[tuple(i * (s > 1) for i, s in zip(lead, c.shape))]
+                        cell = _cell_strings(c[start:start + step] if len(c) > 1 else c, sep)
+                    elif len(cell) > 1:
+                        cell = cell[start:start + step]
+                    slab[..., r] = cell
+                self.write("".join(slab.ravel().tolist()))
+
+
+def _write_csv(path: Path, columns: dict) -> None:
+    """A whole table given as {header: column}, fed to its writer at once;
+    columns that do not broadcast raise ValueError before the file is opened."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns.values()))
+    with path.open("w", newline="") as fh:
+        _RowWriter(columns, shape, fh.write)(0)
 
 
 # ---------------------------------------------------------------------------
-# command implementations; each returns (results dict, failures list, csv map)
-# with each CSV given as {file name: {header: column}}
+# command implementations; each takes the run's config and a function that
+# gives the staging path of an output file by name, writes its CSV files
+# there and returns (results dict, failures list)
 
 
-def _cmd_reduce(config: RunConfig):
+def _cmd_reduce(config: RunConfig, stage):
     symbol = config.symbol
     sample_ts = [0.0, symbol.horizon / 2.0, symbol.horizon]
     xi_list = config.data["grids"]["xi_list"][:3]
@@ -625,7 +659,7 @@ def _cmd_reduce(config: RunConfig):
     results["residual_study"] = study
     if symbol.m == 3:
         results["closed_form_comparison"] = _closed_form_comparison(symbol, xi, sample_ts)
-    return results, [], {}
+    return results, []
 
 
 def _closed_form_comparison(symbol: SystemSymbol, xi, sample_ts):
@@ -646,7 +680,7 @@ def _closed_form_comparison(symbol: SystemSymbol, xi, sample_ts):
     return out
 
 
-def _cmd_verify_qs(config: RunConfig):
+def _cmd_verify_qs(config: RunConfig, stage):
     m = config.symbol.m
     lams = sample_separation_set(m, bound=10.0, count=50, seed=config.seed)
     eps_values = (1.0, 0.1, 0.01)
@@ -676,12 +710,35 @@ def _cmd_verify_qs(config: RunConfig):
     # np.argwhere keeps the order lambda, then eps, then kind
     failures = [{"kind": kinds[k], "lambda": lams[i].tolist(), "eps": eps_values[e]}
                 for i, e, k in np.argwhere(failed)]
-    return {"worst": worst, "samples": len(lams)}, failures, {}
+    return {"worst": worst, "samples": len(lams)}, failures
 
 
-def _cmd_conditions(config: RunConfig):
-    symbol = config.symbol
-    report = run_conditions(symbol, config.sampling_grid(), seed=config.seed)
+def _conditions_columns(grid: SamplingGrid, m: int) -> dict:
+    """The columns of conditions.csv, its value column None: rows in (t, r, d)
+    order, per point the ks row, then per l the thm2 row and the m levi rows,
+    the order of run_conditions' tables; each column has the shape it varies
+    in, within (T, R, D, 1 + (m-1)(m+1))."""
+    _, R, D = grid.shape
+    xi_strs = [";".join(f"{v:.17g}" for v in xi) for xi in grid.xis.reshape(R * D, -1)]
+    return {
+        "t": grid.ts[:, None, None, None],
+        "xi": np.array(xi_strs, dtype=object).reshape(1, R, D, 1),
+        "kind": ["ks"] + (["thm2"] + ["levi"] * m) * (m - 1),
+        "l": [0] + [l for l in range(1, m) for _ in range(m + 1)],
+        "j": [0] + list(range(m + 1)) * (m - 1),
+        "value": None,
+    }
+
+
+def _cmd_conditions(config: RunConfig, stage):
+    symbol, grid = config.symbol, config.sampling_grid()
+    m = symbol.m
+    # run_conditions hands conditions.csv its value column one time block at
+    # a time; the other columns are formatted once
+    shape = (*grid.shape, 1 + (m - 1) * (m + 1))
+    with stage("conditions.csv").open("w", newline="") as fh:
+        rows = _RowWriter(_conditions_columns(grid, m), shape, fh.write)
+        report = run_conditions(symbol, grid, seed=config.seed, rows=rows)
     failures = []
     if report.nonhyperbolic_points:
         failures.append({"kind": "hyperbolicity", "points": report.nonhyperbolic_points})
@@ -693,40 +750,11 @@ def _cmd_conditions(config: RunConfig):
     ):
         if not np.isfinite(value):
             failures.append({"kind": name, "witness": getattr(report, f"{name}_witness", {})})
-    results = {
-        "ks_constant": report.ks_constant,
-        "ks_witness": report.ks_witness,
-        "levi_sups": report.levi_sups,
-        "levi_witness": report.levi_witness,
-        "thm2_sups": report.thm2_sups,
-        "thm2_witness": report.thm2_witness,
-        "sandwich_sup": report.sandwich_sup,
-        "sandwich_witness": report.sandwich_witness,
-        "implication_constant": report.implication_constant,
-        "zone_stats": report.zone_stats,
-        "nonhyperbolic_points": report.nonhyperbolic_points,
-        "grid": {
-            "t_points": report.grid.ts.size,
-            "xi_points": report.grid.radii.size,
-            "directions": report.grid.dirs.shape[0],
-        },
-    }
-    # Rows in (t, r, d) order, per point the ks row, then per l the thm2 row and
-    # the m levi rows, the order of report.table; each column has the shape it
-    # varies in, within (T, R, D, K).
-    grid = report.grid
-    m = symbol.m
-    _, R, D = grid.shape
-    xi_strs = [";".join(f"{v:.17g}" for v in xi) for xi in grid.xis.reshape(R * D, -1)]
-    csvs = {"conditions.csv": {
-        "t": grid.ts[:, None, None, None],
-        "xi": np.array(xi_strs, dtype=object).reshape(1, R, D, 1),
-        "kind": ["ks"] + (["thm2"] + ["levi"] * m) * (m - 1),
-        "l": [0] + [l for l in range(1, m) for _ in range(m + 1)],
-        "j": [0] + list(range(m + 1)) * (m - 1),
-        "value": report.table,
-    }}
-    return results, failures, csvs
+    results = {f.name: getattr(report, f.name) for f in fields(report)
+               if f.name not in ("m", "grid")}
+    results["grid"] = {"t_points": grid.ts.size, "xi_points": grid.radii.size,
+                       "directions": grid.dirs.shape[0]}
+    return results, failures
 
 
 def _initial_field(config: RunConfig, n_grid: int) -> np.ndarray:
@@ -747,7 +775,7 @@ def _step_key(solver: SolverConfig) -> str:
     return "solver.t_step" if solver.t_step is not None else "solver.cfl_safety"
 
 
-def _cmd_solve(config: RunConfig):
+def _cmd_solve(config: RunConfig, stage):
     symbol = config.symbol
     n_grid = config.data["grid_size"]
     cfg = config.solver_config()
@@ -763,30 +791,20 @@ def _cmd_solve(config: RunConfig):
         "snapshots": field.snapshot_ts,
         "max_abs": [float(np.abs(field.fields[s]).max()) for s in range(field.fields.shape[0])],
     }
-    csvs = {}
     for s, snapshot in enumerate(field.fields):
         columns = {"x": field.x}
         for i, u in enumerate(snapshot, start=1):
             columns[f"re_u{i}"], columns[f"im_u{i}"] = u.real, u.imag
-        csvs[f"solve_t{s}.csv"] = columns
-    return results, [], csvs
+        _write_csv(stage(f"solve_t{s}.csv"), columns)
+    return results, []
 
 
-def _growth_results(traces):
-    """Growth fit of a frequency sweep: (results dict, csv map)."""
+def _growth_results(traces, stage) -> dict:
+    """Growth fit of a frequency sweep, with growth.csv staged."""
     report = growth_fit(traces)
-    results = {
-        "classification": report.classification,
-        "kappa": report.kappa,
-        "sigma": report.sigma,
-        "rate": report.rate,
-        "aic_log": report.aic_log,
-        "aic_power": report.aic_power,
-        "brackets": report.brackets,
-        "growth_logs": report.growth_logs,
-    }
-    return results, {"growth.csv": {"bracket_xi": np.array(report.brackets),
-                                    "log_growth": np.array(report.growth_logs)}}
+    _write_csv(stage("growth.csv"), {"bracket_xi": np.array(report.brackets),
+                                        "log_growth": np.array(report.growth_logs)})
+    return asdict(report)
 
 
 def _sweep_solver(config: RunConfig) -> SolverConfig:
@@ -803,10 +821,9 @@ def _sweep_solver(config: RunConfig) -> SolverConfig:
     return solver
 
 
-def _cmd_growth(config: RunConfig):
+def _cmd_growth(config: RunConfig, stage):
     traces = frequency_sweep(config.symbol, _sweep_solver(config), collect_energy=False)
-    results, csvs = _growth_results(traces)
-    return results, [], csvs
+    return _growth_results(traces, stage), []
 
 
 def _trace_payload(trace, residual) -> dict:
@@ -835,21 +852,18 @@ def _trace_payload(trace, residual) -> dict:
     return payload
 
 
-def _cmd_report(config: RunConfig):
+def _cmd_report(config: RunConfig, stage):
     solver = _sweep_solver(config)   # before any work
-    results, failures, csvs = {}, [], {}
+    results, failures = {}, []
     for name, fn in (("conditions", _cmd_conditions), ("verify_qs", _cmd_verify_qs)):
-        sub_results, sub_failures, sub_csvs = fn(config)
-        results[name] = sub_results
+        results[name], sub_failures = fn(config, stage)
         failures.extend(sub_failures)
-        csvs.update(sub_csvs)
     # One trajectory per configured frequency feeds the growth fit, the energy
     # inequality summary and, at the first frequency, the K sweep, which reads
     # every state; the others keep only the states their payloads emit.
     keep = ["all"] + ["stride"] * (len(solver.xi_grid) - 1)
     traces = frequency_sweep(config.symbol, solver, keep=keep)
-    results["growth"], growth_csvs = _growth_results(traces)
-    csvs.update(growth_csvs)
+    results["growth"] = _growth_results(traces, stage)
     ineq = energy_inequality_check(traces)
     results["energy"] = {
         "C2": ineq.C2,
@@ -871,7 +885,7 @@ def _cmd_report(config: RunConfig):
         "fitted_exponent": sweep.fitted_exponent,
         "theoretical_exponent": sweep.theoretical_exponent,
     }
-    return results, failures, csvs
+    return results, failures
 
 
 _COMMAND_TABLE = {
@@ -893,35 +907,46 @@ def run(config: RunConfig, command: str, out_dir: Path) -> int:
             f"config requests command {config.command!r} but {command!r} was invoked"
         )
     # Created before the command, so that an unwritable directory fails before
-    # any computing; a command that raises leaves none of them behind.
+    # any computing.  Each output is written under a staging name and moved
+    # into place, report.json first, once all are written; a run that raises
+    # leaves no output and none of the directories it created behind.
     created = []
     for path in (out_dir, *out_dir.parents):
         if path.exists():
             break
         created.append(path)
     out_dir.mkdir(parents=True, exist_ok=True)
+    staged = []   # (staging path, name) of each output, report.json first
+
+    def stage(name: str) -> Path:
+        staged.append((out_dir / f".{name}.partial", name))
+        return staged[-1][0]
+
+    report_path = stage("report.json")
     try:
-        results, failures, csvs = _COMMAND_TABLE[command](config)
+        results, failures = _COMMAND_TABLE[command](config, stage)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": command,
+            "seed": config.seed,
+            "config_sha256": config_hash(config),
+            "config": config.data,
+            "results": results,
+            "failures": failures,
+        }
+        with report_path.open("w") as fh:
+            _write_json(fh.write, report)
+        for path, name in staged:
+            path.replace(out_dir / name)
     except BaseException:
+        for path, _ in staged:
+            path.unlink(missing_ok=True)
         for path in created:    # leaf first; rmdir refuses a directory that is not empty
             try:
                 path.rmdir()
             except OSError:
                 break
         raise
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "seed": config.seed,
-        "config_sha256": config_hash(config),
-        "config": config.data,
-        "results": results,
-        "failures": failures,
-    }
-    with (out_dir / "report.json").open("w") as fh:
-        _write_json(fh.write, report)
-    for name, columns in csvs.items():
-        _write_csv(out_dir / name, columns)
     return 2 if failures else 0
 
 

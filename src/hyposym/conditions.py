@@ -11,7 +11,7 @@ live numerator is reported as infinity with the witness recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,9 +100,10 @@ class GridData:
 
 
 # (t, xi) points per time block of evaluate_grid.  run_conditions holds one
-# block's GridData at a time, beside its per-point tables.  Larger blocks
-# gain no time and raise the peak: 8,192 points took run_conditions on
-# m3-tracezero from 2.9 to 12.8 MiB of traced memory.
+# block's GridData and ratio table at a time, beside the eigenvalue table and
+# the sandwich constants.  Larger blocks gain no time and raise the peak:
+# 8,192 points take run_conditions on m3-tracezero from 2.1 to 11.9 MiB of
+# traced memory.
 _GRID_BLOCK = 1 << 10
 
 
@@ -186,16 +187,6 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         vals = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.inf)
     # ~(vals <= RATIO_CAP) holds for the NaN of inf/inf too
     return np.where(num > ABS_FLOOR, np.where(vals <= RATIO_CAP, vals, np.inf), 0.0)
-
-
-def _argmax_witness(values: np.ndarray, grid: SamplingGrid):
-    flat = np.argmax(np.where(np.isnan(values), -np.inf, values))
-    t_idx, r_idx, d_idx = np.unravel_index(flat, values.shape)
-    return {
-        "t": float(grid.ts[t_idx]),
-        "xi": grid.xis[r_idx, d_idx].tolist(),
-        "value": float(values[t_idx, r_idx, d_idx]),
-    }
 
 
 def ks_pointwise(lambdas: np.ndarray) -> np.ndarray:
@@ -320,9 +311,43 @@ def _zones(V: np.ndarray, sig_sq: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 # aggregated report
 
 
+class _Sup:
+    """The sup over the grid of a per-point quantity (t, r, d, ...), taken
+    one time block at a time: elementwise over the trailing axes, with the
+    witness of the pointwise max over them.  The witness is the first
+    maximiser in (t, r, d) order, NaN read as -inf, so a later block replaces
+    it only where it is strictly greater; np.maximum propagates NaN as .max()
+    does."""
+
+    def __init__(self):
+        self.sup = self.key = self.at = None
+
+    def add(self, values: np.ndarray, k0: int) -> None:
+        """Fold in the values of a time block from time index k0."""
+        sup = values.max(axis=(0, 1, 2))
+        self.sup = sup if self.sup is None else np.maximum(self.sup, sup)
+        # the first entry of the largest value lies in the first point whose max it is
+        point = values.reshape(values.shape[:3] + (-1,))
+        keyed = point
+        if np.isnan(sup).any():   # a point that holds NaN reads -inf
+            keyed = np.where(np.isnan(point).any(axis=-1, keepdims=True), -np.inf, point)
+        at = int(np.argmax(keyed))
+        if self.key is None or keyed.flat[at] > self.key:
+            t_idx, r_idx, d_idx = np.unravel_index(at // point.shape[-1], point.shape[:3])
+            self.key = keyed.flat[at]
+            self.at = (k0 + t_idx, r_idx, d_idx, point[t_idx, r_idx, d_idx].max())
+
+    def witness(self, grid: SamplingGrid) -> dict:
+        t_idx, r_idx, d_idx, value = self.at
+        return {"t": float(grid.ts[t_idx]), "xi": grid.xis[r_idx, d_idx].tolist(),
+                "value": float(value)}
+
+
 @dataclass
 class ConditionReport:
-    """Measured constants of all hypotheses on a sampling grid."""
+    """Measured constants of all hypotheses on a sampling grid.  The
+    per-point ratios are not kept: ``run_conditions`` hands them to its
+    ``rows`` one time block at a time."""
 
     m: int
     ks_constant: float
@@ -337,69 +362,63 @@ class ConditionReport:
     zone_stats: dict
     nonhyperbolic_points: int
     grid: SamplingGrid
-    # (T, R, D, 1 + (m-1)(m+1)) per point in conditions.csv's row order: ks,
-    # then per l the thm2 ratio and the m levi ratios; the three views below
-    # are its parts
-    table: np.ndarray = field(repr=False, default=None)
-    levi_values: np.ndarray = field(repr=False, default=None)   # (T, R, D, m-1, m)
-    thm2_values: np.ndarray = field(repr=False, default=None)   # (T, R, D, m-1)
-    ks_values: np.ndarray = field(repr=False, default=None)     # (T, R, D)
 
 
-def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> ConditionReport:
+def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0,
+                   rows=None) -> ConditionReport:
     """Evaluate every condition on the grid and aggregate with witnesses.
 
-    The grid is evaluated one time block at a time.  Each block's GridData
-    writes its ks, thm2 and levi ratios into views of one per-point table,
-    laid out in conditions.csv's row order, and its eigenvalues into their
-    own table, and gives the sandwich constants at its every 4th time
-    sample; then it is dropped.  Each sup is the largest value of its
-    pointwise view; the witness is the first grid point, in (t, r, d) order,
-    where it is reached.
+    The grid is evaluated one time block at a time, and each block gives
+    its ks, thm2 and levi ratios, its eigenvalues, kept whole for the zone
+    sample, and its sandwich constants at every 4th time sample.  Each sup
+    and its witness, the first grid point in (t, r, d) order where it is
+    reached, and the implication constant are folded block by block; the
+    sandwich witness is the first maximiser in (r, d, t) order, so the
+    every-4th-sample constants are kept whole.  If ``rows`` is given, each
+    block's ratios go to ``rows(k0, table)``, k0 the block's first time
+    index, as one table of shape (n_t, R, D, 1 + (m-1)(m+1)) in
+    conditions.csv's row order: per point ks, then per l the thm2 ratio and
+    the m levi ratios.  Then the block is dropped.
     """
     m = symbol.m
     T, R, D = grid.shape
     T4 = -(-T // 4)
     lambdas = np.empty((T, R, D, m))
-    table = np.empty((T, R, D, 1 + (m - 1) * (m + 1)))
-    ks_vals = table[..., 0]
-    per_l = table[..., 1:].reshape(T, R, D, m - 1, m + 1)
-    thm2_vals, levi_vals = per_l[..., 0], per_l[..., 1:]
     sandwich = np.empty((T4, R, D))   # at every 4th time sample
-    nonhyperbolic = 0
+    ks, levi, thm2 = _Sup(), _Sup(), _Sup()
+    nonhyperbolic, impl = 0, 0.0
     for k0, data in _grid_blocks(symbol, grid):
-        sl = slice(k0, k0 + data.lambdas.shape[0])
-        lambdas[sl] = data.lambdas
+        n = data.lambdas.shape[0]
+        lambdas[k0 : k0 + n] = data.lambdas
         nonhyperbolic += data.nonhyperbolic
-        ks_vals[sl] = ks_pointwise(data.lambdas)
         q = _square_sums(data.deleted_sigmas)
-        levi_vals[sl] = levi_pointwise(data.b_entries, q)
-        thm2_vals[sl] = thm2_pointwise(data.dtA0_norms, q)
+        ks_vals = ks_pointwise(data.lambdas)
+        levi_vals = levi_pointwise(data.b_entries, q)
+        thm2_vals = thm2_pointwise(data.dtA0_norms, q)
+        ks.add(ks_vals, k0)
+        levi.add(levi_vals, k0)
+        thm2.add(thm2_vals, k0)
+        # Implication direction: a finite derivative-norm ratio at a point
+        # must bound the Levi ratio there up to a constant.
+        t2 = thm2_vals[..., None]
+        live = np.isfinite(t2) & (t2 > ABS_FLOOR)
+        if np.any(live & ~np.isfinite(levi_vals)):
+            impl = float("inf")
+        elif live.any():
+            ratio = np.where(live, levi_vals / np.where(live, t2, 1.0), 0.0)
+            impl = max(impl, float(ratio.max()))
         j0 = -(-k0 // 4)   # time index 4 j0 is the block's first multiple of 4
         W, b = data.deleted_sigmas[4 * j0 - k0 :: 4], data.b_entries[4 * j0 - k0 :: 4]
         if W.size:   # a block of under 4 time samples may hold none
             sandwich[j0 : j0 + W.shape[0]] = sandwich_of(
                 W.reshape(-1, m, m), b.reshape(-1, m - 1, m, m)).reshape(W.shape[:3])
-        del data, q, W, b   # before the next block is evaluated
-
-    ks_sup, ks_wit = float(ks_vals.max()), _argmax_witness(ks_vals, grid)
-    levi_sups = levi_vals.max(axis=(0, 1, 2))
-    levi_wit = _argmax_witness(levi_vals.max(axis=(-2, -1)), grid)
-    thm2_sups = thm2_vals.max(axis=(0, 1, 2))
-    thm2_wit = _argmax_witness(thm2_vals.max(axis=-1), grid)
-
-    # Implication direction: a finite derivative-norm ratio at a point must
-    # bound the Levi ratio there up to a constant.
-    impl = 0.0
-    for l in range(m - 1):
-        t2 = thm2_vals[..., l]
-        live = np.isfinite(t2) & (t2 > ABS_FLOOR)
-        for j in range(m):
-            lv = levi_vals[..., l, j]
-            if np.any(live & ~np.isfinite(lv)):
-                impl = float("inf")
-            elif live.any():
-                impl = max(impl, float((lv[live] / t2[live]).max()))
+        if rows is not None:
+            table = np.empty((n, R, D, 1 + (m - 1) * (m + 1)))
+            per_l = table[..., 1:].reshape(n, R, D, m - 1, m + 1)
+            table[..., 0], per_l[..., 0], per_l[..., 1:] = ks_vals, thm2_vals, levi_vals
+            rows(k0, table)
+            del table, per_l
+        del data, q, W, b, ks_vals, levi_vals, thm2_vals, t2, live   # before the next block
 
     # Sandwich constant on every 4th time sample: argmax gives the first
     # maximiser in (r, d, t) order.
@@ -426,20 +445,16 @@ def run_conditions(symbol: SystemSymbol, grid: SamplingGrid, seed: int = 0) -> C
 
     return ConditionReport(
         m=m,
-        ks_constant=ks_sup,
-        ks_witness=ks_wit,
-        levi_sups=levi_sups,
-        levi_witness=levi_wit,
-        thm2_sups=thm2_sups,
-        thm2_witness=thm2_wit,
+        ks_constant=float(ks.sup),
+        ks_witness=ks.witness(grid),
+        levi_sups=levi.sup,
+        levi_witness=levi.witness(grid),
+        thm2_sups=thm2.sup,
+        thm2_witness=thm2.witness(grid),
         sandwich_sup=sw_sup,
         sandwich_witness=sw_wit,
         implication_constant=impl,
         zone_stats={int(k): int(v) for k, v in sorted(counts.items())},
         nonhyperbolic_points=nonhyperbolic,
         grid=grid,
-        table=table,
-        levi_values=levi_vals,
-        thm2_values=thm2_vals,
-        ks_values=ks_vals,
     )

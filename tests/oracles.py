@@ -15,7 +15,8 @@ of u-hat to reduced states keeps its two earlier forms: at t = 0 with
 companion systems with a double zero eigenvalue at t = 0, and constant ones,
 are shared by several test modules.  The full-table assembler keeps every
 derivative path d^k/dt^k A, k < m, the identically zero ones too.  The
-conditions grid's ``GridData`` of the whole grid is its time blocks joined.
+conditions grid's ``GridData`` of the whole grid is its time blocks joined,
+and so is the table of per-point ratios that ``run_conditions`` hands out.
 The memory bounds of the tests read one call's tracemalloc peak.
 """
 
@@ -25,7 +26,7 @@ from math import comb
 
 import numpy as np
 
-from hyposym.conditions import GridData, _grid_blocks
+from hyposym.conditions import GridData, _grid_blocks, run_conditions
 from hyposym.energy import _renormalize_rows
 from hyposym.errors import ConsistencyError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
@@ -105,6 +106,22 @@ def grid_data(symbol: SystemSymbol, grid) -> GridData:
                     nonhyperbolic=sum(data.nonhyperbolic for data in blocks),
                     deleted_sigmas=joined("deleted_sigmas"), b_entries=joined("b_entries"),
                     dtA0_norms=joined("dtA0_norms"))
+
+
+def conditions_table(symbol: SystemSymbol, grid, seed: int = 0) -> np.ndarray:
+    """The per-point ratios of ``run_conditions`` on the whole grid, (T, R, D,
+    1 + (m-1)(m+1)) in conditions.csv's row order: the time blocks it hands
+    to ``rows``, each copied as it arrives, joined along t."""
+    blocks = []
+    run_conditions(symbol, grid, seed, rows=lambda k0, table: blocks.append(table.copy()))
+    return np.concatenate(blocks)
+
+
+def table_parts(table: np.ndarray, m: int) -> tuple:
+    """The ks (T, R, D), thm2 (T, R, D, m-1) and levi (T, R, D, m-1, m) views
+    of a :func:`conditions_table`."""
+    per_l = table[..., 1:].reshape(table.shape[:3] + (m - 1, m + 1))
+    return table[..., 0], per_l[..., 0], per_l[..., 1:]
 
 
 def difference_identity_residual_of(lambdas) -> float:

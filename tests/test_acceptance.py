@@ -22,7 +22,6 @@ from hyposym import (
     integral_K_sweep,
     reduced_integrate,
     reduction_residual,
-    run_conditions,
     solve_cauchy_1d,
     verify_properties,
 )
@@ -30,7 +29,12 @@ from hyposym.examples import builtin_system
 from hyposym.quasisym import q_eps, sample_separation_set
 from hyposym.reduction import PathAssembler
 from hyposym.symbols import faddeev_leverrier
-from oracles import difference_identity_residual_of, near_diagonal_constant
+from oracles import (
+    conditions_table,
+    difference_identity_residual_of,
+    near_diagonal_constant,
+    table_parts,
+)
 
 # Frozen after the first run: m2-glaeser growth exponent with the default
 # uniform data on geomspace(10, 1000, 7); reruns must stay within +-10%.
@@ -156,14 +160,14 @@ def test_criterion_3_reduction_oracle():
 
 def test_criterion_4_condition_constants():
     S3 = builtin_system("m3-tracezero")
-    rep3 = run_conditions(S3, SamplingGrid.default(S3))
-    ks = float(rep3.ks_values.max())
+    parts3 = table_parts(conditions_table(S3, SamplingGrid.default(S3)), S3.m)
+    ks = float(parts3[0].max())
     ks_ok = abs(ks - 1.0) <= 1e-9
 
     S2 = builtin_system("m2-glaeser")
     grid2 = SamplingGrid.default(S2)
-    rep2 = run_conditions(S2, grid2)
-    levi2 = rep2.levi_values
+    parts2 = table_parts(conditions_table(S2, grid2), S2.m)
+    levi2 = parts2[2]
     window = grid2.ts >= 0.1
     levi_sup = float(levi2[window].max())
     levi_ok = np.isfinite(levi2[window]).all() and abs(levi_sup - 2.0) <= 0.05 * 2.0
@@ -171,8 +175,7 @@ def test_criterion_4_condition_constants():
     # derivative-norm condition finite at a point forces the lower-order
     # ratios finite there, on both shipped systems
     impl_ok = True
-    for S, rep in ((S2, rep2), (S3, rep3)):
-        thm2, levi = rep.thm2_values, rep.levi_values
+    for S, (_, thm2, levi) in ((S2, parts2), (S3, parts3)):
         for l in range(S.m - 1):
             live = np.isfinite(thm2[..., l])
             for j in range(S.m):

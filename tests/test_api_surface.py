@@ -137,6 +137,23 @@ def test_one_lifting_of_u_hat():
     assert not hasattr(reduction, "_power")
 
 
+def test_condition_report_keeps_no_per_point_table():
+    # run_conditions hands each time block's ratios to its ``rows`` and keeps
+    # only the folded sups and witnesses; the whole-grid table and its ks,
+    # thm2 and levi views are gone, and ``rows`` is its one new parameter
+    import inspect
+    from dataclasses import fields
+
+    from hyposym.conditions import ConditionReport, run_conditions
+
+    assert [f.name for f in fields(ConditionReport)] == [
+        "m", "ks_constant", "ks_witness", "levi_sups", "levi_witness", "thm2_sups",
+        "thm2_witness", "sandwich_sup", "sandwich_witness", "implication_constant",
+        "zone_stats", "nonhyperbolic_points", "grid"]
+    assert list(inspect.signature(run_conditions).parameters) == ["symbol", "grid", "seed",
+                                                                  "rows"]
+
+
 def test_one_producer_per_recursion():
     # reduce, last_rows and evaluate_grid take c and bold_A from the kernel
     # _bold_B_terms; a second recursion beside it fails here

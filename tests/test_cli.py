@@ -23,7 +23,7 @@ from hyposym.cli import (
     run,
 )
 from hyposym.quasisym import sample_separation_set
-from oracles import traced_peak
+from oracles import conditions_table, table_parts, traced_peak
 
 
 MINIMAL_GLAESER = json.dumps(
@@ -694,6 +694,92 @@ def test_rejected_run_removes_only_the_directories_it_created(tmp_path, capsys, 
         assert list(kept.iterdir()) == []
 
 
+# A = xi [[0, 1], [c t^2, 0]] with c = 1e307 on [0, 1e-3]: A, <xi> and the
+# rescaled characteristic coefficients stay finite, and bold_B_1, whose entry
+# (1, 0) is 2 c t xi, overflows at radius 1e4 from t = 9e-4 on: in the 12th of
+# the 13 time blocks of the default grid, after 11 have gone to conditions.csv.
+LATE_CALB_OVERFLOW = {"m": 2, "n": 1, "horizon": 1e-3,
+                      "coefficients": [[[[0.0], [1.0]], [[0.0, 0.0, 1e307], [0.0]]]]}
+
+
+def _record_blocks(monkeypatch) -> list:
+    """The (k0, table copy) of every time block that the CLI's run_conditions
+    hands to conditions.csv, in order."""
+    import hyposym.cli as cli
+
+    cli_run_conditions, blocks = cli.run_conditions, []
+
+    def recording(*args, rows, **kwargs):
+        def keep(k0, table):
+            blocks.append((k0, table.copy()))
+            rows(k0, table)
+        return cli_run_conditions(*args, rows=keep, **kwargs)
+
+    monkeypatch.setattr(cli, "run_conditions", recording)
+    return blocks
+
+
+def _outputs_left(tmp_path, kept, earlier):
+    """The run left tmp_path as it was: no directory it created, and in
+    ``kept`` only the conditions.csv of an earlier run, unchanged."""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kept"]
+    assert sorted(p.name for p in kept.iterdir()) == ["conditions.csv"] + (
+        ["report.json"] if (kept / "report.json").is_dir() else [])
+    assert (kept / "conditions.csv").read_bytes() == earlier
+
+
+@pytest.mark.parametrize("command", ["conditions", "report"])
+def test_late_calB_overflow_leaves_no_output(tmp_path, capsys, monkeypatch, command):
+    """Rows of the time blocks before the overflow are written to the staging
+    file; the run exits 3 and leaves no conditions.csv, no staging file and
+    no directory it created, and an earlier conditions.csv in a kept --out
+    stays as it was."""
+    blocks = _record_blocks(monkeypatch)
+    path = write_config(tmp_path, {"system": LATE_CALB_OVERFLOW})
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    earlier = b"t,xi,kind,l,j,value\r\n0,1,ks,0,0,0\r\n"
+    (kept / "conditions.csv").write_bytes(earlier)
+    for out in (tmp_path / "new" / "a" / "b", kept, kept / "a" / "b"):
+        blocks.clear()
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("a lower-order entry of calB is not finite at "
+                "(t=0.0009000000000000001, xi=[10000.0])") in err
+        assert "Traceback" not in err
+        assert [k0 for k0, _ in blocks] == list(range(0, 176, 16))
+        _outputs_left(tmp_path, kept, earlier)
+
+
+@pytest.mark.parametrize("command", ["conditions", "report"])
+def test_report_json_failure_leaves_no_csv(tmp_path, capsys, monkeypatch, command):
+    """Writing report.json raises OSError: with a directory named report.json
+    in a kept --out, and from the writer in directories the run creates.
+    Each run exits 1 and leaves the outputs as they were."""
+    import hyposym.cli as cli
+
+    path = write_config(tmp_path, {"system": {"name": "m2-glaeser"}, "grids": SMALL_GRIDS})
+    kept = tmp_path / "kept"
+    (kept / "report.json").mkdir(parents=True)
+    earlier = b"t,xi,kind,l,j,value\r\n0,1,ks,0,0,0\r\n"
+    (kept / "conditions.csv").write_bytes(earlier)
+    assert main([command, "--config", str(path), "--out", str(kept)]) == 1
+    assert "error: I/O failure: " in capsys.readouterr().err
+    _outputs_left(tmp_path, kept, earlier)
+    assert list((kept / "report.json").iterdir()) == []
+
+    def failing(write, obj, level=0):
+        write("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_json", failing)
+    (kept / "report.json").rmdir()
+    for out in (tmp_path / "new" / "a" / "b", kept, kept / "a" / "b"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        _outputs_left(tmp_path, kept, earlier)
+
+
 @pytest.mark.parametrize("system, out", [
     ({"name": "m2-glaeser"}, None),
     (OVERFLOWING_CONSTANT, None),
@@ -1046,21 +1132,21 @@ def _write_rows(path, header, rows):
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
-def _conditions_rows(report, m):
-    grid = report.grid
+def _conditions_rows(grid, table, m):
+    ks_values, thm2_values, levi_values = table_parts(table, m)
     rows = []
     for t_idx, t in enumerate(grid.ts):
         for r_idx in range(grid.radii.size):
             for d_idx in range(grid.dirs.shape[0]):
                 xi_str = ";".join(f"{v:.17g}" for v in grid.radii[r_idx] * grid.dirs[d_idx])
                 rows.append((float(t), xi_str, "ks", 0, 0,
-                             float(report.ks_values[t_idx, r_idx, d_idx])))
+                             float(ks_values[t_idx, r_idx, d_idx])))
                 for l in range(m - 1):
                     rows.append((float(t), xi_str, "thm2", l + 1, 0,
-                                 float(report.thm2_values[t_idx, r_idx, d_idx, l])))
+                                 float(thm2_values[t_idx, r_idx, d_idx, l])))
                     for j in range(m):
                         rows.append((float(t), xi_str, "levi", l + 1, j + 1,
-                                     float(report.levi_values[t_idx, r_idx, d_idx, l, j])))
+                                     float(levi_values[t_idx, r_idx, d_idx, l, j])))
     return rows
 
 
@@ -1074,63 +1160,71 @@ def _inline_system(m, n):
 
 @pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
 def test_conditions_csv_matches_row_writer(tmp_path, m, n):
-    from hyposym.conditions import run_conditions
-
     doc = {"system": _inline_system(m, n), "seed": 4,
            "grids": {"t_points": 5, "xi_points": 3, "directions": 4}}
     cfg = parse_config(json.dumps(doc))
     run(cfg, "conditions", tmp_path / "out")
-    report = run_conditions(cfg.symbol, cfg.sampling_grid(), seed=cfg.seed)
+    grid = cfg.sampling_grid()
+    table = conditions_table(cfg.symbol, grid, seed=cfg.seed)
     _write_rows(tmp_path / "oracle.csv", ("t", "xi", "kind", "l", "j", "value"),
-                _conditions_rows(report, m))
+                _conditions_rows(grid, table, m))
     got = (tmp_path / "out" / "conditions.csv").read_bytes()
     assert got == (tmp_path / "oracle.csv").read_bytes()
     assert len(got.splitlines()) == 1 + 5 * 3 * (2 if n == 1 else 4) * (1 + (m - 1) * (m + 1))
 
 
-def test_conditions_csv_values_are_the_report_table(tmp_path, monkeypatch):
-    """run_conditions keeps one per-point table: the ks, thm2 and levi values
-    are views of it, and the conditions command hands it to the CSV writer as
-    its value column, uncopied."""
-    import hyposym.cli as cli
+def test_conditions_blocks_tile_the_grid_in_csv_order(tmp_path, monkeypatch):
+    """run_conditions hands conditions.csv each time block once, in time
+    order, as a (n_t, R, D, 9) table whose rows follow the file's.  Blocks
+    of 2 time samples here, the last of 1."""
+    import hyposym.conditions as conditions
 
-    cli_run_conditions, cli_write_csv = cli.run_conditions, cli._write_csv
-    reports, columns = [], []
-
-    def keep_report(*args, **kwargs):
-        reports.append(cli_run_conditions(*args, **kwargs))
-        return reports[-1]
-
-    def keep_columns(path, cols):
-        columns.append(cols)
-        cli_write_csv(path, cols)
-
-    monkeypatch.setattr(cli, "run_conditions", keep_report)
-    monkeypatch.setattr(cli, "_write_csv", keep_columns)
+    blocks = _record_blocks(monkeypatch)
+    monkeypatch.setattr(conditions, "_GRID_BLOCK", 2 * 3 * 2)
     cfg = parse_config(json.dumps({"system": {"name": "m3-tracezero"},
                                    "grids": {"t_points": 9, "xi_points": 3}}))
     run(cfg, "conditions", tmp_path / "out")
-    (report,), (written,) = reports, columns
-    assert report.table.shape == (9, 3, 2, 1 + 2 * 4)
-    for name in ("ks_values", "thm2_values", "levi_values"):
-        assert np.shares_memory(getattr(report, name), report.table), name
-    assert np.shares_memory(written["value"], report.table)
+    assert [k0 for k0, _ in blocks] == [0, 2, 4, 6, 8]
+    assert [table.shape for _, table in blocks] == [(2, 3, 2, 9)] * 4 + [(1, 3, 2, 9)]
+    grid = cfg.sampling_grid()
+    table = np.concatenate([table for _, table in blocks])
+    _write_rows(tmp_path / "oracle.csv", ("t", "xi", "kind", "l", "j", "value"),
+                _conditions_rows(grid, table, 3))
+    assert (tmp_path / "out" / "conditions.csv").read_bytes() == (
+        tmp_path / "oracle.csv").read_bytes()
 
 
-def test_conditions_peak_holds_one_table():
-    """The conditions command at m3-tracezero with 1,024 time samples (65,536
-    points; a 4.7 MB table of 9 ratios per point) peaks at 8.3 MB of traced
-    memory, 1.75 times the table.  It peaked at 13.7 MB, 2.9 times, when it
-    held the ks, thm2 and levi tables apart and concatenated them, twice,
-    into the CSV's value column."""
+def _conditions_peak(tmp_path, t_points):
+    """The traced peak of the conditions command, its CSV written, on
+    m3-tracezero with ``t_points`` time samples (64 frequencies each)."""
     from hyposym.cli import _cmd_conditions
 
     doc = {"system": {"name": "m3-tracezero"}}
-    _cmd_conditions(parse_config(json.dumps({**doc, "grids": {"t_points": 5}})))  # lazy imports
-    cfg = parse_config(json.dumps({**doc, "grids": {"t_points": 1024}}))
-    _, peak = traced_peak(_cmd_conditions, cfg)
+    _cmd_conditions(parse_config(json.dumps({**doc, "grids": {"t_points": 5}})),
+                    tmp_path.joinpath)   # lazy imports
+    cfg = parse_config(json.dumps({**doc, "grids": {"t_points": t_points}}))
+    return traced_peak(_cmd_conditions, cfg, tmp_path.joinpath)[1]
+
+
+def test_conditions_peak_holds_one_time_block(tmp_path):
+    """The conditions command at m3-tracezero with 1,024 time samples (65,536
+    points) peaks at 3.7 MB of traced memory, the writing of conditions.csv
+    included, below the 4.7 MB that the whole grid's table of 9 ratios per
+    point would take.  It peaked at 8.3 MB when run_conditions kept that
+    table for the CSV writer, and at 13.7 MB when it held the ks, thm2 and
+    levi tables apart and concatenated them into the CSV's value column."""
     table_bytes = 1024 * 32 * 2 * 9 * 8
-    assert peak < 2.2 * table_bytes
+    assert _conditions_peak(tmp_path, 1024) < table_bytes
+
+
+def test_conditions_peak_grows_with_the_eigenvalue_table(tmp_path):
+    """From 1,024 to 4,096 time samples the conditions command's traced
+    peak grows by 5.2 MB: 1.09 times the 4.7 MB growth of the eigenvalue
+    table (T, R, D, 3) that the zone sample needs, the every-4th-sample
+    sandwich constants most of the rest.  It grew by 22 MB, 4.7 times, when
+    the whole grid's table of ratios was kept."""
+    grown = _conditions_peak(tmp_path, 4096) - _conditions_peak(tmp_path, 1024)
+    assert grown <= 1.2 * (4096 - 1024) * 32 * 2 * 3 * 8
 
 
 @pytest.mark.parametrize("name, grid_size", [("m2-glaeser", 16), ("m2-wave", 16),
@@ -1309,15 +1403,17 @@ def test_write_csv_memory_stays_chunk_sized(tmp_path):
     (115,776 rows) stays a few chunks in size, and the file is the row
     writer's.  Measured with tracemalloc: the csv.writer path that formatted
     whole ``tolist()`` columns peaked at 7.58 MB (about 3.7 MB of float
-    objects per float column); the chunked writer peaks at 0.45 MB, and the
-    broadcast one at 0.46 MB."""
+    objects per float column); the chunked writer peaked at 0.45 MB, the
+    broadcast one at 0.46 MB, and the row writer, fed the whole table at
+    once, peaks at 0.34 MB."""
     import tracemalloc
 
-    from hyposym.cli import _cmd_conditions, _write_csv
-    from hyposym.conditions import run_conditions
+    from hyposym.cli import _conditions_columns, _write_csv
 
     cfg = parse_config(json.dumps({"system": {"name": "m3-tracezero"}}))
-    columns = _cmd_conditions(cfg)[2]["conditions.csv"]
+    grid = cfg.sampling_grid()
+    table = conditions_table(cfg.symbol, grid, seed=cfg.seed)
+    columns = {**_conditions_columns(grid, 3), "value": table}
     assert columns["value"].size == 115776
     tracemalloc.start()
     try:
@@ -1326,8 +1422,7 @@ def test_write_csv_memory_stays_chunk_sized(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6
-    report = run_conditions(cfg.symbol, cfg.sampling_grid(), seed=cfg.seed)
-    _write_rows(tmp_path / "oracle.csv", list(columns), _conditions_rows(report, 3))
+    _write_rows(tmp_path / "oracle.csv", list(columns), _conditions_rows(grid, table, 3))
     assert (tmp_path / "conditions.csv").read_bytes() == (
         tmp_path / "oracle.csv").read_bytes()
 

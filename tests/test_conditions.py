@@ -23,9 +23,11 @@ from oracles import (
     M4_DOUBLE_ZERO,
     M6_DOUBLE_ZERO,
     companion_symbol,
+    conditions_table,
     difference_identity_residual_of,
     grid_data,
     lift_blocks,
+    table_parts,
 )
 
 
@@ -142,8 +144,8 @@ class TestLeviRatios:
     def test_glaeser_ratio_two(self):
         S = builtin_system("m2-glaeser")
         grid = small_grid(S)
-        rep = run_conditions(S, grid)
-        sups, values = rep.levi_sups, rep.levi_values
+        sups = run_conditions(S, grid).levi_sups
+        values = table_parts(conditions_table(S, grid), S.m)[2]
         assert sups[0, 0] == pytest.approx(2.0, rel=1e-12)
         assert sups[0, 1] == 0.0
         # pointwise: identically two away from the degenerate instant
@@ -171,8 +173,8 @@ class TestLeviRatios:
 class TestThm2Ratios:
     def test_tracezero_finite_table(self):
         S = builtin_system("m3-tracezero")
-        rep = run_conditions(S, small_grid(S))
-        sups, values = rep.thm2_sups, rep.thm2_values
+        sups = run_conditions(S, small_grid(S)).thm2_sups
+        values = table_parts(conditions_table(S, small_grid(S)), S.m)[1]
         assert np.all(np.isfinite(sups))
         assert np.all(np.isfinite(values))
 
@@ -185,15 +187,14 @@ class TestThm2Ratios:
         # For 2x2 systems the two conditions are finite together.
         for name in ("m2-glaeser", "m2-wave"):
             S = builtin_system(name)
-            rep = run_conditions(S, small_grid(S))
-            levi_vals, thm2_vals = rep.levi_values, rep.thm2_values
+            _, thm2_vals, levi_vals = table_parts(conditions_table(S, small_grid(S)), S.m)
             assert np.isfinite(levi_vals).all() == np.isfinite(thm2_vals).all()
 
     def test_implication_thm2_finite_gives_levi_finite(self):
         for name in ("m2-glaeser", "m3-tracezero"):
             S = builtin_system(name)
-            rep = run_conditions(S, small_grid(S, n_t=21, n_r=4))
-            levi_vals, thm2_vals = rep.levi_values, rep.thm2_values
+            table = conditions_table(S, small_grid(S, n_t=21, n_r=4))
+            _, thm2_vals, levi_vals = table_parts(table, S.m)
             m = S.m
             for l in range(m - 1):
                 live = np.isfinite(thm2_vals[..., l])
@@ -248,7 +249,7 @@ class TestSandwichConstant:
         # holds pointwise with alpha = sqrt(2), frozen as a regression value.
         S = builtin_system("m2-glaeser")
         grid = SamplingGrid.default(S, n_t=21, n_r=5, r_max=1000.0)
-        levi = run_conditions(S, grid).levi_values
+        levi = table_parts(conditions_table(S, grid), S.m)[2]
         alpha_frozen = np.sqrt(2.0)
         for r_idx, d_idx, xi in grid_points(grid):
             for t_idx in range(grid.ts.size):
@@ -692,10 +693,30 @@ class TestTimeBlocks:
             monkeypatch.setattr(conditions, "_GRID_BLOCK", per_block * points)
             assert report_bytes(run_conditions(symbol, grid, seed=3)) == want, per_block
 
+    @pytest.mark.parametrize("symbol, n_dirs", [
+        (builtin_system("m3-tracezero"), 16), (builtin_system("m2-glaeser"), 16), (N2_M3, 7),
+    ], ids=["m3-tracezero", "m2-glaeser", "n2-m3"])
+    def test_tables_do_not_depend_on_the_block_size(self, symbol, n_dirs, monkeypatch):
+        """The per-point ratios handed to ``rows``, joined along t, are bit for
+        bit the same for blocks of 1, 3, 5 and 8 time samples, one block for
+        the whole grid, and the default."""
+        import hyposym.conditions as conditions
+
+        grid = SamplingGrid.default(symbol, n_t=37, n_r=5, n_dirs=n_dirs)
+        points = grid.shape[1] * grid.shape[2]
+        want = conditions_table(symbol, grid, seed=3)
+        assert want.shape == (*grid.shape, symbol.m ** 2)
+        for per_block in (1, 3, 5, 8, grid.shape[0]):
+            monkeypatch.setattr(conditions, "_GRID_BLOCK", per_block * points)
+            got = conditions_table(symbol, grid, seed=3)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), per_block
+
     def test_traced_peak_on_the_default_m3_grid(self):
-        """No whole-grid GridData: on the 12,864 points of m3-tracezero,
-        run_conditions peaks at 2.9 MiB of traced memory (8.5 MiB when it
-        held the whole grid's W rows and calB entries)."""
+        """No whole-grid GridData and no whole-grid ratio table: on the 12,864
+        points of m3-tracezero, run_conditions peaks at 2.1 MiB of traced
+        memory.  It peaked at 2.9 MiB when it kept the grid's (T, R, D, 9)
+        table of ratios, and at 8.5 MiB when it also held the whole grid's W
+        rows and calB entries."""
         import tracemalloc
 
         S = builtin_system("m3-tracezero")
@@ -707,7 +728,7 @@ class TestTimeBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        assert peak < 2.5 * 2 ** 20
 
 
 def test_calB_overflow_at_the_largest_radius_names_its_first_point():
