@@ -75,12 +75,19 @@ INLINE_SYSTEMS = {
                     "coefficients": [[[[0.0], [1.0]], [[1e50], [0.0]]]]},
 }
 
+# Runs of a built-in system under a name of their own, with their own config
+# entries: m2-glaeser-xi1000 puts xi = 1000 first, so its report's K sweep runs
+# on a 20,002-sample trace that keeps every 20th state.
+BUILTIN_VARIANTS = {"m2-glaeser-xi1000": "m2-glaeser"}
+
 # Config entries of a system's runs beside the defaults: the n = 2 system's
 # default grid has 102,912 points and a 926,208-row conditions.csv.
-SYSTEM_EXTRAS = {"inline-n2-m3": {"grids": {"t_points": 41, "xi_points": 8}}}
+SYSTEM_EXTRAS = {"inline-n2-m3": {"grids": {"t_points": 41, "xi_points": 8}},
+                 "m2-glaeser-xi1000": {"grids": {"xi_list": [1000.0, 10.0, 100.0]}}}
 
 PIPELINES = {
     "m2-glaeser": ("reduce", "verify-qs", "conditions", "growth", "report", "solve"),
+    "m2-glaeser-xi1000": ("report",),
     "m2-wave": ("reduce", "conditions", "solve"),
     "m2-nonhyp-control": ("growth", "conditions", "report", "solve"),
     "m3-tracezero": ("reduce", "verify-qs", "conditions", "solve"),
@@ -122,7 +129,8 @@ def run_all(out_root: Path, seed: int) -> int:
     rows = []
     for name, commands in PIPELINES.items():
         for command in commands:
-            doc = {"system": INLINE_SYSTEMS.get(name, {"name": name}), "seed": seed,
+            builtin = {"name": BUILTIN_VARIANTS.get(name, name)}
+            doc = {"system": INLINE_SYSTEMS.get(name, builtin), "seed": seed,
                    **SYSTEM_EXTRAS.get(name, {})}
             if command == "solve":
                 doc.update(SOLVE_EXTRAS,

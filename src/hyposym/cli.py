@@ -834,15 +834,13 @@ def _trace_payload(trace, residual) -> dict:
     i-th transformed component, scaled by <xi>^{m-j}.
     """
     sl = slice(None, None, trace.stride)
-    # a trace keeps the states of every sample or of these samples only
-    V = trace.V[sl] if len(trace.V) == trace.ts.size else trace.V
     payload = {
         "xi": trace.xi,
         "eps": trace.eps,
         "stride": trace.stride,
         "t": trace.ts[sl],
-        "V_re": V.real,
-        "V_im": V.imag,
+        "V_re": trace.V.real,
+        "V_im": trace.V.imag,
         "log_scale": trace.log_scale[sl],
     }
     for name in ("E", "K", "term2", "term3", "dtE"):
@@ -859,10 +857,8 @@ def _cmd_report(config: RunConfig, stage):
         results[name], sub_failures = fn(config, stage)
         failures.extend(sub_failures)
     # One trajectory per configured frequency feeds the growth fit, the energy
-    # inequality summary and, at the first frequency, the K sweep, which reads
-    # every state; the others keep only the states their payloads emit.
-    keep = ["all"] + ["stride"] * (len(solver.xi_grid) - 1)
-    traces = frequency_sweep(config.symbol, solver, keep=keep)
+    # inequality summary and, at the first frequency, the K sweep.
+    traces = frequency_sweep(config.symbol, solver, sweep_eps=(1e-1, 1e-2, 1e-3))
     results["growth"] = _growth_results(traces, stage)
     ineq = energy_inequality_check(traces)
     results["energy"] = {
@@ -878,7 +874,7 @@ def _cmd_report(config: RunConfig, stage):
     # -2(m-1)/k with the k of a balanced eps policy; other policies keep k = 2
     policy = config.data["eps_policy"]
     k = policy["k"] if policy["kind"] == "balanced" else 2.0
-    sweep = integral_K_sweep(traces[0], (1e-1, 1e-2, 1e-3), k_regularity=k)
+    sweep = integral_K_sweep(traces[0], k_regularity=k)
     results["K_sweep"] = {
         "eps": sweep.eps_values,
         "integrals": sweep.K_integrals,

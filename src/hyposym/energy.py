@@ -20,7 +20,7 @@ import numpy as np
 from hyposym import quasisym
 from hyposym.errors import DomainError, NumericError
 from hyposym.pencils import hermitian_part
-from hyposym.quasisym import q_eps, q_eps_parts, sum_parts
+from hyposym.quasisym import q_eps_parts, sum_parts
 from hyposym.reduction import (
     PathAssembler,
     SeparablePath,
@@ -116,16 +116,17 @@ _TRACE_SAMPLES = 1001   # most samples of a trace that a report emits, ts[::stri
 class EnergyTrace:
     """Per-frequency time series of the reduced state and energy terms.
 
-    ``V`` holds the (possibly renormalised) states of every sample, of the at
-    most _TRACE_SAMPLES samples ts[::stride] a report emits, or of none (see
-    :func:`reduced_integrate`); ``norms`` and every other series hold each
-    sample, and the true state is V * exp(log_scale[:, None]).  ``K`` is
-    |(dQ/dt V|V)| / (Q V|V); ``term2`` and ``term3`` are the commutator
-    summands of the growth inequality; ``dtE`` is the centred difference of
-    E; ``lambdas`` (len(ts), m) are the rescaled eigenvalues Q was built
-    from.  All energy diagnostics refer to the stored state, so across a
-    renormalisation step dtE carries a negative spike; ratios like K and
-    term/E are scale-free.
+    ``V`` holds the (possibly renormalised) states of the at most
+    _TRACE_SAMPLES samples ts[::stride] a report emits, or of none without
+    energy diagnostics; ``norms`` and every other series hold each sample,
+    and the true state is V * exp(log_scale[:, None]).  ``K`` is
+    |(dQ/dt V|V)| / (Q V|V); ``K_sweep[i]`` is K with Q taken at
+    ``sweep_eps[i]`` in place of ``eps``; ``term2`` and ``term3`` are the
+    commutator summands of the growth inequality; ``dtE`` is the centred
+    difference of E; ``lambdas`` (len(ts), m) are the rescaled eigenvalues Q
+    was built from.  All energy diagnostics refer to the stored state, so
+    across a renormalisation step dtE carries a negative spike; ratios like K
+    and term/E are scale-free.
     """
 
     ts: np.ndarray
@@ -143,6 +144,8 @@ class EnergyTrace:
     dtE: np.ndarray | None = None
     lambdas: np.ndarray | None = None
     coercivity_sup: float = float("nan")
+    sweep_eps: tuple = ()
+    K_sweep: np.ndarray | None = None
 
     @property
     def growth_log(self) -> float:
@@ -388,55 +391,67 @@ def _energy_and_K(Q: np.ndarray, blocks: np.ndarray, h: float, first: int = 0) -
 
 
 class _EnergyTerms:
-    """E, K, term2, term3, dtE and the coercivity constant of one trajectory,
-    from the states of each RK4 window that :meth:`add` receives.
+    """E, K, term2, term3, dtE, the coercivity constant and the K of each
+    sweep eps of one trajectory, from the states of each RK4 window that
+    :meth:`add` receives.
 
-    The spectra depend only on (ts, xi) and are taken before the run; Q and
-    the coercivity candidates, which need Q alone, are built as the windows
-    reach them, both quasisym._ROW_BLOCK samples at a time, and dropped once
-    no later sample reads them.  term2 and term3 read calA's companion block
-    and calB of the integration's own windows: nothing is assembled here.
-    dQ/dt is taken by centred finite differences of the quasi-symmetriser
-    entries (one-sided at the ends), which are polynomial in the eigenvalues
-    and stay smooth through multiplicity crossings even where the eigenvalue
-    branches do not.  Each sample's value is bitwise that of the same
-    operations on the sample alone.
+    The spectra depend only on (ts, xi) and are taken before the run; the
+    quasi-symmetriser parts, Q at the run's eps and at each sweep eps, and
+    the coercivity candidates, which need the run's Q alone, are built as the
+    windows reach them, quasisym._ROW_BLOCK samples at a time, and dropped
+    once no later sample reads them.  term2 and term3 read calA's companion
+    block and calB of the integration's own windows: nothing is assembled
+    here.  dQ/dt is taken by centred finite differences of the
+    quasi-symmetriser entries (one-sided at the ends), which are polynomial
+    in the eigenvalues and stay smooth through multiplicity crossings even
+    where the eigenvalue branches do not.  Each sample's value is bitwise
+    that of the same operations on the sample alone.
     """
 
-    def __init__(self, symbol: SystemSymbol, ts, xi, eps: float):
+    def __init__(self, symbol: SystemSymbol, ts, xi, eps: float, sweep_eps: tuple = ()):
         m, n = symbol.m, ts.size
-        self.ts, self.eps, self.bxi, self.floor = ts, eps, bracket(xi), eps ** (2 * (m - 1))
+        self.ts, self.bxi, self.floor = ts, bracket(xi), eps ** (2 * (m - 1))
+        self.eps_values = (eps,) + sweep_eps
         self.lambdas = np.empty((n, m))
         for s0 in range(0, n, quasisym._ROW_BLOCK):
             sl = slice(s0, s0 + quasisym._ROW_BLOCK)
             self.lambdas[sl] = rescaled_spectra(symbol, ts[sl], xi).lambdas
         self.E, self.K, self.term2, self.term3 = (np.empty(n) for _ in range(4))
-        self.Q, self.q0 = np.empty((0, m, m)), 0   # Q of samples q0..q0 + len(Q) - 1
+        self.K_sweep = np.empty((len(sweep_eps), n))
+        # Q of samples q0..q0 + len(Q) - 1 at each of eps_values
+        self.Qs, self.q0 = [np.empty((0, m, m)) for _ in self.eps_values], 0
         self.coercivity_sup = 0.0
 
-    def _Q(self, lo: int, hi: int) -> np.ndarray:
-        """Q of samples lo..hi-1, its blocks built up to hi; rows before lo are dropped."""
-        while self.q0 + len(self.Q) < hi:
-            s0 = self.q0 + len(self.Q)
-            Q = q_eps(self.lambdas[s0 : s0 + quasisym._ROW_BLOCK], self.eps)
-            eigs = np.linalg.eigvalsh(hermitian_part(Q))
+    def _Q(self, lo: int, hi: int) -> list:
+        """Q of samples lo..hi-1 at each of eps_values, its blocks built up to
+        hi; rows before lo are dropped."""
+        while self.q0 + len(self.Qs[0]) < hi:
+            s0 = self.q0 + len(self.Qs[0])
+            parts = q_eps_parts(self.lambdas[s0 : s0 + quasisym._ROW_BLOCK])
+            new = [sum_parts(parts, eps) for eps in self.eps_values]
+            eigs = np.linalg.eigvalsh(hermitian_part(new[0]))
             low, high = eigs[:, 0], eigs[:, -1]
             with np.errstate(divide="ignore", invalid="ignore"):
                 floor_ratio = self.floor / low
             cm = np.where(low <= 0, high, np.where(floor_ratio > high, floor_ratio, high))
             self.coercivity_sup = max(self.coercivity_sup,
                                       float(np.max(cm, where=cm > 0.0, initial=0.0)))
-            self.Q, self.q0 = np.concatenate([self.Q[lo - self.q0 :], Q]), lo
-        return self.Q[lo - self.q0 : hi - self.q0]
+            self.Qs = [np.concatenate([Q[lo - self.q0 :], Q_new])
+                       for Q, Q_new in zip(self.Qs, new)]
+            self.q0 = lo
+        return [Q[lo - self.q0 : hi - self.q0] for Q in self.Qs]
 
     def add(self, k0: int, block, b, V) -> None:
         """The diagnostics of samples k0..k0 + len(V) - 1 from their states V
         and the window's companion block and b from sample k0 on.  term3's
         lifted stack goes _TERM3_BLOCK samples at a time."""
         m, sl, lo = self.lambdas.shape[1], slice(k0, k0 + len(V)), max(k0 - 1, 0)
-        Qh = self._Q(lo, min(sl.stop + 1, self.ts.size))
-        Q, blocks = Qh[k0 - lo : sl.stop - lo], V.reshape(-1, m, m)
-        self.E[sl], self.K[sl] = _energy_and_K(Qh, blocks, self.ts[1] - self.ts[0], k0 - lo)
+        h, blocks = self.ts[1] - self.ts[0], V.reshape(-1, m, m)
+        Qh, *swept = self._Q(lo, min(sl.stop + 1, self.ts.size))
+        self.E[sl], self.K[sl] = _energy_and_K(Qh, blocks, h, k0 - lo)
+        for K, Q in zip(self.K_sweep, swept):
+            K[sl] = _energy_and_K(Q, blocks, h, k0 - lo)[1]
+        Q = Qh[k0 - lo : sl.stop - lo]
         A0, b = block[: len(V), 0] / self.bxi, b[: len(V), 0]
         comm2 = np.einsum("kab,kbc->kac", Q, A0) - np.einsum(
             "kab,kbc->kac", np.conj(np.swapaxes(A0, 1, 2)), Q)
@@ -450,11 +465,12 @@ class _EnergyTerms:
         """Fill the trace's diagnostics once :meth:`add` has covered every sample."""
         trace.E, trace.K, trace.term2, trace.term3 = self.E, self.K, self.term2, self.term3
         trace.lambdas, trace.coercivity_sup = self.lambdas, self.coercivity_sup
+        trace.sweep_eps, trace.K_sweep = self.eps_values[1:], self.K_sweep
         trace.dtE = np.gradient(trace.E, trace.ts[1] - trace.ts[0])
 
 
 def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
-                      collect_energy: bool = True, keep: str = "all") -> EnergyTrace:
+                      collect_energy: bool = True, sweep_eps=()) -> EnergyTrace:
     """Integrate d/dt V = i (calA + calB) V and record energy diagnostics.
 
     ``V0`` is any complex vector of length m^2 (usually a row of
@@ -462,29 +478,32 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
     whenever it grows past RENORM_THRESHOLD, so growing modes never overflow;
     the accumulated log-scale is stored on the trace.  A window steps the shift
     i <xi> and the band rows of its reduction; as it ends, its states, block
-    and b give the diagnostics, norms and log scales of its samples.  The trace
-    keeps the states of every sample (``keep="all"``), of those a report emits
-    (``"stride"``) or of none (``"none"``).
+    and b give the diagnostics, norms and log scales of its samples, and K at
+    each eps of ``sweep_eps``, which needs the diagnostics.  With them the
+    trace keeps the states of the samples ts[::stride] a report emits;
+    without them it keeps none.
     """
     m = symbol.m
     V0 = np.asarray(V0, dtype=complex).ravel()
     if V0.size != m * m:
         raise DomainError(f"reduced state must have {m * m} components")
+    sweep_eps = tuple(float(eps) for eps in sweep_eps)
+    if sweep_eps and not collect_energy:
+        raise DomainError("an eps sweep needs the energy diagnostics")
+    for eps in sweep_eps:
+        quasisym._check_eps(eps)
     N, h = config.steps_for(symbol, xi)
     ts_half = np.linspace(0.0, symbol.horizon, 2 * N + 1)
     ts = ts_half[::2]
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eps_val = config.eps_for(m, xi)
     stride = max(1, -(-ts.size // _TRACE_SAMPLES))
-    step = {"all": 1, "stride": stride, "none": 0}.get(keep)
-    if step is None:
-        raise DomainError(f"unknown keep {keep!r}")
-    terms = _EnergyTerms(symbol, ts, xi, eps_val) if collect_energy else None
+    terms = _EnergyTerms(symbol, ts, xi, eps_val, sweep_eps) if collect_energy else None
     assembler = PathAssembler(symbol, xi[None])
     constant = symbol.is_constant()
     shift = np.full(m * m - 1, 1j * float(assembler.bxi[0]))   # rows j < m-1: i <xi> V[j+1]
     held = ()      # block and b of the current window at its integer steps k0..k1
-    kept = np.empty((-(-ts.size // step) if step else 0, m * m), dtype=complex)
+    kept = np.empty((-(-ts.size // stride) if collect_energy else 0, m * m), dtype=complex)
     norms, log_scale = np.empty(ts.size), np.empty(ts.size)
 
     def window(k0, k1):
@@ -513,9 +532,8 @@ def reduced_integrate(symbol: SystemSymbol, xi, V0, config: SolverConfig,
         V = states[:n, 0]
         log_scale[k0 : k0 + n] = logs[:n, 0]
         norms[k0 : k0 + n] = np.linalg.norm(V, axis=1)
-        if step:
-            kept[-(-k0 // step) : -(-(k0 + n) // step)] = V[-k0 % step :: step]
         if terms is not None:
+            kept[-(-k0 // stride) : -(-(k0 + n) // stride)] = V[-k0 % stride :: stride]
             terms.add(k0, *held, V)
 
     _lockstep_rk4(window, _width(16 * m * m * (2 * m + 3)), V0[None], N, h, (),
@@ -541,22 +559,20 @@ def check_sweep_span(xis, name: str = "frequency grid") -> None:
 
 
 def frequency_sweep(symbol: SystemSymbol, config: SolverConfig,
-                    collect_energy: bool = True, keep=None) -> list:
+                    collect_energy: bool = True, sweep_eps=()) -> list:
     """One :func:`reduced_integrate` trace per frequency x of ``config.xi_grid``.
 
     x is integrated at xi = (x, 0, ..., 0) from u-hat = ones / sqrt(m); growth
-    fits, energy checks and eps sweeps analyse these traces.  ``keep`` holds
-    :func:`reduced_integrate`'s ``keep`` per frequency, by default "all" with
-    energy diagnostics and "none" without.
+    fits and energy checks analyse these traces.  The first frequency's trace
+    also carries K at each eps of ``sweep_eps``, for :func:`integral_K_sweep`.
     """
     xis = np.zeros((len(config.xi_grid), symbol.n))
     xis[:, 0] = config.xi_grid
     u0hat = np.ones(symbol.m, dtype=complex) / np.sqrt(symbol.m)
     u0hats = np.broadcast_to(u0hat, (1, len(xis), symbol.m))
     V0s = PathAssembler(symbol, xis).lift([0.0], u0hats)[0]
-    keep = keep or ["all" if collect_energy else "none"] * len(xis)
-    return [reduced_integrate(symbol, xi, V0, config, collect_energy=collect_energy, keep=k)
-            for xi, V0, k in zip(xis, V0s, keep, strict=True)]
+    return [reduced_integrate(symbol, xi, V0, config, collect_energy, () if r else sweep_eps)
+            for r, (xi, V0) in enumerate(zip(xis, V0s))]
 
 
 # ---------------------------------------------------------------------------
@@ -647,35 +663,27 @@ class KSweepReport:
     C1_values: tuple        # integral * eps^{-theoretical exponent}
 
 
-def integral_K_sweep(trace: EnergyTrace, eps_values, k_regularity: float = 2.0) -> KSweepReport:
-    """Measure int_0^T K_eps dt along one trajectory across the eps sweep.
+def integral_K_sweep(trace: EnergyTrace, k_regularity: float = 2.0) -> KSweepReport:
+    """Measure int_0^T K_eps dt along one trajectory across its eps sweep.
 
-    Fits the exponent p in int K ~ C eps^p by least squares on the log-log
-    pairs and reports the theoretical bound exponent -2(m-1)/k next to it.
-    An integral that is not positive has no logarithm, so then p is not
-    measured and reads nan (a constant symbol has dQ/dt = 0 and K = 0).
-    The trace must carry energy diagnostics, whose spectra the sweep reads,
-    and keep every state.
+    Integrates the series ``K_sweep`` that :func:`reduced_integrate` took at
+    each of its ``sweep_eps`` and fits the exponent p in int K ~ C eps^p by
+    least squares on the log-log pairs; reports the theoretical bound
+    exponent -2(m-1)/k next to it.  An integral that is not positive has no
+    logarithm, so then p is not measured and reads nan (a constant symbol has
+    dQ/dt = 0 and K = 0).
     """
-    if trace.lambdas is None or len(trace.V) != trace.ts.size:
-        raise DomainError("the trace must carry energy diagnostics and keep every state")
-    m = trace.m
-    # Only the eps-weighted sum of the quasi-symmetriser parts depends on eps.
-    ts = trace.ts
-    parts = q_eps_parts(trace.lambdas)
-    blocks = trace.V.reshape(ts.size, m, m)
-    integrals = []
-    for eps in eps_values:
-        _, K = _energy_and_K(sum_parts(parts, float(eps)), blocks, ts[1] - ts[0])
-        integrals.append(float(np.trapezoid(K, ts)))
-    eps_arr = np.asarray(eps_values, dtype=float)
+    if not trace.sweep_eps:
+        raise DomainError("the trace carries no eps sweep")
+    integrals = [float(np.trapezoid(K, trace.ts)) for K in trace.K_sweep]
+    eps_arr = np.asarray(trace.sweep_eps)
     ints = np.asarray(integrals)
     fitted = float("nan")
     if (ints > 0.0).all():
         X = np.stack([np.log(eps_arr), np.ones(eps_arr.size)], axis=1)
         sol, *_ = np.linalg.lstsq(X, np.log(ints), rcond=None)
         fitted = float(sol[0])
-    theo = -2.0 * (m - 1) / k_regularity
+    theo = -2.0 * (trace.m - 1) / k_regularity
     return KSweepReport(
         eps_values=tuple(float(e) for e in eps_arr),
         K_integrals=tuple(integrals),

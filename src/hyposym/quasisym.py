@@ -17,9 +17,9 @@ subset of the sorted values (at most 2^m of them, stacked over any leading
 shape) and then replays the m! * m additions of the permutation sum in
 permutation order.  Only additions remain in the m! loop, and the result is
 bitwise that of the sum over every permutation of P(lambda_rho) built level
-by level.  Both run in blocks of rows, and :func:`q_eps` sums each block's
-parts into Q_eps as the block is built, so it never holds the parts of a
-whole stack; :func:`q_eps_parts` returns them for an eps sweep.
+by level.  It runs in blocks of rows, and :func:`sum_parts` weighs the
+parts with the powers of one eps, so the parts of a stack serve an eps
+sweep.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def sylvester_companion(lambdas) -> np.ndarray:
     return M
 
 
-# Rows per block of q_eps_parts and q_eps.  A block holds the outer products
-# of its 2^m - 1 subsets and its m parts (4.6 and 0.4 MB at m = 6); q_eps
-# keeps only the block's Q.  q_eps on sorted random rows (2 cores, 2 MiB L2,
+# Rows per block of q_eps_parts.  A block holds the outer products of its
+# 2^m - 1 subsets and its m parts (4.6 and 0.4 MB at m = 6).  Q_eps, each
+# block's parts summed as they were built, on sorted random rows (2 cores, 2 MiB L2,
 # min of 3-5 calls), blocks of 64 / 128 / 256 / 512 / 1,024 rows: m = 3,
 # 4,096 rows 12.4 / 8.7 / 6.7 / 8.1 / 7.5 ms; m = 4, 2,002 rows 15.5 / 11.7 /
 # 9.3 / 8.4 / 11.7 ms; m = 5, 4,096 rows 85 / 72 / 65 / 68 / 92 ms; m = 6,
@@ -116,16 +116,17 @@ def q_eps_parts(lambdas) -> np.ndarray:
     """
     lam, flat = _sorted_rows(lambdas)
     m = lam.shape[-1]
-    parts = np.empty((m, flat.shape[0], m, m))
+    parts = np.zeros((m, flat.shape[0], m, m))
     # Blocks of rows bound the 2^m stacked outer products in memory.
     for k0 in range(0, flat.shape[0], _ROW_BLOCK):
-        parts[:, k0 : k0 + _ROW_BLOCK] = _replayed_parts(flat[k0 : k0 + _ROW_BLOCK])
+        _replay_parts(flat[k0 : k0 + _ROW_BLOCK], parts[:, k0 : k0 + _ROW_BLOCK])
     return parts.reshape((m,) + lam.shape[:-1] + (m, m))
 
 
-def _replayed_parts(lam: np.ndarray) -> np.ndarray:
-    """q_eps_parts of sorted rows (n, m), all subsets held at once."""
-    n, m = lam.shape
+def _replay_parts(lam: np.ndarray, parts: np.ndarray) -> None:
+    """Add q_eps_parts of sorted rows (n, m) into the zeros ``parts`` (m, n,
+    m, m), all subsets held at once."""
+    m = lam.shape[1]
     subsets, plan = _subset_plan(m)
     rows = []
     for r, level in enumerate(subsets):
@@ -138,10 +139,8 @@ def _replayed_parts(lam: np.ndarray) -> np.ndarray:
     rows = np.concatenate(rows)
     with np.errstate(over="ignore"):   # an overflowed product reads inf
         outers = rows[..., :, None] * rows[..., None, :]
-    parts = np.zeros((m, n, m, m))
     for take in plan:
         parts += outers[take]
-    return parts
 
 
 def sum_parts(parts: np.ndarray, eps: float) -> np.ndarray:
@@ -156,29 +155,14 @@ def sum_parts(parts: np.ndarray, eps: float) -> np.ndarray:
     return Q
 
 
-def q_eps(lambdas, eps: float) -> np.ndarray:
-    """Q_eps for stacked tuples, shape (..., m) to (..., m, m).
-
-    The parts of each block of _ROW_BLOCK rows are summed into Q as the
-    block is built, so the parts of the whole stack are never held at once;
-    each row is bitwise ``sum_parts(q_eps_parts(lambdas), eps)``.
-    """
-    lam, flat = _sorted_rows(lambdas)
-    _check_eps(eps)
-    Q = np.empty(flat.shape + flat.shape[-1:])
-    for k0 in range(0, flat.shape[0], _ROW_BLOCK):
-        Q[k0 : k0 + _ROW_BLOCK] = sum_parts(_replayed_parts(flat[k0 : k0 + _ROW_BLOCK]), eps)
-    return Q.reshape(lam.shape + lam.shape[-1:])
-
-
 def build_Q_eps(lambdas, eps: float) -> np.ndarray:
-    """Q_eps (m, m) of one tuple: ``q_eps`` on the flattened ``lambdas``.
+    """Q_eps (m, m) of one tuple: the summed parts of the flattened ``lambdas``.
 
     Kept only because the benchmark's kernel table (``perfbench/kernels.py``)
     imports it.  No package code may call it: the benchmark's tracer reads
     ``.lambdas`` off the result of every traced call of this name.
     """
-    return q_eps(np.ravel(lambdas), eps)
+    return sum_parts(q_eps_parts(np.ravel(lambdas)), eps)
 
 
 @dataclass(frozen=True)
@@ -226,7 +210,8 @@ def verify_properties(lambdas, eps: float) -> PropertyReport:
     acc = Q0.copy()
     if m >= 2:
         # Tuple i of each row is np.delete(row, i).
-        deleted = q_eps(lam[:, np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)], eps)
+        deleted = sum_parts(q_eps_parts(
+            lam[:, np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)]), eps)
         for i in range(m):
             acc[:, : m - 1, : m - 1] += eps ** 2 * deleted[:, i]
     recursion = np.abs(Q - acc).max(axis=(-2, -1))

@@ -17,19 +17,26 @@ are shared by several test modules.  The full-table assembler keeps every
 derivative path d^k/dt^k A, k < m, the identically zero ones too.  The
 conditions grid's ``GridData`` of the whole grid is its time blocks joined,
 and so is the table of per-point ratios that ``run_conditions`` hands out.
-The memory bounds of the tests read one call's tracemalloc peak.
+Q_eps of a stack is summed from its parts one row block at a time, as the
+energy diagnostics build it.  A trace keeps every state when the tests patch
+its emitted samples.  The memory bounds of the tests read one call's
+tracemalloc peak.
 """
 
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import numpy as np
 
+from hyposym import energy
 from hyposym.conditions import GridData, _grid_blocks, run_conditions
 from hyposym.energy import _renormalize_rows
 from hyposym.errors import ConsistencyError, DomainError, NumericError
 from hyposym.pencils import hermitian_part
+from hyposym.quasisym import _ROW_BLOCK, _check_eps, q_eps_parts, sum_parts
 from hyposym.reduction import PathAssembler
 from hyposym.symbols import (
     SystemSymbol,
@@ -494,3 +501,26 @@ def traced_peak(fn, *args) -> tuple:
         return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def q_eps(lambdas, eps: float) -> np.ndarray:
+    """Q_eps for stacked tuples, shape (..., m) to (..., m, m).
+
+    The parts of each block of quasisym._ROW_BLOCK rows are summed into Q as
+    the block is built, as the energy diagnostics build Q, so the parts of
+    the whole stack are never held at once; each row is bitwise
+    ``sum_parts(q_eps_parts(lambdas), eps)``.
+    """
+    _check_eps(eps)
+    lam = np.asarray(lambdas, dtype=float)
+    flat = lam.reshape(-1, lam.shape[-1])
+    Q = np.empty(flat.shape + flat.shape[-1:])
+    for k0 in range(0, flat.shape[0], _ROW_BLOCK):
+        Q[k0 : k0 + _ROW_BLOCK] = sum_parts(q_eps_parts(flat[k0 : k0 + _ROW_BLOCK]), eps)
+    return Q.reshape(lam.shape + lam.shape[-1:])
+
+
+def every_state():
+    """A context in which each trace with energy diagnostics keeps the state
+    of every sample: energy._TRACE_SAMPLES is patched so that the stride is 1."""
+    return mock.patch.object(energy, "_TRACE_SAMPLES", sys.maxsize)

@@ -26,13 +26,14 @@ from hyposym import (
     verify_properties,
 )
 from hyposym.examples import builtin_system
-from hyposym.quasisym import q_eps, sample_separation_set
+from hyposym.quasisym import sample_separation_set
 from hyposym.reduction import PathAssembler
 from hyposym.symbols import faddeev_leverrier
 from oracles import (
     conditions_table,
     difference_identity_residual_of,
     near_diagonal_constant,
+    q_eps,
     table_parts,
 )
 
@@ -224,8 +225,8 @@ def test_criterion_5_integral_K_scaling():
     # 1e-1 / 1e-2 / 1e-3, linear in log(1/eps), against int K = 2.516 /
     # 3.034 / 3.041 for this trace.
     S = builtin_system("m2-glaeser")
-    rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(100.0,)))[0],
-                           (1e-1, 1e-2, 1e-3), k_regularity=2.0)
+    rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(100.0,)),
+                                           sweep_eps=(1e-1, 1e-2, 1e-3))[0], k_regularity=2.0)
     target = rep.theoretical_exponent
     ok = abs(rep.fitted_exponent - target) <= 0.25 * abs(target)
     announce("5 (K-scaling)", ok,

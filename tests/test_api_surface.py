@@ -154,6 +154,26 @@ def test_condition_report_keeps_no_per_point_table():
                                                                   "rows"]
 
 
+def test_one_K_path_per_trace():
+    # reduced_integrate takes K at each sweep eps in its RK4 windows, from the
+    # parts it builds there; integral_K_sweep forms no quasi-symmetriser, and
+    # no trace is asked to keep every state
+    import inspect
+
+    import hyposym.quasisym as quasisym
+    from hyposym.energy import frequency_sweep, integral_K_sweep, reduced_integrate
+
+    assert list(inspect.signature(reduced_integrate).parameters) == [
+        "symbol", "xi", "V0", "config", "collect_energy", "sweep_eps"]
+    assert list(inspect.signature(frequency_sweep).parameters) == [
+        "symbol", "config", "collect_energy", "sweep_eps"]
+    assert list(inspect.signature(integral_K_sweep).parameters) == ["trace", "k_regularity"]
+    assert occurrences("q_eps_parts(") == {"quasisym.q_eps_parts", "quasisym.build_Q_eps",
+                                           "quasisym.verify_properties",
+                                           "energy._EnergyTerms._Q"}
+    assert not hasattr(quasisym, "q_eps")
+
+
 def test_one_producer_per_recursion():
     # reduce, last_rows and evaluate_grid take c and bold_A from the kernel
     # _bold_B_terms; a second recursion beside it fails here

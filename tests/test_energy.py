@@ -32,13 +32,15 @@ from hyposym.reduction import (
     assemble_path,
 )
 from hyposym.symbols import SystemSymbol, bracket, brackets, eval_symbol_path, rescaled_spectra
-from hyposym.quasisym import q_eps, q_eps_parts, sum_parts, verify_properties
+from hyposym.quasisym import q_eps_parts, sum_parts, verify_properties
 from oracles import (
     CONSTANT_COMPANIONS,
     M4_DOUBLE_ZERO,
     M6_DOUBLE_ZERO,
+    every_state,
     lift_blocks,
     lockstep_rk4_reference,
+    q_eps,
     rk4_propagate_dense,
     rk4_propagate_reference,
     separable_apply,
@@ -259,7 +261,8 @@ def oracle_gap(symbol, xi, u0hat, config) -> float:
     ts, traj = direct_integrate(symbol, xi, u0hat, config)
     U = PathAssembler(symbol, xi).lift(ts, traj)
     V0 = initial_state(symbol, u0hat, xi)
-    trace = reduced_integrate(symbol, xi, V0, config, collect_energy=False)
+    with every_state():
+        trace = reduced_integrate(symbol, xi, V0, config)
     scale = max(float(np.linalg.norm(U, axis=1).max()), 1e-300)
     return float(np.linalg.norm(trace.V - U, axis=1).max() / scale)
 
@@ -342,7 +345,8 @@ class TestReducedIntegrate:
             xi = np.array([x])
             V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
             config = SolverConfig() if eps is None else SolverConfig(eps_policy=("fixed", eps))
-            trace = reduced_integrate(S, xi, V0, config)
+            with every_state():
+                trace = reduced_integrate(S, xi, V0, config)
             assert trace.ts.size == samples
             assert widths[-1] == width < samples - 1
             ref = per_sample_diagnostics(trace, S)
@@ -375,12 +379,12 @@ class TestReducedIntegrate:
 
     def test_diagnostics_peak(self):
         """One run with diagnostics on M4_DOUBLE_ZERO at xi = 100 (2,002
-        samples, every state kept, 0.5 MB) peaked at 2.04 MB of traced
-        memory, q_eps of one block of quasisym._ROW_BLOCK samples (1.0 MB) on
-        top of the window's data; with Q and the diagnostics of the whole
-        trace it peaked at 2.3 MB, and with every bold_B term of a window held
-        at once, windows counted without the reduction's temporaries and
-        term3 in blocks of 256 samples at 4.6 MB."""
+        samples) peaked at 1.70 MB of traced memory, the parts of one block
+        of quasisym._ROW_BLOCK samples (1.0 MB) on top of the window's data;
+        with every state kept (0.5 MB) it peaked at 2.04 MB, with Q and the
+        diagnostics of the whole trace at 2.3 MB, and with every bold_B term
+        of a window held at once, windows counted without the reduction's
+        temporaries and term3 in blocks of 256 samples at 4.6 MB."""
         xi = np.array([100.0])
         V0 = initial_state(M4_DOUBLE_ZERO, np.ones(4) / 2, xi)
         _, peak = traced_peak(reduced_integrate, M4_DOUBLE_ZERO, xi, V0, SolverConfig())
@@ -389,15 +393,19 @@ class TestReducedIntegrate:
     def test_trace_peak_holds_no_whole_trace_stack(self):
         """A whole run with diagnostics on M6_DOUBLE_ZERO at xi = 1000
         (20,002 samples), keeping the 1,001 states a report emits, peaked at
-        9.7 MB of traced memory: q_eps of one block of quasisym._ROW_BLOCK
+        9.77 MB of traced memory, and with a report's K sweep at three more
+        eps at 10.54 MB: the parts and Q of one block of quasisym._ROW_BLOCK
         samples (6.5 MB) over the spectra and the 1-d series of every sample.
         With Q (5.8 MB) and every state (11.5 MB) of the trace held it
-        peaked at 22.1 MB."""
+        peaked at 22.1 MB, and a K sweep taken after the run from every
+        state at 60.5 MB."""
         S, xi = M6_DOUBLE_ZERO, np.array([1000.0])
         V0 = initial_state(S, np.ones(6) / np.sqrt(6), xi)
-        trace, peak = traced_peak(reduced_integrate, S, xi, V0, SolverConfig(), True, "stride")
-        assert trace.ts.size == 20002 and trace.V.shape == (1001, 36)
-        assert peak < 12e6
+        for sweep in ((), (1e-1, 1e-2, 1e-3)):
+            trace, peak = traced_peak(reduced_integrate, S, xi, V0, SolverConfig(), True, sweep)
+            assert trace.ts.size == 20002 and trace.V.shape == (1001, 36)
+            assert trace.K_sweep.shape == (len(sweep), 20002)
+            assert peak < 12e6, sweep
 
     @pytest.mark.parametrize("size", [1, 7])
     def test_block_sizes_change_no_output_bit(self, size, monkeypatch):
@@ -409,11 +417,11 @@ class TestReducedIntegrate:
         V0 = initial_state(S, np.ones(4) / 2, xi)
 
         def outputs():
-            trace = reduced_integrate(S, xi, V0, SolverConfig())
-            sweep = integral_K_sweep(trace, (1e-1, 1e-2))
+            trace = reduced_integrate(S, xi, V0, SolverConfig(), sweep_eps=(1e-1, 1e-2))
+            sweep = integral_K_sweep(trace)
             return [getattr(trace, name).tobytes() for name in
-                    ("V", "log_scale", "E", "K", "term2", "term3", "dtE", "lambdas")] + [
-                trace.coercivity_sup, sweep.K_integrals]
+                    ("V", "log_scale", "E", "K", "term2", "term3", "dtE", "lambdas",
+                     "K_sweep")] + [trace.coercivity_sup, sweep.K_integrals]
 
         ref = outputs()
         widths = lockstep_widths(monkeypatch)
@@ -434,7 +442,8 @@ class TestReducedIntegrate:
         assert N == 12001
         widths = lockstep_widths(monkeypatch)
         V0 = initial_state(S, np.ones(2) / np.sqrt(2), xi)
-        trace = reduced_integrate(S, xi, V0, SolverConfig())
+        with every_state():
+            trace = reduced_integrate(S, xi, V0, SolverConfig())
         assert widths == [1170]   # 11 windows
         ref, ref_logs = reference_rk4(step_matrices(S, xi[None], np.zeros(1))[0, 0], N, h, V0,
                                       renormalize=True)
@@ -465,7 +474,8 @@ class TestReducedIntegrate:
         V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
         if start is not None:
             V0 = V0 * (start / np.linalg.norm(V0))
-        trace = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
+        with every_state():
+            trace = reduced_integrate(S, xi, V0, SolverConfig())
         N, h = SolverConfig().steps_for(S, xi)
         ts_half = np.linspace(0.0, S.horizon, 2 * N + 1)
         ref, ref_logs = reference_rk4(1j * np.add(*assemble_path(S, xi, ts_half)), N, h, V0,
@@ -493,9 +503,6 @@ class TestReducedIntegrate:
         with pytest.raises(DomainError):
             reduced_integrate(builtin_system("m2-wave"), np.array([1.0]), np.zeros(3),
                               SolverConfig())
-        with pytest.raises(DomainError, match="keep"):
-            reduced_integrate(builtin_system("m2-wave"), np.array([1.0]), np.zeros(4),
-                              SolverConfig(), keep="some")
 
     @pytest.mark.parametrize("name, xis, strides", [
         ("m3-tracezero", (10.0, 100.0, 400.0), [1, 2, 8]),
@@ -504,22 +511,25 @@ class TestReducedIntegrate:
     ])
     def test_kept_states_are_the_full_record_at_the_stride(self, name, xis, strides):
         """A report's traces keep the states of the samples ts[::stride] that
-        it emits (the first every state, for the K sweep), and a growth
-        sweep's none: bitwise the full run's, as is every series, which
-        holds every sample; the payloads of the two runs are bitwise equal."""
+        it emits, and a growth sweep's none: bitwise the full run's, as is
+        every series, which holds every sample; the payload of a trace is
+        bitwise that of the full run with its states taken at the stride."""
+        from dataclasses import replace
+
         from hyposym.cli import _trace_payload
 
         S = builtin_system(name)
         config = SolverConfig(xi_grid=xis)
-        full = frequency_sweep(S, config)
-        kept = frequency_sweep(S, config, keep=["all", "stride", "stride"])
+        with every_state():
+            full = frequency_sweep(S, config)
+        kept = frequency_sweep(S, config)
         bare = frequency_sweep(S, config, collect_energy=False)
-        assert [tr.stride for tr in full] == strides
+        assert [tr.stride for tr in kept] == strides
         assert np.count_nonzero(np.diff(full[-1].log_scale)) == (2 if name[1] == "2" else 0)
         for r, (f, k, b) in enumerate(zip(full, kept, bare)):
-            assert k.stride == b.stride == f.stride == max(1, -(-f.ts.size // 1001))
-            want = f.V if r == 0 else f.V[:: f.stride]
-            assert k.V.tobytes() == want.tobytes(), r
+            assert f.V.shape[0] == f.ts.size and f.stride == 1
+            assert k.stride == b.stride == max(1, -(-f.ts.size // 1001))
+            assert k.V.tobytes() == f.V[:: k.stride].tobytes(), r
             assert b.V.shape == (0, S.m * S.m) and b.E is None
             for field in ("log_scale", "norms"):
                 assert getattr(k, field).tobytes() == getattr(f, field).tobytes(), (r, field)
@@ -527,9 +537,10 @@ class TestReducedIntegrate:
             for field in ("E", "K", "term2", "term3", "dtE", "lambdas"):
                 assert getattr(k, field).tobytes() == getattr(f, field).tobytes(), (r, field)
             residual = np.zeros(f.ts.size)
-            got, ref = _trace_payload(k, residual), _trace_payload(f, residual)
-            assert ref["V_re"].tobytes() == f.V[:: f.stride].real.tobytes()
-            assert ref["log_scale"].tobytes() == f.log_scale[:: f.stride].tobytes()
+            got = _trace_payload(k, residual)
+            ref = _trace_payload(replace(f, V=f.V[:: k.stride], stride=k.stride), residual)
+            assert ref["V_re"].tobytes() == f.V[:: k.stride].real.tobytes()
+            assert ref["log_scale"].tobytes() == f.log_scale[:: k.stride].tobytes()
             assert got.keys() == ref.keys()
             for key, value in ref.items():
                 assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), (r, key)
@@ -633,38 +644,54 @@ class TestIntegralKSweep:
         assert re.eps == 0.5
 
     def test_integrals_match_per_eps_reweight_bitwise(self):
-        # The sweep builds the quasi-symmetriser parts once; each integral
-        # must still be the one a full per-eps reweight gives.
-        for name in ("m2-glaeser", "m3-tracezero"):
+        # The sweep builds the quasi-symmetriser parts once per block, in the
+        # RK4 windows; each integral must still be the one a full per-eps
+        # reweight of every state gives, also where the trace keeps only
+        # every stride-th state.
+        for name, x, stride in [(name, x, stride) for name in ("m2-glaeser", "m3-tracezero")
+                                for x, stride in ((10.0, 1), (100.0, 2))]:
             S = builtin_system(name)
-            xi = np.array([10.0])
+            xi = np.array([x])
             eps_values = (1e-1, 1e-2, 1e-3)
-            sweep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)))[0],
-                                     eps_values)
+            trace = frequency_sweep(S, SolverConfig(xi_grid=(x,)), sweep_eps=eps_values)[0]
+            assert trace.stride == stride
+            sweep = integral_K_sweep(trace)
+            assert sweep.eps_values == eps_values
             V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
-            base = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
+            with every_state():
+                base = reduced_integrate(S, xi, V0, SolverConfig())
             for eps, value in zip(eps_values, sweep.K_integrals):
                 tr = reweight_energy(base, S, eps)
-                assert value == float(np.trapezoid(tr.K, tr.ts)), (name, eps)
+                assert value == float(np.trapezoid(tr.K, tr.ts)), (name, x, eps)
 
     def test_sweep_reads_the_spectra_of_the_trace(self):
         S = builtin_system("m3-tracezero")
-        trace = frequency_sweep(S, SolverConfig(xi_grid=(10.0,)))[0]
+        trace = frequency_sweep(S, SolverConfig(xi_grid=(10.0,)), sweep_eps=(1e-1,))[0]
         want = rescaled_spectra(S, trace.ts, trace.xi).lambdas
         assert trace.lambdas.tobytes() == want.tobytes()
-        bare = frequency_sweep(S, SolverConfig(xi_grid=(10.0,)), collect_energy=False)[0]
-        with pytest.raises(DomainError, match="energy diagnostics"):
-            integral_K_sweep(bare, (1e-1,))
-        strided = frequency_sweep(S, SolverConfig(xi_grid=(100.0,)), keep=["stride"])[0]
-        assert strided.stride == 2
-        with pytest.raises(DomainError, match="every state"):
-            integral_K_sweep(strided, (1e-1,))
+        assert integral_K_sweep(trace).eps_values == (1e-1,)
+        for collect_energy in (True, False):
+            bare = frequency_sweep(S, SolverConfig(xi_grid=(10.0,)), collect_energy)[0]
+            assert bare.sweep_eps == ()
+            with pytest.raises(DomainError, match="no eps sweep"):
+                integral_K_sweep(bare)
+        V0 = initial_state(S, np.ones(3) / np.sqrt(3), trace.xi)
+        for eps in (0.0, -1e-3, 1.5, float("nan")):
+            with pytest.raises(DomainError, match="eps must lie in"):
+                reduced_integrate(S, trace.xi, V0, SolverConfig(), sweep_eps=(1e-1, eps))
+        with pytest.raises(DomainError, match="needs the energy diagnostics"):
+            reduced_integrate(S, trace.xi, V0, SolverConfig(), False, (1e-1,))
+        with pytest.raises(DomainError, match="needs the energy diagnostics"):
+            frequency_sweep(S, SolverConfig(xi_grid=(10.0,)), False, (1e-1,))
+        # only the first frequency takes the sweep
+        traces = frequency_sweep(S, SolverConfig(xi_grid=(10.0, 20.0)), sweep_eps=(1e-1,))
+        assert [tr.sweep_eps for tr in traces] == [(1e-1,), ()]
 
     def test_upper_bound_direction_holds(self):
         # int K <= C1 eps^{-2(m-1)/k} with C1 calibrated at the largest eps.
         S = builtin_system("m2-glaeser")
-        rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)))[0],
-                               (1e-1, 1e-2, 1e-3))
+        rep = integral_K_sweep(frequency_sweep(S, SolverConfig(xi_grid=(10.0,)),
+                                               sweep_eps=(1e-1, 1e-2, 1e-3))[0])
         C1 = rep.C1_values[0]
         for eps, val in zip(rep.eps_values, rep.K_integrals):
             assert val <= C1 * eps ** rep.theoretical_exponent * (1 + 1e-9)
@@ -678,7 +705,8 @@ class TestIntegralKSweep:
         # K / rho 0.977-0.984; m3-tracezero reads int rho = 8.674 / 18.89 /
         # 29.14 against int K = 7.981 / 11.48 / 11.55, max K / rho 0.997.
         S = builtin_system(name)
-        trace = frequency_sweep(S, SolverConfig(xi_grid=(100.0,)))[0]
+        with every_state():
+            trace = frequency_sweep(S, SolverConfig(xi_grid=(100.0,)))[0]
         ts = trace.ts
         h = ts[1] - ts[0]
         parts = q_eps_parts(trace.lambdas)
@@ -694,8 +722,8 @@ class TestIntegralKSweep:
         S = builtin_system("m2-glaeser")
         vals = []
         for h in (4e-4, 2e-4):
-            rep = integral_K_sweep(frequency_sweep(S, SolverConfig(t_step=h, xi_grid=(100.0,)))[0],
-                                   (1e-2,))
+            rep = integral_K_sweep(frequency_sweep(S, SolverConfig(t_step=h, xi_grid=(100.0,)),
+                                                   sweep_eps=(1e-2,))[0])
             vals.append(rep.K_integrals[0])
         assert vals[0] == pytest.approx(vals[1], rel=1e-5)
 
@@ -1136,8 +1164,9 @@ class TestGrowthLog:
         S = M6_DOUBLE_ZERO if name == "m6-double-zero" else builtin_system(name)
         xi = np.array([x])
         V0 = initial_state(S, np.ones(S.m) / np.sqrt(S.m), xi)
-        full = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
-        bare = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False, keep="none")
+        with every_state():
+            full = reduced_integrate(S, xi, V0, SolverConfig())
+        bare = reduced_integrate(S, xi, V0, SolverConfig(), collect_energy=False)
         assert bare.V.shape == (0, S.m * S.m)
         assert full.norms.tobytes() == np.linalg.norm(full.V, axis=1).tobytes()
         assert bare.norms.tobytes() == full.norms.tobytes()

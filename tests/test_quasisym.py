@@ -13,13 +13,12 @@ from hyposym.quasisym import (
     _ROW_BLOCK,
     PropertyReport,
     build_Q_eps,
-    q_eps,
     q_eps_parts,
     sample_separation_set,
     sum_parts,
 )
 from hyposym.symbols import deleted_sigmas, elementary_symmetric_all
-from oracles import lift_blocks, near_diagonal_constant, traced_peak
+from oracles import lift_blocks, near_diagonal_constant, q_eps, traced_peak
 
 
 def build_P(lambdas) -> np.ndarray:
